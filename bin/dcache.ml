@@ -456,9 +456,10 @@ let audit_cmd =
 
 (* Long-run serving driver: batches of synthetic workload through the
    streaming DP and the online SC policy, forever by default, with a
-   Prometheus /metrics endpoint polled between batches and a flight
-   recorder snapshotting the registry on a wall-clock interval.  This
-   is the wall-clock mode — the Runtime_events GC bridge is installed
+   Prometheus /metrics endpoint polled between batches; metric history
+   comes from scraping it, or from the Chrome trace --trace-json
+   writes (every gauge write is a counter event there).  This is the
+   wall-clock mode — the Runtime_events GC bridge is installed
    here (and only here / under --trace paths), never in the
    deterministic tick-clock modes. *)
 
@@ -479,12 +480,6 @@ let serve_metrics_cmd =
   let batch_size_arg =
     Arg.(value & opt int 2000 & info [ "batch-size" ] ~docv:"N" ~doc:"Requests per batch.")
   in
-  let snapshot_ms_arg =
-    Arg.(
-      value
-      & opt int 250
-      & info [ "snapshot-ms" ] ~docv:"MS" ~doc:"Flight-recorder snapshot interval.")
-  in
   let items_arg =
     Arg.(
       value
@@ -494,26 +489,15 @@ let serve_metrics_cmd =
             "Independent item streams per batch.  Each gets its own auditor and its own child in \
              the labeled serve.item_* and audit.item_* metric families.")
   in
-  let timeline_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "timeline" ] ~docv:"FILE"
-          ~doc:
-            "Write the dcache-timeline/1 flight-recorder timeline to $(docv) (CSV when it ends \
-             in .csv, JSON otherwise); rewritten every 50 batches and at exit.")
-  in
-  let run () port batches batch_size items m mu lambda seed snapshot_ms timeline =
+  let run () port batches batch_size items m mu lambda seed =
     let module Obs = Dcache_obs.Obs in
     let module Prom = Dcache_obs.Prometheus in
-    let module Recorder = Dcache_obs.Recorder in
     let module Bridge = Dcache_obs.Runtime_bridge in
     if batches < 0 then or_die (Error "--batches must be >= 0");
     if batch_size < 2 then or_die (Error "--batch-size must be at least 2");
     if items < 1 then or_die (Error "--items must be at least 1");
     if batch_size / items < 2 then
       or_die (Error "--batch-size must leave at least 2 requests per item");
-    if snapshot_ms < 1 then or_die (Error "--snapshot-ms must be positive");
     let model = or_die (model_of mu lambda) in
     (* --trace-json may already have installed a recording sink (and
        will dump the Chrome trace at exit); otherwise record without
@@ -529,18 +513,6 @@ let serve_metrics_cmd =
           or_die (Error (Printf.sprintf "cannot listen on port %d: %s" port (Unix.error_message e)))
     in
     Printf.printf "dcache: serving http://127.0.0.1:%d/metrics\n%!" (Prom.port server);
-    let flight =
-      Recorder.create
-        ~clock:(Dcache_obs.Clock.monotonic ())
-        ~interval_ns:(snapshot_ms * 1_000_000) ()
-    in
-    let write_timeline () =
-      match timeline with
-      | None -> ()
-      | Some path ->
-          if Filename.check_suffix path ".csv" then Recorder.write_csv flight ~path
-          else Recorder.write_json flight ~path
-    in
     let g_opt = Obs.gauge "serve.offline_opt_cost" in
     let g_ratio = Obs.gauge "serve.sc_vs_opt" in
     (* per-item children of the labeled serve.* families, resolved
@@ -596,29 +568,24 @@ let serve_metrics_cmd =
     let rec loop i =
       if batches = 0 || i < batches then begin
         batch i;
-        Recorder.tick flight;
         ignore (Prom.poll server);
         (match bridge with Some t -> ignore (Bridge.poll t) | None -> ());
-        if i mod 50 = 49 then write_timeline ();
         loop (i + 1)
       end
       else i
     in
     let ran = loop 0 in
-    Recorder.force flight;
     ignore (Prom.poll server);
-    write_timeline ();
     Prom.close server;
     (match bridge with Some t -> Bridge.stop t | None -> ());
-    Printf.printf "dcache: ran %d batches, kept %d timeline snapshots (%d dropped)\n" ran
-      (Recorder.snapshots flight) (Recorder.dropped flight)
+    Printf.printf "dcache: ran %d batches\n" ran
   in
   Cmd.v
     (Cmd.info "serve-metrics"
        ~doc:"Run a long-horizon serving simulation with a Prometheus /metrics endpoint")
     Term.(
       const run $ obs_term $ port_arg $ batches_arg $ batch_size_arg $ items_arg $ m_arg $ mu_arg
-      $ lambda_arg $ seed_arg $ snapshot_ms_arg $ timeline_arg)
+      $ lambda_arg $ seed_arg)
 
 (* ----------------------------------------------------------- check-metrics *)
 

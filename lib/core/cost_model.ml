@@ -1,8 +1,10 @@
 type t = { mu : float; lambda : float; upload : float }
 
 let make ?(upload = infinity) ~mu ~lambda () =
-  if not (mu > 0.) then invalid_arg "Cost_model.make: mu must be positive";
-  if not (lambda > 0.) then invalid_arg "Cost_model.make: lambda must be positive";
+  if not (mu > 0. && Float.is_finite mu) then
+    invalid_arg "Cost_model.make: mu must be positive and finite";
+  if not (lambda > 0. && Float.is_finite lambda) then
+    invalid_arg "Cost_model.make: lambda must be positive and finite";
   if not (upload > 0.) then invalid_arg "Cost_model.make: upload must be positive";
   { mu; lambda; upload }
 

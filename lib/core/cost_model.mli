@@ -15,8 +15,9 @@ type t = private {
 }
 
 val make : ?upload:float -> mu:float -> lambda:float -> unit -> t
-(** @raise Invalid_argument if [mu <= 0], [lambda <= 0] or
-    [upload <= 0]. *)
+(** @raise Invalid_argument if [mu] or [lambda] is not positive and
+    finite (NaN and [infinity] included), or [upload <= 0].
+    [upload = infinity] is legal: it means "no upload". *)
 
 val unit : t
 (** [mu = 1, lambda = 1]: the model used in the paper's worked

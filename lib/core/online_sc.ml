@@ -2,16 +2,11 @@ module Obs = Dcache_obs.Obs
 module Pq = Dcache_prelude.Pqueue.Flat
 
 (* registered once; probed in bulk at end-of-run so the request loop
-   pays nothing for them (the epoch histogram is the one in-loop
-   probe, and it fires only on the rare epoch-reset branch) *)
+   pays nothing for them *)
 let c_serves = Obs.counter "online_sc.serves"
 let c_transfers = Obs.counter "online_sc.transfers"
 let c_evictions = Obs.counter "online_sc.evictions"
 let c_epoch_resets = Obs.counter "online_sc.epoch_resets"
-
-let h_epoch_transfers =
-  Obs.histogram "online_sc.epoch_transfers"
-    ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
 
 let sp_run = Obs.span_name "online_sc.run"
 
@@ -303,7 +298,6 @@ module Incremental = struct
     t.n <- i;
     t.last_time <- ti;
     if t.epoch_transfers >= t.epoch_size then begin
-      if Obs.probe () then Obs.observe h_epoch_transfers (float_of_int t.epoch_transfers);
       for k = 0 to t.m - 1 do
         if k <> j && st.active.(k) then begin
           (* dcache-sema: allow S1 — epoch resets are rare by construction (every epoch_size transfers); the closed segments are the run's output *)

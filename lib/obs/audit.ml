@@ -8,10 +8,6 @@ let g_prefix_ratio = Obs.gauge "audit.prefix_ratio"
 let g_window_ratio = Obs.gauge "audit.window_ratio"
 let g_window_regret = Obs.gauge "audit.window_regret"
 
-let h_window_ratios =
-  Obs.histogram "audit.window_ratios"
-    ~buckets:[| 1.0; 1.25; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0 |]
-
 (* Per-item families for multi-stream auditing ([dcache serve-metrics]
    runs one auditor per item): distinct base names so the flat
    aggregates above keep their own Prometheus families.  Children are
@@ -19,16 +15,17 @@ let h_window_ratios =
 let v_item_window_ratio = Obs.gauge_vec "audit.item_window_ratio" ~labels:[ "item" ]
 let v_item_windows = Obs.counter_vec "audit.item_windows" ~labels:[ "item" ]
 
-(* Regret quantiles ride the span-duration histograms (the one
-   Histo_log surface already exported to Prometheus summaries and the
-   flight recorder).  Unit: nano-cost — 1 cost unit = 1e9 ticks — so
-   the Prometheus [_duration_seconds] summary reads back directly in
+(* Window-ratio and regret distributions ride the span-duration
+   histograms (the one Histo_log surface, exported to Prometheus as
+   summaries).  Unit: nano — 1 ratio or cost unit = 1e9 ticks — so
+   the [_duration_seconds] summaries read back directly in ratio and
    cost units.  Negative regret (the online policy beating the
    windowed optimum deltas) clamps to the 0 bucket; the exact signed
    value stays on the [audit.window_regret] gauge. *)
+let sp_window_ratios = Obs.span_name "audit.window_ratios"
 let sp_window_regret = Obs.span_name "audit.window_regret"
 
-let regret_ticks regret = int_of_float (Float.max 0.0 regret *. 1e9)
+let nano_ticks v = int_of_float (Float.max 0.0 v *. 1e9)
 
 type window = {
   index : int;
@@ -129,8 +126,8 @@ let close_window t =
     Obs.incr c_windows;
     Obs.set_gauge g_window_ratio r;
     Obs.set_gauge g_window_regret regret;
-    Obs.observe h_window_ratios r;
-    Obs.observe_span_ns sp_window_regret (regret_ticks regret);
+    Obs.observe_span_ns sp_window_ratios (nano_ticks r);
+    Obs.observe_span_ns sp_window_regret (nano_ticks regret);
     (match t.item_windows with Some c -> Obs.incr c | None -> ());
     match t.item_ratio with Some g -> Obs.set_gauge g r | None -> ()
   end

@@ -8,8 +8,9 @@
     - the {b prefix ratio} [online / opt] over everything seen so far;
     - {b sliding-window} ratios and {b dynamic regret}
       ([online - opt] accrued per window of [window_size] requests),
-      with regret quantiles fed into the [audit.window_regret] span
-      histogram ({!Histo_log});
+      with ratio and regret quantiles fed into the
+      [audit.window_ratios] and [audit.window_regret] span histograms
+      ({!Histo_log}, 1 unit = 1e9 ticks);
     - a {b Theorem-3 bound monitor}: a prefix whose ratio exceeds
       [bound + epsilon] bumps the [audit.bound_violations] counter
       and is captured in a bounded ring of witness prefixes.  The

@@ -29,9 +29,9 @@ let monotonic () =
    reads its own body performed — concurrent reads from other pool
    domains do not leak in.  That is what makes span-duration
    histograms, and every quantile read back from them, byte-identical
-   at any pool width (test_obs's timeline test).  Cross-domain tick
-   values still depend on chunk placement, so the trace-structure
-   tests keep comparing structure, not timestamps. *)
+   at any pool width (test_audit's width-1-vs-4 readback test).
+   Cross-domain tick values still depend on chunk placement, so the
+   trace-structure tests keep comparing structure, not timestamps. *)
 let ticks () =
   let key = Domain.DLS.new_key (fun () -> ref (-1)) in
   fun () ->

@@ -27,5 +27,5 @@ val ticks : unit -> t
     so a span's tick duration measures exactly the clock reads of its
     own body — independent of what other pool domains do
     concurrently.  Timestamps become a deterministic function of each
-    domain's record order; used by the reproducibility tests and the
-    timeline width-independence test. *)
+    domain's record order; used by the reproducibility tests, among
+    them the width-1-vs-4 audit readback test. *)

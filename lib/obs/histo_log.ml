@@ -71,11 +71,6 @@ let count t = Atomic.get t.n
 let sum t = Atomic.get t.total
 let counts t = Array.map Atomic.get t.cells
 
-let merge_into ~into src =
-  Array.iteri (fun i c -> ignore (Atomic.fetch_and_add into.cells.(i) (Atomic.get c))) src.cells;
-  ignore (Atomic.fetch_and_add into.n (Atomic.get src.n));
-  ignore (Atomic.fetch_and_add into.total (Atomic.get src.total))
-
 let reset t =
   Array.iter (fun c -> Atomic.set c 0) t.cells;
   Atomic.set t.n 0;

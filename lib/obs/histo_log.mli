@@ -6,10 +6,11 @@
     16 sub-buckets, so any recorded value is off by at most
     {!relative_error} (6.25%) from its bucket's representative.
     Recording is three atomic bumps — no allocation, safe from any
-    domain — and bucket counts are commutative sums, so merged totals
-    and every quantile read back from them are independent of how
-    work was split across domains (the histogram side of the
-    width-independence contract tested in [test/test_obs.ml]).
+    domain — and bucket counts are commutative sums, so totals and
+    every quantile read back from them are independent of how work
+    was split across domains (the histogram side of the
+    width-independence contract tested in [test/test_obs.ml] and
+    [test/test_audit.ml]).
 
     Values are [int]s; the instrumentation records nanoseconds (or
     virtual clock ticks under test).  Negative values clamp to
@@ -32,11 +33,6 @@ val sum : t -> int
 
 val counts : t -> int array
 (** Snapshot of all bucket counts, index = {!bucket_of}. *)
-
-val merge_into : into:t -> t -> unit
-(** Add every bucket (and count/sum) of the source into [into].
-    Pointwise int addition: associative and commutative, so any merge
-    tree over per-task histograms yields identical totals. *)
 
 val reset : t -> unit
 (** Zero all cells. *)

@@ -2,20 +2,20 @@
    pluggable sinks.
 
    The design center is the cost of the *disabled* path.  Every probe
-   ([incr], [add], [set_gauge], [observe], [enter], [leave], [span])
-   starts with a read of [state.recording] — one load and one branch,
-   small enough for ocamlopt's cross-module inliner — and allocates
-   nothing either way: counters and histogram buckets are arrays of
-   [Atomic.t] cells created at registration, gauges are a flat float
-   array, and span events land in preallocated int/float ring columns.
+   ([incr], [add], [set_gauge], [enter], [leave], [spanned]) starts
+   with a read of [state.recording] — one load and one branch, small
+   enough for ocamlopt's cross-module inliner — and allocates nothing
+   either way: counters are [Atomic.t] cells created at registration,
+   gauges are a flat float array, and span events land in
+   preallocated int/float ring columns.
    With the default [Noop] sink the instrumented hot paths therefore
    keep their allocation budget exactly (bench/obs_overhead.ml asserts
    0 extra minor words and bounds the time cost; bench/perf_gate.exe
    gates both).
 
-   Multi-domain story: counters and histograms are atomic, so totals
-   are sums of per-task contributions and identical at any domain
-   count.  Span events go to the buffer installed in the recording
+   Multi-domain story: counters and span histograms are atomic, so
+   totals are sums of per-task contributions and identical at any
+   domain count.  Span events go to the buffer installed in the recording
    domain's DLS slot — the recorder's main ring on the installing
    domain, a positional per-task buffer inside a {!Parallel} job —
    and per-task buffers are merged back into the main ring in task
@@ -53,9 +53,9 @@ let find_name names name =
    Prometheus renderer maps '.' to '_', so the accepted grammar is the
    text-format 0.0.4 metric-name grammar plus '.'.  '{' is rejected
    everywhere: labeled children are interned under the encoded name
-   [base{k="v",...}], so the brace opens a namespace reserved for
-   them.  Validating at registration means a bad name fails at
-   [let]-time in the instrumented module, not at scrape time. *)
+   [base{k="v"}], so the brace opens a namespace reserved for them.
+   Validating at registration means a bad name fails at [let]-time in
+   the instrumented module, not at scrape time. *)
 
 let is_name_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' | '.' -> true
@@ -87,7 +87,6 @@ let check_label_key fn s =
 type counter = int
 type gauge = int
 type span = int
-type histogram = int
 
 let c_names = ref [||]
 let c_cells : int Atomic.t array ref = ref [||]
@@ -106,48 +105,34 @@ let s_names = ref [||]
    width-independent too; see Clock.ticks). *)
 let s_histos : Histo_log.t array ref = ref [||]
 
-type hist = {
-  h_name : string;
-  h_edges : float array;
-  h_counts : int Atomic.t array;
-  (* float sum for Prometheus [_sum]: accumulation order is
-     scheduling-dependent rounding, so this is monitoring-only and
-     deliberately outside the determinism contract (the exact int
-     sums live in Histo_log) *)
-  h_sum : float Atomic.t;
-}
-
-let h_cells : hist array ref = ref [||]
-
 let append cells v = cells := Array.append !cells [| v |]
 
 (* ----------------------------------------- labeled families: registry *)
 
-(* A metric vector is a family of plain cells keyed by a small label
-   set.  Each child is a regular entry in the flat registries above,
-   interned under the encoded name [base{k1="v1",k2="v2"}] (values
-   Prometheus-escaped at creation, keys in declaration order), so the
-   hot-path bump on a resolved child is the same single atomic op as
-   any plain metric and the 0-word Noop contract holds unchanged.
-   Because readbacks are name-sorted, the children of one family are
-   contiguous and in a deterministic byte order no matter which
-   domain resolved them first — exposition stays width-independent. *)
+(* A metric vector is a family of plain cells keyed by one label.
+   Each child is a regular entry in the flat registries above,
+   interned under the encoded name [base{k="v"}] (the value
+   Prometheus-escaped at creation), so the hot-path bump on a
+   resolved child is the same single atomic op as any plain metric
+   and the 0-word Noop contract holds unchanged.  Because readbacks
+   are name-sorted, the children of one family are contiguous and in
+   a deterministic byte order no matter which domain resolved them
+   first — exposition stays width-independent. *)
 
-type vec_kind = Vec_counter | Vec_gauge | Vec_histogram of float array
+type vec_kind = Vec_counter | Vec_gauge
 
 type vec = {
   v_name : string;
-  v_keys : string array;
+  v_key : string;
   v_kind : vec_kind;
   v_max : int;
-  (* '\x00'-joined label values -> interned cell id: the O(1) lookup
-     that keeps re-resolution cheap and child ids stable *)
+  (* label value -> interned cell id: the O(1) lookup that keeps
+     re-resolution cheap and child ids stable *)
   v_children : (string, int) Hashtbl.t;
 }
 
 type counter_vec = vec
 type gauge_vec = vec
-type histogram_vec = vec
 
 let vec_registry : vec list ref = ref []
 
@@ -155,13 +140,10 @@ let find_vec name = List.find_opt (fun v -> String.equal v.v_name name) !vec_reg
 
 let same_vec_kind a b =
   match (a, b) with
-  | Vec_counter, Vec_counter | Vec_gauge, Vec_gauge | Vec_histogram _, Vec_histogram _ -> true
-  | (Vec_counter | Vec_gauge | Vec_histogram _), _ -> false
+  | Vec_counter, Vec_counter | Vec_gauge, Vec_gauge -> true
+  | (Vec_counter | Vec_gauge), _ -> false
 
-let vec_kind_label = function
-  | Vec_counter -> "counter"
-  | Vec_gauge -> "gauge"
-  | Vec_histogram _ -> "histogram"
+let vec_kind_label = function Vec_counter -> "counter" | Vec_gauge -> "gauge"
 
 (* A plain metric and a same-kind family under one base name would
    render into the same Prometheus family with inconsistent label
@@ -192,29 +174,6 @@ let gauge_cell name =
       g_cells := Array.append !g_cells [| 0.0 |];
       Array.length !g_names - 1
 
-let histogram_cell name buckets =
-  let names = Array.map (fun h -> h.h_name) !h_cells in
-  match find_name names name with
-  | Some id -> id
-  | None ->
-      append h_cells
-        {
-          h_name = name;
-          h_edges = Array.copy buckets;
-          h_counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-          h_sum = Atomic.make 0.0;
-        };
-      Array.length !h_cells - 1
-
-let check_buckets fn buckets =
-  if Array.length buckets = 0 then
-    invalid_arg (Printf.sprintf "Obs.%s: need at least one bucket edge" fn);
-  Array.iteri
-    (fun i e ->
-      if i > 0 && not (buckets.(i - 1) < e) then
-        invalid_arg (Printf.sprintf "Obs.%s: bucket edges must be strictly increasing" fn))
-    buckets
-
 let counter name =
   check_name "counter" name;
   locked (fun () ->
@@ -237,18 +196,11 @@ let span_name name =
           append s_histos (Histo_log.create ());
           Array.length !s_names - 1)
 
-let histogram name ~buckets =
-  check_buckets "histogram" buckets;
-  check_name "histogram" name;
-  locked (fun () ->
-      check_vec_collision "histogram" (Vec_histogram buckets) name;
-      histogram_cell name buckets)
-
 (* ---------------------------------------- labeled families: resolution *)
 
 (* Cardinality is bounded per family: past [max_children] every new
-   label-value combination collapses into the reserved all-["other"]
-   child and bumps [obs.label_overflow], so a family registered with
+   label value collapses into the reserved ["other"] child and bumps
+   [obs.label_overflow], so a family registered with
    [max_children:k] owns at most [k + 1] cells, ever.  The overflow
    counter is bumped unconditionally (not probe-gated): resolution is
    registration-path work, and an overflow under [Noop] must still be
@@ -270,67 +222,38 @@ let escape_label_value b s =
       | c -> Buffer.add_char b c)
     s
 
-let encode_child_name base keys values =
+let encode_child_name base key value =
   let b = Buffer.create (String.length base + 16) in
   Buffer.add_string b base;
   Buffer.add_char b '{';
-  Array.iteri
-    (fun i k ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b k;
-      Buffer.add_string b "=\"";
-      escape_label_value b values.(i);
-      Buffer.add_char b '"')
-    keys;
-  Buffer.add_char b '}';
+  Buffer.add_string b key;
+  Buffer.add_string b "=\"";
+  escape_label_value b value;
+  Buffer.add_string b "\"}";
   Buffer.contents b
-
-let same_keys a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i k -> if not (String.equal k b.(i)) then ok := false) a;
-  !ok
-
-let same_buckets a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i e -> if not (Float.equal e b.(i)) then ok := false) a;
-  !ok
 
 let make_vec fn kind ?(max_children = default_max_children) name ~labels =
   check_name fn name;
   if max_children < 1 then invalid_arg (Printf.sprintf "Obs.%s: max_children must be >= 1" fn);
-  if labels = [] then invalid_arg (Printf.sprintf "Obs.%s: need at least one label" fn);
-  List.iter (check_label_key fn) labels;
-  let keys = Array.of_list labels in
+  let key =
+    match labels with
+    | [ key ] -> key
+    | _ -> invalid_arg (Printf.sprintf "Obs.%s: need exactly one label" fn)
+  in
+  check_label_key fn key;
   locked (fun () ->
       match find_vec name with
       | Some v ->
-          (* re-registration interns: same name + kind + keys (+ bucket
-             edges) returns the existing family, so child ids resolved
-             through either handle agree *)
-          let compatible =
-            same_vec_kind v.v_kind kind
-            && same_keys v.v_keys keys
-            &&
-            match (v.v_kind, kind) with
-            | Vec_histogram a, Vec_histogram b -> same_buckets a b
-            | _ -> true
-          in
-          if not compatible then
+          (* re-registration interns: same name + kind + key returns
+             the existing family, so child ids resolved through either
+             handle agree *)
+          if not (same_vec_kind v.v_kind kind && String.equal v.v_key key) then
             invalid_arg
-              (Printf.sprintf "Obs.%s: %S is already registered with a different kind or label set"
+              (Printf.sprintf "Obs.%s: %S is already registered with a different kind or label"
                  fn name);
           v
       | None ->
-          let plain_names =
-            match kind with
-            | Vec_counter -> !c_names
-            | Vec_gauge -> !g_names
-            | Vec_histogram _ -> Array.map (fun h -> h.h_name) !h_cells
-          in
+          let plain_names = match kind with Vec_counter -> !c_names | Vec_gauge -> !g_names in
           (match find_name plain_names name with
           | Some _ ->
               invalid_arg
@@ -339,7 +262,7 @@ let make_vec fn kind ?(max_children = default_max_children) name ~labels =
           let v =
             {
               v_name = name;
-              v_keys = keys;
+              v_key = key;
               v_kind = kind;
               v_max = max_children;
               v_children = Hashtbl.create 16;
@@ -352,53 +275,29 @@ let counter_vec ?max_children name ~labels = make_vec "counter_vec" Vec_counter 
 
 let gauge_vec ?max_children name ~labels = make_vec "gauge_vec" Vec_gauge ?max_children name ~labels
 
-let histogram_vec ?max_children name ~labels ~buckets =
-  check_buckets "histogram_vec" buckets;
-  make_vec "histogram_vec" (Vec_histogram (Array.copy buckets)) ?max_children name ~labels
+let vec_cell v value =
+  let name = encode_child_name v.v_name v.v_key value in
+  match v.v_kind with Vec_counter -> counter_cell name | Vec_gauge -> gauge_cell name
 
-let vec_cell v values_arr =
-  let name = encode_child_name v.v_name v.v_keys values_arr in
-  match v.v_kind with
-  | Vec_counter -> counter_cell name
-  | Vec_gauge -> gauge_cell name
-  | Vec_histogram buckets -> histogram_cell name buckets
+let intern v value =
+  match Hashtbl.find_opt v.v_children value with
+  | Some id -> id
+  | None ->
+      let id = vec_cell v value in
+      Hashtbl.add v.v_children value id;
+      id
 
-let resolve fn v values =
-  let nv = List.length values in
-  if nv <> Array.length v.v_keys then
-    invalid_arg
-      (Printf.sprintf "Obs.%s: family %S has %d label(s), got %d value(s)" fn v.v_name
-         (Array.length v.v_keys) nv);
+let resolve v value =
   locked (fun () ->
-      let key = String.concat "\x00" values in
-      match Hashtbl.find_opt v.v_children key with
-      | Some id -> id
-      | None ->
-          if Hashtbl.length v.v_children < v.v_max then begin
-            let id = vec_cell v (Array.of_list values) in
-            Hashtbl.add v.v_children key id;
-            id
-          end
-          else begin
-            Atomic.incr !c_cells.(c_label_overflow);
-            let other = Array.map (fun _ -> overflow_label) v.v_keys in
-            let other_key = String.concat "\x00" (Array.to_list other) in
-            match Hashtbl.find_opt v.v_children other_key with
-            | Some id -> id
-            | None ->
-                let id = vec_cell v other in
-                Hashtbl.add v.v_children other_key id;
-                id
-          end)
+      if Hashtbl.mem v.v_children value || Hashtbl.length v.v_children < v.v_max then
+        intern v value
+      else begin
+        Atomic.incr !c_cells.(c_label_overflow);
+        intern v overflow_label
+      end)
 
-let counter_child v values = resolve "counter_child" v values
-let gauge_child v values = resolve "gauge_child" v values
-let histogram_child v values = resolve "histogram_child" v values
-let counter_with_label v value = resolve "counter_with_label" v [ value ]
-let gauge_with_label v value = resolve "gauge_with_label" v [ value ]
-let histogram_with_label v value = resolve "histogram_with_label" v [ value ]
-
-let vec_cardinality v = locked (fun () -> Hashtbl.length v.v_children)
+let counter_with_label = resolve
+let gauge_with_label = resolve
 
 (* ---------------------------------------------------------- event rings *)
 
@@ -529,22 +428,6 @@ let set_gauge g v =
     record tag_sample g v
   end
 
-(* CAS loop, not [:=]: callable from any domain.  Rounding depends on
-   accumulation order, hence monitoring-only (see [hist]). *)
-let rec atomic_add_float cell v =
-  let cur = Atomic.get cell in
-  if not (Atomic.compare_and_set cell cur (cur +. v)) then atomic_add_float cell v
-
-let observe h v =
-  if state.recording then begin
-    let hist = !h_cells.(h) in
-    let edges = hist.h_edges in
-    let n = Array.length edges in
-    let rec bucket i = if i >= n || v <= edges.(i) then i else bucket (i + 1) in
-    Atomic.incr hist.h_counts.(bucket 0);
-    atomic_add_float hist.h_sum v
-  end
-
 let enter sp = if state.recording then record tag_begin sp 0.0
 
 let leave sp = if state.recording then record tag_end sp 0.0
@@ -587,8 +470,6 @@ let spanned sp f =
             Histo_log.record !s_histos.(sp) (t1 - t0);
             Printexc.raise_with_backtrace e bt)
 
-let span name f = if not state.recording then f () else spanned (span_name name) f
-
 (* Append an event with a caller-supplied timestamp and track into
    the main ring — the Runtime_events bridge lands GC phase spans
    here, on high track ids, already translated into the recorder's
@@ -604,14 +485,6 @@ let counter_value c = Atomic.get !c_cells.(c)
 
 let gauge_value g = !g_cells.(g)
 
-let histogram_counts h =
-  let hist = !h_cells.(h) in
-  Array.map Atomic.get hist.h_counts
-
-let histogram_edges h = Array.copy !h_cells.(h).h_edges
-
-let histogram_sum h = Atomic.get !h_cells.(h).h_sum
-
 let sorted_pairs names value =
   let pairs = List.init (Array.length names) (fun i -> (names.(i), value i)) in
   List.sort (fun (a, _) (b, _) -> String.compare a b) pairs
@@ -624,22 +497,10 @@ let span_histo sp = !s_histos.(sp)
 
 let span_durations () = sorted_pairs !s_names (fun i -> !s_histos.(i))
 
-let histogram_dump () =
-  sorted_pairs
-    (Array.map (fun h -> h.h_name) !h_cells)
-    (fun i ->
-      let h = !h_cells.(i) in
-      (Array.copy h.h_edges, Array.map Atomic.get h.h_counts, Atomic.get h.h_sum))
-
 let reset () =
   Array.iter (fun c -> Atomic.set c 0) !c_cells;
   g_cells := Array.map (fun _ -> 0.0) !g_cells;
   Array.iter Histo_log.reset !s_histos;
-  Array.iter
-    (fun h ->
-      Array.iter (fun c -> Atomic.set c 0) h.h_counts;
-      Atomic.set h.h_sum 0.0)
-    !h_cells;
   match state.current with
   | None -> ()
   | Some r ->
@@ -651,21 +512,10 @@ let reset () =
 (* ------------------------------------------------------ parallel regions *)
 
 module Parallel = struct
-  (* Resolved per-task-index wait lanes, wrapped so callers can hold
-     them in a top-level [let] without exposing a module-level array
-     (sema S6/S7 classify bare global arrays as shared mutable
-     state).  The last slot is the shared overflow lane. *)
-  type wait_lanes = gauge array
-
-  let wait_lanes lanes =
-    if Array.length lanes = 0 then invalid_arg "Obs.Parallel.wait_lanes: need at least one lane";
-    Array.copy lanes
-
   type job = {
     j_span : span;
     j_task_span : span;
     j_wait_gauge : gauge;
-    j_task_wait : wait_lanes option;
     j_post_ns : int;
     j_bufs : buf array;
     j_rec : recorder;
@@ -677,7 +527,7 @@ module Parallel = struct
      oldest events and is counted, like the main ring. *)
   let task_capacity = 64
 
-  let job_begin ~span:sp ~task_span ~wait_gauge ~task_wait ~tasks =
+  let job_begin ~span:sp ~task_span ~wait_gauge ~tasks =
     if not state.recording then None
     else
       match state.current with
@@ -692,7 +542,6 @@ module Parallel = struct
               j_span = sp;
               j_task_span = task_span;
               j_wait_gauge = wait_gauge;
-              j_task_wait = task_wait;
               j_post_ns = Clock.now r.r_clock;
               j_bufs = bufs;
               j_rec = r;
@@ -704,18 +553,11 @@ module Parallel = struct
     Domain.DLS.set current_buf (Some b);
     let started = Clock.now b.b_clock in
     let wait = float_of_int (started - j.j_post_ns) in
+    (* a sample *event* on the task's own track; the gauge cell is
+       never written — the cross-domain delta is width-dependent under
+       the per-domain tick clock, and cells feed the byte-compared
+       readbacks *)
     put b tag_sample j.j_wait_gauge started wait;
-    (* per-task labeled lane: wait is recorded as a sample *event*
-       only — the child's gauge cell is never written, because the
-       cross-domain delta is width-dependent under the per-domain
-       tick clock and cells feed the byte-compared readbacks.  The
-       last array slot is the shared overflow lane for high task
-       indices. *)
-    (match j.j_task_wait with
-    | Some lanes ->
-        let k = if i < Array.length lanes - 1 then i else Array.length lanes - 1 in
-        put b tag_sample lanes.(k) started wait
-    | None -> ());
     put b tag_begin j.j_task_span started 0.0;
     let restore () =
       let ended = Clock.now b.b_clock in
@@ -801,6 +643,8 @@ let chrome_json r =
     Buffer.contents sb
   in
   let num f = Printf.sprintf "%.3f" f in
+  (* JSON has no inf/nan: a non-finite gauge sample is written as null *)
+  let sample_value v = if Float.is_finite v then num v else "null" in
   Buffer.add_string b "{\n  \"traceEvents\": [\n";
   let tracks = ref [] in
   let track id =
@@ -851,7 +695,7 @@ let chrome_json r =
             ("ts", num (us_of_ns ts));
             ("pid", "1");
             ("tid", string_of_int t.t_id);
-            ("args", Printf.sprintf "{\"value\": %.3f}" value);
+            ("args", Printf.sprintf "{\"value\": %s}" (sample_value value));
           ]);
   (* close spans the window ended inside of *)
   List.iter
@@ -891,60 +735,6 @@ let chrome_json r =
 
 let write_chrome_trace r ~path =
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (chrome_json r))
-
-(* ------------------------------------------------- export: span tree *)
-
-(* Aggregated call tree over the merged stream.  One logical stack —
-   not per-track — because the positional merge nests every task's
-   events between its job's B and E, so stream order *is* the logical
-   nesting.  Children are keyed by span name in first-seen order;
-   with [timings:false] the rendering is a pure function of trace
-   structure, which is what the determinism tests compare. *)
-
-type node = {
-  n_name : int;
-  mutable n_count : int;
-  mutable n_ns : int;
-  mutable n_children : node list;  (* reverse first-seen order *)
-}
-
-let tree_string ?(timings = true) r =
-  let root = { n_name = -1; n_count = 0; n_ns = 0; n_children = [] } in
-  let stack = ref [ (root, 0) ] in
-  iter_buf r.r_main (fun tag name ts _value _track ->
-      if tag = tag_begin then begin
-        let parent = match !stack with (p, _) :: _ -> p | [] -> root in
-        let child =
-          match List.find_opt (fun c -> c.n_name = name) parent.n_children with
-          | Some c -> c
-          | None ->
-              let c = { n_name = name; n_count = 0; n_ns = 0; n_children = [] } in
-              parent.n_children <- c :: parent.n_children;
-              c
-        in
-        child.n_count <- child.n_count + 1;
-        stack := (child, ts) :: !stack
-      end
-      else if tag = tag_end then
-        match !stack with
-        | (n, t0) :: ((_ :: _) as rest) ->
-            n.n_ns <- n.n_ns + (ts - t0);
-            stack := rest
-        | _ -> () (* unmatched end after ring truncation: skip *));
-  let b = Buffer.create 4096 in
-  let rec render depth n =
-    let pad = String.make (2 * depth) ' ' in
-    if timings then
-      Buffer.add_string b
-        (Printf.sprintf "%s%s x%d  %.3f ms\n" pad (name_of !s_names n.n_name) n.n_count
-           (float_of_int n.n_ns /. 1e6))
-    else Buffer.add_string b (Printf.sprintf "%s%s x%d\n" pad (name_of !s_names n.n_name) n.n_count);
-    List.iter (render (depth + 1)) (List.rev n.n_children)
-  in
-  List.iter (render 0) (List.rev root.n_children);
-  if timings then
-    Buffer.add_string b (Printf.sprintf "(%d events lost)\n" (events_lost r));
-  Buffer.contents b
 
 (* ------------------------------------------------------------- wiring *)
 

@@ -2,12 +2,12 @@
     pluggable sinks.
 
     Every probe is gated on one mutable-field read ({!probe}) and
-    allocates nothing on either side of the branch: counters and
-    histogram buckets are [Atomic.t] cells created once at
-    registration, gauges live in a flat float array, and span events
-    are four stores into preallocated ring columns.  With the default
-    {!Noop} sink an instrumented [[@@hot]] path keeps its allocation
-    budget bit-for-bit; [bench/obs_overhead.exe] asserts the 0-word /
+    allocates nothing on either side of the branch: counters are
+    [Atomic.t] cells created once at registration, gauges live in a
+    flat float array, and span events are four stores into
+    preallocated ring columns.  With the default {!Noop} sink an
+    instrumented [[@@hot]] path keeps its allocation budget
+    bit-for-bit; [bench/obs_overhead.exe] asserts the 0-word /
     <2%-time contract and [bench/perf_gate.exe] gates it.
 
     Determinism: counters are commutative atomic sums and span events
@@ -30,28 +30,18 @@ type gauge
 (** Last-written float value; every {!set_gauge} also records a
     sample event on the current trace track. *)
 
-type histogram
-(** Fixed-bucket distribution: one atomic cell per bucket plus an
-    overflow bucket. *)
-
 type span
 (** Interned span name, for allocation-free {!enter}/{!leave} and
     {!spanned} at hot call sites.  Every span owns a log-scale
     duration histogram ({!Histo_log}) fed by {!spanned},
-    {!Parallel.task} and {!observe_span_ns} — quantile telemetry
-    rides the spans that already exist. *)
+    {!Parallel.task} and {!observe_span_ns} — the one distribution
+    type: quantile telemetry rides the spans that already exist. *)
 
 val counter : string -> counter
 val gauge : string -> gauge
+
 val span_name : string -> span
-
-val histogram : string -> buckets:float array -> histogram
-(** [buckets] are upper bucket edges, strictly increasing; a value
-    [v] lands in the first bucket with [v <= edge], or the implicit
-    overflow bucket.
-    @raise Invalid_argument on empty or non-increasing edges.
-
-    All registration functions validate names at [let]-time against
+(** All registration functions validate names at [let]-time against
     the grammar the Prometheus renderer and {!Prometheus.validate}
     accept: names match [[a-zA-Z_:][a-zA-Z0-9_:.]*] ('.' is
     namespacing, mapped to '_' at export; '{' is reserved for labeled
@@ -60,62 +50,43 @@ val histogram : string -> buckets:float array -> histogram
 
 (** {1 Labeled families}
 
-    A metric vector is a family of plain cells keyed by a small label
-    set ([item], [shard], [policy], ...).  Resolve a child {e once},
-    off the hot path — at registration, stream setup, or loop entry —
-    and bump the returned plain id in the loop: the bump is the same
+    A metric vector is a family of plain cells keyed by one label
+    ([item], [policy], [rank], ...).  Resolve a child {e once}, off
+    the hot path — at registration, stream setup, or loop entry — and
+    bump the returned plain id in the loop: the bump is the same
     single probe-gated atomic op as any flat metric, so the 0-word
-    Noop contract is unchanged (sema rule S5 flags [*_child] /
-    [*_with_label] calls inside [[@@hot]] bodies).
+    Noop contract is unchanged (sema rule S5 flags [*_with_label]
+    calls inside [[@@hot]] bodies).
 
     Cardinality is bounded per family: past [max_children] (default
-    64) every new label-value combination collapses into a reserved
-    all-["other"] child and bumps the [obs.label_overflow] counter —
-    a family registered with [max_children:k] never owns more than
-    [k + 1] children.  Children export through {!Prometheus} as
-    [base{k="v",...}] in deterministic sorted order and appear under
-    their encoded names in {!counter_totals} / {!gauge_values} /
-    {!histogram_dump} and {!Recorder} snapshots. *)
+    64) every new label value collapses into a reserved ["other"]
+    child and bumps the [obs.label_overflow] counter — a family
+    registered with [max_children:k] never owns more than [k + 1]
+    children.  Children export through {!Prometheus} as [base{k="v"}]
+    in deterministic sorted order and appear under their encoded
+    names in {!counter_totals} / {!gauge_values}. *)
 
 type counter_vec
 type gauge_vec
-type histogram_vec
 
 val counter_vec : ?max_children:int -> string -> labels:string list -> counter_vec
-(** Register (or intern) a counter family keyed by [labels] (order
-    matters; at least one).  Re-registering with the same name, kind
-    and label set returns the same family — child ids stay stable.
+(** Register (or intern) a counter family keyed by the one label in
+    [labels].  Re-registering with the same name, kind and label
+    returns the same family — child ids stay stable.
     @raise Invalid_argument on a bad name or label, [max_children <
-    1], an empty label set, a mismatched re-registration, or a name
-    already registered as a plain counter. *)
+    1], a label list that does not hold exactly one label, a
+    mismatched re-registration, or a name already registered as a
+    plain counter. *)
 
 val gauge_vec : ?max_children:int -> string -> labels:string list -> gauge_vec
 
-val histogram_vec :
-  ?max_children:int -> string -> labels:string list -> buckets:float array -> histogram_vec
-(** Every child shares [buckets] (validated like {!histogram}). *)
-
-val counter_child : counter_vec -> string list -> counter
-(** Resolve the child for one label-value combination ([O(1)] via a
-    hash-interning table, stable across calls and re-registration).
-    Label values may be any string — they are escaped at encoding
-    time.  Registration-path work: never call on a hot path.
-    @raise Invalid_argument when the value count does not match the
-    family's label count. *)
-
-val gauge_child : gauge_vec -> string list -> gauge
-val histogram_child : histogram_vec -> string list -> histogram
-
 val counter_with_label : counter_vec -> string -> counter
-(** [counter_with_label v x] is [counter_child v [x]] — the common
-    single-label case. *)
+(** Resolve the child for one label value ([O(1)] via a
+    hash-interning table, stable across calls and re-registration).
+    The value may be any string — it is escaped at encoding time.
+    Registration-path work: never call on a hot path. *)
 
 val gauge_with_label : gauge_vec -> string -> gauge
-val histogram_with_label : histogram_vec -> string -> histogram
-
-val vec_cardinality : counter_vec -> int
-(** Number of children currently interned (including a materialized
-    ["other"] child) — at most [max_children + 1]. *)
 
 (** {1 Sinks} *)
 
@@ -153,7 +124,6 @@ val probe : unit -> bool
 val incr : counter -> unit
 val add : counter -> int -> unit
 val set_gauge : gauge -> float -> unit
-val observe : histogram -> float -> unit
 
 val enter : span -> unit
 (** Record a span-begin event on the current track.  Pair with
@@ -180,22 +150,10 @@ val observe_span_ns : span -> int -> unit
     into the span's histogram, without emitting trace events.  No-op
     under {!Noop}. *)
 
-val span : string -> (unit -> 'a) -> 'a
-(** [span name f] is [spanned (span_name name) f] — interns on every
-    call, so register a {!span_name} once for frequent sites. *)
-
 (** {1 Readback} *)
 
 val counter_value : counter -> int
 val gauge_value : gauge -> float
-val histogram_edges : histogram -> float array
-val histogram_counts : histogram -> int array
-
-val histogram_sum : histogram -> float
-(** Sum of observed values (for Prometheus [_sum]).  Float
-    accumulation order is scheduling-dependent, so this is
-    monitoring-only — outside the determinism contract (span
-    histograms carry exact int sums instead). *)
 
 val counter_totals : unit -> (string * int) list
 (** All registered counters with their current values, sorted by
@@ -214,14 +172,10 @@ val span_durations : unit -> (string * Histo_log.t) list
     name.  Bucket counts, counts and int sums are commutative atomic
     adds: identical at any domain count. *)
 
-val histogram_dump : unit -> (string * (float array * int array * float)) list
-(** Every fixed-bucket histogram as [(name, (edges, counts, sum))],
-    sorted by name — the Prometheus/flight-recorder export surface. *)
-
 val reset : unit -> unit
-(** Zero every counter, gauge, histogram and span-duration histogram
-    and clear the recording ring (if any).  For tests and
-    back-to-back runs sharing a process. *)
+(** Zero every counter, gauge and span-duration histogram and clear
+    the recording ring (if any).  For tests and back-to-back runs
+    sharing a process. *)
 
 val inject_event : span -> track:int -> is_begin:bool -> ts:int -> unit
 (** Append a begin/end event with a caller-supplied timestamp
@@ -243,36 +197,19 @@ val events_lost : recorder -> int
 module Parallel : sig
   type job
 
-  type wait_lanes
-  (** Per-task-index labeled wait gauges, resolved up front and
-      wrapped so callers can keep them in a top-level [let] without
-      exporting a bare mutable array.  The last slot is the shared
-      overflow lane for high task indices. *)
-
-  val wait_lanes : gauge array -> wait_lanes
-  (** Freeze a lane array (copied).
-      @raise Invalid_argument on an empty array. *)
-
-  val job_begin :
-    span:span ->
-    task_span:span ->
-    wait_gauge:gauge ->
-    task_wait:wait_lanes option ->
-    tasks:int ->
-    job option
+  val job_begin : span:span -> task_span:span -> wait_gauge:gauge -> tasks:int -> job option
   (** Open a job span on the submitting domain and preallocate one
       buffer per task.  [None] when not recording — callers keep the
-      uninstrumented fast path.  With [task_wait], task [i]'s queue
-      wait is also recorded as a sample event on lane [i]'s child
-      (the last lane past the array).  Events only — the child's
-      gauge {e cell} is never written, because the cross-domain wait
-      delta is width-dependent under the per-domain tick clock and
-      cells feed the byte-compared readbacks. *)
+      uninstrumented fast path. *)
 
   val task : job -> int -> (unit -> 'a) -> 'a
   (** [task j i f] runs task [i]'s body with its positional buffer
       installed, recording a queue-wait sample ([wait_gauge], ns
-      since [job_begin]) and a [task_span].  Exception-safe. *)
+      since [job_begin]) on task [i]'s own track and a [task_span].
+      The sample is an event only — the gauge {e cell} is never
+      written, because the cross-domain wait delta is width-dependent
+      under the per-domain tick clock and cells feed the
+      byte-compared readbacks.  Exception-safe. *)
 
   val job_end : job -> unit
   (** After the join, on the submitting domain: merge task buffers
@@ -285,14 +222,12 @@ val chrome_json : recorder -> string
 (** The trace as Chrome [trace_event] JSON ([chrome://tracing] /
     Perfetto): B/E duration events and C counter samples, [tid] =
     logical track, timestamps in microseconds from the recorder's
-    clock.  Windows truncated by ring overwrite are re-balanced. *)
+    clock.  Every {!set_gauge} is a C event, so the trace doubles as
+    the in-process metric history; a non-finite sample value is
+    written as JSON [null].  Windows truncated by ring overwrite are
+    re-balanced. *)
 
 val write_chrome_trace : recorder -> path:string -> unit
-
-val tree_string : ?timings:bool -> recorder -> string
-(** Human-readable aggregated span tree (children in first-seen
-    order).  With [~timings:false] the output is a pure function of
-    trace structure — what the determinism tests compare. *)
 
 (** {1 Wiring} *)
 

@@ -53,12 +53,12 @@ let content_type = "text/plain; version=0.0.4"
 
 let ns_to_s ns = ns /. 1e9
 
-(* Registry names may be encoded labeled children, [base{k="v",...}]
+(* Registry names may be encoded labeled children, [base{k="v"}]
    (see Obs's labeled families): split at the brace and keep the
-   inner label text verbatim — values were Prometheus-escaped at
+   inner label text verbatim — the value was Prometheus-escaped at
    interning time.  Only the base gets the [metric_name] sanitizer,
-   and type suffixes ([_total], [_bucket], ...) are placed before the
-   label block.  Because readbacks are name-sorted and '{' cannot
+   and the type suffix ([_total]) is placed before the label
+   block.  Because readbacks are name-sorted and '{' cannot
    appear in plain names, a family's children arrive contiguously and
    in a deterministic order, so HELP/TYPE can be emitted once per
    family by tracking the last family name. *)
@@ -124,22 +124,6 @@ let exposition () =
       family full "gauge" base;
       sample ?enc full [] (fmt_float v))
     (Obs.gauge_values ());
-  List.iter
-    (fun (name, (edges, counts, sum)) ->
-      let base, enc = split_labels name in
-      let full = "dcache_" ^ metric_name base in
-      family full "histogram" base;
-      let cumulative = ref 0 in
-      Array.iteri
-        (fun i e ->
-          cumulative := !cumulative + counts.(i);
-          sample ?enc (full ^ "_bucket") [ ("le", fmt_float e) ] (string_of_int !cumulative))
-        edges;
-      cumulative := !cumulative + counts.(Array.length edges);
-      sample ?enc (full ^ "_bucket") [ ("le", "+Inf") ] (string_of_int !cumulative);
-      sample ?enc (full ^ "_sum") [] (fmt_float sum);
-      sample ?enc (full ^ "_count") [] (string_of_int !cumulative))
-    (Obs.histogram_dump ());
   (* span-duration summaries, in seconds; a span never entered
      reports NaN quantiles (the Prometheus convention for empty
      summaries) but keeps its _count 0 line so dashboards can key on

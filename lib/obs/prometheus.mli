@@ -5,11 +5,10 @@
     Rendering is a pure function of the registry readbacks (which are
     name-sorted), so two processes with identical metric state emit
     byte-identical expositions: counters as [_total] counters, gauges
-    as gauges, fixed-bucket histograms as histograms (cumulative
-    [le] buckets, [_sum], [_count]), and span-duration histograms as
-    summaries with p50/p90/p99/p999 [quantile] labels in seconds.
+    as gauges, and span-duration histograms as summaries with
+    p50/p90/p99/p999 [quantile] labels in seconds.
 
-    Labeled children (registry names encoded as [base{k="v",...}] by
+    Labeled children (registry names encoded as [base{k="v"}] by
     {!Obs}'s metric vectors) render as labeled samples of the [base]
     family — type suffixes before the label block, the family's
     [# HELP]/[# TYPE] emitted once, children in the deterministic
@@ -38,8 +37,7 @@ val quantile_probes : float array
 val exposition : unit -> string
 (** The full registry as Prometheus 0.0.4 text.  Deterministic given
     deterministic metric state (span summaries use the exact int
-    counts/sums of {!Histo_log}; fixed-histogram [_sum] lines carry
-    the monitoring-only float sums). *)
+    counts/sums of {!Histo_log}). *)
 
 val content_type : string
 (** The exposition content type, [text/plain; version=0.0.4]. *)

@@ -19,16 +19,9 @@ type mode = Idle | Recording of string
 
 let hot_mode x = match (Recording "tape" : mode) with Idle -> x | Recording _ -> x + 1 [@@hot]
 
-(* S5 also covers the setup-cost obs entry points: constructing a
-   flight-recorder ring or binding a metrics endpoint per call.
-   These local modules key the same way as the Dcache_obs ones. *)
-module Recorder = struct
-  type t = { mutable ticks : int }
-
-  let create () = { ticks = 0 }
-  let tick t = t.ticks <- t.ticks + 1
-end
-
+(* S5 also covers the setup-cost obs entry points: binding a metrics
+   endpoint per call.  This local module keys the same way as the
+   Dcache_obs one. *)
 module Prometheus = struct
   type server = { port : int }
 
@@ -36,17 +29,10 @@ module Prometheus = struct
   let port s = s.port
 end
 
-let hot_ring x =
-  let r = Recorder.create () in
-  Recorder.tick r;
-  x + r.ticks
-[@@hot]
-
 let hot_listen x = x + Prometheus.port (Prometheus.listen ~port:0 ()) [@@hot]
 
-(* exemption: the same calls outside hot bindings are the sanctioned
+(* exemption: the same call outside hot bindings is the sanctioned
    startup pattern *)
-let startup_ring () = Recorder.create ()
 let startup_endpoint () = Prometheus.listen ~port:7777 ()
 
 (* S5 also covers the streaming competitive-ratio auditor: a fresh

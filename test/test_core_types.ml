@@ -16,6 +16,20 @@ let cost_model_validation () =
       (fun () -> Cost_model.make ~upload:0.0 ~mu:1.0 ~lambda:1.0 ());
     ]
 
+(* an infinite rate poisons every cost into inf/nan downstream, so it
+   is rejected up front; an infinite upload is the documented "no
+   upload" default *)
+let cost_model_rejects_non_finite () =
+  let rejects name f =
+    Alcotest.(check bool) name true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  rejects "mu = inf" (fun () -> Cost_model.make ~mu:infinity ~lambda:1.0 ());
+  rejects "lambda = inf" (fun () -> Cost_model.make ~mu:1.0 ~lambda:infinity ());
+  rejects "mu = nan" (fun () -> Cost_model.make ~mu:nan ~lambda:1.0 ());
+  rejects "lambda = nan" (fun () -> Cost_model.make ~mu:1.0 ~lambda:nan ());
+  let m = Cost_model.make ~upload:infinity ~mu:1.0 ~lambda:2.0 () in
+  Alcotest.(check bool) "upload = inf accepted" true (Float.equal m.Cost_model.upload infinity)
+
 let cost_model_delta_t () =
   let model = Cost_model.make ~mu:2.0 ~lambda:5.0 () in
   check_float "delta_t" 2.5 (Cost_model.delta_t model);
@@ -329,6 +343,7 @@ let schedule_union_and_render () =
 let suite =
   [
     case "cost_model: rejects non-positive rates" cost_model_validation;
+    case "cost_model: rejects non-finite rates" cost_model_rejects_non_finite;
     case "cost_model: delta_t and caching" cost_model_delta_t;
     case "cost_model: counted total" cost_model_add;
     case "request: ordering" request_ordering;

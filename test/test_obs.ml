@@ -1,14 +1,13 @@
 (* dcache_obs: metric registration and readback, sink gating, span
-   trees, Chrome trace export, ring-overwrite accounting, and the
+   nesting, Chrome trace export, ring-overwrite accounting, and the
    determinism contract — the same seeded sweep records an identical
-   span-tree structure and identical counter totals at pool widths 1
+   trace event sequence and identical counter totals at pool widths 1
    and 4 (mirroring test_pool's byte-identical CSV check). *)
 
 module Obs = Dcache_obs.Obs
 module Clock = Dcache_obs.Clock
 module Histo = Dcache_obs.Histo_log
 module Prom = Dcache_obs.Prometheus
-module Recorder = Dcache_obs.Recorder
 module Bench_json = Dcache_bench_common.Bench_json
 module Pool = Dcache_prelude.Pool
 module Rng = Dcache_prelude.Rng
@@ -25,7 +24,6 @@ let pool4 = Pool.create ~domains:4 ()
 
 let c_clicks = Obs.counter "test.obs.clicks"
 let g_level = Obs.gauge "test.obs.level"
-let h_sizes = Obs.histogram "test.obs.sizes" ~buckets:[| 1.0; 2.0; 4.0 |]
 let sp_outer = Obs.span_name "test.obs.outer"
 let sp_inner = Obs.span_name "test.obs.inner"
 
@@ -48,13 +46,13 @@ let noop_probes_are_dead () =
   Obs.incr c_clicks;
   Obs.add c_clicks 7;
   Obs.set_gauge g_level 3.5;
-  Obs.observe h_sizes 1.5;
+  Obs.observe_span_ns sp_outer 15;
   Obs.enter sp_outer;
   Obs.leave sp_outer;
   Alcotest.(check int) "disabled incr/add left 0" 0 (Obs.counter_value c_clicks);
   check_float "disabled set_gauge left 0" 0.0 (Obs.gauge_value g_level);
-  Alcotest.(check (array int)) "disabled observe left zeros" [| 0; 0; 0; 0 |]
-    (Obs.histogram_counts h_sizes)
+  Alcotest.(check int) "disabled observe_span_ns left the histogram empty" 0
+    (Histo.count (Obs.span_histo sp_outer))
 
 let registration_and_readback () =
   with_recording @@ fun _r ->
@@ -67,39 +65,48 @@ let registration_and_readback () =
   Obs.set_gauge g_level 2.5;
   check_float "gauge readback" 2.5 (Obs.gauge_value g_level)
 
-let histogram_buckets () =
-  with_recording @@ fun _r ->
-  List.iter (Obs.observe h_sizes) [ 0.5; 1.0; 1.5; 4.0; 9.0 ];
-  Alcotest.(check (array (float 1e-9))) "edges" [| 1.0; 2.0; 4.0 |] (Obs.histogram_edges h_sizes);
-  (* v lands in the first bucket with v <= edge; 9.0 overflows *)
-  Alcotest.(check (array int)) "counts with overflow" [| 2; 1; 1; 1 |]
-    (Obs.histogram_counts h_sizes)
-
 let invalid_registrations () =
   let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "empty buckets rejected" true
-    (bad (fun () -> Obs.histogram "test.obs.bad-empty" ~buckets:[||]));
-  Alcotest.(check bool) "non-increasing buckets rejected" true
-    (bad (fun () -> Obs.histogram "test.obs.bad-order" ~buckets:[| 1.0; 1.0 |]));
+  Alcotest.(check bool) "bad span name rejected" true
+    (bad (fun () -> Obs.span_name "test.obs.bad span"));
   Alcotest.(check bool) "tiny recorder rejected" true
     (bad (fun () -> Obs.recorder ~capacity:8 ()))
+
+(* The Chrome export read back as (name, ph, tid) per event: the trace
+   structure with every timestamp and sample value dropped. *)
+let chrome_events r =
+  match Bench_json.of_string (Obs.chrome_json r) with
+  | Error e -> Alcotest.failf "chrome_json does not parse: %s" e
+  | Ok v -> (
+      match Bench_json.to_list (Bench_json.member "traceEvents" v) with
+      | None -> Alcotest.fail "traceEvents missing"
+      | Some events ->
+          List.map
+            (fun ev ->
+              let str k = Option.value ~default:"" (Bench_json.to_str (Bench_json.member k ev)) in
+              let tid = Bench_json.to_float (Bench_json.member "tid" ev) in
+              (str "name", str "ph", int_of_float (Option.value ~default:(-1.0) tid)))
+            events)
 
 let span_tree_and_chrome_export () =
   with_recording @@ fun r ->
   Obs.spanned sp_outer (fun () ->
       Obs.spanned sp_inner (fun () -> ());
-      Obs.span "test.obs.named" (fun () -> ());
       Obs.enter sp_inner;
       Obs.leave sp_inner);
   Obs.incr c_clicks;
-  let tree = Obs.tree_string ~timings:false r in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (needle ^ " in tree") true
-        (let nl = String.length needle and hl = String.length tree in
-         let rec go i = i + nl <= hl && (String.sub tree i nl = needle || go (i + 1)) in
-         go 0))
-    [ "test.obs.outer"; "test.obs.inner"; "test.obs.named" ];
+  (* the B/E stream nests the spans as they ran *)
+  let spans =
+    List.filter_map
+      (fun (name, ph, _) -> if ph = "B" || ph = "E" then Some (name ^ ":" ^ ph) else None)
+      (chrome_events r)
+  in
+  Alcotest.(check (list string)) "span nesting"
+    [
+      "test.obs.outer:B"; "test.obs.inner:B"; "test.obs.inner:E"; "test.obs.inner:B";
+      "test.obs.inner:E"; "test.obs.outer:E";
+    ]
+    spans;
   Alcotest.(check int) "no events lost" 0 (Obs.events_lost r);
   (* the Chrome export is real JSON with the documented envelope *)
   match Bench_json.of_string (Obs.chrome_json r) with
@@ -143,9 +150,10 @@ let ring_overwrite_is_accounted () =
 (* ------------------------------------------------------- determinism *)
 
 (* The test_pool sweep, but what we capture is the observability side:
-   span-tree structure and counter totals.  The Parallel merge is
-   positional by task index, and counters are commutative atomic
-   sums, so both must be identical at any pool width. *)
+   the trace's (name, ph, tid) event sequence and counter totals.  The
+   Parallel merge is positional by task index, and counters are
+   commutative atomic sums, so both must be identical at any pool
+   width. *)
 let sweep pool root cells =
   let model = Dcache_core.Cost_model.make ~mu:1.0 ~lambda:2.0 () in
   let costs =
@@ -172,19 +180,22 @@ let observed_sweep pool =
     ~finally:(fun () -> Obs.set_sink Obs.Noop)
     (fun () ->
       let total = sweep pool (Rng.create 1234) 17 in
-      (total, Obs.tree_string ~timings:false r, Obs.counter_totals ()))
+      (total, chrome_events r, Obs.counter_totals ()))
 
 let trace_is_width_independent () =
-  let total1, tree1, counters1 = observed_sweep pool1 in
-  let total4, tree4, counters4 = observed_sweep pool4 in
+  let total1, events1, counters1 = observed_sweep pool1 in
+  let total4, events4, counters4 = observed_sweep pool4 in
   Obs.reset ();
   check_float "sweep result unchanged" total1 total4;
-  Alcotest.(check string) "span tree structure identical at widths 1 and 4" tree1 tree4;
+  Alcotest.(check (list (triple string string int)))
+    "trace event sequence identical at widths 1 and 4" events1 events4;
   Alcotest.(check (list (pair string int))) "counter totals identical at widths 1 and 4"
     counters1 counters4;
   (* the sweep exercised the instrumented layers end to end *)
-  Alcotest.(check bool) "pool span present" true (contains "pool.parallel" tree1);
-  Alcotest.(check bool) "offline-dp span present" true (contains "offline_dp.solve" tree1);
+  let has_span name = List.exists (fun (n, ph, _) -> n = name && ph = "B") events1 in
+  Alcotest.(check bool) "pool span present" true (has_span "pool.parallel");
+  Alcotest.(check bool) "offline-dp span present" true (has_span "offline_dp.solve");
+  Alcotest.(check bool) "task lanes present" true (List.exists (fun (_, _, tid) -> tid > 0) events1);
   Alcotest.(check bool) "push counter counted" true
     (List.exists (fun (k, v) -> String.equal k "streaming_dp.push" && v > 0) counters1)
 
@@ -251,29 +262,6 @@ let log_histo_quantiles () =
   Histo.reset h1;
   Alcotest.(check int) "reset zeroes count" 0 (Histo.count h1)
 
-let log_histo_merge () =
-  let mk vals =
-    let h = Histo.create () in
-    List.iter (Histo.record h) vals;
-    h
-  in
-  let a () = mk [ 1; 2; 3; 100; 1000; 65536 ] in
-  let b () = mk [ 5; 50; 500 ] in
-  let c () = mk [ 7; 70; 7000; 7 ] in
-  (* (a <- b) <- c versus a <- (b <- c): pointwise int sums, so the
-     merge tree over per-task histograms cannot matter *)
-  let left = a () in
-  Histo.merge_into ~into:left (b ());
-  Histo.merge_into ~into:left (c ());
-  let right_inner = b () in
-  Histo.merge_into ~into:right_inner (c ());
-  let right = a () in
-  Histo.merge_into ~into:right right_inner;
-  Alcotest.(check int) "merged count" (Histo.count left) (Histo.count right);
-  Alcotest.(check int) "merged sum" (Histo.sum left) (Histo.sum right);
-  Alcotest.(check (array int)) "merged buckets" (Histo.counts left) (Histo.counts right);
-  check_float "merged quantiles" (Histo.quantile left 0.9) (Histo.quantile right 0.9)
-
 let log_histo_across_pool_tasks () =
   (* recording from pool tasks is plain atomic bumps into shared
      cells — the counts must equal the sequential reference *)
@@ -297,17 +285,13 @@ let prometheus_exposition () =
   with_recording @@ fun _r ->
   Obs.add c_clicks 5;
   Obs.set_gauge g_level 2.5;
-  List.iter (Obs.observe h_sizes) [ 0.5; 3.0; 9.0 ];
   Obs.spanned sp_outer (fun () -> ());
   (* the readback surface the exporters are built on *)
-  check_float "histogram float sum readback" 12.5 (Obs.histogram_sum h_sizes);
   Alcotest.(check int) "span histo counted the span" 1 (Histo.count (Obs.span_histo sp_outer));
   Alcotest.(check bool) "gauge_values carries the gauge" true
     (List.exists
        (fun (k, v) -> String.equal k "test.obs.level" && v > 2.49 && v < 2.51)
        (Obs.gauge_values ()));
-  Alcotest.(check bool) "histogram_dump carries the histogram" true
-    (List.exists (fun (k, _) -> String.equal k "test.obs.sizes") (Obs.histogram_dump ()));
   let text = Prom.exposition () in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " in exposition") true (contains needle text))
@@ -316,9 +300,6 @@ let prometheus_exposition () =
       "dcache_test_obs_clicks_total 5";
       "# TYPE dcache_test_obs_level gauge";
       "dcache_test_obs_level 2.5";
-      "# TYPE dcache_test_obs_sizes histogram";
-      "dcache_test_obs_sizes_bucket{le=\"+Inf\"} 3";
-      "dcache_test_obs_sizes_count 3";
       "# TYPE dcache_test_obs_outer_duration_seconds summary";
       "dcache_test_obs_outer_duration_seconds{quantile=\"0.5\"}";
       "dcache_test_obs_outer_duration_seconds_count 1";
@@ -344,41 +325,40 @@ let prometheus_exposition () =
 
 (* ------------------------------------------------ labeled families *)
 
+(* children of family [base] currently interned, read off the
+   name-sorted readback *)
+let interned base =
+  let prefix = base ^ "{" in
+  let n = String.length prefix in
+  List.length
+    (List.filter
+       (fun (k, _) -> String.length k > n && String.sub k 0 n = prefix)
+       (Obs.counter_totals ()))
+
 let labeled_families () =
   with_recording @@ fun _r ->
   (* child identity: re-registering the family and re-resolving the
-     same label lands on the same cell, whichever handle or resolver
-     is used *)
+     same label lands on the same cell, whichever handle is used *)
   let v = Obs.counter_vec "test.obs.family_clicks" ~labels:[ "item" ] in
   let a = Obs.counter_with_label v "a" in
   let v' = Obs.counter_vec "test.obs.family_clicks" ~labels:[ "item" ] in
-  let a' = Obs.counter_child v' [ "a" ] in
+  let a' = Obs.counter_with_label v' "a" in
   Obs.incr a;
   Obs.add a' 4;
   Alcotest.(check int) "child stable across re-registration" 5 (Obs.counter_value a);
-  Alcotest.(check int) "one child interned" 1 (Obs.vec_cardinality v);
-  (* multi-label children are positional in declaration order *)
-  let gv = Obs.gauge_vec "test.obs.family_depth" ~labels:[ "item"; "shard" ] in
-  let g = Obs.gauge_child gv [ "a"; "0" ] in
+  Alcotest.(check int) "one child interned" 1 (interned "test.obs.family_clicks");
+  let gv = Obs.gauge_vec "test.obs.family_depth" ~labels:[ "item" ] in
+  let g = Obs.gauge_with_label gv "a\"b" in
   Obs.set_gauge g 2.5;
   check_float "gauge child readback" 2.5 (Obs.gauge_value g);
-  let hv = Obs.histogram_vec "test.obs.family_sizes" ~labels:[ "item" ] ~buckets:[| 1.0; 2.0 |] in
-  let h = Obs.histogram_with_label hv "a" in
-  let h' = Obs.histogram_child hv [ "a" ] in
-  Obs.observe h 1.5;
-  Obs.observe h' 9.0;
-  Alcotest.(check (array int)) "histogram child counts through both handles" [| 0; 1; 1 |]
-    (Obs.histogram_counts h);
-  (* encoded children render as real Prometheus labels and the scrape
-     still passes the golden 0.0.4 parser *)
+  (* encoded children render as real Prometheus labels (values
+     escaped) and the scrape still passes the golden 0.0.4 parser *)
   let text = Prom.exposition () in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " in exposition") true (contains needle text))
     [
       "dcache_test_obs_family_clicks_total{item=\"a\"} 5";
-      "dcache_test_obs_family_depth{item=\"a\",shard=\"0\"} 2.5";
-      "dcache_test_obs_family_sizes_bucket{item=\"a\",le=\"+Inf\"} 2";
-      "dcache_test_obs_family_sizes_count{item=\"a\"} 2";
+      "dcache_test_obs_family_depth{item=\"a\\\"b\"} 2.5";
     ];
   match Prom.validate text with
   | Ok n -> Alcotest.(check bool) "labeled exposition validates" true (n > 0)
@@ -403,17 +383,16 @@ let labeled_invalid_registrations () =
     (bad (fun () -> Obs.counter_vec "test.obs.badkey2" ~labels:[ "it.em" ]));
   Alcotest.(check bool) "empty label set rejected" true
     (bad (fun () -> Obs.counter_vec "test.obs.nolabels" ~labels:[]));
+  Alcotest.(check bool) "two-label family rejected" true
+    (bad (fun () -> Obs.gauge_vec "test.obs.twolabels" ~labels:[ "item"; "shard" ]));
   Alcotest.(check bool) "max_children < 1 rejected" true
     (bad (fun () -> Obs.counter_vec "test.obs.nomax" ~labels:[ "item" ] ~max_children:0));
-  (* one base name, one shape: kind, keys and buckets must agree *)
+  (* one base name, one shape: kind and label must agree *)
   ignore (Obs.counter_vec "test.obs.vkind" ~labels:[ "item" ]);
   Alcotest.(check bool) "kind mismatch on re-registration rejected" true
     (bad (fun () -> Obs.gauge_vec "test.obs.vkind" ~labels:[ "item" ]));
   Alcotest.(check bool) "label-set mismatch on re-registration rejected" true
     (bad (fun () -> Obs.counter_vec "test.obs.vkind" ~labels:[ "shard" ]));
-  ignore (Obs.histogram_vec "test.obs.vbuckets" ~labels:[ "item" ] ~buckets:[| 1.0; 2.0 |]);
-  Alcotest.(check bool) "bucket mismatch on re-registration rejected" true
-    (bad (fun () -> Obs.histogram_vec "test.obs.vbuckets" ~labels:[ "item" ] ~buckets:[| 1.0 |]));
   (* plain metric and same-kind family cannot share a base name, from
      either registration order *)
   ignore (Obs.counter "test.obs.vplain");
@@ -421,11 +400,7 @@ let labeled_invalid_registrations () =
     (bad (fun () -> Obs.counter_vec "test.obs.vplain" ~labels:[ "item" ]));
   ignore (Obs.counter_vec "test.obs.vfam" ~labels:[ "item" ]);
   Alcotest.(check bool) "plain counter over an existing family rejected" true
-    (bad (fun () -> Obs.counter "test.obs.vfam"));
-  (* resolution arity is the declared key count *)
-  let v = Obs.counter_vec "test.obs.varity" ~labels:[ "item" ] in
-  Alcotest.(check bool) "resolve arity mismatch rejected" true
-    (bad (fun () -> Obs.counter_child v [ "a"; "b" ]))
+    (bad (fun () -> Obs.counter "test.obs.vfam"))
 
 let labeled_overflow_bounded () =
   with_recording @@ fun _r ->
@@ -435,7 +410,7 @@ let labeled_overflow_bounded () =
   let children = List.init 10 (fun i -> Obs.counter_with_label v (Printf.sprintf "i%d" i)) in
   List.iter Obs.incr children;
   (* 3 genuine children plus the reserved catch-all, never more *)
-  Alcotest.(check int) "cardinality capped at k+1" 4 (Obs.vec_cardinality v);
+  Alcotest.(check int) "cardinality capped at k+1" 4 (interned "test.obs.ovf");
   Alcotest.(check int) "each over-cap resolution counted" 7 (ovf () - ovf0);
   (* the 7 collapsed labels all landed on the same reserved cell *)
   let other = Obs.counter_with_label v "other" in
@@ -448,7 +423,7 @@ let labeled_overflow_bounded () =
   Alcotest.(check bool) "obs.label_overflow in exposition" true
     (contains "dcache_obs_label_overflow_total" (Prom.exposition ()))
 
-(* Same contract as the unlabeled trace/timeline checks, for labeled
+(* Same contract as the unlabeled trace check, for labeled
    children: pre-resolved children bumped from pool tasks are plain
    atomic cells, so the whole /metrics exposition — labeled samples
    included — is byte-identical at pool widths 1 and 4 under virtual
@@ -498,85 +473,37 @@ let validate_label_discipline () =
       "x_total{a=\"1\"} 1\nx_total 2\n";
     ]
 
-(* ----------------------------------------------- flight recorder *)
+(* -------------------------------------------- non-finite gauges *)
 
-let flight_recorder_ring () =
-  with_recording @@ fun _r ->
-  let t = ref 0 in
-  let clock =
-    Clock.of_fn (fun () ->
-        incr t;
-        !t * 100)
-  in
-  let rec_ = Recorder.create ~capacity:4 ~clock ~interval_ns:1 () in
-  for _ = 1 to 10 do
-    Obs.incr c_clicks;
-    Recorder.tick rec_
-  done;
-  Alcotest.(check int) "ring holds capacity" 4 (Recorder.snapshots rec_);
-  Alcotest.(check int) "overwrites accounted" 6 (Recorder.dropped rec_);
-  (match Bench_json.of_string (Recorder.to_json rec_) with
-  | Error e -> Alcotest.failf "timeline does not parse: %s" e
-  | Ok v -> (
-      Alcotest.(check (option string)) "timeline schema" (Some "dcache-timeline/1")
-        (Bench_json.to_str (Bench_json.member "schema" v));
-      match Bench_json.to_list (Bench_json.member "snapshots" v) with
-      | Some rows -> Alcotest.(check int) "rows = retained snapshots" 4 (List.length rows)
-      | None -> Alcotest.fail "snapshots missing"));
-  (* CSV window: a header plus one line per retained snapshot *)
-  let lines = String.split_on_char '\n' (String.trim (Recorder.to_csv rec_)) in
-  Alcotest.(check int) "csv header + rows" 5 (List.length lines);
-  (* interval gating: a clock advancing less than the interval
-     snapshots only on the first tick *)
-  let slow = Recorder.create ~capacity:4 ~clock:(Clock.of_fn (fun () -> 0)) ~interval_ns:1000 () in
-  Recorder.tick slow;
-  Recorder.tick slow;
-  Recorder.tick slow;
-  Alcotest.(check int) "deadline gating" 1 (Recorder.snapshots slow);
-  Recorder.force slow;
-  Alcotest.(check int) "force always snapshots" 2 (Recorder.snapshots slow);
-  let bad f =
-    try
-      ignore (f ());
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "capacity < 2 rejected" true
-    (bad (fun () -> Recorder.create ~capacity:1 ~clock ~interval_ns:1 ()));
-  Alcotest.(check bool) "non-positive interval rejected" true
-    (bad (fun () -> Recorder.create ~clock ~interval_ns:0 ()))
-
-(* Same contract as the trace, one layer up: the whole exported
-   timeline (timestamps included, both encodings) is byte-identical
-   at pool widths 1 and 4 under virtual clocks. *)
-let timeline_sweep pool =
-  Obs.reset ();
-  let r = Obs.recorder ~clock:(Clock.ticks ()) () in
-  Obs.set_sink (Obs.Recording r);
-  Fun.protect
-    ~finally:(fun () -> Obs.set_sink Obs.Noop)
-    (fun () ->
-      let t = ref 0 in
-      let rclock =
-        Clock.of_fn (fun () ->
-            incr t;
-            !t)
+(* JSON has no inf/nan: a gauge set to a non-finite value must still
+   leave a trace that parses, its sample written as null *)
+let non_finite_gauges_export_null () =
+  with_recording @@ fun r ->
+  Obs.set_gauge g_level infinity;
+  Obs.set_gauge g_level nan;
+  Obs.set_gauge g_level neg_infinity;
+  match Bench_json.of_string (Obs.chrome_json r) with
+  | Error e -> Alcotest.failf "trace with non-finite gauges does not parse: %s" e
+  | Ok v ->
+      let samples =
+        match Bench_json.to_list (Bench_json.member "traceEvents" v) with
+        | None -> Alcotest.fail "traceEvents missing"
+        | Some events ->
+            List.filter
+              (fun ev -> Bench_json.to_str (Bench_json.member "name" ev) = Some "test.obs.level")
+              events
       in
-      let rec_ = Recorder.create ~capacity:8 ~clock:rclock ~interval_ns:1 () in
-      Recorder.tick rec_;
-      let total = sweep pool (Rng.create 99) 11 in
-      Recorder.force rec_;
-      (total, Recorder.to_json rec_, Recorder.to_csv rec_))
-
-let timeline_is_width_independent () =
-  let total1, json1, csv1 = timeline_sweep pool1 in
-  let total4, json4, csv4 = timeline_sweep pool4 in
-  Obs.reset ();
-  check_float "sweep total unchanged" total1 total4;
-  Alcotest.(check string) "timeline JSON byte-identical at widths 1 and 4" json1 json4;
-  Alcotest.(check string) "timeline CSV byte-identical at widths 1 and 4" csv1 csv4;
-  Alcotest.(check bool) "timeline carries the push span quantiles" true
-    (contains "streaming_dp.push" json1 || contains "offline_dp.solve" json1)
+      Alcotest.(check int) "three samples" 3 (List.length samples);
+      List.iter
+        (fun ev ->
+          match Bench_json.member "args" ev with
+          | Some args ->
+              Alcotest.(check bool) "value is null" true
+                (match Bench_json.member "value" args with
+                | Some Bench_json.Null -> true
+                | _ -> false)
+          | None -> Alcotest.fail "sample without args")
+        samples
 
 (* ------------------------------------------------ GC-span injection *)
 
@@ -672,14 +599,12 @@ let suite =
   [
     case "obs: Noop probes are dead" noop_probes_are_dead;
     case "obs: registration interns, readback reads" registration_and_readback;
-    case "obs: histogram bucket placement" histogram_buckets;
     case "obs: invalid registrations rejected" invalid_registrations;
     case "obs: span tree and Chrome export" span_tree_and_chrome_export;
     case "obs: ring overwrite accounted" ring_overwrite_is_accounted;
     case "obs: trace structure and counters are width-independent" trace_is_width_independent;
     case "obs: log-histogram bucket placement and boundaries" log_histo_buckets;
     case "obs: log-histogram quantile readback" log_histo_quantiles;
-    case "obs: log-histogram merge is associative" log_histo_merge;
     case "obs: log-histogram recording across pool tasks" log_histo_across_pool_tasks;
     case "obs: Prometheus exposition golden" prometheus_exposition;
     case "obs: labeled children resolve, intern and render" labeled_families;
@@ -687,8 +612,7 @@ let suite =
     case "obs: labeled cardinality bounded with overflow accounting" labeled_overflow_bounded;
     case "obs: labeled exposition is width-independent" labeled_exposition_width_independent;
     case "obs: validator enforces label discipline" validate_label_discipline;
-    case "obs: flight-recorder ring and gating" flight_recorder_ring;
-    case "obs: timeline export is width-independent" timeline_is_width_independent;
+    case "obs: non-finite gauges export as JSON null" non_finite_gauges_export_null;
     case "obs: injected events land in the trace" injected_events_in_trace;
     case "obs: runtime bridge records GC spans" runtime_bridge_gc_spans;
     case "obs: bench JSON round-trips counters and quantiles" bench_json_roundtrip;

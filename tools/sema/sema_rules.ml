@@ -18,7 +18,7 @@ module F = Report_finding
    every unit digest, so a rules update invalidates the incremental
    cache wholesale and stale cached analyses cannot mask new
    findings. *)
-let analyzer_version = "10"
+let analyzer_version = "11"
 
 let catalog =
   [
@@ -34,9 +34,9 @@ let catalog =
     ("S3", "dead export: .mli value never referenced outside its own library");
     ("S4", "numeric stability: float cost accumulator folded with bare +. in a loop");
     ( "S5",
-      "observability discipline: a Recording sink constructed, a Recorder ring / Prometheus \
-       endpoint / Audit state created, or a labeled metric child resolved \
-       (Obs.*_with_label/*_child), inside a [@@hot] body" );
+      "observability discipline: a Recording sink constructed, a Prometheus endpoint / Audit \
+       state created, or a labeled metric child resolved (Obs.*_with_label), inside a [@@hot] \
+       body" );
     ( "S6",
       "generator purity: a lib/workload generator must be a deterministic function of \
        (seed, spec), transitively through its callees" );
@@ -242,19 +242,18 @@ let check_s1 ~path add structure =
    named [Recording] whose result type is a [sink].
 
    The same discipline covers the obs setup entry points that arrived
-   with the telemetry layer: [Recorder.create] preallocates a snapshot
-   ring and [Prometheus.listen] binds a socket — both exist to be
-   called once at startup, never per request.  [Audit.create]
-   (the streaming competitive-ratio auditor) joined the same family:
-   it allocates a witness ring and owns per-stream telemetry state,
-   so a fresh auditor inside a [@@hot] body means audit state is
-   being rebuilt on the request path instead of living with the
-   stream.  Matched on the resolved application path's last two
-   components, so local modules named [Recorder]/[Prometheus]/[Audit]
-   in fixtures key the same way as the real [Dcache_obs] ones. *)
+   with the telemetry layer: [Prometheus.listen] binds a socket — it
+   exists to be called once at startup, never per request.
+   [Audit.create] (the streaming competitive-ratio auditor) joined
+   the same family: it allocates a witness ring and owns per-stream
+   telemetry state, so a fresh auditor inside a [@@hot] body means
+   audit state is being rebuilt on the request path instead of living
+   with the stream.  Matched on the resolved application path's last
+   two components, so local modules named [Prometheus]/[Audit] in
+   fixtures key the same way as the real [Dcache_obs] ones. *)
 
 let s5_setup_call = function
-  | ("Recorder", "create") | ("Prometheus", "listen") | ("Audit", "create") -> true
+  | ("Prometheus", "listen") | ("Audit", "create") -> true
   | _ -> false
 
 (* Child resolution on a labeled family is a hash-interning step under
@@ -263,10 +262,7 @@ let s5_setup_call = function
    the last two components of the resolved path, so a local [Obs] shim
    in fixtures keys the same as [Dcache_obs.Obs]. *)
 let s5_resolve_call = function
-  | ( "Obs",
-      ( "counter_with_label" | "gauge_with_label" | "histogram_with_label" | "counter_child"
-      | "gauge_child" | "histogram_child" ) ) ->
-      true
+  | "Obs", ("counter_with_label" | "gauge_with_label") -> true
   | _ -> false
 
 let is_sink_type ty =
