@@ -45,11 +45,7 @@ let obs_term =
 let model_of mu lambda =
   try Ok (Cost_model.make ~mu ~lambda ()) with Invalid_argument msg -> Error msg
 
-let load_trace filename m =
-  match Dcache_workload.Trace_io.read ~filename ~m with
-  | Ok seq -> Ok seq
-  | Error msg -> Error (Printf.sprintf "%s: %s" filename msg)
-  | exception Sys_error msg -> Error msg
+let load_trace filename m = Dcache_workload.Trace_io.read ~filename ~m
 
 let or_die = function
   | Ok v -> v

@@ -1,12 +1,20 @@
 type predictor = server:int -> time:float -> float option
 
 (* Next request on [server] strictly after [time], by binary search
-   over the per-server request times. *)
+   over the per-server request times (r_0 included on server 0). *)
 let next_request_delay seq =
-  let per_server =
-    Array.init (Sequence.m seq) (fun s ->
-        Array.of_list (List.map (Sequence.time seq) (Sequence.requests_on seq s)))
-  in
+  let fill = Array.make (Sequence.m seq) 0 in
+  for i = 0 to Sequence.n seq do
+    let s = Sequence.server seq i in
+    fill.(s) <- fill.(s) + 1
+  done;
+  let per_server = Array.map (fun count -> Array.make count 0.0) fill in
+  Array.fill fill 0 (Array.length fill) 0;
+  for i = 0 to Sequence.n seq do
+    let s = Sequence.server seq i in
+    per_server.(s).(fill.(s)) <- Sequence.time seq i;
+    fill.(s) <- fill.(s) + 1
+  done;
   fun ~server ~time ->
     let times = per_server.(server) in
     let n = Array.length times in

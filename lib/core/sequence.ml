@@ -4,17 +4,24 @@ type t = {
   time : float array;
   prev : int array;  (* p(i); -1 encodes the dummy request at -inf *)
   sigma : float array;
-  on_server : int list array;  (* ascending request indices per server *)
 }
 
-let validate ~m requests =
+(* The one validation routine.  Reads [times] by index rather than
+   threading the previous time through the recursion, which would box
+   it on every request. *)
+let validate ~m ~servers ~times =
+  let n = Array.length servers in
   if m < 1 then Error "Sequence: m must be at least 1"
+  else if m > Sys.max_array_length then
+    Error (Printf.sprintf "Sequence: m = %d exceeds the largest array" m)
+  else if Array.length times <> n then
+    Error (Printf.sprintf "Sequence: %d servers but %d times" n (Array.length times))
   else
-    let n = Array.length requests in
-    let rec check i last_time =
+    let rec check i =
       if i >= n then Ok ()
       else
-        let { Request.server; time } = requests.(i) in
+        let server = servers.(i) and time = times.(i) in
+        let last_time = if i = 0 then 0.0 else times.(i - 1) in
         if server < 0 || server >= m then
           Error (Printf.sprintf "Sequence: request %d on server %d outside [0, %d)" (i + 1) server m)
         else if not (Float.is_finite time) then
@@ -23,39 +30,40 @@ let validate ~m requests =
           Error
             (Printf.sprintf "Sequence: request %d at time %g does not strictly follow %g" (i + 1)
                time last_time)
-        else check (i + 1) time
+        else check (i + 1)
     in
-    check 0 0.0
+    check 0
 
-let build ~m requests =
-  let n = Array.length requests in
+(* Copies validated columns behind r_0 and derives p(i) and sigma_i. *)
+let build ~m ~servers ~times =
+  let n = Array.length servers in
   let server = Array.make (n + 1) 0 and time = Array.make (n + 1) 0.0 in
-  Array.iteri
-    (fun i { Request.server = s; time = t } ->
-      server.(i + 1) <- s;
-      time.(i + 1) <- t)
-    requests;
+  Array.blit servers 0 server 1 n;
+  Array.blit times 0 time 1 n;
   let prev = Array.make (n + 1) (-1) and sigma = Array.make (n + 1) infinity in
   let last_on = Array.make m (-1) in
-  let rev_on = Array.make m [] in
   sigma.(0) <- 0.0;
   for i = 0 to n do
     let s = server.(i) in
-    prev.(i) <- last_on.(s);
-    if i > 0 && last_on.(s) >= 0 then sigma.(i) <- time.(i) -. time.(last_on.(s));
-    last_on.(s) <- i;
-    rev_on.(s) <- i :: rev_on.(s)
+    let p = last_on.(s) in
+    prev.(i) <- p;
+    if i > 0 && p >= 0 then sigma.(i) <- time.(i) -. time.(p);
+    last_on.(s) <- i
   done;
-  let on_server = Array.map List.rev rev_on in
-  { m; server; time; prev; sigma; on_server }
+  { m; server; time; prev; sigma }
+
+let of_columns ~m ~servers ~times =
+  match validate ~m ~servers ~times with
+  | Ok () -> Ok (build ~m ~servers ~times)
+  | Error _ as e -> e
 
 let create ~m requests =
-  match validate ~m requests with Ok () -> Ok (build ~m requests) | Error _ as e -> e
+  of_columns ~m
+    ~servers:(Array.map (fun (r : Request.t) -> r.server) requests)
+    ~times:(Array.map (fun (r : Request.t) -> r.time) requests)
 
-let create_exn ~m requests =
-  match create ~m requests with
-  | Ok t -> t
-  | Error msg -> invalid_arg msg
+let get_exn = function Ok t -> t | Error msg -> invalid_arg msg
+let create_exn ~m requests = get_exn (create ~m requests)
 
 let of_list ~m pairs =
   let requests =
@@ -79,7 +87,6 @@ let requests t = Array.init (n t) (fun i -> unsafe_request t (i + 1))
 let horizon t = t.time.(n t)
 let prev_same_server t i = t.prev.(i)
 let sigma t i = t.sigma.(i)
-let requests_on t s = t.on_server.(s)
 
 (* canonical binary encoding for digest keying: [m], [n], then each
    real request as (server, time-bits).  Every other field of [t] is
@@ -96,7 +103,8 @@ let add_fingerprint buf t =
 
 let sub t k =
   if k < 0 || k > n t then invalid_arg "Sequence.sub: index out of range";
-  build ~m:t.m (Array.init k (fun i -> unsafe_request t (i + 1)))
+  (* a prefix of a valid instance is valid: [get_exn] cannot raise *)
+  get_exn (of_columns ~m:t.m ~servers:(Array.sub t.server 1 k) ~times:(Array.sub t.time 1 k))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>m=%d, n=%d" t.m (n t);

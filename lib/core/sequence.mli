@@ -9,10 +9,18 @@
 
 type t
 
+val of_columns : m:int -> servers:int array -> times:float array -> (t, string) result
+(** [of_columns ~m ~servers ~times] is the instance whose request
+    [r_i] is [(servers.(i-1), times.(i-1))].  It validates that
+    [1 <= m <= Sys.max_array_length], both columns have the same
+    length, every server index
+    is in [\[0, m)], and times are finite, strictly increasing and
+    strictly positive (so they come after [r_0]).  The columns are
+    copied.  Every other constructor goes through this one. *)
+
 val create : m:int -> Request.t array -> (t, string) result
-(** [create ~m requests] validates that [m >= 1], every server index
-    is in [\[0, m)], times are finite, strictly increasing and
-    strictly positive (so they come after [r_0]). *)
+(** [create ~m requests] is {!of_columns} on the requests' servers
+    and times. *)
 
 val create_exn : m:int -> Request.t array -> t
 (** @raise Invalid_argument when {!create} would return an error. *)
@@ -54,10 +62,6 @@ val prev_same_server : t -> int -> int
 val sigma : t -> int -> float
 (** The server interval [sigma_i = t_i - t_{p(i)}]; [infinity] when
     [p(i) = -1]. *)
-
-val requests_on : t -> int -> int list
-(** [requests_on t s]: indices (ascending, possibly including [0] for
-    server [0]) of requests made on server [s]. *)
 
 val add_fingerprint : Buffer.t -> t -> unit
 (** Appends a canonical binary encoding of the instance — [m], [n],

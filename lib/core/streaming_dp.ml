@@ -438,5 +438,10 @@ let schedule t =
 
 let to_sequence t =
   let count = n t in
-  Sequence.create_exn ~m:t.m
-    (Array.init count (fun i -> { Request.server = ix t (i + 1) k_server; time = t.time.(i + 1) }))
+  match
+    Sequence.of_columns ~m:t.m
+      ~servers:(Array.init count (fun i -> ix t (i + 1) k_server))
+      ~times:(Array.sub t.time 1 count)
+  with
+  | Ok seq -> seq
+  | Error msg -> invalid_arg msg

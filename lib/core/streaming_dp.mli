@@ -71,5 +71,5 @@ val schedule : t -> Schedule.t
 val to_sequence : t -> Sequence.t
 (** The pushed requests as a validated {!Sequence}.
     @raise Invalid_argument if validation fails
-    ({!Sequence.create_exn}; unreachable: [push] already enforced the
+    ({!Sequence.of_columns}; unreachable: [push] already enforced the
     same invariants). *)

@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256** state: the words s0..s3 at byte offsets 0, 8, 16 and
+   24.  Kept in [Bytes] rather than [mutable int64] fields, which would
+   box a fresh Int64 on every store: [get_int64_ne]/[set_int64_ne]
+   move raw 64-bit values, so a step allocates nothing. *)
+type t = Bytes.t
 
 (* splitmix64: used only to expand a seed into the 256-bit xoshiro
    state, and to derive split streams. *)
@@ -12,28 +16,31 @@ let splitmix64_next state =
 
 let of_seed64 seed64 =
   let state = ref seed64 in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for k = 0 to 3 do
+    Bytes.set_int64_ne t (8 * k) (splitmix64_next state)
+  done;
+  t
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* Inlined into every draw so the 64-bit result stays unboxed until
+   it is narrowed to an int or a float. *)
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_ne t 8 (logxor s1 s2);
+  Bytes.set_int64_ne t 0 (logxor s0 s3);
+  Bytes.set_int64_ne t 16 (logxor s2 (shift_left s1 17));
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
 let split t = of_seed64 (bits64 t)
@@ -46,11 +53,9 @@ let split t = of_seed64 (bits64 t)
 let derive t index =
   if index < 0 then invalid_arg "Rng.derive: index must be non-negative";
   let open Int64 in
+  let word k = Bytes.get_int64_ne t (8 * k) in
   let state =
-    ref
-      (logxor
-         (logxor t.s0 (rotl t.s1 13))
-         (logxor (rotl t.s2 29) (rotl t.s3 43)))
+    ref (logxor (logxor (word 0) (rotl (word 1) 13)) (logxor (rotl (word 2) 29) (rotl (word 3) 43)))
   in
   state := add !state (mul (add (of_int index) 1L) 0x9E3779B97F4A7C15L);
   of_seed64 (splitmix64_next state)
@@ -59,21 +64,23 @@ let derive t index =
    sign on 64-bit platforms, so keeping 63 would wrap negative). *)
 let bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
+(* rejection sampling to avoid modulo bias *)
+let rec below t bound =
+  let r = bits62 t in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then below t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* rejection sampling to avoid modulo bias *)
-  let rec draw () =
-    let r = bits62 t in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then draw () else v
-  in
-  draw ()
+  below t bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+(* Inlined too, so a caller that compares or combines the draw never
+   boxes it. *)
+let[@inline] float t bound =
   (* 53 uniform bits, as in the standard construction *)
   let b = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   b /. 9007199254740992.0 *. bound
@@ -92,18 +99,33 @@ let pareto t ~shape ~scale =
   let u = 1.0 -. float t 1.0 in
   scale /. (u ** (1.0 /. shape))
 
-let categorical t weights =
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  if not (total > 0.) then invalid_arg "Rng.categorical: weights must have positive sum";
-  let x = float t total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
+(* Running sums of the weights, left to right: a draw is then one
+   [float] and a binary search, not a pass that re-sums the weights. *)
+type weights = float array
+
+let weights w =
+  let n = Array.length w in
+  let sums = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    if not (w.(k) >= 0.) then invalid_arg "Rng.weights: weights must be non-negative";
+    sums.(k) <- (if k = 0 then 0.0 else sums.(k - 1)) +. w.(k)
+  done;
+  if not (n > 0 && sums.(n - 1) > 0.) then
+    invalid_arg "Rng.weights: weights must have positive sum";
+  sums
+
+(* The first index whose running sum exceeds the draw, or the last
+   index when none before it does: a draw below the total can still
+   round up to it.  A loop rather than a recursion, which would box
+   the draw on every step. *)
+let categorical t sums =
+  let x = float t sums.(Array.length sums - 1) in
+  let lo = ref 0 and hi = ref (Array.length sums - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if x < sums.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

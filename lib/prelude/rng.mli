@@ -59,10 +59,17 @@ val pareto : t -> shape:float -> scale:float -> float
 (** Pareto distributed: support [\[scale, infinity)], tail exponent
     [shape]. *)
 
-val categorical : t -> float array -> int
-(** [categorical t weights] draws an index with probability
-    proportional to its (non-negative) weight.  At least one weight
-    must be positive. *)
+type weights
+(** Non-negative category weights, prepared for repeated draws. *)
+
+val weights : float array -> weights
+(** @raise Invalid_argument if a weight is negative or NaN, or none
+    is positive. *)
+
+val categorical : t -> weights -> int
+(** [categorical t w] draws an index with probability proportional to
+    its weight, with one {!float} draw and [O(log k)] work for [k]
+    weights. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

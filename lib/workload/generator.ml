@@ -5,10 +5,9 @@ type spec = { m : int; n : int; arrival : Arrival.t; placement : Placement.t }
 let generate rng spec =
   let times = Arrival.generate rng spec.arrival ~n:spec.n in
   let servers = Placement.generate rng spec.placement ~m:spec.m ~n:spec.n in
-  let requests =
-    Array.init spec.n (fun i -> Request.make ~server:servers.(i) ~time:times.(i))
-  in
-  Sequence.create_exn ~m:spec.m requests
+  match Sequence.of_columns ~m:spec.m ~servers ~times with
+  | Ok seq -> seq
+  | Error msg -> invalid_arg msg
 
 let generate_seeded ~seed spec = generate (Dcache_prelude.Rng.create seed) spec
 

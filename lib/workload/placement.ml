@@ -15,7 +15,7 @@ let generate rng t ~m ~n =
   | Uniform_random -> Array.init n (fun _ -> Dcache_prelude.Rng.int rng m)
   | Zipf { exponent } ->
       if exponent < 0. then invalid_arg "Placement: Zipf exponent must be non-negative";
-      let weights = zipf_weights ~m ~exponent in
+      let weights = Dcache_prelude.Rng.weights (zipf_weights ~m ~exponent) in
       Array.init n (fun _ -> Dcache_prelude.Rng.categorical rng weights)
   | Mobility { stay; ring } ->
       if stay < 0. || stay > 1. then invalid_arg "Placement: stay must be a probability";

@@ -10,9 +10,9 @@ let evaluate model seq =
 (* Mutable genome: parallel arrays of servers and strictly increasing
    times. *)
 let to_sequence ~m servers times =
-  let n = Array.length servers in
-  Sequence.create_exn ~m
-    (Array.init n (fun i -> Request.make ~server:servers.(i) ~time:times.(i)))
+  match Sequence.of_columns ~m ~servers ~times with
+  | Ok seq -> seq
+  | Error msg -> invalid_arg msg
 
 let mutate rng ~m servers times =
   let n = Array.length servers in

@@ -2,17 +2,29 @@ open Dcache_core
 
 (** CSV trace import/export.
 
-    Format: one request per line, [server,time], with an optional
-    one-line [server,time] header and [#] comment lines.  Times must
-    be strictly increasing and positive; servers are 0-based.  Lets
-    users replay real service logs through every algorithm in the
-    repository. *)
+    Format: one request per line, [server,time].  Lines are split on
+    ['\n']; each line and each of its two fields is trimmed of
+    [String.trim]'s whitespace (so CRLF files read as well).  Blank
+    lines, lines starting with [#] and [server,time] header lines (in
+    any letter case) are skipped.  The fields are read with
+    [int_of_string] and [float_of_string].  Times must be finite,
+    strictly increasing and positive; servers are 0-based and below
+    [m].  Lets users replay real service logs through every algorithm
+    in the repository. *)
 
 val write : filename:string -> Sequence.t -> unit
 
 val to_string : Sequence.t -> string
 
 val read : filename:string -> m:int -> (Sequence.t, string) result
-(** [m] must cover every server index in the file. *)
+(** [read ~filename ~m] is {!of_string} on the file's contents, which
+    may be a pipe such as [/dev/stdin].  Every error, including one
+    from opening or reading the file, starts with [filename].  [m]
+    must cover every server index in the file. *)
 
 val of_string : m:int -> string -> (Sequence.t, string) result
+(** Parses a trace in two passes over the text: one counts the
+    request lines, the other reads them into columns of that size for
+    {!Sequence.of_columns}.  The only allocation per line is the boxed
+    [float_of_string] result.  A syntax error names its 1-based line.
+    Never raises. *)

@@ -86,11 +86,18 @@ let sequence_prev_and_sigma () =
   check_float "sigma_6" 0.6 (Sequence.sigma seq 6);
   Alcotest.(check int) "p(7) = 2" 2 (Sequence.prev_same_server seq 7)
 
+(* the requests on a server, ascending, read by following p(i) back
+   from the server's last request *)
+let requests_on seq s =
+  let rec last i = if i < 0 || Sequence.server seq i = s then i else last (i - 1) in
+  let rec chain i acc = if i < 0 then acc else chain (Sequence.prev_same_server seq i) (i :: acc) in
+  chain (last (Sequence.n seq)) []
+
 let sequence_requests_on () =
   let seq = fig6 () in
-  Alcotest.(check (list int)) "server 0 incl. r_0" [ 0; 4 ] (Sequence.requests_on seq 0);
-  Alcotest.(check (list int)) "server 1" [ 1; 5; 6 ] (Sequence.requests_on seq 1);
-  Alcotest.(check (list int)) "server 3" [ 3; 8 ] (Sequence.requests_on seq 3)
+  Alcotest.(check (list int)) "server 0 incl. r_0" [ 0; 4 ] (requests_on seq 0);
+  Alcotest.(check (list int)) "server 1" [ 1; 5; 6 ] (requests_on seq 1);
+  Alcotest.(check (list int)) "server 3" [ 3; 8 ] (requests_on seq 3)
 
 let sequence_rejects_bad_input () =
   let bad m reqs =
@@ -99,6 +106,7 @@ let sequence_rejects_bad_input () =
     | Error _ -> true
   in
   Alcotest.(check bool) "m = 0" true (bad 0 []);
+  Alcotest.(check bool) "m beyond any array" true (bad max_int []);
   Alcotest.(check bool) "server out of range" true (bad 2 [ (2, 1.0) ]);
   Alcotest.(check bool) "non-increasing times" true (bad 2 [ (0, 1.0); (1, 1.0) ]);
   Alcotest.(check bool) "decreasing times" true (bad 2 [ (0, 2.0); (1, 1.0) ]);

@@ -138,7 +138,7 @@ let rng_pareto_support () =
 let rng_categorical_weights () =
   let rng = Rng.create 29 in
   let counts = Array.make 3 0 in
-  let weights = [| 1.0; 0.0; 3.0 |] in
+  let weights = Rng.weights [| 1.0; 0.0; 3.0 |] in
   for _ = 1 to 20_000 do
     let k = Rng.categorical rng weights in
     counts.(k) <- counts.(k) + 1
@@ -148,9 +148,31 @@ let rng_categorical_weights () =
   check_float ~eps:0.15 "ratio ~ 3" 3.0 ratio
 
 let rng_categorical_rejects_zero_sum () =
-  let rng = Rng.create 31 in
-  Alcotest.check_raises "zero weights" (Invalid_argument "Rng.categorical: weights must have positive sum")
-    (fun () -> ignore (Rng.categorical rng [| 0.0; 0.0 |]))
+  Alcotest.check_raises "zero weights"
+    (Invalid_argument "Rng.weights: weights must have positive sum")
+    (fun () -> ignore (Rng.weights [| 0.0; 0.0 |]));
+  Alcotest.check_raises "negative weight"
+    (Invalid_argument "Rng.weights: weights must be non-negative")
+    (fun () -> ignore (Rng.weights [| 2.0; -1.0 |]))
+
+(* Golden draws: a seed must produce the same stream in every release,
+   whatever the generator's internal representation. *)
+let rng_golden_streams () =
+  let check name t expected =
+    Alcotest.(check (list int64)) name expected (List.map (fun _ -> Rng.bits64 t) expected)
+  in
+  check "create 42" (Rng.create 42)
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L; -1389169964527427423L ];
+  let parent = Rng.create 42 in
+  check "split child" (Rng.split parent)
+    [ -8150312660505607085L; 1184342940732292706L; 8258043193327897829L ];
+  check "parent after split" parent [ 6990951692964543102L; -5902157311460992607L ];
+  let parent = Rng.create 42 in
+  check "derive 7" (Rng.derive parent 7)
+    [ -4492356206366654907L; 5499287125300295356L; 1127564841850144904L ];
+  ignore (Rng.bits64 parent : int64);
+  check "copy after one draw" (Rng.copy parent)
+    [ 6990951692964543102L; -5902157311460992607L; -1389169964527427423L ]
 
 let rng_shuffle_permutes () =
   let rng = Rng.create 37 in
@@ -477,6 +499,7 @@ let suite =
     case "rng: categorical respects weights" rng_categorical_weights;
     case "rng: categorical rejects zero sum" rng_categorical_rejects_zero_sum;
     case "rng: shuffle is a permutation" rng_shuffle_permutes;
+    case "rng: golden streams" rng_golden_streams;
     case "rng: int rejects non-positive bound" rng_int_rejects_nonpositive;
     case "stats: mean/variance/extrema" stats_mean_variance;
     case "stats: empty accumulator" stats_empty_acc;

@@ -287,6 +287,256 @@ let trace_file_roundtrip () =
           Alcotest.(check bool) "roundtrip" true (Sequence.requests seq = Sequence.requests seq')
       | Error e -> Alcotest.fail e)
 
+(* Random valid traces, rendered the way real files vary: CRLF or LF
+   line ends, spaces and tabs around fields, comments, blank lines,
+   headers in any letter case anywhere, other spellings of the same
+   numbers, and an optional final newline. *)
+let render_gen =
+  let open QCheck.Gen in
+  let space = oneofl [ ""; ""; " "; "\t"; "  "; " \t"; "\012" ] in
+  let eol = oneofl [ "\n"; "\n"; "\r\n" ] in
+  (* the zero-padded and 64-decimal spellings exceed the parser's
+     reusable field buffers *)
+  let server_text s =
+    let d = string_of_int s in
+    let hex = Printf.sprintf "0x%x" s and octal = Printf.sprintf "0o%o" s in
+    oneofl [ d; "+" ^ d; d ^ "_"; hex; octal; String.make 64 '0' ^ d ]
+  in
+  let time_text t =
+    oneofl (List.map (fun fmt -> Printf.sprintf fmt t) [ "%.17g"; "%h"; "%.17e"; "%.64f" ])
+  in
+  let skipped =
+    frequency
+      [
+        (3, return "");
+        (1, map (( ^ ) "#") (oneofl [ ""; " comment"; " 1,2"; "#" ]));
+        (1, space);
+        (1, oneofl [ "server,time"; "Server,Time"; "SERVER,time"; "sErVeR,tImE" ]);
+      ]
+  in
+  (* a request line, preceded by a line the parser skips *)
+  let request_line server time =
+    let* pre = skipped and* s = server_text server and* t = time_text time in
+    let* a = space and* b = space and* c = space and* d = space and* e = eol in
+    return ((if pre = "" then "" else pre ^ e) ^ a ^ s ^ b ^ "," ^ c ^ t ^ d ^ e)
+  in
+  let* m = int_range 1 8 in
+  let* n = int_range 0 30 in
+  let* servers = array_size (return n) (int_range 0 (m - 1)) in
+  let* gaps = array_size (return n) (float_range 0.001 5.0) in
+  let times = Array.make n 0.0 in
+  Array.iteri (fun i g -> times.(i) <- (if i = 0 then 0.0 else times.(i - 1)) +. g) gaps;
+  let+ lines = flatten_l (List.init n (fun i -> request_line servers.(i) times.(i)))
+  and+ final_newline = bool in
+  let text = String.concat "" lines in
+  let cut = if String.ends_with ~suffix:"\r\n" text then 2 else 1 in
+  (m, if final_newline || text = "" then text else String.sub text 0 (String.length text - cut))
+
+let print_trace (m, text) = Printf.sprintf "m=%d %S" m text
+
+(* Same answer: both [Error], or both [Ok] with the same requests. *)
+let same_result a b =
+  match (a, b) with
+  | Error _, Error _ -> true
+  | Ok x, Ok y -> Sequence.m x = Sequence.m y && Sequence.requests x = Sequence.requests y
+  | _ -> false
+
+let trace_parser_matches_reference =
+  qcheck ~count:400 "trace_io: rendered valid traces parse as the reference does"
+    (QCheck.make ~print:print_trace render_gen)
+    (fun (m, text) ->
+      match W.Trace_io.of_string ~m text with
+      | Ok _ as parsed -> same_result parsed (Trace_reference.of_string ~m text)
+      | Error msg -> QCheck.Test.fail_reportf "rejected: %s" msg)
+
+(* Byte mutations of rendered traces, biased towards the tokens the
+   grammar reacts to, and now and then an [m] no instance can have. *)
+let mutated_gen =
+  let open QCheck.Gen in
+  let token m =
+    oneofl [ ","; "#"; "nan"; "inf"; "-"; "0x"; "_"; "\n"; "\r"; " "; "."; "e"; string_of_int m ]
+  in
+  let mutate m text =
+    let len = String.length text in
+    let* pos = int_range 0 len in
+    let* kind = int_range 0 2 in
+    match kind with
+    | 0 when len > 0 ->
+        let pos = Int.min pos (len - 1) in
+        let+ c = map Char.chr (int_range 0 255) in
+        String.mapi (fun i x -> if i = pos then c else x) text
+    | 1 when len > 0 ->
+        let+ k = int_range 1 3 in
+        let pos = Int.min pos (len - 1) in
+        let stop = Int.min len (pos + k) in
+        String.sub text 0 pos ^ String.sub text stop (len - stop)
+    | _ ->
+        let+ tok = token m in
+        String.sub text 0 pos ^ tok ^ String.sub text pos (len - pos)
+  in
+  let* m, text = render_gen in
+  let* rounds = int_range 1 4 in
+  let rec go k text = if k = 0 then return text else mutate m text >>= go (k - 1) in
+  let+ text = go rounds text
+  and+ m = frequency [ (8, return m); (1, oneofl [ 0; -1; max_int ]) ] in
+  (m, text)
+
+let trace_parser_survives_mutation =
+  qcheck ~count:2000 "trace_io: mutated traces never raise and agree with the reference"
+    (QCheck.make ~print:print_trace
+       ~shrink:(fun (m, text) -> QCheck.Iter.map (fun t -> (m, t)) (QCheck.Shrink.string text))
+       mutated_gen)
+    (fun (m, text) ->
+      match W.Trace_io.of_string ~m text with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | result -> same_result result (Trace_reference.of_string ~m text))
+
+(* Traces the mutation property shrank to, each with the [m] it needs:
+   with [m = max_int], [Sequence] once raised [Invalid_argument] from
+   [Array.make] instead of returning an [Error]. *)
+let trace_regressions () =
+  List.iter
+    (fun (file, m) ->
+      match W.Trace_io.read ~filename:(Filename.concat "data" file) ~m with
+      | Ok _ -> Alcotest.failf "%s accepted with m = %d" file m
+      | Error _ -> ())
+    [ ("m-beyond-array.csv", max_int) ]
+
+let trace_reads_a_directory_as_an_error () =
+  let dir = Sys.getcwd () in
+  match W.Trace_io.read ~filename:dir ~m:4 with
+  | Ok _ -> Alcotest.fail "a directory parsed as a trace"
+  | Error msg ->
+      if not (String.starts_with ~prefix:(dir ^ ": ") msg) then
+        Alcotest.failf "error does not name the directory: %s" msg
+
+(* [dcache solve --trace /dev/stdin] on a pipe: the trace arrives
+   through a descriptor that cannot seek or report its length. *)
+let trace_reads_a_pipe () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let spec =
+    {
+      W.Generator.m = 4;
+      n = 20;
+      arrival = W.Arrival.Poisson { rate = 1.0 };
+      placement = W.Placement.Uniform_random;
+    }
+  in
+  let seq = W.Generator.generate_seeded ~seed:3 spec in
+  let text = W.Trace_io.to_string seq in
+  let in_read, in_write = Unix.pipe ~cloexec:true () in
+  let out_read, out_write = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe
+      [| exe; "solve"; "--trace"; "/dev/stdin"; "-m"; "4" |]
+      in_read out_write Unix.stderr
+  in
+  Unix.close in_read;
+  Unix.close out_write;
+  ignore (Unix.write_substring in_write text 0 (String.length text) : int);
+  Unix.close in_write;
+  let output = In_channel.input_all (Unix.in_channel_of_descr out_read) in
+  Unix.close out_read;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "dcache solve on a pipe failed: %s" output);
+  let opt = Offline_dp.cost (Offline_dp.solve (Cost_model.make ~mu:1.0 ~lambda:1.0 ()) seq) in
+  let expected = Printf.sprintf "optimal cost: %.6f " opt in
+  let lines = String.split_on_char '\n' output in
+  if not (List.exists (String.starts_with ~prefix:expected) lines) then
+    Alcotest.failf "expected %S in:\n%s" expected output
+
+(* Words allocated by [f ()] per request: minor + major - promoted,
+   since arrays this large are allocated directly in the major heap. *)
+let words_per_request ~n f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let probe =
+    let a = words () in
+    words () -. a
+  in
+  let before = words () in
+  ignore (Sys.opaque_identity (f ()));
+  (words () -. before -. probe) /. float_of_int n
+
+let budget_n = 20_000
+
+let poisson_spec placement =
+  { W.Generator.m = 64; n = budget_n; arrival = W.Arrival.Poisson { rate = 1.0 }; placement }
+
+let placements =
+  [
+    W.Placement.Uniform_random;
+    W.Placement.Zipf { exponent = 1.0 };
+    W.Placement.Mobility { stay = 0.9; ring = true };
+    W.Placement.Mobility { stay = 0.7; ring = false };
+    W.Placement.Round_robin;
+    W.Placement.Multi_user { users = 3; stay = 0.85; ring = true };
+  ]
+
+let trace_parse_words_budget () =
+  let seq =
+    W.Generator.generate_seeded ~seed:1
+      { (poisson_spec (W.Placement.Mobility { stay = 0.9; ring = true })) with m = 8 }
+  in
+  let text = W.Trace_io.to_string seq in
+  let words = words_per_request ~n:budget_n (fun () -> W.Trace_io.of_string ~m:8 text) in
+  if words > 10.0 then
+    Alcotest.failf "Trace_io.of_string allocates %.2f words/request (budget 10)" words
+
+let generator_words_budget () =
+  List.iter
+    (fun placement ->
+      let words =
+        words_per_request ~n:budget_n (fun () ->
+            W.Generator.generate_seeded ~seed:1 (poisson_spec placement))
+      in
+      if words > 20.0 then
+        Alcotest.failf "Generator.generate_seeded with %a allocates %.2f words/request (budget 20)"
+          W.Placement.pp placement words)
+    placements
+
+(* Golden digests: a seed must generate the same workload in every
+   release, for each arrival process and each placement. *)
+let generator_golden_traces () =
+  let digest arrival placement =
+    let spec = { W.Generator.m = 8; n = 300; arrival; placement } in
+    Digest.to_hex (Digest.string (W.Trace_io.to_string (W.Generator.generate_seeded ~seed:11 spec)))
+  in
+  List.iter
+    (fun (name, arrival, expected) ->
+      Alcotest.(check string) name expected (digest arrival W.Placement.Uniform_random))
+    [
+      ("uniform", W.Arrival.Uniform { gap = 0.5 }, "3588d4504ebdf368c79fdf87f5861cb8");
+      ("poisson", W.Arrival.Poisson { rate = 2.0 }, "50d8169d125d0a2ddda5527ae1ded3cf");
+      ( "pareto",
+        W.Arrival.Pareto { shape = 1.5; scale = 0.25 },
+        "2bcead90ba4fddbca747624d5498fa13" );
+      ( "periodic",
+        W.Arrival.Periodic { base_rate = 0.5; peak_rate = 4.0; period = 10.0 },
+        "47e7c8126b4c1b9646a5d1620c3c0269" );
+    ];
+  List.iter
+    (fun (name, placement, expected) ->
+      Alcotest.(check string) name expected (digest (W.Arrival.Poisson { rate = 1.0 }) placement))
+    [
+      ("uniform", W.Placement.Uniform_random, "a1d1214349ce43dd7abdfb851a7f5f72");
+      ("zipf", W.Placement.Zipf { exponent = 1.0 }, "95cab6190e7078c4f67f5ba37a25a5e8");
+      ( "mobility-ring",
+        W.Placement.Mobility { stay = 0.9; ring = true },
+        "a98593a08e1b72f958559f0899a2366f" );
+      ( "mobility-clique",
+        W.Placement.Mobility { stay = 0.7; ring = false },
+        "aea8d3073f4db3f4ffd9d9290934c10b" );
+      ("round-robin", W.Placement.Round_robin, "42ebf9358996de5c51bdebd0ffc6ae63");
+      ( "multi-user",
+        W.Placement.Multi_user { users = 3; stay = 0.85; ring = true },
+        "aa9dd88ca2bf2f087a5a82cb79c323a4" );
+    ]
+
 (* ------------------------------------------------------- ratio search *)
 
 let ratio_search_respects_bound () =
@@ -345,6 +595,14 @@ let suite =
     case "trace_io: comments and headers" trace_parses_comments_and_header;
     case "trace_io: rejects malformed input" trace_rejects_garbage;
     case "trace_io: file roundtrip" trace_file_roundtrip;
+    trace_parser_matches_reference;
+    trace_parser_survives_mutation;
+    case "trace_io: shrunk regression traces" trace_regressions;
+    case "trace_io: a directory is an error naming it" trace_reads_a_directory_as_an_error;
+    case "trace_io: dcache solve reads a pipe" trace_reads_a_pipe;
+    case "trace_io: parse allocation budget" trace_parse_words_budget;
+    case "generator: allocation budget per placement" generator_words_budget;
+    case "generator: golden trace digests" generator_golden_traces;
     case "ratio_search: bound and consistency" ratio_search_respects_bound;
     case "ratio_search: never worse than its seeds" ratio_search_beats_random_start;
     case "ratio_search: deterministic" ratio_search_deterministic;
