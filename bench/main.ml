@@ -96,7 +96,7 @@ let online_tests ~quick =
          (Staged.stage (fun () ->
               ignore (Online_sc.run ~epoch_size:50 model seq).Online_sc.total_cost));
        Test.make ~name:"double-transfer n=1000"
-         (let run = Online_sc.run model seq in
+         (let run = Online_sc.run ~record_events:true model seq in
           Staged.stage (fun () -> ignore (Double_transfer.of_run model run)));
      ]
     @ large)

@@ -53,6 +53,15 @@ let or_die = function
       prerr_endline ("dcache: " ^ msg);
       exit 1
 
+(* Extreme but finite rates (say --mu 1e308) overflow the costs to
+   inf; report that instead of printing inf and nan ratios. *)
+let finite_or_die what cost =
+  if not (Float.is_finite cost) then
+    or_die
+      (Error
+         (Printf.sprintf "%s is %s: the cost overflows floating point; use smaller --mu/--lambda"
+            what (Float.to_string cost)))
+
 (* -------------------------------------------------------------- generate *)
 
 let arrival_conv =
@@ -169,6 +178,7 @@ let solve_cmd =
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
     let result = Solve_cache.solve model seq in
+    finite_or_die "the optimal cost" (Offline_dp.cost result);
     let schedule = Offline_dp.schedule result in
     Printf.printf "servers: %d, requests: %d, horizon: %g\n" (Sequence.m seq) (Sequence.n seq)
       (Sequence.horizon seq);
@@ -205,6 +215,9 @@ let online_cmd =
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
     let sc = Online_sc.run ?window ?epoch_size:epoch ~record_events:events model seq in
+    finite_or_die "the SC cost" sc.total_cost;
+    let opt = Offline_dp.cost (Offline_dp.solve model seq) in
+    finite_or_die "the offline optimum" opt;
     if events then
       List.iter
         (fun event ->
@@ -222,7 +235,6 @@ let online_cmd =
         sc.events;
     Printf.printf "SC cost: %.6f (caching %.6f + %d transfers)\n" sc.total_cost sc.caching_cost
       sc.num_transfers;
-    let opt = Offline_dp.cost (Offline_dp.solve model seq) in
     Printf.printf "offline optimum: %.6f, ratio %.4f (bound %.1f)\n" opt (sc.total_cost /. opt)
       Online_sc.competitive_bound
   in
@@ -305,7 +317,7 @@ let render_cmd =
       (Printf.sprintf "offline optimum (cost %.3f)" (Offline_dp.cost opt_result), opt_sched)
       ::
       (if with_online then begin
-         let sc = Online_sc.run model seq in
+         let sc = Online_sc.run ~record_events:true model seq in
          [
            ( Printf.sprintf "speculative caching (cost %.3f, ratio %.2f)" sc.total_cost
                (sc.total_cost /. Offline_dp.cost opt_result),
@@ -413,6 +425,8 @@ let audit_cmd =
     Printf.printf "%8s %8s %12s %12s %8s %10s %8s\n" "window" "i" "online" "opt" "ratio" "regret"
       "prefix";
     let on_window (w : Dcache_sim.Auditor.Audit.window) =
+      finite_or_die "the online cost" w.online;
+      finite_or_die "the offline optimum" w.opt;
       Printf.printf "%8d %8d %12.4f %12.4f %8.4f %10.4f %8.4f\n" w.index w.last w.online w.opt
         w.ratio w.regret w.prefix_ratio
     in

@@ -64,11 +64,10 @@ let classic_lru ~capacity model seq =
   let m = Sequence.m seq in
   let cached_since = Array.make m nan in
   let last_use = Array.make m nan in
-  (* flat membership state (the Pqueue.Flat discipline): a bool column
-     plus a count instead of a cons list, so the hit test is one load
-     and the MRU/LRU extrema are closure- and cell-free scans — the
-     old list walk burned ~80k minor words/run on List.mem, the fold
-     closures and List.filter *)
+  (* flat membership state: a bool column plus a count instead of a
+     cons list, so the hit test is one load and the MRU/LRU extrema
+     are closure- and cell-free scans — the old list walk burned ~80k
+     minor words/run on List.mem, the fold closures and List.filter *)
   let in_cache = Array.make m false in
   let count = ref 1 in
   in_cache.(0) <- true;
@@ -131,11 +130,11 @@ let classic_lru ~capacity model seq =
     (Schedule.make ~caches:!caches ~transfers:!transfers)
 
 let sc ?epoch_size model seq =
-  let run = Online_sc.run ?epoch_size model seq in
+  let run = Online_sc.run ?epoch_size ~record_events:true model seq in
   { name = "speculative-caching"; schedule = Online_sc.schedule_of_run seq run; cost = run.total_cost }
 
 let sc_with_window ~window model seq =
-  let run = Online_sc.run ~window model seq in
+  let run = Online_sc.run ~window ~record_events:true model seq in
   {
     name = Printf.sprintf "sc(window=%g)" window;
     schedule = Online_sc.schedule_of_run seq run;
@@ -148,7 +147,7 @@ let randomized_sc ~rng model seq =
   let u = Dcache_prelude.Rng.float rng 1.0 in
   let x = log (1.0 +. (u *. (Float.exp 1.0 -. 1.0))) in
   let window = Float.max 1e-12 (x *. Cost_model.delta_t model) in
-  let run = Online_sc.run ~window model seq in
+  let run = Online_sc.run ~window ~record_events:true model seq in
   {
     name = "randomized-sc";
     schedule = Online_sc.schedule_of_run seq run;
@@ -163,7 +162,7 @@ let randomized_sc_per_copy ~rng model seq =
     let x = log (1.0 +. (u *. (Float.exp 1.0 -. 1.0))) in
     Float.max 1e-12 (x *. delta_t)
   in
-  let run = Online_sc.run ~window_policy model seq in
+  let run = Online_sc.run ~window_policy ~record_events:true model seq in
   {
     name = "randomized-sc-per-copy";
     schedule = Online_sc.schedule_of_run seq run;

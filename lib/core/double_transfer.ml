@@ -9,6 +9,8 @@ type t = {
 }
 
 let of_run model (run : Online_sc.run) =
+  if List.is_empty run.segments then
+    invalid_arg "Double_transfer.of_run: the run kept no segments (pass ~record_events:true)";
   let mu = model.Cost_model.mu and lambda = model.Cost_model.lambda in
   let initial_cost = ref 0.0 and transfers = ref [] and folded = ref 0.0 in
   List.iter

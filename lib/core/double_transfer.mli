@@ -40,7 +40,9 @@ type t = {
 
 val of_run : Cost_model.t -> Online_sc.run -> t
 (** Builds the DT schedule from an SC run's copy segments
-    (Definition 10).  [O(n + m)]. *)
+    (Definition 10).  [O(n + m)].
+    @raise Invalid_argument if the run kept no segments (it was not
+    made with [~record_events:true]). *)
 
 type reduction = {
   v_amount : float;
@@ -64,4 +66,5 @@ val reduce : Cost_model.t -> Sequence.t -> sc_cost:float -> opt_cost:float -> re
 val theorem3_holds : Cost_model.t -> Sequence.t -> Online_sc.run -> opt_cost:float -> bool
 (** Checks the full chain on one instance:
     [Pi(DT) = Pi(SC)], every DT transfer weight [<= 2 lambda],
-    [Pi(SC) <= 3 Pi(OPT)] — the end-to-end statement of Theorem 3. *)
+    [Pi(SC) <= 3 Pi(OPT)] — the end-to-end statement of Theorem 3.
+    @raise Invalid_argument as {!of_run} does. *)

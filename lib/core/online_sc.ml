@@ -1,5 +1,4 @@
 module Obs = Dcache_obs.Obs
-module Pq = Dcache_prelude.Pqueue.Flat
 
 (* registered once; probed in bulk at end-of-run so the request loop
    pays nothing for them *)
@@ -39,34 +38,103 @@ type run = {
 
 let competitive_bound = 3.0
 
+(* The request path allocates nothing beyond the amortised growth of
+   its arrays.  dune's dev profile compiles with [-opaque], so nothing
+   is inlined across modules: every float handed to or returned by a
+   function of another module is boxed, and so is every store into a
+   float field of a mixed record.  Hence the expiry heap is two
+   columns driven by int-only helpers, the running sums live in a
+   [float array], close times travel through [expiry], and events and
+   segments are built only under [record]. *)
 type state = {
   delta_t : float;  (* base window: the last-copy extension quantum *)
   window_for : server:int -> time:float -> float;  (* per-refresh window *)
   mu : float;
   active : bool array;
-  expiry : float array;
+  expiry : float array;  (* also the close time [deactivate] reads *)
   activated : float array;  (* activation time of the live copy *)
   last_use : float array;  (* last serve/refresh time of the live copy *)
   stamp : int array;  (* refresh recency, for the source/target tie-break *)
   from_transfer : bool array;
-  queue : Pq.t;  (* expiration events, tuple-free for the hot loop *)
+  (* expiration events: a binary min-heap on (time, server), the order
+     of [compare] on those pairs for the finite times fed here *)
+  mutable heap_time : float array;
+  mutable heap_server : int array;
+  mutable heap_size : int;
+  sums : float array;  (* [caching] and [act_sum], unboxed *)
   mutable live : int;  (* the paper's counter c *)
-  mutable act_sum : float;  (* sum of activation times over live copies *)
   mutable next_stamp : int;
-  mutable caching : float;
+  mutable closed : int;  (* copy lifetimes closed so far, recorded or not *)
   mutable segments : segment list;
   mutable events : event list;
   record : bool;
 }
 
-let log st e = if st.record then st.events <- e :: st.events
+(* indices into [sums]: closed-segment caching cost, and the sum of
+   activation times over the live copies *)
+let caching = 0
+let act_sum = 1
+
+let log st e = st.events <- e :: st.events
+
+let before st i j =
+  let ti = st.heap_time.(i) and tj = st.heap_time.(j) in
+  ti < tj || (ti = tj && st.heap_server.(i) < st.heap_server.(j))
+
+let swap st i j =
+  let time = st.heap_time.(i) and server = st.heap_server.(i) in
+  st.heap_time.(i) <- st.heap_time.(j);
+  st.heap_server.(i) <- st.heap_server.(j);
+  st.heap_time.(j) <- time;
+  st.heap_server.(j) <- server
+
+let rec sift_up st i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if before st i parent then begin
+      swap st i parent;
+      sift_up st parent
+    end
+  end
+
+let rec sift_down st i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = if l < st.heap_size && before st l i then l else i in
+  let smallest = if r < st.heap_size && before st r smallest then r else smallest in
+  if smallest <> i then begin
+    swap st i smallest;
+    sift_down st smallest
+  end
+
+(* enqueue [server]'s current expiry; the columns grow by doubling *)
+let push_expiry st server =
+  if st.heap_size = Array.length st.heap_time then begin
+    let capacity = max 8 (2 * st.heap_size) in
+    let times = Array.make capacity 0.0 and servers = Array.make capacity 0 in
+    Array.blit st.heap_time 0 times 0 st.heap_size;
+    Array.blit st.heap_server 0 servers 0 st.heap_size;
+    st.heap_time <- times;
+    st.heap_server <- servers
+  end;
+  st.heap_time.(st.heap_size) <- st.expiry.(server);
+  st.heap_server.(st.heap_size) <- server;
+  st.heap_size <- st.heap_size + 1;
+  sift_up st (st.heap_size - 1)
+
+let drop_min st =
+  st.heap_size <- st.heap_size - 1;
+  if st.heap_size > 0 then begin
+    st.heap_time.(0) <- st.heap_time.(st.heap_size);
+    st.heap_server.(0) <- st.heap_server.(st.heap_size);
+    sift_down st 0
+  end
 
 let refresh st server time =
   st.expiry.(server) <- time +. st.window_for ~server ~time;
   st.last_use.(server) <- time;
   st.stamp.(server) <- st.next_stamp;
   st.next_stamp <- st.next_stamp + 1;
-  Pq.push st.queue ~time:st.expiry.(server) ~server
+  push_expiry st server
 
 (* [act_sum] tracks the sum of activation times over the currently
    live copies, so the caching cost accrued up to any instant [t] is
@@ -78,89 +146,112 @@ let activate st server time ~by_transfer =
   st.activated.(server) <- time;
   st.from_transfer.(server) <- by_transfer;
   st.live <- st.live + 1;
-  st.act_sum <- st.act_sum +. time;
+  st.sums.(act_sum) <- st.sums.(act_sum) +. time;
   refresh st server time
 
-let deactivate st server time =
+(* Takes [server]'s copy out of the live set at [expiry.(server)],
+   which the caller sets to the close time. *)
+let deactivate st server =
   st.active.(server) <- false;
   st.live <- st.live - 1;
-  st.act_sum <- st.act_sum -. st.activated.(server);
-  st.caching <- st.caching +. (st.mu *. (time -. st.activated.(server)));
+  st.sums.(act_sum) <- st.sums.(act_sum) -. st.activated.(server);
+  st.sums.(caching) <-
+    st.sums.(caching) +. (st.mu *. (st.expiry.(server) -. st.activated.(server)));
+  st.closed <- st.closed + 1
+
+(* the lifetime of [server]'s copy as it closes, for [record] *)
+let record_segment st server =
+  let close = st.expiry.(server) in
   st.segments <-
     {
       seg_server = server;
       activated = st.activated.(server);
-      deactivated = time;
+      deactivated = close;
       by_transfer = st.from_transfer.(server);
-      tail = time -. st.last_use.(server);
+      tail = close -. st.last_use.(server);
     }
     :: st.segments
 
-let valid st time server = st.active.(server) && st.expiry.(server) = time
+let retire st server =
+  if st.record then record_segment st server;
+  deactivate st server
 
-(* Process expirations strictly before [limit].  Tuple-free: the heap
-   minimum is read through [min_time]/[min_server] so the fast path
-   (nothing expired) touches no options and no pairs. *)
+(* Process expirations strictly before [limit], reading the heap
+   minimum in place.  A heap entry is current iff its copy is live and
+   still expires at the entry's time; stale entries are dropped. *)
 let rec drain st limit =
-  if (not (Pq.is_empty st.queue)) && Pq.min_time st.queue < limit then begin
-    let time = Pq.min_time st.queue in
-    let server = Pq.min_server st.queue in
-    Pq.drop_min st.queue;
-    if valid st time server then begin
-      (* a simultaneous valid partner can only be the other half of a
-         source/target pair refreshed by one transfer; -1 = none *)
+  if st.heap_size > 0 && st.heap_time.(0) < limit then begin
+    let time = st.heap_time.(0) and server = st.heap_server.(0) in
+    drop_min st;
+    if st.active.(server) && st.expiry.(server) = time then begin
+      (* a simultaneous current partner can only be the other half of
+         a source/target pair refreshed by one transfer; -1 = none *)
       let partner =
-        if
-          (not (Pq.is_empty st.queue))
-          && Pq.min_time st.queue = time
-          && Pq.min_server st.queue <> server
-          && valid st time (Pq.min_server st.queue)
-        then begin
-          let other = Pq.min_server st.queue in
-          Pq.drop_min st.queue;
-          other
+        if st.heap_size > 0 && st.heap_time.(0) = time then begin
+          let other = st.heap_server.(0) in
+          if other <> server && st.active.(other) && st.expiry.(other) = time then begin
+            drop_min st;
+            other
+          end
+          else -1
         end
         else -1
       in
       if partner >= 0 then begin
         let other = partner in
         if st.live > 2 then begin
-          deactivate st server time;
-          deactivate st other time;
-          log st (Expired { server; time });
-          log st (Expired { server = other; time })
+          retire st server;
+          retire st other;
+          if st.record then begin
+            log st (Expired { server; time });
+            log st (Expired { server = other; time })
+          end
         end
         else begin
           (* the last two copies: drop the source, keep the target *)
-          let source, target =
-            if st.stamp.(server) > st.stamp.(other) then (other, server) else (server, other)
-          in
-          deactivate st source time;
-          log st (Expired { server = source; time });
+          let source = if st.stamp.(server) > st.stamp.(other) then other else server in
+          let target = if source = server then other else server in
+          retire st source;
           st.expiry.(target) <- time +. st.delta_t;
-          Pq.push st.queue ~time:st.expiry.(target) ~server:target;
-          log st (Extended { server = target; time; new_expiry = st.expiry.(target) })
+          push_expiry st target;
+          if st.record then begin
+            log st (Expired { server = source; time });
+            log st (Extended { server = target; time; new_expiry = st.expiry.(target) })
+          end
         end
       end
       else if st.live > 1 then begin
-        deactivate st server time;
-        log st (Expired { server; time })
+        retire st server;
+        if st.record then log st (Expired { server; time })
       end
       else begin
         (* last copy anywhere: extend.  Consecutive extensions
            across an idle gap collapse into one jump of
-           ceil((limit - t) / delta_t) windows — no observable
-           difference, since nothing else can happen while a
-           single copy idles. *)
+           ceil((limit - t) / delta_t) windows, at least one — no
+           observable difference, since nothing else can happen while
+           a single copy idles.  (The quotient is positive: the [if]
+           is [Float.max gaps 1.0] without a boxing call.) *)
         let gaps = Float.ceil ((limit -. time) /. st.delta_t) in
-        let gaps = Float.max gaps 1.0 in
+        let gaps = if gaps < 1.0 then 1.0 else gaps in
         st.expiry.(server) <- time +. (gaps *. st.delta_t);
-        Pq.push st.queue ~time:st.expiry.(server) ~server;
-        log st (Extended { server; time; new_expiry = st.expiry.(server) })
+        push_expiry st server;
+        if st.record then log st (Extended { server; time; new_expiry = st.expiry.(server) })
       end
     end;
     drain st limit
   end
+
+(* the segments and events of an epoch reset at [time], before its
+   copies close *)
+let record_reset st ~m ~kept time =
+  for k = 0 to m - 1 do
+    if k <> kept && st.active.(k) then begin
+      st.expiry.(k) <- time;
+      record_segment st k;
+      log st (Expired { server = k; time })
+    end
+  done;
+  log st (Epoch_reset { time; kept })
 
 (* most recently refreshed live copy, tail-recursively — the hot loop
    calls this on the rare fallback path, so it must not close over
@@ -189,7 +280,10 @@ module Incremental = struct
     mutable finished : bool;
   }
 
-  let create ?(epoch_size = max_int) ?(record_events = false) ?window ?window_policy model ~m =
+  (* [capacity]: initial length of the serve log, which doubles when
+     full; [run] passes [n + 1] so it never grows *)
+  let make ~capacity ?(epoch_size = max_int) ?(record_events = false) ?window ?window_policy model
+      ~m =
     if epoch_size < 1 then invalid_arg "Online_sc: epoch_size must be positive";
     if m < 1 then invalid_arg "Online_sc: m must be positive";
     let delta_t =
@@ -219,11 +313,13 @@ module Incremental = struct
         last_use = Array.make m 0.0;
         stamp = Array.make m 0;
         from_transfer = Array.make m false;
-        queue = Pq.create ();
+        heap_time = [||];
+        heap_server = [||];
+        heap_size = 0;
+        sums = Array.make 2 0.0;
         live = 0;
-        act_sum = 0.0;
         next_stamp = 1;
-        caching = 0.0;
+        closed = 0;
         segments = [];
         events = [];
         record = record_events;
@@ -241,23 +337,32 @@ module Incremental = struct
       epoch_transfers = 0;
       num_epochs = 0;
       last_copy_server = 0;
-      serves = Array.make 16 (-1);
+      serves = Array.make capacity (-1);
       finished = false;
     }
+
+  let create ?epoch_size ?record_events ?window ?window_policy model ~m =
+    make ~capacity:16 ?epoch_size ?record_events ?window ?window_policy model ~m
 
   let n t = t.n
   let transfers_so_far t = t.num_transfers
 
-  (* O(1): the closed-segment cost lives in [st.caching]; the still-open
-     segments contribute mu * (live * now - act_sum). *)
+  (* O(1): the closed-segment cost lives in [sums.(caching)]; the
+     still-open segments contribute mu * (live * now - act_sum).  The
+     sum is [Cost_model.add]'s, written out: calling it would box its
+     [caching] argument on every request. *)
   let cost_so_far t =
     let st = t.st in
-    let caching = st.caching +. (st.mu *. ((float_of_int st.live *. t.last_time) -. st.act_sum)) in
-    Cost_model.add t.model ~caching ~transfers:t.num_transfers
+    let caching =
+      st.sums.(caching) +. (st.mu *. ((float_of_int st.live *. t.last_time) -. st.sums.(act_sum)))
+    in
+    caching +. (float_of_int t.num_transfers *. t.model.Cost_model.lambda)
 
   let feed t ~server ~time =
     if t.finished then invalid_arg "Online_sc.Incremental.feed: state already finished";
     if server < 0 || server >= t.m then invalid_arg "Online_sc.Incremental.feed: server out of range";
+    if not (Float.is_finite time) then
+      invalid_arg "Online_sc.Incremental.feed: time must be finite";
     if not (time > t.last_time) then
       invalid_arg "Online_sc.Incremental.feed: times must be strictly increasing";
     let st = t.st in
@@ -274,7 +379,7 @@ module Incremental = struct
       (* live local copy: serve from cache and renew its window *)
       refresh st j ti;
       t.serves.(i) <- -1;
-      log st (Served { index = i; server = j; time = ti; kind = By_cache })
+      if st.record then log st (Served { index = i; server = j; time = ti; kind = By_cache })
     end
     else begin
       (* Transfer from the most recent copy.  Under the paper's
@@ -292,23 +397,24 @@ module Incremental = struct
       refresh st src ti;
       activate st j ti ~by_transfer:true;
       t.serves.(i) <- src;
-      log st (Served { index = i; server = j; time = ti; kind = By_transfer src })
+      if st.record then
+        log st (Served { index = i; server = j; time = ti; kind = By_transfer src })
     end;
     t.last_copy_server <- j;
     t.n <- i;
     t.last_time <- ti;
     if t.epoch_transfers >= t.epoch_size then begin
+      (* every copy but the current server's closes now; the record,
+         if kept, is written first so this loop stays allocation-free *)
+      if st.record then record_reset st ~m:t.m ~kept:j ti;
       for k = 0 to t.m - 1 do
         if k <> j && st.active.(k) then begin
-          (* dcache-sema: allow S1 — epoch resets are rare by construction (every epoch_size transfers); the closed segments are the run's output *)
-          deactivate st k ti;
-          (* dcache-sema: allow S1 — epoch-reset event cons, rare and guarded by [record_events] *)
-          log st (Expired { server = k; time = ti })
+          st.expiry.(k) <- ti;
+          deactivate st k
         end
       done;
       t.epoch_transfers <- 0;
-      t.num_epochs <- t.num_epochs + 1;
-      log st (Epoch_reset { time = ti; kept = j })
+      t.num_epochs <- t.num_epochs + 1
     end
   [@@hot]
 
@@ -326,7 +432,10 @@ module Incremental = struct
     let st = t.st in
     (* truncate surviving copies at the horizon *)
     for k = 0 to t.m - 1 do
-      if st.active.(k) then deactivate st k horizon
+      if st.active.(k) then begin
+        st.expiry.(k) <- horizon;
+        retire st k
+      end
     done;
     (* bulk counter flush: one probe for the whole run, nothing in the
        request loop (evictions = closed cache segments) *)
@@ -334,22 +443,21 @@ module Incremental = struct
       Obs.add c_serves t.n;
       Obs.add c_transfers t.num_transfers;
       Obs.add c_epoch_resets t.num_epochs;
-      Obs.add c_evictions (List.length st.segments)
+      Obs.add c_evictions st.closed
     end;
-    let serves =
-      Array.init (t.n + 1) (fun i ->
-          if i = 0 then By_cache
-          else
-            match t.serves.(i) with
-            | -1 -> By_cache
-            | src -> By_transfer src)
-    in
+    (* one shared [By_transfer s] per source server *)
+    let by_transfer = Array.init t.m (fun s -> By_transfer s) in
+    let serves = Array.make (t.n + 1) By_cache in
+    for i = 1 to t.n do
+      let src = t.serves.(i) in
+      if src >= 0 then serves.(i) <- by_transfer.(src)
+    done;
     (* transfers all cost lambda: count them and multiply once, instead
        of folding +. lambda per request (exact, and S4-clean) *)
     {
-      caching_cost = st.caching;
+      caching_cost = st.sums.(caching);
       transfer_cost = float_of_int t.num_transfers *. t.model.Cost_model.lambda;
-      total_cost = Cost_model.add t.model ~caching:st.caching ~transfers:t.num_transfers;
+      total_cost = Cost_model.add t.model ~caching:st.sums.(caching) ~transfers:t.num_transfers;
       num_transfers = t.num_transfers;
       num_epochs = t.num_epochs + 1;
       serves;
@@ -362,7 +470,8 @@ let run ?epoch_size ?record_events ?window ?window_policy model seq =
   Obs.spanned sp_run @@ fun () ->
   let n = Sequence.n seq in
   let inc =
-    Incremental.create ?epoch_size ?record_events ?window ?window_policy model ~m:(Sequence.m seq)
+    Incremental.make ~capacity:(n + 1) ?epoch_size ?record_events ?window ?window_policy model
+      ~m:(Sequence.m seq)
   in
   for i = 1 to n do
     Incremental.feed inc ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
@@ -371,6 +480,8 @@ let run ?epoch_size ?record_events ?window ?window_policy model seq =
 [@@hot]
 
 let schedule_of_run seq (run : run) =
+  if List.is_empty run.segments then
+    invalid_arg "Online_sc.schedule_of_run: the run kept no segments (pass ~record_events:true)";
   let caches =
     List.filter_map
       (fun s ->

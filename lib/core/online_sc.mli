@@ -56,7 +56,9 @@ type run = {
   num_epochs : int;  (** completed resets + the final partial epoch *)
   serves : serve_kind array;  (** index [1..n]; index [0] is a dummy *)
   events : event list;  (** chronological; empty unless [record_events] *)
-  segments : segment list;  (** every copy lifetime, chronological *)
+  segments : segment list;
+      (** every copy lifetime, chronological; empty unless
+          [record_events] *)
 }
 
 (** Request-at-a-time SC.  {!val-run} is a loop over this module; the
@@ -86,10 +88,14 @@ module Incremental : sig
 
   val feed : t -> server:int -> time:float -> unit
   (** Serves one request: [O(log n)] amortised (expiry-queue
-      traffic), constant work otherwise.
+      traffic), constant work otherwise.  Allocates nothing unless
+      [record_events] is set, apart from the amortised growth of the
+      serve log and the expiry queue (a [window_policy] may allocate
+      on its own account).  A request rejected for its server or its
+      time leaves the state untouched.
       @raise Invalid_argument if the state is finished, [server] is
-      outside [\[0, m)], or [time] does not exceed the previous
-      request's time.
+      outside [\[0, m)], [time] is not finite, or [time] does not
+      exceed the previous request's time.
       @raise Invalid_argument if [window_policy] returns a
       non-positive window. *)
 
@@ -127,8 +133,11 @@ val run :
 
     @param epoch_size number of transfers per epoch (default: no
     epoching).
-    @param record_events keep the event log (default [false]; costs
-    memory on long runs).
+    @param record_events keep the event log and the copy
+    [segments] (default [false]: both lists stay empty and the
+    request loop allocates nothing; recording costs memory on long
+    runs).  {!schedule_of_run} and [Double_transfer.of_run] need the
+    segments.
     @param window overrides the speculative window (default
     [lambda / mu], the paper's choice; other values are for the
     ablation of experiment E10 — the 3-competitive guarantee only
@@ -147,7 +156,9 @@ val schedule_of_run : Sequence.t -> run -> Schedule.t
     becomes a cache interval, each transfer-serve a transfer — so the
     online algorithm's output can be checked by
     {!Schedule.validate} and priced by {!Schedule.cost} exactly like
-    an offline schedule. *)
+    an offline schedule.
+    @raise Invalid_argument if the run kept no segments (it was not
+    made with [~record_events:true]). *)
 
 val competitive_bound : float
 (** The proven worst-case ratio: [3.0]. *)

@@ -299,7 +299,10 @@ let push t ~server ~time =
   let d_value = t.d.(i) in
   (* --- C(i) --- *)
   let step = t.c.(i - 1) +. (mu *. (time -. t.time.(i - 1))) +. t.lam_eff in
-  if d_value <= step then begin
+  (* D(i) exists only when the server was requested before; without
+     the [q >= 0] test an overflowed [step = inf] would tie the
+     undefined D(i) = inf and send the walk down a missing D branch *)
+  if q >= 0 && d_value <= step then begin
     t.c.(i) <- d_value;
     A1.unsafe_set t.idx (base_i + k_cc) (Int32.of_int c_cache)
   end

@@ -168,7 +168,7 @@ let fig7 () =
 let fig8 () =
   header "E5 / Figs 8-9 — Double-Transfer schedule and the V-/H-reductions";
   let model, seq = Instances.fig7 () in
-  let run = Online_sc.run model seq in
+  let run = Online_sc.run ~record_events:true model seq in
   let dt = Double_transfer.of_run model run in
   Printf.printf "Pi(SC) = %.4f, Pi(DT) = %.4f (equal: %b)\n" dt.sc_cost dt.dt_cost
     (Dcache_prelude.Float_cmp.approx_eq dt.sc_cost dt.dt_cost);

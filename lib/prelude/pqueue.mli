@@ -1,9 +1,9 @@
 (** Polymorphic binary min-heap.
 
-    Used as the event queue of the discrete-event simulator and for
-    the copy-expiration events of the online Speculative Caching
-    algorithm.  All operations are the textbook [O(log n)] sift
-    operations; [peek]/[is_empty] are [O(1)]. *)
+    Used as the event queue of the discrete-event simulator and by
+    Dijkstra's search over the space-time graph.  All operations are
+    the textbook [O(log n)] sift operations; [peek]/[is_empty] are
+    [O(1)]. *)
 
 type 'a t
 
@@ -29,28 +29,3 @@ val clear : 'a t -> unit
 
 val to_sorted_list : 'a t -> 'a list
 (** Non-destructive: the heap contents in ascending order. *)
-
-(** Allocation-free (time, server) min-heap for hot loops: two
-    parallel arrays instead of boxed tuples, direct accessors instead
-    of option-returning peek/pop.  Ordering is lexicographic
-    (time, then server), identical to [compare] on [(float * int)]
-    for finite times. *)
-module Flat : sig
-  type t
-
-  val create : unit -> t
-  val length : t -> int
-  val is_empty : t -> bool
-
-  val push : t -> time:float -> server:int -> unit
-  (** Amortised O(log n); grows the backing arrays by doubling. *)
-
-  val min_time : t -> float
-  (** Time of the minimum entry.  @raise Invalid_argument when empty. *)
-
-  val min_server : t -> int
-  (** Server of the minimum entry.  @raise Invalid_argument when empty. *)
-
-  val drop_min : t -> unit
-  (** Removes the minimum entry.  @raise Invalid_argument when empty. *)
-end

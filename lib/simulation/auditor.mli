@@ -52,9 +52,10 @@ val create :
     any forwarded parameter is rejected by its module. *)
 
 val feed : t -> server:int -> time:float -> unit
-(** Route one request through policy, optimum and auditor.
-    @raise Invalid_argument on an out-of-range server, a
-    non-increasing time, or a finished pipeline. *)
+(** Route one request through policy, optimum and auditor.  A
+    rejected request changes none of the three.
+    @raise Invalid_argument on an out-of-range server, a non-finite
+    or non-increasing time, or a finished pipeline. *)
 
 val audit : t -> Audit.t
 (** The live auditor (prefix/window readbacks mid-stream). *)

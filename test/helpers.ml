@@ -15,6 +15,21 @@ let check_le msg a b =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Words allocated by [f ()] per request: minor + major - promoted,
+   since arrays this large are allocated directly in the major heap. *)
+let words_per_request ~n f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let probe =
+    let a = words () in
+    words () -. a
+  in
+  let before = words () in
+  ignore (Sys.opaque_identity (f ()));
+  (words () -. before -. probe) /. float_of_int n
+
 (* ---------------------------------------------------- random instances *)
 
 let sequence_of_gen ~m ~n gaps servers =

@@ -374,6 +374,54 @@ let serve_metrics_exports_audit_families () =
           "dcache_serve_sc_vs_opt";
         ])
 
+(* A non-finite time is refused by Online_sc before any state moves,
+   so the auditor's three parts stay in step and the next request is
+   served as if the bad one never came. *)
+let auditor_rejects_non_finite_time () =
+  let auditor = Auditor.create Cost_model.unit ~m:3 in
+  Auditor.feed auditor ~server:1 ~time:1.0;
+  Auditor.feed auditor ~server:2 ~time:1.5;
+  let n = Audit.n (Auditor.audit auditor) in
+  let online = Auditor.online_cost_so_far auditor and opt = Auditor.opt_cost_so_far auditor in
+  List.iter
+    (fun time ->
+      Alcotest.check_raises "rejected"
+        (Invalid_argument "Online_sc.Incremental.feed: time must be finite") (fun () ->
+          Auditor.feed auditor ~server:0 ~time);
+      Alcotest.(check int) "Audit.n unchanged" n (Audit.n (Auditor.audit auditor));
+      Alcotest.(check (float 0.0)) "online cost unchanged" online
+        (Auditor.online_cost_so_far auditor);
+      Alcotest.(check (float 0.0)) "optimal cost unchanged" opt (Auditor.opt_cost_so_far auditor))
+    [ infinity; neg_infinity; nan ];
+  Auditor.feed auditor ~server:0 ~time:2.0;
+  Alcotest.(check int) "the next feed counts" (n + 1) (Audit.n (Auditor.audit auditor));
+  let report = Auditor.finish auditor in
+  Alcotest.(check bool) "costs stay finite" true
+    (Float.is_finite report.online_cost && Float.is_finite report.opt_cost);
+  Alcotest.(check int) "no violations" 0 report.violations
+
+(* Rates that overflow every cost to inf: [solve], [online] and [audit]
+   exit 1 with a message instead of printing inf and nan ratios. *)
+let cli_rejects_overflowing_costs () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let err = Filename.temp_file "dcache" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun command ->
+          let status =
+            Sys.command
+              (Filename.quote_command exe ~stdout:Filename.null ~stderr:err
+                 [ command; "--trace"; "data/15041.events"; "-m"; "8"; "--mu"; "1e308" ])
+          in
+          Alcotest.(check int) (command ^ " exit status") 1 status;
+          let message = In_channel.with_open_text err In_channel.input_all in
+          if not (contains "overflows floating point" message) then
+            Alcotest.failf "%s: unexpected error output %S" command message)
+        [ "solve"; "online"; "audit" ])
+
 let suite =
   [
     incremental_replays_run;
@@ -389,4 +437,6 @@ let suite =
     case "audit: metric families record the replay" audit_metrics_recorded;
     case "audit: readbacks identical at widths 1 and 4" width_independent_readbacks;
     case "serve-metrics: exports audit families" serve_metrics_exports_audit_families;
+    case "auditor: a non-finite time is rejected whole" auditor_rejects_non_finite_time;
+    case "cli: overflowing costs exit 1" cli_rejects_overflowing_costs;
   ]

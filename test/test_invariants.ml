@@ -27,14 +27,14 @@ let segments_by_transfer_flags =
   qcheck ~count:200 "sc: exactly one segment is the initial (non-transfer) copy"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       List.length (List.filter (fun s -> not s.Online_sc.by_transfer) run.segments) = 1)
 
 let segments_nonoverlapping_per_server =
   qcheck ~count:200 "sc: copy lifetimes on one server never overlap"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       let by_server = Hashtbl.create 8 in
       List.iter
         (fun s ->
@@ -72,7 +72,7 @@ let dt_with_epochs =
   qcheck ~count:150 "dt: Pi(DT) = Pi(SC) holds for epoched runs too"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run ~epoch_size:2 model seq in
+      let run = Online_sc.run ~epoch_size:2 ~record_events:true model seq in
       let dt = Double_transfer.of_run model run in
       approx ~eps:1e-6 dt.dt_cost dt.sc_cost
       && Dcache_prelude.Float_cmp.approx_le run.total_cost
@@ -207,7 +207,9 @@ let predictive_respects_caps =
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
       let beta = 0.5 in
-      let run = Online_predictive.run ~beta (Online_predictive.oracle seq) model seq in
+      let run =
+        Online_predictive.run ~beta ~record_events:true (Online_predictive.oracle seq) model seq
+      in
       let cap = Cost_model.delta_t model /. beta in
       (* a copy's unused tail is bounded by its final window *)
       List.for_all (fun s -> s.Online_sc.tail <= cap +. 1e-6) run.segments)

@@ -96,7 +96,7 @@ let segments_partition_caching_cost =
   qcheck ~count:300 "online: segment durations sum to the caching cost"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       let total =
         List.fold_left
           (fun acc (s : Online_sc.segment) ->
@@ -109,7 +109,7 @@ let tails_bounded_by_window =
   qcheck ~count:300 "online: every speculative tail is at most the window (omega <= lambda)"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       let delta_t = Cost_model.delta_t model in
       List.for_all (fun (s : Online_sc.segment) -> s.tail <= delta_t +. 1e-9) run.segments)
 
@@ -117,7 +117,7 @@ let schedule_of_run_valid =
   qcheck ~count:300 "online: the SC run renders to a feasible schedule of equal cost"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       let sched = Online_sc.schedule_of_run seq run in
       (match Schedule.validate seq sched with Ok () -> true | Error _ -> false)
       && approx ~eps:1e-6 (Schedule.cost model sched) run.total_cost)
@@ -213,7 +213,7 @@ let fig7_instance_consistent () =
 let dt_cost_equality =
   qcheck ~count:300 "DT: Pi(DT) = Pi(SC) (Definition 10)" (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       let dt = Double_transfer.of_run model run in
       approx ~eps:1e-6 dt.dt_cost dt.sc_cost)
 
@@ -221,7 +221,7 @@ let dt_weights_bounded =
   qcheck ~count:300 "DT: every folded transfer weight is in [lambda, 2 lambda]"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       let dt = Double_transfer.of_run model run in
       List.for_all
         (fun (w : Double_transfer.weighted_transfer) ->
@@ -233,7 +233,7 @@ let dt_transfer_count_matches =
   qcheck ~count:200 "DT: one weighted transfer per SC transfer"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       let dt = Double_transfer.of_run model run in
       List.length dt.transfers = run.num_transfers)
 
@@ -241,7 +241,7 @@ let reduction_chain =
   qcheck ~count:300 "DT: the Theorem 3 chain (reductions, Lemmas 7-8) holds"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_sc.run model seq in
+      let run = Online_sc.run ~record_events:true model seq in
       Double_transfer.theorem3_holds model seq run ~opt_cost:(opt model seq))
 
 let reduction_amounts_nonnegative =
@@ -294,6 +294,180 @@ let lemma6_short_intervals_cached =
       done;
       !ok)
 
+(* ----------------------------------------------- reference implementation *)
+
+(* The SC configurations the oracle compares: the paper's window,
+   epochs, an overridden window (in multiples of lambda / mu), and the
+   per-refresh windows of Online_predictive. *)
+type sc_variant = Default | Epochs of int | Window of float | Predictive
+
+let variant_print = function
+  | Default -> "default"
+  | Epochs k -> Printf.sprintf "epoch_size %d" k
+  | Window w -> Printf.sprintf "window %g * lambda/mu" w
+  | Predictive -> "predictive window policy"
+
+let variant_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Default;
+        map (fun k -> Epochs k) (int_range 1 4);
+        map (fun w -> Window w) (float_range 0.05 3.0);
+        return Predictive;
+      ])
+
+(* Online_predictive's policy at beta = 0.5 with the oracle predictor:
+   windows vary per refresh, so the fallback transfer source is hit *)
+let predictive_policy model seq =
+  let predictor = Online_predictive.oracle seq in
+  let delta_t = Cost_model.delta_t model and beta = 0.5 in
+  let pad = 1e-9 *. delta_t in
+  fun ~server ~time ->
+    match predictor ~server ~time with
+    | None -> delta_t
+    | Some predicted ->
+        if predicted <= delta_t /. beta then
+          Float.min (delta_t /. beta) (Float.max pad (predicted +. pad))
+        else beta *. delta_t
+
+let variant_args variant model seq =
+  match variant with
+  | Default -> (None, None, None)
+  | Epochs k -> (Some k, None, None)
+  | Window w -> (None, Some (w *. Cost_model.delta_t model), None)
+  | Predictive -> (None, None, Some (predictive_policy model seq))
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_outcome (a : Online_sc.run) (b : Online_sc.run) =
+  same_float a.total_cost b.total_cost
+  && same_float a.caching_cost b.caching_cost
+  && same_float a.transfer_cost b.transfer_cost
+  && a.num_transfers = b.num_transfers
+  && a.num_epochs = b.num_epochs
+  && a.serves = b.serves
+
+let prefix_costs_agree ?epoch_size ?window ?window_policy model seq =
+  let m = Sequence.m seq in
+  let fast = Online_sc.Incremental.create ?epoch_size ?window ?window_policy model ~m in
+  let slow = Sc_reference.Incremental.create ?epoch_size ?window ?window_policy model ~m in
+  let ok = ref true in
+  for i = 1 to Sequence.n seq do
+    let server = Sequence.server seq i and time = Sequence.time seq i in
+    Online_sc.Incremental.feed fast ~server ~time;
+    Sc_reference.Incremental.feed slow ~server ~time;
+    if
+      not
+        (same_float (Online_sc.Incremental.cost_so_far fast)
+           (Sc_reference.Incremental.cost_so_far slow))
+    then ok := false
+  done;
+  !ok
+
+let agrees_with_reference =
+  qcheck ~count:500 "sc: agrees with the reference implementation bit for bit"
+    (QCheck.make
+       ~print:(fun (p, v) -> problem_print p ^ ", " ^ variant_print v)
+       (QCheck.Gen.pair (problem_gen ~max_m:8 ~max_n:60 ()) variant_gen))
+    (fun (p, variant) ->
+      let epoch_size, window, window_policy = variant_args variant p.model p.seq in
+      let run ?record_events () =
+        Online_sc.run ?epoch_size ?record_events ?window ?window_policy p.model p.seq
+      and reference ?record_events () =
+        Sc_reference.run ?epoch_size ?record_events ?window ?window_policy p.model p.seq
+      in
+      let plain = run () and recorded = run ~record_events:true () in
+      let reference_plain = reference ()
+      and reference_recorded = reference ~record_events:true () in
+      same_outcome plain reference_plain
+      && plain.events = [] && plain.segments = []
+      && same_outcome recorded reference_recorded
+      && recorded.events = reference_recorded.events
+      && recorded.segments = reference_recorded.segments
+      && prefix_costs_agree ?epoch_size ?window ?window_policy p.model p.seq)
+
+(* [online_sc.evictions] counts every closed copy, whether or not the
+   run keeps the segments *)
+let evictions_count_closed_copies () =
+  let module Obs = Dcache_obs.Obs in
+  let evictions = Obs.counter "online_sc.evictions" in
+  let seq =
+    Dcache_workload.Generator.generate_seeded ~seed:3
+      {
+        m = 16;
+        n = 2000;
+        arrival = Dcache_workload.Arrival.Pareto { shape = 1.5; scale = 0.25 };
+        placement = Dcache_workload.Placement.Uniform_random;
+      }
+  in
+  Obs.set_sink (Obs.Recording (Obs.recorder ()));
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.Noop;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun epoch_size ->
+          Obs.reset ();
+          let recorded = Online_sc.run ?epoch_size ~record_events:true unit seq in
+          let with_segments = Obs.counter_value evictions in
+          Obs.reset ();
+          ignore (Online_sc.run ?epoch_size unit seq);
+          Alcotest.(check int) "recorded run" (List.length recorded.segments) with_segments;
+          Alcotest.(check int) "unrecorded run" with_segments (Obs.counter_value evictions))
+        [ None; Some 5 ])
+
+(* -------------------------------------------------- allocation budgets *)
+
+(* The bench ledger's four (m, arrival, placement) workloads *)
+let ledger_workloads =
+  let open Dcache_workload in
+  [
+    ( "mobility-ring-m8",
+      8,
+      Arrival.Poisson { rate = 2.0 },
+      Placement.Mobility { stay = 0.9; ring = true } );
+    ("zipf-m64", 64, Arrival.Poisson { rate = 1.0 }, Placement.Zipf { exponent = 1.0 });
+    ("bursty-m16", 16, Arrival.Pareto { shape = 1.5; scale = 0.25 }, Placement.Uniform_random);
+    ("serve-batch", 4, Arrival.Poisson { rate = 1.0 }, Placement.Uniform_random);
+  ]
+
+let budget_n = 20_000
+
+let budget_workloads () =
+  List.map
+    (fun (name, m, arrival, placement) ->
+      let spec = { Dcache_workload.Generator.m; n = budget_n; arrival; placement } in
+      (name, Dcache_workload.Generator.generate_seeded ~seed:1 spec))
+    ledger_workloads
+
+(* the unrecorded run keeps per request only its serve log, the serve
+   kinds and the boxed time [Sequence.time] returns *)
+let run_allocation_budget () =
+  List.iter
+    (fun (name, seq) ->
+      let words = words_per_request ~n:budget_n (fun () -> Online_sc.run unit seq) in
+      if words > 6.0 then
+        Alcotest.failf "Online_sc.run on %s allocates %.2f words/request (budget 6)" name words)
+    (budget_workloads ())
+
+(* two of the three words are the loop's own boxed [time] *)
+let feed_allocation_budget () =
+  List.iter
+    (fun (name, seq) ->
+      let inc = Online_sc.Incremental.create unit ~m:(Sequence.m seq) in
+      let before = Gc.minor_words () in
+      for i = 1 to Sequence.n seq do
+        Online_sc.Incremental.feed inc ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int budget_n in
+      if words > 3.0 then
+        Alcotest.failf
+          "a loop over Incremental.feed on %s allocates %.2f minor words/request (budget 3)" name
+          words)
+    (budget_workloads ())
+
 let suite =
   [
     case "sc: within-window request served by cache" serves_within_window_by_cache;
@@ -323,4 +497,8 @@ let suite =
     reduction_amounts_nonnegative;
     lemma5_single_cacher_on_wide_gaps;
     lemma6_short_intervals_cached;
+    agrees_with_reference;
+    case "sc: evictions count every closed copy" evictions_count_closed_copies;
+    case "sc: Online_sc.run allocation budget" run_allocation_budget;
+    case "sc: Incremental.feed allocation budget" feed_allocation_budget;
   ]

@@ -40,7 +40,9 @@ let predictive_feasible =
   qcheck ~count:200 "predictive: runs render to feasible schedules costing the reported total"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_predictive.run ~beta:0.5 (Online_predictive.oracle seq) model seq in
+      let run =
+        Online_predictive.run ~beta:0.5 ~record_events:true (Online_predictive.oracle seq) model seq
+      in
       let sched = Online_sc.schedule_of_run seq run in
       (match Schedule.validate seq sched with Ok () -> true | Error _ -> false)
       && approx ~eps:1e-6 (Schedule.cost model sched) run.total_cost)
@@ -67,7 +69,9 @@ let frequency_predictor_feasible =
   qcheck ~count:150 "predictive: the log-mining predictor stays feasible"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      let run = Online_predictive.run (Online_predictive.frequency seq) model seq in
+      let run =
+        Online_predictive.run ~record_events:true (Online_predictive.frequency seq) model seq
+      in
       let sched = Online_sc.schedule_of_run seq run in
       (match Schedule.validate seq sched with Ok () -> true | Error _ -> false)
       && Dcache_prelude.Float_cmp.approx_ge run.total_cost (opt model seq))

@@ -292,58 +292,6 @@ let pqueue_interleaved =
             | Some _, [] | None, _ :: _ -> false)
         ops)
 
-(* --------------------------------------------------------- pqueue.flat *)
-
-module Flat = Dcache_prelude.Pqueue.Flat
-
-let flat_basics () =
-  let h = Flat.create () in
-  Alcotest.(check bool) "starts empty" true (Flat.is_empty h);
-  Flat.push h ~time:3.0 ~server:1;
-  Flat.push h ~time:1.0 ~server:2;
-  Flat.push h ~time:2.0 ~server:0;
-  Alcotest.(check int) "length" 3 (Flat.length h);
-  check_float "min time" 1.0 (Flat.min_time h);
-  Alcotest.(check int) "min server" 2 (Flat.min_server h);
-  Flat.drop_min h;
-  check_float "next time" 2.0 (Flat.min_time h);
-  Alcotest.(check int) "next server" 0 (Flat.min_server h);
-  (* equal times break ties by server, matching [compare] on tuples *)
-  Flat.push h ~time:2.0 ~server:5;
-  Alcotest.(check int) "tie keeps the smaller server" 0 (Flat.min_server h)
-
-let flat_empty () =
-  let h = Flat.create () in
-  Alcotest.check_raises "min_time" (Invalid_argument "Pqueue.Flat.min_time: empty heap")
-    (fun () -> ignore (Flat.min_time h));
-  Alcotest.check_raises "min_server" (Invalid_argument "Pqueue.Flat.min_server: empty heap")
-    (fun () -> ignore (Flat.min_server h));
-  Alcotest.check_raises "drop_min" (Invalid_argument "Pqueue.Flat.drop_min: empty heap")
-    (fun () -> Flat.drop_min h)
-
-(* the whole point of [Flat]: same drain order as the generic heap
-   under [compare] on (time, server) tuples *)
-let flat_matches_generic =
-  qcheck ~count:200 "pqueue.flat drains like the tuple heap"
-    QCheck.(list (pair (float_range 0.0 100.0) small_int))
-    (fun entries ->
-      let flat = Flat.create () and generic = Pqueue.create ~cmp:compare in
-      List.iter
-        (fun (time, server) ->
-          Flat.push flat ~time ~server;
-          Pqueue.push generic (time, server))
-        entries;
-      let rec drain acc =
-        if Flat.is_empty flat then List.rev acc
-        else begin
-          let entry = (Flat.min_time flat, Flat.min_server flat) in
-          Flat.drop_min flat;
-          drain (entry :: acc)
-        end
-      in
-      drain [] = (let rec d acc = match Pqueue.pop generic with None -> List.rev acc | Some e -> d (e :: acc) in d [])
-      && Flat.length flat = 0)
-
 (* ------------------------------------------------------------- interval *)
 
 module Interval = Dcache_prelude.Interval
@@ -516,9 +464,6 @@ let suite =
     case "pqueue: clear" pqueue_clear;
     pqueue_heap_property;
     pqueue_interleaved;
-    case "pqueue.flat: push/min/drop and tie-break" flat_basics;
-    case "pqueue.flat: empty accessors raise" flat_empty;
-    flat_matches_generic;
     case "interval: construction and membership" interval_basics;
     case "interval: overlap semantics" interval_overlap;
     case "interval: merge and measure" interval_merge_and_measure;

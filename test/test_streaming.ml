@@ -314,6 +314,26 @@ let exchange_local_optimality =
           | _ -> true)
         (Schedule.caches sched))
 
+(* --mu 1e308: every step overflows to inf, and a request on a server
+   with no earlier request (so no D(i)) used to win the tie
+   [D(i) = inf <= step], sending the reconstruction down a D branch
+   that does not exist (an assertion failure in [schedule]). *)
+let overflowed_step_takes_the_c_branch () =
+  let model = Cost_model.make ~mu:1e308 ~lambda:1.0 () in
+  let check name seq =
+    let result = Offline_dp.solve model seq in
+    let schedule = Offline_dp.schedule result in
+    (match Schedule.validate seq schedule with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: infeasible schedule: %s" name (String.concat "; " e));
+    Alcotest.(check bool) (name ^ ": the cost overflows") false
+      (Float.is_finite (Offline_dp.cost result))
+  in
+  check "one request on a fresh server" (Sequence.of_list ~m:2 [ (1, 2.0) ]);
+  match Dcache_workload.Trace_io.read ~filename:"data/15041.events" ~m:8 with
+  | Ok seq -> check "data/15041.events, m = 8" seq
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     case "vec: push/get/set/last" vec_push_get;
@@ -333,4 +353,5 @@ let suite =
     time_scale_invariance;
     server_relabel_invariance;
     exchange_local_optimality;
+    case "streaming: an overflowed step takes the C branch" overflowed_step_takes_the_c_branch;
   ]

@@ -87,7 +87,7 @@ let svg_comparison_panels () =
   let model = Cost_model.unit in
   let seq = fig6 () in
   let opt = Offline_dp.schedule (Offline_dp.solve model seq) in
-  let sc = Online_sc.schedule_of_run seq (Online_sc.run model seq) in
+  let sc = Online_sc.schedule_of_run seq (Online_sc.run ~record_events:true model seq) in
   let svg =
     Svg.comparison_svg
       ~options:{ Svg.default_options with title = Some "cmp" }

@@ -447,21 +447,6 @@ let trace_reads_a_pipe () =
   if not (List.exists (String.starts_with ~prefix:expected) lines) then
     Alcotest.failf "expected %S in:\n%s" expected output
 
-(* Words allocated by [f ()] per request: minor + major - promoted,
-   since arrays this large are allocated directly in the major heap. *)
-let words_per_request ~n f =
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let probe =
-    let a = words () in
-    words () -. a
-  in
-  let before = words () in
-  ignore (Sys.opaque_identity (f ()));
-  (words () -. before -. probe) /. float_of_int n
-
 let budget_n = 20_000
 
 let poisson_spec placement =
