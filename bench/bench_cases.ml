@@ -72,9 +72,10 @@ let words_per_push () =
 (* The `reconstruct` bench entry re-derives the schedule of one solved
    instance over and over — exactly the memoised warm path: the solver
    state is append-only, so [Streaming_dp.schedule] returns the cached
-   physically-equal schedule without re-walking.  The budget bounds
-   that warm cost (the pre-memo walk burned ~42k minor words/run on
-   list accumulators and Schedule.make). *)
+   physically-equal schedule without re-walking.  The budget covers
+   only that warm call; the cold walk, which every [dcache solve] runs
+   once, has its own budget in the tier-1 test
+   [offline: allocation budgets on the ledger workloads]. *)
 let max_reconstruct_words = 1000.0
 
 let reconstruct_minor_words () =

@@ -17,18 +17,24 @@ type outcome = {
 val static_home : Cost_model.t -> Sequence.t -> outcome
 (** The single copy never moves from server 0; every request elsewhere
     is served by a transfer whose copy is dropped immediately.
-    Cost: [mu * t_n + lambda * #{i : s_i <> 0}]. *)
+    Cost: [mu * t_n + lambda * #{i : s_i <> 0}].
+    @raise Invalid_argument if {!Schedule.make} rejects a piece
+    (unreachable for a validated {!Sequence.t}). *)
 
 val follow : Cost_model.t -> Sequence.t -> outcome
 (** A single copy migrates to every requesting server (the optimal
     strategy if replication were forbidden — cf. the migrate-only
     shortest path of {!Dcache_spacetime} once that library is in
-    scope).  Cost: [mu * t_n + lambda * #{i : s_i <> s_{i-1}}]. *)
+    scope).  Cost: [mu * t_n + lambda * #{i : s_i <> s_{i-1}}].
+    @raise Invalid_argument if {!Schedule.make} rejects a piece
+    (unreachable for a validated {!Sequence.t}). *)
 
 val cache_everywhere : Cost_model.t -> Sequence.t -> outcome
 (** Replicate on first touch and never delete: one transfer per new
     server, unbounded caching.  The "cloud caches are infinite, keep
-    everything" strawman of Section I. *)
+    everything" strawman of Section I.
+    @raise Invalid_argument if {!Schedule.make} rejects a piece
+    (unreachable for a validated {!Sequence.t}). *)
 
 val classic_lru : capacity:int -> Cost_model.t -> Sequence.t -> outcome
 (** The capacity-oriented classic policy of Table I: at most

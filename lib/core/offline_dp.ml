@@ -11,13 +11,8 @@ type t = { stream : Streaming_dp.t; n : int }
 
 let solve model seq =
   Obs.spanned sp_solve @@ fun () ->
-  let stream = Streaming_dp.create model ~m:(Sequence.m seq) in
-  Obs.spanned sp_fill (fun () ->
-      for i = 1 to Sequence.n seq do
-        Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
-      done);
+  let stream = Obs.spanned sp_fill (fun () -> Streaming_dp.of_sequence model seq) in
   { stream; n = Sequence.n seq }
-[@@hot]
 
 let cost r = Streaming_dp.cost r.stream
 

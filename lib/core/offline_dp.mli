@@ -26,7 +26,8 @@
 type t
 
 val solve : Cost_model.t -> Sequence.t -> t
-(** Runs the sweep.  [O(mn)] time and space.
+(** Runs the sweep ({!Streaming_dp.of_sequence}).  [O(mn)] time and
+    space, every column sized for the sequence up front.
     @raise Invalid_argument if the model/sequence pair is invalid
     ({!Streaming_dp.create}'s and [push]'s conditions). *)
 
@@ -57,9 +58,14 @@ val running_bounds : t -> float array
 
 val schedule : t -> Schedule.t
 (** Reconstructs an optimal schedule by backtracking the stored
-    argmins ([O(n)] per call).  The result is feasible
+    argmins: an [O(n)] walk plus an [O(n log n)] sort of its pieces
+    on the first call, memoised after.  The result is feasible
     ({!Schedule.validate}), in standard form, and its
-    {!Schedule.cost} equals {!cost} up to rounding. *)
+    {!Schedule.cost} equals {!cost} up to rounding.  Caches come
+    sorted by server, then start, transfers by time, then destination
+    ({!Schedule.caches}, {!Schedule.transfers}).
+    @raise Invalid_argument if {!Schedule.of_columns} rejects a piece
+    (unreachable for a {!solve} result: {!Streaming_dp.schedule}). *)
 
 val pivot_of : t -> int -> int option
 (** For introspection/tests: the pivot index [kappa] chosen for

@@ -4,78 +4,202 @@ type source = From_server of int | From_external
 
 type transfer = { src : source; dst : int; time : float }
 
-type t = { caches : cache list; transfers : transfer list }
+(* Six columns.  Caches are sorted by (server, from, to), transfers by
+   (time, dst); a transfer source of [external_src] is an upload.  The
+   cost sums and queries read the columns directly, so they box no
+   float and build no record per piece. *)
+type t = {
+  cache_server : int array;
+  cache_from : float array;
+  cache_to : float array;
+  tr_src : int array;
+  tr_dst : int array;
+  tr_time : float array;
+}
 
-let compare_cache a b =
-  match Int.compare a.server b.server with
-  | 0 -> (
-      match Float.compare a.from_time b.from_time with
-      | 0 -> Float.compare a.to_time b.to_time
-      | c -> c)
-  | c -> c
+let external_src = -1
 
-let compare_transfer a b =
-  match Float.compare a.time b.time with 0 -> Int.compare a.dst b.dst | c -> c
+(* An index permutation of the first [k] pieces, stable-sorted by
+   [cmp]: pieces that tie keep their input order, as [List.sort] did. *)
+let sorted_perm k cmp =
+  let perm = Array.init k Fun.id in
+  Array.stable_sort cmp perm;
+  perm
 
-let check_cache c =
-  if c.server < 0 then invalid_arg "Schedule: cache on negative server";
-  if not (Float.is_finite c.from_time && Float.is_finite c.to_time) then
-    invalid_arg "Schedule: non-finite cache endpoint";
-  if c.from_time < 0. then invalid_arg "Schedule: cache starts before time 0";
-  if c.to_time <= c.from_time then invalid_arg "Schedule: empty or reversed cache interval"
+let pick_int perm col = Array.map (fun k -> col.(k)) perm
 
-let check_transfer tr =
-  if tr.dst < 0 then invalid_arg "Schedule: transfer to negative server";
-  if not (Float.is_finite tr.time) || tr.time < 0. then
-    invalid_arg "Schedule: transfer at invalid time";
-  match tr.src with
-  | From_server s ->
+(* a loop, not [Array.map]: a closure returning a float boxes it *)
+let pick_float perm col =
+  let k = Array.length perm in
+  let out = Array.make k 0.0 in
+  for j = 0 to k - 1 do
+    out.(j) <- col.(perm.(j))
+  done;
+  out
+
+let of_columns ~num_caches ~server ~from_time ~to_time ~num_transfers ~src ~dst ~time =
+  if
+    num_caches < 0
+    || num_caches > Array.length server
+    || num_caches > Array.length from_time
+    || num_caches > Array.length to_time
+  then invalid_arg "Schedule.of_columns: fewer cache entries than num_caches";
+  if
+    num_transfers < 0
+    || num_transfers > Array.length src
+    || num_transfers > Array.length dst
+    || num_transfers > Array.length time
+  then invalid_arg "Schedule.of_columns: fewer transfer entries than num_transfers";
+  for k = 0 to num_caches - 1 do
+    let a = from_time.(k) and b = to_time.(k) in
+    if server.(k) < 0 then invalid_arg "Schedule: cache on negative server";
+    if not (Float.is_finite a && Float.is_finite b) then
+      invalid_arg "Schedule: non-finite cache endpoint";
+    if a < 0. then invalid_arg "Schedule: cache starts before time 0";
+    if b <= a then invalid_arg "Schedule: empty or reversed cache interval"
+  done;
+  for k = 0 to num_transfers - 1 do
+    let s = src.(k) and d = dst.(k) and tm = time.(k) in
+    if d < 0 then invalid_arg "Schedule: transfer to negative server";
+    if not (Float.is_finite tm) || tm < 0. then invalid_arg "Schedule: transfer at invalid time";
+    if s <> external_src then begin
       if s < 0 then invalid_arg "Schedule: transfer from negative server";
-      if s = tr.dst then invalid_arg "Schedule: transfer source equals destination"
-  | From_external -> ()
-
-let make ~caches ~transfers =
-  List.iter check_cache caches;
-  List.iter check_transfer transfers;
+      if s = d then invalid_arg "Schedule: transfer source equals destination"
+    end
+  done;
+  let caches =
+    sorted_perm num_caches (fun a b ->
+        match Int.compare server.(a) server.(b) with
+        | 0 -> (
+            match Float.compare from_time.(a) from_time.(b) with
+            | 0 -> Float.compare to_time.(a) to_time.(b)
+            | c -> c)
+        | c -> c)
+  in
+  let transfers =
+    sorted_perm num_transfers (fun a b ->
+        match Float.compare time.(a) time.(b) with 0 -> Int.compare dst.(a) dst.(b) | c -> c)
+  in
   {
-    caches = List.sort compare_cache caches;
-    transfers = List.sort compare_transfer transfers;
+    cache_server = pick_int caches server;
+    cache_from = pick_float caches from_time;
+    cache_to = pick_float caches to_time;
+    tr_src = pick_int transfers src;
+    tr_dst = pick_int transfers dst;
+    tr_time = pick_float transfers time;
   }
 
-let empty = { caches = []; transfers = [] }
+let make ~caches ~transfers =
+  let nc = List.length caches and nt = List.length transfers in
+  let server = Array.make nc 0 and from_time = Array.make nc 0.0 and to_time = Array.make nc 0.0 in
+  List.iteri
+    (fun k c ->
+      server.(k) <- c.server;
+      from_time.(k) <- c.from_time;
+      to_time.(k) <- c.to_time)
+    caches;
+  let src = Array.make nt 0 and dst = Array.make nt 0 and time = Array.make nt 0.0 in
+  List.iteri
+    (fun k tr ->
+      (* a negative [From_server] must not read as an upload: [-2]
+         makes [of_columns] reject it as a negative server *)
+      src.(k) <-
+        (match tr.src with
+        | From_server s -> if s < 0 then -2 else s
+        | From_external -> external_src);
+      dst.(k) <- tr.dst;
+      time.(k) <- tr.time)
+    transfers;
+  of_columns ~num_caches:nc ~server ~from_time ~to_time ~num_transfers:nt ~src ~dst ~time
 
-let caches t = t.caches
-let transfers t = t.transfers
+let empty =
+  {
+    cache_server = [||];
+    cache_from = [||];
+    cache_to = [||];
+    tr_src = [||];
+    tr_dst = [||];
+    tr_time = [||];
+  }
 
-let kahan_sum_by f xs =
-  let k = Dcache_prelude.Stats.kahan_create () in
-  List.iter (fun x -> Dcache_prelude.Stats.kahan_add k (f x)) xs;
-  Dcache_prelude.Stats.kahan_total k
+let num_caches t = Array.length t.cache_server
+let num_transfers t = Array.length t.tr_src
+
+let caches t =
+  let acc = ref [] in
+  for k = num_caches t - 1 downto 0 do
+    acc :=
+      { server = t.cache_server.(k); from_time = t.cache_from.(k); to_time = t.cache_to.(k) }
+      :: !acc
+  done;
+  !acc
+
+let source_of s = if s = external_src then From_external else From_server s
+
+let transfers t =
+  let acc = ref [] in
+  for k = num_transfers t - 1 downto 0 do
+    acc := { src = source_of t.tr_src.(k); dst = t.tr_dst.(k); time = t.tr_time.(k) } :: !acc
+  done;
+  !acc
+
+(* [Stats.kahan_add]'s Neumaier step, unchanged, on a local
+   [| sum; compensation |] accumulator.  Inlined, so the piece cost [x]
+   is never boxed; both sums match a [Stats.kahan_sum] of the
+   per-piece costs bit for bit. *)
+let[@inline] neumaier acc x =
+  let sum = acc.(0) in
+  let s = sum +. x in
+  if Float.is_finite s then
+    if abs_float sum >= abs_float x then acc.(1) <- acc.(1) +. (sum -. s +. x)
+    else acc.(1) <- acc.(1) +. (x -. s +. sum);
+  acc.(0) <- s
+
+let neumaier_total acc = if Float.is_finite acc.(0) then acc.(0) +. acc.(1) else acc.(0)
 
 let caching_cost model t =
-  kahan_sum_by (fun c -> model.Cost_model.mu *. (c.to_time -. c.from_time)) t.caches
+  let mu = model.Cost_model.mu and acc = [| 0.; 0. |] in
+  for k = 0 to num_caches t - 1 do
+    neumaier acc (mu *. (t.cache_to.(k) -. t.cache_from.(k)))
+  done;
+  neumaier_total acc
 
 let transfer_cost model t =
-  kahan_sum_by
-    (fun tr ->
-      match tr.src with
-      | From_server _ -> model.Cost_model.lambda
-      | From_external -> model.Cost_model.upload)
-    t.transfers
+  let lambda = model.Cost_model.lambda and upload = model.Cost_model.upload in
+  let acc = [| 0.; 0. |] in
+  for k = 0 to num_transfers t - 1 do
+    neumaier acc (if t.tr_src.(k) = external_src then upload else lambda)
+  done;
+  neumaier_total acc
 
 let cost model t = caching_cost model t +. transfer_cost model t
 
-let num_transfers t = List.length t.transfers
+let covers t k time = t.cache_from.(k) <= time && time <= t.cache_to.(k)
 
 let num_copies_at t time =
-  List.fold_left
-    (fun acc c -> if c.from_time <= time && time <= c.to_time then acc + 1 else acc)
-    0 t.caches
+  let count = ref 0 in
+  for k = 0 to num_caches t - 1 do
+    if covers t k time then incr count
+  done;
+  !count
+
+(* does some piece in [0, len) satisfy [p]? *)
+let exists len p =
+  let rec scan k = k < len && (p k || scan (k + 1)) in
+  scan 0
 
 let holds_copy_at t ~server ~time =
-  List.exists (fun c -> c.server = server && c.from_time <= time && time <= c.to_time) t.caches
+  exists (num_caches t) (fun k -> t.cache_server.(k) = server && covers t k time)
 
-let union a b = make ~caches:(a.caches @ b.caches) ~transfers:(a.transfers @ b.transfers)
+let union a b =
+  of_columns
+    ~num_caches:(num_caches a + num_caches b)
+    ~server:(Array.append a.cache_server b.cache_server)
+    ~from_time:(Array.append a.cache_from b.cache_from)
+    ~to_time:(Array.append a.cache_to b.cache_to)
+    ~num_transfers:(num_transfers a + num_transfers b)
+    ~src:(Array.append a.tr_src b.tr_src) ~dst:(Array.append a.tr_dst b.tr_dst)
+    ~time:(Array.append a.tr_time b.tr_time)
 
 (* -- validation ---------------------------------------------------------- *)
 
@@ -86,81 +210,63 @@ let validate seq t =
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
   let horizon = Sequence.horizon seq in
   let m = Sequence.m seq in
+  let nc = num_caches t and nt = num_transfers t in
   (* well-formedness relative to the instance *)
-  List.iter
-    (fun c ->
-      if c.server >= m then err "cache on unknown server s%d" c.server;
-      if c.to_time > horizon +. Dcache_prelude.Float_cmp.default_eps then
-        err "dead-end cache on s%d beyond horizon (%g > %g)" c.server c.to_time horizon)
-    t.caches;
-  List.iter
-    (fun tr ->
-      if tr.dst >= m then err "transfer to unknown server s%d" tr.dst;
-      (match tr.src with
-      | From_server s when s >= m -> err "transfer from unknown server s%d" s
-      | From_server _ | From_external -> ());
-      if tr.time > horizon then err "transfer at %g beyond horizon %g" tr.time horizon)
-    t.transfers;
+  for k = 0 to nc - 1 do
+    let s = t.cache_server.(k) in
+    if s >= m then err "cache on unknown server s%d" s;
+    if t.cache_to.(k) > horizon +. Dcache_prelude.Float_cmp.default_eps then
+      err "dead-end cache on s%d beyond horizon (%g > %g)" s t.cache_to.(k) horizon
+  done;
+  for k = 0 to nt - 1 do
+    if t.tr_dst.(k) >= m then err "transfer to unknown server s%d" t.tr_dst.(k);
+    if t.tr_src.(k) >= m then err "transfer from unknown server s%d" t.tr_src.(k);
+    if t.tr_time.(k) > horizon then err "transfer at %g beyond horizon %g" t.tr_time.(k) horizon
+  done;
   (* no overlapping cache intervals on one server *)
-  let rec check_overlaps = function
-    | a :: (b :: _ as rest) ->
-        if a.server = b.server && b.from_time < a.to_time && not (eq b.from_time a.to_time)
-        then
-          err "overlapping caches on s%d: [%g,%g] and [%g,%g]" a.server a.from_time a.to_time
-            b.from_time b.to_time;
-        check_overlaps rest
-    | [ _ ] | [] -> ()
-  in
-  check_overlaps t.caches;
+  for k = 1 to nc - 1 do
+    let a = k - 1 in
+    if
+      t.cache_server.(a) = t.cache_server.(k)
+      && t.cache_from.(k) < t.cache_to.(a)
+      && not (eq t.cache_from.(k) t.cache_to.(a))
+    then
+      err "overlapping caches on s%d: [%g,%g] and [%g,%g]" t.cache_server.(a) t.cache_from.(a)
+        t.cache_to.(a) t.cache_from.(k) t.cache_to.(k)
+  done;
   (* provenance: every cache interval must begin where a copy exists *)
-  let incoming_transfer_at server time =
-    List.exists (fun tr -> tr.dst = server && eq tr.time time) t.transfers
-  in
-  let preceding_cache_at server time =
-    List.exists (fun c -> c.server = server && eq c.to_time time) t.caches
-  in
-  List.iter
-    (fun c ->
-      let sourced =
-        (c.server = 0 && eq c.from_time 0.0)
-        || incoming_transfer_at c.server c.from_time
-        || preceding_cache_at c.server c.from_time
-      in
-      if not sourced then
-        err "unsourced cache on s%d starting at %g" c.server c.from_time)
-    t.caches;
+  for k = 0 to nc - 1 do
+    let s = t.cache_server.(k) and start = t.cache_from.(k) in
+    let sourced =
+      (s = 0 && eq start 0.0)
+      || exists nt (fun j -> t.tr_dst.(j) = s && eq t.tr_time.(j) start)
+      || exists nc (fun j -> t.cache_server.(j) = s && eq t.cache_to.(j) start)
+    in
+    if not sourced then err "unsourced cache on s%d starting at %g" s start
+  done;
   (* transfers must depart from a copy holder *)
-  List.iter
-    (fun tr ->
-      match tr.src with
-      | From_external -> ()
-      | From_server s ->
-          let holder =
-            holds_copy_at t ~server:s ~time:tr.time || (s = 0 && eq tr.time 0.0)
-          in
-          if not holder then
-            err "transfer at %g departs from s%d which holds no copy" tr.time s)
-    t.transfers;
+  for k = 0 to nt - 1 do
+    let s = t.tr_src.(k) and time = t.tr_time.(k) in
+    if s <> external_src then begin
+      let holder = holds_copy_at t ~server:s ~time || (s = 0 && eq time 0.0) in
+      if not holder then err "transfer at %g departs from s%d which holds no copy" time s
+    end
+  done;
   (* every request is served *)
   for i = 1 to Sequence.n seq do
     let s = Sequence.server seq i and ti = Sequence.time seq i in
     let by_cache =
-      List.exists
-        (fun c ->
-          c.server = s
-          && (c.from_time < ti || eq c.from_time ti)
-          && (ti < c.to_time || eq c.to_time ti))
-        t.caches
+      exists nc (fun k ->
+          let a = t.cache_from.(k) and b = t.cache_to.(k) in
+          t.cache_server.(k) = s && (a < ti || eq a ti) && (ti < b || eq b ti))
     in
-    let by_transfer = List.exists (fun tr -> tr.dst = s && eq tr.time ti) t.transfers in
+    let by_transfer = exists nt (fun k -> t.tr_dst.(k) = s && eq t.tr_time.(k) ti) in
     if not (by_cache || by_transfer) then err "request r%d at (s%d, %g) is not served" i s ti
   done;
   (* coverage of [0, horizon] by the union of cache intervals *)
   if horizon > 0. then begin
     let spans =
-      List.map
-        (fun c -> Dcache_prelude.Interval.make ~lo:c.from_time ~hi:c.to_time)
-        t.caches
+      List.init nc (fun k -> Dcache_prelude.Interval.make ~lo:t.cache_from.(k) ~hi:t.cache_to.(k))
     in
     match Dcache_prelude.Interval.first_gap spans ~lo:0.0 ~hi:horizon with
     | Some (a, b) -> err "no copy cached anywhere during [%g, %g]" a b
@@ -189,7 +295,7 @@ let is_standard_form seq t =
     in
     scan 1
   in
-  List.for_all (fun tr -> is_request tr.dst tr.time) t.transfers
+  not (exists (num_transfers t) (fun k -> not (is_request t.tr_dst.(k) t.tr_time.(k))))
 
 (* -- rendering ----------------------------------------------------------- *)
 
@@ -203,18 +309,17 @@ let render seq t =
   let put server time ch =
     if server >= 0 && server < m then Bytes.set rows.(server) (col time) ch
   in
-  List.iter
-    (fun c ->
-      if c.server < m then
-        for x = col c.from_time to col c.to_time do
-          Bytes.set rows.(c.server) x '='
-        done)
-    t.caches;
-  List.iter
-    (fun tr ->
-      (match tr.src with From_server s -> put s tr.time '^' | From_external -> ());
-      put tr.dst tr.time 'T')
-    t.transfers;
+  for k = 0 to num_caches t - 1 do
+    let s = t.cache_server.(k) in
+    if s < m then
+      for x = col t.cache_from.(k) to col t.cache_to.(k) do
+        Bytes.set rows.(s) x '='
+      done
+  done;
+  for k = 0 to num_transfers t - 1 do
+    if t.tr_src.(k) <> external_src then put t.tr_src.(k) t.tr_time.(k) '^';
+    put t.tr_dst.(k) t.tr_time.(k) 'T'
+  done;
   for i = 1 to Sequence.n seq do
     put (Sequence.server seq i) (Sequence.time seq i) '*'
   done;
@@ -228,14 +333,13 @@ let render seq t =
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>caches:";
-  List.iter
-    (fun c -> Format.fprintf ppf "@,  H(s%d, %g, %g)" c.server c.from_time c.to_time)
-    t.caches;
+  for k = 0 to num_caches t - 1 do
+    Format.fprintf ppf "@,  H(s%d, %g, %g)" t.cache_server.(k) t.cache_from.(k) t.cache_to.(k)
+  done;
   Format.fprintf ppf "@,transfers:";
-  List.iter
-    (fun tr ->
-      match tr.src with
-      | From_server s -> Format.fprintf ppf "@,  Tr(s%d -> s%d, %g)" s tr.dst tr.time
-      | From_external -> Format.fprintf ppf "@,  Up(ext -> s%d, %g)" tr.dst tr.time)
-    t.transfers;
+  for k = 0 to num_transfers t - 1 do
+    let s = t.tr_src.(k) in
+    if s = external_src then Format.fprintf ppf "@,  Up(ext -> s%d, %g)" t.tr_dst.(k) t.tr_time.(k)
+    else Format.fprintf ppf "@,  Tr(s%d -> s%d, %g)" s t.tr_dst.(k) t.tr_time.(k)
+  done;
   Format.fprintf ppf "@]"

@@ -29,23 +29,59 @@ type source =
 type transfer = { src : source; dst : int; time : float }
 
 type t
+(** Stored as six columns: the caches sorted by server, then start,
+    then end time, and the transfers sorted by time, then destination.
+    Pricing and the queries below read the columns and build no list. *)
+
+val of_columns :
+  num_caches:int ->
+  server:int array ->
+  from_time:float array ->
+  to_time:float array ->
+  num_transfers:int ->
+  src:int array ->
+  dst:int array ->
+  time:float array ->
+  t
+(** The schedule of the first [num_caches] cache pieces
+    [(server.(k), from_time.(k), to_time.(k))] and the first
+    [num_transfers] transfers [(src.(k), dst.(k), time.(k))], where
+    source [-1] is an upload ({!From_external}).  The one validated
+    constructor: it checks every piece as {!make} describes, in the
+    same order and with the same messages (caches first, then
+    transfers), then stable-sorts the pieces into fresh exact-length
+    columns, so pieces that tie keep their input order.  The input
+    arrays are only read.
+    @raise Invalid_argument on a malformed piece, on a source below
+    [-1], or when a column holds fewer entries than its count. *)
 
 val make : caches:cache list -> transfers:transfer list -> t
-(** Intervals and transfers are stored sorted; [make] does not
-    validate feasibility (see {!validate}) but rejects malformed
-    pieces: empty or reversed intervals, negative times, a transfer
-    whose source equals its destination. *)
+(** {!of_columns} on the pieces of the two lists: they are stored
+    sorted; [make] does not validate feasibility (see {!validate}) but
+    rejects malformed pieces: empty or reversed intervals, negative
+    times, a transfer whose source equals its destination.
+    @raise Invalid_argument on the first malformed piece, caches
+    before transfers, each list in its order. *)
 
 val empty : t
 
 val caches : t -> cache list
-(** Sorted by server, then start time. *)
+(** Sorted by server, then start time, then end time.  Each call
+    builds a fresh list from the columns: bind it once rather than
+    calling this per request. *)
 
 val transfers : t -> transfer list
-(** Sorted by time. *)
+(** Sorted by time, then destination.  Each call builds a fresh list,
+    as {!caches} does. *)
 
 val caching_cost : Cost_model.t -> t -> float
+(** [mu] times the summed interval lengths, a compensated (Neumaier)
+    sum in cache order, exactly as {!Dcache_prelude.Stats.kahan_sum}
+    would give. *)
+
 val transfer_cost : Cost_model.t -> t -> float
+(** [lambda] per server-to-server transfer and [beta] per upload,
+    summed as {!caching_cost} sums. *)
 
 val cost : Cost_model.t -> t -> float
 (** Total cost [Pi(Psi)]: caching plus transfer (uploads priced at
@@ -59,7 +95,10 @@ val num_copies_at : t -> float -> int
 val holds_copy_at : t -> server:int -> time:float -> bool
 
 val union : t -> t -> t
-(** Concatenation of the two piece sets (no deduplication). *)
+(** Concatenation of the two piece sets (no deduplication), sorted;
+    among pieces that tie, those of the first schedule come first.
+    @raise Invalid_argument if {!of_columns} rejects a piece
+    (unreachable: both operands were checked when they were built). *)
 
 val validate : Sequence.t -> t -> (unit, string list) result
 (** All feasibility constraints above.  Also rejects overlapping cache

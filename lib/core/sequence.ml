@@ -91,15 +91,19 @@ let sigma t i = t.sigma.(i)
 (* canonical binary encoding for digest keying: [m], [n], then each
    real request as (server, time-bits).  Every other field of [t] is
    derived from these, so two instances agree on this encoding iff
-   they are the same problem. *)
-let add_fingerprint buf t =
-  Buffer.add_int64_le buf (Int64.of_int t.m);
+   they are the same problem.  Written in place into one exact-size
+   buffer, boxing no Int64. *)
+let fingerprint t =
   let count = n t in
-  Buffer.add_int64_le buf (Int64.of_int count);
+  let buf = Bytes.create (16 + (12 * count)) in
+  Bytes.set_int64_le buf 0 (Int64.of_int t.m);
+  Bytes.set_int64_le buf 8 (Int64.of_int count);
   for i = 1 to count do
-    Buffer.add_int32_le buf (Int32.of_int t.server.(i));
-    Buffer.add_int64_le buf (Int64.bits_of_float t.time.(i))
-  done
+    let off = 4 + (12 * i) in
+    Bytes.set_int32_le buf off (Int32.of_int t.server.(i));
+    Bytes.set_int64_le buf (off + 4) (Int64.bits_of_float t.time.(i))
+  done;
+  Bytes.unsafe_to_string buf
 
 let sub t k =
   if k < 0 || k > n t then invalid_arg "Sequence.sub: index out of range";

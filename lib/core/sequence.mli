@@ -63,11 +63,13 @@ val sigma : t -> int -> float
 (** The server interval [sigma_i = t_i - t_{p(i)}]; [infinity] when
     [p(i) = -1]. *)
 
-val add_fingerprint : Buffer.t -> t -> unit
-(** Appends a canonical binary encoding of the instance — [m], [n],
-    then each request's server index and the IEEE bits of its time —
-    to [buf].  Two instances produce the same bytes iff they are the
-    same problem, which is what {!Solve_cache} digests for keying. *)
+val fingerprint : t -> string
+(** A canonical binary encoding of the instance: [m] and [n] as 64-bit
+    integers, then each request's server index as a 32-bit integer and
+    the IEEE bits of its time as a 64-bit one, all little-endian
+    ([16 + 12 n] bytes).  Two instances produce the same bytes iff
+    they are the same problem, which is what {!Solve_cache} digests
+    for keying. *)
 
 val sub : t -> int -> t
 (** [sub t k] is the instance restricted to the first [k] requests

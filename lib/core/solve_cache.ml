@@ -41,13 +41,15 @@ let misses = ref 0
 let evictions = ref 0
 let bound = ref 64
 
+(* The model's three rates as IEEE bits, then the digest of the
+   sequence's fingerprint: hashing the fingerprint where it lies saves
+   copying it behind the rates. *)
 let key model seq =
-  let buf = Buffer.create (32 + (12 * Sequence.n seq)) in
-  Buffer.add_int64_le buf (Int64.bits_of_float model.Cost_model.mu);
-  Buffer.add_int64_le buf (Int64.bits_of_float model.Cost_model.lambda);
-  Buffer.add_int64_le buf (Int64.bits_of_float model.Cost_model.upload);
-  Sequence.add_fingerprint buf seq;
-  Digest.string (Buffer.contents buf)
+  let rates = Bytes.create 24 in
+  Bytes.set_int64_le rates 0 (Int64.bits_of_float model.Cost_model.mu);
+  Bytes.set_int64_le rates 8 (Int64.bits_of_float model.Cost_model.lambda);
+  Bytes.set_int64_le rates 16 (Int64.bits_of_float model.Cost_model.upload);
+  Digest.string (Bytes.unsafe_to_string rates ^ Digest.string (Sequence.fingerprint seq))
 
 let evict_lru () =
   let victim =

@@ -4,8 +4,8 @@
     the serve-metrics loop) re-solve the offline DP on identical
     [(cost model, sequence)] inputs; this module amortises those calls
     behind an MD5 digest of the instance — the model's three rates as
-    IEEE bits plus {!Sequence.add_fingerprint} — with bounded capacity
-    and least-recently-used eviction.
+    IEEE bits plus the digest of {!Sequence.fingerprint} — with bounded
+    capacity and least-recently-used eviction.
 
     The bookkeeping discipline (typed per-cache stats, [size],
     [all_freqs], [clear]) is modeled on coq-lsp's [Memo] tables.

@@ -23,9 +23,16 @@
    bench harness asserts the ~2 [Gc.minor_words]/push contract (see
    bench/bench_cases.ml and docs/PERFORMANCE.md).
 
+   The float columns keep only what cannot be recomputed: [time],
+   [big_b], [c] and [d].  sigma_i and b_i are recomputed bit for bit
+   from [time] and the [prev] slot where they are read ([marginal_at]
+   and the walk's transfer test).  [of_sequence] sizes every column
+   from the sequence, so a batch solve never doubles one.
+
    [schedule] accumulates the walk into preallocated flat buffers
-   (grown geometrically, no per-piece list churn until the final
-   [Schedule.make]) and memoises the result keyed on [len]: the solver
+   (grown geometrically) that [Schedule.of_columns] sorts into the
+   schedule's columns, so no piece becomes a record, a cons cell or a
+   boxed float; it memoises the result keyed on [len]: the solver
    state is append-only, so the prefix length fully determines the
    schedule and repeated calls between pushes return the same
    physically-equal value without re-walking. *)
@@ -53,19 +60,13 @@ let sp_grow = Obs.span_name "streaming_dp.grow"
 let sp_schedule = Obs.span_name "streaming_dp.schedule"
 let sp_push = Obs.span_name "streaming_dp.push"
 
-type c_choice = C_base | C_step | C_cache
-
-type d_choice = D_undefined | D_prev | D_pivot of int
-
-(* d_choice is stored as an int32 slot: [d_undefined] / [d_prev] /
+(* the choice for D(i) as an int32 slot: [d_undefined] / [d_prev] /
    a pivot index kappa >= 1 (kappa is a strict successor, never 0). *)
 let d_undefined = -2
 
 let d_prev = -1
 
-(* c_choice as an int32 slot *)
-let c_base = 0
-
+(* the choice for C(i) as an int32 slot; 0 marks the boundary r_0 *)
 let c_step = 1
 
 let c_cache = 2
@@ -96,8 +97,6 @@ type t = {
   mutable arena : i32; (* row-major A: arena.{i*m + j} = last request on s^j after r_i *)
   (* per-request float columns, index 0 = the boundary request r_0 *)
   mutable time : float array;
-  mutable sigma : float array;
-  mutable b : float array;
   mutable big_b : float array;
   mutable c : float array;
   mutable d : float array;
@@ -119,9 +118,15 @@ type t = {
 
 let initial_cap = 64
 
-let create model ~m =
+(* every index column stores request indices as int32; 2^30 rows is
+   the guard line (far below Int32.max_int, far above any workload) *)
+let max_cap = 0x4000_0000
+
+(* [cap] rows: [create] starts small and grows, [of_sequence] knows
+   the final size *)
+let make model ~m ~cap =
   if m < 1 then invalid_arg "Streaming_dp.create: m must be at least 1";
-  let cap = initial_cap in
+  if cap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
   let t =
     {
       model;
@@ -133,14 +138,12 @@ let create model ~m =
       nxt = i32_make (cap + 1) (-1);
       arena = i32_make (cap * m) (-1);
       time = Array.make cap 0.0;
-      sigma = Array.make cap 0.0;
-      b = Array.make cap 0.0;
       big_b = Array.make cap 0.0;
       c = Array.make cap 0.0;
       d = Array.make cap infinity;
       last_on = Array.make m (-1);
       sched_len = 1;
-      sched = Schedule.make ~caches:[] ~transfers:[];
+      sched = Schedule.empty;
       pb_cap = 0;
       pb_server = [||];
       pb_from = [||];
@@ -151,7 +154,7 @@ let create model ~m =
     }
   in
   (* boundary request r_0 = (s^1, 0); the fills already wrote the
-     defaults (idx row 0: server 0, c_base), only the non-zero
+     defaults (idx row 0: server 0, C choice 0), only the non-zero
      encodings need writing *)
   A1.set t.idx k_prev (-1l);
   A1.set t.idx k_dc (Int32.of_int d_undefined);
@@ -159,6 +162,8 @@ let create model ~m =
   A1.set t.arena 0 0l (* row 0: column 0 = r_0, the rest stay -1 *);
   t.len <- 1;
   t
+
+let create model ~m = make model ~m ~cap:initial_cap
 
 let n t = t.len - 1
 let m t = t.m
@@ -182,9 +187,14 @@ let semi_cost_at t i =
   check t i "semi_cost_at";
   t.d.(i)
 
+(* sigma_i and b_i exactly as [push] computed them *)
 let marginal_at t i =
   check t i "marginal_at";
-  t.b.(i)
+  if i = 0 then 0.0
+  else
+    let q = ix t i k_prev in
+    let sigma = if q >= 0 then t.time.(i) -. t.time.(q) else infinity in
+    Float.min t.lam_eff (t.model.Cost_model.mu *. sigma)
 
 let running_at t i =
   check t i "running_at";
@@ -210,9 +220,7 @@ let pivot_at t i =
 let grow t =
   Obs.spanned sp_grow @@ fun () ->
   let ncap = 2 * t.cap in
-  (* every index column stores request indices as int32; 2^30 rows is
-     the guard line (far below Int32.max_int, far above any workload) *)
-  if ncap > 0x4000_0000 then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
+  if ncap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
   let idx = i32_make (ncap * stride) 0 in
   for k = 0 to (t.len * stride) - 1 do
     A1.unsafe_set idx k (A1.unsafe_get t.idx k)
@@ -234,8 +242,6 @@ let grow t =
     b
   in
   t.time <- grow_float t.time 0.0;
-  t.sigma <- grow_float t.sigma 0.0;
-  t.b <- grow_float t.b 0.0;
   t.big_b <- grow_float t.big_b 0.0;
   t.c <- grow_float t.c 0.0;
   t.d <- grow_float t.d infinity;
@@ -264,8 +270,6 @@ let push t ~server ~time =
   A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int d_undefined);
   A1.unsafe_set t.nxt (i + 1) (-1l);
   t.time.(i) <- time;
-  t.sigma.(i) <- sigma;
-  t.b.(i) <- bi;
   t.big_b.(i) <- t.big_b.(i - 1) +. bi;
   t.d.(i) <- infinity;
   (* --- D(i): branch-predictable pivot scan over the packed arena row
@@ -328,18 +332,7 @@ let push t ~server ~time =
   end
 [@@hot]
 
-(* decoded views of the choice slots, for the reconstruction walk *)
-let c_choice_at t i =
-  let v = ix t i k_cc in
-  if v = c_base then C_base else if v = c_step then C_step else C_cache
-
-let d_choice_at t i =
-  let v = ix t i k_dc in
-  if v = d_undefined then D_undefined else if v = d_prev then D_prev else D_pivot v
-
 (* -- schedule reconstruction (identical walk to the batch solver) ------- *)
-
-type walk = Walk_c of int | Walk_d of int
 
 (* the walk emits at most one cache piece and one transfer piece per
    request index, so [len] slots per buffer always suffice *)
@@ -365,79 +358,87 @@ let schedule t =
     let mu = t.model.Cost_model.mu in
     ensure_path_cap t;
     let nc = ref 0 and nt = ref 0 in
-    let add_cache server from_time to_time =
-      if to_time > from_time then begin
+    (* pieces are passed as request indices: a float passed to a
+       closure would be boxed *)
+    let add_cache server a b =
+      if t.time.(b) > t.time.(a) then begin
         let k = !nc in
         t.pb_server.(k) <- server;
-        t.pb_from.(k) <- from_time;
-        t.pb_to.(k) <- to_time;
+        t.pb_from.(k) <- t.time.(a);
+        t.pb_to.(k) <- t.time.(b);
         nc := k + 1
       end
     in
     (* upload-vs-lambda is a property of the model, not of the walk
        step: decide the transfer source once, outside the loop *)
     let external_src = t.model.Cost_model.upload < t.model.Cost_model.lambda in
-    let add_transfer src_server dst time =
+    let add_transfer src_server dst i =
       let k = !nt in
       t.tb_src.(k) <- (if external_src then -1 else src_server);
       t.tb_dst.(k) <- dst;
-      t.tb_time.(k) <- time;
+      t.tb_time.(k) <- t.time.(i);
       nt := k + 1
     in
+    (* b_h = lambda_eff exactly when push found lambda_eff <= mu sigma_h;
+       sigma_h is recomputed as push computed it (infinite without an
+       earlier request on the server) *)
     let serve_marginal source lo hi =
       for h = lo to hi do
-        let sh = ix t h k_server in
-        if t.lam_eff <= mu *. t.sigma.(h) then add_transfer source sh t.time.(h)
-        else add_cache sh t.time.(ix t h k_prev) t.time.(h)
+        let sh = ix t h k_server and ph = ix t h k_prev in
+        if ph < 0 || t.lam_eff <= mu *. (t.time.(h) -. t.time.(ph)) then add_transfer source sh h
+        else add_cache sh ph h
       done
     in
-    let state = ref (Walk_c (n t)) in
-    let continue = ref true in
-    while !continue do
-      match !state with
-      | Walk_c 0 -> continue := false
-      | Walk_c i -> (
-          match c_choice_at t i with
-          | C_cache -> state := Walk_d i
-          (* same-server step: the cache branch mathematically ties or
-             wins; avoid a degenerate self-transfer *)
-          | C_step when ix t (i - 1) k_server = ix t i k_server -> state := Walk_d i
-          | C_step ->
-              let prev = i - 1 in
-              add_cache (ix t prev k_server) t.time.(prev) t.time.(i);
-              add_transfer (ix t prev k_server) (ix t i k_server) t.time.(i);
-              state := Walk_c prev
-          | C_base -> assert false)
-      | Walk_d i -> (
-          let q = ix t i k_prev in
-          assert (q >= 0);
-          add_cache (ix t i k_server) t.time.(q) t.time.(i);
-          match d_choice_at t i with
-          | D_prev ->
-              serve_marginal (ix t i k_server) (q + 1) (i - 1);
-              state := Walk_c q
-          | D_pivot kappa ->
-              serve_marginal (ix t i k_server) (kappa + 1) (i - 1);
-              state := Walk_d kappa
-          | D_undefined -> assert false)
+    (* the walk's state: it explains D(i) when [in_d], else C(i) *)
+    let in_d = ref false and i = ref (n t) in
+    while !in_d || !i > 0 do
+      let cur = !i in
+      let server = ix t cur k_server in
+      if not !in_d then begin
+        let cc = ix t cur k_cc in
+        (* same-server step: the cache branch mathematically ties or
+           wins; avoid a degenerate self-transfer *)
+        if cc = c_cache || (cc = c_step && ix t (cur - 1) k_server = server) then in_d := true
+        else begin
+          assert (cc = c_step);
+          let prev = cur - 1 in
+          add_cache (ix t prev k_server) prev cur;
+          add_transfer (ix t prev k_server) server cur;
+          i := prev
+        end
+      end
+      else begin
+        let q = ix t cur k_prev and dc = ix t cur k_dc in
+        assert (q >= 0);
+        add_cache server q cur;
+        if dc = d_prev then begin
+          serve_marginal server (q + 1) (cur - 1);
+          in_d := false;
+          i := q
+        end
+        else begin
+          assert (dc >= 0);
+          serve_marginal server (dc + 1) (cur - 1);
+          i := dc
+        end
+      end
     done;
-    let caches = ref [] in
-    for k = !nc - 1 downto 0 do
-      caches :=
-        { Schedule.server = t.pb_server.(k); from_time = t.pb_from.(k); to_time = t.pb_to.(k) }
-        :: !caches
-    done;
-    let transfers = ref [] in
-    for k = !nt - 1 downto 0 do
-      let src =
-        if t.tb_src.(k) < 0 then Schedule.From_external else Schedule.From_server t.tb_src.(k)
-      in
-      transfers := { Schedule.src; dst = t.tb_dst.(k); time = t.tb_time.(k) } :: !transfers
-    done;
-    let s = Schedule.make ~caches:!caches ~transfers:!transfers in
+    let s =
+      Schedule.of_columns ~num_caches:!nc ~server:t.pb_server ~from_time:t.pb_from
+        ~to_time:t.pb_to ~num_transfers:!nt ~src:t.tb_src ~dst:t.tb_dst ~time:t.tb_time
+    in
     t.sched <- s;
     t.sched_len <- t.len;
     s
+
+let of_sequence model seq =
+  let count = Sequence.n seq in
+  let t = make model ~m:(Sequence.m seq) ~cap:(count + 1) in
+  for i = 1 to count do
+    push t ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+  done;
+  t
+[@@hot]
 
 let to_sequence t =
   let count = n t in

@@ -18,6 +18,13 @@ val create : Cost_model.t -> m:int -> t
 (** Empty instance: the item sits on server [0] at time [0].
     @raise Invalid_argument if [m < 1]. *)
 
+val of_sequence : Cost_model.t -> Sequence.t -> t
+(** [create] and a [push] of every request of the sequence, with every
+    column sized for the whole sequence up front, so none is ever
+    grown.  This is the batch solve ({!Offline_dp.solve}).
+    @raise Invalid_argument under [push]'s conditions (unreachable for
+    a validated {!Sequence.t}). *)
+
 val push : t -> server:int -> time:float -> unit
 (** Appends the next request.  [O(m)] time and extra space.
     @raise Invalid_argument if the server is out of range or the time
@@ -43,7 +50,8 @@ val semi_cost_at : t -> int -> float
     @raise Invalid_argument when [i] is out of range. *)
 
 val marginal_at : t -> int -> float
-(** [b_i = min(lambda_eff, mu sigma_i)].
+(** [b_i = min(lambda_eff, mu sigma_i)] ([0] at [i = 0]), recomputed
+    from the stored times exactly as {!push} computed it.
     @raise Invalid_argument when [i] is out of range. *)
 
 val running_at : t -> int -> float
@@ -61,12 +69,16 @@ val time_at : t -> int -> float
 (** @raise Invalid_argument when the index is out of range. *)
 
 val schedule : t -> Schedule.t
-(** Optimal schedule for the current prefix, by backtracking.  [O(n)]
-    on the first call after a push, and O(1) afterwards: the state is
+(** Optimal schedule for the current prefix, by backtracking.  An
+    [O(n)] walk plus an [O(n log n)] sort of its pieces on the first
+    call after a push, and O(1) afterwards: the state is
     append-only, so the result is memoised per prefix length and
     repeated calls return the same (physically equal) schedule.  The
     walk never changes the solver's answers, so it can be interleaved
-    with pushes. *)
+    with pushes.  The walk writes its pieces into reused flat buffers
+    that {!Schedule.of_columns} sorts into the schedule's columns.
+    @raise Invalid_argument if {!Schedule.of_columns} rejects a piece
+    (unreachable: the walk emits only well-formed pieces). *)
 
 val to_sequence : t -> Sequence.t
 (** The pushed requests as a validated {!Sequence}.

@@ -47,6 +47,8 @@ let make schedule =
         in
         scan 1
       in
+      (* [Schedule.transfers] builds a fresh list per call: once here *)
+      let transfers = Schedule.transfers schedule in
       let provisions = Array.make m [] in
       List.iter
         (fun tr ->
@@ -54,14 +56,14 @@ let make schedule =
           | Schedule.From_server src when not (is_serving tr) ->
               provisions.(tr.Schedule.dst) <- (tr.Schedule.time, src) :: provisions.(tr.Schedule.dst)
           | Schedule.From_server _ | Schedule.From_external -> ())
-        (Schedule.transfers schedule);
+        transfers;
       let serve_of i =
         let s = Sequence.server seq i and ti = Sequence.time seq i in
         let tr =
           List.find_opt
             (fun tr ->
               tr.Schedule.dst = s && Dcache_prelude.Float_cmp.approx_eq tr.Schedule.time ti)
-            (Schedule.transfers schedule)
+            transfers
         in
         (* an incoming transfer takes precedence: a cache interval
            starting exactly at t_i is materialised by that transfer *)

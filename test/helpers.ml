@@ -30,6 +30,29 @@ let words_per_request ~n f =
   ignore (Sys.opaque_identity (f ()));
   (words () -. before -. probe) /. float_of_int n
 
+(* The bench ledger's four (m, arrival, placement) workloads, at the
+   size the allocation budgets measure *)
+let ledger_workloads =
+  let open Dcache_workload in
+  [
+    ( "mobility-ring-m8",
+      8,
+      Arrival.Poisson { rate = 2.0 },
+      Placement.Mobility { stay = 0.9; ring = true } );
+    ("zipf-m64", 64, Arrival.Poisson { rate = 1.0 }, Placement.Zipf { exponent = 1.0 });
+    ("bursty-m16", 16, Arrival.Pareto { shape = 1.5; scale = 0.25 }, Placement.Uniform_random);
+    ("serve-batch", 4, Arrival.Poisson { rate = 1.0 }, Placement.Uniform_random);
+  ]
+
+let budget_n = 20_000
+
+let budget_workloads () =
+  List.map
+    (fun (name, m, arrival, placement) ->
+      let spec = { Dcache_workload.Generator.m; n = budget_n; arrival; placement } in
+      (name, Dcache_workload.Generator.generate_seeded ~seed:1 spec))
+    ledger_workloads
+
 (* ---------------------------------------------------- random instances *)
 
 let sequence_of_gen ~m ~n gaps servers =

@@ -174,11 +174,44 @@ let bounds_scale_with_lambda () =
 
 let bounds_below_optimum =
   qcheck "bounds: B_n and mu*t_n are lower bounds on the optimum"
-    (problem_arbitrary ~with_upload:false ())
+    (problem_arbitrary ~with_upload:true ())
     (fun { model; seq } ->
       let opt = Offline_dp.cost (Offline_dp.solve model seq) in
       Dcache_prelude.Float_cmp.approx_le (Bounds.lower_bound model seq) opt
       && Dcache_prelude.Float_cmp.approx_le (Bounds.coverage_lower_bound model seq) opt)
+
+(* Uploads cheaper than transfers: every request can be served for
+   beta = 0.1, so a bound that priced each transfer at lambda read 20.0
+   here, above the optimum of 11.01. *)
+let bounds_price_uploads () =
+  let model = Cost_model.make ~upload:0.1 ~mu:1.0 ~lambda:1.0 () in
+  let seq =
+    Sequence.of_list ~m:2
+      (List.concat_map
+         (fun k ->
+           let t = float_of_int k in
+           [ (0, t); (1, t +. 0.01) ])
+         (List.init 10 (fun k -> k + 1)))
+  in
+  let opt = Offline_dp.cost (Offline_dp.solve model seq) in
+  check_float "optimum" 11.01 opt;
+  check_float "B_n prices each request at beta" 2.0 (Bounds.lower_bound model seq);
+  check_le "B_n <= OPT" (Bounds.lower_bound model seq) opt
+
+let bits = Int64.bits_of_float
+
+let same_bits a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let bounds_are_the_dp_bounds =
+  qcheck "bounds: b, B and B_n are the DP's bit for bit, uploads included"
+    (problem_arbitrary ~with_upload:true ())
+    (fun { model; seq } ->
+      let r = Offline_dp.solve model seq in
+      let big_b = Offline_dp.running_bounds r in
+      bits (Bounds.lower_bound model seq) = bits big_b.(Sequence.n seq)
+      && same_bits (Bounds.running model seq) big_b
+      && same_bits (Bounds.marginal model seq) (Offline_dp.marginal_bounds r))
 
 (* -------------------------------------------------------------- schedule *)
 
@@ -348,6 +381,228 @@ let schedule_union_and_render () =
            contains 0)
          [ "s0"; "s1"; "s2" ])
 
+
+(* ------------------------------------------ schedule vs the reference *)
+
+module R = Schedule_reference
+
+(* Piece times come from a small pool so that pieces tie: equal
+   times, -0. beside 0., 1-ulp neighbours, and a gap inside
+   Float_cmp's tolerance. *)
+let time_pool =
+  [| 0.0; -0.0; 0.5; Float.pred 1.0; 1.0; Float.succ 1.0; 1.5; 2.0; 2.0 +. 1e-12; 3.0 |]
+
+let num_servers = 5
+
+(* mostly well-formed pieces; about one in thirty is malformed *)
+let cache_gen =
+  let open QCheck.Gen in
+  let bad = oneofl [ -1.0; nan; infinity ] in
+  frequency
+    [
+      ( 30,
+        map3
+          (fun server a b ->
+            let from_time = Float.min a b and to_time = Float.max a b in
+            let to_time = if to_time <= from_time then from_time +. 0.5 else to_time in
+            { Schedule.server; from_time; to_time })
+          (int_range 0 (num_servers - 1))
+          (oneofa time_pool) (oneofa time_pool) );
+      ( 1,
+        map3
+          (fun server from_time to_time -> { Schedule.server; from_time; to_time })
+          (int_range (-1) (num_servers - 1))
+          (frequency [ (2, oneofa time_pool); (1, bad) ])
+          (frequency [ (2, oneofa time_pool); (1, bad) ]) );
+    ]
+
+let transfer_gen =
+  let open QCheck.Gen in
+  let source =
+    frequency
+      [
+        (3, map (fun s -> Schedule.From_server s) (int_range 0 (num_servers - 1)));
+        (1, return Schedule.From_external);
+      ]
+  in
+  let well_formed src dst time =
+    let src =
+      match src with
+      | Schedule.From_server s when s = dst -> Schedule.From_server ((s + 1) mod num_servers)
+      | src -> src
+    in
+    { Schedule.src; dst; time }
+  in
+  frequency
+    [
+      (30, map3 well_formed source (int_range 0 (num_servers - 1)) (oneofa time_pool));
+      ( 1,
+        map3
+          (fun src dst time -> { Schedule.src; dst; time })
+          (frequency [ (2, source); (1, return (Schedule.From_server (-1))) ])
+          (int_range (-1) (num_servers - 1))
+          (oneofa (Array.append time_pool [| -1.0; nan; infinity |])) );
+    ]
+
+(* [base] plus repeats of some of its pieces, shuffled *)
+let with_repeats base_gen twin =
+  let open QCheck.Gen in
+  let* base = list_size (int_range 0 7) base_gen in
+  let* repeats =
+    if base = [] then return [] else list_size (int_range 0 3) (oneofl base >>= twin)
+  in
+  shuffle_l (base @ repeats)
+
+(* a repeated transfer keeps its (time, dst) and may change source *)
+let transfer_twin (tr : Schedule.transfer) =
+  let open QCheck.Gen in
+  map
+    (fun src ->
+      match src with
+      | Schedule.From_server s when s = tr.dst -> tr
+      | src -> { tr with src })
+    (frequency
+       [
+         (1, return tr.src);
+         (1, return Schedule.From_external);
+         (2, map (fun s -> Schedule.From_server s) (int_range 0 (num_servers - 1)));
+       ])
+
+(* requests at pool times, so pieces start, end and arrive on them *)
+let pool_sequence_gen =
+  let open QCheck.Gen in
+  let* m = int_range 1 num_servers in
+  let* picks = list_size (int_range 0 8) (oneofa time_pool) in
+  let times = List.sort_uniq Float.compare (List.filter (fun t -> t > 0.0) picks) in
+  let* servers = list_size (return (List.length times)) (int_range 0 (m - 1)) in
+  return (Sequence.of_list ~m (List.combine servers times))
+
+let model_gen =
+  let open QCheck.Gen in
+  let* mu = float_range 0.1 4.0 and* lambda = float_range 0.1 4.0 in
+  let* upload = oneof [ return infinity; float_range 0.1 4.0 ] in
+  return (Cost_model.make ~upload ~mu ~lambda ())
+
+type pieces = {
+  p_caches : Schedule.cache list;
+  p_transfers : Schedule.transfer list;
+  p_model : Cost_model.t;
+  p_seq : Sequence.t;
+}
+
+let pieces_print p =
+  let source = function Schedule.From_server s -> Printf.sprintf "s%d" s | From_external -> "ext" in
+  Format.asprintf "caches [%s]@ transfers [%s]@ %a@ %a"
+    (String.concat "; "
+       (List.map
+          (fun (c : Schedule.cache) ->
+            Printf.sprintf "H(s%d, %h, %h)" c.server c.from_time c.to_time)
+          p.p_caches))
+    (String.concat "; "
+       (List.map
+          (fun (tr : Schedule.transfer) ->
+            Printf.sprintf "Tr(%s -> s%d, %h)" (source tr.src) tr.dst tr.time)
+          p.p_transfers))
+    Cost_model.pp p.p_model Sequence.pp p.p_seq
+
+let pieces_arbitrary =
+  QCheck.make ~print:pieces_print
+    QCheck.Gen.(
+      let* p_caches = with_repeats cache_gen return in
+      let* p_transfers = with_repeats transfer_gen transfer_twin in
+      let* p_model = model_gen and* p_seq = pool_sequence_gen in
+      return { p_caches; p_transfers; p_model; p_seq })
+
+let cache_key (c : Schedule.cache) = (c.server, bits c.from_time, bits c.to_time)
+let transfer_key (tr : Schedule.transfer) = (tr.src, tr.dst, bits tr.time)
+
+(* Every query of the columnar schedule [s] against the list-based
+   reference [r] built from the same pieces, on [seq] and [model]. *)
+let agree ~model ~seq s r =
+  let differ what = QCheck.Test.fail_reportf "%s differs from the reference" what in
+  let check what ok = if not ok then differ what in
+  check "caches" (List.map cache_key (Schedule.caches s) = List.map cache_key (R.caches r));
+  check "transfers"
+    (List.map transfer_key (Schedule.transfers s) = List.map transfer_key (R.transfers r));
+  check "caching_cost" (bits (Schedule.caching_cost model s) = bits (R.caching_cost model r));
+  check "transfer_cost" (bits (Schedule.transfer_cost model s) = bits (R.transfer_cost model r));
+  check "cost" (bits (Schedule.cost model s) = bits (R.cost model r));
+  check "num_transfers" (Schedule.num_transfers s = R.num_transfers r);
+  let probes =
+    Array.to_list time_pool @ List.init (Sequence.n seq) (fun i -> Sequence.time seq (i + 1))
+  in
+  List.iter
+    (fun time ->
+      check "num_copies_at" (Schedule.num_copies_at s time = R.num_copies_at r time);
+      for server = 0 to num_servers do
+        check "holds_copy_at"
+          (Schedule.holds_copy_at s ~server ~time = R.holds_copy_at r ~server ~time)
+      done)
+    probes;
+  check "validate" (Schedule.validate seq s = R.validate seq r);
+  check "is_standard_form" (Schedule.is_standard_form seq s = R.is_standard_form seq r);
+  check "render" (Schedule.render seq s = R.render seq r);
+  check "pp" (Format.asprintf "%a" Schedule.pp s = Format.asprintf "%a" R.pp r);
+  true
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
+let schedule_matches_reference =
+  qcheck ~count:1000 "schedule: agrees with the list-based reference" pieces_arbitrary (fun p ->
+      let caches = p.p_caches and transfers = p.p_transfers in
+      match
+        ( outcome (fun () -> Schedule.make ~caches ~transfers),
+          outcome (fun () -> R.make ~caches ~transfers) )
+      with
+      | Error a, Error b ->
+          if a <> b then QCheck.Test.fail_reportf "make raised %S, the reference %S" a b;
+          true
+      | Ok _, Error b -> QCheck.Test.fail_reportf "only the reference rejects the pieces: %S" b
+      | Error a, Ok _ -> QCheck.Test.fail_reportf "only make rejects the pieces: %S" a
+      | Ok s, Ok r ->
+          let model = p.p_model and seq = p.p_seq in
+          ignore (agree ~model ~seq s r);
+          (* pieces of the first operand come before the second's ties *)
+          let halves xs =
+            let k = List.length xs / 2 in
+            (List.filteri (fun i _ -> i < k) xs, List.filteri (fun i _ -> i >= k) xs)
+          in
+          let c1, c2 = halves caches and t1, t2 = halves transfers in
+          ignore
+            (agree ~model ~seq
+               (Schedule.union
+                  (Schedule.make ~caches:c1 ~transfers:t1)
+                  (Schedule.make ~caches:c2 ~transfers:t2))
+               (R.union (R.make ~caches:c1 ~transfers:t1) (R.make ~caches:c2 ~transfers:t2)));
+          (* [of_columns] reads only the first [k] entries of each column *)
+          let junk_int = 7 and junk_time = 0.25 in
+          let cs = Array.of_list caches and ts = Array.of_list transfers in
+          let col f xs junk = Array.append (Array.map f xs) [| junk |] in
+          let direct =
+            Schedule.of_columns ~num_caches:(Array.length cs)
+              ~server:(col (fun (c : Schedule.cache) -> c.server) cs junk_int)
+              ~from_time:(col (fun (c : Schedule.cache) -> c.from_time) cs junk_time)
+              ~to_time:(col (fun (c : Schedule.cache) -> c.to_time) cs junk_time)
+              ~num_transfers:(Array.length ts)
+              ~src:
+                (col
+                   (fun (tr : Schedule.transfer) ->
+                     match tr.src with Schedule.From_server s -> s | From_external -> -1)
+                   ts junk_int)
+              ~dst:(col (fun (tr : Schedule.transfer) -> tr.dst) ts junk_int)
+              ~time:(col (fun (tr : Schedule.transfer) -> tr.time) ts junk_time)
+          in
+          agree ~model ~seq direct r)
+
+(* The solver's own schedules, where [validate] says [Ok] *)
+let solver_schedule_matches_reference =
+  qcheck ~count:300 "schedule: solver schedules agree with the list-based reference"
+    (problem_arbitrary ~with_upload:true ())
+    (fun { model; seq } ->
+      let s = Offline_dp.schedule (Offline_dp.solve model seq) in
+      let r = R.make ~caches:(Schedule.caches s) ~transfers:(Schedule.transfers s) in
+      Schedule.validate seq s = Ok () && agree ~model ~seq s r)
+
 let suite =
   [
     case "cost_model: rejects non-positive rates" cost_model_validation;
@@ -365,6 +620,8 @@ let suite =
     case "bounds: fig6 marginal and running bounds" bounds_fig6;
     case "bounds: lambda caps the marginal bound" bounds_scale_with_lambda;
     bounds_below_optimum;
+    case "bounds: uploads lower the marginal bound" bounds_price_uploads;
+    bounds_are_the_dp_bounds;
     case "schedule: cost accounting" schedule_cost_accounting;
     case "schedule: upload pricing" schedule_upload_pricing;
     case "schedule: validator accepts a feasible schedule" schedule_validates_good;
@@ -379,4 +636,6 @@ let suite =
     case "schedule: standard form recognition" schedule_standard_form;
     case "schedule: copy queries" schedule_copies_at;
     case "schedule: union and rendering" schedule_union_and_render;
+    schedule_matches_reference;
+    solver_schedule_matches_reference;
   ]

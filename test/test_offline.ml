@@ -158,6 +158,38 @@ let reconstruction_standard_form =
     (fun { model; seq } ->
       Schedule.is_standard_form seq (Offline_dp.schedule (Offline_dp.solve model seq)))
 
+(* b_3 = lambda = mu sigma_3: serving r_3 by a transfer or by caching
+   on s1 since r_2 costs the same.  The walk takes the transfer on a
+   tie, as it always has, so printed schedules do not move. *)
+let marginal_tie_is_a_transfer () =
+  let seq = Sequence.of_list ~m:2 [ (0, 1.0); (1, 2.0); (1, 3.0); (0, 4.0) ] in
+  let sched = Offline_dp.schedule (Offline_dp.solve unit seq) in
+  Alcotest.(check string) "schedule"
+    "caches:\n  H(s0, 0, 1)\n  H(s0, 1, 4)\ntransfers:\n  Tr(s0 -> s1, 2)\n  Tr(s0 -> s1, 3)"
+    (Format.asprintf "%a" Schedule.pp sched)
+
+let compare_caches (a : Schedule.cache) (b : Schedule.cache) =
+  match Int.compare a.server b.server with
+  | 0 -> (
+      match Float.compare a.from_time b.from_time with
+      | 0 -> Float.compare a.to_time b.to_time
+      | c -> c)
+  | c -> c
+
+let compare_transfers (a : Schedule.transfer) (b : Schedule.transfer) =
+  match Float.compare a.time b.time with 0 -> Int.compare a.dst b.dst | c -> c
+
+let rec sorted cmp = function a :: (b :: _ as rest) -> cmp a b <= 0 && sorted cmp rest | _ -> true
+
+let reconstruction_sorted_with_uploads =
+  qcheck ~count:300 "offline: the schedule comes back sorted and valid, uploads included"
+    (problem_arbitrary ~with_upload:true ())
+    (fun { model; seq } ->
+      let sched = Offline_dp.schedule (Offline_dp.solve model seq) in
+      sorted compare_caches (Schedule.caches sched)
+      && sorted compare_transfers (Schedule.transfers sched)
+      && Schedule.validate seq sched = Ok ())
+
 let subset_schedule_agrees =
   qcheck ~count:200 "offline: subset DP's own schedule is feasible with the same cost"
     (problem_arbitrary ~max_m:5 ~max_n:12 ())
@@ -268,6 +300,40 @@ let upload_never_hurts =
         (Offline_dp.cost (Offline_dp.solve with_upload seq))
         (Offline_dp.cost (Offline_dp.solve model seq)))
 
+(* ------------------------------------------------- allocation budgets *)
+
+(* Words per request of the four calls [dcache solve] makes after
+   reading its trace, on the bench ledger's workloads.  What is left:
+   the solve keeps four float columns (4 words) and gets each time
+   boxed from [Sequence.time] (2); the cold walk fills six buffers (6),
+   sorts an index permutation of its pieces and copies them into the
+   schedule's columns; pricing boxes [Sequence.sigma]'s result (2); a
+   cache miss adds the fingerprint it digests (1.5). *)
+let allocation_budgets () =
+  let budget name what limit words =
+    if words > limit then
+      Alcotest.failf "%s on %s allocates %.2f words/request (budget %g)" what name words limit
+  in
+  List.iter
+    (fun (name, seq) ->
+      budget name "Offline_dp.solve" 8.0
+        (words_per_request ~n:budget_n (fun () -> Offline_dp.solve unit seq));
+      let r = Offline_dp.solve unit seq in
+      budget name "a cold Offline_dp.schedule" 24.0
+        (words_per_request ~n:budget_n (fun () -> Offline_dp.schedule r));
+      let schedule = Offline_dp.schedule r in
+      budget name "pricing" 3.0
+        (words_per_request ~n:budget_n (fun () ->
+             ignore (Sys.opaque_identity (Schedule.caching_cost unit schedule));
+             ignore (Sys.opaque_identity (Schedule.transfer_cost unit schedule));
+             ignore (Sys.opaque_identity (Schedule.num_transfers schedule));
+             Bounds.lower_bound unit seq));
+      Solve_cache.clear ();
+      budget name "a Solve_cache.solve miss" 10.0
+        (words_per_request ~n:budget_n (fun () -> Solve_cache.solve unit seq));
+      Solve_cache.clear ())
+    (budget_workloads ())
+
 let suite =
   [
     case "fig6: C vector matches the paper" fig6_c_vector;
@@ -288,6 +354,8 @@ let suite =
     naive_vectors_match;
     reconstruction_feasible;
     reconstruction_standard_form;
+    case "offline: a marginal tie is served by a transfer" marginal_tie_is_a_transfer;
+    reconstruction_sorted_with_uploads;
     subset_schedule_agrees;
     capped_one_copy_vs_migrate_only;
     capped_monotone_in_k;
@@ -299,4 +367,5 @@ let suite =
     prefix_consistency;
     scale_invariance;
     upload_never_hurts;
+    case "offline: allocation budgets on the ledger workloads" allocation_budgets;
   ]

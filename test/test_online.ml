@@ -420,28 +420,6 @@ let evictions_count_closed_copies () =
 
 (* -------------------------------------------------- allocation budgets *)
 
-(* The bench ledger's four (m, arrival, placement) workloads *)
-let ledger_workloads =
-  let open Dcache_workload in
-  [
-    ( "mobility-ring-m8",
-      8,
-      Arrival.Poisson { rate = 2.0 },
-      Placement.Mobility { stay = 0.9; ring = true } );
-    ("zipf-m64", 64, Arrival.Poisson { rate = 1.0 }, Placement.Zipf { exponent = 1.0 });
-    ("bursty-m16", 16, Arrival.Pareto { shape = 1.5; scale = 0.25 }, Placement.Uniform_random);
-    ("serve-batch", 4, Arrival.Poisson { rate = 1.0 }, Placement.Uniform_random);
-  ]
-
-let budget_n = 20_000
-
-let budget_workloads () =
-  List.map
-    (fun (name, m, arrival, placement) ->
-      let spec = { Dcache_workload.Generator.m; n = budget_n; arrival; placement } in
-      (name, Dcache_workload.Generator.generate_seeded ~seed:1 spec))
-    ledger_workloads
-
 (* the unrecorded run keeps per request only its serve log, the serve
    kinds and the boxed time [Sequence.time] returns *)
 let run_allocation_budget () =

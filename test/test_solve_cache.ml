@@ -130,13 +130,19 @@ let edge_instances_cached () =
    across calls, and it must separate sequences that differ only in a
    server label or a timestamp's IEEE bits *)
 let fingerprint_separates () =
-  let fp seq =
-    let buf = Buffer.create 256 in
-    Sequence.add_fingerprint buf seq;
-    Buffer.contents buf
-  in
+  let fp = Sequence.fingerprint in
   let _, seq = instance 71 ~m:4 ~n:30 in
   Alcotest.(check string) "stable across calls" (fp seq) (fp seq);
+  (* the layout: m and n as int64, then (int32 server, int64 time bits)
+     per request, little-endian *)
+  let layout = Buffer.create 256 in
+  Buffer.add_int64_le layout (Int64.of_int (Sequence.m seq));
+  Buffer.add_int64_le layout (Int64.of_int (Sequence.n seq));
+  for i = 1 to Sequence.n seq do
+    Buffer.add_int32_le layout (Int32.of_int (Sequence.server seq i));
+    Buffer.add_int64_le layout (Int64.bits_of_float (Sequence.time seq i))
+  done;
+  Alcotest.(check string) "documented layout" (Buffer.contents layout) (fp seq);
   let requests = Sequence.requests seq in
   let tweak_server =
     Array.mapi

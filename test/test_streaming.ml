@@ -63,6 +63,30 @@ let prefix_optima_match_batch =
       done;
       !ok)
 
+(* A sweep sized for the whole sequence never grows a column; it must
+   give the growing solver's every answer, bit for bit *)
+let of_sequence_matches_pushes =
+  qcheck ~count:200 "streaming: of_sequence gives what create and push give, bit for bit"
+    (problem_arbitrary ~max_n:150 ~with_upload:true ())
+    (fun { model; seq } ->
+      let sized = Streaming_dp.of_sequence model seq in
+      let grown = Streaming_dp.create model ~m:(Sequence.m seq) in
+      feed grown seq (Sequence.n seq);
+      let bits = Int64.bits_of_float in
+      let same f i = bits (f sized i) = bits (f grown i) in
+      let ok = ref (Streaming_dp.n sized = Streaming_dp.n grown) in
+      for i = 0 to Sequence.n seq do
+        ok :=
+          !ok
+          && same Streaming_dp.cost_at i
+          && same Streaming_dp.semi_cost_at i
+          && same Streaming_dp.marginal_at i
+          && same Streaming_dp.running_at i
+          && Streaming_dp.pivot_at sized i = Streaming_dp.pivot_at grown i
+      done;
+      let pieces s = (Schedule.caches s, Schedule.transfers s) in
+      !ok && pieces (Streaming_dp.schedule sized) = pieces (Streaming_dp.schedule grown))
+
 let schedule_between_pushes =
   qcheck ~count:100 "streaming: schedules requested mid-stream are feasible and optimal"
     (nonempty_problem_arbitrary ())
@@ -341,6 +365,7 @@ let suite =
     vec_roundtrip;
     case "vec: iteri and clear" vec_iteri;
     prefix_optima_match_batch;
+    of_sequence_matches_pushes;
     arena_matches_full_scan;
     schedule_between_pushes;
     case "streaming: accessors on fig6" streaming_accessors;

@@ -447,8 +447,6 @@ let trace_reads_a_pipe () =
   if not (List.exists (String.starts_with ~prefix:expected) lines) then
     Alcotest.failf "expected %S in:\n%s" expected output
 
-let budget_n = 20_000
-
 let poisson_spec placement =
   { W.Generator.m = 64; n = budget_n; arrival = W.Arrival.Poisson { rate = 1.0 }; placement }
 
