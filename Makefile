@@ -61,12 +61,11 @@ bench-baseline: build
 perf-gate: build
 	dune exec bench/perf_gate.exe
 
-# Chrome/Perfetto trace of the quick bench suite plus the no-op sink
-# cost contract (see docs/OBSERVABILITY.md)
+# Chrome/Perfetto trace of the quick bench suite (see
+# docs/OBSERVABILITY.md)
 trace: build
 	mkdir -p _build/trace
 	dune exec bench/main.exe -- quick --trace _build/trace/quick.json
-	dune exec bench/obs_overhead.exe
 	@echo "trace written to _build/trace/quick.json (load in chrome://tracing or ui.perfetto.dev)"
 
 # end-to-end metrics loop: serve the simulated workload on an

@@ -1,8 +1,10 @@
 (* Shared measurement plumbing for bench/main.exe and
    bench/perf_gate.exe: the bechamel configuration, the canonical
-   streaming-push benchmark the regression gate tracks, the direct
-   minor-words-per-push probe behind the zero-allocation budget, and
-   the git revision stamped into BENCH_results.json. *)
+   streaming-push benchmark the regression gate tracks, the timing
+   probes behind the gate's other time budgets, the direct
+   minor-words-per-push probe recorded in the JSON reports, and the
+   git revision stamped into BENCH_results.json.  Word budgets are
+   tier-1 tests, not gate checks. *)
 
 open Bechamel
 open Toolkit
@@ -35,15 +37,10 @@ let streaming_push_test () =
          done;
          ignore (Streaming_dp.cost stream)))
 
-(* The flat-arena [Streaming_dp.push] allocates no per-request boxed
-   arrays; the only minor words left are the caller-side boxing of the
-   [~time] float argument (floats cross a non-inlined call boundary
-   boxed, ~2-3 words).  The budget below leaves room for that and
-   nothing else — the pre-arena implementation spent >= m + 2 words per
-   push on [Array.copy] and boxed accumulators and blows straight
-   through it. *)
-let max_words_per_push = 4.0
-
+(* Minor words per [Streaming_dp.push] after 4 096 warm pushes: the
+   caller-side box of the [~time] float argument, 2 words.  Recorded in
+   the JSON reports; the tier-1 test [streaming: push allocation
+   budget] holds it to 3. *)
 let words_per_push () =
   let m = 8 in
   let n_warm = 4096 and n_measure = 16384 in
@@ -67,17 +64,15 @@ let words_per_push () =
   let after = Gc.minor_words () in
   (after -. before) /. float_of_int n_measure
 
-(* --------------------------------------- reconstruction word budget *)
+(* ------------------------------------------- reconstruction words *)
 
 (* The `reconstruct` bench entry re-derives the schedule of one solved
    instance over and over — exactly the memoised warm path: the solver
    state is append-only, so [Streaming_dp.schedule] returns the cached
-   physically-equal schedule without re-walking.  The budget covers
-   only that warm call; the cold walk, which every [dcache solve] runs
-   once, has its own budget in the tier-1 test
-   [offline: allocation budgets on the ledger workloads]. *)
-let max_reconstruct_words = 1000.0
-
+   physically-equal schedule without re-walking.  Printed by
+   [main.exe dp]; the tier-1 tests [streaming: warm reconstruction is
+   allocation-free] and [offline: allocation budgets on the ledger
+   workloads] hold the warm and cold walks to their budgets. *)
 let reconstruct_minor_words () =
   let seq = random_instance 1 ~m:8 ~n:1000 in
   let r = Offline_dp.solve model seq in
@@ -150,20 +145,18 @@ module Obs = Dcache_obs.Obs
 (* The instrumented [Streaming_dp.push] pays exactly two [Obs.probe]
    calls under the Noop sink — one at entry (arming the duration
    timestamp) and one in the exit block — and every counter/gauge/
-   histogram store sits inside the branches.  The contract (asserted
-   by bench/obs_overhead.exe and gated by bench/perf_gate.exe): a
-   disabled probe allocates 0 minor words, and
-   [probes_per_push * probe_ns] stays under 2% of a measured push.
-   The probe cost is isolated differentially — the same loop over a
-   plain [bool ref] is subtracted — so loop bookkeeping does not
-   count against the budget. *)
+   histogram store sits inside the branches.  The gate holds
+   [probes_per_push * probe_ns] under 2% of a measured push (that a
+   disabled probe allocates nothing is a tier-1 test).  The probe cost
+   is isolated differentially — the same loop over a plain [bool ref]
+   is subtracted — so loop bookkeeping does not count against the
+   budget. *)
 
 let probes_per_push = 2
 let max_obs_overhead_frac = 0.02
 
 type obs_cost = {
   probe_ns : float;  (* per disabled probe, loop baseline subtracted *)
-  probe_words : float;  (* minor words per disabled probe: must be 0 *)
   push_ns : float;  (* per instrumented push, Noop sink *)
   overhead_frac : float;  (* probes_per_push * probe_ns / push_ns *)
 }
@@ -204,29 +197,6 @@ let measure_obs_cost () =
   let base_total = min3 baseline_loop in
   let per_iter total = total /. float_of_int iters in
   let probe_ns = Float.max 0.0 (per_iter probe_total -. per_iter base_total) in
-  (* Allocation pass, separate from timing: the clock reads above
-     allocate (gettimeofday boxes a float), and even [Gc.minor_words]
-     boxes its own result — calibrate that box out so an exactly-free
-     probe really measures 0.000000. *)
-  let probe_words =
-    let pure_loop () =
-      for _ = 1 to iters do
-        if Obs.probe () then incr hits
-      done
-    in
-    pure_loop ();
-    let calib =
-      let b0 = Gc.minor_words () in
-      let b1 = Gc.minor_words () in
-      b1 -. b0
-    in
-    let w0 = Gc.minor_words () in
-    pure_loop ();
-    pure_loop ();
-    pure_loop ();
-    let w1 = Gc.minor_words () in
-    Float.max 0.0 ((w1 -. w0 -. calib) /. float_of_int (3 * iters))
-  in
   ignore !hits;
   (* an instrumented push, measured the same direct way as
      [words_per_push] *)
@@ -257,73 +227,14 @@ let measure_obs_cost () =
   let overhead_frac =
     if push_ns > 0.0 then probe_ns *. float_of_int probes_per_push /. push_ns else 0.0
   in
-  { probe_ns; probe_words; push_ns; overhead_frac }
-
-(* --------------------------------------------- audit observe budget *)
-
-(* The streaming auditor ([Dcache_obs.Audit]) sits on the per-request
-   serving path of `dcache audit` / `serve-metrics`, so its
-   steady-state [observe] carries the same kind of budget as a probe:
-   O(1) arithmetic, metric stores only behind [Obs.probe], and no
-   per-observation allocation beyond the boxed floats crossing the
-   call boundary (two float arguments plus the ratio local, ~2-3
-   words each without cross-module inlining).  The budget leaves room
-   for exactly that boxing; a per-observe window record, closure or
-   list cell blows through it.  Window closes are included (one per
-   [window_size] requests) — they are flat-field stores, amortised to
-   noise. *)
-let max_audit_words_per_observe = 16.0
-
-type audit_cost = {
-  observe_words : float;  (* minor words per Noop-sink observe *)
-  observe_ns : float;  (* wall ns per observe, min of 3 *)
-}
-
-let measure_audit_cost () =
-  Obs.set_sink Obs.Noop;
-  let clock = Dcache_obs.Clock.monotonic () in
-  let iters = 200_000 in
-  (* monotone cumulative costs at ratio 2.0: inside the bound, so the
-     witness path (which may allocate, by design) never fires *)
-  let opts = Array.init iters (fun i -> 0.5 *. float_of_int (i + 1)) in
-  let observe_run () =
-    let a = Dcache_obs.Audit.create ~window_size:64 () in
-    for i = 0 to iters - 1 do
-      let opt = opts.(i) in
-      ignore (Dcache_obs.Audit.observe a ~online:(2.0 *. opt) ~opt)
-    done
-  in
-  observe_run ();
-  let calib =
-    let b0 = Gc.minor_words () in
-    let b1 = Gc.minor_words () in
-    b1 -. b0
-  in
-  let w0 = Gc.minor_words () in
-  observe_run ();
-  observe_run ();
-  observe_run ();
-  let w1 = Gc.minor_words () in
-  let observe_words = Float.max 0.0 ((w1 -. w0 -. calib) /. float_of_int (3 * iters)) in
-  let timed () =
-    let t0 = Dcache_obs.Clock.now clock in
-    observe_run ();
-    float_of_int (Dcache_obs.Clock.now clock - t0)
-  in
-  ignore (timed ());
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let v = timed () in
-    if v < !best then best := v
-  done;
-  { observe_words; observe_ns = !best /. float_of_int iters }
+  { probe_ns; push_ns; overhead_frac }
 
 (* ------------------------------------------- labeled-family budgets *)
 
 (* Labeled children ([Obs.counter_vec] and friends) keep a two-sided
    contract (docs/OBSERVABILITY.md): once resolved, a child IS a plain
    cell — bumping it is the same single atomic op as an unlabeled
-   counter and allocates 0 minor words — while resolution
+   counter (its 0 words are a tier-1 test) — while resolution
    ([counter_with_label], the hash-interning step) takes the registry
    lock and is priced for registration or loop entry, never the
    per-request path (sema rule S5 flags it inside [@@hot] bodies).
@@ -333,7 +244,6 @@ let measure_audit_cost () =
 let max_labeled_resolve_ns = 20_000.0
 
 type labeled_cost = {
-  bump_words : float;  (* minor words per resolved-child bump: must be 0 *)
   bump_ns : float;  (* wall ns per resolved-child bump, min of 3 *)
   resolve_ns : float;  (* per re-resolution of an existing child *)
 }
@@ -341,8 +251,7 @@ type labeled_cost = {
 let labeled_vec () = Obs.counter_vec "bench.labeled" ~labels:[ "lane" ]
 
 let measure_labeled_cost () =
-  (* bump under a live recording sink: the stronger claim — the child
-     stays allocation-free even while its cell is actually written *)
+  (* bump under a live recording sink: the cell is actually written *)
   let r = Obs.recorder () in
   Obs.set_sink (Obs.Recording r);
   let clock = Dcache_obs.Clock.monotonic () in
@@ -355,17 +264,6 @@ let measure_labeled_cost () =
     done
   in
   bump_loop ();
-  let calib =
-    let b0 = Gc.minor_words () in
-    let b1 = Gc.minor_words () in
-    b1 -. b0
-  in
-  let w0 = Gc.minor_words () in
-  bump_loop ();
-  bump_loop ();
-  bump_loop ();
-  let w1 = Gc.minor_words () in
-  let bump_words = Float.max 0.0 ((w1 -. w0 -. calib) /. float_of_int (3 * iters)) in
   let min3 f =
     let best = ref infinity in
     for _ = 1 to 3 do
@@ -394,7 +292,7 @@ let measure_labeled_cost () =
   in
   let resolve_ns = min3 resolve_run /. float_of_int r_iters in
   Obs.set_sink Obs.Noop;
-  { bump_words; bump_ns; resolve_ns }
+  { bump_ns; resolve_ns }
 
 (* The bechamel-tracked shape of the same path: resolve + bump per
    iteration, i.e. the cost of doing it the way S5 forbids — kept in
@@ -415,19 +313,13 @@ let labeled_test () =
 (* Recording is not free — each [Obs.spanned] pays two clock reads,
    two ring writes, and a duration-histogram record — but it has to
    stay cheap enough to leave on in a long-running serving process
-   (docs/OBSERVABILITY.md).  The budgets are deliberately loose: the
-   monotonic clock's boxed-float reads dominate the words, and span_ns
-   is scheduler-noisy even as a min-of-3.  They exist to catch an
-   accidental per-span allocation (a closure, a list cell, a boxed
-   record) or an order-of-magnitude slowdown, not to pin
-   microarchitectural noise. *)
-let max_words_per_span = 16.0
+   (docs/OBSERVABILITY.md).  The budget is deliberately loose: span_ns
+   is scheduler-noisy even as a min-of-3, and it exists to catch an
+   order-of-magnitude slowdown, not to pin microarchitectural noise.
+   A span's words (at most 16) are a tier-1 test. *)
 let max_ns_per_span = 2000.0
 
-type recording_cost = {
-  span_words : float;  (* minor words per recorded span *)
-  span_ns : float;  (* wall ns per recorded span, min over runs *)
-}
+type recording_cost = { span_ns : float  (* wall ns per recorded span, min over runs *) }
 
 let rec_span = Obs.span_name "bench.recording_cost"
 
@@ -445,19 +337,6 @@ let measure_recording_cost () =
   in
   (* warm: faults the ring columns and the span histogram in *)
   span_loop ();
-  (* allocation pass, with the [Gc.minor_words] result box calibrated
-     out exactly as in [measure_obs_cost] *)
-  let calib =
-    let b0 = Gc.minor_words () in
-    let b1 = Gc.minor_words () in
-    b1 -. b0
-  in
-  let w0 = Gc.minor_words () in
-  span_loop ();
-  span_loop ();
-  span_loop ();
-  let w1 = Gc.minor_words () in
-  let span_words = Float.max 0.0 ((w1 -. w0 -. calib) /. float_of_int (3 * iters)) in
   let timed () =
     let t0 = Dcache_obs.Clock.now clock in
     span_loop ();
@@ -471,7 +350,7 @@ let measure_recording_cost () =
   done;
   Obs.set_sink Obs.Noop;
   ignore !work;
-  { span_words; span_ns = !best /. float_of_int iters }
+  { span_ns = !best /. float_of_int iters }
 
 (* ----------------------------------------------------- measurement *)
 

@@ -31,9 +31,9 @@
    recording sink is active, JSON reports also carry the end-of-run
    counter totals in an optional "counters" field.
 
-   JSON runs also probe the minor-word cost of [Streaming_dp.push]
-   directly and fail when it exceeds the zero-allocation budget
-   (Bench_cases.max_words_per_push). *)
+   JSON runs also record the minor words of one [Streaming_dp.push]
+   (the tier-1 test `streaming: push allocation budget` holds it to
+   3). *)
 
 open Bechamel
 open Dcache_core
@@ -195,15 +195,9 @@ let print_group (_, test) =
       else Printf.printf "  %-40s (no estimate)\n" row.Bench_cases.name)
     (Bench_cases.measure test)
 
-let check_words_budget () =
+let push_words () =
   let words = Bench_cases.words_per_push () in
-  Printf.printf "streaming push: %.3f minor words/request (budget %.1f)\n" words
-    Bench_cases.max_words_per_push;
-  if words > Bench_cases.max_words_per_push then begin
-    Printf.eprintf "bench: Streaming_dp.push allocates %.3f minor words/request, budget is %.1f\n"
-      words Bench_cases.max_words_per_push;
-    exit 1
-  end;
+  Printf.printf "streaming push: %.3f minor words/request\n" words;
   words
 
 let write_json ~quick path =
@@ -222,7 +216,7 @@ let write_json ~quick path =
           (Bench_cases.measure test))
       (groups ~quick)
   in
-  let words_per_push = check_words_budget () in
+  let words_per_push = push_words () in
   let report =
     {
       Bench_json.schema = Bench_json.schema_id;
@@ -290,15 +284,13 @@ let () =
   in
   if List.exists (String.equal "dp") args then begin
     (* kernel-only subset for tight edit-measure loops on the DP hot
-       paths: the offline group, the gated push case, and the direct
-       probes the perf gate enforces *)
+       paths: the offline group, the gated push case, the direct word
+       probes and the solve-memo speed-up the perf gate enforces *)
     print_endline "== DP kernel benchmarks ==";
     print_group ("offline", offline_tests ~quick:true);
     print_group ("extensions", Test.make_grouped ~name:"extensions" [ Bench_cases.streaming_push_test () ]);
-    ignore (check_words_budget ());
-    let rw = Bench_cases.reconstruct_minor_words () in
-    Printf.printf "reconstruct: %.3f minor words/run (budget %.0f)\n" rw
-      Bench_cases.max_reconstruct_words;
+    ignore (push_words ());
+    Printf.printf "reconstruct: %.3f minor words/run\n" (Bench_cases.reconstruct_minor_words ());
     let mc = Bench_cases.solve_memo_cost () in
     Printf.printf "solve memo: %.1f ns cold, %.1f ns warm (%.1fx, floor %.0fx)\n"
       mc.Bench_cases.cold_ns mc.Bench_cases.warm_ns mc.Bench_cases.speedup

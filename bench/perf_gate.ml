@@ -1,4 +1,5 @@
-(* Performance-regression gate over the DP hot path.
+(* Performance-regression gate over the DP hot path: time budgets
+   only.  Word budgets are tier-1 tests in `dune runtest`.
 
    Usage: perf_gate [BASELINE.json]    (default: BENCH_baseline.json)
 
@@ -7,19 +8,14 @@
 
    - the fresh ns/op exceeds 1.25x the baseline's for the
      "extensions" / "streaming push x1000 m=6" entry,
-   - [Streaming_dp.push] allocates more than
-     [Bench_cases.max_words_per_push] minor words per request,
-   - warm (memoised) schedule reconstruction allocates more than
-     [Bench_cases.max_reconstruct_words] minor words per run,
    - a memoised [Solve_cache.solve] hit is less than
      [Bench_cases.min_solve_memo_speedup] times faster than the
      uncached sweep,
-   - the observability no-op contract is broken (a disabled probe
-     allocates, or costs more than
-     [Bench_cases.max_obs_overhead_frac] of a push),
-   - a resolved labeled child ([Obs.counter_vec]) bump allocates, or
-     re-resolving an existing child exceeds
-     [Bench_cases.max_labeled_resolve_ns], or
+   - disabled [Obs] probes cost more than
+     [Bench_cases.max_obs_overhead_frac] of a push,
+   - a recorded span costs more than [Bench_cases.max_ns_per_span],
+   - re-resolving an existing labeled child ([Obs.counter_vec])
+     exceeds [Bench_cases.max_labeled_resolve_ns], or
    - the baseline is missing, malformed, or lacks the gated entry.
 
    Performance failures re-run the offending hot path under a
@@ -109,26 +105,14 @@ let () =
     if Float.is_finite !best then !best
     else fail "fresh measurement produced no finite ns/op estimate"
   in
-  let words = Bench_cases.words_per_push () in
   Printf.printf "baseline (%s): %12.1f ns/op\n" baseline.Bench_json.git_rev
     base.Bench_json.ns_per_run;
-  Printf.printf "fresh (min/3): %12.1f ns/op   (%.3f minor words/request)\n%!" fresh_ns words;
-  if words > Bench_cases.max_words_per_push then
-    fail_perf "hot path allocates %.3f minor words/request (budget %.1f)" words
-      Bench_cases.max_words_per_push;
+  Printf.printf "fresh (min/3): %12.1f ns/op\n%!" fresh_ns;
   let limit = base.Bench_json.ns_per_run *. regression_factor in
   if fresh_ns > limit then
     fail_perf "streaming push regressed: %.1f ns/op > %.1f ns/op (baseline %.1f + %.0f%% budget)"
       fresh_ns limit base.Bench_json.ns_per_run
       ((regression_factor -. 1.0) *. 100.0);
-  (* reconstruction budget: warm (memoised) schedule re-derivation
-     must stay allocation-free *)
-  let rw = Bench_cases.reconstruct_minor_words () in
-  Printf.printf "reconstruct:   %12.3f minor words/run (budget %.0f)\n%!" rw
-    Bench_cases.max_reconstruct_words;
-  if rw > Bench_cases.max_reconstruct_words then
-    fail_perf "warm schedule reconstruction allocates %.1f minor words/run (budget %.0f)" rw
-      Bench_cases.max_reconstruct_words;
   (* solve-memo budget: a digest-keyed hit must amortise the sweep *)
   let mc = Bench_cases.solve_memo_cost () in
   Printf.printf "solve memo:    %12.1f ns cold, %.1f ns warm (%.1fx, floor %.0fx)\n%!"
@@ -137,56 +121,33 @@ let () =
   if mc.Bench_cases.speedup < Bench_cases.min_solve_memo_speedup then
     fail_perf "memoised solve is only %.1fx faster than cold (floor %.0fx)"
       mc.Bench_cases.speedup Bench_cases.min_solve_memo_speedup;
-  (* second budget: the no-op observability contract *)
+  (* the no-op observability contract *)
   let oc = Bench_cases.measure_obs_cost () in
-  Printf.printf "obs no-op:     %12.3f ns/probe (%.6f words), %.3f%% of a push (budget %.1f%%)\n%!"
-    oc.Bench_cases.probe_ns oc.Bench_cases.probe_words
+  Printf.printf "obs no-op:     %12.3f ns/probe, %.3f%% of a push (budget %.1f%%)\n%!"
+    oc.Bench_cases.probe_ns
     (100.0 *. oc.Bench_cases.overhead_frac)
     (100.0 *. Bench_cases.max_obs_overhead_frac);
-  if oc.Bench_cases.probe_words > 0.0 then
-    fail_perf "a disabled Obs probe allocates %.6f minor words (budget 0)"
-      oc.Bench_cases.probe_words;
   if oc.Bench_cases.overhead_frac > Bench_cases.max_obs_overhead_frac then
     fail_perf "no-op Obs probes cost %.3f%% of a push (budget %.1f%%)"
       (100.0 *. oc.Bench_cases.overhead_frac)
       (100.0 *. Bench_cases.max_obs_overhead_frac);
-  (* third budget: recording mode must stay cheap enough to leave on
-     in a serving process *)
+  (* recording mode must stay cheap enough to leave on in a serving
+     process *)
   let rc = Bench_cases.measure_recording_cost () in
-  Printf.printf "obs recording: %12.1f ns/span (%.3f words, budgets %.0f ns / %.1f words)\n%!"
-    rc.Bench_cases.span_ns rc.Bench_cases.span_words Bench_cases.max_ns_per_span
-    Bench_cases.max_words_per_span;
-  if rc.Bench_cases.span_words > Bench_cases.max_words_per_span then
-    fail_perf "a recorded span allocates %.3f minor words (budget %.1f)"
-      rc.Bench_cases.span_words Bench_cases.max_words_per_span;
+  Printf.printf "obs recording: %12.1f ns/span (budget %.0f ns)\n%!" rc.Bench_cases.span_ns
+    Bench_cases.max_ns_per_span;
   if rc.Bench_cases.span_ns > Bench_cases.max_ns_per_span then
     fail_perf "a recorded span costs %.1f ns (budget %.0f)" rc.Bench_cases.span_ns
       Bench_cases.max_ns_per_span;
-  (* fourth budget: the streaming auditor rides the per-request
-     serving path, so its Noop-sink observe is held to the same
-     no-hidden-allocation standard *)
-  let ac = Bench_cases.measure_audit_cost () in
-  Printf.printf "audit observe: %12.1f ns (%.3f words, budget %.1f words)\n%!"
-    ac.Bench_cases.observe_ns ac.Bench_cases.observe_words
-    Bench_cases.max_audit_words_per_observe;
-  if ac.Bench_cases.observe_words > Bench_cases.max_audit_words_per_observe then
-    fail_perf "a Noop-sink Audit.observe allocates %.3f minor words (budget %.1f)"
-      ac.Bench_cases.observe_words Bench_cases.max_audit_words_per_observe;
-  (* fifth budget: labeled-family children are plain cells — a
-     resolved child bump keeps the 0-word contract even under a live
-     recording sink, and re-resolving an existing child stays a
-     bounded hash+lock (the step S5 keeps out of [@@hot] bodies) *)
+  (* re-resolving an existing labeled child stays a bounded hash+lock
+     (the step S5 keeps out of [@@hot] bodies) *)
   let lc = Bench_cases.measure_labeled_cost () in
-  Printf.printf "labeled vec:   %12.3f ns/bump (%.6f words), %.1f ns/resolve (budget %.0f ns)\n%!"
-    lc.Bench_cases.bump_ns lc.Bench_cases.bump_words lc.Bench_cases.resolve_ns
-    Bench_cases.max_labeled_resolve_ns;
-  if lc.Bench_cases.bump_words > 0.0 then
-    fail_perf "a labeled child bump allocates %.6f minor words (budget 0)"
-      lc.Bench_cases.bump_words;
+  Printf.printf "labeled vec:   %12.3f ns/bump, %.1f ns/resolve (budget %.0f ns)\n%!"
+    lc.Bench_cases.bump_ns lc.Bench_cases.resolve_ns Bench_cases.max_labeled_resolve_ns;
   if lc.Bench_cases.resolve_ns > Bench_cases.max_labeled_resolve_ns then
     fail_perf "resolving an existing labeled child costs %.1f ns (budget %.0f)"
       lc.Bench_cases.resolve_ns Bench_cases.max_labeled_resolve_ns;
   Printf.printf
-    "OK: streaming push within %.0f%% of baseline, Noop probes, recorded spans, audit observes \
-     and labeled bumps within budget\n"
+    "OK: streaming push within %.0f%% of baseline; solve memo, Noop probes, recorded spans and \
+     labeled resolves within budget\n"
     ((regression_factor -. 1.0) *. 100.0)

@@ -5,7 +5,7 @@
 
    Runs the analyzer twice against the same fresh cache file: the
    first run analyzes every unit from scratch — building every CFG
-   and running the exception-flow/escape fixpoints — and the second
+   and running the summary and exception-flow fixpoints — and the second
    must hit the digest-keyed cache for all of them.  Exits non-zero
    if the warm run misses the cache, if the CFG/summary statistics
    differ between the runs (cached units must replay the numbers the
@@ -27,7 +27,6 @@ type stats = {
   sum_sccs : int;
   sum_rounds : int;
   exn_rounds : int;
-  esc_rounds : int;
 }
 
 (* last matching occurrence of each "dcache_sema: ..." stats line *)
@@ -42,15 +41,15 @@ let stats_of_log log =
             scan "dcache_sema: %d units, %d cache hits" (fun u h -> (u, h)) base;
             scan "dcache_sema:   cfg: %d blocks, %d dataflow iterations" (fun b i -> (b, i)) cfg;
             (try
-               Scanf.sscanf line "dcache_sema:   summary: %d nodes, %d sccs, %d rounds (+%d exn, +%d escape)"
-                 (fun n s r e p -> summary := Some (n, s, r, e, p))
+               Scanf.sscanf line "dcache_sema:   summary: %d nodes, %d sccs, %d rounds (+%d exn)"
+                 (fun n s r e -> summary := Some (n, s, r, e))
              with Scanf.Scan_failure _ | End_of_file -> ());
             go ()
       in
       go ());
   match (!base, !cfg, !summary) with
-  | Some (units, hits), Some (cfg_blocks, df_iters), Some (sum_nodes, sum_sccs, sum_rounds, exn_rounds, esc_rounds) ->
-      { units; hits; cfg_blocks; df_iters; sum_nodes; sum_sccs; sum_rounds; exn_rounds; esc_rounds }
+  | Some (units, hits), Some (cfg_blocks, df_iters), Some (sum_nodes, sum_sccs, sum_rounds, exn_rounds) ->
+      { units; hits; cfg_blocks; df_iters; sum_nodes; sum_sccs; sum_rounds; exn_rounds }
   | None, _, _ -> die "no units/hits stats line in %s" log
   | _, None, _ -> die "no cfg stats line in %s" log
   | _, _, None -> die "no summary stats line in %s" log
@@ -88,8 +87,8 @@ let () =
   Printf.printf "sema cold: %3d units, %3d cache hits, %.3f s\n" cold.units cold.hits cold_t;
   Printf.printf "sema warm: %3d units, %3d cache hits, %.3f s\n" warm.units warm.hits warm_t;
   Printf.printf "cfg:       %d blocks, %d dataflow iterations\n" cold.cfg_blocks cold.df_iters;
-  Printf.printf "summary:   %d nodes, %d sccs, %d rounds (+%d exn, +%d escape)\n" cold.sum_nodes
-    cold.sum_sccs cold.sum_rounds cold.exn_rounds cold.esc_rounds;
+  Printf.printf "summary:   %d nodes, %d sccs, %d rounds (+%d exn)\n" cold.sum_nodes
+    cold.sum_sccs cold.sum_rounds cold.exn_rounds;
   Printf.printf "speedup:   %.1fx\n" (cold_t /. Float.max warm_t 1e-6);
   if cold.hits <> 0 then die "cold run unexpectedly hit a cache";
   if warm.units <> warm.hits then
@@ -97,10 +96,9 @@ let () =
       (warm.units - warm.hits) warm.units;
   if warm <> { cold with hits = warm.hits } then
     die
-      "cached stats drifted: warm run reported cfg %d/%d summary %d/%d/%d (+%d,+%d), cold had \
-       %d/%d %d/%d/%d (+%d,+%d)"
+      "cached stats drifted: warm run reported cfg %d/%d summary %d/%d/%d (+%d), cold had %d/%d \
+       %d/%d/%d (+%d)"
       warm.cfg_blocks warm.df_iters warm.sum_nodes warm.sum_sccs warm.sum_rounds warm.exn_rounds
-      warm.esc_rounds cold.cfg_blocks cold.df_iters cold.sum_nodes cold.sum_sccs cold.sum_rounds
-      cold.exn_rounds cold.esc_rounds;
+      cold.cfg_blocks cold.df_iters cold.sum_nodes cold.sum_sccs cold.sum_rounds cold.exn_rounds;
   if cold_t > budget || warm_t > budget then
     die "wall-time budget exceeded: cold %.3f s, warm %.3f s, budget %.1f s" cold_t warm_t budget

@@ -49,8 +49,8 @@ let i32_make len fill : i32 =
 
 (* Probe ids are registered once at module init; on the hot path the
    whole probe block sits behind a single [Obs.probe ()] load+branch,
-   so the Noop-sink cost of a push is one call (obs_overhead.exe
-   asserts 0 extra minor words and bounds the time). *)
+   so the Noop-sink cost of a push is one call (tier-1 tests assert
+   0 extra minor words; the perf gate bounds the time). *)
 let c_push = Obs.counter "streaming_dp.push"
 let c_grow = Obs.counter "streaming_dp.grow"
 let c_pivot_slots = Obs.counter "streaming_dp.pivot_slots"

@@ -9,9 +9,9 @@
    gauges are a flat float array, and span events land in
    preallocated int/float ring columns.
    With the default [Noop] sink the instrumented hot paths therefore
-   keep their allocation budget exactly (bench/obs_overhead.ml asserts
-   0 extra minor words and bounds the time cost; bench/perf_gate.exe
-   gates both).
+   keep their allocation budget exactly (a tier-1 test asserts 0 extra
+   minor words per probe; bench/perf_gate.exe bounds the time
+   cost).
 
    Multi-domain story: counters and span histograms are atomic, so
    totals are sums of per-task contributions and identical at any

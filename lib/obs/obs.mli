@@ -7,8 +7,8 @@
     flat float array, and span events are four stores into
     preallocated ring columns.  With the default {!Noop} sink an
     instrumented [[@@hot]] path keeps its allocation budget
-    bit-for-bit; [bench/obs_overhead.exe] asserts the 0-word /
-    <2%-time contract and [bench/perf_gate.exe] gates it.
+    bit-for-bit; a tier-1 test holds a disabled probe to 0 words and
+    [bench/perf_gate.exe] holds probes under 2% of a push.
 
     Determinism: counters are commutative atomic sums and span events
     from {!Parallel} jobs are merged positionally by task index, so

@@ -1,5 +1,5 @@
-(* Clean fixture: allocates freely outside hot loops, exports
-   nothing, and accumulates only ints. *)
+(* Clean fixture: allocates freely, exports nothing, and accumulates
+   only ints. *)
 
 let triples xs = List.map (fun x -> (x, x, x)) xs
 
@@ -10,8 +10,9 @@ let count xs =
   done;
   !n
 
-(* setup allocation in a hot function is fine: S1 bans the copying
-   Array builtins at body level, not [Array.make]/[init] sizing *)
+(* a hot function that only sizes and reads its own state is clean:
+   its words are held to a measured budget, not checked here, and S5
+   looks only for obs setup calls *)
 let masked_sum xs =
   let buf = Array.make 4 1 in
   let n = ref 0 in

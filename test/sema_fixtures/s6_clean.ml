@@ -13,3 +13,7 @@ end
 let step (r : Rng.t) = Rng.next r land 0xFFFF
 
 let generate_requests (r : Rng.t) n = List.init n (fun _ -> step r)
+
+(* [Sys.opaque_identity] only hides a value from the optimiser: it
+   reads no ambient state *)
+let generate_kept (r : Rng.t) n = List.init n (fun _ -> Sys.opaque_identity (step r))

@@ -1,15 +1,5 @@
-(* Suppression fixture: the same S1/S4 shapes as the violation
-   fixtures, each silenced by a [dcache-sema:] comment. *)
-
-let sum_indexed xs =
-  let total = ref 0 in
-  for i = 0 to Array.length xs - 1 do
-    (* dcache-sema: allow S1 — fixture exercises suppression *)
-    let pair = (xs.(i), i) in
-    total := !total + fst pair
-  done;
-  !total
-[@@hot]
+(* Suppression fixture: the S4 shape of the violation fixture,
+   silenced by a [dcache-sema:] comment. *)
 
 let total_of costs =
   let total = ref 0.0 in

@@ -102,6 +102,25 @@ let ratio_zero_opt_defaults_to_one () =
     (Audit.ratio ~online:5.0 ~opt:0.0);
   check_float "plain division otherwise" 1.5 (Audit.ratio ~online:3.0 ~opt:2.0)
 
+(* [observe] rides the per-request serving path: under the Noop sink
+   it allocates only the floats boxed at the call boundary (about 4
+   words), within a budget of 16.  The costs keep a ratio of 2.0, inside
+   the bound, so the witness path (which may allocate) never runs. *)
+let observe_word_budget () =
+  Obs.set_sink Obs.Noop;
+  let iters = 200_000 in
+  let opts = Array.init iters (fun i -> 0.5 *. float_of_int (i + 1)) in
+  let words =
+    words_per_request ~n:iters (fun () ->
+        let a = Audit.create ~window_size:64 () in
+        for i = 0 to iters - 1 do
+          let opt = opts.(i) in
+          ignore (Audit.observe a ~online:(2.0 *. opt) ~opt)
+        done)
+  in
+  if words > 16.0 then
+    Alcotest.failf "a Noop-sink Audit.observe allocates %.3f words (budget 16)" words
+
 let window_accounting () =
   let a = Audit.create ~window_size:2 () in
   check_float "bound readback" 3.0 (Audit.bound a);
@@ -439,4 +458,5 @@ let suite =
     case "serve-metrics: exports audit families" serve_metrics_exports_audit_families;
     case "auditor: a non-finite time is rejected whole" auditor_rejects_non_finite_time;
     case "cli: overflowing costs exit 1" cli_rejects_overflowing_costs;
+    case "audit: observe stays within 16 words" observe_word_budget;
   ]

@@ -54,6 +54,55 @@ let noop_probes_are_dead () =
   Alcotest.(check int) "disabled observe_span_ns left the histogram empty" 0
     (Histo.count (Obs.span_histo sp_outer))
 
+(* ------------------------------------------------------ word budgets *)
+
+(* The observability contracts the hot paths rely on, in words only:
+   a probe under the Noop sink and a bump of a resolved labeled child
+   (even while recording) allocate nothing, and a recorded span stays
+   within 16 words. *)
+let budget name limit words =
+  if words > limit then Alcotest.failf "%s allocates %.6f words (budget %g)" name words limit
+
+let noop_probe_allocates_nothing () =
+  Obs.set_sink Obs.Noop;
+  let hits = ref 0 in
+  let iters = 1_000_000 in
+  budget "a Noop Obs.probe" 0.0
+    (words_per_request ~n:iters (fun () ->
+         for _ = 1 to iters do
+           if Obs.probe () then incr hits
+         done));
+  Alcotest.(check int) "the probe never fired" 0 !hits
+
+let labeled_bump_allocates_nothing () =
+  with_recording @@ fun _r ->
+  let c = Obs.counter_with_label (Obs.counter_vec "test.obs.budget" ~labels:[ "lane" ]) "hot" in
+  let iters = 1_000_000 in
+  budget "a resolved labeled-child bump" 0.0
+    (words_per_request ~n:iters (fun () ->
+         for _ = 1 to iters do
+           Obs.incr c
+         done))
+
+let sp_budget = Obs.span_name "test.obs.budget"
+
+let recorded_span_budget () =
+  let r = Obs.recorder ~clock:(Clock.monotonic ()) () in
+  Obs.set_sink (Obs.Recording r);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.Noop;
+      Obs.reset ())
+    (fun () ->
+      let work = ref 0 in
+      let body () = incr work in
+      let iters = 100_000 in
+      budget "a recorded span" 16.0
+        (words_per_request ~n:iters (fun () ->
+             for _ = 1 to iters do
+               Obs.spanned sp_budget body
+             done)))
+
 let registration_and_readback () =
   with_recording @@ fun _r ->
   Alcotest.(check bool) "probe is true while recording" true (Obs.probe ());
@@ -616,4 +665,7 @@ let suite =
     case "obs: injected events land in the trace" injected_events_in_trace;
     case "obs: runtime bridge records GC spans" runtime_bridge_gc_spans;
     case "obs: bench JSON round-trips counters and quantiles" bench_json_roundtrip;
+    case "obs: a Noop probe allocates nothing" noop_probe_allocates_nothing;
+    case "obs: a resolved labeled-child bump allocates nothing" labeled_bump_allocates_nothing;
+    case "obs: a recorded span stays within 16 words" recorded_span_budget;
   ]

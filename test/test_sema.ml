@@ -1,6 +1,6 @@
 (* dcache_sema: the typed pass on compiled fixtures — each S rule
-   fires on its violation fixture, the interprocedural rules (S1 v2,
-   S6, S7) see through call chains and SCCs, suppressions silence
+   fires on its violation fixture, the interprocedural rules (S2, S6,
+   S7) see through call chains, suppressions silence
    findings and go stale when they stop matching, S3 liveness
    respects cross-library users, and the digest-keyed cache hits on
    re-runs and invalidates on an analyzer-version bump.
@@ -34,15 +34,14 @@ let copy src dst =
 
 let core_fixtures =
   [
-    "s1_violation.ml"; "s1_hot_copy.ml"; "s2_violation.ml"; "s2_violation.mli"; "s3_dead.ml";
-    "s3_dead.mli"; "s4_violation.ml"; "s5_hot_obs.ml"; "clean.ml"; "suppressed.ml";
-    "s1v2_hidden.ml"; "s1v2_record.ml"; "s1v2_scc.ml"; "s1v2_clean.ml"; "s7_ref.ml";
-    "s7_named.ml"; "s7_clean.ml"; "stale_suppress.ml"; "s2v2_chain.ml"; "s2v2_chain.mli";
-    "s2v2_clean.ml"; "s2v2_clean.mli"; "s1v3_record.ml"; "s1v3_escape.ml"; "s8_lock.ml";
-    "s8_protect.ml"; "s8_socket.ml"; "multi_suppress.ml"; "s1_bigarray.ml";
+    "s2_violation.ml"; "s2_violation.mli"; "s3_dead.ml"; "s3_dead.mli"; "s4_violation.ml";
+    "s5_hot_obs.ml"; "clean.ml"; "suppressed.ml"; "s7_ref.ml"; "s7_named.ml"; "s7_clean.ml";
+    "stale_suppress.ml"; "s2v2_chain.ml"; "s2v2_chain.mli"; "s2v2_clean.ml"; "s2v2_clean.mli";
+    "s8_lock.ml"; "s8_protect.ml"; "s8_socket.ml"; "multi_suppress.ml";
   ]
 
-let workload_fixtures = [ "s6_deep.mli"; "s6_deep.ml"; "s6_violation.ml"; "s6_clean.ml" ]
+let workload_fixtures =
+  [ "s6_deep.mli"; "s6_deep.ml"; "s6_violation.ml"; "s6_clean.ml"; "s6_scc.ml" ]
 
 (* [core_order] lets the determinism test compile a second tree in a
    different order; .mli-before-.ml pairs are kept adjacent *)
@@ -69,7 +68,8 @@ let compile_tree ~core_order =
     (args pairs_first) (args core_order);
   command
     "cd %s && ocamlc -bin-annot -I lib/workload -c lib/workload/s6_deep.mli \
-     lib/workload/s6_deep.ml lib/workload/s6_violation.ml lib/workload/s6_clean.ml"
+     lib/workload/s6_deep.ml lib/workload/s6_violation.ml lib/workload/s6_clean.ml \
+     lib/workload/s6_scc.ml"
     (Filename.quote root);
   command "cd %s && ocamlc -bin-annot -I lib/core -c other/s3_user.ml" (Filename.quote root);
   root
@@ -109,8 +109,6 @@ let check_message name rule path needle findings =
 let test_rules_fire () =
   let findings, _, errors, _ = run () in
   Alcotest.(check (list string)) "no decode errors" [] errors;
-  check_one "S1 tuple in hot loop" "S1" "lib/core/s1_violation.ml" 6 findings;
-  check_one "S1 body-level Array.copy" "S1" "lib/core/s1_hot_copy.ml" 6 findings;
   check_one "S2 undocumented raise" "S2" "lib/core/s2_violation.mli" 3 findings;
   check_one "S4 bare float fold" "S4" "lib/core/s4_violation.ml" 6 findings;
   (* the hot-body sink construction, the two setup-cost calls
@@ -138,11 +136,9 @@ let test_clean_and_suppressed () =
   in
   check_empty "clean fixture" "lib/core/clean.ml";
   check_empty "suppressed fixture" "lib/core/suppressed.ml";
-  check_empty "S1v2 clean fixture" "lib/core/s1v2_clean.ml";
   check_empty "S6 clean fixture" "lib/workload/s6_clean.ml";
   check_empty "S7 clean fixture" "lib/core/s7_clean.ml";
   check_empty "S2v2 clean fixture" "lib/core/s2v2_clean.ml";
-  check_empty "S1v3 escaping fixture" "lib/core/s1v3_escape.ml";
   check_empty "S8 protect fixture" "lib/core/s8_protect.ml";
   check_empty "multi-rule suppressed fixture" "lib/core/multi_suppress.ml";
   (* the clean counterpart's .mli carries only dead-export noise,
@@ -152,33 +148,16 @@ let test_clean_and_suppressed () =
 
 (* ------------------------------------------- interprocedural rules *)
 
-let test_s1v2_fires () =
-  let findings, _, _, _ = run () in
-  check_one "S1v2 tuple hidden one call down" "S1" "lib/core/s1v2_hidden.ml" 9 findings;
-  check_one "S1v2 record built by helper" "S1" "lib/core/s1v2_record.ml" 9 findings;
-  check_one "S1v2 cons inside a mutual-recursion SCC" "S1" "lib/core/s1v2_scc.ml" 10 findings;
-  (* the SCC member holding the allocation appears in the witness
-     chain even though the hot loop never calls it directly *)
-  check_message "S1v2 SCC witness" "S1" "lib/core/s1v2_scc.ml"
-    "S1v2_scc.collect -> S1v2_scc.descend" findings
-
-(* Bigarray in hot bodies: scalar-kind get/set are unboxed loads and
-   must stay silent ([sum_packed] is clean); a proxy builder in the
-   body ([Array1.sub]) and a creator reached through a callee
-   ([Array1.create] via [fresh_row]) both fire *)
-let test_s1_bigarray () =
-  let findings, _, _, _ = run () in
-  let hits = find "S1" "lib/core/s1_bigarray.ml" findings in
-  Alcotest.(check (list int)) "proxy in body and creator via callee fire; get/set stay clean"
-    [ 16; 25 ]
-    (List.map (fun f -> f.F.line) hits |> List.sort compare);
-  check_message "S1 names the proxy builtin" "S1" "lib/core/s1_bigarray.ml" "Bigarray.Array1.sub"
-    (List.filter (fun f -> f.F.line = 16) findings)
-
 let test_s6_fires () =
   let findings, _, _, _ = run () in
   check_one "S6 ambient Random one call down" "S6" "lib/workload/s6_violation.ml" 4 findings;
-  check_one "S6 ambient Random two calls down" "S6" "lib/workload/s6_deep.ml" 5 findings
+  check_one "S6 ambient Random two calls down" "S6" "lib/workload/s6_deep.ml" 5 findings;
+  (* the SCC member holding the draw appears in the witness chain even
+     though the generator never calls it directly *)
+  check_one "S6 ambient Random inside a mutual-recursion SCC" "S6" "lib/workload/s6_scc.ml" 7
+    findings;
+  check_message "S6 SCC witness" "S6" "lib/workload/s6_scc.ml"
+    "S6_scc.generate_walk -> S6_scc.walk -> S6_scc.descend" findings
 
 let test_s7_fires () =
   let findings, _, _, _ = run () in
@@ -209,25 +188,10 @@ let test_s2v2_fires () =
   Alcotest.(check int) "only the undocumented val fires" 1
     (List.length (find "S2" "lib/core/s2v2_chain.mli" findings))
 
-(* S1v3: iteration-local literals in hot loops are flagged; stored or
-   ref-stashed ones are not (covered by the clean check above) *)
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
-
-let test_s1v3_fires () =
-  let findings, _, _, _ = run () in
-  let s1 = find "S1" "lib/core/s1v3_record.ml" findings in
-  Alcotest.(check (list int)) "S1v3 lines: record + constructor" [ 11; 20 ]
-    (List.sort compare (List.map (fun f -> f.F.line) s1));
-  List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (Printf.sprintf "S1v3 message at line %d says the value never escapes" f.F.line)
-        true
-        (contains f.F.message "never escapes the iteration"))
-    s1
 
 (* S8 lock discipline: raise-while-held and never-unlocked both fire;
    the Fun.protect / unlock-then-reraise idioms stay silent (clean
@@ -259,22 +223,23 @@ let test_s8_resources () =
         true (contains f.F.message needle))
     s8
 
-(* one suppression comment, two rules: both the S1 tuple and the S4
-   float fold on the next line are silenced, and the comment is not
-   stale — plus the same property unit-tested on the engine directly *)
+(* one suppression comment, two rules: both the S5 sink construction
+   and the S4 float fold on the next line are silenced, and the comment
+   is not stale — plus the same property unit-tested on the engine
+   directly *)
 let test_multi_rule_suppression () =
   let _, _, _, stale = run () in
   Alcotest.(check bool) "multi-rule suppression is not stale" false
     (List.exists (fun (p, _, _) -> p = "lib/core/multi_suppress.ml") stale);
-  let source = "let x = 1\n(* dcache-sema: allow S1 S4 — both *)\nlet y = 2\n" in
+  let source = "let x = 1\n(* dcache-sema: allow S4 S5 — both *)\nlet y = 2\n" in
   let f rule = F.v ~path:"t.ml" ~line:3 ~col:0 ~rule "msg" in
   let kept, used =
-    Report_engine.apply_suppressions_tracked ~marker:"dcache-sema:" source [ f "S1"; f "S4" ]
+    Report_engine.apply_suppressions_tracked ~marker:"dcache-sema:" source [ f "S4"; f "S5" ]
   in
   Alcotest.(check int) "both rules suppressed by one line" 0 (List.length kept);
   Alcotest.(check (list int)) "one comment line used" [ 2 ] used;
   let kept', _ =
-    Report_engine.apply_suppressions_tracked ~marker:"dcache-sema:" source [ f "S5" ]
+    Report_engine.apply_suppressions_tracked ~marker:"dcache-sema:" source [ f "S6" ]
   in
   Alcotest.(check int) "unlisted rule survives" 1 (List.length kept')
 
@@ -292,9 +257,7 @@ let test_stats_populated () =
     (cold.Sema_engine.summary_sccs > 0
     && cold.Sema_engine.summary_sccs <= cold.Sema_engine.summary_nodes);
   Alcotest.(check bool) "fixpoint rounds counted" true
-    (cold.Sema_engine.summary_rounds >= 1
-    && cold.Sema_engine.exn_rounds >= 1
-    && cold.Sema_engine.escape_rounds >= 1);
+    (cold.Sema_engine.summary_rounds >= 1 && cold.Sema_engine.exn_rounds >= 1);
   let _, warm, _, _ = Sema_engine.run ~cache_file:cache ~source_root:root [ root ] in
   Alcotest.(check int) "warm run hits" warm.Sema_engine.units warm.Sema_engine.cache_hits;
   Alcotest.(check (list int)) "stats are cache-hit stable"
@@ -302,20 +265,18 @@ let test_stats_populated () =
       cold.Sema_engine.cfg_blocks; cold.Sema_engine.df_iterations;
       cold.Sema_engine.summary_nodes; cold.Sema_engine.summary_sccs;
       cold.Sema_engine.summary_rounds; cold.Sema_engine.exn_rounds;
-      cold.Sema_engine.escape_rounds;
     ]
     [
       warm.Sema_engine.cfg_blocks; warm.Sema_engine.df_iterations;
       warm.Sema_engine.summary_nodes; warm.Sema_engine.summary_sccs;
       warm.Sema_engine.summary_rounds; warm.Sema_engine.exn_rounds;
-      warm.Sema_engine.escape_rounds;
     ]
 
 (* version pins: forgetting to bump either stamp when rule semantics
    change is the cache-staleness failure mode — fail loudly here *)
 let test_version_pins () =
-  Alcotest.(check string) "analyzer version" "11" Sema_rules.analyzer_version;
-  Alcotest.(check int) "cache format version" 5 Sema_cache.version
+  Alcotest.(check string) "analyzer version" "12" Sema_rules.analyzer_version;
+  Alcotest.(check int) "cache format version" 6 Sema_cache.version
 
 (* witness chains surface in SARIF as codeFlows/relatedLocations and
    every rule descriptor links its docs anchor *)
@@ -341,12 +302,10 @@ let test_sarif_flows () =
   Alcotest.(check bool) "S2 helpUri anchor" true
     (contains "docs/STATIC_ANALYSIS.md#s2")
 
-(* the acceptance demo: both planted multi-level chains are caught
-   and the messages spell out the full call path *)
+(* the acceptance demo: the planted multi-level chain is caught and
+   the message spells out the full call path *)
 let test_interproc_demo () =
   let findings, _, _, _ = run () in
-  check_message "hidden allocation chain" "S1" "lib/core/s1v2_hidden.ml"
-    "S1v2_hidden.make_pair -> S1v2_hidden.wrap" findings;
   check_message "deep ambient-randomness chain" "S6" "lib/workload/s6_deep.ml"
     "S6_deep.generate_load -> S6_deep.shuffle -> S6_deep.jitter" findings
 
@@ -410,7 +369,7 @@ let test_stale_suppressions () =
   Alcotest.(check bool) "unmatched comment is stale" true
     (has "lib/core/stale_suppress.ml" 4);
   (* comments that did suppress a finding are not stale *)
-  Alcotest.(check bool) "working S1/S4 suppressions stay" false
+  Alcotest.(check bool) "working S4 suppression stays" false
     (List.exists (fun (p, _, _) -> p = "lib/core/suppressed.ml") stale);
   Alcotest.(check bool) "working S3 suppression stays" false
     (List.exists (fun (p, _, _) -> p = "lib/core/s3_dead.mli") stale)
@@ -424,7 +383,7 @@ let test_lib_is_sema_clean () =
   if Sys.file_exists "../lib" then begin
     let findings, stats, _, stale = Sema_engine.run ~source_root:".." [ ".." ] in
     Alcotest.(check bool) "analyzed some units" true (stats.Sema_engine.units > 0);
-    Alcotest.(check (list string)) "lib/ is sema-clean (S1/S2/S4/S5/S6/S7)" []
+    Alcotest.(check (list string)) "lib/ is sema-clean (S2, S4-S8)" []
       (List.filter (fun f -> f.F.rule <> "S3") findings |> List.map F.to_human);
     Alcotest.(check (list string)) "lib/ has no stale suppressions" []
       (List.map (fun (p, l, t) -> Printf.sprintf "%s:%d: %s" p l t) stale)
@@ -435,13 +394,10 @@ let suite =
     Alcotest.test_case "S1/S2/S4/S5 fire on violation fixtures" `Quick test_rules_fire;
     Alcotest.test_case "S3 liveness across libraries" `Quick test_s3_liveness;
     Alcotest.test_case "clean and suppressed fixtures" `Quick test_clean_and_suppressed;
-    Alcotest.test_case "S1v2 sees through callees and SCCs" `Quick test_s1v2_fires;
-    Alcotest.test_case "S1 hot Bigarray: proxies fire, get/set clean" `Quick test_s1_bigarray;
     Alcotest.test_case "S6 generator purity is transitive" `Quick test_s6_fires;
     Alcotest.test_case "S7 flags racy Pool tasks" `Quick test_s7_fires;
     Alcotest.test_case "interprocedural demo chains" `Quick test_interproc_demo;
     Alcotest.test_case "S2v2 tracks raises through callee chains" `Quick test_s2v2_fires;
-    Alcotest.test_case "S1v3 escape analysis in hot loops" `Quick test_s1v3_fires;
     Alcotest.test_case "S8 lock discipline on all CFG paths" `Quick test_s8_locks;
     Alcotest.test_case "S8 resource release on all CFG paths" `Quick test_s8_resources;
     Alcotest.test_case "one comment suppresses two rules" `Quick test_multi_rule_suppression;

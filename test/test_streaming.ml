@@ -177,8 +177,7 @@ let schedule_memo () =
 
 (* warm reconstruction must be allocation-free: after the first
    [schedule] call the memo answers from the packed arenas without
-   touching the minor heap (the perf gate enforces the same budget on
-   the n = 1000 instance; this is the in-suite regression) *)
+   touching the minor heap *)
 let schedule_memo_alloc_free () =
   let rng = Dcache_prelude.Rng.create 97 in
   let clock = ref 0.0 in
@@ -204,6 +203,29 @@ let schedule_memo_alloc_free () =
   if words >= 1000.0 then
     Alcotest.failf "warm schedule reconstruction allocates %.1f minor words/run (budget 1000)"
       words
+
+(* [push] itself allocates nothing per request: the 2 minor words are
+   the boxed [time] that [Sequence.time] returns across the module
+   boundary.  The first 4 096 pushes are left out, as in the bench's
+   push probe: they carry the arena's early doublings, whose small
+   blocks land in the minor heap (about 0.1 word per request over the
+   whole run).  The budget of 3 fails on one more 2-word allocation
+   per push (a boxed float, a [Some], a [ref]). *)
+let push_allocation_budget () =
+  let warm = 4096 in
+  List.iter
+    (fun (name, seq) ->
+      let stream = Streaming_dp.create Cost_model.unit ~m:(Sequence.m seq) in
+      feed stream seq warm;
+      let before = Gc.minor_words () in
+      for i = warm + 1 to Sequence.n seq do
+        Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int (Sequence.n seq - warm) in
+      if words > 3.0 then
+        Alcotest.failf "Streaming_dp.push on %s allocates %.2f minor words/request (budget 3)"
+          name words)
+    (budget_workloads ())
 
 let to_sequence_roundtrip =
   qcheck ~count:100 "streaming: to_sequence returns exactly what was pushed"
@@ -379,4 +401,5 @@ let suite =
     server_relabel_invariance;
     exchange_local_optimality;
     case "streaming: an overflowed step takes the C branch" overflowed_step_takes_the_c_branch;
+    case "streaming: push allocation budget" push_allocation_budget;
   ]

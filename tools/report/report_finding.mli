@@ -1,7 +1,7 @@
 (** A single static-analysis finding, shared by every pass.
 
     The rule is a free-form id ("R1".."R4" for the Parsetree lint,
-    "S1".."S8" for the cmt-based semantic pass) so the suppression,
+    "S2".."S8" for the cmt-based semantic pass) so the suppression,
     baseline and SARIF machinery in {!Report_engine} / {!Report_sarif}
     works for both without knowing the catalogs. *)
 

@@ -17,10 +17,9 @@ module F = Report_finding
 
 type key = string * string
 
-(* Per-function facts, all "per call": ambient effects a caller
-   inherits, plus whether a call allocates.  Module-initialisation
-   work (top-level value bindings) is deliberately excluded — it runs
-   once, not per call. *)
+(* Per-function facts, all "per call": the ambient effects a caller
+   inherits.  Module-initialisation work (top-level value bindings) is
+   deliberately excluded — it runs once, not per call. *)
 type facts = {
   f_random : bool;  (* Stdlib.Random (Random.State draws excepted, self_init not) *)
   f_sys : bool;  (* Sys.* beyond the compile-time constants *)
@@ -29,7 +28,6 @@ type facts = {
   f_gread : bool;  (* reads module-level mutable state *)
   f_gwrite : bool;  (* writes module-level mutable state *)
   f_mutex : bool;  (* takes a Mutex around its work *)
-  f_alloc : bool;  (* allocates on every call *)
 }
 
 let no_facts =
@@ -41,7 +39,6 @@ let no_facts =
     f_gread = false;
     f_gwrite = false;
     f_mutex = false;
-    f_alloc = false;
   }
 
 let union a b =
@@ -53,14 +50,12 @@ let union a b =
     f_gread = a.f_gread || b.f_gread;
     f_gwrite = a.f_gwrite || b.f_gwrite;
     f_mutex = a.f_mutex || b.f_mutex;
-    f_alloc = a.f_alloc || b.f_alloc;
   }
 
 type node = {
   nd_key : key;
   nd_path : string;  (* normalized .ml path *)
   nd_line : int;
-  nd_hot : bool;
   nd_candidate : bool;  (* S6: a lib/workload generator (rng/seed/generate) *)
   nd_facts : facts;  (* local facts only; [Summary] computes the closure *)
   nd_calls : key list list;  (* each callee as alternative keys, first match wins *)
@@ -69,8 +64,6 @@ type node = {
   nd_unguarded : key list list;
       (* calls in unguarded blocks (closures built there included):
          the edges a callee's escaping exceptions propagate along *)
-  nd_pescape : bool;  (* a parameter may escape this function locally *)
-  nd_pfwd : key list list;  (* callees a parameter is forwarded to *)
 }
 
 type capture = { cap_kind : string; cap_name : string }
@@ -79,38 +72,14 @@ type task =
   | Closure of { tk_writes : capture list; tk_mutex : bool; tk_calls : key list list }
   | Named of key list
 
-type hot_site = {
-  hs_fn : string;  (* the enclosing [@@hot] function *)
-  hs_line : int;
-  hs_col : int;
-  hs_callee : key list;  (* [] when the call is a known-allocating builtin *)
-  hs_builtin : key option;
-}
-
 type pool_site = { ps_fn : string; ps_line : int; ps_col : int; ps_task : task }
-
-(* S1v3 candidate: a record/constructor literal bound in a hot loop
-   whose value provably stays inside its iteration — except possibly
-   through the callees in [al_callees], which the interprocedural pass
-   checks against parameter-escape summaries. *)
-type alloc_site = {
-  al_fn : string;  (* the enclosing [@@hot] function *)
-  al_var : string;
-  al_kind : string;  (* "record literal", "constructor `Some`", ... *)
-  al_line : int;
-  al_col : int;
-  al_callees : key list list;
-}
 
 type unit_graph = {
   ug_unit : string;
   ug_path : string;
   ug_nodes : node list;
-  ug_hot_sites : hot_site list;
   ug_pool_sites : pool_site list;
-  ug_alloc_sites : alloc_site list;
   ug_blocks : int;  (* CFG basic blocks built for this unit *)
-  ug_iters : int;  (* dataflow sweeps to fixpoint, summed over this unit *)
 }
 
 let empty_graph =
@@ -118,11 +87,8 @@ let empty_graph =
     ug_unit = "";
     ug_path = "";
     ug_nodes = [];
-    ug_hot_sites = [];
     ug_pool_sites = [];
-    ug_alloc_sites = [];
     ug_blocks = 0;
-    ug_iters = 0;
   }
 
 (* ---------------------------------------------------------------- paths *)
@@ -170,11 +136,13 @@ let exempt_unit ml_path =
 
 (* ------------------------------------------------------- classification *)
 
-(* Sys values that are compile-time constants, not ambient reads. *)
+(* Sys values that read no ambient state: the compile-time constants,
+   and [opaque_identity], which only hides a value from the optimiser. *)
 let sys_pure =
   [
     "word_size"; "int_size"; "big_endian"; "max_string_length"; "max_array_length";
     "max_floatarray_length"; "ocaml_version"; "backend_type"; "unix"; "win32"; "cygwin";
+    "opaque_identity";
   ]
 
 let drop_stdlib name = if has_prefix "Stdlib." name then String.sub name 7 (String.length name - 7) else name
@@ -196,46 +164,6 @@ let ambient_of_name name =
     { no_facts with f_sys = true }
   else if has_prefix "Unix." n || has_prefix "UnixLabels." n then { no_facts with f_unix = true }
   else no_facts
-
-(* stdlib entry points that allocate a fresh block on every call;
-   [Array.make]/[init] are included here (unlike local S1, which
-   tolerates them at hot-body level as setup) because inside a hot
-   *loop* they are per-iteration garbage wherever they hide. *)
-let builtin_allocates = function
-  | ("List" | "ListLabels"), ( "init" | "make" | "map" | "mapi" | "map2" | "append" | "concat"
-    | "concat_map" | "flatten" | "rev" | "rev_append" | "rev_map" | "filter" | "filteri"
-    | "filter_map" | "partition" | "split" | "combine" | "merge" | "sort" | "sort_uniq"
-    | "stable_sort" | "fast_sort" | "of_seq" | "cons" ) ->
-      true
-  | ("Array" | "ArrayLabels" | "Float_array"), ( "make" | "create_float" | "init" | "copy"
-    | "append" | "sub" | "of_list" | "to_list" | "concat" | "map" | "mapi" | "map2" | "split"
-    | "combine" | "of_seq" ) ->
-      true
-  | ("String" | "StringLabels"), ( "make" | "init" | "sub" | "concat" | "cat" | "map" | "mapi"
-    | "split_on_char" | "of_seq" | "of_bytes" | "to_bytes" | "uppercase_ascii"
-    | "lowercase_ascii" | "capitalize_ascii" | "escaped" | "trim" ) ->
-      true
-  | ("Bytes" | "BytesLabels"), ( "make" | "create" | "init" | "sub" | "copy" | "extend" | "cat"
-    | "concat" | "of_string" | "to_string" | "escaped" ) ->
-      true
-  | "Printf", "sprintf"
-  | "Format", ("sprintf" | "asprintf") ->
-      true
-  | ("Hashtbl" | "HashtblLabels"), ("create" | "copy" | "of_seq") -> true
-  (* Bigarray creators and view builders allocate a custom block per
-     call.  Scalar-kind get/set/unsafe_get/unsafe_set are deliberately
-     absent: full applications compile to unboxed loads/stores, so hot
-     packed-row accessors (Streaming_dp) must not summarise as
-     allocating. *)
-  | ("Array1" | "Array2" | "Array3" | "Genarray"), ( "create" | "init" | "of_array" | "sub"
-    | "sub_left" | "sub_right" | "slice_left" | "slice_right" ) ->
-      true
-  | "Buffer", ("create" | "contents" | "to_bytes" | "sub") -> true
-  | "Queue", ("create" | "add" | "push" | "copy" | "of_seq") -> true
-  | "Stack", ("create" | "push" | "copy" | "of_seq") -> true
-  | "Stdlib", ("ref" | "^" | "@" | "string_of_int" | "string_of_float" | "string_of_bool") ->
-      true
-  | _ -> false
 
 (* container operations that mutate their first argument in place *)
 let mutator = function
@@ -300,15 +228,10 @@ let generator_candidate ~name ty =
 
 (* --------------------------------------------------------------- helpers *)
 
-let has_attr names attrs =
-  List.exists (fun (a : Parsetree.attribute) -> List.mem a.attr_name.txt names) attrs
-
-let is_hot_vb vb = has_attr [ "hot"; "dcache.hot" ] vb.vb_attributes
-
-(* A binding's own outer lambda spine is not a per-call allocation;
-   everything underneath it is.  Peeling stops at the first non-
-   [function] node: a [let] between parameters runs on (partial)
-   application and so belongs to the per-call body. *)
+(* The per-call body of a binding: its outer lambda spine peeled off.
+   Peeling stops at the first non-[function] node: a [let] between
+   parameters runs on (partial) application and so belongs to the
+   per-call body. *)
 let rec fn_leaves e acc =
   match e.exp_desc with
   | Texp_function { cases; _ } ->
@@ -338,30 +261,21 @@ let target_of_path ~mod_name ~unit_name p =
 
 (* ------------------------------------------------------------ extraction *)
 
-(* per-function exception/escape flow facts, targets unresolved until
+(* per-function exception flow facts, targets unresolved until
    [finalize] *)
-type raw_flow = {
-  rf_raises : (string * int * int) list;
-  rf_unguarded : target list;
-  rf_pescape : bool;
-  rf_pfwd : target list;
-}
+type raw_flow = { rf_raises : (string * int * int) list; rf_unguarded : target list }
 
-let no_flow = { rf_raises = []; rf_unguarded = []; rf_pescape = false; rf_pfwd = [] }
+let no_flow = { rf_raises = []; rf_unguarded = [] }
 
 type ctx = {
   cx_unit : string;
   cx_path : string;
   mutable cx_tops : Ident.t list;  (* every top-level ident seen so far *)
   mutable cx_mutables : Ident.t list;  (* the mutable-typed subset *)
-  mutable cx_nodes :
-    (node * target list * (string * int * int * target option * key option) list * raw_flow) list;
-      (* reversed; hot sites stay raw tuples until [finalize] resolves them *)
+  mutable cx_nodes : (node * target list * raw_flow) list;
+      (* reversed; call targets stay unresolved until [finalize] *)
   mutable cx_pool : (string * int * int * [ `Closure of capture list * bool * target list | `Named of target ]) list;
-  mutable cx_alloc : (string * string * string * int * int * target list) list;
-      (* reversed S1v3 candidates: (fn, var, kind, line, col, callee deps) *)
   mutable cx_blocks : int;
-  mutable cx_iters : int;
 }
 
 let is_global cx p =
@@ -411,18 +325,12 @@ let scan_facts cx ~mod_name exprs =
         (fun self e ->
           (match e.exp_desc with
           | Texp_ident (p, _, _) -> classify p
-          | Texp_function _ -> mark (fun f -> { f with f_alloc = true })
-          | Texp_tuple _ | Texp_record _ | Texp_lazy _ ->
-              mark (fun f -> { f with f_alloc = true })
-          | Texp_array (_ :: _) -> mark (fun f -> { f with f_alloc = true })
-          | Texp_construct (_, _, _ :: _) -> mark (fun f -> { f with f_alloc = true })
           | Texp_setfield (tgt, _, _, _) -> (
               match tgt.exp_desc with
               | Texp_ident (p, _, _) when is_top cx p ->
                   mark (fun f -> { f with f_gwrite = true })
               | _ -> ())
           | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-              if is_arrow e.exp_type then mark (fun f -> { f with f_alloc = true });
               let name = drop_stdlib (Path.name p) in
               (match (name, args) with
               | (":=" | "incr" | "decr"), (_, Some { exp_desc = Texp_ident (t, _, _); _ }) :: _
@@ -432,12 +340,9 @@ let scan_facts cx ~mod_name exprs =
                   mark (fun f -> { f with f_gread = true })
               | _ -> ());
               match use_of_path p with
-              | Some k ->
-                  if builtin_allocates k then mark (fun f -> { f with f_alloc = true });
-                  if mutator k && arg_is_top args then mark (fun f -> { f with f_gwrite = true })
-              | None -> ())
-          | Texp_apply (fn, _) when is_arrow e.exp_type && not (is_function fn) ->
-              mark (fun f -> { f with f_alloc = true })
+              | Some k when mutator k && arg_is_top args ->
+                  mark (fun f -> { f with f_gwrite = true })
+              | Some _ | None -> ())
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
     }
@@ -445,67 +350,19 @@ let scan_facts cx ~mod_name exprs =
   List.iter (it.expr it) exprs;
   (!facts, List.rev !calls)
 
-(* hot-loop call sites: every application of a named function inside a
-   for/while body of a [@@hot] binding (nested closures included —
-   they run in the loop too) *)
-let scan_hot_sites cx ~mod_name ~fname vb_expr =
-  let sites = ref [] in
-  let record p loc =
-    let line = loc.Location.loc_start.Lexing.pos_lnum in
-    let col = loc.Location.loc_start.Lexing.pos_cnum - loc.Location.loc_start.Lexing.pos_bol in
-    let builtin = match use_of_path p with Some k when builtin_allocates k -> Some k | _ -> None in
-    match builtin with
-    | Some k -> sites := (fname, line, col, None, Some k) :: !sites
-    | None -> (
-        match target_of_path ~mod_name ~unit_name:cx.cx_unit p with
-        | Some t -> sites := (fname, line, col, Some t, None) :: !sites
-        | None -> ())
-  in
-  let in_loop body =
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr =
-          (fun self e ->
-            (match e.exp_desc with
-            | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> record p e.exp_loc
-            | _ -> ());
-            Tast_iterator.default_iterator.expr self e);
-      }
-    in
-    it.expr it body
-  in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_for (_, _, _, _, _, body) -> in_loop body
-          | Texp_while (_, body) -> in_loop body
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it vb_expr;
-  List.rev !sites
-
 (* ------------------------------------------------- CFG-based flow scans *)
 
 module StrSet = Set.Make (String)
 
-module EscapeLattice = struct
+(* sets of names under union, as a [Dataflow] lattice: S8's
+   open-resource facts *)
+module StrSetLattice = struct
   type fact = StrSet.t
 
   let bottom = StrSet.empty
   let equal = StrSet.equal
   let join = StrSet.union
 end
-
-module EscapeFlow = Dataflow.Make (EscapeLattice)
-
-let ident_of e =
-  match e.exp_desc with Texp_ident (Path.Pident id, _, _) -> Some id | _ -> None
 
 (* tracked idents mentioned anywhere inside a deferred body *)
 let captured_targets ~is_target e =
@@ -523,45 +380,6 @@ let captured_targets ~is_target e =
   in
   it.expr it e;
   !acc
-
-(* How one linearized statement treats the tracked idents [targets]:
-   the idents it makes escape, plus the (ident, callee) pairs whose
-   verdict depends on the callee's parameter-escape summary.  Field
-   reads, stores *into* a tracked value, and bare mentions (a child of
-   some consuming parent statement, which gets its own verdict) are
-   free; any other direct mention is an escape.  Shared between the
-   S1v3 loop-candidate pass and the parameter-escape pass that backs
-   its callee check. *)
-let stmt_escapes ~unit_name ~mod_name ~targets stmt =
-  let is_target id = List.exists (Ident.same id) targets in
-  let tgt e = match ident_of e with Some id when is_target id -> Some id | _ -> None in
-  match stmt with
-  | Cfg.S_bind (Cfg.Whole, _, rhs) -> (Option.to_list (tgt rhs), [])
-  | Cfg.S_bind (Cfg.Part, _, _) -> ([], [])
-  | Cfg.S_expr e -> (
-      match e.exp_desc with
-      | Texp_ident _ | Texp_field _ -> ([], [])
-      | Texp_setfield (_, _, _, rhs) -> (Option.to_list (tgt rhs), [])
-      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-          let arg_targets = List.filter_map (fun (_, a) -> Option.bind a tgt) args in
-          if arg_targets = [] then ([], [])
-          else if Cfg.as_raise e <> None then (arg_targets, [])
-          else
-            match target_of_path ~mod_name ~unit_name p with
-            | Some t -> ([], List.map (fun id -> (id, t)) arg_targets)
-            | None -> (arg_targets, []))
-      | Texp_apply (_, args) -> (List.filter_map (fun (_, a) -> Option.bind a tgt) args, [])
-      | Texp_function _ | Texp_lazy _ -> (captured_targets ~is_target e, [])
-      | _ -> (List.filter_map tgt (Cfg.direct_children e), []))
-
-(* backward may-escape: the fact at a point is the set of tracked uids
-   with an escaping use at or after it *)
-let escape_flow ~unit_name ~mod_name cfg ~targets =
-  let transfer fact stmt =
-    let esc, _ = stmt_escapes ~unit_name ~mod_name ~targets stmt in
-    List.fold_left (fun f id -> StrSet.add (Ident.unique_name id) f) fact esc
-  in
-  EscapeFlow.solve Dataflow.Backward cfg ~init:StrSet.empty ~transfer
 
 (* raises and calls inside a deferred body, skipping try-guarded
    subtrees: a closure built in an unguarded block usually runs
@@ -605,50 +423,20 @@ let closure_flow ~unit_name ~mod_name e =
   it.expr it e;
   (List.rev !raises, List.rev !calls)
 
-(* per-function CFG pass: escaping raises, unguarded call edges, and
-   whether a parameter escapes (the callee side of S1v3's check).
-   Parameters are the lambda-spine arguments plus any whole-value case
-   binds over them; component binds (destructured fields) do not alias
-   the argument itself. *)
+(* per-function CFG pass: the raises and calls that run outside every
+   handler of the body *)
 let scan_flow cx ~mod_name vb_expr =
-  let params =
-    let acc = ref [] in
-    let rec spine e =
-      match e.exp_desc with
-      | Texp_function { param; cases; _ } ->
-          acc := param :: !acc;
-          List.iter
-            (fun c ->
-              (match c.c_lhs.pat_desc with
-              | Tpat_var (id, _) | Tpat_alias (_, id, _) -> acc := id :: !acc
-              | _ -> ());
-              spine c.c_rhs)
-            cases
-      | _ -> ()
-    in
-    spine vb_expr;
-    !acc
-  in
   let raises = ref [] in
   let unguarded = ref [] in
-  let pfwd = ref [] in
-  let pescape = ref false in
   List.iter
     (fun leaf ->
       let cfg = Cfg.build leaf in
       cx.cx_blocks <- cx.cx_blocks + Cfg.n_blocks cfg;
-      if List.exists (fun id -> List.exists (Ident.same id) params) (Cfg.tail_idents leaf [])
-      then pescape := true;
       Array.iter
         (fun b ->
           let open_block = b.Cfg.b_handler = cfg.Cfg.cf_exc_exit in
           List.iter
             (fun stmt ->
-              let esc, fwd =
-                stmt_escapes ~unit_name:cx.cx_unit ~mod_name ~targets:params stmt
-              in
-              if esc <> [] then pescape := true;
-              List.iter (fun (_, t) -> pfwd := t :: !pfwd) fwd;
               match stmt with
               | Cfg.S_expr e -> (
                   match Cfg.as_raise e with
@@ -679,93 +467,7 @@ let scan_flow cx ~mod_name vb_expr =
             b.Cfg.b_stmts)
         cfg.Cfg.cf_blocks)
     (fn_leaves vb_expr []);
-  {
-    rf_raises = List.rev !raises;
-    rf_unguarded = List.rev !unguarded;
-    rf_pescape = !pescape;
-    rf_pfwd = List.rev !pfwd;
-  }
-
-(* S1v3 candidate scan: literal record/constructor binds in the
-   outermost for/while loops of a [@@hot] binding (nested loops are
-   inside the outer loop's CFG already).  A candidate survives only
-   when the backward escape pass proves it iteration-local; the
-   callees it is forwarded to are recorded for the summary-side
-   parameter-escape check. *)
-let scan_alloc_sites cx ~mod_name ~fname vb_expr =
-  let do_loop body =
-    let cfg = Cfg.build body in
-    cx.cx_blocks <- cx.cx_blocks + Cfg.n_blocks cfg;
-    let candidates = ref [] in
-    Array.iter
-      (fun b ->
-        List.iter
-          (fun stmt ->
-            match stmt with
-            | Cfg.S_bind (Cfg.Whole, id, rhs) -> (
-                let record kind =
-                  let st = rhs.exp_loc.Location.loc_start in
-                  candidates :=
-                    ( id, kind, st.Lexing.pos_lnum,
-                      st.Lexing.pos_cnum - st.Lexing.pos_bol, b.Cfg.b_id )
-                    :: !candidates
-                in
-                match rhs.exp_desc with
-                | Texp_record _ -> record "record literal"
-                | Texp_construct (_, cd, _ :: _) when cd.Types.cstr_name <> "::" ->
-                    record (Printf.sprintf "constructor `%s`" cd.Types.cstr_name)
-                | _ -> ())
-            | _ -> ())
-          b.Cfg.b_stmts)
-      cfg.Cfg.cf_blocks;
-    let candidates = List.rev !candidates in
-    if candidates <> [] then begin
-      let targets = List.map (fun (id, _, _, _, _) -> id) candidates in
-      let res = escape_flow ~unit_name:cx.cx_unit ~mod_name cfg ~targets in
-      cx.cx_iters <- cx.cx_iters + res.EscapeFlow.iterations;
-      let tails = Cfg.tail_idents body [] in
-      let fwd = ref [] in
-      Array.iter
-        (fun b ->
-          List.iter
-            (fun stmt ->
-              let _, f = stmt_escapes ~unit_name:cx.cx_unit ~mod_name ~targets stmt in
-              fwd := List.rev_append f !fwd)
-            b.Cfg.b_stmts)
-        cfg.Cfg.cf_blocks;
-      let fwd = List.rev !fwd in
-      List.iter
-        (fun (id, kind, line, col, b_id) ->
-          let escapes =
-            StrSet.mem (Ident.unique_name id) res.EscapeFlow.facts_out.(b_id)
-            || List.exists (Ident.same id) tails
-          in
-          if not escapes then begin
-            let callees =
-              List.filter_map (fun (id', t) -> if Ident.same id id' then Some t else None) fwd
-            in
-            cx.cx_alloc <- (fname, Ident.name id, kind, line, col, callees) :: cx.cx_alloc
-          end)
-        candidates
-    end
-  in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          match e.exp_desc with
-          | Texp_for (_, _, lo, hi, _, body) ->
-              self.expr self lo;
-              self.expr self hi;
-              do_loop body
-          | Texp_while (cond, body) ->
-              self.expr self cond;
-              do_loop body
-          | _ -> Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it vb_expr
+  { rf_raises = List.rev !raises; rf_unguarded = List.rev !unguarded }
 
 (* ------------------------------------------------------ pool-site scan *)
 
@@ -889,7 +591,6 @@ let do_binding cx ~mod_name ~workload vb =
       let name = Ident.name id in
       cx.cx_tops <- id :: cx.cx_tops;
       if mutable_global_type vb.vb_expr.exp_type then cx.cx_mutables <- id :: cx.cx_mutables;
-      let hot = is_hot_vb vb in
       let fn = is_function vb.vb_expr in
       (* value bindings run once at module init: their work is not a
          per-call fact of anything, so they contribute an empty node *)
@@ -897,25 +598,20 @@ let do_binding cx ~mod_name ~workload vb =
         if fn then scan_facts cx ~mod_name (fn_leaves vb.vb_expr []) else (no_facts, [])
       in
       let flow = if fn then scan_flow cx ~mod_name vb.vb_expr else no_flow in
-      let hot_sites = if hot then scan_hot_sites cx ~mod_name ~fname:name vb.vb_expr else [] in
-      if hot then scan_alloc_sites cx ~mod_name ~fname:name vb.vb_expr;
       scan_pool_sites cx ~mod_name vb.vb_expr;
       let node =
         {
           nd_key = (mod_name, name);
           nd_path = cx.cx_path;
           nd_line = vb.vb_loc.Location.loc_start.Lexing.pos_lnum;
-          nd_hot = hot;
           nd_candidate = fn && workload && generator_candidate ~name vb.vb_expr.exp_type;
           nd_facts = facts;
           nd_calls = [];  (* filled in by [finalize] *)
           nd_raises = flow.rf_raises;
           nd_unguarded = [];  (* filled in by [finalize] *)
-          nd_pescape = flow.rf_pescape;
-          nd_pfwd = [];  (* filled in by [finalize] *)
         }
       in
-      cx.cx_nodes <- (node, calls, hot_sites, flow) :: cx.cx_nodes
+      cx.cx_nodes <- (node, calls, flow) :: cx.cx_nodes
   | _ -> ()
 
 let rec do_structure cx ~mod_name ~workload str =
@@ -945,7 +641,7 @@ and do_module cx ~workload mb =
    a bare ident that names no binding of this unit is a local
    variable, not an edge. *)
 let finalize cx =
-  let node_keys = List.map (fun (n, _, _, _) -> n.nd_key) cx.cx_nodes in
+  let node_keys = List.map (fun (n, _, _) -> n.nd_key) cx.cx_nodes in
   let resolve_target = function
     | Remote k -> [ k ]
     | Locals ks -> List.filter (fun k -> List.mem k node_keys) ks
@@ -956,52 +652,15 @@ let finalize cx =
       targets
     |> List.sort_uniq compare
   in
-  (* A forwarded-to callee that resolves to nothing is a call through a
-     local variable — an unknown consumer, so the parameter must be
-     assumed to escape (the unguarded exception edges stay
-     under-approximate instead: unknown callees contribute no raises). *)
-  let resolve_fwd targets =
-    List.fold_left
-      (fun (escape, acc) t ->
-        match resolve_target t with [] -> (true, acc) | ks -> (escape, ks :: acc))
-      (false, []) targets
-    |> fun (escape, acc) -> (escape, List.sort_uniq compare acc)
-  in
   let nodes =
     List.rev_map
-      (fun (n, calls, _, flow) ->
-        let pfwd_escape, pfwd = resolve_fwd flow.rf_pfwd in
+      (fun (n, calls, flow) ->
         {
           n with
           nd_calls = resolve_calls calls;
           nd_unguarded = resolve_calls flow.rf_unguarded;
-          nd_pescape = n.nd_pescape || pfwd_escape;
-          nd_pfwd = pfwd;
         })
       cx.cx_nodes
-  in
-  let hot_sites =
-    List.concat_map
-      (fun (_, _, sites, _) ->
-        List.filter_map
-          (fun (hs_fn, hs_line, hs_col, target, hs_builtin) ->
-            match (target, hs_builtin) with
-            | _, Some _ -> Some { hs_fn; hs_line; hs_col; hs_callee = []; hs_builtin }
-            | Some t, None -> (
-                match resolve_target t with
-                | [] -> None
-                | ks -> Some { hs_fn; hs_line; hs_col; hs_callee = ks; hs_builtin = None })
-            | None, None -> None)
-          sites)
-      (List.rev cx.cx_nodes)
-  in
-  (* an S1v3 candidate forwarded to an unresolvable callee escapes *)
-  let alloc_sites =
-    List.rev cx.cx_alloc
-    |> List.filter_map (fun (al_fn, al_var, al_kind, al_line, al_col, targets) ->
-           match resolve_fwd targets with
-           | true, _ -> None
-           | false, al_callees -> Some { al_fn; al_var; al_kind; al_line; al_col; al_callees })
   in
   let pool_sites =
     List.rev_map
@@ -1020,11 +679,8 @@ let finalize cx =
     ug_unit = cx.cx_unit;
     ug_path = cx.cx_path;
     ug_nodes = nodes;
-    ug_hot_sites = hot_sites;
     ug_pool_sites = pool_sites;
-    ug_alloc_sites = alloc_sites;
     ug_blocks = cx.cx_blocks;
-    ug_iters = cx.cx_iters;
   }
 
 let extract ~unit_name ~ml_path structure =
@@ -1039,9 +695,7 @@ let extract ~unit_name ~ml_path structure =
         cx_mutables = [];
         cx_nodes = [];
         cx_pool = [];
-        cx_alloc = [];
         cx_blocks = 0;
-        cx_iters = 0;
       }
     in
     do_structure cx ~mod_name:unit_name ~workload:(has_prefix "lib/workload/" path) structure;

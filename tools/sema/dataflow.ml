@@ -1,6 +1,6 @@
 (* Generic monotone-framework solver over [Cfg].
 
-   [Make (L)] instantiates a forward/backward dataflow solver for the
+   [Make (L)] instantiates a forward dataflow solver for the
    join-semilattice [L].  The solver sweeps blocks round-robin in id
    order (deterministic, like [Summary.build]'s worklist) until no
    out-fact changes; [iterations] counts whole sweeps, so a blow-up in
@@ -18,18 +18,14 @@ module type LATTICE = sig
   val join : fact -> fact -> fact
 end
 
-type direction = Forward | Backward
-
 module Make (L : LATTICE) = struct
   type result = {
-    facts_in : L.fact array;
-        (* per block: fact at its start (Forward) or at its end (Backward) *)
-    facts_out : L.fact array;
-        (* per block: fact at its end (Forward) or at its start (Backward) *)
+    facts_in : L.fact array;  (* per block: fact at its start *)
+    facts_out : L.fact array;  (* per block: fact at its end *)
     iterations : int;
   }
 
-  let solve direction cfg ~init ~transfer =
+  let solve cfg ~init ~transfer =
     let n = Cfg.n_blocks cfg in
     let facts_in = Array.make n L.bottom in
     let facts_out = Array.make n L.bottom in
@@ -39,17 +35,6 @@ module Make (L : LATTICE) = struct
       (fun b -> List.iter (fun s -> preds.(s) <- b.Cfg.b_id :: preds.(s)) (succs b))
       cfg.Cfg.cf_blocks;
     Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
-    let sources, stmts_of, seeds =
-      match direction with
-      | Forward ->
-          ( (fun i -> preds.(i)),
-            (fun b -> b.Cfg.b_stmts),
-            [ cfg.Cfg.cf_entry ] )
-      | Backward ->
-          ( (fun i -> succs cfg.Cfg.cf_blocks.(i)),
-            (fun b -> List.rev b.Cfg.b_stmts),
-            [ cfg.Cfg.cf_exit; cfg.Cfg.cf_exc_exit ] )
-    in
     let iterations = ref 0 in
     let changed = ref true in
     while !changed do
@@ -59,11 +44,11 @@ module Make (L : LATTICE) = struct
         let incoming =
           List.fold_left
             (fun acc j -> L.join acc facts_out.(j))
-            (if List.mem i seeds then init else L.bottom)
-            (sources i)
+            (if i = cfg.Cfg.cf_entry then init else L.bottom)
+            preds.(i)
         in
         facts_in.(i) <- incoming;
-        let out = List.fold_left transfer incoming (stmts_of cfg.Cfg.cf_blocks.(i)) in
+        let out = List.fold_left transfer incoming cfg.Cfg.cf_blocks.(i).Cfg.b_stmts in
         if not (L.equal out facts_out.(i)) then begin
           facts_out.(i) <- out;
           changed := true

@@ -90,11 +90,9 @@ let () =
       Sema_rules.catalog;
     Printf.eprintf "dcache_sema:   cfg: %d blocks, %d dataflow iterations\n"
       stats.Sema_engine.cfg_blocks stats.Sema_engine.df_iterations;
-    Printf.eprintf
-      "dcache_sema:   summary: %d nodes, %d sccs, %d rounds (+%d exn, +%d escape)\n"
+    Printf.eprintf "dcache_sema:   summary: %d nodes, %d sccs, %d rounds (+%d exn)\n"
       stats.Sema_engine.summary_nodes stats.Sema_engine.summary_sccs
-      stats.Sema_engine.summary_rounds stats.Sema_engine.exn_rounds
-      stats.Sema_engine.escape_rounds;
+      stats.Sema_engine.summary_rounds stats.Sema_engine.exn_rounds;
     Printf.eprintf "dcache_sema: analysis took %.3fs\n%!" elapsed
   end;
   if !update_baseline then begin

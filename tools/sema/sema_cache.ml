@@ -5,8 +5,8 @@
    rules update invalidate exactly what they should.  The payload is
    the per-unit analysis: raw (pre-suppression) local findings, the
    export/use sets S3 is assembled from, and the unit's call graph.
-   Every cross-module join — S3 liveness, the effect/allocation
-   summary fixpoint behind S1v2/S6/S7, and suppression tracking — is
+   Every cross-module join — S3 liveness, the effect summary and
+   may-raise fixpoints behind S2/S6/S7, and suppression tracking — is
    recomputed each run from cached parts, which is why the cache can
    be per-file at all.
 
@@ -16,7 +16,7 @@
 
 type entry = { digest : string; analysis : Sema_rules.unit_analysis }
 
-let version = 5
+let version = 6
 
 let digest_of_files paths =
   paths

@@ -12,7 +12,6 @@ type stats = {
   summary_sccs : int;  (* Tarjan SCC count over the resolved call graph *)
   summary_rounds : int;  (* sweeps to the facts fixpoint *)
   exn_rounds : int;  (* sweeps to the may-raise fixpoint *)
-  escape_rounds : int;  (* sweeps to the parameter-escape fixpoint *)
 }
 
 (* A stale suppression: a "dcache-sema: allow" comment that suppressed
@@ -21,7 +20,7 @@ type stale = string * int * string
 
 (* ------------------------------------------------------- suppression *)
 
-(* Findings of one unit can anchor in two files (.ml for S1/S4, .mli
+(* Findings of one unit can anchor in two files (.ml for S4-S8, .mli
    for S2/S3); suppression comments are read from whichever file a
    finding points at, resolved against [source_root].  Suppression is
    applied here at engine time — the cache stores raw findings — so
@@ -115,11 +114,7 @@ let analyze_unit (info : Sema_cmt.unit_info) =
             in
             let unit_name = Sema_rules.strip_mangling (unit_name_of_source decoded.ml_source) in
             let graph = Callgraph.extract ~unit_name ~ml_path:decoded.ml_source structure in
-            ( findings,
-              uses,
-              graph,
-              s8_blocks + graph.Callgraph.ug_blocks,
-              s8_iters + graph.Callgraph.ug_iters )
+            (findings, uses, graph, s8_blocks + graph.Callgraph.ug_blocks, s8_iters)
       in
       Ok
         {
@@ -254,7 +249,7 @@ let run ?cache_file ?(scope = "lib/") ?(stamp = Sema_rules.analyzer_version) ~so
           ua.ua_exports)
       units
   in
-  let interproc, ip_stats = Sema_interproc.findings summary ~exports graphs in
+  let interproc, exn_rounds = Sema_interproc.findings summary ~exports graphs in
   let interproc = List.filter (fun f -> has_prefix scope f.F.path) interproc in
   let raw = List.sort_uniq F.compare (local @ s3 @ interproc) in
   let findings, used = suppress_tracked ~source_root raw in
@@ -270,8 +265,7 @@ let run ?cache_file ?(scope = "lib/") ?(stamp = Sema_rules.analyzer_version) ~so
       summary_nodes = List.length summary.Summary.order;
       summary_sccs = Summary.scc_count summary;
       summary_rounds = summary.Summary.s_rounds;
-      exn_rounds = ip_stats.Sema_interproc.ip_exn_rounds;
-      escape_rounds = ip_stats.Sema_interproc.ip_escape_rounds;
+      exn_rounds;
     }
   in
   (findings, stats, List.rev !errors, stale)

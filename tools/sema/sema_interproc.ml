@@ -1,16 +1,6 @@
 (* The interprocedural rules, computed from [Summary] over the cached
    per-unit graphs:
 
-   - S1 (v2, escape-to-callee): a call from a [@@hot] loop body to any
-     function whose summary allocates, or to a known-allocating stdlib
-     builtin.  Complements the local S1 scan, which only sees
-     allocations spelled out in the loop itself.
-   - S1 (v3, iteration-local literals): a record/constructor literal
-     bound in a [@@hot] loop that the backward escape analysis proves
-     never leaves the iteration — not stored, returned, captured, and
-     every callee it is passed to is (transitively) non-retaining per
-     the parameter-escape closure.  Such a literal is a hoistable /
-     flattenable allocation.
    - S2 (v2, exception flow): an exception that may escape a public
      lib/core / lib/baselines value — raised locally outside any
      handler, or propagated through a chain of unguarded calls — must
@@ -25,11 +15,8 @@
      [parallel_map] that mutates captured or module-level state
      without a [Mutex] races across domains.
 
-   Unknown callees are treated asymmetrically, always in the safe
-   direction for the rule at hand: they contribute *no* exceptions to
-   a may-raise set (S2 under-approximates rather than spam), but they
-   *do* count as retaining their arguments (S1v3 stays silent rather
-   than flag a value something unknown might keep). *)
+   Unknown callees contribute *no* exceptions to a may-raise set: S2
+   under-approximates rather than spam. *)
 
 module F = Report_finding
 module C = Callgraph
@@ -41,15 +28,6 @@ type export = {
   ex_mli_path : string;
   ex_doc : string;
 }
-
-type ip_stats = {
-  ip_exn_rounds : int;  (* sweeps to the may-raise fixpoint *)
-  ip_escape_rounds : int;  (* sweeps to the parameter-escape fixpoint *)
-}
-
-let alloc_pred f = f.C.f_alloc
-
-let not_hot (n : C.node) = not n.C.nd_hot
 
 let resolve summary alts = List.find_opt (fun k -> Hashtbl.mem summary.S.entries k) alts
 
@@ -117,146 +95,6 @@ let exn_closure summary =
       summary.S.order
   done;
   (tbl, !rounds)
-
-(* Parameter-escape closure: does a value passed to this function
-   possibly outlive the call?  Starts from each node's local verdict
-   ([nd_pescape]: stored/returned/captured, or forwarded somewhere
-   unresolvable) and propagates along forwarding edges; an unknown
-   forwardee escapes. *)
-let pe_closure summary =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt summary.S.entries k with
-      | None -> ()
-      | Some e -> Hashtbl.replace tbl k e.S.e_node.C.nd_pescape)
-    summary.S.order;
-  let rounds = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun k ->
-        match Hashtbl.find_opt summary.S.entries k with
-        | None -> ()
-        | Some e ->
-            let cur = match Hashtbl.find_opt tbl k with Some b -> b | None -> false in
-            if not cur then
-              let nf =
-                List.exists
-                  (fun alts ->
-                    match resolve summary alts with
-                    | Some k' -> (
-                        match Hashtbl.find_opt tbl k' with Some b -> b | None -> true)
-                    | None -> true (* unknown forwardee: assume it retains *))
-                  e.S.e_node.C.nd_pfwd
-              in
-              if nf then begin
-                Hashtbl.replace tbl k true;
-                changed := true
-              end)
-      summary.S.order
-  done;
-  (tbl, !rounds)
-
-(* ---------------------------------------------------------------- S1 v2 *)
-
-let s1v2 summary (g : C.unit_graph) =
-  (* one finding per (hot function, callee): the first call site in
-     source order speaks for every repeat of the same delegation *)
-  let sites =
-    List.sort
-      (fun (a : C.hot_site) (b : C.hot_site) ->
-        compare (a.C.hs_fn, a.C.hs_line, a.C.hs_col) (b.C.hs_fn, b.C.hs_line, b.C.hs_col))
-      g.C.ug_hot_sites
-  in
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (site : C.hot_site) ->
-      let repr =
-        match site.C.hs_builtin with
-        | Some k -> Some k
-        | None -> ( match site.C.hs_callee with k :: _ -> Some k | [] -> None)
-      in
-      match repr with
-      | None -> None
-      | Some repr ->
-          if Hashtbl.mem seen (site.C.hs_fn, repr) then None
-          else begin
-            Hashtbl.replace seen (site.C.hs_fn, repr) ();
-            match site.C.hs_builtin with
-            | Some (m, fn) ->
-                Some
-                  (F.v ~path:g.C.ug_path ~line:site.C.hs_line ~col:site.C.hs_col ~rule:"S1"
-                     (Printf.sprintf
-                        "`%s.%s` in the hot loop of `%s` allocates per iteration: hoist it out \
-                         or reuse a preallocated buffer"
-                        m fn site.C.hs_fn))
-            | None -> (
-                match S.find summary site.C.hs_callee with
-                | Some e when not_hot e.S.e_node && e.S.e_facts.C.f_alloc ->
-                    let keys =
-                      S.witness_keys summary
-                        ~root:e.S.e_node.C.nd_key
-                        ~through:not_hot ~pred:alloc_pred
-                    in
-                    let chain = String.concat " -> " (List.map S.pp_key keys) in
-                    let flow =
-                      F.step ~path:g.C.ug_path ~line:site.C.hs_line
-                        (Printf.sprintf "call in the hot loop of `%s`" site.C.hs_fn)
-                      :: chain_steps summary keys
-                           ~text:(fun k -> Printf.sprintf "`%s` allocates per call" (S.pp_key k))
-                    in
-                    Some
-                      (F.v ~path:g.C.ug_path ~line:site.C.hs_line ~col:site.C.hs_col ~rule:"S1"
-                         ~flow
-                         (Printf.sprintf
-                            "call in the hot loop of `%s` allocates per iteration (via %s): \
-                             hoist the allocation or restructure the callee"
-                            site.C.hs_fn chain))
-                | _ -> None)
-          end)
-    sites
-
-(* ---------------------------------------------------------------- S1 v3 *)
-
-let s1v3 summary ~pe (g : C.unit_graph) =
-  List.filter_map
-    (fun (site : C.alloc_site) ->
-      let escapes alts =
-        match resolve summary alts with
-        | Some k -> ( match Hashtbl.find_opt pe k with Some b -> b | None -> true)
-        | None -> true
-      in
-      if List.exists escapes site.C.al_callees then None
-      else
-        let callees =
-          List.filter_map (resolve summary) site.C.al_callees |> List.sort_uniq compare
-        in
-        let via =
-          match callees with
-          | [] -> ""
-          | ks ->
-              Printf.sprintf " (callees %s do not retain it)"
-                (String.concat ", " (List.map (fun k -> "`" ^ S.pp_key k ^ "`") ks))
-        in
-        let flow =
-          F.step ~path:g.C.ug_path ~line:site.C.al_line
-            (Printf.sprintf "`%s` allocated here each iteration" site.C.al_var)
-          :: chain_steps summary callees
-               ~text:(fun k ->
-                 Printf.sprintf "`%s` receives `%s` and does not retain it" (S.pp_key k)
-                   site.C.al_var)
-        in
-        Some
-          (F.v ~path:g.C.ug_path ~line:site.C.al_line ~col:site.C.al_col ~rule:"S1" ~flow
-             (Printf.sprintf
-                "%s bound to `%s` in the hot loop of `%s` never escapes the iteration (not \
-                 stored, returned or captured)%s: hoist it out of the loop or flatten it into \
-                 scalars"
-                site.C.al_kind site.C.al_var site.C.al_fn via)))
-    g.C.ug_alloc_sites
 
 (* ---------------------------------------------------------------- S2 v2 *)
 
@@ -373,9 +211,7 @@ let s6 summary (g : C.unit_graph) =
               (fun (pred, what) ->
                 if not (pred e.S.e_facts) then None
                 else
-                  let keys =
-                    S.witness_keys summary ~root:n.C.nd_key ~through:(fun _ -> true) ~pred
-                  in
+                  let keys = S.witness_keys summary ~root:n.C.nd_key ~pred in
                   let chain = String.concat " -> " (List.map S.pp_key keys) in
                   let flow =
                     chain_steps summary keys
@@ -401,9 +237,7 @@ let racy_callee summary ~guarded calls =
         | Some e when e.S.e_facts.C.f_gwrite && not e.S.e_facts.C.f_mutex ->
             Some
               ( S.pp_key e.S.e_node.C.nd_key,
-                S.witness_keys summary ~root:e.S.e_node.C.nd_key
-                  ~through:(fun _ -> true)
-                  ~pred:(fun f -> f.C.f_gwrite) )
+                S.witness_keys summary ~root:e.S.e_node.C.nd_key ~pred:(fun f -> f.C.f_gwrite) )
         | _ -> None)
       calls
 
@@ -453,13 +287,8 @@ let s7 summary (g : C.unit_graph) =
 
 (* ------------------------------------------------------------------ all *)
 
+(* the findings plus the sweeps the may-raise fixpoint took *)
 let findings summary ~exports graphs =
   let exn_may, exn_rounds = exn_closure summary in
-  let pe, pe_rounds = pe_closure summary in
-  let per_unit =
-    List.concat_map
-      (fun g -> s1v2 summary g @ s1v3 summary ~pe g @ s6 summary g @ s7 summary g)
-      graphs
-  in
-  let s2 = s2v2 summary ~exn_may exports in
-  (per_unit @ s2, { ip_exn_rounds = exn_rounds; ip_escape_rounds = pe_rounds })
+  let per_unit = List.concat_map (fun g -> s6 summary g @ s7 summary g) graphs in
+  (per_unit @ s2v2 summary ~exn_may exports, exn_rounds)

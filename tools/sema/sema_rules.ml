@@ -7,8 +7,8 @@
    callees do.  S8 goes one step further and runs the [Cfg]/[Dataflow]
    engine per function body, but still within one unit.  Cross-
    function behaviour lives in the summary layer ([Callgraph] +
-   [Summary] + [Sema_interproc]), which powers S1's allocation and
-   escape checks, S2's exception flow, S6 and S7.
+   [Summary] + [Sema_interproc]), which powers S2's exception flow, S6
+   and S7.
    docs/STATIC_ANALYSIS.md documents the split and the limits. *)
 
 open Typedtree
@@ -18,16 +18,10 @@ module F = Report_finding
    every unit digest, so a rules update invalidates the incremental
    cache wholesale and stale cached analyses cannot mask new
    findings. *)
-let analyzer_version = "11"
+let analyzer_version = "12"
 
 let catalog =
   [
-    ( "S1",
-      "hot-path allocation: closures, tuples, lists, arrays or boxed floats in [@@hot] loops \
-       (including, via call-graph summaries, allocations hidden in callees, and record or \
-       constructor literals the escape analysis proves iteration-local); copying Array builtins \
-       or Bigarray proxy builders anywhere in a [@@hot] body (scalar-kind Bigarray get/set are \
-       allocation-free and stay legal)" );
     ( "S2",
       "exception escape: undocumented exceptions escaping public lib/core / lib/baselines \
        values, tracked interprocedurally through unguarded callee chains" );
@@ -85,8 +79,6 @@ let rec is_float_type ty =
   | Types.Tpoly (ty, []) -> is_float_type ty
   | _ -> false
 
-let is_arrow_type ty = match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
-
 (* ----------------------------------------------------------- attributes *)
 
 let has_attr names attrs =
@@ -112,123 +104,6 @@ let doc_of_attrs attrs =
         | _ -> None)
     attrs
   |> String.concat "\n"
-
-(* ------------------------------------------------------- S1: allocation *)
-
-(* Inside the for/while bodies of a [@@hot] function, flag the
-   allocations the typechecker can prove: closures (syntactic [fun]
-   and partial applications, whose type is still an arrow), tuples,
-   list cells, arrays, and floats boxed by being passed to [ref] or
-   stored under a non-float-array constructor. *)
-let scan_hot_loop_body ~path ~fname add body =
-  let alloc loc what =
-    add
-      (F.make ~path ~loc ~rule:"S1"
-         (Printf.sprintf "%s in the hot loop of `%s`: hoist it out or restructure (S1 bans \
-                          closures, tuples, lists, arrays and boxed floats in `[@@hot]` loops)"
-            what fname))
-  in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_function _ -> alloc e.exp_loc "closure allocated"
-          | Texp_apply (_, _) when is_arrow_type e.exp_type ->
-              alloc e.exp_loc "partial application allocates a closure"
-          | Texp_tuple _ -> alloc e.exp_loc "tuple allocated"
-          | Texp_array _ -> alloc e.exp_loc "array allocated"
-          | Texp_construct (_, cd, args) ->
-              if cd.Types.cstr_name = "::" then alloc e.exp_loc "list cell allocated"
-              else if List.exists (fun a -> is_float_type a.exp_type) args then
-                alloc e.exp_loc
-                  (Printf.sprintf "constructor `%s` boxes a float argument" cd.Types.cstr_name)
-          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, (_, Some arg) :: _)
-            when path_is p "Stdlib.ref" && is_float_type arg.exp_type ->
-              alloc e.exp_loc "`ref` of a float allocates a box per iteration"
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it body
-
-(* Anywhere in a [@@hot] body — not only inside its loops — a call to
-   one of the copying Array builtins is a per-call allocation the hot
-   path must not pay; the classic miss was an [Array.copy] at
-   function-body level of a push function called once per request,
-   which the loop-only scan above cannot see.  [Array.make]/[init]
-   stay legal: sizing fresh state in the setup section of a hot
-   function is routine. *)
-let array_copy_builtins = [ "copy"; "append"; "sub"; "of_list"; "concat" ]
-
-(* Bigarray views: [sub]/[slice_*] build a fresh custom block (a
-   proxy) on every call, so hot bodies must index into the backing
-   array instead.  Scalar-kind [get]/[set]/[unsafe_get]/[unsafe_set]
-   are deliberately *not* flagged anywhere in S1 (here or in the
-   call-graph summaries): full applications compile to unboxed
-   loads/stores — the int32/float box fuses away in Cmm — which is
-   exactly the discipline Streaming_dp's packed rows rely on. *)
-let bigarray_proxy_builtins = [ "sub"; "sub_left"; "sub_right"; "slice_left"; "slice_right" ]
-
-let scan_hot_body ~path ~fname add body =
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _ :: _) -> (
-              match use_of_path p with
-              | Some (("Array" | "ArrayLabels"), fn) when List.mem fn array_copy_builtins ->
-                  add
-                    (F.make ~path ~loc:e.exp_loc ~rule:"S1"
-                       (Printf.sprintf
-                          "`Array.%s` in the body of hot `%s` allocates a fresh array per call: \
-                           reuse a preallocated buffer (`Array.blit`) instead"
-                          fn fname))
-              | Some ((("Array1" | "Array2" | "Array3" | "Genarray") as md), fn)
-                when List.mem fn bigarray_proxy_builtins ->
-                  add
-                    (F.make ~path ~loc:e.exp_loc ~rule:"S1"
-                       (Printf.sprintf
-                          "`Bigarray.%s.%s` in the body of hot `%s` allocates a fresh bigarray \
-                           proxy per call: index into the backing array directly (scalar-kind \
-                           get/set are allocation-free)"
-                          md fn fname))
-              | _ -> ())
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it body
-
-let check_s1 ~path add structure =
-  let scan_binding vb =
-    let fname =
-      match vb.vb_pat.pat_desc with Tpat_var (id, _) -> Ident.name id | _ -> "<binding>"
-    in
-    scan_hot_body ~path ~fname add vb.vb_expr;
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr =
-          (fun self e ->
-            (match e.exp_desc with
-            | Texp_for (_, _, _, _, _, body) -> scan_hot_loop_body ~path ~fname add body
-            | Texp_while (_, body) -> scan_hot_loop_body ~path ~fname add body
-            | _ -> ());
-            Tast_iterator.default_iterator.expr self e);
-      }
-    in
-    it.expr it vb.vb_expr
-  in
-  List.iter
-    (fun item ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) -> List.iter (fun vb -> if is_hot vb then scan_binding vb) vbs
-      | _ -> ())
-    structure.str_items
 
 (* ------------------------------------- S5: observability discipline *)
 
@@ -382,7 +257,7 @@ module S8_lock_lattice = struct
 end
 
 module S8_lock_flow = Dataflow.Make (S8_lock_lattice)
-module S8_res_flow = Dataflow.Make (Callgraph.EscapeLattice)
+module S8_res_flow = Dataflow.Make (Callgraph.StrSetLattice)
 
 let s8_first_positional args =
   List.find_map (function Asttypes.Nolabel, (Some _ as a) -> a | _ -> None) args
@@ -531,7 +406,7 @@ let check_s8 ~path add structure =
     blocks := !blocks + Cfg.n_blocks cfg;
     (* ---------------- lock balance ---------------- *)
     let lock_res =
-      S8_lock_flow.solve Dataflow.Forward cfg ~init:(S8_lock_lattice.Locks [])
+      S8_lock_flow.solve cfg ~init:(S8_lock_lattice.Locks [])
         ~transfer:s8_lock_transfer
     in
     iters := !iters + lock_res.S8_lock_flow.iterations;
@@ -625,9 +500,7 @@ let check_s8 ~path add structure =
             List.fold_left (fun f id -> Callgraph.StrSet.remove (Ident.unique_name id) f) fact ids
         | `Keep -> fact
       in
-      let res =
-        S8_res_flow.solve Dataflow.Forward cfg ~init:Callgraph.StrSet.empty ~transfer
-      in
+      let res = S8_res_flow.solve cfg ~init:Callgraph.StrSet.empty ~transfer in
       iters := !iters + res.S8_res_flow.iterations;
       let exc_open = res.S8_res_flow.facts_in.(cfg.Cfg.cf_exc_exit) in
       let ret_open = res.S8_res_flow.facts_in.(cfg.Cfg.cf_exit) in
@@ -871,7 +744,6 @@ let s4_exempt path = Filename.check_suffix (F.normalize_path path) "prelude/stat
 let check_implementation ~ml_path structure =
   let findings = ref [] in
   let add f = findings := f :: !findings in
-  check_s1 ~path:ml_path add structure;
   check_s5 ~path:ml_path add structure;
   let s8_blocks, s8_iters = check_s8 ~path:ml_path add structure in
   if not (s4_exempt ml_path) then check_s4 ~path:ml_path add structure;

@@ -5,14 +5,7 @@
    gain bits, so iterating to stability handles mutually recursive
    SCCs without computing them explicitly.  Iteration walks a sorted
    key list (never Hashtbl order) so the result is bit-identical
-   whatever order the cmts were produced or scanned in.
-
-   One deliberate cutoff: allocation does not propagate *through*
-   [@@hot] callees.  A hot function is already certified allocation-
-   disciplined by the local S1 pass and the perf gate, so a hot caller
-   delegating to [Streaming_dp.push] is not re-charged for push's
-   amortised internals.  Ambient effects still flow through hot
-   callees unchanged. *)
+   whatever order the cmts were produced or scanned in. *)
 
 module C = Callgraph
 
@@ -31,20 +24,17 @@ type t = {
 let find t alternatives = List.find_map (fun k -> Hashtbl.find_opt t.entries k) alternatives
 
 (* key collisions (same (module, name) in two units, e.g. the [main]
-   of several executables) merge conservatively: facts, edges, raises
-   and escape verdicts union, hot if either side was *)
+   of several executables) merge conservatively: facts, edges and
+   raises union *)
 let merge a b =
   {
     e_node =
       {
         a.e_node with
-        C.nd_hot = a.e_node.C.nd_hot || b.C.nd_hot;
-        nd_facts = C.union a.e_node.C.nd_facts b.C.nd_facts;
+        C.nd_facts = C.union a.e_node.C.nd_facts b.C.nd_facts;
         nd_candidate = a.e_node.C.nd_candidate || b.C.nd_candidate;
         nd_raises = a.e_node.C.nd_raises @ b.C.nd_raises;
         nd_unguarded = a.e_node.C.nd_unguarded @ b.C.nd_unguarded;
-        nd_pescape = a.e_node.C.nd_pescape || b.C.nd_pescape;
-        nd_pfwd = a.e_node.C.nd_pfwd @ b.C.nd_pfwd;
       };
     e_callees = a.e_callees @ b.C.nd_calls;
     e_facts = C.no_facts;
@@ -86,14 +76,7 @@ let build graphs =
             let nf =
               List.fold_left
                 (fun acc alts ->
-                  match find t alts with
-                  | None -> acc
-                  | Some ce ->
-                      let inherited =
-                        if ce.e_node.C.nd_hot then { ce.e_facts with C.f_alloc = false }
-                        else ce.e_facts
-                      in
-                      C.union acc inherited)
+                  match find t alts with None -> acc | Some ce -> C.union acc ce.e_facts)
                 e.e_facts e.e_callees
             in
             if nf <> e.e_facts then begin
@@ -162,9 +145,8 @@ let pp_key (m, v) = m ^ "." ^ v
 
 (* Shortest call chain from [root] to a node whose *local* facts
    satisfy [pred]: BFS in recorded-edge order, which is syntactic and
-   therefore deterministic.  [through] prunes edges the fixpoint also
-   ignored (the hot-callee allocation cutoff). *)
-let witness_keys t ~root ~through ~pred =
+   therefore deterministic. *)
+let witness_keys t ~root ~pred =
   let seen = Hashtbl.create 64 in
   let rec bfs = function
     | [] -> None
@@ -181,17 +163,11 @@ let witness_keys t ~root ~through ~pred =
                 let next =
                   List.filter_map
                     (fun alts ->
-                      match find t alts with
-                      | Some ce when through ce.e_node ->
-                          List.find_opt (fun k -> Hashtbl.mem t.entries k) alts
-                          |> Option.map (fun k -> (k, path))
-                      | _ -> None)
+                      List.find_opt (fun k -> Hashtbl.mem t.entries k) alts
+                      |> Option.map (fun k -> (k, path)))
                     e.e_callees
                 in
                 bfs (rest @ next)
         end)
   in
   match bfs [ (root, []) ] with Some keys -> keys | None -> [ root ]
-
-let witness t ~root ~through ~pred =
-  String.concat " -> " (List.map pp_key (witness_keys t ~root ~through ~pred))
