@@ -6,7 +6,7 @@
 BUILD := _build/default
 SARIF := _build/sarif
 
-.PHONY: all build test lint sema sema-self sarif check bench bench-dp bench-json bench-baseline perf-gate bench-sema trace metrics-demo audit-demo clean
+.PHONY: all build test lint sema sema-self sarif check bench-baseline perf-gate bench-sema trace metrics-demo audit-demo clean
 
 all: build
 
@@ -41,31 +41,19 @@ sarif: build
 
 check: build test sarif sema-self audit-demo
 
-bench: build
-	dune exec bench/main.exe -- quick
-
-# kernel-only subset: the offline DP group, the gated streaming push,
-# and the direct word/memo probes — for tight loops on the hot paths
-bench-dp: build
-	dune exec bench/main.exe -- dp
-
-# machine-readable timing/allocation snapshot (see docs/PERFORMANCE.md)
-bench-json: build
-	dune exec bench/main.exe -- quick json BENCH_results.json
-
-# refresh the committed baseline the perf gate compares against
+# record the push-time baseline the perf gate compares against
 bench-baseline: build
-	dune exec bench/main.exe -- quick json BENCH_baseline.json
+	dune exec bench/perf_gate.exe -- --record
 
 # fail on >25% regression of the streaming-push hot path vs the baseline
 perf-gate: build
 	dune exec bench/perf_gate.exe
 
-# Chrome/Perfetto trace of the quick bench suite (see
+# Chrome/Perfetto trace of the quick experiment tables (see
 # docs/OBSERVABILITY.md)
 trace: build
 	mkdir -p _build/trace
-	dune exec bench/main.exe -- quick --trace _build/trace/quick.json
+	dune exec bin/dcache.exe -- experiments --quick --trace-json _build/trace/quick.json
 	@echo "trace written to _build/trace/quick.json (load in chrome://tracing or ui.perfetto.dev)"
 
 # end-to-end metrics loop: serve the simulated workload on an

@@ -1,10 +1,8 @@
-(* Shared measurement plumbing for bench/main.exe and
-   bench/perf_gate.exe: the bechamel configuration, the canonical
-   streaming-push benchmark the regression gate tracks, the timing
-   probes behind the gate's other time budgets, the direct
-   minor-words-per-push probe recorded in the JSON reports, and the
-   git revision stamped into BENCH_results.json.  Word budgets are
-   tier-1 tests, not gate checks. *)
+(* The measurements behind bench/perf_gate.exe: the gated
+   streaming-push workload and its bechamel timing, the probes behind
+   the gate's other time budgets, and the git revision stamped into a
+   recorded baseline.  Word budgets are tier-1 tests, not gate
+   checks. *)
 
 open Bechamel
 open Toolkit
@@ -22,74 +20,45 @@ let random_instance seed ~m ~n =
   in
   Sequence.create_exn ~m requests
 
+(* scheduler noise only ever inflates a timing, so the minimum of a
+   few runs is the robust estimate *)
+let min3 f = Float.min (f ()) (Float.min (f ()) (f ()))
+
 (* ------------------------------------------------ the gated benchmark *)
 
-let push_group = "extensions"
 let push_name = "streaming push x1000 m=6"
 
-let streaming_push_test () =
+(* 1 000 pushes (m = 6, seed 8) into a fresh stream.  The bechamel
+   case times it and the gate's failure trace replays it, so the trace
+   counts exactly what was timed. *)
+let push_workload () =
   let seq = random_instance 8 ~m:6 ~n:1000 in
-  Test.make ~name:push_name
-    (Staged.stage (fun () ->
-         let stream = Streaming_dp.create model ~m:6 in
-         for i = 1 to Sequence.n seq do
-           Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
-         done;
-         ignore (Streaming_dp.cost stream)))
+  fun () ->
+    let stream = Streaming_dp.create model ~m:6 in
+    for i = 1 to Sequence.n seq do
+      Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+    done;
+    ignore (Streaming_dp.cost stream)
 
-(* Minor words per [Streaming_dp.push] after 4 096 warm pushes: the
-   caller-side box of the [~time] float argument, 2 words.  Recorded in
-   the JSON reports; the tier-1 test [streaming: push allocation
-   budget] holds it to 3. *)
-let words_per_push () =
-  let m = 8 in
-  let n_warm = 4096 and n_measure = 16384 in
-  let rng = Dcache_prelude.Rng.create 2024 in
-  let total = n_warm + n_measure in
-  let servers = Array.init total (fun _ -> Dcache_prelude.Rng.int rng m) in
-  let times = Array.make total 0.0 in
-  let clock = ref 0.0 in
-  for i = 0 to total - 1 do
-    clock := !clock +. Dcache_prelude.Rng.float_in rng 0.1 1.0;
-    times.(i) <- !clock
-  done;
-  let stream = Streaming_dp.create model ~m in
-  for i = 0 to n_warm - 1 do
-    Streaming_dp.push stream ~server:servers.(i) ~time:times.(i)
-  done;
-  let before = Gc.minor_words () in
-  for i = n_warm to total - 1 do
-    Streaming_dp.push stream ~server:servers.(i) ~time:times.(i)
-  done;
-  let after = Gc.minor_words () in
-  (after -. before) /. float_of_int n_measure
+let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
 
-(* ------------------------------------------- reconstruction words *)
+(* bechamel's OLS estimate of one run of the workload, ns; nan when
+   the fit fails *)
+let push_run_ns () =
+  let test = Test.make ~name:push_name (Staged.stage (push_workload ())) in
+  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  match Hashtbl.find_opt (Analyze.all ols Instance.monotonic_clock raw) push_name with
+  | Some result -> (
+      match Analyze.OLS.estimates result with Some [ v ] -> v | Some _ | None -> nan)
+  | None -> nan
 
-(* The `reconstruct` bench entry re-derives the schedule of one solved
-   instance over and over — exactly the memoised warm path: the solver
-   state is append-only, so [Streaming_dp.schedule] returns the cached
-   physically-equal schedule without re-walking.  Printed by
-   [main.exe dp]; the tier-1 tests [streaming: warm reconstruction is
-   allocation-free] and [offline: allocation budgets on the ledger
-   workloads] hold the warm and cold walks to their budgets. *)
-let reconstruct_minor_words () =
-  let seq = random_instance 1 ~m:8 ~n:1000 in
-  let r = Offline_dp.solve model seq in
-  (* cold call: fills the memo and the preallocated walk buffers *)
-  ignore (Offline_dp.schedule r);
-  let iters = 64 in
-  let calib =
-    let b0 = Gc.minor_words () in
-    let b1 = Gc.minor_words () in
-    b1 -. b0
-  in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    ignore (Offline_dp.schedule r)
-  done;
-  let w1 = Gc.minor_words () in
-  Float.max 0.0 ((w1 -. w0 -. calib) /. float_of_int iters)
+(* The figure the gate compares and [perf_gate --record] writes: the
+   minimum over three 0.5 s bechamel runs, skipping failed fits;
+   infinity when all three fail. *)
+let push_ns () =
+  let finite_or_inf ns = if Float.is_finite ns then ns else infinity in
+  min3 (fun () -> finite_or_inf (push_run_ns ()))
 
 (* ------------------------------------------- solve memo cold vs warm *)
 
@@ -107,35 +76,21 @@ type memo_cost = {
 let solve_memo_cost () =
   let seq = random_instance 3 ~m:64 ~n:1000 in
   let clock = Dcache_obs.Clock.monotonic () in
-  let min3 f =
-    ignore (f ());
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let v = f () in
-      if v < !best then best := v
-    done;
-    !best
-  in
-  let cold_iters = 4 in
-  let cold_run () =
+  let timed ~iters f () =
     let t0 = Dcache_obs.Clock.now clock in
-    for _ = 1 to cold_iters do
-      ignore (Offline_dp.cost (Offline_dp.solve model seq))
+    for _ = 1 to iters do
+      ignore (Offline_dp.cost (f ()))
     done;
-    float_of_int (Dcache_obs.Clock.now clock - t0)
+    float_of_int (Dcache_obs.Clock.now clock - t0) /. float_of_int iters
   in
-  let cold_ns = min3 cold_run /. float_of_int cold_iters in
+  let cold_run = timed ~iters:4 (fun () -> Offline_dp.solve model seq) in
+  ignore (cold_run ());
+  let cold_ns = min3 cold_run in
   Solve_cache.clear ();
   ignore (Solve_cache.solve model seq);
-  let warm_iters = 64 in
-  let warm_run () =
-    let t0 = Dcache_obs.Clock.now clock in
-    for _ = 1 to warm_iters do
-      ignore (Offline_dp.cost (Solve_cache.solve model seq))
-    done;
-    float_of_int (Dcache_obs.Clock.now clock - t0)
-  in
-  let warm_ns = min3 warm_run /. float_of_int warm_iters in
+  let warm_run = timed ~iters:64 (fun () -> Solve_cache.solve model seq) in
+  ignore (warm_run ());
+  let warm_ns = min3 warm_run in
   { cold_ns; warm_ns; speedup = (if warm_ns > 0.0 then cold_ns /. warm_ns else infinity) }
 
 (* ------------------------------------------ no-op observability cost *)
@@ -181,25 +136,15 @@ let measure_obs_cost () =
     done;
     float_of_int (Dcache_obs.Clock.now clock - t0)
   in
-  (* warm both loops, then take the min of 3: scheduler noise only
-     ever inflates a timing *)
+  (* warm both loops before timing *)
   ignore (probe_loop ());
   ignore (baseline_loop ());
-  let min3 f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let v = f () in
-      if v < !best then best := v
-    done;
-    !best
-  in
   let probe_total = min3 probe_loop in
   let base_total = min3 baseline_loop in
   let per_iter total = total /. float_of_int iters in
   let probe_ns = Float.max 0.0 (per_iter probe_total -. per_iter base_total) in
   ignore !hits;
-  (* an instrumented push, measured the same direct way as
-     [words_per_push] *)
+  (* an instrumented push, timed directly after 4 096 warm pushes *)
   let m = 6 in
   let n_warm = 4096 and n_measure = 16384 in
   let rng = Dcache_prelude.Rng.create 2025 in
@@ -248,14 +193,12 @@ type labeled_cost = {
   resolve_ns : float;  (* per re-resolution of an existing child *)
 }
 
-let labeled_vec () = Obs.counter_vec "bench.labeled" ~labels:[ "lane" ]
-
 let measure_labeled_cost () =
   (* bump under a live recording sink: the cell is actually written *)
   let r = Obs.recorder () in
   Obs.set_sink (Obs.Recording r);
   let clock = Dcache_obs.Clock.monotonic () in
-  let v = labeled_vec () in
+  let v = Obs.counter_vec "bench.labeled" ~labels:[ "lane" ] in
   let c = Obs.counter_with_label v "hot" in
   let iters = 2_000_000 in
   let bump_loop () =
@@ -264,14 +207,6 @@ let measure_labeled_cost () =
     done
   in
   bump_loop ();
-  let min3 f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t = f () in
-      if t < !best then best := t
-    done;
-    !best
-  in
   let bump_run () =
     let t0 = Dcache_obs.Clock.now clock in
     bump_loop ();
@@ -293,20 +228,6 @@ let measure_labeled_cost () =
   let resolve_ns = min3 resolve_run /. float_of_int r_iters in
   Obs.set_sink Obs.Noop;
   { bump_ns; resolve_ns }
-
-(* The bechamel-tracked shape of the same path: resolve + bump per
-   iteration, i.e. the cost of doing it the way S5 forbids — kept in
-   the timing report so the interning step has a trend line. *)
-let labeled_group = "obs"
-let labeled_name = "labeled resolve+bump x1000"
-
-let labeled_test () =
-  let v = labeled_vec () in
-  Test.make ~name:labeled_name
-    (Staged.stage (fun () ->
-         for _ = 1 to 1000 do
-           Obs.incr (Obs.counter_with_label v "hot")
-         done))
 
 (* ---------------------------------------- recording-mode span budget *)
 
@@ -343,60 +264,22 @@ let measure_recording_cost () =
     float_of_int (Dcache_obs.Clock.now clock - t0)
   in
   ignore (timed ());
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let v = timed () in
-    if v < !best then best := v
-  done;
+  let best = min3 timed in
   Obs.set_sink Obs.Noop;
   ignore !work;
-  { span_ns = !best /. float_of_int iters }
-
-(* ----------------------------------------------------- measurement *)
-
-type row = { name : string; ns_per_run : float; minor_words_per_run : float }
-
-let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-
-let measure test =
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
-  let raw = Benchmark.all cfg instances test in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let time = Analyze.all ols Instance.monotonic_clock raw in
-  let words = Analyze.all ols Instance.minor_allocated raw in
-  let estimate table name =
-    match Hashtbl.find_opt table name with
-    | Some result -> (
-        match Analyze.OLS.estimates result with Some [ v ] -> v | Some _ | None -> nan)
-    | None -> nan
-  in
-  (* dcache-lint: allow R1 — fold order is immediately erased by the sort below *)
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) time [] in
-  let names = List.sort String.compare names in
-  List.map
-    (fun name -> { name; ns_per_run = estimate time name; minor_words_per_run = estimate words name })
-    names
-
-(* bechamel names grouped elements "<group>/<name>"; the JSON report
-   keeps the two separate. *)
-let strip_group ~group name =
-  let prefix = group ^ "/" in
-  let pl = String.length prefix in
-  if String.length name > pl && String.equal (String.sub name 0 pl) prefix then
-    String.sub name pl (String.length name - pl)
-  else name
+  { span_ns = best /. float_of_int iters }
 
 (* ------------------------------------------------------- git revision *)
 
+(* HEAD's commit id, suffixed "-dirty" when tracked files differ from
+   it (a baseline recorded before its change is committed); "unknown"
+   outside a git checkout *)
 let git_rev () =
-  let line path = try In_channel.with_open_text path In_channel.input_line with _ -> None in
-  match line ".git/HEAD" with
-  | None -> "unknown"
-  | Some head -> (
-      let head = String.trim head in
-      if String.length head >= 5 && String.equal (String.sub head 0 5) "ref: " then
-        let r = String.sub head 5 (String.length head - 5) in
-        match line (Filename.concat ".git" r) with
-        | Some h -> String.trim h
-        | None -> "unknown"
-      else head)
+  match
+    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+    let line = In_channel.input_line ic in
+    (Unix.close_process_in ic, line)
+  with
+  | Unix.WEXITED 0, Some rev ->
+      if Sys.command "git diff --quiet HEAD 2>/dev/null" = 0 then rev else rev ^ "-dirty"
+  | _ | (exception _) -> "unknown"

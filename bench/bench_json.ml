@@ -1,8 +1,8 @@
-(* Minimal JSON for the bench trajectory: emission and parsing of
-   BENCH_results.json / BENCH_baseline.json.  The container carries no
-   JSON library and the format is ours, so this implements exactly the
-   subset the harness emits: objects, arrays, strings, finite numbers,
-   booleans and null (null carries non-finite measurements). *)
+(* Minimal JSON reading for the bench tools, and the perf gate's
+   baseline file.  The repo takes no JSON library dependency, so
+   [of_string] parses exactly what the tools read — BENCHMARK.json,
+   Chrome traces from [Obs.chrome_json] and BENCH_baseline.json:
+   objects, arrays, strings, numbers, booleans and null. *)
 
 type value =
   | Null
@@ -11,67 +11,6 @@ type value =
   | Str of string
   | Arr of value list
   | Obj of (string * value) list
-
-(* ------------------------------------------------------------- emission *)
-
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let rec emit b ~indent v =
-  let pad n = Buffer.add_string b (String.make n ' ') in
-  match v with
-  | Null -> Buffer.add_string b "null"
-  | Bool x -> Buffer.add_string b (if x then "true" else "false")
-  | Num x ->
-      if Float.is_finite x then Buffer.add_string b (Printf.sprintf "%.9g" x)
-      else Buffer.add_string b "null"
-  | Str s ->
-      Buffer.add_char b '"';
-      escape b s;
-      Buffer.add_char b '"'
-  | Arr [] -> Buffer.add_string b "[]"
-  | Arr items ->
-      Buffer.add_string b "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string b ",\n";
-          pad (indent + 2);
-          emit b ~indent:(indent + 2) item)
-        items;
-      Buffer.add_char b '\n';
-      pad indent;
-      Buffer.add_char b ']'
-  | Obj [] -> Buffer.add_string b "{}"
-  | Obj fields ->
-      Buffer.add_string b "{\n";
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_string b ",\n";
-          pad (indent + 2);
-          Buffer.add_char b '"';
-          escape b k;
-          Buffer.add_string b "\": ";
-          emit b ~indent:(indent + 2) item)
-        fields;
-      Buffer.add_char b '\n';
-      pad indent;
-      Buffer.add_char b '}'
-
-let to_string v =
-  let b = Buffer.create 4096 in
-  emit b ~indent:0 v;
-  Buffer.add_char b '\n';
-  Buffer.contents b
 
 (* -------------------------------------------------------------- parsing *)
 
@@ -126,7 +65,7 @@ let of_string s =
               if !pos + 4 > n then parse_error "truncated \\u escape";
               let code = int_of_string ("0x" ^ String.sub s !pos 4) in
               pos := !pos + 4;
-              (* the emitter only writes \u for control bytes *)
+              (* [Obs.escape_json] only writes \u for control bytes *)
               Buffer.add_char b (Char.chr (code land 0xff));
               go ()
           | _ -> parse_error "bad escape at offset %d" !pos)
@@ -218,179 +157,37 @@ let to_str = function Some (Str s) -> Some s | _ -> None
 
 let to_list = function Some (Arr items) -> Some items | _ -> None
 
-(* ------------------------------------------------------- report schema *)
+(* ----------------------------------------------- perf-gate baseline *)
 
-type entry = {
-  group : string;
-  name : string;
-  ns_per_run : float;
-  mops_per_sec : float;
-  minor_words_per_run : float;
-}
+type baseline = { git_rev : string; case : string; ns_per_run : float }
 
-(* span-duration quantile summary (ns), read back from the log-scale
-   Obs histograms at end of run *)
-type quantile_summary = {
-  q_count : int;
-  q_sum_ns : float;
-  q_p50 : float;
-  q_p90 : float;
-  q_p99 : float;
-  q_p999 : float;
-}
+let baseline_schema = "dcache-perf-gate/1"
 
-type report = {
-  schema : string;
-  git_rev : string;
-  domains : int;
-  quick : bool;
-  words_per_push : float;
-  entries : entry list;
-  counters : (string * int) list;
-      (* end-of-run Obs counter snapshot; [] (field omitted) when the
-         run recorded nothing — PR 3 baselines parse unchanged *)
-  quantiles : (string * quantile_summary) list;
-      (* optional for the same reason: spans with at least one
-         recorded duration, [] when not recording or pre-PR 5 *)
-}
+(* %.15g when that reads back to the same float, else %.17g, which
+   always does *)
+let exact_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
 
-let schema_id = "dcache-bench/1"
+(* [git_rev] is a hex commit id and [case] a bench name, printable
+   ASCII, where OCaml's %S escapes are JSON's *)
+let baseline_to_string b =
+  if not (Float.is_finite b.ns_per_run) then
+    invalid_arg "Bench_json.baseline_to_string: ns_per_run must be finite";
+  Printf.sprintf
+    "{\n  \"schema\": %S,\n  \"git_rev\": %S,\n  \"case\": %S,\n  \"ns_per_run\": %s\n}\n"
+    baseline_schema b.git_rev b.case (exact_float b.ns_per_run)
 
-let report_to_value r =
-  Obj
-    ([
-       ("schema", Str r.schema);
-       ("git_rev", Str r.git_rev);
-       ("domains", Num (float_of_int r.domains));
-       ("quick", Bool r.quick);
-       ("streaming_push_minor_words_per_request", Num r.words_per_push);
-       ( "entries",
-         Arr
-           (List.map
-              (fun e ->
-                Obj
-                  [
-                    ("group", Str e.group);
-                    ("name", Str e.name);
-                    ("ns_per_run", Num e.ns_per_run);
-                    ("mops_per_sec", Num e.mops_per_sec);
-                    ("minor_words_per_run", Num e.minor_words_per_run);
-                  ])
-              r.entries) );
-     ]
-    @ (match r.counters with
-      | [] -> []
-      | cs -> [ ("counters", Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) cs)) ])
-    @
-    match r.quantiles with
-    | [] -> []
-    | qs ->
-        [
-          ( "quantiles",
-            Obj
-              (List.map
-                 (fun (k, q) ->
-                   ( k,
-                     Obj
-                       [
-                         ("count", Num (float_of_int q.q_count));
-                         ("sum_ns", Num q.q_sum_ns);
-                         ("p50", Num q.q_p50);
-                         ("p90", Num q.q_p90);
-                         ("p99", Num q.q_p99);
-                         ("p999", Num q.q_p999);
-                       ] ))
-                 qs) );
-        ])
-
-let report_to_string r = to_string (report_to_value r)
-
-let entry_of_value v =
-  match
-    ( to_str (member "group" v),
-      to_str (member "name" v),
-      to_float (member "ns_per_run" v),
-      to_float (member "mops_per_sec" v),
-      to_float (member "minor_words_per_run" v) )
-  with
-  | Some group, Some name, Some ns_per_run, Some mops_per_sec, Some minor_words_per_run ->
-      Ok { group; name; ns_per_run; mops_per_sec; minor_words_per_run }
-  | _ -> Error "entry: missing or mistyped field"
-
-let report_of_string text =
+let baseline_of_string text =
   match of_string text with
   | Error e -> Error e
   | Ok v -> (
-      match
-        ( to_str (member "schema" v),
-          to_str (member "git_rev" v),
-          to_float (member "domains" v),
-          member "quick" v,
-          to_float (member "streaming_push_minor_words_per_request" v),
-          to_list (member "entries" v) )
-      with
-      | Some schema, Some git_rev, Some domains, Some (Bool quick), Some words_per_push, Some items
-        ->
-          let rec entries acc = function
-            | [] -> Ok (List.rev acc)
-            | item :: rest -> (
-                match entry_of_value item with
-                | Ok e -> entries (e :: acc) rest
-                | Error _ as e -> e)
-          in
-          let counters =
-            (* optional since dcache-bench/1 + PR 4; absent in older
-               baselines, and non-integer values are rejected *)
-            match member "counters" v with
-            | Some (Obj fields) ->
-                List.filter_map
-                  (fun (k, cv) ->
-                    match cv with
-                    | Num f when Float.is_finite f && Float.equal (Float.round f) f ->
-                        Some (k, int_of_float f)
-                    | _ -> None)
-                  fields
-            | Some _ | None -> []
-          in
-          let quantile_of_value qv =
-            match
-              ( to_float (member "count" qv),
-                to_float (member "sum_ns" qv),
-                to_float (member "p50" qv),
-                to_float (member "p90" qv),
-                to_float (member "p99" qv),
-                to_float (member "p999" qv) )
-            with
-            | Some c, Some q_sum_ns, Some q_p50, Some q_p90, Some q_p99, Some q_p999
-              when Float.is_finite c ->
-                Some { q_count = int_of_float c; q_sum_ns; q_p50; q_p90; q_p99; q_p999 }
-            | _ -> None
-          in
-          let quantiles =
-            (* optional since PR 5; defaulting reader keeps committed
-               baselines parsing *)
-            match member "quantiles" v with
-            | Some (Obj fields) ->
-                List.filter_map
-                  (fun (k, qv) -> Option.map (fun q -> (k, q)) (quantile_of_value qv))
-                  fields
-            | Some _ | None -> []
-          in
-          (match entries [] items with
-          | Ok entries ->
-              Ok
-                {
-                  schema;
-                  git_rev;
-                  domains = int_of_float domains;
-                  quick;
-                  words_per_push;
-                  entries;
-                  counters;
-                  quantiles;
-                }
-          | Error e -> Error e)
-      | _ -> Error "report: missing or mistyped top-level field")
-
-let find_entry report ~group ~name =
-  List.find_opt (fun e -> e.group = group && e.name = name) report.entries
+      match to_str (member "schema" v) with
+      | None -> Error (Printf.sprintf "no schema, expected %S" baseline_schema)
+      | Some schema when not (String.equal schema baseline_schema) ->
+          Error (Printf.sprintf "schema %S, expected %S" schema baseline_schema)
+      | Some _ -> (
+          match (to_str (member "git_rev" v), to_str (member "case" v), member "ns_per_run" v) with
+          | Some git_rev, Some case, Some (Num ns_per_run) when Float.is_finite ns_per_run ->
+              Ok { git_rev; case; ns_per_run }
+          | _ -> Error "a baseline needs string git_rev and case and a finite ns_per_run"))

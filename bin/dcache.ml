@@ -623,12 +623,36 @@ let check_metrics_cmd =
 
 (* ----------------------------------------------------------- experiments *)
 
+module E = Dcache_experiments.Experiments
+
 let experiments_cmd =
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps (for CI).") in
-  let run () quick = Dcache_experiments.Experiments.run_all ~quick () in
+  let names =
+    let known = List.map (fun (name, _) -> (name, name)) E.reports in
+    Arg.(
+      value
+      & pos_all (enum known) []
+      & info [] ~docv:"NAME"
+          ~doc:
+            (Printf.sprintf
+               "Print only the named reports, in the order given (default: all). $(docv) is %s. \
+                The parallel sweeps (E7, E8, E14) run on $(b,DCACHE_DOMAINS) domains (default: \
+                the machine's recommended count); the output is byte-identical at any width."
+               (doc_alts_enum known)))
+  in
+  let run () quick names =
+    (* GC-aware tracing: with a wall-clock recording sink
+       (--trace-json / DCACHE_TRACE), bridge Runtime_events GC phases
+       into the trace.  Installed after the sink, so the LIFO at_exit
+       chain polls the bridge before the trace dump; inert without
+       one. *)
+    ignore (Dcache_obs.Runtime_bridge.install ());
+    let names = if names = [] then List.map fst E.reports else names in
+    List.iter (fun name -> (List.assoc name E.reports) ~quick) names
+  in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate every table and figure of EXPERIMENTS.md")
-    Term.(const run $ obs_term $ quick)
+    Term.(const run $ obs_term $ quick $ names)
 
 let () =
   Dcache_obs.Obs.install_from_env ();

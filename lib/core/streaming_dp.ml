@@ -20,8 +20,8 @@
    [Int32.to_int (Array1.unsafe_get ...)] / [unsafe_set ... (Int32.of_int ...)]
    pairs compile to unboxed loads/stores (Cmm box/unbox fusion), so
    the hot path still performs no per-request boxed allocation; the
-   bench harness asserts the ~2 [Gc.minor_words]/push contract (see
-   bench/bench_cases.ml and docs/PERFORMANCE.md).
+   tier-1 test `streaming: push allocation budget` asserts the ~2
+   [Gc.minor_words]/push contract (see docs/PERFORMANCE.md).
 
    The float columns keep only what cannot be recomputed: [time],
    [big_b], [c] and [d].  sigma_i and b_i are recomputed bit for bit

@@ -11,6 +11,9 @@ let opt_cost model seq = Offline_dp.cost (Offline_dp.solve model seq)
 
 (* ---------------------------------------------------------------- E1 *)
 
+(* E1 — Table I: the classic-vs-cloud-caching contrast, made
+   quantitative: hit ratio and monetary cost of capacity-driven LRU
+   variants vs the cost-driven policies on a mobility trace. *)
 let table1 () =
   header "E1 / Table I — classic (capacity-driven) vs cloud (cost-driven) caching";
   print_string
@@ -73,6 +76,8 @@ let table1 () =
 
 (* ---------------------------------------------------------------- E2 *)
 
+(* E2 — the standard-form schedule of Fig 2 (caching 3.2,
+   transfers 4.0) recomputed by the DP and rendered. *)
 let fig2 () =
   header "E2 / Fig 2 — optimal standard-form schedule (mu = 1, lambda = 1)";
   let model = Instances.fig2_model in
@@ -93,6 +98,8 @@ let fig2 () =
 
 (* ---------------------------------------------------------------- E3 *)
 
+(* E3 — the running example of Fig 6: full [b/B/C/D] vectors, checked
+   against every value stated in the paper's text. *)
 let fig6 () =
   header "E3 / Fig 6 — the running example of Section IV (m = 4, n = 8)";
   let model = Instances.fig6_model in
@@ -136,6 +143,7 @@ let fig6 () =
 
 (* ---------------------------------------------------------------- E4 *)
 
+(* E4 — an SC epoch in the spirit of Fig 7: per-event log. *)
 let fig7 () =
   header "E4 / Fig 7 — one epoch of the online SC algorithm (epoch size 5)";
   let model, seq = Instances.fig7 () in
@@ -165,6 +173,8 @@ let fig7 () =
 
 (* ---------------------------------------------------------------- E5 *)
 
+(* E5 — the DT transformation and V-/H-reductions of Figs 8-9 on the
+   same trace: [Pi(DT) = Pi(SC)], folded weights, reduced bounds. *)
 let fig8 () =
   header "E5 / Figs 8-9 — Double-Transfer schedule and the V-/H-reductions";
   let model, seq = Instances.fig7 () in
@@ -221,6 +231,10 @@ let random_instance rng ~m ~n =
   in
   Sequence.create_exn ~m requests
 
+(* E6 — Theorem 2: wall-clock scaling of the fast [O(mn)] DP vs the
+   quadratic recurrence and the subset-DP exact reference, in both
+   [n] and [m], with fitted log-log exponents.  [quick] shrinks the
+   sweep (used by tests). *)
 let scaling ?(quick = false) () =
   header "E6 / Theorem 2 — scaling of the offline algorithms";
   let model = Cost_model.make ~mu:1.0 ~lambda:2.0 () in
@@ -295,7 +309,12 @@ let scaling ?(quick = false) () =
 
 (* ---------------------------------------------------------------- E7 *)
 
-let ratio ?(quick = false) ?(pool = Pool.get ()) () =
+(* E7 — Theorem 3: empirical competitive ratios of SC across the
+   workload suite and a [lambda/mu] sweep; the maximum must respect
+   the proven bound of 3.  Cells are solved on the shared pool;
+   output is byte-identical at any domain count. *)
+let ratio ?(quick = false) () =
+  let pool = Pool.get () in
   header "E7 / Theorem 3 — empirical competitive ratio of SC (bound: 3)";
   let n = if quick then 120 else 600 in
   let m = 6 in
@@ -358,7 +377,12 @@ let ratio ?(quick = false) ?(pool = Pool.get ()) () =
 
 (* ---------------------------------------------------------------- E8 *)
 
-let optimality ?(quick = false) ?(pool = Pool.get ()) () =
+(* E8 — Theorem 1: agreement of the fast DP with the subset DP and
+   brute force over randomized instances.  Trials derive per-index
+   streams ([Rng.derive]) and run on the shared pool; output is
+   byte-identical at any domain count. *)
+let optimality ?(quick = false) () =
+  let pool = Pool.get () in
   header "E8 / Theorem 1 — optimality of the O(mn) DP against independent exact solvers";
   let trials = if quick then 300 else 3000 in
   let root = Rng.create 31415 in
@@ -407,6 +431,8 @@ let optimality ?(quick = false) ?(pool = Pool.get ()) () =
 
 (* ---------------------------------------------------------------- E9 *)
 
+(* E9 — cost of every online policy normalised to the offline
+   optimum, per workload. *)
 let baselines ?(quick = false) () =
   header "E9 — online policies, cost normalised to the offline optimum";
   let n = if quick then 150 else 600 in
@@ -448,6 +474,9 @@ let baselines ?(quick = false) () =
 
 (* --------------------------------------------------------------- E10 *)
 
+(* E10 — competitive ratio as a function of the speculative window,
+   showing [delta_t = lambda/mu] is the right choice, plus the
+   randomized-window variant. *)
 let ablation ?(quick = false) () =
   header "E10 — ablation: the speculative window (paper's choice: window = lambda/mu)";
   let n = if quick then 150 else 600 in
@@ -517,6 +546,8 @@ let ablation ?(quick = false) () =
 
 (* --------------------------------------------------------------- E11 *)
 
+(* E11 — heterogeneous prices: billing the homogeneous plan at true
+   per-server/per-pair rates vs the exact heterogeneous optimum. *)
 let hetero ?(quick = false) () =
   header "E11 — heterogeneous costs: how far does the homogeneous optimum drift?";
   let m = 5 in
@@ -567,6 +598,8 @@ let hetero ?(quick = false) () =
 
 (* --------------------------------------------------------------- E12 *)
 
+(* E12 — learning-augmented SC: oracle / noisy / log-mining
+   predictors against the standard algorithm. *)
 let predictive ?(quick = false) () =
   header "E12 — learning-augmented SC: predictions of the next local request";
   let m = 6 in
@@ -608,6 +641,8 @@ let predictive ?(quick = false) () =
 
 (* --------------------------------------------------------------- E13 *)
 
+(* E13 — the multi-item Lagrangian planner under caching budgets,
+   with dual optimality gaps. *)
 let budget ?(quick = false) () =
   header "E13 — multi-item catalogue under a caching budget (Lagrangian planner)";
   let m = 5 in
@@ -671,7 +706,13 @@ let budget ?(quick = false) () =
 
 (* --------------------------------------------------------------- E14 *)
 
-let ratio_search ?(quick = false) ?(pool = Pool.get ()) () =
+(* E14 — hill-climbed adversarial instances: the best competitive
+   ratio local search can find, as an empirical lower bound next to
+   the proven upper bound of 3.  Restarts run on the shared pool
+   with derived per-restart streams; output is byte-identical at any
+   domain count. *)
+let ratio_search ?(quick = false) () =
+  let pool = Pool.get () in
   header "E14 — searched lower bound on the competitive ratio (upper bound: 3)";
   let restarts = if quick then 3 else 8 in
   let steps = if quick then 600 else 4000 in
@@ -710,6 +751,9 @@ let ratio_search ?(quick = false) ?(pool = Pool.get ()) () =
 
 (* --------------------------------------------------------------- E15 *)
 
+(* E15 — cost of the exact optimum restricted to k resident copies,
+   as a function of k: where the classic fixed-capacity world meets
+   the paper's dynamic-copy model. *)
 let capacity ?(quick = false) () =
   header "E15 — what copy capacity is worth (fixed-k frontier vs the unbounded optimum)";
   let m = 6 in
@@ -766,19 +810,23 @@ let capacity ?(quick = false) () =
      unbounded optimum actually uses — capacity beyond what cost-optimality wants buys\n\
      nothing, which is the quantitative version of Table I's 'dynamic number' row.\n"
 
-let run_all ?(quick = false) ?(pool = Pool.get ()) () =
-  table1 ();
-  fig2 ();
-  fig6 ();
-  fig7 ();
-  fig8 ();
-  scaling ~quick ();
-  ratio ~quick ~pool ();
-  optimality ~quick ~pool ();
-  baselines ~quick ();
-  ablation ~quick ();
-  hetero ~quick ();
-  predictive ~quick ();
-  budget ~quick ();
-  ratio_search ~quick ~pool ();
-  capacity ~quick ()
+(* every report, by the name [dcache experiments NAME] selects, in
+   EXPERIMENTS.md order *)
+let reports =
+  [
+    ("table1", fun ~quick:_ -> table1 ());
+    ("fig2", fun ~quick:_ -> fig2 ());
+    ("fig6", fun ~quick:_ -> fig6 ());
+    ("fig7", fun ~quick:_ -> fig7 ());
+    ("fig8", fun ~quick:_ -> fig8 ());
+    ("scaling", fun ~quick -> scaling ~quick ());
+    ("ratio", fun ~quick -> ratio ~quick ());
+    ("optimality", fun ~quick -> optimality ~quick ());
+    ("baselines", fun ~quick -> baselines ~quick ());
+    ("ablation", fun ~quick -> ablation ~quick ());
+    ("hetero", fun ~quick -> hetero ~quick ());
+    ("predictive", fun ~quick -> predictive ~quick ());
+    ("budget", fun ~quick -> budget ~quick ());
+    ("ratio_search", fun ~quick -> ratio_search ~quick ());
+    ("capacity", fun ~quick -> capacity ~quick ());
+  ]

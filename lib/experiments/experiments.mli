@@ -1,83 +1,12 @@
-(** Regeneration of every table and figure (experiment index E1-E10 of
-    DESIGN.md).
+(** Regeneration of every table and figure (experiment index E1-E15
+    of DESIGN.md).  The [dcache experiments] CLI subcommand routes
+    here, so EXPERIMENTS.md is regenerated from a single source of
+    truth. *)
 
-    Each function prints one self-contained report to stdout;
-    {!run_all} prints them in order.  The [bench/main.exe] harness and
-    the [dcache experiments] CLI subcommand both route here, so
-    EXPERIMENTS.md is regenerated from a single source of truth. *)
-
-val table1 : unit -> unit
-(** E1 — Table I: the classic-vs-cloud-caching contrast, made
-    quantitative: hit ratio and monetary cost of capacity-driven LRU
-    variants vs the cost-driven policies on a mobility trace. *)
-
-val fig2 : unit -> unit
-(** E2 — the standard-form schedule of Fig 2 (caching 3.2,
-    transfers 4.0) recomputed by the DP and rendered. *)
-
-val fig6 : unit -> unit
-(** E3 — the running example of Fig 6: full [b/B/C/D] vectors, checked
-    against every value stated in the paper's text. *)
-
-val fig7 : unit -> unit
-(** E4 — an SC epoch in the spirit of Fig 7: per-event log. *)
-
-val fig8 : unit -> unit
-(** E5 — the DT transformation and V-/H-reductions of Figs 8-9 on the
-    same trace: [Pi(DT) = Pi(SC)], folded weights, reduced bounds. *)
-
-val scaling : ?quick:bool -> unit -> unit
-(** E6 — Theorem 2: wall-clock scaling of the fast [O(mn)] DP vs the
-    quadratic recurrence and the subset-DP exact reference, in both
-    [n] and [m], with fitted log-log exponents.  [quick] shrinks the
-    sweep (used by tests). *)
-
-val ratio : ?quick:bool -> ?pool:Dcache_prelude.Pool.t -> unit -> unit
-(** E7 — Theorem 3: empirical competitive ratios of SC across the
-    workload suite and a [lambda/mu] sweep; the maximum must respect
-    the proven bound of 3.  Cells are solved on [pool] (default: the
-    shared pool); output is byte-identical at any domain count. *)
-
-val optimality : ?quick:bool -> ?pool:Dcache_prelude.Pool.t -> unit -> unit
-(** E8 — Theorem 1: agreement of the fast DP with the subset DP and
-    brute force over randomized instances.  Trials derive per-index
-    streams ({!Dcache_prelude.Rng.derive}) and run on [pool]; output
-    is byte-identical at any domain count. *)
-
-val baselines : ?quick:bool -> unit -> unit
-(** E9 — cost of every online policy normalised to the offline
-    optimum, per workload. *)
-
-val ablation : ?quick:bool -> unit -> unit
-(** E10 — competitive ratio as a function of the speculative window,
-    showing [delta_t = lambda/mu] is the right choice, plus the
-    randomized-window variant. *)
-
-val run_all : ?quick:bool -> ?pool:Dcache_prelude.Pool.t -> unit -> unit
-(** Every report in order.  The parallel sweeps (E7, E8, E14) run on
-    [pool] — default: the shared {!Dcache_prelude.Pool.get} pool,
-    whose width follows [--domains] / [DCACHE_DOMAINS]. *)
-
-val hetero : ?quick:bool -> unit -> unit
-(** E11 — heterogeneous prices: billing the homogeneous plan at true
-    per-server/per-pair rates vs the exact heterogeneous optimum. *)
-
-val predictive : ?quick:bool -> unit -> unit
-(** E12 — learning-augmented SC: oracle / noisy / log-mining
-    predictors against the standard algorithm. *)
-
-val budget : ?quick:bool -> unit -> unit
-(** E13 — the multi-item Lagrangian planner under caching budgets,
-    with dual optimality gaps. *)
-
-val ratio_search : ?quick:bool -> ?pool:Dcache_prelude.Pool.t -> unit -> unit
-(** E14 — hill-climbed adversarial instances: the best competitive
-    ratio local search can find, as an empirical lower bound next to
-    the proven upper bound of 3.  Restarts run on [pool] with derived
-    per-restart streams; output is byte-identical at any domain
-    count. *)
-
-val capacity : ?quick:bool -> unit -> unit
-(** E15 — cost of the exact optimum restricted to k resident copies,
-    as a function of k: where the classic fixed-capacity world meets
-    the paper's dynamic-copy model. *)
+val reports : (string * (quick:bool -> unit)) list
+(** Every report, E1-E15 in EXPERIMENTS.md order, under the name
+    [dcache experiments NAME] selects.  Each prints one
+    self-contained report to stdout; [~quick:true] shrinks the sweeps
+    (for tests and CI).  The parallel sweeps (E7, E8, E14) run on the
+    shared {!Dcache_prelude.Pool.get} pool, whose width follows
+    [DCACHE_DOMAINS]; their output is byte-identical at any width. *)

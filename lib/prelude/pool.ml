@@ -52,19 +52,10 @@ let env_domains () =
     | Some d when d >= 1 -> Some (clamp d)
     | Some _ | None -> None)
 
-let override = ref None
-
-let set_default_domains d =
-  if d < 1 then invalid_arg "Pool.set_default_domains: need at least one domain";
-  override := Some (clamp d)
-
 let default_domains () =
-  match !override with
+  match env_domains () with
   | Some d -> d
-  | None -> (
-      match env_domains () with
-      | Some d -> d
-      | None -> clamp (Domain.recommended_domain_count ()))
+  | None -> clamp (Domain.recommended_domain_count ())
 
 (* Pull chunks until the window is empty.  Called (and returns) with
    [t.lock] held; the lock is dropped around each chunk body. *)

@@ -20,12 +20,12 @@
     Under that contract [parallel_init p n f] is observationally
     [Array.init n f], just faster.  Everything in
     [lib/experiments] and {!Dcache_workload.Ratio_search} goes through
-    this module so `--domains 1` is always an exact oracle for
-    `--domains k`.
+    this module so [DCACHE_DOMAINS=1] is always an exact oracle for
+    [DCACHE_DOMAINS=k].
 
-    The default width is, in priority order: {!set_default_domains},
-    the [DCACHE_DOMAINS] environment variable, then
-    [Domain.recommended_domain_count ()]; always clamped to [1..64]. *)
+    The default width is the [DCACHE_DOMAINS] environment variable,
+    else [Domain.recommended_domain_count ()]; always clamped to
+    [1..64]. *)
 
 type t
 (** A pool.  One job runs at a time; nesting a parallel region inside
@@ -57,15 +57,9 @@ val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map t f a] is [Array.map f a] over the pool; same
     contract as {!parallel_init}. *)
 
-val set_default_domains : int -> unit
-(** Overrides the default width (the [--domains] flag of the
-    executables).  Takes effect for subsequent {!create}/{!get}.
-    @raise Invalid_argument if the argument is [< 1]. *)
-
 val default_domains : unit -> int
-(** Current default width: {!set_default_domains} override, else
-    [DCACHE_DOMAINS], else [Domain.recommended_domain_count ()],
-    clamped to [1..64]. *)
+(** Current default width: [DCACHE_DOMAINS], else
+    [Domain.recommended_domain_count ()], clamped to [1..64]. *)
 
 val get : unit -> t
 (** The shared pool, created lazily at {!default_domains} width and

@@ -2,7 +2,7 @@ open Dcache_core
 module Obs = Dcache_obs.Obs
 
 (* one span per simulated run; counters mirror the Metrics.t totals
-   so end-of-run snapshots land in traces and bench JSON *)
+   so end-of-run snapshots land in traces *)
 let sp_run = Obs.span_name "engine.run"
 let c_hits = Obs.counter "engine.cache_hits"
 let c_misses = Obs.counter "engine.cache_misses"

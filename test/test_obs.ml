@@ -595,54 +595,48 @@ let runtime_bridge_gc_spans () =
       Alcotest.(check bool) "gc span interleaved with dp spans" true (contains "gc." json);
       Alcotest.(check bool) "ordinary span present too" true (contains "test.obs.outer" json))
 
-(* -------------------------------------------- bench JSON round-trip *)
+(* ------------------------------------------- perf-gate baseline file *)
 
-let bench_json_roundtrip () =
-  let entry =
-    {
-      Bench_json.group = "g";
-      name = "case one";
-      ns_per_run = 12.5;
-      mops_per_sec = 80.0;
-      minor_words_per_run = 0.0;
-    }
+let baseline_roundtrip () =
+  List.iter
+    (fun ns_per_run ->
+      let b = { Bench_json.git_rev = "6918caca81be"; case = "a case"; ns_per_run } in
+      if Bench_json.baseline_of_string (Bench_json.baseline_to_string b) <> Ok b then
+        Alcotest.failf "%h ns/run does not read back" ns_per_run)
+    [ 113_412.3; 0.1 +. 0.2; 1e-300 ];
+  Alcotest.check_raises "a non-finite figure is not written"
+    (Invalid_argument "Bench_json.baseline_to_string: ns_per_run must be finite") (fun () ->
+      ignore (Bench_json.baseline_to_string { git_rev = "x"; case = "x"; ns_per_run = nan }))
+
+(* a stale or malformed BENCH_baseline.json fails here, not only at
+   the next `make perf-gate` *)
+let committed_baseline_parses () =
+  let text = In_channel.with_open_text "../BENCH_baseline.json" In_channel.input_all in
+  match Bench_json.baseline_of_string text with
+  | Error e -> Alcotest.failf "BENCH_baseline.json: %s" e
+  | Ok b ->
+      Alcotest.(check string) "names the gated case" "streaming push x1000 m=6" b.case;
+      Alcotest.(check bool) "finite ns/run" true (Float.is_finite b.ns_per_run)
+
+let malformed_baselines_rejected () =
+  let rejected what text =
+    match Bench_json.baseline_of_string text with
+    | Ok _ -> Alcotest.failf "%s parsed" what
+    | Error e -> e
   in
-  let q =
-    { Bench_json.q_count = 3; q_sum_ns = 6.0; q_p50 = 1.0; q_p90 = 2.0; q_p99 = 3.0; q_p999 = 3.0 }
+  (* the report format the gate read before its own baseline schema *)
+  let old = In_channel.with_open_text "data/bench-report-v1.json" In_channel.input_all in
+  let e = rejected "the old report" old in
+  if not (contains (Printf.sprintf "expected %S" Bench_json.baseline_schema) e) then
+    Alcotest.failf "old report: unexpected error %S" e;
+  let good =
+    Bench_json.baseline_to_string { git_rev = "abc"; case = "c"; ns_per_run = 120.5 }
   in
-  let report =
-    {
-      Bench_json.schema = Bench_json.schema_id;
-      git_rev = "deadbeef";
-      domains = 4;
-      quick = true;
-      words_per_push = 3.0;
-      entries = [ entry ];
-      counters = [ ("streaming_dp.push", 1000); ("pool.tasks", 17) ];
-      quantiles = [ ("streaming_dp.push", q) ];
-    }
-  in
-  let s1 = Bench_json.report_to_string report in
-  (match Bench_json.report_of_string s1 with
-  | Error e -> Alcotest.failf "round-trip parse failed: %s" e
-  | Ok r2 ->
-      Alcotest.(check string) "write -> read -> write is byte-identical" s1
-        (Bench_json.report_to_string r2);
-      Alcotest.(check (list (pair string int))) "counters survive" report.Bench_json.counters
-        r2.Bench_json.counters;
-      Alcotest.(check int) "quantile count survives" 3
-        (match r2.Bench_json.quantiles with [ (_, q2) ] -> q2.Bench_json.q_count | _ -> -1));
-  (* both optional fields are omitted when empty and default on read,
-     so pre-PR-4/5 baselines keep parsing *)
-  let bare = { report with Bench_json.counters = []; quantiles = [] } in
-  let s2 = Bench_json.report_to_string bare in
-  Alcotest.(check bool) "empty counters field omitted" false (contains "counters" s2);
-  Alcotest.(check bool) "empty quantiles field omitted" false (contains "quantiles" s2);
-  match Bench_json.report_of_string s2 with
-  | Error e -> Alcotest.failf "bare report parse failed: %s" e
-  | Ok r3 ->
-      Alcotest.(check (list (pair string int))) "counters default to []" [] r3.Bench_json.counters;
-      Alcotest.(check int) "quantiles default to []" 0 (List.length r3.Bench_json.quantiles)
+  ignore (rejected "a truncated baseline" (String.sub good 0 (String.length good / 2)));
+  ignore
+    (rejected "a null figure"
+       (Printf.sprintf {|{"schema": %S, "git_rev": "abc", "case": "c", "ns_per_run": null}|}
+          Bench_json.baseline_schema))
 
 let suite =
   [
@@ -664,8 +658,10 @@ let suite =
     case "obs: non-finite gauges export as JSON null" non_finite_gauges_export_null;
     case "obs: injected events land in the trace" injected_events_in_trace;
     case "obs: runtime bridge records GC spans" runtime_bridge_gc_spans;
-    case "obs: bench JSON round-trips counters and quantiles" bench_json_roundtrip;
     case "obs: a Noop probe allocates nothing" noop_probe_allocates_nothing;
     case "obs: a resolved labeled-child bump allocates nothing" labeled_bump_allocates_nothing;
     case "obs: a recorded span stays within 16 words" recorded_span_budget;
+    case "obs: perf-gate baseline round-trips" baseline_roundtrip;
+    case "obs: the committed perf-gate baseline parses" committed_baseline_parses;
+    case "obs: malformed perf-gate baselines are rejected" malformed_baselines_rejected;
   ]

@@ -1,8 +1,9 @@
 (* Tests for the deterministic domain pool: positional results equal
    Array.init/Array.map at any width, sweep output is byte-identical
    across widths, exceptions propagate and leave the pool usable,
-   nested regions and shut-down pools are rejected, and a 2-domain
-   micro-sweep agrees with the sequential ratio search. *)
+   nested regions and shut-down pools are rejected, a 2-domain
+   micro-sweep agrees with the sequential ratio search, and `dcache
+   experiments` prints the same bytes at DCACHE_DOMAINS=1 and 2. *)
 
 module Pool = Dcache_prelude.Pool
 module Rng = Dcache_prelude.Rng
@@ -107,6 +108,31 @@ let micro_sweep_smoke () =
   check_float "same offline cost" sequential.Dcache_workload.Ratio_search.opt_cost
     pooled.Dcache_workload.Ratio_search.opt_cost
 
+(* The CLI end of the determinism contract: `dcache experiments`
+   prints the same bytes at DCACHE_DOMAINS=1 and 2 over the parallel
+   E7 and E14 sweeps, and an unknown report name is a usage error
+   (exit 124). *)
+let experiments_cli_width_independent () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  let run ~width args =
+    let out = Filename.temp_file "dcache" ".out" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        let status =
+          Sys.command
+            ("DCACHE_DOMAINS=" ^ width ^ " "
+            ^ Filename.quote_command exe ~stdout:out ~stderr:Filename.null ("experiments" :: args))
+        in
+        (status, In_channel.with_open_text out In_channel.input_all))
+  in
+  let at width = run ~width [ "--quick"; "ratio"; "ratio_search"; "fig6" ] in
+  let s1, out1 = at "1" and s2, out2 = at "2" in
+  Alcotest.(check (pair int int)) "both widths exit 0" (0, 0) (s1, s2);
+  Alcotest.(check bool) "reports printed" true (String.length out1 > 0);
+  Alcotest.(check string) "DCACHE_DOMAINS=1 and 2 print the same bytes" out1 out2;
+  Alcotest.(check int) "unknown report exits 124" 124 (fst (run ~width:"1" [ "nosuch" ]))
+
 let suite =
   [
     case "pool: widths and default" pool_widths;
@@ -117,4 +143,6 @@ let suite =
     case "pool: nested region rejected" nested_rejection;
     case "pool: shutdown semantics" shutdown_semantics;
     case "pool: 2-domain micro-sweep matches sequential" micro_sweep_smoke;
+    case "pool: dcache experiments prints the same bytes at any width"
+      experiments_cli_width_independent;
   ]

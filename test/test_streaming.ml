@@ -1,47 +1,7 @@
-(* Tests for the streaming (incremental) solver and the Vec substrate
-   it is built on. *)
+(* Tests for the streaming (incremental) solver. *)
 
 open Dcache_core
 open Helpers
-module Vec = Dcache_prelude.Vec
-
-(* -------------------------------------------------------------- vec *)
-
-let vec_push_get () =
-  let v = Vec.create () in
-  Alcotest.(check bool) "fresh is empty" true (Vec.is_empty v);
-  for i = 0 to 99 do
-    Vec.push v (i * i)
-  done;
-  Alcotest.(check int) "length" 100 (Vec.length v);
-  Alcotest.(check int) "get 7" 49 (Vec.get v 7);
-  Alcotest.(check int) "last" (99 * 99) (Vec.last v);
-  Vec.set v 7 (-1);
-  Alcotest.(check int) "set" (-1) (Vec.get v 7)
-
-let vec_bounds () =
-  let v = Vec.of_array [| 1; 2; 3 |] in
-  List.iter
-    (fun f -> Alcotest.(check bool) "raises" true (try ignore (f ()); false with Invalid_argument _ -> true))
-    [
-      (fun () -> Vec.get v 3);
-      (fun () -> Vec.get v (-1));
-      (fun () -> Vec.set v 3 0; 0);
-      (fun () -> Vec.last (Vec.create ()));
-    ]
-
-let vec_roundtrip =
-  qcheck ~count:150 "vec: of_array/to_array roundtrip"
-    QCheck.(array small_int)
-    (fun a -> Vec.to_array (Vec.of_array a) = a)
-
-let vec_iteri () =
-  let v = Vec.of_array [| 10; 20; 30 |] in
-  let acc = ref [] in
-  Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
-  Alcotest.(check (list (pair int int))) "pairs" [ (2, 30); (1, 20); (0, 10) ] !acc;
-  Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.length v)
 
 (* -------------------------------------------------------- streaming *)
 
@@ -382,10 +342,6 @@ let overflowed_step_takes_the_c_branch () =
 
 let suite =
   [
-    case "vec: push/get/set/last" vec_push_get;
-    case "vec: bounds checking" vec_bounds;
-    vec_roundtrip;
-    case "vec: iteri and clear" vec_iteri;
     prefix_optima_match_batch;
     of_sequence_matches_pushes;
     arena_matches_full_scan;
