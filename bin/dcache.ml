@@ -158,7 +158,7 @@ let generate_cmd =
         { Dcache_workload.Generator.m; n; arrival; placement }
     in
     match out with
-    | None -> print_string (Dcache_workload.Trace_io.to_string seq)
+    | None -> Dcache_workload.Trace_io.output stdout seq
     | Some filename -> Dcache_workload.Trace_io.write ~filename seq
   in
   Cmd.v
@@ -235,7 +235,8 @@ let online_cmd =
         sc.events;
     Printf.printf "SC cost: %.6f (caching %.6f + %d transfers)\n" sc.total_cost sc.caching_cost
       sc.num_transfers;
-    Printf.printf "offline optimum: %.6f, ratio %.4f (bound %.1f)\n" opt (sc.total_cost /. opt)
+    Printf.printf "offline optimum: %.6f, ratio %.4f (bound %.1f)\n" opt
+      (Dcache_obs.Audit.ratio ~online:sc.total_cost ~opt)
       Online_sc.competitive_bound
   in
   Cmd.v
@@ -264,7 +265,7 @@ let compare_cmd =
           [
             o.name;
             Dcache_prelude.Table.fmt_float ~prec:4 o.cost;
-            Dcache_prelude.Table.fmt_float ~prec:4 (o.cost /. opt);
+            Dcache_prelude.Table.fmt_float ~prec:4 (Dcache_obs.Audit.ratio ~online:o.cost ~opt);
           ])
       outcomes;
     Dcache_prelude.Table.add_row table
@@ -320,7 +321,7 @@ let render_cmd =
          let sc = Online_sc.run ~record_events:true model seq in
          [
            ( Printf.sprintf "speculative caching (cost %.3f, ratio %.2f)" sc.total_cost
-               (sc.total_cost /. Offline_dp.cost opt_result),
+               (Dcache_obs.Audit.ratio ~online:sc.total_cost ~opt:(Offline_dp.cost opt_result)),
              Online_sc.schedule_of_run seq sc );
          ]
        end
@@ -564,6 +565,9 @@ let serve_metrics_cmd =
         ignore (Solve_cache.solve model seq : Offline_dp.t);
         let online = report.Dcache_sim.Auditor.online_cost in
         let opt = report.Dcache_sim.Auditor.opt_cost in
+        let what cost = Printf.sprintf "batch %d, %s: the %s" i item_labels.(k) cost in
+        finite_or_die (what "online cost") online;
+        finite_or_die (what "offline optimum") opt;
         online_total := !online_total +. online;
         opt_total := !opt_total +. opt;
         Obs.set_gauge g_item_opt.(k) opt;

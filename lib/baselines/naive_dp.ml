@@ -4,20 +4,25 @@ let solve_vectors model seq =
   let n = Sequence.n seq in
   let mu = model.Cost_model.mu in
   let lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload in
+  let prev = Sequence.prevs seq in
+  let sigma i =
+    let p = prev.(i) in
+    if p >= 0 then Sequence.time seq i -. Sequence.time seq p else infinity
+  in
   let b = Array.make (n + 1) 0.0 and big_b = Array.make (n + 1) 0.0 in
   for i = 1 to n do
-    b.(i) <- Float.min lam_eff (mu *. Sequence.sigma seq i);
+    b.(i) <- Float.min lam_eff (mu *. sigma i);
     big_b.(i) <- big_b.(i - 1) +. b.(i)
   done;
   let c = Array.make (n + 1) 0.0 and d = Array.make (n + 1) infinity in
   for i = 1 to n do
-    let q = Sequence.prev_same_server seq i in
+    let q = prev.(i) in
     if q >= 0 then begin
-      let base = (mu *. Sequence.sigma seq i) +. big_b.(i - 1) in
+      let base = (mu *. sigma i) +. big_b.(i - 1) in
       let best = ref (c.(q) +. base -. big_b.(q)) in
       (* full scan of the cover index set pi(i) = {k | p(k) < p(i) <= k < i} *)
       for k = q to i - 1 do
-        if Sequence.prev_same_server seq k < q && d.(k) < infinity then begin
+        if prev.(k) < q && d.(k) < infinity then begin
           let cand = d.(k) +. base -. big_b.(k) in
           if cand < !best then best := cand
         end

@@ -3,11 +3,13 @@
 let lambda_eff model = Float.min model.Cost_model.lambda model.Cost_model.upload
 
 let marginal model seq =
-  let n = Sequence.n seq in
+  let n = Sequence.n seq and prev = Sequence.prevs seq in
   let lam = lambda_eff model and mu = model.Cost_model.mu in
   let b = Array.make (n + 1) 0.0 in
   for i = 1 to n do
-    b.(i) <- Float.min lam (mu *. Sequence.sigma seq i)
+    let p = prev.(i) in
+    let sigma = if p >= 0 then Sequence.time seq i -. Sequence.time seq p else infinity in
+    b.(i) <- Float.min lam (mu *. sigma)
   done;
   b
 
@@ -21,13 +23,22 @@ let running model seq =
     b
 
 (* [running]'s last entry without its arrays: the same left-to-right
-   sum, so the same bits (adding b_0 = 0 changes nothing) *)
+   sum, so the same bits (adding b_0 = 0 changes nothing).  In place
+   of p(i) it keeps each server's latest time, [neg_infinity] before
+   its first request, so sigma_i = t_i - last.(s_i) is the same
+   subtraction (and [infinity] for a first request) with one boxed
+   [Sequence.time] per request. *)
 let lower_bound model seq =
   let lam = lambda_eff model and mu = model.Cost_model.mu in
+  let last = Array.make (Sequence.m seq) neg_infinity in
+  last.(0) <- 0.0;
   let acc = ref 0.0 in
   for i = 1 to Sequence.n seq do
+    let s = Sequence.server seq i and time = Sequence.time seq i in
+    let sigma = time -. last.(s) in
+    last.(s) <- time;
     (* dcache-sema: allow S4 — B_n is Streaming_dp's plain prefix sum, kept bit for bit *)
-    acc := !acc +. Float.min lam (mu *. Sequence.sigma seq i)
+    acc := !acc +. Float.min lam (mu *. sigma)
   done;
   !acc
 

@@ -51,12 +51,14 @@ type reduction = {
 
 let reduce model seq ~sc_cost ~opt_cost =
   let mu = model.Cost_model.mu and lambda = model.Cost_model.lambda in
-  let n = Sequence.n seq in
+  let n = Sequence.n seq and prev = Sequence.prevs seq in
   let v_amount = ref 0.0 and h_amount = ref 0.0 and n' = ref 0 in
   for i = 1 to n do
     let dt = Sequence.time seq i -. Sequence.time seq (i - 1) in
     if mu *. dt > lambda then v_amount := !v_amount +. ((mu *. dt) -. lambda);
-    let musig = mu *. Sequence.sigma seq i in
+    let p = prev.(i) in
+    let sigma = if p >= 0 then Sequence.time seq i -. Sequence.time seq p else infinity in
+    let musig = mu *. sigma in
     if musig < lambda then h_amount := !h_amount +. musig else incr n'
   done;
   {

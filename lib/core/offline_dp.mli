@@ -58,14 +58,14 @@ val running_bounds : t -> float array
 
 val schedule : t -> Schedule.t
 (** Reconstructs an optimal schedule by backtracking the stored
-    argmins: an [O(n)] walk plus an [O(n log n)] sort of its pieces
-    on the first call, memoised after.  The result is feasible
+    argmins: an [O(n + m)] walk on the first call, memoised after.  The result is feasible
     ({!Schedule.validate}), in standard form, and its
     {!Schedule.cost} equals {!cost} up to rounding.  Caches come
     sorted by server, then start, transfers by time, then destination
     ({!Schedule.caches}, {!Schedule.transfers}).
-    @raise Invalid_argument if {!Schedule.of_columns} rejects a piece
-    (unreachable for a {!solve} result: {!Streaming_dp.schedule}). *)
+    @raise Invalid_argument if {!Schedule.of_sorted_columns} rejects
+    a piece or their order (unreachable for a {!solve} result:
+    {!Streaming_dp.schedule}). *)
 
 val pivot_of : t -> int -> int option
 (** For introspection/tests: the pivot index [kappa] chosen for

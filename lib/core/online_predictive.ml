@@ -50,15 +50,16 @@ let frequency seq =
      no lookahead *)
   let sums = Array.make (Sequence.m seq) 0.0 in
   let counts = Array.make (Sequence.m seq) 0 in
+  let prev = Sequence.prevs seq in
   let cursor = ref 1 in
   fun ~server ~time ->
     (* absorb every request at or before [time] into the statistics *)
     while !cursor <= Sequence.n seq && Sequence.time seq !cursor <= time do
       let i = !cursor in
       let s = Sequence.server seq i in
-      let p = Sequence.prev_same_server seq i in
+      let p = prev.(i) in
       if p > 0 || (p = 0 && s = 0) then begin
-        sums.(s) <- sums.(s) +. Sequence.sigma seq i;
+        sums.(s) <- sums.(s) +. (Sequence.time seq i -. Sequence.time seq p);
         counts.(s) <- counts.(s) + 1
       end;
       incr cursor

@@ -19,37 +19,15 @@ type t = {
 
 let external_src = -1
 
-(* An index permutation of the first [k] pieces, stable-sorted by
-   [cmp]: pieces that tie keep their input order, as [List.sort] did. *)
-let sorted_perm k cmp =
-  let perm = Array.init k Fun.id in
-  Array.stable_sort cmp perm;
-  perm
-
-let pick_int perm col = Array.map (fun k -> col.(k)) perm
-
-(* a loop, not [Array.map]: a closure returning a float boxes it *)
-let pick_float perm col =
-  let k = Array.length perm in
-  let out = Array.make k 0.0 in
-  for j = 0 to k - 1 do
-    out.(j) <- col.(perm.(j))
-  done;
-  out
-
-let of_columns ~num_caches ~server ~from_time ~to_time ~num_transfers ~src ~dst ~time =
-  if
-    num_caches < 0
-    || num_caches > Array.length server
-    || num_caches > Array.length from_time
-    || num_caches > Array.length to_time
-  then invalid_arg "Schedule.of_columns: fewer cache entries than num_caches";
-  if
-    num_transfers < 0
-    || num_transfers > Array.length src
-    || num_transfers > Array.length dst
-    || num_transfers > Array.length time
-  then invalid_arg "Schedule.of_columns: fewer transfer entries than num_transfers";
+(* The one validation routine: the columns of each kind have one
+   length, and every cache, then every transfer, is well formed, in
+   column order, with [make]'s messages. *)
+let check ~server ~from_time ~to_time ~src ~dst ~time =
+  let num_caches = Array.length server and num_transfers = Array.length src in
+  if Array.length from_time <> num_caches || Array.length to_time <> num_caches then
+    invalid_arg "Schedule: cache columns differ in length";
+  if Array.length dst <> num_transfers || Array.length time <> num_transfers then
+    invalid_arg "Schedule: transfer columns differ in length";
   for k = 0 to num_caches - 1 do
     let a = from_time.(k) and b = to_time.(k) in
     if server.(k) < 0 then invalid_arg "Schedule: cache on negative server";
@@ -66,20 +44,43 @@ let of_columns ~num_caches ~server ~from_time ~to_time ~num_transfers ~src ~dst 
       if s < 0 then invalid_arg "Schedule: transfer from negative server";
       if s = d then invalid_arg "Schedule: transfer source equals destination"
     end
+  done
+
+(* the stored orders: caches by (server, from, to), transfers by
+   (time, dst), compared at two column indices *)
+let cache_order server from_time to_time a b =
+  match Int.compare server.(a) server.(b) with
+  | 0 -> (
+      match Float.compare from_time.(a) from_time.(b) with
+      | 0 -> Float.compare to_time.(a) to_time.(b)
+      | c -> c)
+  | c -> c
+
+let transfer_order time dst a b =
+  match Float.compare time.(a) time.(b) with 0 -> Int.compare dst.(a) dst.(b) | c -> c
+
+(* An index permutation of [k] pieces, stable-sorted by [cmp]: pieces
+   that tie keep their input order, as [List.sort] did. *)
+let sorted_perm k cmp =
+  let perm = Array.init k Fun.id in
+  Array.stable_sort cmp perm;
+  perm
+
+let pick_int perm col = Array.map (fun k -> col.(k)) perm
+
+(* a loop, not [Array.map]: a closure returning a float boxes it *)
+let pick_float perm col =
+  let k = Array.length perm in
+  let out = Array.make k 0.0 in
+  for j = 0 to k - 1 do
+    out.(j) <- col.(perm.(j))
   done;
-  let caches =
-    sorted_perm num_caches (fun a b ->
-        match Int.compare server.(a) server.(b) with
-        | 0 -> (
-            match Float.compare from_time.(a) from_time.(b) with
-            | 0 -> Float.compare to_time.(a) to_time.(b)
-            | c -> c)
-        | c -> c)
-  in
-  let transfers =
-    sorted_perm num_transfers (fun a b ->
-        match Float.compare time.(a) time.(b) with 0 -> Int.compare dst.(a) dst.(b) | c -> c)
-  in
+  out
+
+let of_columns ~server ~from_time ~to_time ~src ~dst ~time =
+  check ~server ~from_time ~to_time ~src ~dst ~time;
+  let caches = sorted_perm (Array.length server) (cache_order server from_time to_time) in
+  let transfers = sorted_perm (Array.length src) (transfer_order time dst) in
   {
     cache_server = pick_int caches server;
     cache_from = pick_float caches from_time;
@@ -87,6 +88,25 @@ let of_columns ~num_caches ~server ~from_time ~to_time ~num_transfers ~src ~dst 
     tr_src = pick_int transfers src;
     tr_dst = pick_int transfers dst;
     tr_time = pick_float transfers time;
+  }
+
+let of_sorted_columns ~server ~from_time ~to_time ~src ~dst ~time =
+  check ~server ~from_time ~to_time ~src ~dst ~time;
+  for k = 1 to Array.length server - 1 do
+    if cache_order server from_time to_time (k - 1) k > 0 then
+      invalid_arg "Schedule.of_sorted_columns: caches out of (server, from, to) order"
+  done;
+  for k = 1 to Array.length src - 1 do
+    if transfer_order time dst (k - 1) k > 0 then
+      invalid_arg "Schedule.of_sorted_columns: transfers out of (time, dst) order"
+  done;
+  {
+    cache_server = server;
+    cache_from = from_time;
+    cache_to = to_time;
+    tr_src = src;
+    tr_dst = dst;
+    tr_time = time;
   }
 
 let make ~caches ~transfers =
@@ -110,7 +130,7 @@ let make ~caches ~transfers =
       dst.(k) <- tr.dst;
       time.(k) <- tr.time)
     transfers;
-  of_columns ~num_caches:nc ~server ~from_time ~to_time ~num_transfers:nt ~src ~dst ~time
+  of_columns ~server ~from_time ~to_time ~src ~dst ~time
 
 let empty =
   {
@@ -193,11 +213,9 @@ let holds_copy_at t ~server ~time =
 
 let union a b =
   of_columns
-    ~num_caches:(num_caches a + num_caches b)
     ~server:(Array.append a.cache_server b.cache_server)
     ~from_time:(Array.append a.cache_from b.cache_from)
     ~to_time:(Array.append a.cache_to b.cache_to)
-    ~num_transfers:(num_transfers a + num_transfers b)
     ~src:(Array.append a.tr_src b.tr_src) ~dst:(Array.append a.tr_dst b.tr_dst)
     ~time:(Array.append a.tr_time b.tr_time)
 

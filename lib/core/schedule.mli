@@ -34,26 +34,39 @@ type t
     Pricing and the queries below read the columns and build no list. *)
 
 val of_columns :
-  num_caches:int ->
   server:int array ->
   from_time:float array ->
   to_time:float array ->
-  num_transfers:int ->
   src:int array ->
   dst:int array ->
   time:float array ->
   t
-(** The schedule of the first [num_caches] cache pieces
-    [(server.(k), from_time.(k), to_time.(k))] and the first
-    [num_transfers] transfers [(src.(k), dst.(k), time.(k))], where
-    source [-1] is an upload ({!From_external}).  The one validated
-    constructor: it checks every piece as {!make} describes, in the
-    same order and with the same messages (caches first, then
-    transfers), then stable-sorts the pieces into fresh exact-length
-    columns, so pieces that tie keep their input order.  The input
-    arrays are only read.
-    @raise Invalid_argument on a malformed piece, on a source below
-    [-1], or when a column holds fewer entries than its count. *)
+(** The schedule of the cache pieces
+    [(server.(k), from_time.(k), to_time.(k))] and the transfers
+    [(src.(k), dst.(k), time.(k))], where source [-1] is an upload
+    ({!From_external}).  It checks every piece as {!make} describes,
+    in the same order and with the same messages (caches first, then
+    transfers), then stable-sorts the pieces into fresh columns, so
+    pieces that tie keep their input order.  The input arrays are
+    only read.
+    @raise Invalid_argument on columns of one kind that differ in
+    length, on a malformed piece, or on a source below [-1]. *)
+
+val of_sorted_columns :
+  server:int array ->
+  from_time:float array ->
+  to_time:float array ->
+  src:int array ->
+  dst:int array ->
+  time:float array ->
+  t
+(** {!of_columns} for columns already in the stored order: caches by
+    (server, from, to), transfers by (time, dst).  It runs the same
+    checks with the same messages, then checks the order instead of
+    sorting, and adopts the arrays: the caller gives them up and must
+    not write to them afterwards.
+    @raise Invalid_argument where {!of_columns} does, or on two
+    neighbouring pieces out of order. *)
 
 val make : caches:cache list -> transfers:transfer list -> t
 (** {!of_columns} on the pieces of the two lists: they are stored

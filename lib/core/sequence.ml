@@ -1,10 +1,6 @@
-type t = {
-  m : int;
-  server : int array;  (* index 0 = r_0 on server 0 *)
-  time : float array;
-  prev : int array;  (* p(i); -1 encodes the dummy request at -inf *)
-  sigma : float array;
-}
+(* Two columns: request r_i sits at index [i - 1].  The boundary
+   request r_0 = (s^1, 0) is implicit in the accessors. *)
+type t = { m : int; server : int array; time : float array }
 
 (* The one validation routine.  Reads [times] by index rather than
    threading the previous time through the recursion, which would box
@@ -34,27 +30,9 @@ let validate ~m ~servers ~times =
     in
     check 0
 
-(* Copies validated columns behind r_0 and derives p(i) and sigma_i. *)
-let build ~m ~servers ~times =
-  let n = Array.length servers in
-  let server = Array.make (n + 1) 0 and time = Array.make (n + 1) 0.0 in
-  Array.blit servers 0 server 1 n;
-  Array.blit times 0 time 1 n;
-  let prev = Array.make (n + 1) (-1) and sigma = Array.make (n + 1) infinity in
-  let last_on = Array.make m (-1) in
-  sigma.(0) <- 0.0;
-  for i = 0 to n do
-    let s = server.(i) in
-    let p = last_on.(s) in
-    prev.(i) <- p;
-    if i > 0 && p >= 0 then sigma.(i) <- time.(i) -. time.(p);
-    last_on.(s) <- i
-  done;
-  { m; server; time; prev; sigma }
-
 let of_columns ~m ~servers ~times =
   match validate ~m ~servers ~times with
-  | Ok () -> Ok (build ~m ~servers ~times)
+  | Ok () -> Ok { m; server = servers; time = times }
   | Error _ as e -> e
 
 let create ~m requests =
@@ -72,43 +50,52 @@ let of_list ~m pairs =
   create_exn ~m requests
 
 let m t = t.m
-let n t = Array.length t.server - 1
-let server t i = t.server.(i)
-let time t i = t.time.(i)
+let n t = Array.length t.server
+let server t i = if i = 0 then 0 else t.server.(i - 1)
+let time t i = if i = 0 then 0.0 else t.time.(i - 1)
+
 (* in-range by construction: the public [request] adds the bound check
    (and documents the raise); internal traversals must not inherit it *)
-let unsafe_request t i = { Request.server = t.server.(i); time = t.time.(i) }
+let unsafe_request t i = { Request.server = t.server.(i - 1); time = t.time.(i - 1) }
 
 let request t i =
   if i < 1 || i > n t then invalid_arg "Sequence.request: index out of range";
   unsafe_request t i
 
 let requests t = Array.init (n t) (fun i -> unsafe_request t (i + 1))
-let horizon t = t.time.(n t)
-let prev_same_server t i = t.prev.(i)
-let sigma t i = t.sigma.(i)
+let horizon t = time t (n t)
+
+let prevs t =
+  let count = n t in
+  let prev = Array.make (count + 1) (-1) and last_on = Array.make t.m (-1) in
+  last_on.(0) <- 0;
+  for i = 1 to count do
+    let s = t.server.(i - 1) in
+    prev.(i) <- last_on.(s);
+    last_on.(s) <- i
+  done;
+  prev
 
 (* canonical binary encoding for digest keying: [m], [n], then each
-   real request as (server, time-bits).  Every other field of [t] is
-   derived from these, so two instances agree on this encoding iff
-   they are the same problem.  Written in place into one exact-size
-   buffer, boxing no Int64. *)
+   real request as (server, time-bits).  Two instances agree on this
+   encoding iff they are the same problem.  Written in place into one
+   exact-size buffer, boxing no Int64. *)
 let fingerprint t =
   let count = n t in
   let buf = Bytes.create (16 + (12 * count)) in
   Bytes.set_int64_le buf 0 (Int64.of_int t.m);
   Bytes.set_int64_le buf 8 (Int64.of_int count);
-  for i = 1 to count do
-    let off = 4 + (12 * i) in
-    Bytes.set_int32_le buf off (Int32.of_int t.server.(i));
-    Bytes.set_int64_le buf (off + 4) (Int64.bits_of_float t.time.(i))
+  for k = 0 to count - 1 do
+    let off = 16 + (12 * k) in
+    Bytes.set_int32_le buf off (Int32.of_int t.server.(k));
+    Bytes.set_int64_le buf (off + 4) (Int64.bits_of_float t.time.(k))
   done;
   Bytes.unsafe_to_string buf
 
 let sub t k =
   if k < 0 || k > n t then invalid_arg "Sequence.sub: index out of range";
   (* a prefix of a valid instance is valid: [get_exn] cannot raise *)
-  get_exn (of_columns ~m:t.m ~servers:(Array.sub t.server 1 k) ~times:(Array.sub t.time 1 k))
+  get_exn (of_columns ~m:t.m ~servers:(Array.sub t.server 0 k) ~times:(Array.sub t.time 0 k))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>m=%d, n=%d" t.m (n t);

@@ -1,11 +1,11 @@
 (** A validated problem instance: [m] fully connected servers and a
     time-ordered request vector [r_1 .. r_n] (Section III).
 
-    The boundary request [r_0 = (s^1, 0)] is stored at index [0], so
-    all index-based accessors accept [0 .. n].  The paper's dummy
-    requests [r_{-j} = (s^j, -inf)] are represented by
-    [prev_same_server] returning [-1] and [sigma] returning
-    [infinity]. *)
+    An instance is two columns, the servers and the times of
+    [r_1 .. r_n].  The boundary request [r_0 = (s^1, 0)] is implicit:
+    every index-based accessor accepts [0 .. n] and answers [(0, 0)]
+    at [0].  The paper's dummy requests [r_{-j} = (s^j, -inf)] are
+    represented by {!prevs} returning [-1]. *)
 
 type t
 
@@ -16,7 +16,9 @@ val of_columns : m:int -> servers:int array -> times:float array -> (t, string) 
     length, every server index
     is in [\[0, m)], and times are finite, strictly increasing and
     strictly positive (so they come after [r_0]).  The columns are
-    copied.  Every other constructor goes through this one. *)
+    adopted, not copied: the caller gives them up and must not write
+    to them afterwards.  Every other constructor goes through this
+    one. *)
 
 val create : m:int -> Request.t array -> (t, string) result
 (** [create ~m requests] is {!of_columns} on the requests' servers
@@ -53,15 +55,14 @@ val requests : t -> Request.t array
 val horizon : t -> float
 (** [t_n], or [0] when [n = 0]: the end of the service window. *)
 
-val prev_same_server : t -> int -> int
-(** The paper's [p(i)]: the greatest [j < i] with [s_j = s_i], or
+val prevs : t -> int array
+(** [prevs t] is the paper's [p(i)] for every [i] in [\[0, n\]], in
+    one [O(n + m)] pass: the greatest [j < i] with [s_j = s_i], or
     [-1] when no earlier event exists on that server (the dummy
     request at [-inf]).  Note [p(i) = 0] is possible only for requests
-    on server [0]. *)
-
-val sigma : t -> int -> float
-(** The server interval [sigma_i = t_i - t_{p(i)}]; [infinity] when
-    [p(i) = -1]. *)
+    on server [0], and [p(0) = -1].  The server interval is
+    [sigma_i = t_i - t_{p(i)}], [infinity] when [p(i) = -1]; callers
+    compute it where they read it.  A fresh array on every call. *)
 
 val fingerprint : t -> string
 (** A canonical binary encoding of the instance: [m] and [n] as 64-bit

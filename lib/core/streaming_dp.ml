@@ -29,13 +29,13 @@
    and the walk's transfer test).  [of_sequence] sizes every column
    from the sequence, so a batch solve never doubles one.
 
-   [schedule] accumulates the walk into preallocated flat buffers
-   (grown geometrically) that [Schedule.of_columns] sorts into the
-   schedule's columns, so no piece becomes a record, a cons cell or a
-   boxed float; it memoises the result keyed on [len]: the solver
-   state is append-only, so the prefix length fully determines the
-   schedule and repeated calls between pushes return the same
-   physically-equal value without re-walking. *)
+   [schedule] records the walk in two per-request slot arrays and
+   emits the schedule's columns from them already in order, so no
+   piece becomes a record, a cons cell or a boxed float and nothing
+   is sorted; it memoises the result keyed on [len]: the solver state
+   is append-only, so the prefix length fully determines the schedule
+   and repeated calls between pushes return the same physically-equal
+   value without re-walking. *)
 
 module Obs = Dcache_obs.Obs
 module A1 = Bigarray.Array1
@@ -105,15 +105,6 @@ type t = {
      key for the schedule of the current prefix *)
   mutable sched_len : int;
   mutable sched : Schedule.t;
-  (* preallocated walk buffers (caches: server/from/to; transfers:
-     src/dst/time with src = -1 encoding From_external) *)
-  mutable pb_cap : int;
-  mutable pb_server : int array;
-  mutable pb_from : float array;
-  mutable pb_to : float array;
-  mutable tb_src : int array;
-  mutable tb_dst : int array;
-  mutable tb_time : float array;
 }
 
 let initial_cap = 64
@@ -144,13 +135,6 @@ let make model ~m ~cap =
       last_on = Array.make m (-1);
       sched_len = 1;
       sched = Schedule.empty;
-      pb_cap = 0;
-      pb_server = [||];
-      pb_from = [||];
-      pb_to = [||];
-      tb_src = [||];
-      tb_dst = [||];
-      tb_time = [||];
     }
   in
   (* boundary request r_0 = (s^1, 0); the fills already wrote the
@@ -334,19 +318,57 @@ let push t ~server ~time =
 
 (* -- schedule reconstruction (identical walk to the batch solver) ------- *)
 
-(* the walk emits at most one cache piece and one transfer piece per
-   request index, so [len] slots per buffer always suffice *)
-let ensure_path_cap t =
-  if t.pb_cap < t.len then begin
-    let ncap = max t.len (max initial_cap (2 * t.pb_cap)) in
-    t.pb_server <- Array.make ncap 0;
-    t.pb_from <- Array.make ncap 0.0;
-    t.pb_to <- Array.make ncap 0.0;
-    t.tb_src <- Array.make ncap 0;
-    t.tb_dst <- Array.make ncap 0;
-    t.tb_time <- Array.make ncap 0.0;
-    t.pb_cap <- ncap
-  end
+(* The walk emits at most one cache piece ending at each request r_b,
+   on the server of its start request, and at most one transfer at
+   each request r_h, to s_h.  So it records them in two slot arrays:
+   [start.(b)] is the start index of the piece ending at r_b and
+   [source.(h)] the source of the transfer at r_h ([-1] an upload). *)
+let no_piece = -1
+
+let no_transfer = -2
+
+(* The schedule's columns from the slots, already in order: transfers
+   in request order, which is (time, dst) order because times strictly
+   increase; caches counting-sorted on server and in request order
+   within a server, which is (server, from, to) order because an
+   optimal schedule's pieces on one server do not overlap. *)
+let emit t start source =
+  let first = Array.make (t.m + 1) 0 and nt = ref 0 in
+  for b = 1 to t.len - 1 do
+    let a = start.(b) in
+    if a <> no_piece then begin
+      let s = ix t a k_server in
+      first.(s + 1) <- first.(s + 1) + 1
+    end;
+    if source.(b) <> no_transfer then incr nt
+  done;
+  (* [first.(s)]: the slot of server s's next piece *)
+  for s = 1 to t.m do
+    first.(s) <- first.(s) + first.(s - 1)
+  done;
+  let nc = first.(t.m) in
+  let server = Array.make nc 0 and from_time = Array.make nc 0.0 and to_time = Array.make nc 0.0 in
+  let src = Array.make !nt 0 and dst = Array.make !nt 0 and time = Array.make !nt 0.0 in
+  let k = ref 0 in
+  for b = 1 to t.len - 1 do
+    let a = start.(b) in
+    if a <> no_piece then begin
+      let s = ix t a k_server in
+      let slot = first.(s) in
+      first.(s) <- slot + 1;
+      server.(slot) <- s;
+      from_time.(slot) <- t.time.(a);
+      to_time.(slot) <- t.time.(b)
+    end;
+    let source = source.(b) in
+    if source <> no_transfer then begin
+      src.(!k) <- source;
+      dst.(!k) <- ix t b k_server;
+      time.(!k) <- t.time.(b);
+      incr k
+    end
+  done;
+  Schedule.of_sorted_columns ~server ~from_time ~to_time ~src ~dst ~time
 
 let schedule t =
   if t.sched_len = t.len then begin
@@ -356,37 +378,28 @@ let schedule t =
   else
     Obs.spanned sp_schedule @@ fun () ->
     let mu = t.model.Cost_model.mu in
-    ensure_path_cap t;
-    let nc = ref 0 and nt = ref 0 in
-    (* pieces are passed as request indices: a float passed to a
-       closure would be boxed *)
-    let add_cache server a b =
-      if t.time.(b) > t.time.(a) then begin
-        let k = !nc in
-        t.pb_server.(k) <- server;
-        t.pb_from.(k) <- t.time.(a);
-        t.pb_to.(k) <- t.time.(b);
-        nc := k + 1
-      end
+    let start = Array.make t.len no_piece and source = Array.make t.len no_transfer in
+    (* each slot is written once: a second piece ending at one request
+       would break the order [emit] relies on *)
+    let add_cache a b =
+      assert (start.(b) = no_piece);
+      start.(b) <- a
     in
     (* upload-vs-lambda is a property of the model, not of the walk
        step: decide the transfer source once, outside the loop *)
     let external_src = t.model.Cost_model.upload < t.model.Cost_model.lambda in
-    let add_transfer src_server dst i =
-      let k = !nt in
-      t.tb_src.(k) <- (if external_src then -1 else src_server);
-      t.tb_dst.(k) <- dst;
-      t.tb_time.(k) <- t.time.(i);
-      nt := k + 1
+    let add_transfer src_server h =
+      assert (source.(h) = no_transfer);
+      source.(h) <- (if external_src then -1 else src_server)
     in
     (* b_h = lambda_eff exactly when push found lambda_eff <= mu sigma_h;
        sigma_h is recomputed as push computed it (infinite without an
        earlier request on the server) *)
     let serve_marginal source lo hi =
       for h = lo to hi do
-        let sh = ix t h k_server and ph = ix t h k_prev in
-        if ph < 0 || t.lam_eff <= mu *. (t.time.(h) -. t.time.(ph)) then add_transfer source sh h
-        else add_cache sh ph h
+        let ph = ix t h k_prev in
+        if ph < 0 || t.lam_eff <= mu *. (t.time.(h) -. t.time.(ph)) then add_transfer source h
+        else add_cache ph h
       done
     in
     (* the walk's state: it explains D(i) when [in_d], else C(i) *)
@@ -402,15 +415,15 @@ let schedule t =
         else begin
           assert (cc = c_step);
           let prev = cur - 1 in
-          add_cache (ix t prev k_server) prev cur;
-          add_transfer (ix t prev k_server) server cur;
+          add_cache prev cur;
+          add_transfer (ix t prev k_server) cur;
           i := prev
         end
       end
       else begin
         let q = ix t cur k_prev and dc = ix t cur k_dc in
         assert (q >= 0);
-        add_cache server q cur;
+        add_cache q cur;
         if dc = d_prev then begin
           serve_marginal server (q + 1) (cur - 1);
           in_d := false;
@@ -423,10 +436,7 @@ let schedule t =
         end
       end
     done;
-    let s =
-      Schedule.of_columns ~num_caches:!nc ~server:t.pb_server ~from_time:t.pb_from
-        ~to_time:t.pb_to ~num_transfers:!nt ~src:t.tb_src ~dst:t.tb_dst ~time:t.tb_time
-    in
+    let s = emit t start source in
     t.sched <- s;
     t.sched_len <- t.len;
     s

@@ -70,15 +70,19 @@ val time_at : t -> int -> float
 
 val schedule : t -> Schedule.t
 (** Optimal schedule for the current prefix, by backtracking.  An
-    [O(n)] walk plus an [O(n log n)] sort of its pieces on the first
-    call after a push, and O(1) afterwards: the state is
-    append-only, so the result is memoised per prefix length and
-    repeated calls return the same (physically equal) schedule.  The
-    walk never changes the solver's answers, so it can be interleaved
-    with pushes.  The walk writes its pieces into reused flat buffers
-    that {!Schedule.of_columns} sorts into the schedule's columns.
-    @raise Invalid_argument if {!Schedule.of_columns} rejects a piece
-    (unreachable: the walk emits only well-formed pieces). *)
+    [O(n + m)] walk on the first call after a push, and O(1)
+    afterwards: the state is append-only, so the result is memoised
+    per prefix length and repeated calls return the same (physically
+    equal) schedule.  The walk never changes the solver's answers, so
+    it can be interleaved with pushes.  It records at most one piece
+    ending at each request and one transfer at each request in two
+    per-request slot arrays, and emits the schedule's columns from
+    them already in order ({!Schedule.of_sorted_columns}), sorting
+    nothing.
+    @raise Invalid_argument if {!Schedule.of_sorted_columns} rejects
+    a piece or their order (unreachable: the walk emits only
+    well-formed pieces, and an optimal schedule's pieces on one
+    server do not overlap). *)
 
 val to_sequence : t -> Sequence.t
 (** The pushed requests as a validated {!Sequence}.

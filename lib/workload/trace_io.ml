@@ -1,19 +1,29 @@
 open Dcache_core
 
+(* The header line, written by [output] and skipped by the parser in
+   any letter case *)
+let header = "server,time"
+
+(* one request per line; [%.17g] reads back bit for bit *)
+let line : (int -> float -> unit, 'b, unit) format = "%d,%.17g\n"
+
+let output oc seq =
+  output_string oc header;
+  output_char oc '\n';
+  for i = 1 to Sequence.n seq do
+    Printf.fprintf oc line (Sequence.server seq i) (Sequence.time seq i)
+  done
+
 let to_string seq =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "server,time\n";
+  Buffer.add_string buf header;
+  Buffer.add_char buf '\n';
   for i = 1 to Sequence.n seq do
-    Buffer.add_string buf
-      (Printf.sprintf "%d,%.17g\n" (Sequence.server seq i) (Sequence.time seq i))
+    Printf.bprintf buf line (Sequence.server seq i) (Sequence.time seq i)
   done;
   Buffer.contents buf
 
-let write ~filename seq =
-  let oc = open_out filename in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string seq))
+let write ~filename seq = Out_channel.with_open_text filename (fun oc -> output oc seq)
 
 (* The parser works on [lo, hi) byte ranges of the text, so a line
    costs no substring, list or tuple.  Its input language is that of
@@ -32,8 +42,6 @@ let rec trim_start text lo hi =
 
 let rec trim_stop text lo hi =
   if hi > lo && is_space text.[hi - 1] then trim_stop text lo (hi - 1) else hi
-
-let header = "server,time"
 
 (* Top-level rather than local to [is_header]: a local recursive
    function would be a closure allocated on every line. *)

@@ -12,9 +12,17 @@ open Dcache_core
     [m].  Lets users replay real service logs through every algorithm
     in the repository. *)
 
+val output : out_channel -> Sequence.t -> unit
+(** [output oc seq] writes the trace to [oc]: a [server,time] header,
+    then one [server,time] line per request with the time printed
+    as [%.17g], so it reads back bit for bit.  Each line goes to the
+    channel as it is formatted; the whole text is never built. *)
+
 val write : filename:string -> Sequence.t -> unit
+(** {!output} to a new file [filename]. *)
 
 val to_string : Sequence.t -> string
+(** The bytes {!output} writes. *)
 
 val read : filename:string -> m:int -> (Sequence.t, string) result
 (** [read ~filename ~m] is {!of_string} on the file's contents, which

@@ -25,14 +25,14 @@ let analyze seq =
   let counts = Array.make m 0 in
   let locality_hits = ref 0 in
   let revisits = ref [] in
+  let prev = Sequence.prevs seq in
   for i = 1 to n do
     let s = Sequence.server seq i in
     counts.(s) <- counts.(s) + 1;
     if i > 1 && Sequence.server seq (i - 1) = s then incr locality_hits;
-    let sigma = Sequence.sigma seq i in
-    (* ignore the dummy-predecessor infinity and the boundary r_0 link *)
-    if Float.is_finite sigma && Sequence.prev_same_server seq i > 0 then
-      revisits := sigma :: !revisits
+    (* ignore the dummy predecessor and the boundary r_0 link *)
+    let p = prev.(i) in
+    if p > 0 then revisits := (Sequence.time seq i -. Sequence.time seq p) :: !revisits
   done;
   let revisit_array = Array.of_list !revisits in
   let revisit_acc = Dcache_prelude.Stats.acc_create () in

@@ -53,6 +53,13 @@ let budget_workloads () =
       (name, Dcache_workload.Generator.generate_seeded ~seed:1 spec))
     ledger_workloads
 
+(* sigma_i = t_i - t_{p(i)} from [Sequence.prevs]'s [prev], [infinity]
+   without an earlier request on the server, as the library computes
+   it where it reads it *)
+let sigma seq prev i =
+  let p = prev.(i) in
+  if p >= 0 then Sequence.time seq i -. Sequence.time seq p else infinity
+
 (* ---------------------------------------------------- random instances *)
 
 let sequence_of_gen ~m ~n gaps servers =

@@ -236,3 +236,84 @@ let pp ppf t =
       | From_external -> Format.fprintf ppf "@,  Up(ext -> s%d, %g)" tr.dst tr.time)
     t.transfers;
   Format.fprintf ppf "@]"
+
+(* -- the reconstruction walk --------------------------------------------- *)
+
+(* [Streaming_dp.schedule]'s walk as it was before it recorded its
+   pieces in per-request slots: pieces are appended in walk order and
+   [Schedule.of_columns] sorts them.  It reads the solver only through
+   its public accessors, so it recomputes p(i) from the servers, and
+   the C(i) and D(i) choices as [push] made them, bit for bit. *)
+let walk stream =
+  let module S = Streaming_dp in
+  let n = S.n stream and model = S.model stream in
+  let mu = model.Cost_model.mu in
+  let lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload in
+  let prev = Array.make (n + 1) (-1) and last_on = Array.make (S.m stream) (-1) in
+  last_on.(0) <- 0;
+  for i = 1 to n do
+    let s = S.server_at stream i in
+    prev.(i) <- last_on.(s);
+    last_on.(s) <- i
+  done;
+  (* push's cache-or-step test for C(i) *)
+  let cached i =
+    let step =
+      S.cost_at stream (i - 1)
+      +. (mu *. (S.time_at stream i -. S.time_at stream (i - 1)))
+      +. lam_eff
+    in
+    prev.(i) >= 0 && S.semi_cost_at stream i <= step
+  in
+  let caches = ref [] and transfers = ref [] in
+  let add_cache server a b =
+    if S.time_at stream b > S.time_at stream a then
+      caches := (server, S.time_at stream a, S.time_at stream b) :: !caches
+  in
+  let external_src = model.Cost_model.upload < model.Cost_model.lambda in
+  let add_transfer src dst i =
+    transfers := ((if external_src then -1 else src), dst, S.time_at stream i) :: !transfers
+  in
+  let serve_marginal source lo hi =
+    for h = lo to hi do
+      let sh = S.server_at stream h and ph = prev.(h) in
+      if ph < 0 || lam_eff <= mu *. (S.time_at stream h -. S.time_at stream ph) then
+        add_transfer source sh h
+      else add_cache sh ph h
+    done
+  in
+  let in_d = ref false and i = ref n in
+  while !in_d || !i > 0 do
+    let cur = !i in
+    let server = S.server_at stream cur in
+    if not !in_d then begin
+      if cached cur || S.server_at stream (cur - 1) = server then in_d := true
+      else begin
+        let before = cur - 1 in
+        add_cache (S.server_at stream before) before cur;
+        add_transfer (S.server_at stream before) server cur;
+        i := before
+      end
+    end
+    else begin
+      let q = prev.(cur) in
+      assert (q >= 0);
+      add_cache server q cur;
+      match S.pivot_at stream cur with
+      | None ->
+          serve_marginal server (q + 1) (cur - 1);
+          in_d := false;
+          i := q
+      | Some kappa ->
+          serve_marginal server (kappa + 1) (cur - 1);
+          i := kappa
+    end
+  done;
+  let cs = Array.of_list (List.rev !caches) and ts = Array.of_list (List.rev !transfers) in
+  Schedule.of_columns
+    ~server:(Array.map (fun (s, _, _) -> s) cs)
+    ~from_time:(Array.map (fun (_, a, _) -> a) cs)
+    ~to_time:(Array.map (fun (_, _, b) -> b) cs)
+    ~src:(Array.map (fun (s, _, _) -> s) ts)
+    ~dst:(Array.map (fun (_, d, _) -> d) ts)
+    ~time:(Array.map (fun (_, _, t) -> t) ts)

@@ -441,6 +441,55 @@ let cli_rejects_overflowing_costs () =
             Alcotest.failf "%s: unexpected error output %S" command message)
         [ "solve"; "online"; "audit" ])
 
+(* A header-only trace has n = 0 and an optimum of 0: [online] and
+   [compare] print a ratio of 1.0000, as [audit] does, and never nan. *)
+let cli_empty_trace_prints_no_nan () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let out = Filename.temp_file "dcache" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      List.iter
+        (fun command ->
+          let status =
+            Sys.command
+              (Filename.quote_command exe ~stdout:out ~stderr:out
+                 [ command; "--trace"; "data/header-only.csv"; "-m"; "4" ])
+          in
+          let text = In_channel.with_open_text out In_channel.input_all in
+          Alcotest.(check int) (command ^ " exit status") 0 status;
+          if contains "nan" (String.lowercase_ascii text) || not (contains "1.0000" text) then
+            Alcotest.failf "%s on an empty trace printed:\n%s" command text)
+        [ "online"; "compare" ])
+
+(* An overflowed cost stops serve-metrics before any serve.* gauge is
+   written, so the Chrome trace never records it as null *)
+let serve_metrics_rejects_overflowing_costs () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let err = Filename.temp_file "dcache" ".err" and json = Filename.temp_file "dcache" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove err;
+      Sys.remove json)
+    (fun () ->
+      let status =
+        Sys.command
+          (Filename.quote_command exe ~stdout:Filename.null ~stderr:err
+             [
+               "serve-metrics"; "--metrics-port"; "0"; "--batches"; "1"; "--mu"; "1e308";
+               "--trace-json"; json;
+             ])
+      in
+      Alcotest.(check int) "exit status" 1 status;
+      let message = In_channel.with_open_text err In_channel.input_all in
+      if not (contains "batch 0, item0: the online cost is inf" message
+              && contains "overflows floating point" message)
+      then Alcotest.failf "unexpected error output %S" message;
+      let trace = In_channel.with_open_text json In_channel.input_all in
+      if contains "\"serve." trace then Alcotest.failf "a serve.* gauge was written: %s" trace)
+
 let suite =
   [
     incremental_replays_run;
@@ -459,4 +508,6 @@ let suite =
     case "auditor: a non-finite time is rejected whole" auditor_rejects_non_finite_time;
     case "cli: overflowing costs exit 1" cli_rejects_overflowing_costs;
     case "audit: observe stays within 16 words" observe_word_budget;
+    case "serve-metrics: overflowing costs exit 1" serve_metrics_rejects_overflowing_costs;
+    case "cli: an empty trace prints no nan ratio" cli_empty_trace_prints_no_nan;
   ]

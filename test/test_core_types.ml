@@ -75,22 +75,26 @@ let sequence_accessors () =
 
 let sequence_prev_and_sigma () =
   let seq = fig6 () in
+  let prev = Sequence.prevs seq in
+  Alcotest.(check int) "one entry per index in [0, n]" 9 (Array.length prev);
+  Alcotest.(check int) "p(0)" (-1) prev.(0);
   (* p(4) = 0 (server 0's boundary request), sigma_4 = 1.4 *)
-  Alcotest.(check int) "p(4)" 0 (Sequence.prev_same_server seq 4);
-  check_float "sigma_4" 1.4 (Sequence.sigma seq 4);
+  Alcotest.(check int) "p(4)" 0 prev.(4);
+  check_float "sigma_4" 1.4 (sigma seq prev 4);
   (* first request on s^2: dummy predecessor *)
-  Alcotest.(check int) "p(1)" (-1) (Sequence.prev_same_server seq 1);
-  Alcotest.(check bool) "sigma_1 infinite" true (Sequence.sigma seq 1 = infinity);
+  Alcotest.(check int) "p(1)" (-1) prev.(1);
+  Alcotest.(check bool) "sigma_1 infinite" true (sigma seq prev 1 = infinity);
   (* p(6) = 5: consecutive requests on server 1 *)
-  Alcotest.(check int) "p(6)" 5 (Sequence.prev_same_server seq 6);
-  check_float "sigma_6" 0.6 (Sequence.sigma seq 6);
-  Alcotest.(check int) "p(7) = 2" 2 (Sequence.prev_same_server seq 7)
+  Alcotest.(check int) "p(6)" 5 prev.(6);
+  check_float "sigma_6" 0.6 (sigma seq prev 6);
+  Alcotest.(check int) "p(7) = 2" 2 prev.(7)
 
 (* the requests on a server, ascending, read by following p(i) back
    from the server's last request *)
 let requests_on seq s =
+  let prev = Sequence.prevs seq in
   let rec last i = if i < 0 || Sequence.server seq i = s then i else last (i - 1) in
-  let rec chain i acc = if i < 0 then acc else chain (Sequence.prev_same_server seq i) (i :: acc) in
+  let rec chain i acc = if i < 0 then acc else chain prev.(i) (i :: acc) in
   chain (last (Sequence.n seq)) []
 
 let sequence_requests_on () =
@@ -122,27 +126,21 @@ let sequence_sub () =
   Alcotest.(check int) "empty" 0 (Sequence.n empty);
   check_float "empty horizon" 0.0 (Sequence.horizon empty)
 
+(* [Sequence.prevs] against the quadratic definition: the greatest
+   j < i with s_j = s_i, r_0 included, or -1 *)
 let sequence_prev_consistency =
   qcheck "sequence: p(i) is the latest earlier request on the same server"
-    (nonempty_problem_arbitrary ())
+    (problem_arbitrary ~max_m:8 ~max_n:60 ())
     (fun { seq; _ } ->
-      let n = Sequence.n seq in
-      let ok = ref true in
-      for i = 1 to n do
-        let p = Sequence.prev_same_server seq i in
-        (* reference: scan *)
-        let expected = ref (if Sequence.server seq i = 0 then 0 else -1) in
-        for j = 1 to i - 1 do
-          if Sequence.server seq j = Sequence.server seq i then expected := j
-        done;
-        if p <> !expected then ok := false;
-        if p >= 0 then begin
-          if not (approx (Sequence.sigma seq i) (Sequence.time seq i -. Sequence.time seq p)) then
-            ok := false
-        end
-        else if Sequence.sigma seq i <> infinity then ok := false
-      done;
-      !ok)
+      let n = Sequence.n seq and prev = Sequence.prevs seq in
+      let expected i =
+        let rec scan j =
+          if j < 0 || Sequence.server seq j = Sequence.server seq i then j else scan (j - 1)
+        in
+        scan (i - 1)
+      in
+      Array.length prev = n + 1
+      && List.for_all (fun i -> prev.(i) = expected i) (List.init (n + 1) Fun.id))
 
 (* ---------------------------------------------------------------- bounds *)
 
@@ -547,6 +545,25 @@ let agree ~model ~seq s r =
 
 let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
 
+(* [make]'s source encoding: a negative [From_server] reads as [-2] *)
+let src_code = function Schedule.From_server s -> if s < 0 then -2 else s | From_external -> -1
+
+(* [Schedule.of_columns] or [of_sorted_columns] on exactly these
+   pieces, in this order *)
+let of_pieces columns caches transfers =
+  let cs = Array.of_list caches and ts = Array.of_list transfers in
+  columns
+    ~server:(Array.map (fun (c : Schedule.cache) -> c.server) cs)
+    ~from_time:(Array.map (fun (c : Schedule.cache) -> c.from_time) cs)
+    ~to_time:(Array.map (fun (c : Schedule.cache) -> c.to_time) cs)
+    ~src:(Array.map (fun (tr : Schedule.transfer) -> src_code tr.src) ts)
+    ~dst:(Array.map (fun (tr : Schedule.transfer) -> tr.dst) ts)
+    ~time:(Array.map (fun (tr : Schedule.transfer) -> tr.time) ts)
+
+let of_sorted = of_pieces Schedule.of_sorted_columns
+let caches_out_of_order = "Schedule.of_sorted_columns: caches out of (server, from, to) order"
+let transfers_out_of_order = "Schedule.of_sorted_columns: transfers out of (time, dst) order"
+
 let schedule_matches_reference =
   qcheck ~count:1000 "schedule: agrees with the list-based reference" pieces_arbitrary (fun p ->
       let caches = p.p_caches and transfers = p.p_transfers in
@@ -556,6 +573,11 @@ let schedule_matches_reference =
       with
       | Error a, Error b ->
           if a <> b then QCheck.Test.fail_reportf "make raised %S, the reference %S" a b;
+          (* the piece checks come before the order check *)
+          (match outcome (fun () -> of_sorted caches transfers) with
+          | Error c when c = a -> ()
+          | Error c -> QCheck.Test.fail_reportf "make raised %S, of_sorted_columns %S" a c
+          | Ok _ -> QCheck.Test.fail_reportf "only of_sorted_columns accepts the pieces: %S" a);
           true
       | Ok _, Error b -> QCheck.Test.fail_reportf "only the reference rejects the pieces: %S" b
       | Error a, Ok _ -> QCheck.Test.fail_reportf "only make rejects the pieces: %S" a
@@ -574,25 +596,57 @@ let schedule_matches_reference =
                   (Schedule.make ~caches:c1 ~transfers:t1)
                   (Schedule.make ~caches:c2 ~transfers:t2))
                (R.union (R.make ~caches:c1 ~transfers:t1) (R.make ~caches:c2 ~transfers:t2)));
-          (* [of_columns] reads only the first [k] entries of each column *)
-          let junk_int = 7 and junk_time = 0.25 in
-          let cs = Array.of_list caches and ts = Array.of_list transfers in
-          let col f xs junk = Array.append (Array.map f xs) [| junk |] in
-          let direct =
-            Schedule.of_columns ~num_caches:(Array.length cs)
-              ~server:(col (fun (c : Schedule.cache) -> c.server) cs junk_int)
-              ~from_time:(col (fun (c : Schedule.cache) -> c.from_time) cs junk_time)
-              ~to_time:(col (fun (c : Schedule.cache) -> c.to_time) cs junk_time)
-              ~num_transfers:(Array.length ts)
-              ~src:
-                (col
-                   (fun (tr : Schedule.transfer) ->
-                     match tr.src with Schedule.From_server s -> s | From_external -> -1)
-                   ts junk_int)
-              ~dst:(col (fun (tr : Schedule.transfer) -> tr.dst) ts junk_int)
-              ~time:(col (fun (tr : Schedule.transfer) -> tr.time) ts junk_time)
+          ignore (agree ~model ~seq (of_pieces Schedule.of_columns caches transfers) r);
+          (* the sorted constructor takes the pieces as they are
+             stored, and rejects them in any other order *)
+          ignore (agree ~model ~seq (of_sorted (Schedule.caches s) (Schedule.transfers s)) r);
+          let in_order key stored given = List.map key stored = List.map key given in
+          let expected =
+            if not (in_order cache_key (Schedule.caches s) caches) then Error caches_out_of_order
+            else if not (in_order transfer_key (Schedule.transfers s) transfers) then
+              Error transfers_out_of_order
+            else Ok ()
           in
-          agree ~model ~seq direct r)
+          match (expected, outcome (fun () -> of_sorted caches transfers)) with
+          | Ok (), Ok given -> agree ~model ~seq given r
+          | Error a, Error b when a = b -> true
+          | Ok (), Error b ->
+              QCheck.Test.fail_reportf "of_sorted_columns rejects sorted pieces: %S" b
+          | Error a, Error b ->
+              QCheck.Test.fail_reportf "expected %S, of_sorted_columns raised %S" a b
+          | Error a, Ok _ ->
+              QCheck.Test.fail_reportf "of_sorted_columns accepts pieces out of order (%S)" a)
+
+(* Hand-made cases the random pieces may miss: ties on the first key,
+   and columns of one kind that differ in length *)
+let sorted_constructor_checks () =
+  let rejects what expected f =
+    match outcome f with
+    | Error msg -> Alcotest.(check string) what expected msg
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  let cache server from_time to_time = { Schedule.server; from_time; to_time } in
+  let transfer dst time = { Schedule.src = Schedule.From_external; dst; time } in
+  rejects "servers descend" caches_out_of_order (fun () ->
+      of_sorted [ cache 1 0.0 1.0; cache 0 2.0 3.0 ] []);
+  rejects "starts descend on one server" caches_out_of_order (fun () ->
+      of_sorted [ cache 0 2.0 3.0; cache 0 0.0 1.0 ] []);
+  rejects "ends descend on one start" caches_out_of_order (fun () ->
+      of_sorted [ cache 0 0.0 2.0; cache 0 0.0 1.0 ] []);
+  rejects "times descend" transfers_out_of_order (fun () ->
+      of_sorted [] [ transfer 0 2.0; transfer 1 1.0 ]);
+  rejects "destinations descend at one time" transfers_out_of_order (fun () ->
+      of_sorted [] [ transfer 1 1.0; transfer 0 1.0 ]);
+  List.iter
+    (fun columns ->
+      rejects "cache columns" "Schedule: cache columns differ in length" (fun () ->
+          columns ~server:[| 0 |] ~from_time:[| 0.0 |] ~to_time:[||] ~src:[||] ~dst:[||]
+            ~time:[||]);
+      rejects "transfer columns" "Schedule: transfer columns differ in length" (fun () ->
+          columns ~server:[||] ~from_time:[||] ~to_time:[||] ~src:[| -1 |] ~dst:[| 0 |] ~time:[||]))
+    [ Schedule.of_columns; Schedule.of_sorted_columns ];
+  let s = of_sorted [ cache 0 0.0 1.0; cache 0 1.0 2.0; cache 1 0.5 1.0 ] [ transfer 1 0.5 ] in
+  Alcotest.(check int) "pieces kept" 3 (List.length (Schedule.caches s))
 
 (* The solver's own schedules, where [validate] says [Ok] *)
 let solver_schedule_matches_reference =
@@ -637,5 +691,6 @@ let suite =
     case "schedule: copy queries" schedule_copies_at;
     case "schedule: union and rendering" schedule_union_and_render;
     schedule_matches_reference;
+    case "schedule: the sorted constructor checks order and lengths" sorted_constructor_checks;
     solver_schedule_matches_reference;
   ]

@@ -302,37 +302,51 @@ let upload_never_hurts =
 
 (* ------------------------------------------------- allocation budgets *)
 
-(* Words per request of the four calls [dcache solve] makes after
-   reading its trace, on the bench ledger's workloads.  What is left:
-   the solve keeps four float columns (4 words) and gets each time
-   boxed from [Sequence.time] (2), so its budget of 7 fails on one
-   more 2-word allocation per request in [Streaming_dp.of_sequence];
-   the cold walk fills six buffers (6),
-   sorts an index permutation of its pieces and copies them into the
-   schedule's columns; pricing boxes [Sequence.sigma]'s result (2); a
-   cache miss adds the fingerprint it digests (1.5). *)
+(* Words per request of the calls [dcache solve] makes, on the bench
+   ledger's workloads at n = 20 000, seed 1.  Each budget fails on one
+   more 2-word allocation per request.  What is left:
+   - [Offline_dp.solve] (6.00): the solver's four float columns (4)
+     and the time each [Sequence.time] call returns boxed (2);
+   - a cold [Offline_dp.schedule] (5.23-5.64): the walk's two
+     per-request slot arrays (2) and the schedule's columns, three
+     words per piece at 1.1-1.2 pieces per request;
+   - pricing (2.00): the time [Bounds.lower_bound] gets boxed from
+     [Sequence.time];
+   - a [Solve_cache.solve] miss (7.51): the solve and the
+     16 + 12n-byte fingerprint it digests (1.5);
+   - the whole path in ledger order (18.76-19.17):
+     [Trace_io.of_string] (4.02, budgeted in test_workload), a miss,
+     a cold schedule and pricing. *)
 let allocation_budgets () =
   let budget name what limit words =
     if words > limit then
       Alcotest.failf "%s on %s allocates %.2f words/request (budget %g)" what name words limit
+  in
+  let pricing seq schedule =
+    ignore (Sys.opaque_identity (Schedule.caching_cost unit schedule));
+    ignore (Sys.opaque_identity (Schedule.transfer_cost unit schedule));
+    ignore (Sys.opaque_identity (Schedule.num_transfers schedule));
+    Bounds.lower_bound unit seq
   in
   List.iter
     (fun (name, seq) ->
       budget name "Offline_dp.solve" 7.0
         (words_per_request ~n:budget_n (fun () -> Offline_dp.solve unit seq));
       let r = Offline_dp.solve unit seq in
-      budget name "a cold Offline_dp.schedule" 24.0
+      budget name "a cold Offline_dp.schedule" 7.0
         (words_per_request ~n:budget_n (fun () -> Offline_dp.schedule r));
       let schedule = Offline_dp.schedule r in
-      budget name "pricing" 3.0
-        (words_per_request ~n:budget_n (fun () ->
-             ignore (Sys.opaque_identity (Schedule.caching_cost unit schedule));
-             ignore (Sys.opaque_identity (Schedule.transfer_cost unit schedule));
-             ignore (Sys.opaque_identity (Schedule.num_transfers schedule));
-             Bounds.lower_bound unit seq));
+      budget name "pricing" 3.0 (words_per_request ~n:budget_n (fun () -> pricing seq schedule));
       Solve_cache.clear ();
-      budget name "a Solve_cache.solve miss" 10.0
+      budget name "a Solve_cache.solve miss" 9.0
         (words_per_request ~n:budget_n (fun () -> Solve_cache.solve unit seq));
+      Solve_cache.clear ();
+      let text = Dcache_workload.Trace_io.to_string seq in
+      budget name "the solve path" 20.0
+        (words_per_request ~n:budget_n (fun () ->
+             match Dcache_workload.Trace_io.of_string ~m:(Sequence.m seq) text with
+             | Error msg -> Alcotest.fail msg
+             | Ok seq -> pricing seq (Offline_dp.schedule (Solve_cache.solve unit seq))));
       Solve_cache.clear ())
     (budget_workloads ())
 

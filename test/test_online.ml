@@ -276,11 +276,11 @@ let lemma6_short_intervals_cached =
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
       let sched = Offline_dp.schedule (Offline_dp.solve model seq) in
-      let ok = ref true in
+      let ok = ref true and prev = Sequence.prevs seq in
       for i = 1 to Sequence.n seq do
-        let musig = model.Cost_model.mu *. Sequence.sigma seq i in
+        let musig = model.Cost_model.mu *. sigma seq prev i in
         if musig < model.Cost_model.lambda -. 1e-9 then begin
-          let p = Sequence.prev_same_server seq i in
+          let p = prev.(i) in
           let covered =
             List.exists
               (fun c ->

@@ -340,6 +340,75 @@ let overflowed_step_takes_the_c_branch () =
   | Ok seq -> check "data/15041.events, m = 8" seq
   | Error e -> Alcotest.fail e
 
+(* ------------------------------------------- the reconstruction walk *)
+
+(* Instances for the walk: m = 1-8, n = 0-300, time gaps that are
+   often a single ulp, dyadic gaps and rates that make mu sigma_h tie
+   lambda exactly, uploads below, at, 1 ulp around and above lambda,
+   and now and then a rate that overflows every cost *)
+let walk_problem_gen =
+  let open QCheck.Gen in
+  let* m = int_range 1 8 and* n = int_range 0 300 in
+  let* servers = array_size (return n) (int_range 0 (m - 1)) in
+  let* gaps =
+    array_size (return n)
+      (frequency [ (2, return 0.0); (2, return 0.5); (1, return 0.25); (4, float_range 0.01 3.0) ])
+  in
+  let* mu =
+    frequency [ (4, float_range 0.1 4.0); (2, return 1.0); (1, return 2.0); (1, return 1e308) ]
+  in
+  let* lambda = frequency [ (2, float_range 0.1 4.0); (1, return 1.0); (1, return 0.5) ] in
+  let* upload =
+    oneof
+      [
+        return infinity;
+        return lambda;
+        return (Float.pred lambda);
+        return (Float.succ lambda);
+        map (fun f -> f *. lambda) (float_range 0.1 0.99);
+        float_range 0.1 4.0;
+      ]
+  in
+  let clock = ref 0.0 in
+  let times =
+    Array.map
+      (fun gap ->
+        (* a zero gap stands for the next float *)
+        clock := if gap = 0.0 then Float.succ !clock else !clock +. gap;
+        !clock)
+      gaps
+  in
+  match Sequence.of_columns ~m ~servers ~times with
+  | Ok seq -> return { model = Cost_model.make ~upload ~mu ~lambda (); seq }
+  | Error msg -> failwith msg
+
+let same_schedule a b =
+  let bits = Int64.bits_of_float in
+  let cache (c : Schedule.cache) = (c.server, bits c.from_time, bits c.to_time) in
+  let transfer (tr : Schedule.transfer) = (tr.src, tr.dst, bits tr.time) in
+  List.map cache (Schedule.caches a) = List.map cache (Schedule.caches b)
+  && List.map transfer (Schedule.transfers a) = List.map transfer (Schedule.transfers b)
+
+(* [schedule] against the walk it replaced, column for column: after
+   the batch solve, and after every push of a stream whose schedule
+   is asked for between pushes *)
+let schedule_matches_reference_walk =
+  qcheck ~count:60 "streaming: schedule equals the reference walk on every prefix"
+    (QCheck.make ~print:problem_print walk_problem_gen)
+    (fun { model; seq } ->
+      let check what stream =
+        if not (same_schedule (Streaming_dp.schedule stream) (Schedule_reference.walk stream))
+        then QCheck.Test.fail_reportf "%s: the schedules differ" what
+      in
+      check "of_sequence" (Streaming_dp.of_sequence model seq);
+      let stream = Streaming_dp.create model ~m:(Sequence.m seq) in
+      check "prefix 0" stream;
+      for i = 1 to Sequence.n seq do
+        Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i);
+        check (Printf.sprintf "prefix %d" i) stream
+      done;
+      true)
+
 let suite =
   [
     prefix_optima_match_batch;
@@ -358,4 +427,5 @@ let suite =
     exchange_local_optimality;
     case "streaming: an overflowed step takes the C branch" overflowed_step_takes_the_c_branch;
     case "streaming: push allocation budget" push_allocation_budget;
+    schedule_matches_reference_walk;
   ]
