@@ -1,12 +1,11 @@
 # Convenience entry points around dune.  `make check` is the full
-# gate: build, tests (which already include both static-analysis
-# stages via @lint), and machine-readable SARIF reports for both
-# analyzers under _build/sarif/.
+# gate: build, tests (which already include the static analyzer via
+# @lint), and its machine-readable SARIF report under _build/sarif/.
 
 BUILD := _build/default
 SARIF := _build/sarif
 
-.PHONY: all build test lint sema sema-self sarif check bench-baseline perf-gate bench-sema trace metrics-demo audit-demo clean
+.PHONY: all build test lint sema sarif check bench-baseline perf-gate bench-sema trace metrics-demo audit-demo clean
 
 all: build
 
@@ -16,30 +15,22 @@ build:
 test:
 	dune runtest
 
-# both static-analysis stages: dcache_lint (parsetree) + dcache_sema (typedtree)
+# the static analyzer, dcache_sema (typedtree, R1-R4 and S2-S8)
 lint:
 	dune build @lint
 
 sema:
 	dune build @sema
 
-# the analyzers must hold themselves to the repo's determinism rules:
-# run dcache_lint over tools/ (no baseline, no excuses)
-sema-self: build
-	$(BUILD)/tools/lint/dcache_lint.exe tools
-
-# SARIF artifacts for CI upload; the exit status still gates.
+# SARIF artifact for CI upload; the exit status still gates.
 # --stats prints per-rule finding counts and the analysis wall-time.
 sarif: build
 	dune build @sema
 	mkdir -p $(SARIF)
-	$(BUILD)/tools/lint/dcache_lint.exe --baseline tools/lint/baseline.txt \
-	  --sarif $(SARIF)/dcache_lint.sarif lib bin bench examples
 	$(BUILD)/tools/sema/dcache_sema.exe --baseline tools/sema/baseline.txt \
-	  --source-root $(BUILD) --scope lib/ --stats \
-	  --sarif $(SARIF)/dcache_sema.sarif $(BUILD)
+	  --source-root $(BUILD) --stats --sarif $(SARIF)/dcache_sema.sarif $(BUILD)
 
-check: build test sarif sema-self audit-demo
+check: build test sarif audit-demo
 
 # record the push-time baseline the perf gate compares against
 bench-baseline: build

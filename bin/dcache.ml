@@ -62,6 +62,16 @@ let finite_or_die what cost =
          (Printf.sprintf "%s is %s: the cost overflows floating point; use smaller --mu/--lambda"
             what (Float.to_string cost)))
 
+(* [Audit.observe] refuses an overflowed cost before it writes a
+   gauge; report which cost overflowed, naming it with [what] *)
+let feed_or_die ?(inflate = 1.0) what auditor ~server ~time =
+  let module A = Dcache_sim.Auditor in
+  try A.feed auditor ~server ~time
+  with Invalid_argument _ as e ->
+    finite_or_die (what "online cost") (inflate *. A.online_cost_so_far auditor);
+    finite_or_die (what "offline optimum") (A.opt_cost_so_far auditor);
+    raise e
+
 (* -------------------------------------------------------------- generate *)
 
 let arrival_conv =
@@ -426,14 +436,20 @@ let audit_cmd =
     Printf.printf "%8s %8s %12s %12s %8s %10s %8s\n" "window" "i" "online" "opt" "ratio" "regret"
       "prefix";
     let on_window (w : Dcache_sim.Auditor.Audit.window) =
-      finite_or_die "the online cost" w.online;
-      finite_or_die "the offline optimum" w.opt;
       Printf.printf "%8d %8d %12.4f %12.4f %8.4f %10.4f %8.4f\n" w.index w.last w.online w.opt
         w.ratio w.regret w.prefix_ratio
     in
-    let report =
-      Dcache_sim.Auditor.replay ~window_size ~bound ~inflate ?epoch_size:epoch ~on_window model seq
+    let auditor =
+      Dcache_sim.Auditor.create ~window_size ~bound ~inflate ?epoch_size:epoch ~on_window model
+        ~m:(Sequence.m seq)
     in
+    for i = 1 to Sequence.n seq do
+      feed_or_die ~inflate (( ^ ) "the ") auditor ~server:(Sequence.server seq i)
+        ~time:(Sequence.time seq i)
+    done;
+    let report = Dcache_sim.Auditor.finish auditor in
+    finite_or_die "the online cost" report.online_cost;
+    finite_or_die "the offline optimum" report.opt_cost;
     Printf.printf
       "audited %d requests in %d windows: online %.6f, optimum %.6f, ratio %.4f (bound %.1f)\n"
       report.requests report.windows report.online_cost report.opt_cost report.final_ratio bound;
@@ -553,10 +569,10 @@ let serve_metrics_cmd =
            (prefix/window ratios, regret quantiles, the Theorem-3
            bound monitor) and this item's audit.item_* children update
            live — no per-batch re-solve *)
+        let what cost = Printf.sprintf "batch %d, %s: the %s" i item_labels.(k) cost in
         let auditor = Dcache_sim.Auditor.create model ~m ~item:item_labels.(k) in
         for j = 1 to Sequence.n seq do
-          Dcache_sim.Auditor.feed auditor ~server:(Sequence.server seq j)
-            ~time:(Sequence.time seq j)
+          feed_or_die what auditor ~server:(Sequence.server seq j) ~time:(Sequence.time seq j)
         done;
         let report = Dcache_sim.Auditor.finish auditor in
         (* memoised offline re-solve of the same instance: keeps the
@@ -565,7 +581,6 @@ let serve_metrics_cmd =
         ignore (Solve_cache.solve model seq : Offline_dp.t);
         let online = report.Dcache_sim.Auditor.online_cost in
         let opt = report.Dcache_sim.Auditor.opt_cost in
-        let what cost = Printf.sprintf "batch %d, %s: the %s" i item_labels.(k) cost in
         finite_or_die (what "online cost") online;
         finite_or_die (what "offline optimum") opt;
         online_total := !online_total +. online;

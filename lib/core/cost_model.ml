@@ -5,6 +5,10 @@ let make ?(upload = infinity) ~mu ~lambda () =
     invalid_arg "Cost_model.make: mu must be positive and finite";
   if not (lambda > 0. && Float.is_finite lambda) then
     invalid_arg "Cost_model.make: lambda must be positive and finite";
+  (* SC's expiry arithmetic divides by the window: a window of exactly
+     0 turns expiries into nan *)
+  if not (lambda /. mu > 0.) then
+    invalid_arg "Cost_model.make: the speculative window lambda / mu underflows to 0";
   if not (upload > 0.) then invalid_arg "Cost_model.make: upload must be positive";
   { mu; lambda; upload }
 

@@ -16,7 +16,9 @@ type t = private {
 
 val make : ?upload:float -> mu:float -> lambda:float -> unit -> t
 (** @raise Invalid_argument if [mu] or [lambda] is not positive and
-    finite (NaN and [infinity] included), or [upload <= 0].
+    finite (NaN and [infinity] included), if the window
+    [lambda /. mu] underflows to [0.] (say [mu = 1e200],
+    [lambda = 1e-200]), or if [upload <= 0].
     [upload = infinity] is legal: it means "no upload". *)
 
 val unit : t
@@ -26,7 +28,8 @@ val unit : t
 val delta_t : t -> float
 (** The speculative window [lambda / mu] of the online SC algorithm
     (Section V): keeping a copy this long costs exactly one
-    transfer. *)
+    transfer.  Always positive: {!make} rejects a window that
+    underflows to [0.]; a subnormal one is kept. *)
 
 val caching : t -> duration:float -> float
 (** Cost of caching one copy for [duration] time units. *)

@@ -53,7 +53,7 @@ let key model seq =
 
 let evict_lru () =
   let victim =
-    (* dcache-lint: allow R1 — the fold picks the unique minimum stamp (ticks never repeat) *)
+    (* dcache-sema: allow R1 — the fold picks the unique minimum stamp (ticks never repeat) *)
     Hashtbl.fold
       (fun k e acc ->
         match acc with Some (_, best) when best.stamp <= e.stamp -> acc | _ -> Some (k, e))
@@ -92,7 +92,7 @@ let stats () =
 let size () = Hashtbl.length table
 
 let all_freqs () =
-  (* dcache-lint: allow R1 — the unordered fold is immediately sorted *)
+  (* dcache-sema: allow R1 — the unordered fold is immediately sorted *)
   let fs = Hashtbl.fold (fun _ e acc -> e.freq :: acc) table [] in
   List.sort (fun a b -> Int.compare b a) fs
 

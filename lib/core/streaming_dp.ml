@@ -273,9 +273,9 @@ let push t ~server ~time =
       let last = Int32.to_int (A1.unsafe_get t.arena (row + j)) in
       let kappa = Int32.to_int (A1.unsafe_get t.nxt (last + 1)) in
       if kappa >= 0 then begin
-        (* dcache-lint: allow R3 — kappa < i <= len: nxt only ever stores already-pushed indices *)
+        (* dcache-sema: allow R3 — kappa < i <= len: nxt only ever stores already-pushed indices *)
         let cand = Array.unsafe_get t.d kappa +. base -. Array.unsafe_get t.big_b kappa in
-        (* dcache-lint: allow R3 — i < cap: grow ran above when len hit cap *)
+        (* dcache-sema: allow R3 — i < cap: grow ran above when len hit cap *)
         if cand < Array.unsafe_get t.d i then begin
           Array.unsafe_set t.d i cand;
           A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int kappa)

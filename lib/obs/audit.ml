@@ -134,6 +134,9 @@ let close_window t =
 
 let observe t ~online ~opt =
   if t.flushed then invalid_arg "Audit.observe: auditor already flushed";
+  (* an overflowed cost would reach the gauges as nan or inf *)
+  if not (Float.is_finite online && Float.is_finite opt) then
+    invalid_arg "Audit.observe: costs must be finite";
   t.n <- t.n + 1;
   t.online <- online;
   t.opt <- opt;

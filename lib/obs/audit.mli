@@ -82,9 +82,11 @@ val observe : t -> online:float -> opt:float -> bool
 (** Feed the cumulative costs after one more request.  Returns [true]
     iff this observation closed a window (read it back with
     {!last_window}).  Monotonicity of the inputs is the caller's
-    contract; the auditor only requires them to be finite.
+    contract.
     [O(1)], allocation-free unless a violation witness is captured.
-    @raise Invalid_argument if the auditor was {!flush}ed. *)
+    @raise Invalid_argument if the auditor was {!flush}ed, or if
+    [online] or [opt] is not finite (an overflowed cost); the
+    auditor's state and gauges are then untouched. *)
 
 val flush : t -> bool
 (** Close the current partial window, if any requests are pending in

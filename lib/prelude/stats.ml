@@ -117,7 +117,7 @@ let linear_fit points =
     points;
   let nf = float_of_int n in
   let denom = (nf *. !sxx) -. (!sx *. !sx) in
-  (* dcache-lint: allow R2 — exact-zero singularity guard; near-zero denoms give a large but defined slope *)
+  (* dcache-sema: allow R2 — exact-zero singularity guard; near-zero denoms give a large but defined slope *)
   if denom = 0. then invalid_arg "Stats.linear_fit: x values are all equal";
   let slope = ((nf *. !sxy) -. (!sx *. !sy)) /. denom in
   let intercept = (!sy -. (slope *. !sx)) /. nf in

@@ -55,7 +55,9 @@ val feed : t -> server:int -> time:float -> unit
 (** Route one request through policy, optimum and auditor.  A
     rejected request changes none of the three.
     @raise Invalid_argument on an out-of-range server, a non-finite
-    or non-increasing time, or a finished pipeline. *)
+    or non-increasing time, or a finished pipeline; also when the
+    request takes a cost past the largest float, after policy and
+    optimum took it but before the auditor does ({!Audit.observe}). *)
 
 val audit : t -> Audit.t
 (** The live auditor (prefix/window readbacks mid-stream). *)
@@ -83,4 +85,5 @@ val replay :
   Dcache_core.Sequence.t ->
   report
 (** Feed a whole validated instance and {!finish}.
-    @raise Invalid_argument as {!create}. *)
+    @raise Invalid_argument as {!create}, or as {!feed} when a cost
+    overflows. *)

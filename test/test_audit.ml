@@ -18,6 +18,7 @@ module Pool = Dcache_prelude.Pool
 open Helpers
 
 let fig6_model = Dcache_experiments.Instances.fig6_model
+let unit_model = Cost_model.unit
 let fig6_seq = fig6 ()
 
 (* see test_pool.ml: module-level pools are torn down with the process *)
@@ -420,26 +421,47 @@ let auditor_rejects_non_finite_time () =
   Alcotest.(check int) "no violations" 0 report.violations
 
 (* Rates that overflow every cost to inf: [solve], [online] and [audit]
-   exit 1 with a message instead of printing inf and nan ratios. *)
+   exit 1 with a message instead of printing inf and nan ratios, and
+   the gauges they record on the way hold no null (overflowed) sample.
+   A window lambda / mu that underflows to 0 is refused up front by
+   [online], [audit] and [compare] alike. *)
 let cli_rejects_overflowing_costs () =
   let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
   if not (Sys.file_exists exe) then Alcotest.skip ();
-  let err = Filename.temp_file "dcache" ".err" in
+  let out = Filename.temp_file "dcache" ".out" and err = Filename.temp_file "dcache" ".err" in
+  let json = Filename.temp_file "dcache" ".json" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () -> List.iter Sys.remove [ out; err; json ])
     (fun () ->
+      let run command rates =
+        let status =
+          Sys.command
+            (Filename.quote_command exe ~stdout:out ~stderr:err
+               ([ command; "--trace"; "data/15041.events"; "-m"; "8"; "--trace-json"; json ]
+               @ rates))
+        in
+        Alcotest.(check int) (command ^ " exit status") 1 status;
+        In_channel.with_open_text err In_channel.input_all
+      in
       List.iter
         (fun command ->
-          let status =
-            Sys.command
-              (Filename.quote_command exe ~stdout:Filename.null ~stderr:err
-                 [ command; "--trace"; "data/15041.events"; "-m"; "8"; "--mu"; "1e308" ])
-          in
-          Alcotest.(check int) (command ^ " exit status") 1 status;
-          let message = In_channel.with_open_text err In_channel.input_all in
+          let message = run command [ "--mu"; "1e308" ] in
           if not (contains "overflows floating point" message) then
-            Alcotest.failf "%s: unexpected error output %S" command message)
-        [ "solve"; "online"; "audit" ])
+            Alcotest.failf "%s: unexpected error output %S" command message;
+          let trace = In_channel.with_open_text json In_channel.input_all in
+          if contains "null" trace then
+            Alcotest.failf "%s recorded a null sample: %s" command trace)
+        [ "solve"; "online"; "audit" ];
+      List.iter
+        (fun command ->
+          let message = run command [ "--mu"; "1e200"; "--lambda"; "1e-200" ] in
+          let printed = In_channel.with_open_text out In_channel.input_all ^ message in
+          if
+            (not (contains "underflows to 0" message))
+            || contains "nan" (String.lowercase_ascii printed)
+            || contains "exception" printed
+          then Alcotest.failf "%s on an underflowing window printed %S" command printed)
+        [ "online"; "audit"; "compare" ])
 
 (* A header-only trace has n = 0 and an optimum of 0: [online] and
    [compare] print a ratio of 1.0000, as [audit] does, and never nan. *)
@@ -488,7 +510,68 @@ let serve_metrics_rejects_overflowing_costs () =
               && contains "overflows floating point" message)
       then Alcotest.failf "unexpected error output %S" message;
       let trace = In_channel.with_open_text json In_channel.input_all in
-      if contains "\"serve." trace then Alcotest.failf "a serve.* gauge was written: %s" trace)
+      if contains "\"serve." trace then Alcotest.failf "a serve.* gauge was written: %s" trace;
+      if contains "null" trace then Alcotest.failf "a null sample was recorded: %s" trace)
+
+(* The audit path in the bench ledger's order (dcache audit on a
+   trace): parse, then replay through the auditor, a window line per
+   64 requests into a buffer.  33.94-34.00 words under the Noop sink,
+   the window lines included; the budget of 35 fails on one more
+   2-word allocation per request in Incremental.feed, Streaming_dp.push
+   or Audit.observe. *)
+let audit_path_budget () =
+  Obs.set_sink Obs.Noop;
+  List.iter
+    (fun (name, seq) ->
+      let text = Dcache_workload.Trace_io.to_string seq in
+      let out = Buffer.create 4096 in
+      let on_window (w : Audit.window) =
+        Printf.bprintf out "%8d %8d %12.4f %12.4f %8.4f %10.4f %8.4f\n" w.index w.last w.online
+          w.opt w.ratio w.regret w.prefix_ratio
+      in
+      let words =
+        words_per_request ~n:budget_n (fun () ->
+            match Dcache_workload.Trace_io.of_string ~m:(Sequence.m seq) text with
+            | Error msg -> Alcotest.fail msg
+            | Ok seq -> Auditor.replay ~window_size:64 ~on_window unit_model seq)
+      in
+      if words > 35.0 then
+        Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 35)" name words)
+    (budget_workloads ())
+
+(* The serve-metrics item loop in the bench ledger's order, over items
+   of 500 requests: generate one, audit it, then re-solve it through a
+   Solve_cache miss.  Under the Noop sink it reads 35.76 / 35.51 /
+   33.89 / 33.64 words on the four workloads, a spread past 2 words,
+   so each workload has its own budget, under 2 words above its
+   figure. *)
+let serve_items_budget () =
+  Obs.set_sink Obs.Noop;
+  let budgets =
+    [ ("mobility-ring-m8", 36.5); ("zipf-m64", 36.5); ("bursty-m16", 35.0); ("serve-batch", 35.0) ]
+  in
+  List.iter
+    (fun (name, m, arrival, placement) ->
+      let spec = { Dcache_workload.Generator.m; n = 500; arrival; placement } in
+      Solve_cache.clear ();
+      let words =
+        words_per_request ~n:budget_n (fun () ->
+            for k = 1 to budget_n / 500 do
+              let seq = Dcache_workload.Generator.generate_seeded ~seed:k spec in
+              let auditor = Auditor.create unit_model ~m ~item:"item0" in
+              for j = 1 to Sequence.n seq do
+                Auditor.feed auditor ~server:(Sequence.server seq j) ~time:(Sequence.time seq j)
+              done;
+              ignore (Sys.opaque_identity (Auditor.finish auditor));
+              ignore (Sys.opaque_identity (Solve_cache.solve unit_model seq))
+            done)
+      in
+      Solve_cache.clear ();
+      let budget = List.assoc name budgets in
+      if words > budget then
+        Alcotest.failf "the serve item loop on %s allocates %.2f words/request (budget %g)" name
+          words budget)
+    ledger_workloads
 
 let suite =
   [
@@ -510,4 +593,6 @@ let suite =
     case "audit: observe stays within 16 words" observe_word_budget;
     case "serve-metrics: overflowing costs exit 1" serve_metrics_rejects_overflowing_costs;
     case "cli: an empty trace prints no nan ratio" cli_empty_trace_prints_no_nan;
+    case "audit: the audit path stays within its budget" audit_path_budget;
+    case "serve-metrics: the item loop stays within its budget" serve_items_budget;
   ]

@@ -27,6 +27,11 @@ let cost_model_rejects_non_finite () =
   rejects "lambda = inf" (fun () -> Cost_model.make ~mu:1.0 ~lambda:infinity ());
   rejects "mu = nan" (fun () -> Cost_model.make ~mu:nan ~lambda:1.0 ());
   rejects "lambda = nan" (fun () -> Cost_model.make ~mu:1.0 ~lambda:nan ());
+  (* a window lambda / mu that underflows to 0 would make SC's expiries
+     nan; a subnormal window still works *)
+  rejects "lambda / mu underflows to 0" (fun () -> Cost_model.make ~mu:1e200 ~lambda:1e-200 ());
+  Alcotest.(check bool) "a subnormal window is accepted" true
+    (Cost_model.delta_t (Cost_model.make ~mu:1e160 ~lambda:1e-160 ()) > 0.);
   let m = Cost_model.make ~upload:infinity ~mu:1.0 ~lambda:2.0 () in
   Alcotest.(check bool) "upload = inf accepted" true (Float.equal m.Cost_model.upload infinity)
 

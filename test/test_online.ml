@@ -461,6 +461,27 @@ let feed_allocation_budget () =
         [ None; Some 5 ])
     (budget_workloads ())
 
+(* The online path in the bench ledger's order (dcache online on a
+   trace): parse, SC, then the optimum.  14.04-14.07 words: of_string
+   4.02, Online_sc.run 4.01-4.04 and Offline_dp.solve 6.00-6.01, each
+   also budgeted on its own.  The budget of 15 fails on one more
+   2-word allocation per request anywhere on the path. *)
+let online_path_budget () =
+  List.iter
+    (fun (name, seq) ->
+      let text = Dcache_workload.Trace_io.to_string seq in
+      let words =
+        words_per_request ~n:budget_n (fun () ->
+            match Dcache_workload.Trace_io.of_string ~m:(Sequence.m seq) text with
+            | Error msg -> Alcotest.fail msg
+            | Ok seq ->
+                ignore (Sys.opaque_identity (Online_sc.run unit seq));
+                Offline_dp.solve unit seq)
+      in
+      if words > 15.0 then
+        Alcotest.failf "the online path on %s allocates %.2f words/request (budget 15)" name words)
+    (budget_workloads ())
+
 let suite =
   [
     case "sc: within-window request served by cache" serves_within_window_by_cache;
@@ -494,4 +515,5 @@ let suite =
     case "sc: evictions count every closed copy" evictions_count_closed_copies;
     case "sc: Online_sc.run allocation budget" run_allocation_budget;
     case "sc: Incremental.feed allocation budget" feed_allocation_budget;
+    case "sc: the online path stays within its budget" online_path_budget;
   ]

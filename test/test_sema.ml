@@ -5,13 +5,13 @@
    respects cross-library users, and the digest-keyed cache hits on
    re-runs and invalidates on an analyzer-version bump.
 
-   The fixtures cannot be linted from source strings the way the
-   lint suite does it: sema reads .cmt files, so the fixtures are
-   compiled once (lazily) with [ocamlc -bin-annot] into a throwaway
-   tree shaped like the project — lib/core/ and lib/workload/ plus a
-   sibling directory standing in for another dune library — so the
-   path-scoped rules (S2's lib/core, S6's lib/workload, the engine's
-   lib/ scope) see the prefixes they key on. *)
+   Sema reads .cmt files, so the fixtures are compiled once (lazily)
+   with [ocamlc -bin-annot] into a throwaway tree shaped like the
+   project — lib/core/ and lib/workload/ plus a sibling directory
+   standing in for another dune library — so the path-scoped rules
+   (S2's lib/core, S6's lib/workload, lib/ for the rest) see the
+   prefixes they key on.  The R rules have their own suite,
+   test_lint.ml. *)
 
 module F = Report_finding
 
@@ -41,7 +41,10 @@ let core_fixtures =
   ]
 
 let workload_fixtures =
-  [ "s6_deep.mli"; "s6_deep.ml"; "s6_violation.ml"; "s6_clean.ml"; "s6_scc.ml" ]
+  [
+    "s6_deep.mli"; "s6_deep.ml"; "s6_violation.ml"; "s6_clean.ml"; "s6_scc.ml"; "s6_alias.ml";
+    "s6_hashtbl_alias.ml"; "s6_call_alias.ml";
+  ]
 
 (* [core_order] lets the determinism test compile a second tree in a
    different order; .mli-before-.ml pairs are kept adjacent *)
@@ -69,7 +72,8 @@ let compile_tree ~core_order =
   command
     "cd %s && ocamlc -bin-annot -I lib/workload -c lib/workload/s6_deep.mli \
      lib/workload/s6_deep.ml lib/workload/s6_violation.ml lib/workload/s6_clean.ml \
-     lib/workload/s6_scc.ml"
+     lib/workload/s6_scc.ml lib/workload/s6_alias.ml lib/workload/s6_hashtbl_alias.ml \
+     lib/workload/s6_call_alias.ml"
     (Filename.quote root);
   command "cd %s && ocamlc -bin-annot -I lib/core -c other/s3_user.ml" (Filename.quote root);
   root
@@ -157,7 +161,15 @@ let test_s6_fires () =
   check_one "S6 ambient Random inside a mutual-recursion SCC" "S6" "lib/workload/s6_scc.ml" 7
     findings;
   check_message "S6 SCC witness" "S6" "lib/workload/s6_scc.ml"
-    "S6_scc.generate_walk -> S6_scc.walk -> S6_scc.descend" findings
+    "S6_scc.generate_walk -> S6_scc.walk -> S6_scc.descend" findings;
+  (* a module alias hides neither the draw, nor the unordered fold, nor
+     a call: [R.int] is [Random.int], [H.fold] is [Hashtbl.fold] and
+     [D.shuffle] is [S6_deep.shuffle] *)
+  check_one "S6 ambient Random through a module alias" "S6" "lib/workload/s6_alias.ml" 5 findings;
+  check_one "S6 Hashtbl.fold through a module alias" "S6" "lib/workload/s6_hashtbl_alias.ml" 5
+    findings;
+  check_message "S6 call through a module alias" "S6" "lib/workload/s6_call_alias.ml"
+    "S6_call_alias.generate_noisy -> S6_deep.shuffle -> S6_deep.jitter" findings
 
 let test_s7_fires () =
   let findings, _, _, _ = run () in
@@ -234,12 +246,12 @@ let test_multi_rule_suppression () =
   let source = "let x = 1\n(* dcache-sema: allow S4 S5 — both *)\nlet y = 2\n" in
   let f rule = F.v ~path:"t.ml" ~line:3 ~col:0 ~rule "msg" in
   let kept, used =
-    Report_engine.apply_suppressions_tracked ~marker:"dcache-sema:" source [ f "S4"; f "S5" ]
+    Report_engine.apply_suppressions_tracked source [ f "S4"; f "S5" ]
   in
   Alcotest.(check int) "both rules suppressed by one line" 0 (List.length kept);
   Alcotest.(check (list int)) "one comment line used" [ 2 ] used;
   let kept', _ =
-    Report_engine.apply_suppressions_tracked ~marker:"dcache-sema:" source [ f "S6" ]
+    Report_engine.apply_suppressions_tracked source [ f "S6" ]
   in
   Alcotest.(check int) "unlisted rule survives" 1 (List.length kept')
 
@@ -275,7 +287,7 @@ let test_stats_populated () =
 (* version pins: forgetting to bump either stamp when rule semantics
    change is the cache-staleness failure mode — fail loudly here *)
 let test_version_pins () =
-  Alcotest.(check string) "analyzer version" "12" Sema_rules.analyzer_version;
+  Alcotest.(check string) "analyzer version" "13" Sema_rules.analyzer_version;
   Alcotest.(check int) "cache format version" 6 Sema_cache.version
 
 (* witness chains surface in SARIF as codeFlows/relatedLocations and
@@ -286,7 +298,8 @@ let test_sarif_flows () =
   in
   let f = F.v ~path:"lib/a.mli" ~line:3 ~col:0 ~rule:"S2" ~flow "msg" in
   let sarif =
-    Report_sarif.render ~tool_name:"dcache_sema" ~tool_version:"test" ~rules:Sema_rules.catalog
+    Report_sarif.render ~tool_name:"dcache_sema" ~tool_version:"test"
+      ~rules:(List.map (fun r -> (r.Sema_rules.id, r.summary)) Sema_rules.catalog)
       [ f; F.v ~path:"lib/c.ml" ~line:1 ~col:0 ~rule:"S4" "local" ]
   in
   let contains needle =

@@ -21,7 +21,7 @@ type key = string * string
    inherits.  Module-initialisation work (top-level value bindings) is
    deliberately excluded — it runs once, not per call. *)
 type facts = {
-  f_random : bool;  (* Stdlib.Random (Random.State draws excepted, self_init not) *)
+  f_random : bool;  (* anything Stdlib.Random defines *)
   f_sys : bool;  (* Sys.* beyond the compile-time constants *)
   f_unix : bool;
   f_unordered : bool;  (* Hashtbl.fold/iter: unspecified traversal order *)
@@ -123,7 +123,10 @@ let use_of_path p =
 let has_prefix prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
-let has_suffix suffix s = Filename.check_suffix s suffix
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
 (* Units whose effects are sanctioned plumbing: the obs layer reads
    clocks and binds sockets by design, and [Prelude.Rng] wraps
@@ -132,9 +135,38 @@ let has_suffix suffix s = Filename.check_suffix s suffix
    whole unit is opaque: no nodes, no edges, nothing to inherit. *)
 let exempt_unit ml_path =
   let p = F.normalize_path ml_path in
-  has_prefix "lib/obs/" p || has_suffix "prelude/rng.ml" p
+  has_prefix "lib/obs/" p || Filename.check_suffix p "prelude/rng.ml"
 
 (* ------------------------------------------------------- classification *)
+
+(* Where a value is defined: the compilation unit its uid records
+   ("Stdlib__Random", "Dcache_core__Cost_model"; "" for predefined
+   values) and its own name.  The typechecker has already resolved
+   module aliases, [open]s and [let module]s, so [R.int] after
+   [module R = Random] classifies as ("Stdlib__Random", "int").  The
+   R rules and the facts below all classify through this. *)
+type definition = string * string
+
+let definition p (vd : Types.value_description) : definition =
+  let unit =
+    match vd.Types.val_uid with
+    | Shape.Uid.Item { comp_unit; _ } | Shape.Uid.Compilation_unit comp_unit -> comp_unit
+    | Shape.Uid.Internal | Shape.Uid.Predef _ -> ""
+  in
+  (unit, Path.last p)
+
+(* "Stdlib__Hashtbl" -> "Hashtbl"; "" outside the stdlib's modules *)
+let stdlib_module ((unit, _) : definition) =
+  if has_prefix "Stdlib__" unit then String.sub unit 8 (String.length unit - 8) else ""
+
+(* Ambient randomness is anything [Stdlib.Random] defines, its
+   [State] submodule included; unordered traversal is [Hashtbl.fold]
+   and [Hashtbl.iter].  R1 flags both at the use site; S6 inherits
+   them through the call graph. *)
+let ambient_randomness ((unit, _) : definition) = unit = "Stdlib__Random"
+
+let unordered_traversal ((unit, name) : definition) =
+  unit = "Stdlib__Hashtbl" && (name = "fold" || name = "iter")
 
 (* Sys values that read no ambient state: the compile-time constants,
    and [opaque_identity], which only hides a value from the optimiser. *)
@@ -145,31 +177,22 @@ let sys_pure =
     "opaque_identity";
   ]
 
-let drop_stdlib name = if has_prefix "Stdlib." name then String.sub name 7 (String.length name - 7) else name
-
-let last_dotted name =
-  match String.rindex_opt name '.' with
-  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name
-
-(* Ambient effects recognisable from the resolved path alone; applies
-   to bare references too (passing [Hashtbl.fold] around is as
-   order-dependent as calling it). *)
-let ambient_of_name name =
-  let n = drop_stdlib name in
-  if has_suffix "self_init" n then { no_facts with f_random = true }
-  else if has_prefix "Random." n && not (has_prefix "Random.State." n) then
-    { no_facts with f_random = true }
-  else if has_prefix "Sys." n && not (List.mem (last_dotted n) sys_pure) then
-    { no_facts with f_sys = true }
-  else if has_prefix "Unix." n || has_prefix "UnixLabels." n then { no_facts with f_unix = true }
+(* The facts a reference carries by itself; applies to bare references
+   too (passing [Hashtbl.fold] around is as order-dependent as calling
+   it). *)
+let facts_of ((unit, name) as d) =
+  if ambient_randomness d then { no_facts with f_random = true }
+  else if unordered_traversal d then { no_facts with f_unordered = true }
+  else if unit = "Stdlib__Sys" && not (List.mem name sys_pure) then { no_facts with f_sys = true }
+  else if unit = "Unix" || unit = "UnixLabels" then { no_facts with f_unix = true }
+  else if unit = "Stdlib__Mutex" then { no_facts with f_mutex = true }
   else no_facts
 
 (* container operations that mutate their first argument in place *)
-let mutator = function
+let mutator d =
+  match (stdlib_module d, snd d) with
   | ("Array" | "ArrayLabels" | "Bytes" | "BytesLabels"), ("set" | "unsafe_set" | "fill" | "blit")
-  | ("Hashtbl" | "HashtblLabels"), ( "add" | "replace" | "remove" | "reset" | "clear"
-    | "filter_map_inplace" )
+  | "Hashtbl", ("add" | "replace" | "remove" | "reset" | "clear" | "filter_map_inplace")
   | "Buffer", ("clear" | "reset" | "truncate")
   | "Queue", ("add" | "push" | "pop" | "take" | "clear" | "transfer")
   | "Stack", ("push" | "pop" | "clear") ->
@@ -244,20 +267,28 @@ let rec fn_leaves e acc =
 
 let is_function e = match e.exp_desc with Texp_function _ -> true | _ -> false
 
-(* Call candidates: a [Pdot] resolves to one key; a bare [Pident]
-   inside module [m] of unit [u] could name a binding of either, so
-   both keys are tried (and later filtered against the unit's actual
-   node set, which kills edges to local variables that merely share a
-   top-level name). *)
-type target = Remote of key | Locals of key list
+(* Call candidates: a [Pdot] names its spelled module's binding or,
+   failing that, its defining unit's, so a call through [module P =
+   Placement] still reaches [Placement]'s node; a bare [Pident] inside
+   module [m] of unit [u] could name a binding of either, so both keys
+   are tried (and later filtered against the unit's actual node set,
+   which kills edges to local variables that merely share a top-level
+   name). *)
+type target = Remote of key list | Locals of key list
 
-let target_of_path ~mod_name ~unit_name p =
+let target_of_path ~mod_name ~unit_name p vd =
   match p with
   | Path.Pident id ->
       let n = Ident.name id in
       if mod_name = unit_name then Some (Locals [ (unit_name, n) ])
       else Some (Locals [ (mod_name, n); (unit_name, n) ])
-  | _ -> ( match use_of_path p with Some k -> Some (Remote k) | None -> None)
+  | _ -> (
+      match use_of_path p with
+      | Some k ->
+          let unit, name = definition p vd in
+          let def = (strip_mangling unit, name) in
+          Some (Remote (if def = k then [ k ] else [ k; def ]))
+      | None -> None)
 
 (* ------------------------------------------------------------ extraction *)
 
@@ -294,21 +325,16 @@ let scan_facts cx ~mod_name exprs =
   let facts = ref no_facts in
   let calls = ref [] in
   let mark f = facts := f !facts in
-  let call p =
-    match target_of_path ~mod_name ~unit_name:cx.cx_unit p with
+  let call p vd =
+    match target_of_path ~mod_name ~unit_name:cx.cx_unit p vd with
     | Some t -> calls := t :: !calls
     | None -> ()
   in
-  let classify p =
-    let amb = ambient_of_name (Path.name p) in
-    if amb <> no_facts then mark (union amb);
-    (match use_of_path p with
-    | Some (("Hashtbl" | "HashtblLabels"), ("fold" | "iter")) ->
-        mark (fun f -> { f with f_unordered = true })
-    | Some ("Mutex", _) -> mark (fun f -> { f with f_mutex = true })
-    | _ -> ());
+  let classify p vd =
+    let own = facts_of (definition p vd) in
+    if own <> no_facts then mark (union own);
     if is_global cx p then mark (fun f -> { f with f_gread = true });
-    call p
+    call p vd
   in
   let first_positional args =
     List.find_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
@@ -324,25 +350,24 @@ let scan_facts cx ~mod_name exprs =
       expr =
         (fun self e ->
           (match e.exp_desc with
-          | Texp_ident (p, _, _) -> classify p
+          | Texp_ident (p, _, vd) -> classify p vd
           | Texp_setfield (tgt, _, _, _) -> (
               match tgt.exp_desc with
               | Texp_ident (p, _, _) when is_top cx p ->
                   mark (fun f -> { f with f_gwrite = true })
               | _ -> ())
-          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-              let name = drop_stdlib (Path.name p) in
-              (match (name, args) with
-              | (":=" | "incr" | "decr"), (_, Some { exp_desc = Texp_ident (t, _, _); _ }) :: _
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) ->
+              let d = definition p vd in
+              (match (d, args) with
+              | ( ("Stdlib", (":=" | "incr" | "decr")),
+                  (_, Some { exp_desc = Texp_ident (t, _, _); _ }) :: _ )
                 when is_top cx t ->
                   mark (fun f -> { f with f_gwrite = true })
-              | "!", (_, Some { exp_desc = Texp_ident (t, _, _); _ }) :: _ when is_top cx t ->
+              | ("Stdlib", "!"), (_, Some { exp_desc = Texp_ident (t, _, _); _ }) :: _
+                when is_top cx t ->
                   mark (fun f -> { f with f_gread = true })
               | _ -> ());
-              match use_of_path p with
-              | Some k when mutator k && arg_is_top args ->
-                  mark (fun f -> { f with f_gwrite = true })
-              | Some _ | None -> ())
+              if mutator d && arg_is_top args then mark (fun f -> { f with f_gwrite = true })
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
     }
@@ -405,7 +430,7 @@ let closure_flow ~unit_name ~mod_name e =
           | Texp_try (_, cases) -> visit_cases self cases
           | Texp_match (_, cases, _) when List.exists Cfg.has_exception_case cases ->
               visit_cases self cases
-          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, _) ->
               (match Cfg.as_raise ex with
               | Some (Some exn) ->
                   let st = ex.exp_loc.Location.loc_start in
@@ -413,7 +438,7 @@ let closure_flow ~unit_name ~mod_name e =
                     (exn, st.Lexing.pos_lnum, st.Lexing.pos_cnum - st.Lexing.pos_bol) :: !raises
               | Some None -> ()
               | None -> (
-                  match target_of_path ~mod_name ~unit_name p with
+                  match target_of_path ~mod_name ~unit_name p vd with
                   | Some t -> calls := t :: !calls
                   | None -> ()));
               Tast_iterator.default_iterator.expr self ex
@@ -451,9 +476,9 @@ let scan_flow cx ~mod_name vb_expr =
                         | None -> ())
                   | None -> (
                       match e.exp_desc with
-                      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
+                      | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, _) -> (
                           if open_block then
-                            match target_of_path ~mod_name ~unit_name:cx.cx_unit p with
+                            match target_of_path ~mod_name ~unit_name:cx.cx_unit p vd with
                             | Some t -> unguarded := t :: !unguarded
                             | None -> ())
                       | Texp_function _ | Texp_lazy _ ->
@@ -511,32 +536,29 @@ let closure_captures cx ~mod_name closure =
       expr =
         (fun self e ->
           (match e.exp_desc with
-          | Texp_ident (p, _, _) -> (
-              (match use_of_path p with
-              | Some ("Mutex", _) -> uses_mutex := true
-              | _ -> ());
-              match target_of_path ~mod_name ~unit_name:cx.cx_unit p with
+          | Texp_ident (p, _, vd) -> (
+              if fst (definition p vd) = "Stdlib__Mutex" then uses_mutex := true;
+              match target_of_path ~mod_name ~unit_name:cx.cx_unit p vd with
               | Some t -> calls := t :: !calls
               | None -> ())
           | Texp_setfield ({ exp_desc = Texp_ident (p, _, _); _ }, _, _, _)
             when not (is_bound p) ->
               write "mutable field of" p
-          | Texp_apply ({ exp_desc = Texp_ident (op, _, _); _ }, args) -> (
-              let name = drop_stdlib (Path.name op) in
-              (match (name, args) with
-              | (":=" | "incr" | "decr"), (_, Some { exp_desc = Texp_ident (p, _, _); _ }) :: _
+          | Texp_apply ({ exp_desc = Texp_ident (op, _, vd); _ }, args) -> (
+              let d = definition op vd in
+              (match (d, args) with
+              | ( ("Stdlib", (":=" | "incr" | "decr")),
+                  (_, Some { exp_desc = Texp_ident (p, _, _); _ }) :: _ )
                 when not (is_bound p) ->
                   write "ref" p
               | _ -> ());
-              match use_of_path op with
-              | Some ((container, _) as k) when mutator k -> (
-                  match
-                    List.find_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
-                  with
-                  | Some { exp_desc = Texp_ident (p, _, _); _ } when not (is_bound p) ->
-                      write (String.lowercase_ascii container) p
-                  | _ -> ())
-              | _ -> ())
+              if mutator d then
+                match
+                  List.find_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
+                with
+                | Some { exp_desc = Texp_ident (p, _, _); _ } when not (is_bound p) ->
+                    write (String.lowercase_ascii (stdlib_module d)) p
+                | _ -> ())
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
     }
@@ -568,9 +590,9 @@ let scan_pool_sites cx ~mod_name vb_expr =
                           in
                           cx.cx_pool <-
                             (fn, line, col, `Closure (tk_writes, tk_mutex, calls)) :: cx.cx_pool
-                      | Some { exp_desc = Texp_ident (p2, _, _); exp_type; _ }
+                      | Some { exp_desc = Texp_ident (p2, _, vd); exp_type; _ }
                         when is_arrow exp_type -> (
-                          match target_of_path ~mod_name ~unit_name:cx.cx_unit p2 with
+                          match target_of_path ~mod_name ~unit_name:cx.cx_unit p2 vd with
                           | Some t -> cx.cx_pool <- (fn, line, col, `Named t) :: cx.cx_pool
                           | None -> ())
                       | _ -> ())
@@ -614,6 +636,12 @@ let do_binding cx ~mod_name ~workload vb =
       cx.cx_nodes <- (node, calls, flow) :: cx.cx_nodes
   | _ -> ()
 
+let rec structure_of me =
+  match me.mod_desc with
+  | Tmod_structure str -> Some str
+  | Tmod_constraint (me, _, _, _) -> structure_of me
+  | _ -> None
+
 let rec do_structure cx ~mod_name ~workload str =
   List.iter
     (fun item ->
@@ -625,12 +653,6 @@ let rec do_structure cx ~mod_name ~workload str =
     str.str_items
 
 and do_module cx ~workload mb =
-  let rec structure_of me =
-    match me.mod_desc with
-    | Tmod_structure str -> Some str
-    | Tmod_constraint (me, _, _, _) -> structure_of me
-    | _ -> None
-  in
   match (mb.mb_id, structure_of mb.mb_expr) with
   | Some id, Some str -> do_structure cx ~mod_name:(Ident.name id) ~workload str
   | _ -> ()
@@ -643,7 +665,7 @@ and do_module cx ~workload mb =
 let finalize cx =
   let node_keys = List.map (fun (n, _, _) -> n.nd_key) cx.cx_nodes in
   let resolve_target = function
-    | Remote k -> [ k ]
+    | Remote ks -> ks
     | Locals ks -> List.filter (fun k -> List.mem k node_keys) ks
   in
   let resolve_calls targets =

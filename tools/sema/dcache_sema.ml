@@ -1,18 +1,17 @@
-(* dcache_sema — typed cross-module semantic analysis over .cmt files.
+(* dcache_sema — typed cross-module static analysis over .cmt files.
 
    Usage: dcache_sema [--json] [--sarif FILE] [--baseline FILE]
                       [--update-baseline] [--no-stale-check]
-                      [--cache FILE] [--source-root DIR] [--scope PREFIX]
-                      [--stats] PATH...
+                      [--cache FILE] [--source-root DIR] [--stats] PATH...
 
    PATHs are build directories walked recursively for .cmt/.cmti
    files (typically _build/default, or ../.. from inside the dune
    rule).  Every unit found contributes to the cross-module usage and
-   call graphs; findings are only reported for source paths under
-   --scope (default lib/).  Exit status mirrors dcache_lint: 0 clean,
-   1 fresh findings, stale baseline entries, or stale suppression
-   comments, 2 usage or I/O errors.  See docs/STATIC_ANALYSIS.md for
-   the S-rule catalog. *)
+   call graphs; each rule reports findings only for the source paths
+   its catalog entry scopes it to.  Exit status: 0 clean, 1 fresh
+   findings, stale baseline entries, or stale suppression comments,
+   2 usage or I/O errors.  See docs/STATIC_ANALYSIS.md for the rule
+   catalog. *)
 
 module F = Report_finding
 module E = Report_engine
@@ -24,7 +23,6 @@ let update_baseline = ref false
 let stale_check = ref true
 let cache_file = ref ""
 let source_root = ref "."
-let scope = ref "lib/"
 let show_stats = ref false
 let roots = ref []
 
@@ -45,9 +43,6 @@ let spec =
     ( "--source-root",
       Arg.Set_string source_root,
       "DIR Resolve finding paths to source files (for suppression comments); default ." );
-    ( "--scope",
-      Arg.Set_string scope,
-      "PREFIX Report findings only for source paths under PREFIX; default lib/" );
     ( "--stats",
       Arg.Set show_stats,
       " Print unit/cache-hit counts, per-rule finding counts and wall time to stderr" );
@@ -65,7 +60,7 @@ let () =
     try
       Sema_engine.run
         ?cache_file:(if !cache_file = "" then None else Some !cache_file)
-        ~scope:!scope ~source_root:!source_root (List.rev !roots)
+        ~source_root:!source_root (List.rev !roots)
     with Sys_error msg -> die "%s" msg
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -84,9 +79,9 @@ let () =
         Hashtbl.replace by_rule r (1 + Option.value ~default:0 (Hashtbl.find_opt by_rule r)))
       findings;
     List.iter
-      (fun (rule, _) ->
-        let n = Option.value ~default:0 (Hashtbl.find_opt by_rule rule) in
-        Printf.eprintf "dcache_sema:   %s: %d finding%s\n" rule n (if n = 1 then "" else "s"))
+      (fun { Sema_rules.id; _ } ->
+        let n = Option.value ~default:0 (Hashtbl.find_opt by_rule id) in
+        Printf.eprintf "dcache_sema:   %s: %d finding%s\n" id n (if n = 1 then "" else "s"))
       Sema_rules.catalog;
     Printf.eprintf "dcache_sema:   cfg: %d blocks, %d dataflow iterations\n"
       stats.Sema_engine.cfg_blocks stats.Sema_engine.df_iterations;
@@ -118,7 +113,8 @@ let () =
     Out_channel.with_open_bin !sarif_file (fun oc ->
         Out_channel.output_string oc
           (Report_sarif.render ~tool_name:"dcache_sema" ~tool_version:Sema_rules.analyzer_version
-             ~rules:Sema_rules.catalog fresh));
+             ~rules:(List.map (fun r -> (r.Sema_rules.id, r.summary)) Sema_rules.catalog)
+             fresh));
   if !json then print_endline (F.to_json fresh)
   else List.iter (fun f -> print_endline (F.to_human f)) fresh;
   let stale_bad = !stale_check && stale <> [] in

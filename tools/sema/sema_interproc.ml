@@ -29,8 +29,6 @@ type export = {
   ex_doc : string;
 }
 
-let resolve summary alts = List.find_opt (fun k -> Hashtbl.mem summary.S.entries k) alts
-
 (* Witness chains rendered as SARIF steps: one hop per call-graph key,
    anchored at each function's definition. *)
 let chain_steps summary ~text keys =
@@ -80,7 +78,7 @@ let exn_closure summary =
             let nf =
               List.fold_left
                 (fun acc alts ->
-                  match resolve summary alts with
+                  match S.resolve summary alts with
                   | Some k' -> (
                       match Hashtbl.find_opt tbl k' with
                       | Some s -> C.StrSet.union acc s
@@ -98,14 +96,9 @@ let exn_closure summary =
 
 (* ---------------------------------------------------------------- S2 v2 *)
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 (* any @raise clause plus the exception's name anywhere in the doc:
    formats vary *)
-let documents doc exn = contains doc "@raise" && contains doc exn
+let documents doc exn = C.contains doc "@raise" && C.contains doc exn
 
 (* Shortest unguarded-call chain from [root] to a function that
    locally raises [exn]; BFS in recorded-edge order (deterministic),
@@ -136,7 +129,7 @@ let exn_witness summary ~exn_may ~root exn =
                   let next =
                     List.filter_map
                       (fun alts ->
-                        match resolve summary alts with
+                        match S.resolve summary alts with
                         | Some k' when may k' -> Some (k', path)
                         | _ -> None)
                       e.S.e_node.C.nd_unguarded

@@ -1,15 +1,16 @@
-(* The S-rules: typed checks over one compilation unit's Typedtree,
-   read back from the .cmt/.cmti files dune produces with -bin-annot.
+(* The per-unit rules: typed checks over one compilation unit's
+   Typedtree, read back from the .cmt/.cmti files dune produces with
+   -bin-annot.
 
    Most of this module is intraprocedural and syntactic-over-types:
-   rules look at what an expression *is* (its type, its path after
-   module aliasing was resolved by the typechecker), not at what
-   callees do.  S8 goes one step further and runs the [Cfg]/[Dataflow]
-   engine per function body, but still within one unit.  Cross-
-   function behaviour lives in the summary layer ([Callgraph] +
-   [Summary] + [Sema_interproc]), which powers S2's exception flow, S6
-   and S7.
-   docs/STATIC_ANALYSIS.md documents the split and the limits. *)
+   rules look at what an expression *is* (its type, where the value it
+   names is defined after the typechecker resolved aliases and opens),
+   not at what callees do.  S8 goes one step further and runs the
+   [Cfg]/[Dataflow] engine per function body, but still within one
+   unit.  Cross-function behaviour lives in the summary layer
+   ([Callgraph] + [Summary] + [Sema_interproc]), which powers S2's
+   exception flow, S6 and S7.
+   docs/STATIC_ANALYSIS.md documents the catalog and the limits. *)
 
 open Typedtree
 module F = Report_finding
@@ -18,30 +19,63 @@ module F = Report_finding
    every unit digest, so a rules update invalidates the incremental
    cache wholesale and stale cached analyses cannot mask new
    findings. *)
-let analyzer_version = "12"
+let analyzer_version = "13"
+
+(* A rule and the source paths its findings are reported for.  Every
+   unit is analyzed and joins the whole-program graphs whatever its
+   path; the scope only decides where a finding may anchor. *)
+type rule = { id : string; scope : string list; summary : string }
+
+(* the R rules cover every directory of first-party code *)
+let first_party = [ "lib/"; "bin/"; "bench/"; "examples/"; "tools/" ]
 
 let catalog =
   [
-    ( "S2",
-      "exception escape: undocumented exceptions escaping public lib/core / lib/baselines \
-       values, tracked interprocedurally through unguarded callee chains" );
-    ("S3", "dead export: .mli value never referenced outside its own library");
-    ("S4", "numeric stability: float cost accumulator folded with bare +. in a loop");
-    ( "S5",
-      "observability discipline: a Recording sink constructed, a Prometheus endpoint / Audit \
-       state created, or a labeled metric child resolved (Obs.*_with_label), inside a [@@hot] \
-       body" );
-    ( "S6",
-      "generator purity: a lib/workload generator must be a deterministic function of \
-       (seed, spec), transitively through its callees" );
-    ( "S7",
-      "domain safety: a task passed to Pool.parallel_init/parallel_map must not mutate captured \
-       or module-level state without a Mutex" );
-    ( "S8",
-      "lock/resource discipline: on every CFG path (exceptional ones included) Mutex.lock must \
-       reach Mutex.unlock and a Unix.socket/openfile/accept result must reach Unix.close or an \
-       explicit hand-off" );
+    { id = "R1"; scope = first_party;
+      summary = "determinism: ambient randomness or unordered Hashtbl traversal" };
+    { id = "R2"; scope = first_party;
+      summary = "float comparison: exact =, <>, compare, min, max on cost-valued floats" };
+    { id = "R3"; scope = [ "lib/" ];
+      summary = "totality: partial stdlib functions and bare failwith in lib/" };
+    { id = "R4"; scope = first_party;
+      summary = "polymorphic compare on Schedule.t / Request.t values" };
+    { id = "S2"; scope = [ "lib/core/"; "lib/baselines/" ];
+      summary =
+        "exception escape: undocumented exceptions escaping public lib/core / lib/baselines \
+         values, tracked interprocedurally through unguarded callee chains" };
+    { id = "S3"; scope = [ "lib/" ];
+      summary = "dead export: .mli value never referenced outside its own library" };
+    { id = "S4"; scope = [ "lib/" ];
+      summary = "numeric stability: float cost accumulator folded with bare +. in a loop" };
+    { id = "S5"; scope = [ "lib/" ];
+      summary =
+        "observability discipline: a Recording sink constructed, a Prometheus endpoint / Audit \
+         state created, or a labeled metric child resolved (Obs.*_with_label), inside a [@@hot] \
+         body" };
+    { id = "S6"; scope = [ "lib/workload/" ];
+      summary =
+        "generator purity: a lib/workload generator must be a deterministic function of \
+         (seed, spec), transitively through its callees" };
+    { id = "S7"; scope = [ "lib/" ];
+      summary =
+        "domain safety: a task passed to Pool.parallel_init/parallel_map must not mutate \
+         captured or module-level state without a Mutex" };
+    { id = "S8"; scope = [ "lib/" ];
+      summary =
+        "lock/resource discipline: on every CFG path (exceptional ones included) Mutex.lock \
+         must reach Mutex.unlock and a Unix.socket/openfile/accept result must reach Unix.close \
+         or an explicit hand-off" };
   ]
+
+(* is a finding inside its rule's scope? *)
+let in_scope (f : F.t) =
+  List.exists
+    (fun r -> r.id = f.rule && List.exists (fun dir -> Callgraph.has_prefix dir f.path) r.scope)
+    catalog
+
+(* every directory some rule reaches: where the stale-suppression
+   scan looks (the file walk drops the overlaps) *)
+let scope_dirs = List.sort_uniq String.compare (List.concat_map (fun r -> r.scope) catalog)
 
 (* The per-unit result the engine caches (keyed by stamp+cmt digest):
    local findings are raw (pre-suppression — the engine applies and
@@ -60,16 +94,11 @@ type unit_analysis = {
 
 (* ---------------------------------------------------------------- paths *)
 
-(* Last path component and the enclosing module, with dune's
-   [lib__Unit] name mangling stripped so [Dcache_core__Streaming_dp.push]
-   and [Dcache_core.Streaming_dp.push] both key as (Streaming_dp, push).
-   Shared with the call-graph layer. *)
-let strip_mangling = Callgraph.strip_mangling
-let use_of_path = Callgraph.use_of_path
-
-let path_is p full =
-  (* [full] like "Stdlib.raise"; Path.name prints without stamps *)
-  Path.name p = full
+(* the unit a module path names, unmangled *)
+let unit_of_module_path = function
+  | Path.Pident id -> Some (Callgraph.strip_mangling (Ident.name id))
+  | Path.Pdot (_, name) -> Some (Callgraph.strip_mangling name)
+  | Path.Papply _ | Path.Pextra_ty _ -> None
 
 (* ---------------------------------------------------------------- types *)
 
@@ -161,7 +190,7 @@ let scan_s5_hot_body ~path ~fname add body =
                        at startup and let the hot path observe it via `Obs.probe`"
                       fname))
           | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
-              match use_of_path p with
+              match Callgraph.use_of_path p with
               | Some ((m, v) as key) when s5_resolve_call key ->
                   add
                     (F.make ~path ~loc:e.exp_loc ~rule:"S5"
@@ -297,7 +326,7 @@ let s8_finally_releases finally =
         (fun self e ->
           (match e.exp_desc with
           | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-              match use_of_path p with
+              match Callgraph.use_of_path p with
               | Some ("Mutex", "unlock") -> unlocks := s8_lock_operand args :: !unlocks
               | Some (("Unix" | "UnixLabels"), "close") -> (
                   match s8_first_positional args with
@@ -319,7 +348,7 @@ let s8_lock_effects stmt =
   | Cfg.S_expr e -> (
       match e.exp_desc with
       | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
-          match use_of_path p with
+          match Callgraph.use_of_path p with
           | Some ("Mutex", "lock") -> [ (s8_lock_operand args, 1) ]
           | Some ("Mutex", "unlock") -> [ (s8_lock_operand args, -1) ]
           | Some ("Fun", "protect") -> (
@@ -361,7 +390,7 @@ let s8_held = function
 let s8_acquire rhs =
   match rhs.exp_desc with
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
-      match use_of_path p with
+      match Callgraph.use_of_path p with
       | Some (("Unix" | "UnixLabels"), (("socket" | "openfile" | "accept") as fn)) -> Some fn
       | _ -> None)
   | _ -> None
@@ -387,7 +416,7 @@ let s8_res_effect ~is_tracked stmt =
           `Transfer (Callgraph.captured_targets ~is_target:is_tracked e)
       | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
           let arg_ids = tgts (List.filter_map (fun (_, a) -> a) args) in
-          match use_of_path p with
+          match Callgraph.use_of_path p with
           | Some (("Unix" | "UnixLabels"), "close") -> (
               match s8_first_positional args with
               | Some { exp_desc = Texp_ident (Path.Pident id, _, _); _ } when is_tracked id ->
@@ -420,7 +449,7 @@ let check_s8 ~path add structure =
             | Cfg.S_expr e -> (
                 match e.exp_desc with
                 | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
-                  when use_of_path p = Some ("Mutex", "lock") -> (
+                  when Callgraph.use_of_path p = Some ("Mutex", "lock") -> (
                     let l = s8_lock_operand args in
                     match Hashtbl.find_opt first_lock l with
                     | Some (loc : Location.t)
@@ -557,13 +586,7 @@ let check_s8 ~path add structure =
         | _ -> ())
       str.str_items
   and do_mod mb =
-    let rec structure_of me =
-      match me.mod_desc with
-      | Tmod_structure str -> Some str
-      | Tmod_constraint (me, _, _, _) -> structure_of me
-      | _ -> None
-    in
-    match structure_of mb.mb_expr with Some str -> do_str str | None -> ()
+    match Callgraph.structure_of mb.mb_expr with Some str -> do_str str | None -> ()
   in
   do_str structure;
   (!blocks, !iters)
@@ -576,12 +599,8 @@ let check_s8 ~path add structure =
    [Cost_model.add] so the project-wide tolerance keeps meaning. *)
 
 let costish name =
-  let name = String.lowercase_ascii name in
   List.exists
-    (fun sub ->
-      let nl = String.length sub and hl = String.length name in
-      let rec go i = i + nl <= hl && (String.sub name i nl = sub || go (i + 1)) in
-      go 0)
+    (Callgraph.contains (String.lowercase_ascii name))
     [ "cost"; "total"; "sum"; "acc"; "caching"; "transfer"; "budget" ]
 
 let s4_message name =
@@ -591,7 +610,7 @@ let s4_message name =
     name
 
 let scan_s4_loop_body ~path add body =
-  let is_plus p = path_is p "Stdlib.+." in
+  let stdlib op p vd = Callgraph.definition p vd = ("Stdlib", op) in
   let it =
     {
       Tast_iterator.default_iterator with
@@ -600,13 +619,13 @@ let scan_s4_loop_body ~path add body =
           (match e.exp_desc with
           (* acc := !acc +. e *)
           | Texp_apply
-              ( { exp_desc = Texp_ident (pset, _, _); _ },
+              ( { exp_desc = Texp_ident (pset, _, vset); _ },
                 [ (_, Some { exp_desc = Texp_ident (target, _, _); _ }); (_, Some rhs) ] )
-            when path_is pset "Stdlib.:=" -> (
+            when stdlib ":=" pset vset -> (
               let name = Path.last target in
               match rhs.exp_desc with
-              | Texp_apply ({ exp_desc = Texp_ident (pplus, _, _); _ }, operands)
-                when is_plus pplus
+              | Texp_apply ({ exp_desc = Texp_ident (pplus, _, vplus); _ }, operands)
+                when stdlib "+." pplus vplus
                      && is_float_type rhs.exp_type
                      && costish name
                      && List.exists
@@ -616,11 +635,11 @@ let scan_s4_loop_body ~path add body =
                                 {
                                   exp_desc =
                                     Texp_apply
-                                      ( { exp_desc = Texp_ident (pbang, _, _); _ },
+                                      ( { exp_desc = Texp_ident (pbang, _, vbang); _ },
                                         [ (_, Some { exp_desc = Texp_ident (src, _, _); _ }) ] );
                                   _;
                                 } ->
-                                path_is pbang "Stdlib.!" && Path.same src target
+                                stdlib "!" pbang vbang && Path.same src target
                             | _ -> false)
                           operands ->
                   add (F.make ~path ~loc:e.exp_loc ~rule:"S4" (s4_message name))
@@ -629,8 +648,8 @@ let scan_s4_loop_body ~path add body =
           | Texp_setfield (_, _, label, rhs)
             when is_float_type label.Types.lbl_arg && costish label.Types.lbl_name -> (
               match rhs.exp_desc with
-              | Texp_apply ({ exp_desc = Texp_ident (pplus, _, _); _ }, operands)
-                when is_plus pplus
+              | Texp_apply ({ exp_desc = Texp_ident (pplus, _, vplus); _ }, operands)
+                when stdlib "+." pplus vplus
                      && List.exists
                           (fun (_, o) ->
                             match o with
@@ -661,57 +680,186 @@ let check_s4 ~path add structure =
   in
   it.structure it structure
 
-(* ------------------------------------------------------- uses / exports *)
+(* ------------------------- R1-R4: determinism, floats, totality, compare *)
 
-(* Typedtree value paths are fully qualified through [open]s, but a
-   local [module G = Dcache_spacetime.Graph] alias is NOT expanded:
-   [G.make] keeps the path [G.make].  Collect every such alias and
-   chase it (aliases of aliases included) when keying uses, or every
-   consumer that abbreviates a library module would be invisible to
-   the S3 liveness graph. *)
-let unit_of_module_path = function
-  | Path.Pident id -> Some (strip_mangling (Ident.name id))
-  | Path.Pdot (_, name) -> Some (strip_mangling name)
-  | Path.Papply _ | Path.Pextra_ty _ -> None
+(* Each R rule classifies a value reference by where the value is
+   defined ([Callgraph.definition]), never by how the source spelled
+   it, so a module alias, an [open] or a [let module] hides nothing. *)
 
-let collect_uses structure =
-  let aliases = Hashtbl.create 16 in
-  let uses = ref [] in
-  let rec alias_target m =
-    match m.mod_desc with
-    | Tmod_ident (p, _) -> unit_of_module_path p
-    | Tmod_constraint (me, _, _, _) -> alias_target me
-    | _ -> None
+let rng_module_file = "prelude/rng.ml"
+
+let r3_banned =
+  [
+    (("Stdlib__List", "hd"), "partial `List.hd`: match on the list (the empty case is reachable)");
+    (("Stdlib__List", "nth"), "partial `List.nth`: use `List.nth_opt` or restructure");
+    (("Stdlib__Option", "get"), "partial `Option.get`: match on the option");
+    ( ("Stdlib__Array", "unsafe_get"),
+      "`Array.unsafe_get` skips bounds checking: index proofs belong in code review, not trust" );
+    (("Stdlib", "failwith"), "bare `failwith`: raise a dedicated exception callers can catch");
+  ]
+
+let comparison_heads = [ "="; "<>"; "compare" ]
+let r2_heads = comparison_heads @ [ "min"; "max" ]
+
+(* Cost accessors whose results are schedule costs: comparing them
+   exactly is wrong whichever module they came from. *)
+let cost_names = [ "cost"; "caching_cost"; "transfer_cost"; "total_cost"; "opt_cost" ]
+
+(* int-valued escapes: float math inside these never reaches the
+   comparison as a float *)
+let int_escapes =
+  [
+    ("Stdlib", "int_of_float"); ("Stdlib", "truncate"); ("Stdlib__Int", "of_float");
+    ("Stdlib__Float", "to_int");
+  ]
+
+let float_ops = [ "+."; "-."; "*."; "/."; "~-." ]
+
+(* Is [e] a cost?  R2 asks this of the float-typed arguments of a
+   comparison: float literals, float arithmetic, [Cost_model] values,
+   cost accessors and fields, and anything built from one. *)
+let rec cost_valued e =
+  List.exists
+    (function Texp_constraint cty, _, _ -> is_float_type cty.ctyp_type | _ -> false)
+    e.exp_extra
+  ||
+  match e.exp_desc with
+  | Texp_constant (Const_float _) -> true
+  | Texp_ident (p, _, vd) -> (
+      List.mem (Path.last p) cost_names
+      ||
+      match p with
+      | Path.Pdot _ -> Callgraph.strip_mangling (fst (Callgraph.definition p vd)) = "Cost_model"
+      | _ -> false)
+  | Texp_field (_, _, lbl) -> List.mem lbl.Types.lbl_name cost_names
+  | Texp_apply (head, args) ->
+      let d =
+        match head.exp_desc with
+        | Texp_ident (p, _, vd) -> Callgraph.definition p vd
+        | _ -> ("", "")
+      in
+      (not (List.mem d int_escapes))
+      && ((fst d = "Stdlib" && List.mem (snd d) float_ops)
+         || cost_valued head
+         || List.exists (function _, Some a -> cost_valued a | _ -> false) args)
+  | Texp_ifthenelse (_, e, None) -> cost_valued e
+  | Texp_ifthenelse (_, e1, Some e2) -> cost_valued e1 || cost_valued e2
+  | _ -> false
+
+(* Does [ty] mention [Schedule.t] or [Request.t], under any dune
+   [lib__] prefix? *)
+let mentions_schedule_type ty =
+  let seen = Hashtbl.create 8 in
+  let rec go ty =
+    if not (Hashtbl.mem seen (Types.get_id ty)) then begin
+      Hashtbl.add seen (Types.get_id ty) ();
+      (match Types.get_desc ty with
+      | Types.Tconstr (Path.Pdot (m, "t"), _, _)
+        when List.mem (unit_of_module_path m) [ Some "Schedule"; Some "Request" ] ->
+          raise Exit
+      | _ -> ());
+      Btype.iter_type_expr go ty
+    end
   in
-  let note_alias id m =
-    match (id, alias_target m) with
-    | Some id, Some target -> Hashtbl.replace aliases (Ident.name id) target
-    | _ -> ()
+  match go ty with () -> false | exception Exit -> true
+
+(* a path as findings print it: [Random.int], not [Stdlib.Random.int] *)
+let written p =
+  let n = Path.name p in
+  if Callgraph.has_prefix "Stdlib." n then String.sub n 7 (String.length n - 7) else n
+
+let check_r ~path add structure =
+  let in_rng_module = Filename.check_suffix (F.normalize_path path) rng_module_file in
+  let reference ~loc p (lid : Longident.t) vd =
+    let d = Callgraph.definition p vd in
+    if Callgraph.ambient_randomness d && not in_rng_module then
+      add
+        (F.make ~path ~loc ~rule:"R1"
+           (match (lid, p) with
+           | Longident.Lident name, Path.Pdot _ ->
+               Printf.sprintf
+                 "`%s` reaches `Random.%s` through an `open`: draw from `Dcache_prelude.Rng` \
+                  instead"
+                 name name
+           | _ ->
+               Printf.sprintf
+                 "`%s` breaks seed-reproducibility: draw from `Dcache_prelude.Rng` instead"
+                 (written p)));
+    if Callgraph.unordered_traversal d then
+      add
+        (F.make ~path ~loc ~rule:"R1"
+           (Printf.sprintf
+              "`%s` visits bindings in nondeterministic order: sort the result before it feeds \
+               any aggregate"
+              (written p)));
+    match List.assoc_opt d r3_banned with
+    | Some message -> add (F.make ~path ~loc ~rule:"R3" message)
+    | None -> ()
+  in
+  let comparison ~loc (unit, op) args =
+    if unit = "Stdlib" && List.mem op r2_heads then begin
+      let positional = List.filter_map (function Asttypes.Nolabel, a -> a | _ -> None) args in
+      if List.exists (fun a -> is_float_type a.exp_type && cost_valued a) positional then
+        add
+          (F.make ~path ~loc ~rule:"R2"
+             (Printf.sprintf
+                "exact `%s` on a float cost: equal costs differ by ulps across recurrence paths; \
+                 use `Float_cmp.%s`"
+                op
+                (match op with
+                | "=" | "<>" -> "approx_eq"
+                | "compare" -> "compare_approx"
+                | _ -> "approx_le / explicit tie-break")));
+      if
+        List.mem op comparison_heads
+        && List.exists (fun a -> mentions_schedule_type a.exp_type) positional
+      then
+        add
+          (F.make ~path ~loc ~rule:"R4"
+             (Printf.sprintf
+                "polymorphic `%s` on a Schedule.t/Request.t value is tolerance-blind on float \
+                 fields: compare costs via `Float_cmp` or use the module's own comparator"
+                op))
+    end
   in
   let it =
     {
       Tast_iterator.default_iterator with
-      module_binding =
-        (fun self mb ->
-          note_alias mb.mb_id mb.mb_expr;
-          Tast_iterator.default_iterator.module_binding self mb);
       expr =
         (fun self e ->
           (match e.exp_desc with
-          | Texp_letmodule (id, _, _, m, _) -> note_alias id m
-          | Texp_ident (p, _, _) -> (
-              match use_of_path p with Some u -> uses := u :: !uses | None -> ())
+          | Texp_ident (p, lid, vd) -> reference ~loc:e.exp_loc p lid.txt vd
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) ->
+              comparison ~loc:e.exp_loc (Callgraph.definition p vd) args
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it structure
+
+(* ------------------------------------------------------- uses / exports *)
+
+(* Every value the unit references, keyed by its defining unit
+   (unmangled) and name: [G.make] after [module G =
+   Dcache_spacetime.Graph] counts as a use of [Graph.make], as the S3
+   liveness graph needs. *)
+let collect_uses structure =
+  let uses = ref [] in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_ident (p, _, vd) ->
+              let unit, name = Callgraph.definition p vd in
+              uses := (Callgraph.strip_mangling unit, name) :: !uses
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
     }
   in
   it.structure it structure;
-  let rec chase fuel name =
-    if fuel <= 0 then name
-    else
-      match Hashtbl.find_opt aliases name with Some next -> chase (fuel - 1) next | None -> name
-  in
-  List.sort_uniq compare (List.map (fun (u, v) -> (chase 8 u, v)) !uses)
+  List.sort_uniq compare !uses
 
 let exports_of_interface ~mli_path signature =
   List.filter_map
@@ -728,22 +876,14 @@ let exports_of_interface ~mli_path signature =
 
 (* --------------------------------------------------------- entry points *)
 
-(* S2 applies where the paper's public contracts live (the engine
-   filters exports through this before handing them to
-   [Sema_interproc.s2v2]); S4 is skipped inside the module that
-   implements the sanctioned accumulators. *)
-let s2_scope path =
-  let p = F.normalize_path path in
-  let starts prefix =
-    String.length p >= String.length prefix && String.sub p 0 (String.length prefix) = prefix
-  in
-  starts "lib/core/" || starts "lib/baselines/"
-
+(* S4 is skipped inside the module that implements the sanctioned
+   accumulators. *)
 let s4_exempt path = Filename.check_suffix (F.normalize_path path) "prelude/stats.ml"
 
 let check_implementation ~ml_path structure =
   let findings = ref [] in
   let add f = findings := f :: !findings in
+  check_r ~path:ml_path add structure;
   check_s5 ~path:ml_path add structure;
   let s8_blocks, s8_iters = check_s8 ~path:ml_path add structure in
   if not (s4_exempt ml_path) then check_s4 ~path:ml_path add structure;

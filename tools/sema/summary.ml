@@ -21,6 +21,8 @@ type t = {
   mutable s_rounds : int;  (* worklist sweeps to reach the facts fixpoint *)
 }
 
+(* a callee's alternative keys: the first one the graph has *)
+let resolve t alternatives = List.find_opt (fun k -> Hashtbl.mem t.entries k) alternatives
 let find t alternatives = List.find_map (fun k -> Hashtbl.find_opt t.entries k) alternatives
 
 (* key collisions (same (module, name) in two units, e.g. the [main]
@@ -111,7 +113,7 @@ let scc_count t =
     | Some e ->
         List.iter
           (fun alts ->
-            match List.find_opt (fun k' -> Hashtbl.mem t.entries k') alts with
+            match resolve t alts with
             | None -> ()
             | Some k' ->
                 if not (Hashtbl.mem index k') then begin
@@ -163,7 +165,7 @@ let witness_keys t ~root ~pred =
                 let next =
                   List.filter_map
                     (fun alts ->
-                      List.find_opt (fun k -> Hashtbl.mem t.entries k) alts
+                      resolve t alts
                       |> Option.map (fun k -> (k, path)))
                     e.e_callees
                 in
