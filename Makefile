@@ -5,7 +5,7 @@
 BUILD := _build/default
 SARIF := _build/sarif
 
-.PHONY: all build test lint sema sarif check bench-baseline perf-gate bench-sema trace metrics-demo audit-demo clean
+.PHONY: all build test lint sema sarif check bench-baseline perf-gate ledger-ab bench-sema trace metrics-demo audit-demo clean
 
 all: build
 
@@ -39,6 +39,15 @@ bench-baseline: build
 # fail on >25% regression of the streaming-push hot path vs the baseline
 perf-gate: build
 	dune exec bench/perf_gate.exe
+
+# the end-to-end ledger on PARENT and on the working tree, seed by
+# seed, with a verdict per metric against BENCHMARK.json's bounds
+# (bench/ab.sh); the default PARENT compares an uncommitted change
+# with its base
+PARENT ?= HEAD
+SEEDS ?= 1-10
+ledger-ab:
+	bash bench/ab.sh $(PARENT) $(SEEDS)
 
 # Chrome/Perfetto trace of the quick experiment tables (see
 # docs/OBSERVABILITY.md)

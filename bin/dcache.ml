@@ -42,8 +42,11 @@ let obs_term =
   in
   Term.(const install $ arg)
 
-let model_of mu lambda =
-  try Ok (Cost_model.make ~mu ~lambda ()) with Invalid_argument msg -> Error msg
+(* A library call that checks its options: its [Invalid_argument]
+   becomes the command's error message *)
+let checked f = try Ok (f ()) with Invalid_argument msg -> Error msg
+
+let model_of mu lambda = checked (fun () -> Cost_model.make ~mu ~lambda ())
 
 let load_trace filename m = Dcache_workload.Trace_io.read ~filename ~m
 
@@ -164,8 +167,10 @@ let generate_cmd =
   in
   let run m n seed arrival placement out =
     let seq =
-      Dcache_workload.Generator.generate_seeded ~seed
-        { Dcache_workload.Generator.m; n; arrival; placement }
+      or_die
+        (checked (fun () ->
+             Dcache_workload.Generator.generate_seeded ~seed
+               { Dcache_workload.Generator.m; n; arrival; placement }))
     in
     match out with
     | None -> Dcache_workload.Trace_io.output stdout seq
@@ -224,7 +229,11 @@ let online_cmd =
   let run () trace m mu lambda window epoch events =
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
-    let sc = Online_sc.run ?window ?epoch_size:epoch ~record_events:events model seq in
+    let sc =
+      or_die
+        (checked (fun () ->
+             Online_sc.run ?window ?epoch_size:epoch ~record_events:events model seq))
+    in
     finite_or_die "the SC cost" sc.total_cost;
     let opt = Offline_dp.cost (Offline_dp.solve model seq) in
     finite_or_die "the offline optimum" opt;
@@ -360,6 +369,7 @@ let stream_cmd =
     Arg.(value & opt int 10 & info [ "every" ] ~docv:"K" ~doc:"Report every K requests.")
   in
   let run () trace m mu lambda every =
+    if every < 1 then or_die (Error "--every must be at least 1");
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
     let stream = Streaming_dp.create model ~m:(Sequence.m seq) in
@@ -433,16 +443,18 @@ let audit_cmd =
     (match Obs.sink () with
     | Obs.Recording _ -> ()
     | Obs.Noop -> Obs.set_sink (Obs.Recording (Obs.recorder ())));
-    Printf.printf "%8s %8s %12s %12s %8s %10s %8s\n" "window" "i" "online" "opt" "ratio" "regret"
-      "prefix";
     let on_window (w : Dcache_sim.Auditor.Audit.window) =
       Printf.printf "%8d %8d %12.4f %12.4f %8.4f %10.4f %8.4f\n" w.index w.last w.online w.opt
         w.ratio w.regret w.prefix_ratio
     in
     let auditor =
-      Dcache_sim.Auditor.create ~window_size ~bound ~inflate ?epoch_size:epoch ~on_window model
-        ~m:(Sequence.m seq)
+      or_die
+        (checked (fun () ->
+             Dcache_sim.Auditor.create ~window_size ~bound ~inflate ?epoch_size:epoch ~on_window
+               model ~m:(Sequence.m seq)))
     in
+    Printf.printf "%8s %8s %12s %12s %8s %10s %8s\n" "window" "i" "online" "opt" "ratio" "regret"
+      "prefix";
     for i = 1 to Sequence.n seq do
       feed_or_die ~inflate (( ^ ) "the ") auditor ~server:(Sequence.server seq i)
         ~time:(Sequence.time seq i)

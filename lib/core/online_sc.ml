@@ -38,14 +38,15 @@ type run = {
 
 let competitive_bound = 3.0
 
-(* The request path allocates nothing beyond the amortised growth of
-   its arrays.  dune's dev profile compiles with [-opaque], so nothing
-   is inlined across modules: every float handed to or returned by a
-   function of another module is boxed, and so is every store into a
-   float field of a mixed record.  Hence the expiry heap is two
-   columns driven by int-only helpers, the running sums live in a
-   [float array], close times travel through [expiry], and events and
-   segments are built only under [record]. *)
+(* The request path allocates nothing beyond the growth of its
+   arrays: one serve-log block per [serve_block] requests, and the
+   expiry heap's amortised doubling.  dune's dev profile compiles with
+   [-opaque], so nothing is inlined across modules: every float handed
+   to or returned by a function of another module is boxed, and so is
+   every store into a float field of a mixed record.  Hence the expiry
+   heap is two columns driven by int-only helpers, the running sums
+   live in a [float array], close times travel through [expiry], and
+   events and segments are built only under [record]. *)
 type state = {
   delta_t : float;  (* base window: the last-copy extension quantum *)
   window_for : server:int -> time:float -> float;  (* per-refresh window *)
@@ -262,6 +263,11 @@ let rec most_recent_live st m k best =
     most_recent_live st m (k + 1) k
   else most_recent_live st m (k + 1) best
 
+(* requests per serve-log block past the first *)
+let serve_block_bits = 12
+
+let serve_block = 1 lsl serve_block_bits
+
 module Incremental = struct
   type nonrec t = {
     st : state;
@@ -275,13 +281,19 @@ module Incremental = struct
     mutable num_epochs : int;  (* completed epoch resets *)
     mutable last_copy_server : int;
     (* serve log without per-request boxing: [-1] = by cache, else the
-       transfer source; materialised as [serve_kind array] in [finish] *)
+       transfer source; materialised as [serve_kind array] in [finish].
+       Request i is at [serves.(i - serves_base)] from [serves_base] on,
+       else in the full block [i lsr serve_block_bits], counting from
+       the oldest.  The first block doubles up to [serve_block] entries;
+       past it, growth starts a fresh block and copies nothing. *)
     mutable serves : int array;
+    mutable serves_base : int;
+    mutable full_serves : int array list;  (* full blocks, newest first *)
     mutable finished : bool;
   }
 
-  (* [capacity]: initial length of the serve log, which doubles when
-     full; [run] passes [n + 1] so it never grows *)
+  (* [capacity]: initial length of the serve log's first block; [run]
+     passes [n + 1] so it never grows *)
   let make ~capacity ?(epoch_size = max_int) ?(record_events = false) ?window ?window_policy model
       ~m =
     if epoch_size < 1 then invalid_arg "Online_sc: epoch_size must be positive";
@@ -338,6 +350,8 @@ module Incremental = struct
       num_epochs = 0;
       last_copy_server = 0;
       serves = Array.make capacity (-1);
+      serves_base = 0;
+      full_serves = [];
       finished = false;
     }
 
@@ -346,6 +360,23 @@ module Incremental = struct
 
   let n t = t.n
   let transfers_so_far t = t.num_transfers
+
+  (* the current serve-log block is full: the first block doubles
+     (capped at [serve_block] while it is smaller); a full-size block
+     is kept and a fresh one follows it *)
+  let grow_serves t =
+    let size = Array.length t.serves in
+    if size <> serve_block then begin
+      let grown_size = if size < serve_block then min (2 * size) serve_block else 2 * size in
+      let grown = Array.make grown_size (-1) in
+      Array.blit t.serves 0 grown 0 size;
+      t.serves <- grown
+    end
+    else begin
+      t.full_serves <- t.serves :: t.full_serves;
+      t.serves <- Array.make serve_block (-1);
+      t.serves_base <- t.serves_base + serve_block
+    end
 
   (* O(1): the closed-segment cost lives in [sums.(caching)]; the
      still-open segments contribute mu * (live * now - act_sum).  The
@@ -369,16 +400,12 @@ module Incremental = struct
     let j = server and ti = time in
     drain st ti;
     let i = t.n + 1 in
-    if i >= Array.length t.serves then begin
-      (* amortised doubling of the serve log: O(1) per request *)
-      let grown = Array.make (2 * Array.length t.serves) (-1) in
-      Array.blit t.serves 0 grown 0 (Array.length t.serves);
-      t.serves <- grown
-    end;
+    if i - t.serves_base >= Array.length t.serves then grow_serves t;
+    let slot = i - t.serves_base in
     if st.active.(j) && st.expiry.(j) >= ti then begin
       (* live local copy: serve from cache and renew its window *)
       refresh st j ti;
-      t.serves.(i) <- -1;
+      t.serves.(slot) <- -1;
       if st.record then log st (Served { index = i; server = j; time = ti; kind = By_cache })
     end
     else begin
@@ -396,7 +423,7 @@ module Incremental = struct
       t.epoch_transfers <- t.epoch_transfers + 1;
       refresh st src ti;
       activate st j ti ~by_transfer:true;
-      t.serves.(i) <- src;
+      t.serves.(slot) <- src;
       if st.record then
         log st (Served { index = i; server = j; time = ti; kind = By_transfer src })
     end;
@@ -448,8 +475,12 @@ module Incremental = struct
     (* one shared [By_transfer s] per source server *)
     let by_transfer = Array.init t.m (fun s -> By_transfer s) in
     let serves = Array.make (t.n + 1) By_cache in
+    let full = Array.of_list (List.rev t.full_serves) in
     for i = 1 to t.n do
-      let src = t.serves.(i) in
+      let src =
+        if i >= t.serves_base then t.serves.(i - t.serves_base)
+        else full.(i lsr serve_block_bits).(i land (serve_block - 1))
+      in
       if src >= 0 then serves.(i) <- by_transfer.(src)
     done;
     (* transfers all cost lambda: count them and multiply once, instead

@@ -89,9 +89,11 @@ module Incremental : sig
   val feed : t -> server:int -> time:float -> unit
   (** Serves one request: [O(log n)] amortised (expiry-queue
       traffic), constant work otherwise.  Allocates nothing unless
-      [record_events] is set, apart from the amortised growth of the
-      serve log and the expiry queue (a [window_policy] may allocate
-      on its own account).  A request rejected for its server or its
+      [record_events] is set, apart from one serve-log block per
+      4 096 requests (the first block doubles up to that size; no
+      growth copies the log past it) and the amortised growth of the
+      expiry queue (a [window_policy] may allocate on its own
+      account).  A request rejected for its server or its
       time leaves the state untouched.
       @raise Invalid_argument if the state is finished, [server] is
       outside [\[0, m)], [time] is not finite, or [time] does not

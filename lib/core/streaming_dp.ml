@@ -2,17 +2,32 @@
    bigarrays instead of ~13 parallel [int array]s — a stride-4 packed
    row [server; prev; c_choice; d_choice] per request in [idx], the
    successor column in [nxt], and the pre-scan matrix A in a row-major
-   [cap * m] arena — while the float columns stay flat [float array]s
-   (already unboxed).  Request indices always fit int32 (grow refuses
-   past 2^30 rows), so the index state for a request is 16 bytes and a
-   whole arena row is m*4 bytes: the pivot scan walks a quarter of the
-   cache lines the old int-array layout touched.
+   arena of m slots per row — and the float columns in one stride-4
+   [float array] of rows [time; C; D; B] (unboxed).  Request indices
+   always fit int32 (grow refuses past 2^30 rows), so the index state
+   for a request is 16 bytes and a whole arena row is m*4 bytes.
+
+   Rows live in blocks ([rows]: the four planes of a run of rows).  A
+   stream's first block doubles from 64 rows up to [block] rows; past
+   it the stream grows by one [block]-row block at a time, and the
+   full blocks sit in a directory that doubles, so growth allocates
+   one block and copies only block pointers.  Row r of a full block is
+   in [full.(r lsr block_bits)] at offset [r land mask]; rows from
+   [base] on are in the current (last) block, at offset [r - base].
+   [of_sequence] knows n and keeps one exact-size block, which is the
+   current block for every row, so the batch solve never reads the
+   directory.  Blocks are not pre-filled: every row is written by its
+   own push before anything reads it, and only row 0 and the nxt
+   sentinel need initial values.
 
    [nxt] is offset by one with a permanent [-1] sentinel in slot 0
-   ([nxt.{i+1}] = successor of r_i), so the pivot scan needs no
-   emptiness branch; and because [nxt.{q+1} <- i] is written only
-   *after* the scan, every successor the scan reads is a strict
-   predecessor of [i] — the scan body is a single [kappa >= 0] test.
+   ([nxt] slot i+1 = successor of r_i), so the pivot scan needs no
+   emptiness branch; and because slot q+1 <- i is written only *after*
+   the scan, every successor the scan reads is a strict predecessor of
+   [i] — the scan body is a single [kappa >= 0] test.  A block's nxt
+   plane has one slot more than its rows: slot [cap] (the successor of
+   the last row) sits there until the next block is appended, which
+   takes it over as its slot 0.
 
    A push appends by copying the previous arena row with a manual
    int32 loop ([Array1.sub]/[blit] would allocate proxy blocks) and
@@ -23,11 +38,10 @@
    tier-1 test `streaming: push allocation budget` asserts the ~2
    [Gc.minor_words]/push contract (see docs/PERFORMANCE.md).
 
-   The float columns keep only what cannot be recomputed: [time],
-   [big_b], [c] and [d].  sigma_i and b_i are recomputed bit for bit
-   from [time] and the [prev] slot where they are read ([marginal_at]
-   and the walk's transfer test).  [of_sequence] sizes every column
-   from the sequence, so a batch solve never doubles one.
+   The float rows keep only what cannot be recomputed: [time], [C],
+   [D] and [B].  sigma_i and b_i are recomputed bit for bit from
+   [time] and the [prev] slot where they are read ([marginal_at] and
+   the walk's transfer test).
 
    [schedule] records the walk in two per-request slot arrays and
    emits the schedule's columns from them already in order, so no
@@ -42,10 +56,8 @@ module A1 = Bigarray.Array1
 
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
-let i32_make len fill : i32 =
-  let a = A1.create Bigarray.int32 Bigarray.c_layout len in
-  A1.fill a (Int32.of_int fill);
-  a
+(* not filled: see the layout note above *)
+let i32_create len : i32 = A1.create Bigarray.int32 Bigarray.c_layout len
 
 (* Probe ids are registered once at module init; on the hot path the
    whole probe block sits behind a single [Obs.probe ()] load+branch,
@@ -82,24 +94,42 @@ let k_cc = 2
 
 let k_dc = 3
 
+(* float row: stride-4 [time; C; D; B] per request *)
+let fstride = 4
+
+let f_time = 0
+
+let f_c = 1
+
+let f_d = 2
+
+let f_b = 3
+
+(* rows per block past the first *)
+let block_bits = 12
+
+let block = 1 lsl block_bits
+
+let mask = block - 1
+
+(* The planes of one block of rows [base, base + rows): row r's
+   offset in it is o = r - base, and nxt slot s's is s - base *)
+type rows = {
+  idx : i32; (* idx.{o*4 + k} = [server; prev; c_choice; d_choice] *)
+  nxt : i32; (* rows + 1 slots: the last is slot base + rows *)
+  arena : i32; (* arena.{o*m + j} = last request on s^j after r *)
+  fl : float array; (* fl.(o*4 + k) = [time; C; D; B] *)
+}
+
 type t = {
   model : Cost_model.t;
   m : int;
   lam_eff : float;
-  mutable cap : int; (* rows allocated *)
+  mutable cap : int; (* rows allocated over all blocks *)
   mutable len : int; (* rows used, = n + 1 with the boundary r_0 *)
-  (* packed per-request index rows: idx.{i*4 ..} = [server; prev; c_choice; d_choice] *)
-  mutable idx : i32;
-  (* successor on the same server, offset by one: nxt.{i+1} = successor
-     of r_i (-1 = none yet); nxt.{0} is a permanent -1 sentinel so an
-     empty arena slot (-1) indexes it branch-free *)
-  mutable nxt : i32;
-  mutable arena : i32; (* row-major A: arena.{i*m + j} = last request on s^j after r_i *)
-  (* per-request float columns, index 0 = the boundary request r_0 *)
-  mutable time : float array;
-  mutable big_b : float array;
-  mutable c : float array;
-  mutable d : float array;
+  mutable base : int; (* first row of the current block *)
+  mutable cur : rows; (* the current block: rows [base, cap) *)
+  mutable full : rows array; (* the full blocks, rows [b*block, (b+1)*block) at b *)
   last_on : int array; (* latest request per server *)
   (* reconstruction memo: state is append-only, so [len] is a complete
      key for the schedule of the current prefix *)
@@ -113,39 +143,51 @@ let initial_cap = 64
    the guard line (far below Int32.max_int, far above any workload) *)
 let max_cap = 0x4000_0000
 
-(* [cap] rows: [create] starts small and grows, [of_sequence] knows
-   the final size *)
+let make_rows ~m n =
+  {
+    idx = i32_create (n * stride);
+    nxt = i32_create (n + 1);
+    arena = i32_create (n * m);
+    fl = Array.create_float (n * fstride);
+  }
+
+(* [cap] rows in one block: [create] starts small and grows,
+   [of_sequence] knows the final size *)
 let make model ~m ~cap =
   if m < 1 then invalid_arg "Streaming_dp.create: m must be at least 1";
   if cap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
-  let t =
-    {
-      model;
-      m;
-      lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload;
-      cap;
-      len = 0;
-      idx = i32_make (cap * stride) 0;
-      nxt = i32_make (cap + 1) (-1);
-      arena = i32_make (cap * m) (-1);
-      time = Array.make cap 0.0;
-      big_b = Array.make cap 0.0;
-      c = Array.make cap 0.0;
-      d = Array.make cap infinity;
-      last_on = Array.make m (-1);
-      sched_len = 1;
-      sched = Schedule.empty;
-    }
-  in
-  (* boundary request r_0 = (s^1, 0); the fills already wrote the
-     defaults (idx row 0: server 0, C choice 0), only the non-zero
-     encodings need writing *)
-  A1.set t.idx k_prev (-1l);
-  A1.set t.idx k_dc (Int32.of_int d_undefined);
-  t.last_on.(0) <- 0;
-  A1.set t.arena 0 0l (* row 0: column 0 = r_0, the rest stay -1 *);
-  t.len <- 1;
-  t
+  let cur = make_rows ~m cap in
+  (* boundary request r_0 = (s^1, 0): C(0) = 0, no D(0), B_0 = 0, no
+     successor yet; arena row 0 holds r_0 in column 0 and -1 elsewhere *)
+  A1.set cur.idx k_server 0l;
+  A1.set cur.idx k_prev (-1l);
+  A1.set cur.idx k_cc 0l;
+  A1.set cur.idx k_dc (Int32.of_int d_undefined);
+  A1.set cur.nxt 0 (-1l);
+  A1.set cur.nxt 1 (-1l);
+  A1.set cur.arena 0 0l;
+  for j = 1 to m - 1 do
+    A1.set cur.arena j (-1l)
+  done;
+  cur.fl.(f_time) <- 0.0;
+  cur.fl.(f_c) <- 0.0;
+  cur.fl.(f_d) <- infinity;
+  cur.fl.(f_b) <- 0.0;
+  let last_on = Array.make m (-1) in
+  last_on.(0) <- 0;
+  {
+    model;
+    m;
+    lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload;
+    cap;
+    len = 1;
+    base = 0;
+    cur;
+    full = [||];
+    last_on;
+    sched_len = 1;
+    sched = Schedule.empty;
+  }
 
 let create model ~m = make model ~m ~cap:initial_cap
 
@@ -153,23 +195,32 @@ let n t = t.len - 1
 let m t = t.m
 let model t = t.model
 
-(* decoded read of one packed idx slot; not used on the push hot path
-   (there the unboxing pattern is written inline — without flambda a
-   helper call is not guaranteed to fuse the int32 box away) *)
-let ix t i k = Int32.to_int (A1.unsafe_get t.idx ((i * stride) + k))
+(* the block holding row (or nxt slot) [r >= 0], and [r]'s offset in it *)
+let[@inline] rows_of t r = if r >= t.base then t.cur else t.full.(r lsr block_bits)
+
+let[@inline] offset_of t r = if r >= t.base then r - t.base else r land mask
+
+(* decoded read of one packed idx slot, and of one float slot; not
+   used on the push hot path (there the unboxing pattern is written
+   inline — without flambda a helper call is not guaranteed to fuse
+   the int32 box away) *)
+let ix t i k = Int32.to_int (A1.unsafe_get (rows_of t i).idx ((offset_of t i * stride) + k))
+
+let[@inline] fx t i k = (rows_of t i).fl.((offset_of t i * fstride) + k)
 
 let check t i name =
   if i < 0 || i >= t.len then invalid_arg ("Streaming_dp." ^ name ^ ": index out of bounds")
 
-let cost t = t.c.(t.len - 1)
+(* the last row is always in the current block *)
+let cost t = t.cur.fl.(((t.len - 1 - t.base) * fstride) + f_c)
 
 let cost_at t i =
   check t i "cost_at";
-  t.c.(i)
+  fx t i f_c
 
 let semi_cost_at t i =
   check t i "semi_cost_at";
-  t.d.(i)
+  fx t i f_d
 
 (* sigma_i and b_i exactly as [push] computed them *)
 let marginal_at t i =
@@ -177,12 +228,12 @@ let marginal_at t i =
   if i = 0 then 0.0
   else
     let q = ix t i k_prev in
-    let sigma = if q >= 0 then t.time.(i) -. t.time.(q) else infinity in
+    let sigma = if q >= 0 then fx t i f_time -. fx t q f_time else infinity in
     Float.min t.lam_eff (t.model.Cost_model.mu *. sigma)
 
 let running_at t i =
   check t i "running_at";
-  t.big_b.(i)
+  fx t i f_b
 
 let server_at t i =
   check t i "server_at";
@@ -190,45 +241,58 @@ let server_at t i =
 
 let time_at t i =
   check t i "time_at";
-  t.time.(i)
+  fx t i f_time
 
 let pivot_at t i =
   check t i "pivot_at";
   let v = ix t i k_dc in
   if v >= 0 then Some v else None
 
-(* Doubles every column and the arena.  Not on the hot path proper:
-   amortised over pushes, and the blocks it allocates are major-heap
-   sized long before n is interesting.  The int32 copies are manual
-   loops so no proxy blocks are created. *)
+(* Not on the hot path proper.  A stream's first block doubles up to
+   [block] rows, amortised over its pushes: every plane is copied,
+   with manual int32 loops so no proxy blocks are created.  Past it,
+   the full block joins the directory of full blocks (which doubles)
+   and a fresh block of [block] rows follows it, so no row is copied.
+   A single block bigger than [block] (an [of_sequence] state pushed
+   past its end) keeps doubling. *)
 let grow t =
   Obs.spanned sp_grow @@ fun () ->
-  let ncap = 2 * t.cap in
-  if ncap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
-  let idx = i32_make (ncap * stride) 0 in
-  for k = 0 to (t.len * stride) - 1 do
-    A1.unsafe_set idx k (A1.unsafe_get t.idx k)
-  done;
-  let nxt = i32_make (ncap + 1) (-1) in
-  for k = 0 to t.len do
-    A1.unsafe_set nxt k (A1.unsafe_get t.nxt k)
-  done;
-  let arena = i32_make (ncap * t.m) (-1) in
-  for k = 0 to (t.len * t.m) - 1 do
-    A1.unsafe_set arena k (A1.unsafe_get t.arena k)
-  done;
-  t.idx <- idx;
-  t.nxt <- nxt;
-  t.arena <- arena;
-  let grow_float a fill =
-    let b = Array.make ncap fill in
-    Array.blit a 0 b 0 t.len;
-    b
+  let src = t.cur in
+  let current = t.cap - t.base in
+  let ncap =
+    if current = block then t.cap + block
+    else if current < block then min (2 * t.cap) block
+    else 2 * t.cap
   in
-  t.time <- grow_float t.time 0.0;
-  t.big_b <- grow_float t.big_b 0.0;
-  t.c <- grow_float t.c 0.0;
-  t.d <- grow_float t.d infinity;
+  if ncap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
+  if current = block then begin
+    let full = t.cap lsr block_bits in
+    if full > Array.length t.full then begin
+      let dir = Array.make (max 1 (2 * Array.length t.full)) src in
+      Array.blit t.full 0 dir 0 (full - 1);
+      t.full <- dir
+    end;
+    t.full.(full - 1) <- src;
+    t.cur <- make_rows ~m:t.m block;
+    (* nxt slot [cap] moves from the full block's last slot to the new
+       block's first *)
+    A1.set t.cur.nxt 0 (A1.get src.nxt block);
+    t.base <- t.cap
+  end
+  else begin
+    let dst = make_rows ~m:t.m ncap in
+    for k = 0 to (t.len * stride) - 1 do
+      A1.unsafe_set dst.idx k (A1.unsafe_get src.idx k)
+    done;
+    for k = 0 to t.len do
+      A1.unsafe_set dst.nxt k (A1.unsafe_get src.nxt k)
+    done;
+    for k = 0 to (t.len * t.m) - 1 do
+      A1.unsafe_set dst.arena k (A1.unsafe_get src.arena k)
+    done;
+    Array.blit src.fl 0 dst.fl 0 (t.len * fstride);
+    t.cur <- dst
+  end;
   t.cap <- ncap;
   Obs.incr c_grow;
   Obs.set_gauge g_arena_cap (float_of_int (ncap * t.m))
@@ -240,72 +304,91 @@ let push t ~server ~time =
   let t0 = if Obs.probe () then Obs.now_ns () else min_int in
   if server < 0 || server >= t.m then invalid_arg "Streaming_dp.push: server out of range";
   if not (Float.is_finite time) then invalid_arg "Streaming_dp.push: non-finite time";
-  if time <= t.time.(t.len - 1) then
-    invalid_arg "Streaming_dp.push: times must strictly increase";
+  (* row i - 1 is in the current block until [grow] runs *)
+  let po = (t.len - 1 - t.base) * fstride in
+  let prev_time = t.cur.fl.(po + f_time) in
+  if time <= prev_time then invalid_arg "Streaming_dp.push: times must strictly increase";
+  let prev_c = t.cur.fl.(po + f_c) and prev_b = t.cur.fl.(po + f_b) in
   if t.len = t.cap then grow t;
   let mu = t.model.Cost_model.mu in
   let i = t.len in
+  let base = t.base and cur = t.cur in
+  let fl = cur.fl and fo = (i - base) * fstride in
+  let io = (i - base) * stride in
   let q = t.last_on.(server) in
-  let sigma = if q >= 0 then time -. t.time.(q) else infinity in
+  let sigma = if q >= 0 then time -. fx t q f_time else infinity in
   let bi = Float.min t.lam_eff (mu *. sigma) in
-  let base_i = i * stride in
-  A1.unsafe_set t.idx (base_i + k_server) (Int32.of_int server);
-  A1.unsafe_set t.idx (base_i + k_prev) (Int32.of_int q);
-  A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int d_undefined);
-  A1.unsafe_set t.nxt (i + 1) (-1l);
-  t.time.(i) <- time;
-  t.big_b.(i) <- t.big_b.(i - 1) +. bi;
-  t.d.(i) <- infinity;
+  A1.unsafe_set cur.idx (io + k_server) (Int32.of_int server);
+  A1.unsafe_set cur.idx (io + k_prev) (Int32.of_int q);
+  A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int d_undefined);
+  A1.unsafe_set cur.nxt (i + 1 - base) (-1l);
+  fl.(fo + f_time) <- time;
+  fl.(fo + f_b) <- prev_b +. bi;
+  fl.(fo + f_d) <- infinity;
   (* --- D(i): branch-predictable pivot scan over the packed arena row
      of r_q.  The loop body is one test: an empty column reads the
-     nxt.{0} sentinel, the server's own column reads nxt.{q+1} (still
-     -1 — it is written only after the scan), and every stored
+     nxt slot-0 sentinel, the server's own column reads slot q+1
+     (still -1 — it is written only after the scan), and every stored
      successor is < i by construction, so the old [j <> server],
      [last >= 0], [kappa < i] and [d < infinity] guards are gone (an
      infinite D(kappa) yields an infinite candidate, which never beats
-     the finite D_prev seed). *)
+     the finite D_prev seed).  Each row read takes the current block
+     when the row is in it, as every row of a batch solve is. *)
   if q >= 0 then begin
-    let base = (mu *. sigma) +. t.big_b.(i - 1) in
-    t.d.(i) <- t.c.(q) +. base -. t.big_b.(q);
-    A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int d_prev);
-    let row = q * t.m in
+    let base_cost = (mu *. sigma) +. prev_b in
+    fl.(fo + f_d) <- fx t q f_c +. base_cost -. fx t q f_b;
+    A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int d_prev);
+    let arena = (rows_of t q).arena and row = offset_of t q * t.m in
     for j = 0 to t.m - 1 do
-      let last = Int32.to_int (A1.unsafe_get t.arena (row + j)) in
-      let kappa = Int32.to_int (A1.unsafe_get t.nxt (last + 1)) in
+      let s = Int32.to_int (A1.unsafe_get arena (row + j)) + 1 in
+      let kappa =
+        Int32.to_int
+          (if s >= base then A1.unsafe_get cur.nxt (s - base)
+           else A1.unsafe_get t.full.(s lsr block_bits).nxt (s land mask))
+      in
       if kappa >= 0 then begin
-        (* dcache-sema: allow R3 — kappa < i <= len: nxt only ever stores already-pushed indices *)
-        let cand = Array.unsafe_get t.d kappa +. base -. Array.unsafe_get t.big_b kappa in
-        (* dcache-sema: allow R3 — i < cap: grow ran above when len hit cap *)
-        if cand < Array.unsafe_get t.d i then begin
-          Array.unsafe_set t.d i cand;
-          A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int kappa)
+        let cand =
+          if kappa >= base then
+            let ko = (kappa - base) * fstride in
+            (* dcache-sema: allow R3 — base <= kappa < i: a row pushed into this block *)
+            Array.unsafe_get fl (ko + f_d) +. base_cost -. Array.unsafe_get fl (ko + f_b)
+          else
+            let kf = t.full.(kappa lsr block_bits).fl and ko = (kappa land mask) * fstride in
+            (* dcache-sema: allow R3 — kappa < base: full blocks hold all their rows *)
+            Array.unsafe_get kf (ko + f_d) +. base_cost -. Array.unsafe_get kf (ko + f_b)
+        in
+        (* dcache-sema: allow R3 — row i < cap is in the current block (grow ran above) *)
+        if cand < Array.unsafe_get fl (fo + f_d) then begin
+          Array.unsafe_set fl (fo + f_d) cand;
+          A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int kappa)
         end
       end
     done;
-    A1.unsafe_set t.nxt (q + 1) (Int32.of_int i)
+    A1.unsafe_set (rows_of t (q + 1)).nxt (offset_of t (q + 1)) (Int32.of_int i)
   end;
-  let d_value = t.d.(i) in
+  let d_value = fl.(fo + f_d) in
   (* --- C(i) --- *)
-  let step = t.c.(i - 1) +. (mu *. (time -. t.time.(i - 1))) +. t.lam_eff in
+  let step = prev_c +. (mu *. (time -. prev_time)) +. t.lam_eff in
   (* D(i) exists only when the server was requested before; without
      the [q >= 0] test an overflowed [step = inf] would tie the
      undefined D(i) = inf and send the walk down a missing D branch *)
   if q >= 0 && d_value <= step then begin
-    t.c.(i) <- d_value;
-    A1.unsafe_set t.idx (base_i + k_cc) (Int32.of_int c_cache)
+    fl.(fo + f_c) <- d_value;
+    A1.unsafe_set cur.idx (io + k_cc) (Int32.of_int c_cache)
   end
   else begin
-    t.c.(i) <- step;
-    A1.unsafe_set t.idx (base_i + k_cc) (Int32.of_int c_step)
+    fl.(fo + f_c) <- step;
+    A1.unsafe_set cur.idx (io + k_cc) (Int32.of_int c_step)
   end;
   t.last_on.(server) <- i;
   (* arena row i = arena row i-1 with this server's column patched;
      manual int32 loop — [Array1.sub]/[blit] would allocate proxies *)
-  let src = (i - 1) * t.m and dst = i * t.m in
+  let src = (rows_of t (i - 1)).arena and so = offset_of t (i - 1) * t.m in
+  let dst = (i - base) * t.m in
   for j = 0 to t.m - 1 do
-    A1.unsafe_set t.arena (dst + j) (A1.unsafe_get t.arena (src + j))
+    A1.unsafe_set cur.arena (dst + j) (A1.unsafe_get src (so + j))
   done;
-  A1.unsafe_set t.arena (dst + server) (Int32.of_int i);
+  A1.unsafe_set cur.arena (dst + server) (Int32.of_int i);
   t.len <- i + 1;
   (* one probe check per push; the counter math inside is a constant
      (the branch-free pivot scan visits all m columns whenever q >= 0) *)
@@ -357,14 +440,14 @@ let emit t start source =
       let slot = first.(s) in
       first.(s) <- slot + 1;
       server.(slot) <- s;
-      from_time.(slot) <- t.time.(a);
-      to_time.(slot) <- t.time.(b)
+      from_time.(slot) <- fx t a f_time;
+      to_time.(slot) <- fx t b f_time
     end;
     let source = source.(b) in
     if source <> no_transfer then begin
       src.(!k) <- source;
       dst.(!k) <- ix t b k_server;
-      time.(!k) <- t.time.(b);
+      time.(!k) <- fx t b f_time;
       incr k
     end
   done;
@@ -398,7 +481,7 @@ let schedule t =
     let serve_marginal source lo hi =
       for h = lo to hi do
         let ph = ix t h k_prev in
-        if ph < 0 || t.lam_eff <= mu *. (t.time.(h) -. t.time.(ph)) then add_transfer source h
+        if ph < 0 || t.lam_eff <= mu *. (fx t h f_time -. fx t ph f_time) then add_transfer source h
         else add_cache ph h
       done
     in
@@ -452,10 +535,12 @@ let of_sequence model seq =
 
 let to_sequence t =
   let count = n t in
+  let times = Array.make count 0.0 in
+  for i = 1 to count do
+    times.(i - 1) <- fx t i f_time
+  done;
   match
-    Sequence.of_columns ~m:t.m
-      ~servers:(Array.init count (fun i -> ix t (i + 1) k_server))
-      ~times:(Array.sub t.time 1 count)
+    Sequence.of_columns ~m:t.m ~servers:(Array.init count (fun i -> ix t (i + 1) k_server)) ~times
   with
   | Ok seq -> seq
   | Error msg -> invalid_arg msg

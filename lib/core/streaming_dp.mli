@@ -5,8 +5,10 @@
     naturally {e incremental}: feed requests one at a time and read
     off the optimum-so-far after each.  A rolling-horizon deployment —
     logs arrive in batches, the provider re-plans the tail — gets
-    exact prefix optima in [O(m)] amortised time per request instead
-    of re-running the batch solver.
+    exact prefix optima in [O(m)] time per request instead of
+    re-running the batch solver.  Rows are stored in blocks: the first
+    doubles up to 4 096 rows, and past it a push that finds its block
+    full allocates the next one and copies no row.
 
     {!Offline_dp} is a thin wrapper over this module, so both share
     one implementation of the recurrences and of schedule
@@ -19,14 +21,17 @@ val create : Cost_model.t -> m:int -> t
     @raise Invalid_argument if [m < 1]. *)
 
 val of_sequence : Cost_model.t -> Sequence.t -> t
-(** [create] and a [push] of every request of the sequence, with every
-    column sized for the whole sequence up front, so none is ever
+(** [create] and a [push] of every request of the sequence, in one
+    block sized for the whole sequence up front, so nothing is ever
     grown.  This is the batch solve ({!Offline_dp.solve}).
     @raise Invalid_argument under [push]'s conditions (unreachable for
     a validated {!Sequence.t}). *)
 
 val push : t -> server:int -> time:float -> unit
-(** Appends the next request.  [O(m)] time and extra space.
+(** Appends the next request.  [O(m)] time and amortised [O(m)] extra
+    space; once the stream is past its first block of rows, it copies
+    no row (the first block's doublings are amortised over its
+    pushes).
     @raise Invalid_argument if the server is out of range or the time
     does not strictly exceed the previous request's. *)
 

@@ -116,6 +116,56 @@ let nonempty_problem_arbitrary ?(max_m = 6) ?(max_n = 18) ?with_upload () =
   in
   QCheck.make ~print:problem_print gen
 
+(* Time gaps that are often a single ulp (a zero gap stands for the
+   next float), or dyadic so that mu sigma ties lambda exactly *)
+let ulp_gap_gen =
+  QCheck.Gen.(
+    frequency [ (2, return 0.0); (2, return 0.5); (1, return 0.25); (4, float_range 0.01 3.0) ])
+
+let times_of_gaps gaps =
+  let clock = ref 0.0 in
+  Array.map
+    (fun gap ->
+      clock := if gap = 0.0 then Float.succ !clock else !clock +. gap;
+      !clock)
+    gaps
+
+(* Streams that outlive the streaming solver's first block of 4 096
+   rows: n from two blocks to three blocks and 500 rows, m in
+   {1, 2, 8, 64}, Zipf placement at m = 64 and uniform below.  Server
+   1 is silent from row 100 to row 9 000, so its next request reaches
+   two blocks back for its q, its pivots and its nxt slot. *)
+let long_problem_gen =
+  let open QCheck.Gen in
+  let block = 4096 in
+  let* m = oneofl [ 1; 2; 8; 64 ]
+  and* n = int_range (2 * block) ((3 * block) + 500)
+  and* seed = int_bound 1_000_000
+  and* mu = float_range 0.1 4.0
+  and* lambda = float_range 0.1 4.0
+  and* upload = oneof [ return infinity; float_range 0.1 4.0 ] in
+  let open Dcache_workload in
+  let placement = if m = 64 then Placement.Zipf { exponent = 1.0 } else Placement.Uniform_random in
+  let seq =
+    Generator.generate_seeded ~seed
+      { Generator.m; n; arrival = Arrival.Poisson { rate = 1.0 }; placement }
+  in
+  let servers =
+    Array.init n (fun k ->
+        let s = Sequence.server seq (k + 1) in
+        if s = 1 && k >= 100 && k < 9000 then 0 else s)
+  in
+  let times = Array.init n (fun k -> Sequence.time seq (k + 1)) in
+  match Sequence.of_columns ~m ~servers ~times with
+  | Ok seq -> return { model = Cost_model.make ~upload ~mu ~lambda (); seq }
+  | Error msg -> failwith msg
+
+let long_problem_arbitrary =
+  QCheck.make
+    ~print:(fun { model; seq } ->
+      Format.asprintf "m = %d, n = %d, %a" (Sequence.m seq) (Sequence.n seq) Cost_model.pp model)
+    long_problem_gen
+
 let qcheck ?(count = 300) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 

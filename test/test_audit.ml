@@ -48,20 +48,21 @@ let feed_all inc seq =
 
 (* ------------------------------------------------- Incremental API *)
 
+let replays_run p =
+  List.for_all
+    (fun epoch_size ->
+      let via_run = Online_sc.run ?epoch_size ~record_events:true p.model p.seq in
+      let inc =
+        Online_sc.Incremental.create ?epoch_size ~record_events:true p.model ~m:(Sequence.m p.seq)
+      in
+      feed_all inc p.seq;
+      let via_inc = Online_sc.Incremental.finish inc ~horizon:(Sequence.horizon p.seq) in
+      via_run = via_inc)
+    [ None; Some 3 ]
+
 let incremental_replays_run =
   qcheck "incremental feed/finish replays run field-for-field" (nonempty_problem_arbitrary ())
-    (fun p ->
-      List.for_all
-        (fun epoch_size ->
-          let via_run = Online_sc.run ?epoch_size ~record_events:true p.model p.seq in
-          let inc =
-            Online_sc.Incremental.create ?epoch_size ~record_events:true p.model
-              ~m:(Sequence.m p.seq)
-          in
-          feed_all inc p.seq;
-          let via_inc = Online_sc.Incremental.finish inc ~horizon:(Sequence.horizon p.seq) in
-          via_run = via_inc)
-        [ None; Some 3 ])
+    replays_run
 
 let cost_so_far_matches_prefix_totals =
   qcheck ~count:100 "cost_so_far equals the prefix run's total cost"
@@ -515,8 +516,8 @@ let serve_metrics_rejects_overflowing_costs () =
 
 (* The audit path in the bench ledger's order (dcache audit on a
    trace): parse, then replay through the auditor, a window line per
-   64 requests into a buffer.  33.94-34.00 words under the Noop sink,
-   the window lines included; the budget of 35 fails on one more
+   64 requests into a buffer.  23.70-23.75 words under the Noop sink,
+   the window lines included; the budget of 25 fails on one more
    2-word allocation per request in Incremental.feed, Streaming_dp.push
    or Audit.observe. *)
 let audit_path_budget () =
@@ -535,8 +536,8 @@ let audit_path_budget () =
             | Error msg -> Alcotest.fail msg
             | Ok seq -> Auditor.replay ~window_size:64 ~on_window unit_model seq)
       in
-      if words > 35.0 then
-        Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 35)" name words)
+      if words > 25.0 then
+        Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 25)" name words)
     (budget_workloads ())
 
 (* The serve-metrics item loop in the bench ledger's order, over items
@@ -573,6 +574,84 @@ let serve_items_budget () =
           words budget)
     ledger_workloads
 
+(* Past the first serve-log block (4 096 requests) the log is read
+   back through its directory *)
+let incremental_replays_run_across_blocks =
+  qcheck ~count:6 "incremental feed/finish replays run field-for-field across serve-log blocks"
+    long_problem_arbitrary replays_run
+
+(* Edge inputs for the online path: an upload priced exactly lambda,
+   time gaps of a single ulp, and one server.  The replay stays
+   field-for-field and Theorem 3 holds on every prefix. *)
+let online_edge_gen =
+  let open QCheck.Gen in
+  let* m = frequency [ (1, return 1); (2, int_range 2 8) ] and* n = int_range 1 300 in
+  let* servers = array_size (return n) (int_range 0 (m - 1)) in
+  let* gaps = array_size (return n) ulp_gap_gen in
+  let* mu = frequency [ (3, float_range 0.1 4.0); (1, return 1.0) ] in
+  let* lambda = frequency [ (3, float_range 0.1 4.0); (1, return 0.5) ] in
+  match Sequence.of_columns ~m ~servers ~times:(times_of_gaps gaps) with
+  | Ok seq -> return { model = Cost_model.make ~upload:lambda ~mu ~lambda (); seq }
+  | Error msg -> failwith msg
+
+let online_edge_inputs =
+  qcheck ~count:200 "auditor: upload = lambda, 1-ulp gaps and m = 1 keep Theorem 3"
+    (QCheck.make ~print:problem_print online_edge_gen)
+    (fun p ->
+      let report = Auditor.replay ~window_size:16 p.model p.seq in
+      if report.Auditor.violations <> 0 then
+        QCheck.Test.fail_reportf "%d bound violations, final ratio %g" report.Auditor.violations
+          report.Auditor.final_ratio;
+      replays_run p && report.Auditor.final_ratio <= 3.0 +. 1e-6)
+
+(* On streams past the first block the auditor's optimum is the
+   full-scan oracle's *)
+let auditor_optimum_is_naive =
+  qcheck ~count:6 "auditor: the optimum across row blocks equals Naive_dp's" long_problem_arbitrary
+    (fun p ->
+      let report = Auditor.replay p.model p.seq in
+      approx report.Auditor.opt_cost (Dcache_baselines.Naive_dp.solve p.model p.seq))
+
+(* Degenerate options exit 1 with the library's message (or, for
+   --every, the CLI's own) on stderr, before anything is printed *)
+let cli_rejects_degenerate_options () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let out = Filename.temp_file "dcache" ".out" and err = Filename.temp_file "dcache" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let trace = [ "--trace"; "data/15041.events"; "-m"; "8" ] in
+      List.iter
+        (fun (args, message) ->
+          let status = Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args) in
+          let printed = In_channel.with_open_text out In_channel.input_all in
+          let error = In_channel.with_open_text err In_channel.input_all in
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ ": exit status") 1 status;
+          Alcotest.(check string) (what ^ ": stdout") "" printed;
+          if contains "internal error" error || not (contains message error) then
+            Alcotest.failf "%s printed %S on stderr" what error)
+        ([
+           ("stream" :: trace @ [ "--every"; "0" ], "--every must be at least 1");
+           ("online" :: trace @ [ "--epoch-size"; "0" ], "epoch_size must be positive");
+           ("generate" :: [ "-m"; "0"; "-n"; "5" ], "m must be positive");
+         ]
+        @ List.map
+            (fun w -> (("online" :: trace) @ [ "--window=" ^ w ], "window must be positive"))
+            [ "0"; "-1"; "nan" ]
+        @ List.map
+            (fun (option, message) -> (("audit" :: trace) @ [ option ], message))
+            [
+              ("--window-size=0", "window_size must be positive");
+              ("--window-size=-5", "window_size must be positive");
+              ("--bound=0", "bound must be positive");
+              ("--bound=nan", "bound must be positive");
+              ("--inflate=0", "inflate must be positive");
+              ("--inflate=nan", "inflate must be positive");
+              ("--epoch-size=0", "epoch_size must be positive");
+            ]))
+
 let suite =
   [
     incremental_replays_run;
@@ -595,4 +674,8 @@ let suite =
     case "cli: an empty trace prints no nan ratio" cli_empty_trace_prints_no_nan;
     case "audit: the audit path stays within its budget" audit_path_budget;
     case "serve-metrics: the item loop stays within its budget" serve_items_budget;
+    incremental_replays_run_across_blocks;
+    online_edge_inputs;
+    auditor_optimum_is_naive;
+    case "cli: degenerate options exit 1 with a message" cli_rejects_degenerate_options;
   ]

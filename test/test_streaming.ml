@@ -25,27 +25,35 @@ let prefix_optima_match_batch =
 
 (* A sweep sized for the whole sequence never grows a column; it must
    give the growing solver's every answer, bit for bit *)
+let sized_and_grown { model; seq } =
+  let grown = Streaming_dp.create model ~m:(Sequence.m seq) in
+  feed grown seq (Sequence.n seq);
+  (Streaming_dp.of_sequence model seq, grown)
+
+let same_answers sized grown =
+  let bits = Int64.bits_of_float in
+  let same f i = bits (f sized i) = bits (f grown i) in
+  let ok = ref (Streaming_dp.n sized = Streaming_dp.n grown) in
+  for i = 0 to Streaming_dp.n sized do
+    ok :=
+      !ok
+      && same Streaming_dp.cost_at i
+      && same Streaming_dp.semi_cost_at i
+      && same Streaming_dp.marginal_at i
+      && same Streaming_dp.running_at i
+      && same Streaming_dp.time_at i
+      && Streaming_dp.server_at sized i = Streaming_dp.server_at grown i
+      && Streaming_dp.pivot_at sized i = Streaming_dp.pivot_at grown i
+  done;
+  let pieces s = (Schedule.caches s, Schedule.transfers s) in
+  !ok && pieces (Streaming_dp.schedule sized) = pieces (Streaming_dp.schedule grown)
+
 let of_sequence_matches_pushes =
   qcheck ~count:200 "streaming: of_sequence gives what create and push give, bit for bit"
     (problem_arbitrary ~max_n:150 ~with_upload:true ())
-    (fun { model; seq } ->
-      let sized = Streaming_dp.of_sequence model seq in
-      let grown = Streaming_dp.create model ~m:(Sequence.m seq) in
-      feed grown seq (Sequence.n seq);
-      let bits = Int64.bits_of_float in
-      let same f i = bits (f sized i) = bits (f grown i) in
-      let ok = ref (Streaming_dp.n sized = Streaming_dp.n grown) in
-      for i = 0 to Sequence.n seq do
-        ok :=
-          !ok
-          && same Streaming_dp.cost_at i
-          && same Streaming_dp.semi_cost_at i
-          && same Streaming_dp.marginal_at i
-          && same Streaming_dp.running_at i
-          && Streaming_dp.pivot_at sized i = Streaming_dp.pivot_at grown i
-      done;
-      let pieces s = (Schedule.caches s, Schedule.transfers s) in
-      !ok && pieces (Streaming_dp.schedule sized) = pieces (Streaming_dp.schedule grown))
+    (fun p ->
+      let sized, grown = sized_and_grown p in
+      same_answers sized grown)
 
 let schedule_between_pushes =
   qcheck ~count:100 "streaming: schedules requested mid-stream are feasible and optimal"
@@ -68,9 +76,10 @@ let schedule_between_pushes =
       mid_ok && approx (Streaming_dp.cost stream) (Offline_dp.cost (Offline_dp.solve model seq)))
 
 let arena_matches_full_scan =
-  (* exercises the flat arena well past its growth boundaries (initial
-     capacity 64, doubling) and across wide server counts, against the
-     structure-free full-scan oracle *)
+  (* exercises the flat arena well past its growth boundaries (the
+     first block doubling from 64 rows, then 4 096-row blocks) and
+     across wide server counts, against the structure-free full-scan
+     oracle *)
   qcheck ~count:8 "streaming: flat-arena C/D equal the full-scan oracle on large instances"
     QCheck.(pair (int_range 1_000 10_000) (int_range 2 128))
     (fun (n, m) ->
@@ -350,10 +359,7 @@ let walk_problem_gen =
   let open QCheck.Gen in
   let* m = int_range 1 8 and* n = int_range 0 300 in
   let* servers = array_size (return n) (int_range 0 (m - 1)) in
-  let* gaps =
-    array_size (return n)
-      (frequency [ (2, return 0.0); (2, return 0.5); (1, return 0.25); (4, float_range 0.01 3.0) ])
-  in
+  let* gaps = array_size (return n) ulp_gap_gen in
   let* mu =
     frequency [ (4, float_range 0.1 4.0); (2, return 1.0); (1, return 2.0); (1, return 1e308) ]
   in
@@ -369,16 +375,7 @@ let walk_problem_gen =
         float_range 0.1 4.0;
       ]
   in
-  let clock = ref 0.0 in
-  let times =
-    Array.map
-      (fun gap ->
-        (* a zero gap stands for the next float *)
-        clock := if gap = 0.0 then Float.succ !clock else !clock +. gap;
-        !clock)
-      gaps
-  in
-  match Sequence.of_columns ~m ~servers ~times with
+  match Sequence.of_columns ~m ~servers ~times:(times_of_gaps gaps) with
   | Ok seq -> return { model = Cost_model.make ~upload ~mu ~lambda (); seq }
   | Error msg -> failwith msg
 
@@ -409,6 +406,40 @@ let schedule_matches_reference_walk =
       done;
       true)
 
+(* Streams past the first block: the pushed solver reads rows one and
+   two blocks back through its directories, while [of_sequence] keeps
+   every row in one block.  Both must agree bit for bit, and the
+   schedule must equal the reference walk's. *)
+let blocks_match_one_block =
+  qcheck ~count:8 "streaming: of_sequence and pushes agree across row blocks, bit for bit"
+    long_problem_arbitrary (fun p ->
+      let sized, grown = sized_and_grown p in
+      same_answers sized grown
+      && same_schedule (Streaming_dp.schedule grown) (Schedule_reference.walk grown))
+
+(* Pushes past the first block allocate one block of float rows per
+   4 096 pushes (4 words a push) beside the boxed [time] (2 words): 5.09
+   on every workload, where doubling read 14.37.  The budget of 7
+   fails on a block twice the size of the last, or on one more 2-word
+   allocation per push. *)
+let push_words_past_first_block () =
+  let warm = 4096 in
+  List.iter
+    (fun (name, seq) ->
+      let stream = Streaming_dp.create Cost_model.unit ~m:(Sequence.m seq) in
+      feed stream seq warm;
+      let words =
+        words_per_request ~n:(Sequence.n seq - warm) (fun () ->
+            for i = warm + 1 to Sequence.n seq do
+              Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+            done)
+      in
+      if words > 7.0 then
+        Alcotest.failf
+          "Streaming_dp.push past the first block on %s allocates %.2f words/push (budget 7)" name
+          words)
+    (budget_workloads ())
+
 let suite =
   [
     prefix_optima_match_batch;
@@ -428,4 +459,6 @@ let suite =
     case "streaming: an overflowed step takes the C branch" overflowed_step_takes_the_c_branch;
     case "streaming: push allocation budget" push_allocation_budget;
     schedule_matches_reference_walk;
+    blocks_match_one_block;
+    case "streaming: pushes past the first block stay within 7 words" push_words_past_first_block;
   ]
