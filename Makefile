@@ -5,7 +5,7 @@
 BUILD := _build/default
 SARIF := _build/sarif
 
-.PHONY: all build test lint sema sarif check bench-baseline perf-gate ledger-ab bench-sema trace metrics-demo audit-demo clean
+.PHONY: all build test lint sema sarif check bench-baseline perf-gate ledger-ab alloc-sites bench-sema trace metrics-demo audit-demo clean
 
 all: build
 
@@ -48,6 +48,12 @@ PARENT ?= HEAD
 SEEDS ?= 1-10
 ledger-ab:
 	bash bench/ab.sh $(PARENT) $(SEEDS)
+
+# the allocation sites of one library module, from its Cmm compiled
+# with dune's own flags (bench/alloc_sites.sh): make alloc-sites
+# FILE=lib/obs/audit.ml
+alloc-sites:
+	bash bench/alloc_sites.sh $(FILE)
 
 # Chrome/Perfetto trace of the quick experiment tables (see
 # docs/OBSERVABILITY.md)

@@ -26,15 +26,16 @@ let running model seq =
    sum, so the same bits (adding b_0 = 0 changes nothing).  In place
    of p(i) it keeps each server's latest time, [neg_infinity] before
    its first request, so sigma_i = t_i - last.(s_i) is the same
-   subtraction (and [infinity] for a first request) with one boxed
-   [Sequence.time] per request. *)
+   subtraction (and [infinity] for a first request).  It reads the
+   sequence's columns in place, so nothing is boxed per request. *)
 let lower_bound model seq =
   let lam = lambda_eff model and mu = model.Cost_model.mu in
   let last = Array.make (Sequence.m seq) neg_infinity in
   last.(0) <- 0.0;
+  let servers = seq.Sequence.server and times = seq.Sequence.time in
   let acc = ref 0.0 in
-  for i = 1 to Sequence.n seq do
-    let s = Sequence.server seq i and time = Sequence.time seq i in
+  for k = 0 to Array.length servers - 1 do
+    let s = servers.(k) and time = times.(k) in
     let sigma = time -. last.(s) in
     last.(s) <- time;
     (* dcache-sema: allow S4 — B_n is Streaming_dp's plain prefix sum, kept bit for bit *)

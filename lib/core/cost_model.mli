@@ -16,10 +16,13 @@ type t = private {
 
 val make : ?upload:float -> mu:float -> lambda:float -> unit -> t
 (** @raise Invalid_argument if [mu] or [lambda] is not positive and
-    finite (NaN and [infinity] included), if the window
-    [lambda /. mu] underflows to [0.] (say [mu = 1e200],
-    [lambda = 1e-200]), or if [upload <= 0].
-    [upload = infinity] is legal: it means "no upload". *)
+    finite (NaN and [infinity] included), if [mu], [lambda] or a
+    finite [upload] is subnormal (below [Float.min_float], where a
+    product such as [mu *. sigma] keeps too few bits to order the
+    DP's candidates, so the answer would change with the scale), if
+    the window [lambda /. mu] underflows to [0.] (say [mu = 1e200],
+    [lambda = 1e-200]), or if [upload <= 0].  The messages name the
+    rate.  [upload = infinity] is legal: it means "no upload". *)
 
 val unit : t
 (** [mu = 1, lambda = 1]: the model used in the paper's worked

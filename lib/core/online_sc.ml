@@ -43,14 +43,23 @@ let competitive_bound = 3.0
    expiry heap's amortised doubling.  dune's dev profile compiles with
    [-opaque], so nothing is inlined across modules: every float handed
    to or returned by a function of another module is boxed, and so is
-   every store into a float field of a mixed record.  Hence the expiry
-   heap is two columns driven by int-only helpers, the running sums
-   live in a [float array], close times travel through [expiry], and
-   events and segments are built only under [record]. *)
+   every store into a float field of a mixed record.  Within this
+   module a float argument is boxed too, unless the caller's float
+   was boxed already.  Hence the expiry heap is two columns driven by
+   int-only helpers, the running sums live in a [float array], close
+   times travel through [expiry], the request's time reaches [drain],
+   [refresh] and [activate] through the one-cell [now], and events
+   and segments are built only under [record].  [run] reads the
+   sequence's time column in place and runs [Incremental.feed]
+   inlined, so its loop boxes no time at all. *)
 type state = {
   delta_t : float;  (* base window: the last-copy extension quantum *)
-  window_for : server:int -> time:float -> float;  (* per-refresh window *)
+  window_policy : (server:int -> time:float -> float) option;
+      (* per-refresh window; [delta_t] when [None] *)
   mu : float;
+  now : float array;
+      (* one cell: the time of the request being served, and between
+         feeds the last request's time (0 before the first) *)
   active : bool array;
   expiry : float array;  (* also the close time [deactivate] reads *)
   activated : float array;  (* activation time of the live copy *)
@@ -130,8 +139,18 @@ let drop_min st =
     sift_down st 0
   end
 
-let refresh st server time =
-  st.expiry.(server) <- time +. st.window_for ~server ~time;
+(* renews [server]'s copy at the time in [now] *)
+let refresh st server =
+  let time = st.now.(0) in
+  let window =
+    match st.window_policy with
+    | None -> st.delta_t
+    | Some f ->
+        let w = f ~server ~time in
+        if not (w > 0.) then invalid_arg "Online_sc: window_policy must be positive";
+        w
+  in
+  st.expiry.(server) <- time +. window;
   st.last_use.(server) <- time;
   st.stamp.(server) <- st.next_stamp;
   st.next_stamp <- st.next_stamp + 1;
@@ -141,14 +160,16 @@ let refresh st server time =
    live copies, so the caching cost accrued up to any instant [t] is
    [caching + mu * (live * t - act_sum)] — the O(1) readback behind
    [Incremental.cost_so_far].  Activation and deactivation are the
-   only places a copy enters or leaves the live set. *)
-let activate st server time ~by_transfer =
+   only places a copy enters or leaves the live set.  The copy opens
+   at the time in [now]. *)
+let activate st server ~by_transfer =
+  let time = st.now.(0) in
   st.active.(server) <- true;
   st.activated.(server) <- time;
   st.from_transfer.(server) <- by_transfer;
   st.live <- st.live + 1;
   st.sums.(act_sum) <- st.sums.(act_sum) +. time;
-  refresh st server time
+  refresh st server
 
 (* Takes [server]'s copy out of the live set at [expiry.(server)],
    which the caller sets to the close time. *)
@@ -177,10 +198,12 @@ let retire st server =
   if st.record then record_segment st server;
   deactivate st server
 
-(* Process expirations strictly before [limit], reading the heap
-   minimum in place.  A heap entry is current iff its copy is live and
-   still expires at the entry's time; stale entries are dropped. *)
-let rec drain st limit =
+(* Process expirations strictly before the time in [now], reading the
+   heap minimum in place.  A heap entry is current iff its copy is
+   live and still expires at the entry's time; stale entries are
+   dropped. *)
+let rec drain st =
+  let limit = st.now.(0) in
   if st.heap_size > 0 && st.heap_time.(0) < limit then begin
     let time = st.heap_time.(0) and server = st.heap_server.(0) in
     drop_min st;
@@ -239,7 +262,7 @@ let rec drain st limit =
         if st.record then log st (Extended { server; time; new_expiry = st.expiry.(server) })
       end
     end;
-    drain st limit
+    drain st
   end
 
 (* the segments and events of an epoch reset at [time], before its
@@ -274,8 +297,7 @@ module Incremental = struct
     model : Cost_model.t;
     m : int;
     epoch_size : int;
-    mutable n : int;  (* requests fed so far *)
-    mutable last_time : float;
+    mutable n : int;  (* requests fed so far; the last one's time is [st.now] *)
     mutable num_transfers : int;
     mutable epoch_transfers : int;
     mutable num_epochs : int;  (* completed epoch resets *)
@@ -305,20 +327,12 @@ module Incremental = struct
           if not (w > 0.) then invalid_arg "Online_sc: window must be positive";
           w
     in
-    let window_for =
-      match window_policy with
-      | None -> fun ~server:_ ~time:_ -> delta_t
-      | Some f ->
-          fun ~server ~time ->
-            let w = f ~server ~time in
-            if not (w > 0.) then invalid_arg "Online_sc: window_policy must be positive";
-            w
-    in
     let st =
       {
         delta_t;
-        window_for;
+        window_policy;
         mu = model.Cost_model.mu;
+        now = Array.make 1 0.0;
         active = Array.make m false;
         expiry = Array.make m 0.0;
         activated = Array.make m 0.0;
@@ -337,14 +351,13 @@ module Incremental = struct
         record = record_events;
       }
     in
-    activate st 0 0.0 ~by_transfer:false;
+    activate st 0 ~by_transfer:false;
     {
       st;
       model;
       m;
       epoch_size;
       n = 0;
-      last_time = 0.0;
       num_transfers = 0;
       epoch_transfers = 0;
       num_epochs = 0;
@@ -381,30 +394,40 @@ module Incremental = struct
   (* O(1): the closed-segment cost lives in [sums.(caching)]; the
      still-open segments contribute mu * (live * now - act_sum).  The
      sum is [Cost_model.add]'s, written out: calling it would box its
-     [caching] argument on every request. *)
-  let cost_so_far t =
+     [caching] argument on every request.  The one formula behind
+     [cost_so_far], which returns it boxed, and [cost_into], which
+     stores it unboxed. *)
+  let[@inline] cost t =
     let st = t.st in
     let caching =
-      st.sums.(caching) +. (st.mu *. ((float_of_int st.live *. t.last_time) -. st.sums.(act_sum)))
+      st.sums.(caching) +. (st.mu *. ((float_of_int st.live *. st.now.(0)) -. st.sums.(act_sum)))
     in
     caching +. (float_of_int t.num_transfers *. t.model.Cost_model.lambda)
 
-  let feed t ~server ~time =
+  let cost_so_far t = cost t
+  let cost_into t cells k = cells.(k) <- cost t
+
+  (* [@inline] so that [run] runs this body on an unboxed read of the
+     time column; other modules call the out-of-line copy.  The time
+     goes into [now] before [drain], the first reader.  Closure mode
+     inlines only a body with no local function. *)
+  let[@inline] feed t ~server ~time =
     if t.finished then invalid_arg "Online_sc.Incremental.feed: state already finished";
     if server < 0 || server >= t.m then invalid_arg "Online_sc.Incremental.feed: server out of range";
     if not (Float.is_finite time) then
       invalid_arg "Online_sc.Incremental.feed: time must be finite";
-    if not (time > t.last_time) then
-      invalid_arg "Online_sc.Incremental.feed: times must be strictly increasing";
     let st = t.st in
+    if not (time > st.now.(0)) then
+      invalid_arg "Online_sc.Incremental.feed: times must be strictly increasing";
     let j = server and ti = time in
-    drain st ti;
+    st.now.(0) <- ti;
+    drain st;
     let i = t.n + 1 in
     if i - t.serves_base >= Array.length t.serves then grow_serves t;
     let slot = i - t.serves_base in
     if st.active.(j) && st.expiry.(j) >= ti then begin
       (* live local copy: serve from cache and renew its window *)
-      refresh st j ti;
+      refresh st j;
       t.serves.(slot) <- -1;
       if st.record then log st (Served { index = i; server = j; time = ti; kind = By_cache })
     end
@@ -421,15 +444,14 @@ module Incremental = struct
       assert (src >= 0 && st.active.(src));
       t.num_transfers <- t.num_transfers + 1;
       t.epoch_transfers <- t.epoch_transfers + 1;
-      refresh st src ti;
-      activate st j ti ~by_transfer:true;
+      refresh st src;
+      activate st j ~by_transfer:true;
       t.serves.(slot) <- src;
       if st.record then
         log st (Served { index = i; server = j; time = ti; kind = By_transfer src })
     end;
     t.last_copy_server <- j;
     t.n <- i;
-    t.last_time <- ti;
     if t.epoch_transfers >= t.epoch_size then begin
       (* every copy but the current server's closes now; the record,
          if kept, is written first so this loop stays allocation-free *)
@@ -447,11 +469,12 @@ module Incremental = struct
 
   let finish ?horizon t =
     if t.finished then invalid_arg "Online_sc.Incremental.finish: state already finished";
+    let last_time = t.st.now.(0) in
     let horizon =
       match horizon with
-      | None -> t.last_time
+      | None -> last_time
       | Some h ->
-          if h < t.last_time then
+          if h < last_time then
             invalid_arg "Online_sc.Incremental.finish: horizon before the last request";
           h
     in
@@ -504,8 +527,9 @@ let run ?epoch_size ?record_events ?window ?window_policy model seq =
     Incremental.make ~capacity:(n + 1) ?epoch_size ?record_events ?window ?window_policy model
       ~m:(Sequence.m seq)
   in
-  for i = 1 to n do
-    Incremental.feed inc ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+  let servers = seq.Sequence.server and times = seq.Sequence.time in
+  for k = 0 to n - 1 do
+    Incremental.feed inc ~server:servers.(k) ~time:times.(k)
   done;
   Incremental.finish inc ~horizon:(Sequence.horizon seq)
 [@@hot]

@@ -108,6 +108,14 @@ module Incremental : sig
       horizon.  [O(1)]: open segments are costed as
       [mu * (live * now - sum of activation times)]. *)
 
+  val cost_into : t -> float array -> int -> unit
+  (** [cost_into t cells k] stores {!cost_so_far} in [cells.(k)],
+      by the same formula.  Under [-opaque] the result of
+      {!cost_so_far} is boxed on every call; a float stored into a
+      float array is not, so a per-request reader
+      ([Dcache_sim.Auditor]) allocates nothing for it.
+      @raise Invalid_argument if [k] is outside [cells]. *)
+
   val n : t -> int
   (** Requests fed so far. *)
 

@@ -7,7 +7,17 @@
     at [0].  The paper's dummy requests [r_{-j} = (s^j, -inf)] are
     represented by {!prevs} returning [-1]. *)
 
-type t
+type t = private {
+  m : int;  (** number of servers *)
+  server : int array;  (** [server.(i - 1)] is [s_i]; [r_0] is not stored *)
+  time : float array;  (** [time.(i - 1)] is [t_i]; [r_0] is not stored *)
+}
+(** The record is private so that a per-request loop in another module
+    can read the columns in place: under [-opaque], {!time} returns
+    each float boxed, while [seq.time.(i - 1)] is an unboxed load.
+    Request [i] sits at index [i - 1].  The columns are read-only:
+    nothing stops a write, but everything else relies on the validation
+    {!of_columns} ran. *)
 
 val of_columns : m:int -> servers:int array -> times:float array -> (t, string) result
 (** [of_columns ~m ~servers ~times] is the instance whose request

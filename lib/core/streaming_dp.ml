@@ -212,7 +212,10 @@ let check t i name =
   if i < 0 || i >= t.len then invalid_arg ("Streaming_dp." ^ name ^ ": index out of bounds")
 
 (* the last row is always in the current block *)
-let cost t = t.cur.fl.(((t.len - 1 - t.base) * fstride) + f_c)
+let[@inline] last_cost t = t.cur.fl.(((t.len - 1 - t.base) * fstride) + f_c)
+
+let cost t = last_cost t
+let cost_into t cells k = cells.(k) <- last_cost t
 
 let cost_at t i =
   check t i "cost_at";
@@ -297,7 +300,11 @@ let grow t =
   Obs.incr c_grow;
   Obs.set_gauge g_arena_cap (float_of_int (ncap * t.m))
 
-let push t ~server ~time =
+(* [@inline] so that [of_sequence] runs this body on an unboxed read
+   of the time column: the out-of-line copy serves other modules, and
+   boxes its [time] argument there.  Closure mode inlines only a body
+   with no local function, so none may be added here. *)
+let[@inline] push t ~server ~time =
   (* hand-rolled span timing: [Obs.spanned] would allocate a closure,
      and this path's Noop budget is exactly 0 words.  Two probe loads
      per push (entry and exit) — bench_cases.probes_per_push. *)
@@ -524,11 +531,13 @@ let schedule t =
     t.sched_len <- t.len;
     s
 
+(* reads the columns in place and inlines [push], so no time is boxed *)
 let of_sequence model seq =
   let count = Sequence.n seq in
   let t = make model ~m:(Sequence.m seq) ~cap:(count + 1) in
-  for i = 1 to count do
-    push t ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+  let servers = seq.Sequence.server and times = seq.Sequence.time in
+  for k = 0 to count - 1 do
+    push t ~server:servers.(k) ~time:times.(k)
   done;
   t
 [@@hot]

@@ -23,7 +23,10 @@ val create : Cost_model.t -> m:int -> t
 val of_sequence : Cost_model.t -> Sequence.t -> t
 (** [create] and a [push] of every request of the sequence, in one
     block sized for the whole sequence up front, so nothing is ever
-    grown.  This is the batch solve ({!Offline_dp.solve}).
+    grown.  This is the batch solve ({!Offline_dp.solve}).  It reads
+    the sequence's columns in place and runs {!push}'s body inlined,
+    so no request's time is boxed: it allocates the block's planes
+    and nothing per request.
     @raise Invalid_argument under [push]'s conditions (unreachable for
     a validated {!Sequence.t}). *)
 
@@ -44,6 +47,13 @@ val model : t -> Cost_model.t
 
 val cost : t -> float
 (** [C(n)]: optimal cost of serving everything pushed so far. *)
+
+val cost_into : t -> float array -> int -> unit
+(** [cost_into t cells k] stores {!cost} in [cells.(k)].  Unlike the
+    result of {!cost}, a float stored into a float array is not boxed
+    across a module boundary, so a per-request reader
+    ([Dcache_sim.Auditor]) allocates nothing for it.
+    @raise Invalid_argument if [k] is outside [cells]. *)
 
 val cost_at : t -> int -> float
 (** [C(i)], [0 <= i <= n].

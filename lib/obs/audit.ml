@@ -40,28 +40,33 @@ type window = {
 
 type witness = { at : int; w_online : float; w_opt : float; w_ratio : float }
 
+(* Every float of the state lives in [fl], at these indices: storing a
+   float into a mutable float field of a record that also holds ints
+   boxes it, a store into a float array does not.  The cumulative
+   costs of the last observation, the cumulative costs at the last
+   window boundary, and the last closed window's five figures
+   (unpacked so that closing a window allocates nothing;
+   [last_window] materialises them on demand). *)
+let f_online = 0
+let f_opt = 1
+let f_base_online = 2
+let f_base_opt = 3
+let f_lw_online = 4
+let f_lw_opt = 5
+let f_lw_ratio = 6
+let f_lw_regret = 7
+let f_lw_prefix_ratio = 8
+
 type t = {
   window_size : int;
   bound : float;
   epsilon : float;
-  (* cumulative costs of the last observation *)
-  mutable n : int;
-  mutable online : float;
-  mutable opt : float;
-  (* cumulative costs at the last window boundary *)
-  mutable base_online : float;
-  mutable base_opt : float;
+  fl : float array;
+  mutable n : int;  (* observations so far *)
   mutable win_first : int;  (* first request index of the open window *)
   mutable windows : int;  (* closed so far *)
-  (* last closed window, unpacked into flat fields so closing a
-     window allocates nothing; [last_window] materialises on demand *)
-  mutable lw_first : int;
+  mutable lw_first : int;  (* the last closed window's requests *)
   mutable lw_last : int;
-  mutable lw_online : float;
-  mutable lw_opt : float;
-  mutable lw_ratio : float;
-  mutable lw_regret : float;
-  mutable lw_prefix_ratio : float;
   (* bound monitor *)
   mutable violations : int;
   wit : witness option array;  (* ring, most recent kept *)
@@ -72,7 +77,7 @@ type t = {
   item_windows : Obs.counter option;
 }
 
-let ratio ~online ~opt = if opt > 0.0 then online /. opt else 1.0
+let[@inline] ratio ~online ~opt = if opt > 0.0 then online /. opt else 1.0
 
 let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capacity = 16) ?item ()
     =
@@ -80,24 +85,19 @@ let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capaci
   if not (bound > 0.0) then invalid_arg "Audit.create: bound must be positive";
   if epsilon < 0.0 then invalid_arg "Audit.create: epsilon must be non-negative";
   if witness_capacity < 1 then invalid_arg "Audit.create: witness_capacity must be positive";
+  let fl = Array.make 9 0.0 in
+  fl.(f_lw_ratio) <- 1.0;
+  fl.(f_lw_prefix_ratio) <- 1.0;
   {
     window_size;
     bound;
     epsilon;
+    fl;
     n = 0;
-    online = 0.0;
-    opt = 0.0;
-    base_online = 0.0;
-    base_opt = 0.0;
     win_first = 1;
     windows = 0;
     lw_first = 0;
     lw_last = 0;
-    lw_online = 0.0;
-    lw_opt = 0.0;
-    lw_ratio = 1.0;
-    lw_regret = 0.0;
-    lw_prefix_ratio = 1.0;
     violations = 0;
     wit = Array.make witness_capacity None;
     wit_pos = 0;
@@ -107,20 +107,22 @@ let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capaci
   }
 
 let close_window t =
-  let w_online = t.online -. t.base_online in
-  let w_opt = t.opt -. t.base_opt in
+  let fl = t.fl in
+  let online = fl.(f_online) and opt = fl.(f_opt) in
+  let w_online = online -. fl.(f_base_online) in
+  let w_opt = opt -. fl.(f_base_opt) in
   let r = ratio ~online:w_online ~opt:w_opt in
   let regret = w_online -. w_opt in
   t.lw_first <- t.win_first;
   t.lw_last <- t.n;
-  t.lw_online <- w_online;
-  t.lw_opt <- w_opt;
-  t.lw_ratio <- r;
-  t.lw_regret <- regret;
-  t.lw_prefix_ratio <- ratio ~online:t.online ~opt:t.opt;
+  fl.(f_lw_online) <- w_online;
+  fl.(f_lw_opt) <- w_opt;
+  fl.(f_lw_ratio) <- r;
+  fl.(f_lw_regret) <- regret;
+  fl.(f_lw_prefix_ratio) <- ratio ~online ~opt;
   t.windows <- t.windows + 1;
-  t.base_online <- t.online;
-  t.base_opt <- t.opt;
+  fl.(f_base_online) <- online;
+  fl.(f_base_opt) <- opt;
   t.win_first <- t.n + 1;
   if Obs.probe () then begin
     Obs.incr c_windows;
@@ -132,14 +134,16 @@ let close_window t =
     match t.item_ratio with Some g -> Obs.set_gauge g r | None -> ()
   end
 
-let observe t ~online ~opt =
+(* The one body of [observe] and [observe_cells]: inlined into the
+   latter, it reads the two costs unboxed from their cells *)
+let[@inline] observe_costs t online opt =
   if t.flushed then invalid_arg "Audit.observe: auditor already flushed";
   (* an overflowed cost would reach the gauges as nan or inf *)
   if not (Float.is_finite online && Float.is_finite opt) then
     invalid_arg "Audit.observe: costs must be finite";
   t.n <- t.n + 1;
-  t.online <- online;
-  t.opt <- opt;
+  t.fl.(f_online) <- online;
+  t.fl.(f_opt) <- opt;
   let r = ratio ~online ~opt in
   let violated = opt > 0.0 && online > (t.bound +. t.epsilon) *. opt in
   if violated then begin
@@ -160,6 +164,9 @@ let observe t ~online ~opt =
   end
   else false
 
+let observe t ~online ~opt = observe_costs t online opt
+let observe_cells t costs = observe_costs t costs.(0) costs.(1)
+
 let flush t =
   if t.flushed then invalid_arg "Audit.flush: auditor already flushed";
   t.flushed <- true;
@@ -177,18 +184,18 @@ let last_window t =
         index = t.windows - 1;
         first = t.lw_first;
         last = t.lw_last;
-        online = t.lw_online;
-        opt = t.lw_opt;
-        ratio = t.lw_ratio;
-        regret = t.lw_regret;
-        prefix_ratio = t.lw_prefix_ratio;
+        online = t.fl.(f_lw_online);
+        opt = t.fl.(f_lw_opt);
+        ratio = t.fl.(f_lw_ratio);
+        regret = t.fl.(f_lw_regret);
+        prefix_ratio = t.fl.(f_lw_prefix_ratio);
       }
 
 let n t = t.n
 let windows_closed t = t.windows
-let prefix_online t = t.online
-let prefix_opt t = t.opt
-let prefix_ratio t = if t.n = 0 then 1.0 else ratio ~online:t.online ~opt:t.opt
+let prefix_online t = t.fl.(f_online)
+let prefix_opt t = t.fl.(f_opt)
+let prefix_ratio t = if t.n = 0 then 1.0 else ratio ~online:t.fl.(f_online) ~opt:t.fl.(f_opt)
 let violations t = t.violations
 let bound t = t.bound
 

@@ -83,10 +83,21 @@ val observe : t -> online:float -> opt:float -> bool
     iff this observation closed a window (read it back with
     {!last_window}).  Monotonicity of the inputs is the caller's
     contract.
-    [O(1)], allocation-free unless a violation witness is captured.
+    [O(1)]; it allocates nothing itself unless a violation witness is
+    captured, but under [-opaque] (dune's dev profile) a caller in
+    another module boxes each float it passes, 2 words apiece:
+    {!observe_cells} takes the same pair without boxes.
     @raise Invalid_argument if the auditor was {!flush}ed, or if
     [online] or [opt] is not finite (an overflowed cost); the
     auditor's state and gauges are then untouched. *)
+
+val observe_cells : t -> float array -> bool
+(** [observe_cells t costs] is [observe t ~online:costs.(0)
+    ~opt:costs.(1)], reading the pair in place, so a per-request
+    caller that keeps its costs in a float array allocates nothing
+    for them ([Dcache_sim.Auditor] does).
+    @raise Invalid_argument as {!observe} does, or if [costs] has
+    fewer than two cells. *)
 
 val flush : t -> bool
 (** Close the current partial window, if any requests are pending in

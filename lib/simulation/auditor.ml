@@ -7,6 +7,9 @@ type t = {
   audit : Audit.t;
   inflate : float;
   on_window : (Audit.window -> unit) option;
+  costs : float array;
+      (* the latest (inflated online, optimum) pair: the two costs
+         cross from Online_sc and Streaming_dp to Audit unboxed *)
 }
 
 type report = {
@@ -29,6 +32,7 @@ let create ?window_size ?bound ?epsilon ?witness_capacity ?item ?epoch_size ?(in
     audit = Audit.create ?window_size ?bound ?epsilon ?witness_capacity ?item ();
     inflate;
     on_window;
+    costs = Array.make 2 0.0;
   }
 
 let fire_window t closed =
@@ -40,9 +44,11 @@ let fire_window t closed =
 let feed t ~server ~time =
   Online_sc.Incremental.feed t.inc ~server ~time;
   Streaming_dp.push t.dp ~server ~time;
-  let online = t.inflate *. Online_sc.Incremental.cost_so_far t.inc in
-  let opt = Streaming_dp.cost t.dp in
-  let closed = Audit.observe t.audit ~online ~opt in
+  let costs = t.costs in
+  Online_sc.Incremental.cost_into t.inc costs 0;
+  costs.(0) <- t.inflate *. costs.(0);
+  Streaming_dp.cost_into t.dp costs 1;
+  let closed = Audit.observe_cells t.audit costs in
   fire_window t closed
 
 let audit t = t.audit

@@ -6,6 +6,9 @@
     regret / Theorem-3 bound telemetry).  Each {!feed} costs one
     [Incremental.feed] ([O(log n)] amortised), one [Streaming_dp.push]
     ([O(m)]) and an [O(1)] [Audit.observe] — no re-solving, ever.
+    The two costs cross from the solvers to [Audit] through a float
+    array ([cost_into], [Audit.observe_cells]), so a feed boxes none
+    of them.
 
     [dcache audit] replays a trace through this module;
     [dcache serve-metrics] drives one instance per batch so the

@@ -105,9 +105,10 @@ let ratio_zero_opt_defaults_to_one () =
   check_float "plain division otherwise" 1.5 (Audit.ratio ~online:3.0 ~opt:2.0)
 
 (* [observe] rides the per-request serving path: under the Noop sink
-   it allocates only the floats boxed at the call boundary (about 4
-   words), within a budget of 16.  The costs keep a ratio of 2.0, inside
-   the bound, so the witness path (which may allocate) never runs. *)
+   it allocates only the two floats this loop boxes to pass (4.00
+   words), within a budget of 5.  The costs keep a ratio of 2.0,
+   inside the bound, so the witness path (which may allocate) never
+   runs. *)
 let observe_word_budget () =
   Obs.set_sink Obs.Noop;
   let iters = 200_000 in
@@ -120,8 +121,8 @@ let observe_word_budget () =
           ignore (Audit.observe a ~online:(2.0 *. opt) ~opt)
         done)
   in
-  if words > 16.0 then
-    Alcotest.failf "a Noop-sink Audit.observe allocates %.3f words (budget 16)" words
+  if words > 5.0 then
+    Alcotest.failf "a Noop-sink Audit.observe allocates %.3f words (budget 5)" words
 
 let window_accounting () =
   let a = Audit.create ~window_size:2 () in
@@ -516,8 +517,8 @@ let serve_metrics_rejects_overflowing_costs () =
 
 (* The audit path in the bench ledger's order (dcache audit on a
    trace): parse, then replay through the auditor, a window line per
-   64 requests into a buffer.  23.70-23.75 words under the Noop sink,
-   the window lines included; the budget of 25 fails on one more
+   64 requests into a buffer.  17.70-17.76 words under the Noop sink,
+   the window lines included; the budget of 19 fails on one more
    2-word allocation per request in Incremental.feed, Streaming_dp.push
    or Audit.observe. *)
 let audit_path_budget () =
@@ -536,20 +537,20 @@ let audit_path_budget () =
             | Error msg -> Alcotest.fail msg
             | Ok seq -> Auditor.replay ~window_size:64 ~on_window unit_model seq)
       in
-      if words > 25.0 then
-        Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 25)" name words)
+      if words > 19.0 then
+        Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 19)" name words)
     (budget_workloads ())
 
 (* The serve-metrics item loop in the bench ledger's order, over items
    of 500 requests: generate one, audit it, then re-solve it through a
-   Solve_cache miss.  Under the Noop sink it reads 35.76 / 35.51 /
-   33.89 / 33.64 words on the four workloads, a spread past 2 words,
+   Solve_cache miss.  Under the Noop sink it reads 27.49 / 27.24 /
+   25.62 / 25.37 words on the four workloads, a spread past 2 words,
    so each workload has its own budget, under 2 words above its
    figure. *)
 let serve_items_budget () =
   Obs.set_sink Obs.Noop;
   let budgets =
-    [ ("mobility-ring-m8", 36.5); ("zipf-m64", 36.5); ("bursty-m16", 35.0); ("serve-batch", 35.0) ]
+    [ ("mobility-ring-m8", 29.0); ("zipf-m64", 29.0); ("bursty-m16", 27.5); ("serve-batch", 27.0) ]
   in
   List.iter
     (fun (name, m, arrival, placement) ->
@@ -638,6 +639,11 @@ let cli_rejects_degenerate_options () =
            ("generate" :: [ "-m"; "0"; "-n"; "5" ], "m must be positive");
          ]
         @ List.map
+            (fun command ->
+              ( (command :: trace) @ [ "--mu"; "5e-324"; "--lambda"; "5e-324" ],
+                "Cost_model.make: mu is subnormal" ))
+            [ "solve"; "online" ]
+        @ List.map
             (fun w -> (("online" :: trace) @ [ "--window=" ^ w ], "window must be positive"))
             [ "0"; "-1"; "nan" ]
         @ List.map
@@ -651,6 +657,78 @@ let cli_rejects_degenerate_options () =
               ("--inflate=nan", "inflate must be positive");
               ("--epoch-size=0", "epoch_size must be positive");
             ]))
+
+(* The auditor hands its costs to Audit through float cells, which
+   Online_sc.Incremental and Streaming_dp write.  Beside it, a fresh
+   Incremental and Streaming_dp fed the same requests give the same
+   bits after every request, and the final report's costs are the
+   batch solvers'.  Inflation 2.5 tells the two cells apart; small
+   epochs reset SC often. *)
+let handoff_options =
+  QCheck.make
+    ~print:(fun (inflate, epoch_size) ->
+      Printf.sprintf "inflate %g, epoch size %s" inflate
+        (match epoch_size with None -> "none" | Some k -> string_of_int k))
+    QCheck.Gen.(
+      pair (oneofl [ 1.0; 2.5 ])
+        (frequency [ (2, return None); (1, map Option.some (int_range 1 4)) ]))
+
+let handoffs_keep_every_bit ({ model; seq }, (inflate, epoch_size)) =
+  let m = Sequence.m seq in
+  let auditor = Auditor.create ?epoch_size ~inflate model ~m in
+  let inc = Online_sc.Incremental.create ?epoch_size model ~m in
+  let dp = Streaming_dp.create model ~m in
+  let bits = Int64.bits_of_float in
+  let check what i expected actual =
+    if not (Int64.equal (bits expected) (bits actual)) then
+      QCheck.Test.fail_reportf "request %d: %s is %h, expected %h" i what actual expected
+  in
+  for i = 1 to Sequence.n seq do
+    let server = Sequence.server seq i and time = Sequence.time seq i in
+    Auditor.feed auditor ~server ~time;
+    Online_sc.Incremental.feed inc ~server ~time;
+    Streaming_dp.push dp ~server ~time;
+    let audit = Auditor.audit auditor in
+    check "the prefix online cost" i
+      (inflate *. Online_sc.Incremental.cost_so_far inc)
+      (Audit.prefix_online audit);
+    check "the prefix optimum" i (Streaming_dp.cost dp) (Audit.prefix_opt audit)
+  done;
+  let report = Auditor.finish auditor in
+  let n = Sequence.n seq in
+  check "the final online cost" n (Online_sc.run ?epoch_size model seq).Online_sc.total_cost
+    report.Auditor.online_cost;
+  check "the final optimum" n (Offline_dp.cost (Offline_dp.solve model seq)) report.Auditor.opt_cost;
+  true
+
+let handoffs_bit_for_bit =
+  qcheck ~count:200 "auditor: the cost hand-offs keep every bit"
+    (QCheck.pair (nonempty_problem_arbitrary ~with_upload:true ()) handoff_options)
+    handoffs_keep_every_bit
+
+let handoffs_bit_for_bit_across_blocks =
+  qcheck ~count:4 "auditor: the cost hand-offs keep every bit across blocks"
+    (QCheck.pair long_problem_arbitrary handoff_options)
+    handoffs_keep_every_bit
+
+(* A loop over Auditor.feed: 2.04 minor words per request, 2 of them
+   the loop's own boxed [time].  The costs reach Audit through float
+   cells, so one more boxed cost (a return value, a float argument, a
+   store into a mutable float field) breaks the budget of 3. *)
+let auditor_feed_budget () =
+  Obs.set_sink Obs.Noop;
+  List.iter
+    (fun (name, seq) ->
+      let auditor = Auditor.create unit_model ~m:(Sequence.m seq) in
+      let before = Gc.minor_words () in
+      for i = 1 to Sequence.n seq do
+        Auditor.feed auditor ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int budget_n in
+      if words > 3.0 then
+        Alcotest.failf "a loop over Auditor.feed on %s allocates %.2f minor words/request (budget 3)"
+          name words)
+    (budget_workloads ())
 
 let suite =
   [
@@ -678,4 +756,7 @@ let suite =
     online_edge_inputs;
     auditor_optimum_is_naive;
     case "cli: degenerate options exit 1 with a message" cli_rejects_degenerate_options;
+    handoffs_bit_for_bit;
+    handoffs_bit_for_bit_across_blocks;
+    case "auditor: a feed loop stays within 3 minor words per request" auditor_feed_budget;
   ]

@@ -300,21 +300,54 @@ let upload_never_hurts =
         (Offline_dp.cost (Offline_dp.solve with_upload seq))
         (Offline_dp.cost (Offline_dp.solve model seq)))
 
+(* Scaling mu, lambda and the upload by one power of two rounds
+   nothing in the normal range, so both solvers make the same choices
+   and every cost scales by exactly the factor.  2^-996 and 2^996 take
+   the rates near either end of the normal range. *)
+let scale_invariance_exact =
+  qcheck ~count:200 "offline: scaling every rate by 2^-996 or 2^996 scales every cost exactly"
+    (problem_arbitrary ~with_upload:true ())
+    (fun { model; seq } ->
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun factor ->
+          let scaled =
+            Cost_model.make ~upload:(factor *. model.Cost_model.upload)
+              ~mu:(factor *. model.Cost_model.mu) ~lambda:(factor *. model.Cost_model.lambda) ()
+          in
+          let base = Offline_dp.solve model seq and other = Offline_dp.solve scaled seq in
+          let s = Offline_dp.schedule base and s' = Offline_dp.schedule other in
+          let sc = Online_sc.run ~record_events:true model seq
+          and sc' = Online_sc.run ~record_events:true scaled seq in
+          if Schedule.caches s <> Schedule.caches s' || Schedule.transfers s <> Schedule.transfers s'
+          then QCheck.Test.fail_reportf "the optimal schedule changed at factor %h" factor;
+          if sc.Online_sc.serves <> sc'.Online_sc.serves || sc.segments <> sc'.segments then
+            QCheck.Test.fail_reportf "SC served differently at factor %h" factor;
+          same (factor *. Offline_dp.cost base) (Offline_dp.cost other)
+          && same (factor *. Schedule.cost model s) (Schedule.cost scaled s')
+          && Schedule.num_transfers s = Schedule.num_transfers s'
+          && sc.num_transfers = sc'.num_transfers
+          && sc.num_epochs = sc'.num_epochs
+          && same (factor *. sc.caching_cost) sc'.caching_cost
+          && same (factor *. sc.transfer_cost) sc'.transfer_cost
+          && same (factor *. sc.total_cost) sc'.total_cost)
+        [ Float.ldexp 1.0 (-996); Float.ldexp 1.0 996 ])
+
 (* ------------------------------------------------- allocation budgets *)
 
 (* Words per request of the calls [dcache solve] makes, on the bench
    ledger's workloads at n = 20 000, seed 1.  Each budget fails on one
    more 2-word allocation per request.  What is left:
-   - [Offline_dp.solve] (6.00): the solver's four float columns (4)
-     and the time each [Sequence.time] call returns boxed (2);
+   - [Offline_dp.solve] (4.00): the solver's four float columns (4);
+     it reads the sequence's time column in place, so no time is
+     boxed;
    - a cold [Offline_dp.schedule] (5.23-5.64): the walk's two
      per-request slot arrays (2) and the schedule's columns, three
      words per piece at 1.1-1.2 pieces per request;
-   - pricing (2.00): the time [Bounds.lower_bound] gets boxed from
-     [Sequence.time];
-   - a [Solve_cache.solve] miss (7.51): the solve and the
+   - pricing (0.00): [Bounds.lower_bound] reads the columns in place;
+   - a [Solve_cache.solve] miss (5.51): the solve and the
      16 + 12n-byte fingerprint it digests (1.5);
-   - the whole path in ledger order (18.76-19.17):
+   - the whole path in ledger order (14.76-15.17):
      [Trace_io.of_string] (4.02, budgeted in test_workload), a miss,
      a cold schedule and pricing. *)
 let allocation_budgets () =
@@ -330,19 +363,19 @@ let allocation_budgets () =
   in
   List.iter
     (fun (name, seq) ->
-      budget name "Offline_dp.solve" 7.0
+      budget name "Offline_dp.solve" 5.0
         (words_per_request ~n:budget_n (fun () -> Offline_dp.solve unit seq));
       let r = Offline_dp.solve unit seq in
       budget name "a cold Offline_dp.schedule" 7.0
         (words_per_request ~n:budget_n (fun () -> Offline_dp.schedule r));
       let schedule = Offline_dp.schedule r in
-      budget name "pricing" 3.0 (words_per_request ~n:budget_n (fun () -> pricing seq schedule));
+      budget name "pricing" 1.0 (words_per_request ~n:budget_n (fun () -> pricing seq schedule));
       Solve_cache.clear ();
-      budget name "a Solve_cache.solve miss" 9.0
+      budget name "a Solve_cache.solve miss" 7.0
         (words_per_request ~n:budget_n (fun () -> Solve_cache.solve unit seq));
       Solve_cache.clear ();
       let text = Dcache_workload.Trace_io.to_string seq in
-      budget name "the solve path" 20.0
+      budget name "the solve path" 16.0
         (words_per_request ~n:budget_n (fun () ->
              match Dcache_workload.Trace_io.of_string ~m:(Sequence.m seq) text with
              | Error msg -> Alcotest.fail msg
@@ -384,4 +417,5 @@ let suite =
     scale_invariance;
     upload_never_hurts;
     case "offline: allocation budgets on the ledger workloads" allocation_budgets;
+    scale_invariance_exact;
   ]

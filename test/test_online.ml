@@ -425,8 +425,9 @@ let evictions_count_closed_copies () =
    fails them.  Each also runs with epochs of 5 transfers, which
    covers the epoch-reset loop. *)
 
-(* the unrecorded run keeps per request only its serve log, the serve
-   kinds and the boxed time [Sequence.time] returns: 4 words *)
+(* the unrecorded run keeps per request only its serve log and the
+   serve kinds: 2 words.  It reads the time column in place and runs
+   [Incremental.feed] inlined, so no time is boxed *)
 let run_allocation_budget () =
   List.iter
     (fun (name, seq) ->
@@ -435,8 +436,8 @@ let run_allocation_budget () =
           let words =
             words_per_request ~n:budget_n (fun () -> Online_sc.run ?epoch_size unit seq)
           in
-          if words > 5.0 then
-            Alcotest.failf "Online_sc.run on %s allocates %.2f words/request (budget 5)" name
+          if words > 3.0 then
+            Alcotest.failf "Online_sc.run on %s allocates %.2f words/request (budget 3)" name
               words)
         [ None; Some 5 ])
     (budget_workloads ())
@@ -462,9 +463,9 @@ let feed_allocation_budget () =
     (budget_workloads ())
 
 (* The online path in the bench ledger's order (dcache online on a
-   trace): parse, SC, then the optimum.  14.04-14.07 words: of_string
-   4.02, Online_sc.run 4.01-4.04 and Offline_dp.solve 6.00-6.01, each
-   also budgeted on its own.  The budget of 15 fails on one more
+   trace): parse, SC, then the optimum.  10.03-10.06 words: of_string
+   4.02, Online_sc.run 2.01-2.04 and Offline_dp.solve 4.00-4.01, each
+   also budgeted on its own.  The budget of 11 fails on one more
    2-word allocation per request anywhere on the path. *)
 let online_path_budget () =
   List.iter
@@ -478,8 +479,8 @@ let online_path_budget () =
                 ignore (Sys.opaque_identity (Online_sc.run unit seq));
                 Offline_dp.solve unit seq)
       in
-      if words > 15.0 then
-        Alcotest.failf "the online path on %s allocates %.2f words/request (budget 15)" name words)
+      if words > 11.0 then
+        Alcotest.failf "the online path on %s allocates %.2f words/request (budget 11)" name words)
     (budget_workloads ())
 
 let suite =
