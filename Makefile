@@ -5,7 +5,7 @@
 BUILD := _build/default
 SARIF := _build/sarif
 
-.PHONY: all build test lint sema sarif check bench-baseline perf-gate ledger-ab alloc-sites bench-sema trace metrics-demo audit-demo clean
+.PHONY: all build test lint sema sarif check bench-baseline perf-gate ledger-ab ledger-layers alloc-sites bench-sema trace metrics-demo audit-demo clean
 
 all: build
 
@@ -48,6 +48,13 @@ PARENT ?= HEAD
 SEEDS ?= 1-10
 ledger-ab:
 	bash bench/ab.sh $(PARENT) $(SEEDS)
+
+# the same pairs traced: every words and ns figure per request, end to
+# end and per layer, as both sides' medians and their difference
+# (words repeat per seed, so three seeds are the default here)
+ledger-layers: SEEDS = 1-3
+ledger-layers:
+	bash bench/ab.sh --layers $(PARENT) $(SEEDS)
 
 # the allocation sites of one library module, from its Cmm compiled
 # with dune's own flags (bench/alloc_sites.sh): make alloc-sites

@@ -2,6 +2,7 @@
 # Parent-vs-change ledger pairs:
 #
 #   bash bench/ab.sh PARENT_REV SEEDS        (or: make ledger-ab PARENT=REV SEEDS=1-10)
+#   bash bench/ab.sh --layers PARENT_REV SEEDS   (or: make ledger-layers PARENT=REV SEEDS=1-3)
 #
 # SEEDS is a comma-separated list of seeds and ranges, such as 1-10,23.
 # The script extracts PARENT_REV with `git archive` and copies the
@@ -20,12 +21,22 @@
 #               moved past the parent's q3 - q1
 #   same        anything else
 #
-# and the `failed` totals of both sides.  It edits neither copy; the
-# raw runs stay in the directory it prints.  Needs bash, git, tar, jq.
+# and the `failed` totals of both sides.  With --layers the runs are
+# traced (--trace 1) instead, and for each workload it prints every
+# per-request words and ns figure, end to end and per layer, as both
+# sides' medians and the change's difference: where a saving sits.
+# Words repeat exactly for a seed, so a few seeds are enough there.
+# It edits neither copy; the raw runs stay in the directory it prints.
+# Needs bash, git, tar, jq.
 set -euo pipefail
 
+trace=0
+if [ "${1:-}" = --layers ]; then
+  trace=1
+  shift
+fi
 if [ $# -ne 2 ]; then
-  echo "usage: bash bench/ab.sh PARENT_REV SEEDS   (SEEDS like 1-10,23)" >&2
+  echo "usage: bash bench/ab.sh [--layers] PARENT_REV SEEDS   (SEEDS like 1-10,23)" >&2
   exit 2
 fi
 rev=$1
@@ -53,7 +64,7 @@ runs=$work/runs.jsonl
 
 run() { # side workload seed
   local line
-  line=$(bash "$work/$1/bench/ledger/run.sh" --workload "$2" --seed "$3" --seconds 0 --trace 0 \
+  line=$(bash "$work/$1/bench/ledger/run.sh" --workload "$2" --seed "$3" --seconds 0 --trace "$trace" \
     2>> "$work/$1.log" | tail -n 1)
   jq -c --arg side "$1" --arg workload "$2" --argjson seed "$3" \
     '{side: $side, workload: $workload, seed: $seed} + .' <<< "$line" >> "$runs"
@@ -70,11 +81,32 @@ for seed in "${seeds[@]}"; do
 done
 
 echo "$rev vs working tree, seeds ${seeds[*]}; raw runs in $runs"
-jq -rs --slurpfile bench "$bench" '
+defs='
   def quantile($p): sort as $a | ((($a | length) - 1) * $p) as $x | ($x | floor) as $i
     | $a[$i] + (($a[[$i + 1, ($a | length) - 1] | min] - $a[$i]) * ($x - $i));
+  def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;'
+failed='group_by(.side)[] | "\(.[0].side): failed \(map(.failed) | add) of \(map(.attempted) | add)"'
+if ((trace)); then
+  jq -rs --slurpfile bench "$bench" "$defs"'
+    def median: if length == 0 then null else quantile(0.5) end;
+    . as $runs
+    | ($bench[0].workloads[].name) as $w
+    | [$runs[] | select(.workload == $w)] as $rows
+    | ($rows[0].metrics | keys_unsorted[] | select(test("\\.(words|ns)_per_req$"))) as $name
+    | [$rows[] | select(.side == "parent") | .metrics[$name].value // empty] as $p
+    | [$rows[] | select(.side == "change") | .metrics[$name].value // empty] as $c
+    | [$w, $name, ($p | median | fmt), ($c | median | fmt),
+       (if ($p | length) > 0 and ($c | length) > 0 then ($c | median) - ($p | median) else null end
+        | fmt)]
+    | @tsv' "$runs" \
+    | awk -F'\t' 'BEGIN { printf "%-17s %-34s %14s %14s %14s\n", "workload", "metric",
+                          "parent median", "change median", "change - parent" }
+                  { printf "%-17s %-34s %14s %14s %14s\n", $1, $2, $3, $4, $5 }'
+  jq -rs "$failed" "$runs"
+  exit 0
+fi
+jq -rs --slurpfile bench "$bench" "$defs"'
   def stats: {median: quantile(0.5), q1: quantile(0.25), q3: quantile(0.75)};
-  def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;
   . as $runs
   | $bench[0] as $b
   | ($b.workloads[].name) as $w
@@ -106,5 +138,4 @@ jq -rs --slurpfile bench "$bench" '
   | awk -F'\t' 'BEGIN { printf "%-17s %-21s %-33s %-33s %-6s %s\n", "workload", "metric",
                         "parent median [q1, q3]", "change median [q1, q3]", "wins", "verdict" }
                 { printf "%-17s %-21s %-33s %-33s %-6s %s\n", $1, $2, $3, $4, $5, $6 }'
-jq -rs 'group_by(.side)[] | "\(.[0].side): failed \(map(.failed) | add) of \(map(.attempted) | add)"' \
-  "$runs"
+jq -rs "$failed" "$runs"

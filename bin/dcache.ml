@@ -301,16 +301,13 @@ let analyze_cmd =
   let run trace m mu lambda =
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
-    if Sequence.n seq = 0 then prerr_endline "dcache: empty trace"
-    else begin
-      let stats = Dcache_workload.Trace_stats.analyze seq in
-      Format.printf "%a@." (Dcache_workload.Trace_stats.pp_with_model model) stats;
-      Format.printf "@,per-server request counts:@.";
-      Array.iter
-        (fun (server, count) -> Printf.printf "  s%-4d %d
-" server count)
-        stats.Dcache_workload.Trace_stats.popularity
-    end
+    if Sequence.n seq = 0 then or_die (Error "empty trace");
+    let stats = Dcache_workload.Trace_stats.analyze seq in
+    Format.printf "%a@." (Dcache_workload.Trace_stats.pp_with_model model) stats;
+    Format.printf "@,per-server request counts:@.";
+    Array.iter
+      (fun (server, count) -> Printf.printf "  s%-4d %d\n" server count)
+      stats.Dcache_workload.Trace_stats.popularity
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Describe a trace: arrivals, locality, revisits, cacheability")

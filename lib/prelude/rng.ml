@@ -89,15 +89,37 @@ let float_in t lo hi = lo +. float t (hi -. lo)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
+(* [true] with probability [p]: the draw is compared here, so it is
+   never boxed *)
+let bernoulli t p = float t 1.0 < p
+
+(* The exponential and Pareto draws invert the CDF at [1 - u], which is
+   in (0, 1].  A fill writes the draws in index order, so it takes the
+   stream the single draws would, and boxes none of them.  Each check
+   runs before the first draw, even for an empty array. *)
+let check_rate rate =
+  if not (rate > 0.) then invalid_arg "Rng.exponential: rate must be positive"
+
+let[@inline] exponential_draw t rate =
   let u = 1.0 -. float t 1.0 in
   -.log u /. rate
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: parameters must be positive";
-  let u = 1.0 -. float t 1.0 in
-  scale /. (u ** (1.0 /. shape))
+let exponential t ~rate =
+  check_rate rate;
+  exponential_draw t rate
+
+let fill_exponential t ~rate a =
+  check_rate rate;
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- exponential_draw t rate
+  done
+
+let fill_pareto t ~shape ~scale a =
+  if not (shape > 0. && scale > 0.) then invalid_arg "Rng.pareto: parameters must be positive";
+  for i = 0 to Array.length a - 1 do
+    let u = 1.0 -. float t 1.0 in
+    a.(i) <- scale /. (u ** (1.0 /. shape))
+  done
 
 (* Running sums of the weights, left to right: a draw is then one
    [float] and a binary search, not a pass that re-sums the weights. *)

@@ -52,12 +52,28 @@ val float_in : t -> float -> float -> float
 
 val bool : t -> bool
 
-val exponential : t -> rate:float -> float
-(** Exponentially distributed with the given rate (mean [1/rate]). *)
+val bernoulli : t -> float -> bool
+(** [bernoulli t p] is [true] with probability [p] in [\[0, 1\]]:
+    one {!float} draw, compared with [p] inside the module so the draw
+    is never boxed. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto distributed: support [\[scale, infinity)], tail exponent
-    [shape]. *)
+val exponential : t -> rate:float -> float
+(** Exponentially distributed with the given rate (mean [1/rate]).
+    @raise Invalid_argument unless [rate > 0]. *)
+
+val fill_exponential : t -> rate:float -> float array -> unit
+(** [fill_exponential t ~rate a] stores an {!exponential} draw in each
+    cell of [a], in index order: the draws [a]'s length of single
+    draws would give, with no float boxed.
+    @raise Invalid_argument unless [rate > 0], even for an empty [a]. *)
+
+val fill_pareto : t -> shape:float -> scale:float -> float array -> unit
+(** [fill_pareto t ~shape ~scale a] stores a Pareto draw, support
+    [\[scale, infinity)] and tail exponent [shape], in each cell of
+    [a], in index order, with one {!float} draw per cell and no float
+    boxed.
+    @raise Invalid_argument unless [shape > 0] and [scale > 0], even
+    for an empty [a]. *)
 
 type weights
 (** Non-negative category weights, prepared for repeated draws. *)

@@ -18,6 +18,14 @@ type t =
           thinning) *)
 
 val generate : Dcache_prelude.Rng.t -> t -> n:int -> float array
-(** [n] strictly increasing times starting after [0]. *)
+(** [n] strictly increasing times starting after [0].  Every gap is
+    floored at [1e-9].  The uniform, Poisson and Pareto gaps are drawn
+    straight into the returned array ({!Dcache_prelude.Rng.fill_exponential},
+    {!Dcache_prelude.Rng.fill_pareto}) and summed there, so no arrival
+    boxes a float; [Periodic] thins as it goes.
+    @raise Invalid_argument if [n < 0] or a parameter is out of range
+    (a rate, gap, shape, scale or period that is not positive, [nan]
+    included, or a peak below the base), checked before the first
+    draw, so also when [n = 0]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -18,10 +18,10 @@ let generate rng t ~m ~n =
       let weights = Dcache_prelude.Rng.weights (zipf_weights ~m ~exponent) in
       Array.init n (fun _ -> Dcache_prelude.Rng.categorical rng weights)
   | Mobility { stay; ring } ->
-      if stay < 0. || stay > 1. then invalid_arg "Placement: stay must be a probability";
+      if not (stay >= 0. && stay <= 1.) then invalid_arg "Placement: stay must be a probability";
       let location = ref 0 in
       Array.init n (fun _ ->
-          if m > 1 && Dcache_prelude.Rng.float rng 1.0 >= stay then
+          if m > 1 && not (Dcache_prelude.Rng.bernoulli rng stay) then
             if ring then
               let step = if Dcache_prelude.Rng.bool rng then 1 else m - 1 in
               location := (!location + step) mod m
@@ -34,12 +34,12 @@ let generate rng t ~m ~n =
   | Round_robin -> Array.init n (fun i -> i mod m)
   | Multi_user { users; stay; ring } ->
       if users < 1 then invalid_arg "Placement: need at least one user";
-      if stay < 0. || stay > 1. then invalid_arg "Placement: stay must be a probability";
+      if not (stay >= 0. && stay <= 1.) then invalid_arg "Placement: stay must be a probability";
       (* spread the walkers' starting cells over the ring *)
       let location = Array.init users (fun u -> u * m / users) in
       Array.init n (fun _ ->
           let u = Dcache_prelude.Rng.int rng users in
-          if m > 1 && Dcache_prelude.Rng.float rng 1.0 >= stay then
+          if m > 1 && not (Dcache_prelude.Rng.bernoulli rng stay) then
             if ring then begin
               let step = if Dcache_prelude.Rng.bool rng then 1 else m - 1 in
               location.(u) <- (location.(u) + step) mod m

@@ -29,6 +29,11 @@ type t =
           uniformly chosen user's current cell *)
 
 val generate : Dcache_prelude.Rng.t -> t -> m:int -> n:int -> int array
-(** [n] server indices in [\[0, m)]. *)
+(** [n] server indices in [\[0, m)].  A mobility walker stays with one
+    {!Dcache_prelude.Rng.bernoulli} draw per request, so no placement
+    boxes a float.
+    @raise Invalid_argument if [m < 1], [n < 0], a Zipf exponent is
+    negative, [users < 1], or a [stay] is not a probability in
+    [\[0, 1\]] ([nan] is none). *)
 
 val pp : Format.formatter -> t -> unit

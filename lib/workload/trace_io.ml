@@ -25,49 +25,42 @@ let to_string seq =
 
 let write ~filename seq = Out_channel.with_open_text filename (fun oc -> output oc seq)
 
-(* The parser works on [lo, hi) byte ranges of the text, so a line
-   costs no substring, list or tuple.  Its input language is that of
-   splitting the text on '\n', applying [String.trim] to each line and
-   then to each of its two comma-separated fields, and reading the
-   fields with [int_of_string] and [float_of_string]. *)
+(* The parser works on [lo, hi) byte ranges of a window onto the
+   text, so a line costs no substring, list or tuple.  Its input
+   language is that of splitting the text on '\n', applying
+   [String.trim] to each line and then to each of its two
+   comma-separated fields, and reading the fields with [int_of_string]
+   and [float_of_string]. *)
 
 (* [String.trim]'s whitespace set *)
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-let rec line_end text i =
-  if i < String.length text && text.[i] <> '\n' then line_end text (i + 1) else i
+(* The first '\n' of [buf] at or after [i] and before [len], or [len]:
+   an int, where [Bytes.index_from_opt] would allocate an option per
+   line *)
+let rec line_end buf i len =
+  if i < len && Bytes.get buf i <> '\n' then line_end buf (i + 1) len else i
 
-let rec trim_start text lo hi =
-  if lo < hi && is_space text.[lo] then trim_start text (lo + 1) hi else lo
+let rec trim_start buf lo hi =
+  if lo < hi && is_space (Bytes.get buf lo) then trim_start buf (lo + 1) hi else lo
 
-let rec trim_stop text lo hi =
-  if hi > lo && is_space text.[hi - 1] then trim_stop text lo (hi - 1) else hi
+let rec trim_stop buf lo hi =
+  if hi > lo && is_space (Bytes.get buf (hi - 1)) then trim_stop buf lo (hi - 1) else hi
 
 (* Top-level rather than local to [is_header]: a local recursive
    function would be a closure allocated on every line. *)
-let rec matches_header text lo k =
+let rec matches_header buf lo k =
   k = String.length header
-  || (Char.lowercase_ascii text.[lo + k] = header.[k] && matches_header text lo (k + 1))
+  || (Char.lowercase_ascii (Bytes.get buf (lo + k)) = header.[k] && matches_header buf lo (k + 1))
 
-let is_header text lo hi = hi - lo = String.length header && matches_header text lo 0
+let is_header buf lo hi = hi - lo = String.length header && matches_header buf lo 0
 
 (* A trimmed line is a request unless it is blank, a comment or the
    header. *)
-let is_request text lo hi = lo < hi && text.[lo] <> '#' && not (is_header text lo hi)
+let is_request buf lo hi = lo < hi && Bytes.get buf lo <> '#' && not (is_header buf lo hi)
 
-let rec index_comma text lo hi =
-  if lo >= hi then -1 else if text.[lo] = ',' then lo else index_comma text (lo + 1) hi
-
-let count_requests text =
-  let rec go start count =
-    if start > String.length text then count
-    else
-      let stop = line_end text start in
-      let lo = trim_start text start stop in
-      let hi = trim_stop text lo stop in
-      go (stop + 1) (if is_request text lo hi then count + 1 else count)
-  in
-  go 0 0
+let rec index_comma buf lo hi =
+  if lo >= hi then -1 else if Bytes.get buf lo = ',' then lo else index_comma buf (lo + 1) hi
 
 (* [int_of_string] and [float_of_string] read a whole string.  Instead
    of a substring per field, the field is copied into a buffer of
@@ -76,63 +69,152 @@ let count_requests text =
    string: neither conversion keeps its argument. *)
 let scratch_lengths = 64
 
-let field scratch text lo hi =
+let field scratch buf lo hi =
   let len = hi - lo in
-  if len >= scratch_lengths then String.sub text lo len
+  if len >= scratch_lengths then Bytes.sub_string buf lo len
   else begin
-    let buf = scratch.(len) in
-    Bytes.blit_string text lo buf 0 len;
-    Bytes.unsafe_to_string buf
+    let b = scratch.(len) in
+    Bytes.blit buf lo b 0 len;
+    Bytes.unsafe_to_string b
   end
 
-let syntax_error lineno what text lo hi =
-  Error (Printf.sprintf "line %d: %s %S" lineno what (String.sub text lo (hi - lo)))
+(* A malformed line, or a file whose request lines changed between
+   the two passes *)
+exception Malformed of string
 
-(* Fills [servers] and [times] with the request lines in order; the
-   error names the first malformed line. *)
-let parse_requests text servers times =
-  let scratch = Array.init scratch_lengths Bytes.create in
-  let rec go start lineno k =
-    if start > String.length text then Ok ()
-    else
-      let stop = line_end text start in
-      let lo = trim_start text start stop in
-      let hi = trim_stop text lo stop in
-      if not (is_request text lo hi) then go (stop + 1) (lineno + 1) k
-      else
-        let comma = index_comma text lo hi in
-        if comma < 0 || index_comma text (comma + 1) hi >= 0 then
-          syntax_error lineno "expected 'server,time', got" text lo hi
-        else
-          (* the line is trimmed, so each field has one inner end to trim *)
-          let server_hi = trim_stop text lo comma in
-          let time_lo = trim_start text (comma + 1) hi in
-          match int_of_string (field scratch text lo server_hi) with
-          | exception Failure _ -> syntax_error lineno "cannot parse" text lo hi
-          | server -> (
-              match float_of_string (field scratch text time_lo hi) with
-              | exception Failure _ -> syntax_error lineno "cannot parse" text lo hi
-              | time ->
-                  servers.(k) <- server;
-                  times.(k) <- time;
-                  go (stop + 1) (lineno + 1) (k + 1))
-  in
-  go 0 1 0
+let changed = "changed while it was read"
 
-(* Two passes over the text: the first counts the request lines so
-   the columns are allocated at their exact size, the second parses
-   into them. *)
+let syntax_error lineno what buf lo hi =
+  let line = Bytes.sub_string buf lo (hi - lo) in
+  raise (Malformed (Printf.sprintf "line %d: %s %S" lineno what line))
+
+(* One pass over a text, seen through [window]: its bytes [0, len)
+   hold the text from the current line on.  While [source] is
+   [Some ic], the text goes on in [ic] and [refill] reads it; [None]
+   means the window holds the rest of the text.  A counting pass only
+   counts the request lines; a parsing pass stores them in [servers]
+   and [times], which it never writes past. *)
+type pass = {
+  mutable source : In_channel.t option;
+  mutable window : Bytes.t;
+  mutable len : int;
+  counting : bool;
+  servers : int array;
+  times : float array;
+  scratch : Bytes.t array;
+}
+
+(* Moves the unfinished line [start, len) to the front of the window,
+   doubling the window when that line fills it, and reads more of the
+   text behind it.  Returns the line's length: no '\n' lies before it. *)
+let refill p ic start =
+  let rest = p.len - start in
+  if rest = Bytes.length p.window then begin
+    let wider = Bytes.create (2 * rest) in
+    Bytes.blit p.window 0 wider 0 rest;
+    p.window <- wider
+  end
+  else Bytes.blit p.window start p.window 0 rest;
+  let got = In_channel.input ic p.window rest (Bytes.length p.window - rest) in
+  if got = 0 then p.source <- None;
+  p.len <- rest + got;
+  rest
+
+(* The lines from the one starting at [start], numbered from [lineno],
+   with [k] request lines before them; the search for the line's end
+   resumes at [from].  Returns the number of request lines.  The
+   per-line state lives in the arguments, and every call is a tail
+   call, so a line allocates nothing but the parsed time's box. *)
+let rec scan p start from lineno k =
+  let stop = line_end p.window from p.len in
+  match p.source with
+  | Some ic when stop = p.len -> scan p 0 (refill p ic start) lineno k
+  | _ ->
+      let lo = trim_start p.window start stop in
+      let hi = trim_stop p.window lo stop in
+      if not (is_request p.window lo hi) then next p stop lineno k
+      else if p.counting then next p stop lineno (k + 1)
+      else parse_line p lo hi stop lineno k
+
+(* Past the line that ends at [stop]: the segment after the last '\n'
+   is the text's last line. *)
+and next p stop lineno k = if stop = p.len then k else scan p (stop + 1) (stop + 1) (lineno + 1) k
+
+and parse_line p lo hi stop lineno k =
+  let w = p.window in
+  let comma = index_comma w lo hi in
+  if comma < 0 || index_comma w (comma + 1) hi >= 0 then
+    syntax_error lineno "expected 'server,time', got" w lo hi
+  else
+    (* the line is trimmed, so each field has one inner end to trim *)
+    let server_hi = trim_stop w lo comma in
+    let time_lo = trim_start w (comma + 1) hi in
+    match int_of_string (field p.scratch w lo server_hi) with
+    | exception Failure _ -> syntax_error lineno "cannot parse" w lo hi
+    | server -> (
+        match float_of_string (field p.scratch w time_lo hi) with
+        | exception Failure _ -> syntax_error lineno "cannot parse" w lo hi
+        | time ->
+            if k = Array.length p.servers then raise (Malformed changed);
+            p.servers.(k) <- server;
+            p.times.(k) <- time;
+            next p stop lineno (k + 1))
+
+(* The counting pass over a text whose first [len] bytes are in
+   [window] *)
+let counting_pass source window len =
+  { source; window; len; counting = true; servers = [||]; times = [||]; scratch = [||] }
+
+(* Two passes over the text of the counting pass [p]: the first counts
+   the request lines so the columns are allocated at their exact size,
+   then [rewind p] goes back to the text's start and the second parses
+   into them, through the same window.  The error names the first
+   malformed line. *)
+let columns ~m p ~rewind =
+  match
+    let n = scan p 0 0 1 0 in
+    rewind p;
+    let parse =
+      {
+        p with
+        counting = false;
+        servers = Array.make n 0;
+        times = Array.make n 0.0;
+        scratch = Array.init scratch_lengths Bytes.create;
+      }
+    in
+    if scan parse 0 0 1 0 < n then raise (Malformed changed);
+    parse
+  with
+  | parse -> Sequence.of_columns ~m ~servers:parse.servers ~times:parse.times
+  | exception Malformed msg -> Error msg
+
+(* The whole text is the window, and a pass without a source never
+   writes into its window. *)
 let of_string ~m text =
-  let n = count_requests text in
-  let servers = Array.make n 0 and times = Array.make n 0.0 in
-  match parse_requests text servers times with
-  | Ok () -> Sequence.of_columns ~m ~servers ~times
-  | Error _ as e -> e
+  columns ~m (counting_pass None (Bytes.unsafe_of_string text) (String.length text)) ~rewind:ignore
+
+let window_bytes = 65_536
+
+(* Both passes read [ic] from where it stands now, in one window. *)
+let of_channel ~m ic =
+  let pos = In_channel.pos ic in
+  columns ~m (counting_pass (Some ic) (Bytes.create window_bytes) 0) ~rewind:(fun p ->
+      In_channel.seek ic pos;
+      p.source <- Some ic;
+      p.len <- 0)
 
 let read ~filename ~m =
-  match In_channel.with_open_text filename In_channel.input_all with
-  | text -> Result.map_error (fun msg -> filename ^ ": " ^ msg) (of_string ~m text)
+  let prefix = filename ^ ": " in
+  match
+    In_channel.with_open_text filename (fun ic ->
+        match In_channel.length ic with
+        | (_ : int64) -> of_channel ~m ic
+        | exception Sys_error _ ->
+            (* a pipe cannot seek back for a second pass: read it whole *)
+            of_string ~m (In_channel.input_all ic))
+  with
+  | result -> Result.map_error (fun msg -> prefix ^ msg) result
   | exception Sys_error reason ->
       (* a failed open already names the file; a failed read does not *)
-      let prefix = filename ^ ": " in
       Error (if String.starts_with ~prefix reason then reason else prefix ^ reason)

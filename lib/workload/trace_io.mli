@@ -25,10 +25,17 @@ val to_string : Sequence.t -> string
 (** The bytes {!output} writes. *)
 
 val read : filename:string -> m:int -> (Sequence.t, string) result
-(** [read ~filename ~m] is {!of_string} on the file's contents, which
-    may be a pipe such as [/dev/stdin].  Every error, including one
-    from opening or reading the file, starts with [filename].  [m]
-    must cover every server index in the file. *)
+(** [read ~filename ~m] parses the trace in the file as {!of_string}
+    parses a string, in two passes through one reused 64 KB window:
+    the first counts the request lines, then the file is read again
+    from where it stood and parsed into columns of exactly that size.
+    The file's text is never held whole; a line longer than the window
+    doubles it.  A file that cannot seek back, such as a pipe on
+    [/dev/stdin], is read whole and parsed by {!of_string}.  A file
+    whose request lines change between the two passes is an error.
+    Every error, including one from opening or reading the file,
+    starts with [filename].  [m] must cover every server index in the
+    file. *)
 
 val of_string : m:int -> string -> (Sequence.t, string) result
 (** Parses a trace in two passes over the text: one counts the

@@ -77,21 +77,26 @@ let cacheability model stats =
     float_of_int cheap /. float_of_int total
 
 let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>requests        %d over %d servers (%d used), horizon %.3f@,\
-     inter-arrivals  mean %.4f, median %.4f, cv %.2f%s@,\
-     locality        %.1f%% of requests repeat the previous server@,\
-     revisits        mean %.4f, median %.4f@,\
-     popularity      top server holds %.1f%% of requests@]" t.n t.m t.servers_used t.horizon
-    t.mean_gap t.median_gap t.gap_cv
-    (if Float.is_nan t.gap_cv then "" else if t.gap_cv > 1.5 then " (bursty)" else "")
-    (100. *. t.locality) t.mean_revisit t.median_revisit (100. *. t.top_share)
+  Format.fprintf ppf "@[<v>requests        %d over %d servers (%d used), horizon %.3f@," t.n t.m
+    t.servers_used t.horizon;
+  Format.fprintf ppf "inter-arrivals  mean %.4f, median %.4f, " t.mean_gap t.median_gap;
+  if Float.is_nan t.gap_cv then Format.fprintf ppf "cv none@,"
+  else Format.fprintf ppf "cv %.2f%s@," t.gap_cv (if t.gap_cv > 1.5 then " (bursty)" else "");
+  if Float.is_nan t.locality then Format.fprintf ppf "locality        none@,"
+  else
+    Format.fprintf ppf "locality        %.1f%% of requests repeat the previous server@,"
+      (100. *. t.locality);
+  if Float.is_nan t.mean_revisit then Format.fprintf ppf "revisits        none@,"
+  else
+    Format.fprintf ppf "revisits        mean %.4f, median %.4f@," t.mean_revisit
+      t.median_revisit;
+  Format.fprintf ppf "popularity      top server holds %.1f%% of requests@]" (100. *. t.top_share)
 
 let pp_with_model model ppf t =
   pp ppf t;
   let c = cacheability model t in
-  Format.fprintf ppf "@,break-even      lambda/mu = %.4f; %.1f%% of revisits are cheaper to cache%s"
-    (Cost_model.delta_t model)
-    (100. *. c)
-    (if Float.is_nan c then "" else if c >= 0.5 then " (caching-friendly trace)"
-     else " (transfer-dominant trace)")
+  Format.fprintf ppf "@,break-even      lambda/mu = %.4f; " (Cost_model.delta_t model);
+  if Float.is_nan c then Format.fprintf ppf "no revisits to cache"
+  else
+    Format.fprintf ppf "%.1f%% of revisits are cheaper to cache%s" (100. *. c)
+      (if c >= 0.5 then " (caching-friendly trace)" else " (transfer-dominant trace)")

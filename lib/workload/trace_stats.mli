@@ -44,7 +44,11 @@ val cacheability : Cost_model.t -> t -> float
     reasonable policy. *)
 
 val pp : Format.formatter -> t -> unit
+(** A statistic the trace does not have, [nan] in the record (the cv
+    and locality of a single request, the revisit figures of a trace
+    that never returns to a server), prints as [none]. *)
 
 val pp_with_model : Cost_model.t -> Format.formatter -> t -> unit
 (** {!pp} plus the model-dependent readout ({!cacheability} and the
-    break-even interval). *)
+    break-even interval); without revisits it prints "no revisits to
+    cache". *)

@@ -46,6 +46,15 @@ let ledger_workloads =
 
 let budget_n = 20_000
 
+(* [f filename] on a temporary file holding [text] *)
+let with_temp_file text f =
+  let filename = Filename.temp_file "dcache" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove filename)
+    (fun () ->
+      Out_channel.with_open_bin filename (fun oc -> output_string oc text);
+      f filename)
+
 let budget_workloads () =
   List.map
     (fun (name, m, arrival, placement) ->

@@ -516,26 +516,26 @@ let serve_metrics_rejects_overflowing_costs () =
       if contains "null" trace then Alcotest.failf "a null sample was recorded: %s" trace)
 
 (* The audit path in the bench ledger's order (dcache audit on a
-   trace): parse, then replay through the auditor, a window line per
-   64 requests into a buffer.  17.70-17.76 words under the Noop sink,
-   the window lines included; the budget of 19 fails on one more
-   2-word allocation per request in Incremental.feed, Streaming_dp.push
-   or Audit.observe. *)
+   trace file): read, then replay through the auditor, a window line
+   per 64 requests into a buffer.  18.11-18.17 words under the Noop
+   sink, the window lines included; the budget of 19 fails on one more
+   2-word allocation per request in the read, Incremental.feed,
+   Streaming_dp.push or Audit.observe. *)
 let audit_path_budget () =
   Obs.set_sink Obs.Noop;
   List.iter
     (fun (name, seq) ->
-      let text = Dcache_workload.Trace_io.to_string seq in
       let out = Buffer.create 4096 in
       let on_window (w : Audit.window) =
         Printf.bprintf out "%8d %8d %12.4f %12.4f %8.4f %10.4f %8.4f\n" w.index w.last w.online
           w.opt w.ratio w.regret w.prefix_ratio
       in
       let words =
-        words_per_request ~n:budget_n (fun () ->
-            match Dcache_workload.Trace_io.of_string ~m:(Sequence.m seq) text with
-            | Error msg -> Alcotest.fail msg
-            | Ok seq -> Auditor.replay ~window_size:64 ~on_window unit_model seq)
+        with_temp_file (Dcache_workload.Trace_io.to_string seq) (fun filename ->
+            words_per_request ~n:budget_n (fun () ->
+                match Dcache_workload.Trace_io.read ~filename ~m:(Sequence.m seq) with
+                | Error msg -> Alcotest.fail msg
+                | Ok seq -> Auditor.replay ~window_size:64 ~on_window unit_model seq))
       in
       if words > 19.0 then
         Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 19)" name words)
@@ -543,14 +543,13 @@ let audit_path_budget () =
 
 (* The serve-metrics item loop in the bench ledger's order, over items
    of 500 requests: generate one, audit it, then re-solve it through a
-   Solve_cache miss.  Under the Noop sink it reads 27.49 / 27.24 /
-   25.62 / 25.37 words on the four workloads, a spread past 2 words,
-   so each workload has its own budget, under 2 words above its
-   figure. *)
+   Solve_cache miss.  Under the Noop sink it reads 21.46 / 23.21 /
+   21.60 / 21.34 words on the four workloads, a spread past 1 word, so
+   each workload has its own budget, under 2 words above its figure. *)
 let serve_items_budget () =
   Obs.set_sink Obs.Noop;
   let budgets =
-    [ ("mobility-ring-m8", 29.0); ("zipf-m64", 29.0); ("bursty-m16", 27.5); ("serve-batch", 27.0) ]
+    [ ("mobility-ring-m8", 23.0); ("zipf-m64", 25.0); ("bursty-m16", 23.5); ("serve-batch", 23.0) ]
   in
   List.iter
     (fun (name, m, arrival, placement) ->
@@ -730,6 +729,49 @@ let auditor_feed_budget () =
           name words)
     (budget_workloads ())
 
+(* [dcache analyze] on degenerate traces: an empty or header-only one
+   exits 1 with its message, and a statistic the trace lacks prints as
+   "none", never as nan *)
+let cli_analyze_degenerate_traces () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let trace = Filename.temp_file "dcache" ".csv" in
+  let out = Filename.temp_file "dcache" ".out" and err = Filename.temp_file "dcache" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ trace; out; err ])
+    (fun () ->
+      List.iter
+        (fun (what, text, status, expected) ->
+          Out_channel.with_open_bin trace (fun oc -> output_string oc text);
+          let code =
+            Sys.command
+              (Filename.quote_command exe ~stdout:out ~stderr:err
+                 [ "analyze"; "--trace"; trace; "-m"; "3" ])
+          in
+          let printed = In_channel.with_open_text out In_channel.input_all in
+          let message = In_channel.with_open_text err In_channel.input_all in
+          Alcotest.(check int) (what ^ ": exit status") status code;
+          if contains "nan" (String.lowercase_ascii printed) then
+            Alcotest.failf "%s printed nan:\n%s" what printed;
+          List.iter
+            (fun needle ->
+              if not (contains needle (printed ^ message)) then
+                Alcotest.failf "%s: no %S in:\n%s%s" what needle printed message)
+            expected)
+        [
+          ("an empty trace", "", 1, [ "dcache: empty trace" ]);
+          ("a header-only trace", "server,time\n", 1, [ "dcache: empty trace" ]);
+          ( "an all-distinct trace",
+            "0,1\n1,2\n2,3\n",
+            0,
+            [ "cv 0.00"; "revisits        none"; "no revisits to cache" ] );
+          ( "a one-request trace",
+            "0,1\n",
+            0,
+            [ "cv none"; "locality        none"; "revisits        none"; "no revisits to cache" ]
+          );
+        ])
+
 let suite =
   [
     incremental_replays_run;
@@ -759,4 +801,5 @@ let suite =
     handoffs_bit_for_bit;
     handoffs_bit_for_bit_across_blocks;
     case "auditor: a feed loop stays within 3 minor words per request" auditor_feed_budget;
+    case "cli: dcache analyze on degenerate traces prints no nan" cli_analyze_degenerate_traces;
   ]

@@ -347,9 +347,9 @@ let scale_invariance_exact =
    - pricing (0.00): [Bounds.lower_bound] reads the columns in place;
    - a [Solve_cache.solve] miss (5.51): the solve and the
      16 + 12n-byte fingerprint it digests (1.5);
-   - the whole path in ledger order (14.76-15.17):
-     [Trace_io.of_string] (4.02, budgeted in test_workload), a miss,
-     a cold schedule and pricing. *)
+   - the whole path in ledger order (15.18-15.58): [Trace_io.read] on
+     a file (4.43, budgeted in test_workload), a miss, a cold schedule
+     and pricing. *)
 let allocation_budgets () =
   let budget name what limit words =
     if words > limit then
@@ -374,12 +374,12 @@ let allocation_budgets () =
       budget name "a Solve_cache.solve miss" 7.0
         (words_per_request ~n:budget_n (fun () -> Solve_cache.solve unit seq));
       Solve_cache.clear ();
-      let text = Dcache_workload.Trace_io.to_string seq in
-      budget name "the solve path" 16.0
-        (words_per_request ~n:budget_n (fun () ->
-             match Dcache_workload.Trace_io.of_string ~m:(Sequence.m seq) text with
-             | Error msg -> Alcotest.fail msg
-             | Ok seq -> pricing seq (Offline_dp.schedule (Solve_cache.solve unit seq))));
+      with_temp_file (Dcache_workload.Trace_io.to_string seq) (fun filename ->
+          budget name "the solve path" 16.0
+            (words_per_request ~n:budget_n (fun () ->
+                 match Dcache_workload.Trace_io.read ~filename ~m:(Sequence.m seq) with
+                 | Error msg -> Alcotest.fail msg
+                 | Ok seq -> pricing seq (Offline_dp.schedule (Solve_cache.solve unit seq)))));
       Solve_cache.clear ())
     (budget_workloads ())
 

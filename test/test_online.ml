@@ -463,21 +463,21 @@ let feed_allocation_budget () =
     (budget_workloads ())
 
 (* The online path in the bench ledger's order (dcache online on a
-   trace): parse, SC, then the optimum.  10.03-10.06 words: of_string
-   4.02, Online_sc.run 2.01-2.04 and Offline_dp.solve 4.00-4.01, each
-   also budgeted on its own.  The budget of 11 fails on one more
+   trace file): read, SC, then the optimum.  10.45-10.48 words: the
+   read 4.43, Online_sc.run 2.01-2.04 and Offline_dp.solve 4.00-4.01,
+   each also budgeted on its own.  The budget of 11 fails on one more
    2-word allocation per request anywhere on the path. *)
 let online_path_budget () =
   List.iter
     (fun (name, seq) ->
-      let text = Dcache_workload.Trace_io.to_string seq in
       let words =
-        words_per_request ~n:budget_n (fun () ->
-            match Dcache_workload.Trace_io.of_string ~m:(Sequence.m seq) text with
-            | Error msg -> Alcotest.fail msg
-            | Ok seq ->
-                ignore (Sys.opaque_identity (Online_sc.run unit seq));
-                Offline_dp.solve unit seq)
+        with_temp_file (Dcache_workload.Trace_io.to_string seq) (fun filename ->
+            words_per_request ~n:budget_n (fun () ->
+                match Dcache_workload.Trace_io.read ~filename ~m:(Sequence.m seq) with
+                | Error msg -> Alcotest.fail msg
+                | Ok seq ->
+                    ignore (Sys.opaque_identity (Online_sc.run unit seq));
+                    Offline_dp.solve unit seq))
       in
       if words > 11.0 then
         Alcotest.failf "the online path on %s allocates %.2f words/request (budget 11)" name words)

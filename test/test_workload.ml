@@ -34,12 +34,24 @@ let poisson_rate_controls_density () =
     (slow.(1999) > 5.0 *. fast.(1999))
 
 let arrival_rejects_bad_params () =
-  Alcotest.(check bool) "zero gap" true
-    (try ignore (W.Arrival.generate (rng ()) (W.Arrival.Uniform { gap = 0.0 }) ~n:3); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "negative n" true
-    (try ignore (W.Arrival.generate (rng ()) (W.Arrival.Poisson { rate = 1.0 }) ~n:(-1)); false
-     with Invalid_argument _ -> true)
+  let rejects what arrival n =
+    Alcotest.(check bool) what true
+      (try ignore (W.Arrival.generate (rng ()) arrival ~n); false with Invalid_argument _ -> true)
+  in
+  rejects "zero gap" (W.Arrival.Uniform { gap = 0.0 }) 3;
+  rejects "negative n" (W.Arrival.Poisson { rate = 1.0 }) (-1);
+  (* every parameter is checked before the first draw, so n = 0 too *)
+  List.iter
+    (fun (what, arrival) -> rejects what arrival 0)
+    [
+      ("zero gap, n = 0", W.Arrival.Uniform { gap = 0.0 });
+      ("zero rate, n = 0", W.Arrival.Poisson { rate = 0.0 });
+      ("nan rate, n = 0", W.Arrival.Poisson { rate = nan });
+      ("zero Pareto shape, n = 0", W.Arrival.Pareto { shape = 0.0; scale = 1.0 });
+      ("negative Pareto scale, n = 0", W.Arrival.Pareto { shape = 1.5; scale = -1.0 });
+      ( "peak below the base, n = 0",
+        W.Arrival.Periodic { base_rate = 2.0; peak_rate = 1.0; period = 5.0 } );
+    ]
 
 (* ------------------------------------------------------------- placement *)
 
@@ -485,12 +497,11 @@ let trace_parse_words_budget () =
   if words > 5.0 then
     Alcotest.failf "Trace_io.of_string allocates %.2f words/request (budget 5)" words
 
-(* The two columns (2 words per request) and the arrival process's
-   two boxed floats, its draw and its running clock (4): 6.00-6.02
-   with the uniform, Zipf and round-robin placements.  Mobility and
-   multi-user also box an [Rng.float] draw per request: 8.00.  A
-   budget of 9 fails on one more 2-word allocation in the generator's
-   common path. *)
+(* The two columns and nothing else (2 words per request): the
+   arrival gaps are drawn into the time column and summed there, and
+   the mobility walkers compare their stay draw inside [Rng].  2.00-2.02
+   over the six placements, so a budget of 3 fails on one more 2-word
+   allocation per request in any of them. *)
 let generator_words_budget () =
   List.iter
     (fun placement ->
@@ -498,8 +509,8 @@ let generator_words_budget () =
         words_per_request ~n:budget_n (fun () ->
             W.Generator.generate_seeded ~seed:1 (poisson_spec placement))
       in
-      if words > 9.0 then
-        Alcotest.failf "Generator.generate_seeded with %a allocates %.2f words/request (budget 9)"
+      if words > 3.0 then
+        Alcotest.failf "Generator.generate_seeded with %a allocates %.2f words/request (budget 3)"
           W.Placement.pp placement words)
     placements
 
@@ -574,6 +585,101 @@ let ratio_search_rejects_degenerate () =
     (try ignore (W.Ratio_search.search ~rng:(Dcache_prelude.Rng.create 1) ~m:1 ~n:5 model); false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------- the read window *)
+
+(* [Trace_io.read] reads a file through a window of this many bytes *)
+let window = 65_536
+
+(* [read] on a file of [text] gives what [of_string] gives on [text],
+   its error behind the file name, and both agree with the reference *)
+let read_agrees ~m text =
+  let parsed = W.Trace_io.of_string ~m text in
+  with_temp_file text (fun filename ->
+      match (W.Trace_io.read ~filename ~m, parsed) with
+      | Ok read, Ok parsed ->
+          if Sequence.m read <> Sequence.m parsed || Sequence.requests read <> Sequence.requests parsed
+          then QCheck.Test.fail_report "read and of_string parsed different requests"
+      | Error read, Error parsed ->
+          if read <> filename ^ ": " ^ parsed then
+            QCheck.Test.fail_reportf "read: %S, of_string: %S" read parsed
+      | Ok _, Error msg -> QCheck.Test.fail_reportf "only of_string rejected it: %s" msg
+      | Error msg, Ok _ -> QCheck.Test.fail_reportf "only read rejected it: %s" msg);
+  if not (same_result parsed (Trace_reference.of_string ~m text)) then
+    QCheck.Test.fail_report "of_string disagrees with the reference";
+  parsed
+
+(* [text] behind a comment line that puts the window's edge [offset]
+   bytes into [text] *)
+let behind_edge offset text = "#" ^ String.make (window - offset - 2) '-' ^ "\n" ^ text
+
+let edge_gen =
+  let open QCheck.Gen in
+  let* m, text = oneof [ render_gen; mutated_gen ] in
+  let+ offset = int_range 0 (String.length text) in
+  (m, behind_edge offset text)
+
+let read_across_the_window_edge =
+  qcheck ~count:300 "trace_io: read agrees with of_string wherever the window edge falls"
+    (QCheck.make
+       ~print:(fun (m, text) ->
+         print_trace (m, String.sub text (window - 40) (String.length text - window + 40)))
+       edge_gen)
+    (fun (m, text) ->
+      ignore (read_agrees ~m text : (Sequence.t, string) result);
+      true)
+
+(* Each case must parse, to the given number of requests *)
+let read_window_edge_cases () =
+  let long_field = String.make (3 * window) '0' ^ "1" in
+  let request = "0,1.5" in
+  List.iter
+    (fun (what, text, n) ->
+      match read_agrees ~m:4 text with
+      | Ok seq -> Alcotest.(check int) what n (Sequence.n seq)
+      | Error msg -> Alcotest.failf "%s: %s" what msg)
+    [
+      ("a line longer than the window", long_field ^ ",0.5\n2,1\n" ^ long_field ^ ",3\n", 3);
+      ( "a comment longer than the window",
+        "#" ^ String.make (2 * window) 'x' ^ "\n0,1\n1,2",
+        2 );
+      ( "a CRLF whose '\\r' ends the window",
+        behind_edge (String.length request + 1) (request ^ "\r\n1,2.5\r\n"),
+        2 );
+      ("a file ending at the edge without a final newline", behind_edge 5 "1,2.5", 1);
+      ("a file ending at the edge with a final newline", behind_edge 6 "1,2.5\n", 1);
+      ("an empty file", "", 0);
+    ]
+
+(* [read] on a file, as dcache reads its trace: the two columns (2),
+   the parsed time's box (2) and the 64 KB window (0.41 at n = 20 000):
+   4.43.  A budget of 5 fails on one more 2-word allocation per line,
+   or on the file's text held whole (about 2.6 words per request). *)
+let read_words_budget () =
+  List.iter
+    (fun (name, seq) ->
+      with_temp_file (W.Trace_io.to_string seq) (fun filename ->
+          let m = Sequence.m seq in
+          let words =
+            words_per_request ~n:budget_n (fun () -> W.Trace_io.read ~filename ~m)
+          in
+          if words > 5.0 then
+            Alcotest.failf "Trace_io.read on %s allocates %.2f words/request (budget 5)" name
+              words))
+    (budget_workloads ())
+
+(* A [nan] stay is no probability: the walker would never move *)
+let nan_stay_rejected () =
+  List.iter
+    (fun (what, placement, n) ->
+      Alcotest.(check bool) what true
+        (try ignore (W.Placement.generate (rng ()) placement ~m:4 ~n); false
+         with Invalid_argument _ -> true))
+    [
+      ("mobility on a ring", W.Placement.Mobility { stay = nan; ring = true }, 0);
+      ("mobility on a clique", W.Placement.Mobility { stay = nan; ring = false }, 10);
+      ("multi-user", W.Placement.Multi_user { users = 2; stay = nan; ring = true }, 10);
+    ]
+
 let suite =
   [
     case "arrival: strictly increasing times" arrivals_strictly_increasing;
@@ -616,4 +722,8 @@ let suite =
     case "arrival: periodic rejects bad rates" periodic_rejects_bad_rates;
     case "placement: multi-user range and coverage" multi_user_in_range_and_local;
     case "placement: single frozen walker" multi_user_one_user_is_mobility_like;
+    read_across_the_window_edge;
+    case "trace_io: read handles the window's edge cases" read_window_edge_cases;
+    case "trace_io: read allocation budget on a file" read_words_budget;
+    case "placement: a nan stay is rejected" nan_stay_rejected;
   ]
