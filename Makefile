@@ -5,7 +5,7 @@
 BUILD := _build/default
 SARIF := _build/sarif
 
-.PHONY: all build test lint sema sarif check bench-baseline perf-gate ledger-ab ledger-layers alloc-sites bench-sema trace metrics-demo audit-demo clean
+.PHONY: all build test lint sema sarif check bench-baseline perf-gate ledger-ab ledger-layers ledger-heap alloc-sites bench-sema trace metrics-demo audit-demo clean
 
 all: build
 
@@ -55,6 +55,13 @@ ledger-ab:
 ledger-layers: SEEDS = 1-3
 ledger-layers:
 	bash bench/ab.sh --layers $(PARENT) $(SEEDS)
+
+# top_heap_mb on both sides at seed 1 over eight minor heap sizes
+# (OCAMLRUNPARAM=s=128k..384k), with a verdict per workload: a lower
+# or higher level, or modes; exits 1 if a words figure moves with the
+# minor heap
+ledger-heap:
+	bash bench/ab.sh --heap $(PARENT)
 
 # the allocation sites of one library module, from its Cmm compiled
 # with dune's own flags (bench/alloc_sites.sh): make alloc-sites

@@ -3,6 +3,7 @@
 #
 #   bash bench/ab.sh PARENT_REV SEEDS        (or: make ledger-ab PARENT=REV SEEDS=1-10)
 #   bash bench/ab.sh --layers PARENT_REV SEEDS   (or: make ledger-layers PARENT=REV SEEDS=1-3)
+#   bash bench/ab.sh --heap PARENT_REV           (or: make ledger-heap PARENT=REV)
 #
 # SEEDS is a comma-separated list of seeds and ranges, such as 1-10,23.
 # The script extracts PARENT_REV with `git archive` and copies the
@@ -26,17 +27,37 @@
 # per-request words and ns figure, end to end and per layer, as both
 # sides' medians and the change's difference: where a saving sits.
 # Words repeat exactly for a seed, so a few seeds are enough there.
+# With --heap it sweeps the minor heap instead, as docs/PERFORMANCE.md
+# ("Why `top_heap_mb` jumps") does by hand: both sides at seed 1,
+# alternating, under OCAMLRUNPARAM=s= each of 128k, 160k, 192k, 224k,
+# 256k, 288k, 320k and 384k words.  For each workload it prints both
+# sides' top_heap_mb per size and their min-max, and one verdict:
+#
+#   lower level    every change run is under every parent run
+#   higher level   every change run is over every parent run
+#   modes          anything else
+#
+# It exits 1 if a side's words figure moves by more than 0.001 words
+# per request between two sizes: the minor heap must move the peak,
+# never what a path allocates.  (The serve path's scrape prints
+# wall-clock quantiles, so its text and its words move by a few 1e-4
+# from run to run at any one size.)
 # It edits neither copy; the raw runs stay in the directory it prints.
 # Needs bash, git, tar, jq.
 set -euo pipefail
 
+mode=pairs
+case "${1:-}" in
+  --layers) mode=layers; shift ;;
+  --heap) mode=heap; shift ;;
+esac
 trace=0
-if [ "${1:-}" = --layers ]; then
-  trace=1
-  shift
-fi
-if [ $# -ne 2 ]; then
+if [ "$mode" = layers ]; then trace=1; fi
+if [ "$mode" = heap ] && [ $# -eq 1 ]; then
+  set -- "$1" 1
+elif [ "$mode" = heap ] || [ $# -ne 2 ]; then
   echo "usage: bash bench/ab.sh [--layers] PARENT_REV SEEDS   (SEEDS like 1-10,23)" >&2
+  echo "       bash bench/ab.sh --heap PARENT_REV" >&2
   exit 2
 fi
 rev=$1
@@ -62,13 +83,69 @@ mapfile -t workloads < <(jq -r '.workloads[].name' "$bench")
 runs=$work/runs.jsonl
 : > "$runs"
 
-run() { # side workload seed
+defs='
+  def quantile($p): sort as $a | ((($a | length) - 1) * $p) as $x | ($x | floor) as $i
+    | $a[$i] + (($a[[$i + 1, ($a | length) - 1] | min] - $a[$i]) * ($x - $i));
+  def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;'
+failed='group_by(.side)[] | "\(.[0].side): failed \(map(.failed) | add) of \(map(.attempted) | add)"'
+
+run() { # side workload seed [minor heap size]
   local line
-  line=$(bash "$work/$1/bench/ledger/run.sh" --workload "$2" --seed "$3" --seconds 0 --trace "$trace" \
-    2>> "$work/$1.log" | tail -n 1)
-  jq -c --arg side "$1" --arg workload "$2" --argjson seed "$3" \
-    '{side: $side, workload: $workload, seed: $seed} + .' <<< "$line" >> "$runs"
+  line=$(env ${4:+OCAMLRUNPARAM=s=$4} bash "$work/$1/bench/ledger/run.sh" --workload "$2" \
+    --seed "$3" --seconds 0 --trace "$trace" 2>> "$work/$1.log" | tail -n 1)
+  jq -c --arg side "$1" --arg workload "$2" --argjson seed "$3" --arg size "${4:-}" \
+    '{side: $side, workload: $workload, seed: $seed, size: $size} + .' <<< "$line" >> "$runs"
 }
+
+if [ "$mode" = heap ]; then
+  sizes=(128k 160k 192k 224k 256k 288k 320k 384k)
+  pair=0
+  for w in "${workloads[@]}"; do
+    for size in "${sizes[@]}"; do
+      if ((pair % 2 == 0)); then run parent "$w" 1 "$size"; run change "$w" 1 "$size"
+      else run change "$w" 1 "$size"; run parent "$w" 1 "$size"; fi
+      pair=$((pair + 1))
+      echo "pair $pair: $w s=$size" >&2
+    done
+  done
+  echo "$rev vs working tree, seed 1, minor heap ${sizes[*]} words; raw runs in $runs"
+  jq -rs --slurpfile bench "$bench" '
+    def fmt: . * 100 | round / 100 | tostring;
+    . as $runs
+    | ($bench[0].workloads[].name) as $w
+    | [$runs[] | select(.workload == $w)] as $rows
+    | ([$rows[] | select(.side == "parent") | .metrics.top_heap_mb.value]) as $p
+    | ([$rows[] | select(.side == "change") | .metrics.top_heap_mb.value]) as $c
+    | ([$w, "parent"] + ($p | map(fmt)) + ["\($p | min | fmt)-\($p | max | fmt)"]),
+      ([$w, "change"] + ($c | map(fmt)) + ["\($c | min | fmt)-\($c | max | fmt)"]),
+      [$w, "verdict",
+       (if ($c | max) < ($p | min) then "lower level"
+        elif ($c | min) > ($p | max) then "higher level"
+        else "modes" end)]
+    | @tsv' "$runs" \
+    | awk -F'\t' -v sizes="${sizes[*]}" '
+        BEGIN { n = split(sizes, s, " "); printf "%-17s %-8s", "workload", "side"
+                for (i = 1; i <= n; i++) printf " %7s", s[i]; printf "  %s\n", "min-max" }
+        $2 == "verdict" { printf "%-17s %-8s %s\n", $1, $2, $3; next }
+        { printf "%-17s %-8s", $1, $2; for (i = 3; i < NF; i++) printf " %7s", $i
+          printf "  %s\n", $NF }'
+  jq -rs "$failed" "$runs"
+  moved=$(jq -rs '
+    map({side, workload,
+         words: (.metrics | with_entries(select(.key | test("words_per_req$"))) | map_values(.value))})
+    | group_by([.side, .workload])[]
+    | . as $g
+    | ($g[0].words | keys[]) as $k
+    | [$g[] | .words[$k]] as $v
+    | select(($v | max) - ($v | min) > 0.001)
+    | "\($g[0].workload) \($g[0].side): \($k) moves with the minor heap (\($v | min)-\($v | max))"
+    ' "$runs")
+  if [ -n "$moved" ]; then
+    echo "$moved" >&2
+    exit 1
+  fi
+  exit 0
+fi
 
 pair=0
 for seed in "${seeds[@]}"; do
@@ -81,11 +158,6 @@ for seed in "${seeds[@]}"; do
 done
 
 echo "$rev vs working tree, seeds ${seeds[*]}; raw runs in $runs"
-defs='
-  def quantile($p): sort as $a | ((($a | length) - 1) * $p) as $x | ($x | floor) as $i
-    | $a[$i] + (($a[[$i + 1, ($a | length) - 1] | min] - $a[$i]) * ($x - $i));
-  def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;'
-failed='group_by(.side)[] | "\(.[0].side): failed \(map(.failed) | add) of \(map(.attempted) | add)"'
 if ((trace)); then
   jq -rs --slurpfile bench "$bench" "$defs"'
     def median: if length == 0 then null else quantile(0.5) end;

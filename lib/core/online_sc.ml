@@ -39,8 +39,9 @@ type run = {
 let competitive_bound = 3.0
 
 (* The request path allocates nothing beyond the growth of its
-   arrays: one serve-log block per [serve_block] requests, and the
-   expiry heap's amortised doubling.  dune's dev profile compiles with
+   arrays: the serve log's appended blocks (16, 16, 32, ..., then
+   [serve_block] entries each; none is copied), and the expiry heap's
+   amortised doubling.  dune's dev profile compiles with
    [-opaque], so nothing is inlined across modules: every float handed
    to or returned by a function of another module is boxed, and so is
    every store into a float field of a mixed record.  Within this
@@ -286,10 +287,8 @@ let rec most_recent_live st m k best =
     most_recent_live st m (k + 1) k
   else most_recent_live st m (k + 1) best
 
-(* requests per serve-log block past the first *)
-let serve_block_bits = 12
-
-let serve_block = 1 lsl serve_block_bits
+(* the largest serve-log block *)
+let serve_block = 1 lsl 12
 
 module Incremental = struct
   type nonrec t = {
@@ -305,9 +304,9 @@ module Incremental = struct
     (* serve log without per-request boxing: [-1] = by cache, else the
        transfer source; materialised as [serve_kind array] in [finish].
        Request i is at [serves.(i - serves_base)] from [serves_base] on,
-       else in the full block [i lsr serve_block_bits], counting from
-       the oldest.  The first block doubles up to [serve_block] entries;
-       past it, growth starts a fresh block and copies nothing. *)
+       else in a full block.  Blocks are appended, each as large as
+       the log so far up to [serve_block] entries; [finish] walks them
+       in order, so no request looks a block up. *)
     mutable serves : int array;
     mutable serves_base : int;
     mutable full_serves : int array list;  (* full blocks, newest first *)
@@ -374,22 +373,13 @@ module Incremental = struct
   let n t = t.n
   let transfers_so_far t = t.num_transfers
 
-  (* the current serve-log block is full: the first block doubles
-     (capped at [serve_block] while it is smaller); a full-size block
-     is kept and a fresh one follows it *)
+  (* the current serve-log block is full: keep it and append the next,
+     as large as the log so far up to [serve_block] entries *)
   let grow_serves t =
-    let size = Array.length t.serves in
-    if size <> serve_block then begin
-      let grown_size = if size < serve_block then min (2 * size) serve_block else 2 * size in
-      let grown = Array.make grown_size (-1) in
-      Array.blit t.serves 0 grown 0 size;
-      t.serves <- grown
-    end
-    else begin
-      t.full_serves <- t.serves :: t.full_serves;
-      t.serves <- Array.make serve_block (-1);
-      t.serves_base <- t.serves_base + serve_block
-    end
+    let size = t.serves_base + Array.length t.serves in
+    t.full_serves <- t.serves :: t.full_serves;
+    t.serves <- Array.make (min size serve_block) (-1);
+    t.serves_base <- size
 
   (* O(1): the closed-segment cost lives in [sums.(caching)]; the
      still-open segments contribute mu * (live * now - act_sum).  The
@@ -498,14 +488,18 @@ module Incremental = struct
     (* one shared [By_transfer s] per source server *)
     let by_transfer = Array.init t.m (fun s -> By_transfer s) in
     let serves = Array.make (t.n + 1) By_cache in
-    let full = Array.of_list (List.rev t.full_serves) in
-    for i = 1 to t.n do
-      let src =
-        if i >= t.serves_base then t.serves.(i - t.serves_base)
-        else full.(i lsr serve_block_bits).(i land (serve_block - 1))
-      in
-      if src >= 0 then serves.(i) <- by_transfer.(src)
-    done;
+    (* the log's blocks oldest first, each from its first request
+       index; slot 0 of the first block and the slots past [n] hold -1 *)
+    ignore
+      (List.fold_left
+         (fun first block ->
+           for o = 0 to Array.length block - 1 do
+             let src = block.(o) in
+             if src >= 0 then serves.(first + o) <- by_transfer.(src)
+           done;
+           first + Array.length block)
+         0
+         (List.rev (t.serves :: t.full_serves)));
     (* transfers all cost lambda: count them and multiply once, instead
        of folding +. lambda per request (exact, and S4-clean) *)
     {

@@ -89,9 +89,9 @@ module Incremental : sig
   val feed : t -> server:int -> time:float -> unit
   (** Serves one request: [O(log n)] amortised (expiry-queue
       traffic), constant work otherwise.  Allocates nothing unless
-      [record_events] is set, apart from one serve-log block per
-      4 096 requests (the first block doubles up to that size; no
-      growth copies the log past it) and the amortised growth of the
+      [record_events] is set, apart from the serve log's appended
+      blocks (16, 16, 32, ..., 4 096 entries, then one per 4 096
+      requests; none is copied) and the amortised growth of the
       expiry queue (a [window_policy] may allocate on its own
       account).  A request rejected for its server or its
       time leaves the state untouched.

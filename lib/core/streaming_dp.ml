@@ -7,18 +7,21 @@
    always fit int32 (grow refuses past 2^30 rows), so the index state
    for a request is 16 bytes and a whole arena row is m*4 bytes.
 
-   Rows live in blocks ([rows]: the four planes of a run of rows).  A
-   stream's first block doubles from 64 rows up to [block] rows; past
-   it the stream grows by one [block]-row block at a time, and the
-   full blocks sit in a directory that doubles, so growth allocates
-   one block and copies only block pointers.  Row r of a full block is
-   in [full.(r lsr block_bits)] at offset [r land mask]; rows from
-   [base] on are in the current (last) block, at offset [r - base].
-   [of_sequence] knows n and keeps one exact-size block, which is the
-   current block for every row, so the batch solve never reads the
-   directory.  Blocks are not pre-filled: every row is written by its
-   own push before anything reads it, and only row 0 and the nxt
-   sentinel need initial values.
+   Rows live in blocks ([rows]: the four planes of a run of rows, and
+   the run's first row).  A stream starts with a 64-row block and
+   appends blocks, each as large as the stream so far up to [block]
+   rows: 64, 64, 128, ..., 2 048, then 4 096 rows each, so no row is
+   ever copied and a stream of n rows holds at most max(2n, n + 4 096)
+   of them.  Every block starts at a multiple of [page] rows and holds
+   whole pages, so a row of a full block is found through a directory
+   of 64-row pages: row r is in [pages.(r lsr page_bits)], at offset r
+   minus the block's first row.  The directory doubles as it fills,
+   copying only block pointers.  Rows from the current (last) block's
+   first row on are in that block.  [of_sequence] knows n and keeps
+   one exact-size block, which is the current block for every row, so
+   the batch solve never reads the directory.  Blocks are not
+   pre-filled: every row is written by its own push before anything
+   reads it, and only row 0 and the nxt sentinel need initial values.
 
    [nxt] is offset by one with a permanent [-1] sentinel in slot 0
    ([nxt] slot i+1 = successor of r_i), so the pivot scan needs no
@@ -105,18 +108,20 @@ let f_d = 2
 
 let f_b = 3
 
-(* rows per block past the first *)
-let block_bits = 12
+(* the largest block a stream appends *)
+let block = 1 lsl 12
 
-let block = 1 lsl block_bits
+(* rows per directory page *)
+let page_bits = 6
 
-let mask = block - 1
+let page = 1 lsl page_bits
 
-(* The planes of one block of rows [base, base + rows): row r's
-   offset in it is o = r - base, and nxt slot s's is s - base *)
+(* The planes of one block of rows [first, first + rows): row r's
+   offset in it is o = r - first, and nxt slot s's is s - first *)
 type rows = {
+  first : int;
   idx : i32; (* idx.{o*4 + k} = [server; prev; c_choice; d_choice] *)
-  nxt : i32; (* rows + 1 slots: the last is slot base + rows *)
+  nxt : i32; (* rows + 1 slots: the last is slot first + rows *)
   arena : i32; (* arena.{o*m + j} = last request on s^j after r *)
   fl : float array; (* fl.(o*4 + k) = [time; C; D; B] *)
 }
@@ -127,9 +132,8 @@ type t = {
   lam_eff : float;
   mutable cap : int; (* rows allocated over all blocks *)
   mutable len : int; (* rows used, = n + 1 with the boundary r_0 *)
-  mutable base : int; (* first row of the current block *)
-  mutable cur : rows; (* the current block: rows [base, cap) *)
-  mutable full : rows array; (* the full blocks, rows [b*block, (b+1)*block) at b *)
+  mutable cur : rows; (* the current block: rows [cur.first, cap) *)
+  mutable pages : rows array; (* the full block holding each page's rows, by page *)
   last_on : int array; (* latest request per server *)
   (* reconstruction memo: state is append-only, so [len] is a complete
      key for the schedule of the current prefix *)
@@ -143,8 +147,9 @@ let initial_cap = 64
    the guard line (far below Int32.max_int, far above any workload) *)
 let max_cap = 0x4000_0000
 
-let make_rows ~m n =
+let make_rows ~m ~first n =
   {
+    first;
     idx = i32_create (n * stride);
     nxt = i32_create (n + 1);
     arena = i32_create (n * m);
@@ -156,7 +161,7 @@ let make_rows ~m n =
 let make model ~m ~cap =
   if m < 1 then invalid_arg "Streaming_dp.create: m must be at least 1";
   if cap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
-  let cur = make_rows ~m cap in
+  let cur = make_rows ~m ~first:0 cap in
   (* boundary request r_0 = (s^1, 0): C(0) = 0, no D(0), B_0 = 0, no
      successor yet; arena row 0 holds r_0 in column 0 and -1 elsewhere *)
   A1.set cur.idx k_server 0l;
@@ -181,9 +186,8 @@ let make model ~m ~cap =
     lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload;
     cap;
     len = 1;
-    base = 0;
     cur;
-    full = [||];
+    pages = [||];
     last_on;
     sched_len = 1;
     sched = Schedule.empty;
@@ -195,24 +199,27 @@ let n t = t.len - 1
 let m t = t.m
 let model t = t.model
 
-(* the block holding row (or nxt slot) [r >= 0], and [r]'s offset in it *)
-let[@inline] rows_of t r = if r >= t.base then t.cur else t.full.(r lsr block_bits)
-
-let[@inline] offset_of t r = if r >= t.base then r - t.base else r land mask
+(* the block holding row (or nxt slot) [r >= 0]; [r]'s offset in it
+   is [r - first] *)
+let[@inline] rows_of t r = if r >= t.cur.first then t.cur else t.pages.(r lsr page_bits)
 
 (* decoded read of one packed idx slot, and of one float slot; not
    used on the push hot path (there the unboxing pattern is written
    inline — without flambda a helper call is not guaranteed to fuse
    the int32 box away) *)
-let ix t i k = Int32.to_int (A1.unsafe_get (rows_of t i).idx ((offset_of t i * stride) + k))
+let ix t i k =
+  let b = rows_of t i in
+  Int32.to_int (A1.unsafe_get b.idx (((i - b.first) * stride) + k))
 
-let[@inline] fx t i k = (rows_of t i).fl.((offset_of t i * fstride) + k)
+let[@inline] fx t i k =
+  let b = rows_of t i in
+  b.fl.(((i - b.first) * fstride) + k)
 
 let check t i name =
   if i < 0 || i >= t.len then invalid_arg ("Streaming_dp." ^ name ^ ": index out of bounds")
 
 (* the last row is always in the current block *)
-let[@inline] last_cost t = t.cur.fl.(((t.len - 1 - t.base) * fstride) + f_c)
+let[@inline] last_cost t = t.cur.fl.(((t.len - 1 - t.cur.first) * fstride) + f_c)
 
 let cost t = last_cost t
 let cost_into t cells k = cells.(k) <- last_cost t
@@ -251,39 +258,40 @@ let pivot_at t i =
   let v = ix t i k_dc in
   if v >= 0 then Some v else None
 
-(* Not on the hot path proper.  A stream's first block doubles up to
-   [block] rows, amortised over its pushes: every plane is copied,
-   with manual int32 loops so no proxy blocks are created.  Past it,
-   the full block joins the directory of full blocks (which doubles)
-   and a fresh block of [block] rows follows it, so no row is copied.
-   A single block bigger than [block] (an [of_sequence] state pushed
-   past its end) keeps doubling. *)
+(* Not on the hot path proper.  The current block is full: append the
+   next, as large as the stream so far up to [block] rows, and enter
+   the full block's pages in the directory (which doubles, copying
+   only pointers), so no row is copied.  A block that does not hold
+   whole pages can only be an [of_sequence] state's single block,
+   pushed past its end: it is copied once, with manual int32 loops so
+   no proxy blocks are created, into a block of twice its rows rounded
+   up to whole pages, and appends from there. *)
 let grow t =
   Obs.spanned sp_grow @@ fun () ->
   let src = t.cur in
-  let current = t.cap - t.base in
   let ncap =
-    if current = block then t.cap + block
-    else if current < block then min (2 * t.cap) block
-    else 2 * t.cap
+    if t.cap land (page - 1) = 0 then t.cap + min t.cap block
+    else ((2 * t.cap) + page - 1) land lnot (page - 1)
   in
   if ncap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
-  if current = block then begin
-    let full = t.cap lsr block_bits in
-    if full > Array.length t.full then begin
-      let dir = Array.make (max 1 (2 * Array.length t.full)) src in
-      Array.blit t.full 0 dir 0 (full - 1);
-      t.full <- dir
+  if t.cap land (page - 1) = 0 then begin
+    (* the pages of the full blocks, this one's last *)
+    let filled = t.cap lsr page_bits in
+    if filled > Array.length t.pages then begin
+      let dir = Array.make (max filled (2 * Array.length t.pages)) src in
+      Array.blit t.pages 0 dir 0 (src.first lsr page_bits);
+      t.pages <- dir
     end;
-    t.full.(full - 1) <- src;
-    t.cur <- make_rows ~m:t.m block;
+    for p = src.first lsr page_bits to filled - 1 do
+      t.pages.(p) <- src
+    done;
+    t.cur <- make_rows ~m:t.m ~first:t.cap (ncap - t.cap);
     (* nxt slot [cap] moves from the full block's last slot to the new
        block's first *)
-    A1.set t.cur.nxt 0 (A1.get src.nxt block);
-    t.base <- t.cap
+    A1.set t.cur.nxt 0 (A1.get src.nxt (t.cap - src.first))
   end
   else begin
-    let dst = make_rows ~m:t.m ncap in
+    let dst = make_rows ~m:t.m ~first:0 ncap in
     for k = 0 to (t.len * stride) - 1 do
       A1.unsafe_set dst.idx k (A1.unsafe_get src.idx k)
     done;
@@ -312,14 +320,15 @@ let[@inline] push t ~server ~time =
   if server < 0 || server >= t.m then invalid_arg "Streaming_dp.push: server out of range";
   if not (Float.is_finite time) then invalid_arg "Streaming_dp.push: non-finite time";
   (* row i - 1 is in the current block until [grow] runs *)
-  let po = (t.len - 1 - t.base) * fstride in
+  let po = (t.len - 1 - t.cur.first) * fstride in
   let prev_time = t.cur.fl.(po + f_time) in
   if time <= prev_time then invalid_arg "Streaming_dp.push: times must strictly increase";
   let prev_c = t.cur.fl.(po + f_c) and prev_b = t.cur.fl.(po + f_b) in
   if t.len = t.cap then grow t;
   let mu = t.model.Cost_model.mu in
   let i = t.len in
-  let base = t.base and cur = t.cur in
+  let cur = t.cur and pages = t.pages in
+  let base = cur.first in
   let fl = cur.fl and fo = (i - base) * fstride in
   let io = (i - base) * stride in
   let q = t.last_on.(server) in
@@ -345,13 +354,16 @@ let[@inline] push t ~server ~time =
     let base_cost = (mu *. sigma) +. prev_b in
     fl.(fo + f_d) <- fx t q f_c +. base_cost -. fx t q f_b;
     A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int d_prev);
-    let arena = (rows_of t q).arena and row = offset_of t q * t.m in
+    let qb = rows_of t q in
+    let arena = qb.arena and row = (q - qb.first) * t.m in
     for j = 0 to t.m - 1 do
       let s = Int32.to_int (A1.unsafe_get arena (row + j)) + 1 in
       let kappa =
         Int32.to_int
           (if s >= base then A1.unsafe_get cur.nxt (s - base)
-           else A1.unsafe_get t.full.(s lsr block_bits).nxt (s land mask))
+           else
+             let sb = pages.(s lsr page_bits) in
+             A1.unsafe_get sb.nxt (s - sb.first))
       in
       if kappa >= 0 then begin
         let cand =
@@ -360,7 +372,8 @@ let[@inline] push t ~server ~time =
             (* dcache-sema: allow R3 — base <= kappa < i: a row pushed into this block *)
             Array.unsafe_get fl (ko + f_d) +. base_cost -. Array.unsafe_get fl (ko + f_b)
           else
-            let kf = t.full.(kappa lsr block_bits).fl and ko = (kappa land mask) * fstride in
+            let kb = pages.(kappa lsr page_bits) in
+            let kf = kb.fl and ko = (kappa - kb.first) * fstride in
             (* dcache-sema: allow R3 — kappa < base: full blocks hold all their rows *)
             Array.unsafe_get kf (ko + f_d) +. base_cost -. Array.unsafe_get kf (ko + f_b)
         in
@@ -371,7 +384,8 @@ let[@inline] push t ~server ~time =
         end
       end
     done;
-    A1.unsafe_set (rows_of t (q + 1)).nxt (offset_of t (q + 1)) (Int32.of_int i)
+    let nb = rows_of t (q + 1) in
+    A1.unsafe_set nb.nxt (q + 1 - nb.first) (Int32.of_int i)
   end;
   let d_value = fl.(fo + f_d) in
   (* --- C(i) --- *)
@@ -390,7 +404,8 @@ let[@inline] push t ~server ~time =
   t.last_on.(server) <- i;
   (* arena row i = arena row i-1 with this server's column patched;
      manual int32 loop — [Array1.sub]/[blit] would allocate proxies *)
-  let src = (rows_of t (i - 1)).arena and so = offset_of t (i - 1) * t.m in
+  let pb = rows_of t (i - 1) in
+  let src = pb.arena and so = (i - 1 - pb.first) * t.m in
   let dst = (i - base) * t.m in
   for j = 0 to t.m - 1 do
     A1.unsafe_set cur.arena (dst + j) (A1.unsafe_get src (so + j))

@@ -6,9 +6,10 @@
     off the optimum-so-far after each.  A rolling-horizon deployment —
     logs arrive in batches, the provider re-plans the tail — gets
     exact prefix optima in [O(m)] time per request instead of
-    re-running the batch solver.  Rows are stored in blocks: the first
-    doubles up to 4 096 rows, and past it a push that finds its block
-    full allocates the next one and copies no row.
+    re-running the batch solver.  Rows are stored in blocks, and a
+    push that finds its block full appends the next one, as large as
+    the stream so far up to 4 096 rows (64, 64, 128, ..., 2 048, then
+    4 096 each), so no row is ever copied.
 
     {!Offline_dp} is a thin wrapper over this module, so both share
     one implementation of the recurrences and of schedule
@@ -23,7 +24,10 @@ val create : Cost_model.t -> m:int -> t
 val of_sequence : Cost_model.t -> Sequence.t -> t
 (** [create] and a [push] of every request of the sequence, in one
     block sized for the whole sequence up front, so nothing is ever
-    grown.  This is the batch solve ({!Offline_dp.solve}).  It reads
+    grown.  Pushing past its end appends blocks, unless the block's
+    n + 1 rows are not a multiple of 64: then it is copied once into
+    a block of twice its rows, rounded up to a multiple of 64, the one
+    case where rows move.  This is the batch solve ({!Offline_dp.solve}).  It reads
     the sequence's columns in place and runs {!push}'s body inlined,
     so no request's time is boxed: it allocates the block's planes
     and nothing per request.
@@ -32,9 +36,8 @@ val of_sequence : Cost_model.t -> Sequence.t -> t
 
 val push : t -> server:int -> time:float -> unit
 (** Appends the next request.  [O(m)] time and amortised [O(m)] extra
-    space; once the stream is past its first block of rows, it copies
-    no row (the first block's doublings are amortised over its
-    pushes).
+    space; a push that fills its block appends the next one and copies
+    no row.
     @raise Invalid_argument if the server is out of range or the time
     does not strictly exceed the previous request's. *)
 

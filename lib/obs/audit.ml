@@ -43,10 +43,12 @@ type witness = { at : int; w_online : float; w_opt : float; w_ratio : float }
 (* Every float of the state lives in [fl], at these indices: storing a
    float into a mutable float field of a record that also holds ints
    boxes it, a store into a float array does not.  The cumulative
-   costs of the last observation, the cumulative costs at the last
-   window boundary, and the last closed window's five figures
-   (unpacked so that closing a window allocates nothing;
-   [last_window] materialises them on demand). *)
+   costs of the last observation and their ratio, the cumulative costs
+   at the last window boundary, and the last closed window's five
+   figures (unpacked so that closing a window allocates nothing;
+   [last_window] materialises them on demand).  The gauges read their
+   values from these cells ([Obs.set_gauge_cell]): a float passed to
+   [Obs.set_gauge] is boxed, as it crosses into another module. *)
 let f_online = 0
 let f_opt = 1
 let f_base_online = 2
@@ -56,6 +58,7 @@ let f_lw_opt = 5
 let f_lw_ratio = 6
 let f_lw_regret = 7
 let f_lw_prefix_ratio = 8
+let f_ratio = 9
 
 type t = {
   window_size : int;
@@ -85,9 +88,10 @@ let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capaci
   if not (bound > 0.0) then invalid_arg "Audit.create: bound must be positive";
   if epsilon < 0.0 then invalid_arg "Audit.create: epsilon must be non-negative";
   if witness_capacity < 1 then invalid_arg "Audit.create: witness_capacity must be positive";
-  let fl = Array.make 9 0.0 in
+  let fl = Array.make 10 0.0 in
   fl.(f_lw_ratio) <- 1.0;
   fl.(f_lw_prefix_ratio) <- 1.0;
+  fl.(f_ratio) <- 1.0;
   {
     window_size;
     bound;
@@ -126,12 +130,12 @@ let close_window t =
   t.win_first <- t.n + 1;
   if Obs.probe () then begin
     Obs.incr c_windows;
-    Obs.set_gauge g_window_ratio r;
-    Obs.set_gauge g_window_regret regret;
+    Obs.set_gauge_cell g_window_ratio fl f_lw_ratio;
+    Obs.set_gauge_cell g_window_regret fl f_lw_regret;
     Obs.observe_span_ns sp_window_ratios (nano_ticks r);
     Obs.observe_span_ns sp_window_regret (nano_ticks regret);
     (match t.item_windows with Some c -> Obs.incr c | None -> ());
-    match t.item_ratio with Some g -> Obs.set_gauge g r | None -> ()
+    match t.item_ratio with Some g -> Obs.set_gauge_cell g fl f_lw_ratio | None -> ()
   end
 
 (* The one body of [observe] and [observe_cells]: inlined into the
@@ -145,6 +149,7 @@ let[@inline] observe_costs t online opt =
   t.fl.(f_online) <- online;
   t.fl.(f_opt) <- opt;
   let r = ratio ~online ~opt in
+  t.fl.(f_ratio) <- r;
   let violated = opt > 0.0 && online > (t.bound +. t.epsilon) *. opt in
   if violated then begin
     (* rare by Theorem 3 — any entry here is an implementation bug,
@@ -155,7 +160,7 @@ let[@inline] observe_costs t online opt =
   end;
   if Obs.probe () then begin
     Obs.incr c_requests;
-    Obs.set_gauge g_prefix_ratio r;
+    Obs.set_gauge_cell g_prefix_ratio t.fl f_ratio;
     if violated then Obs.incr c_violations
   end;
   if t.n - t.win_first + 1 >= t.window_size then begin
@@ -195,7 +200,7 @@ let n t = t.n
 let windows_closed t = t.windows
 let prefix_online t = t.fl.(f_online)
 let prefix_opt t = t.fl.(f_opt)
-let prefix_ratio t = if t.n = 0 then 1.0 else ratio ~online:t.fl.(f_online) ~opt:t.fl.(f_opt)
+let prefix_ratio t = t.fl.(f_ratio)
 let violations t = t.violations
 let bound t = t.bound
 

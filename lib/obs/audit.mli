@@ -24,7 +24,9 @@
     and [Streaming_dp.push]; [dcache audit] and [dcache serve-metrics]
     report through it.  All probes ride the standard {!Obs} gating:
     under the [Noop] sink an [observe] does the arithmetic but
-    touches no metric cell and allocates nothing. *)
+    touches no metric cell and allocates nothing.  Under a recording
+    sink its gauges read their values from the auditor's float cells
+    ({!Obs.set_gauge_cell}), so recording allocates nothing either. *)
 
 type t
 

@@ -7,7 +7,8 @@
    enough for ocamlopt's cross-module inliner — and allocates nothing
    either way: counters are [Atomic.t] cells created at registration,
    gauges are a flat float array, and span events land in
-   preallocated int/float ring columns.
+   preallocated ring columns: a packed int key, a timestamp and a
+   float value per event.
    With the default [Noop] sink the instrumented hot paths therefore
    keep their allocation budget exactly (a tier-1 test asserts 0 extra
    minor words per probe; bench/perf_gate.exe bounds the time
@@ -84,6 +85,56 @@ let check_label_key fn s =
   if not (valid_label_key s) then
     invalid_arg (Printf.sprintf "Obs.%s: invalid label name %S (want [a-zA-Z_][a-zA-Z0-9_]*)" fn s)
 
+(* ------------------------------------------------------ exported names *)
+
+(* The one rule for the names a metric renders under in the
+   Prometheus text format: the [dcache_] prefix, every character
+   outside [a-zA-Z0-9_:] mapped to '_' (in a registry name that is
+   only '.'), and the kind's suffix.  [Prometheus] renders with it,
+   and registration claims every sample name it yields, so two
+   registry names never render one family or one series. *)
+
+type export_kind = Counter | Gauge | Summary
+
+let exported_name kind base =
+  let suffix = match kind with Counter -> "_total" | Gauge -> "" | Summary -> "_duration_seconds" in
+  let sanitize c = match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c | _ -> '_' in
+  "dcache_" ^ String.map sanitize base ^ suffix
+
+(* rendered sample name -> what owns it ("counter", "gauge family",
+   ...) and its registry name *)
+let exported : (string, string * string) Hashtbl.t = Hashtbl.create 256
+
+(* A summary's lines carry its family name (with the quantile label)
+   and the [_sum] and [_count] series; a counter's or a gauge's only
+   the family name.  A plain metric and a labeled family are distinct
+   owners, so one base name cannot be both: they would render one
+   family with inconsistent label sets.  Called under the registry
+   lock, before the name is interned, so a refused name leaves no
+   trace. *)
+let claim_exported fn ?(labeled = false) kind name =
+  let what =
+    (match kind with Counter -> "counter" | Gauge -> "gauge" | Summary -> "span")
+    ^ if labeled then " family" else ""
+  in
+  let family = exported_name kind name in
+  let samples =
+    match kind with
+    | Counter | Gauge -> [ family ]
+    | Summary -> [ family; family ^ "_sum"; family ^ "_count" ]
+  in
+  List.iter
+    (fun sample ->
+      match Hashtbl.find_opt exported sample with
+      | Some (owner_what, owner) when not (String.equal owner_what what && String.equal owner name)
+        ->
+          invalid_arg
+            (Printf.sprintf "Obs.%s: %s %S renders as %s, which %s %S already renders" fn what name
+               sample owner_what owner)
+      | Some _ | None -> ())
+    samples;
+  List.iter (fun sample -> Hashtbl.replace exported sample (what, name)) samples
+
 type counter = int
 type gauge = int
 type span = int
@@ -106,6 +157,15 @@ let s_names = ref [||]
 let s_histos : Histo_log.t array ref = ref [||]
 
 let append cells v = cells := Array.append !cells [| v |]
+
+(* Each registry's ids in name order, for the readback walk.
+   Registries only append and [reset] keeps names, so an order goes
+   stale only when its registry grew; it is rebuilt then, under the
+   registry lock, and published as one new immutable array, because
+   labeled children can be resolved on any domain. *)
+let c_order = Atomic.make [||]
+let g_order = Atomic.make [||]
+let s_order = Atomic.make [||]
 
 (* ----------------------------------------- labeled families: registry *)
 
@@ -143,25 +203,23 @@ let same_vec_kind a b =
   | Vec_counter, Vec_counter | Vec_gauge, Vec_gauge -> true
   | (Vec_counter | Vec_gauge), _ -> false
 
-let vec_kind_label = function Vec_counter -> "counter" | Vec_gauge -> "gauge"
-
-(* A plain metric and a same-kind family under one base name would
-   render into the same Prometheus family with inconsistent label
-   sets — reject the collision at registration, from both sides. *)
-let check_vec_collision fn kind name =
-  match find_vec name with
-  | Some v when same_vec_kind v.v_kind kind ->
-      invalid_arg
-        (Printf.sprintf "Obs.%s: %S is already a labeled %s family" fn name (vec_kind_label kind))
-  | Some _ | None -> ()
 
 (* unlocked cell interning, shared by plain registration and child
    resolution (both already hold the registry lock) *)
+
+(* the largest name id an event's packed key holds (see the event
+   rings below) *)
+let name_bits = 30
+let max_name = (1 lsl name_bits) - 1
+
+let check_room fn names =
+  if Array.length names > max_name then invalid_arg ("Obs." ^ fn ^ ": registry full")
 
 let counter_cell name =
   match find_name !c_names name with
   | Some id -> id
   | None ->
+      check_room "counter" !c_names;
       append c_names name;
       append c_cells (Atomic.make 0);
       Array.length !c_names - 1
@@ -170,6 +228,7 @@ let gauge_cell name =
   match find_name !g_names name with
   | Some id -> id
   | None ->
+      check_room "gauge" !g_names;
       append g_names name;
       g_cells := Array.append !g_cells [| 0.0 |];
       Array.length !g_names - 1
@@ -177,13 +236,13 @@ let gauge_cell name =
 let counter name =
   check_name "counter" name;
   locked (fun () ->
-      check_vec_collision "counter" Vec_counter name;
+      claim_exported "counter" Counter name;
       counter_cell name)
 
 let gauge name =
   check_name "gauge" name;
   locked (fun () ->
-      check_vec_collision "gauge" Vec_gauge name;
+      claim_exported "gauge" Gauge name;
       gauge_cell name)
 
 let span_name name =
@@ -192,6 +251,8 @@ let span_name name =
       match find_name !s_names name with
       | Some id -> id
       | None ->
+          check_room "span_name" !s_names;
+          claim_exported "span_name" Summary name;
           append s_names name;
           append s_histos (Histo_log.create ());
           Array.length !s_names - 1)
@@ -253,12 +314,9 @@ let make_vec fn kind ?(max_children = default_max_children) name ~labels =
                  fn name);
           v
       | None ->
-          let plain_names = match kind with Vec_counter -> !c_names | Vec_gauge -> !g_names in
-          (match find_name plain_names name with
-          | Some _ ->
-              invalid_arg
-                (Printf.sprintf "Obs.%s: %S is already a plain %s" fn name (vec_kind_label kind))
-          | None -> ());
+          claim_exported fn ~labeled:true
+            (match kind with Vec_counter -> Counter | Vec_gauge -> Gauge)
+            name;
           let v =
             {
               v_name = name;
@@ -301,25 +359,39 @@ let gauge_with_label = resolve
 
 (* ---------------------------------------------------------- event rings *)
 
-(* One preallocated ring per recording context: parallel int columns
-   for tag/name/timestamp/track plus a flat float column for sampled
-   values.  Recording an event is four array stores and an index
-   bump; when the ring is full the oldest event is overwritten (the
-   most recent window is the useful one for triage) and the loss is
-   counted. *)
+(* One preallocated ring per recording context, in three columns: a
+   packed int key (the tag in the low 2 bits, the name id above it,
+   the track from bit 32 up), the timestamp, and a flat float column
+   for sampled values.  Recording an event is three array stores and
+   an index bump; when the ring is full the oldest event is
+   overwritten (the most recent window is the useful one for triage)
+   and the loss is counted. *)
 
 let tag_begin = 0
 let tag_end = 1
 let tag_sample = 2
 
+(* Name ids and tracks must fit their fields of the key: a name id is
+   a registry index, checked at interning (see [max_name]); a track is
+   a job's task index + 1 or the GC bridge's [256 + domain], checked
+   where a job begins and where an event is injected.  Both limits are
+   2^30 - 1, so a key stays below 2^62. *)
+let track_shift = 32
+let max_track = (1 lsl (62 - track_shift)) - 1
+
+let[@inline] pack ~track tag name = (track lsl track_shift) lor (name lsl 2) lor tag
+let[@inline] key_tag k = k land 3
+let[@inline] key_name k = (k lsr 2) land max_name
+let[@inline] key_track k = k lsr track_shift
+
 type buf = {
   b_clock : Clock.t;
   b_track : int;  (* chrome tid: 0 = installing domain, task index + 1 in a job *)
   b_cap : int;
-  e_tag : int array;
-  e_name : int array;
+  e_key : int array;
+      (* tag, name and track per event: tasks keep their lane through
+         the merge, the GC bridge injects high lanes *)
   e_ts : int array;
-  e_track : int array;  (* per-event: tasks keep their lane through the merge, GC bridge injects high lanes *)
   e_value : float array;
   mutable b_start : int;
   mutable b_len : int;
@@ -331,35 +403,34 @@ let make_buf ~clock ~track cap =
     b_clock = clock;
     b_track = track;
     b_cap = cap;
-    e_tag = Array.make cap 0;
-    e_name = Array.make cap 0;
+    e_key = Array.make cap 0;
     e_ts = Array.make cap 0;
-    e_track = Array.make cap track;
     e_value = Array.make cap 0.0;
     b_start = 0;
     b_len = 0;
     b_lost = 0;
   }
 
+(* the slot the next event goes to, taking the oldest one's when the
+   ring is full *)
+let slot b =
+  if b.b_len < b.b_cap then begin
+    let s = (b.b_start + b.b_len) mod b.b_cap in
+    b.b_len <- b.b_len + 1;
+    s
+  end
+  else begin
+    let s = b.b_start in
+    b.b_start <- (b.b_start + 1) mod b.b_cap;
+    b.b_lost <- b.b_lost + 1;
+    s
+  end
+
 let put_track b ~track tag name ts value =
-  let slot =
-    if b.b_len < b.b_cap then begin
-      let s = (b.b_start + b.b_len) mod b.b_cap in
-      b.b_len <- b.b_len + 1;
-      s
-    end
-    else begin
-      let s = b.b_start in
-      b.b_start <- (b.b_start + 1) mod b.b_cap;
-      b.b_lost <- b.b_lost + 1;
-      s
-    end
-  in
-  b.e_tag.(slot) <- tag;
-  b.e_name.(slot) <- name;
-  b.e_ts.(slot) <- ts;
-  b.e_track.(slot) <- track;
-  b.e_value.(slot) <- value
+  let s = slot b in
+  b.e_key.(s) <- pack ~track tag name;
+  b.e_ts.(s) <- ts;
+  b.e_value.(s) <- value
 
 let put b tag name ts value = put_track b ~track:b.b_track tag name ts value
 
@@ -369,7 +440,8 @@ let record_into b tag name value = put b tag name (b.b_clock ()) value
 let iter_buf b f =
   for k = 0 to b.b_len - 1 do
     let i = (b.b_start + k) mod b.b_cap in
-    f b.e_tag.(i) b.e_name.(i) b.e_ts.(i) b.e_value.(i) b.e_track.(i)
+    let key = b.e_key.(i) in
+    f (key_tag key) (key_name key) b.e_ts.(i) b.e_value.(i) (key_track key)
   done
 
 (* -------------------------------------------------------------- recorder *)
@@ -417,15 +489,35 @@ let incr c = if state.recording then Atomic.incr !c_cells.(c)
 
 let add c n = if state.recording then ignore (Atomic.fetch_and_add !c_cells.(c) n)
 
+let stray () = match state.current with Some r -> Atomic.incr r.r_stray | None -> ()
+
 let record tag name value =
+  match Domain.DLS.get current_buf with Some b -> record_into b tag name value | None -> stray ()
+
+(* The sample event of gauge [g], whose cell already holds the value:
+   the value is stored into the ring from the cell, so no float is
+   passed to a function on the way.  The one body of [set_gauge] and
+   [set_gauge_cell]. *)
+let record_sample g =
   match Domain.DLS.get current_buf with
-  | Some b -> record_into b tag name value
-  | None -> ( match state.current with Some r -> Atomic.incr r.r_stray | None -> ())
+  | Some b ->
+      let ts = b.b_clock () in
+      let s = slot b in
+      b.e_key.(s) <- pack ~track:b.b_track tag_sample g;
+      b.e_ts.(s) <- ts;
+      b.e_value.(s) <- !g_cells.(g)
+  | None -> stray ()
 
 let set_gauge g v =
   if state.recording then begin
     !g_cells.(g) <- v;
-    record tag_sample g v
+    record_sample g
+  end
+
+let set_gauge_cell g cells k =
+  if state.recording then begin
+    !g_cells.(g) <- cells.(k);
+    record_sample g
   end
 
 let enter sp = if state.recording then record tag_begin sp 0.0
@@ -447,7 +539,7 @@ let spanned sp f =
   else
     match Domain.DLS.get current_buf with
     | None ->
-        (match state.current with Some r -> Atomic.incr r.r_stray | None -> ());
+        stray ();
         f ()
     | Some b -> (
         (* exactly two clock reads per span — the begin/end events
@@ -475,6 +567,7 @@ let spanned sp f =
    here, on high track ids, already translated into the recorder's
    timebase. *)
 let inject_event sp ~track ~is_begin ~ts =
+  if track < 0 || track > max_track then invalid_arg "Obs.inject_event: track out of range";
   match state.current with
   | None -> ()
   | Some r -> put_track r.r_main ~track (if is_begin then tag_begin else tag_end) sp ts 0.0
@@ -485,17 +578,42 @@ let counter_value c = Atomic.get !c_cells.(c)
 
 let gauge_value g = !g_cells.(g)
 
-let sorted_pairs names value =
-  let pairs = List.init (Array.length names) (fun i -> (names.(i), value i)) in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) pairs
-
-let counter_totals () = sorted_pairs !c_names (fun i -> Atomic.get !c_cells.(i))
-
-let gauge_values () = sorted_pairs !g_names (fun i -> !g_cells.(i))
-
 let span_histo sp = !s_histos.(sp)
 
-let span_durations () = sorted_pairs !s_names (fun i -> !s_histos.(i))
+(* [names]'s ids in name order: the published order while it covers
+   the registry, else a new one *)
+let by_name names order =
+  let ids = Atomic.get order in
+  if Array.length ids = Array.length !names then ids
+  else
+    locked (fun () ->
+        let names = !names in
+        let ids = Array.init (Array.length names) Fun.id in
+        Array.sort (fun a b -> String.compare names.(a) names.(b)) ids;
+        Atomic.set order ids;
+        ids)
+
+(* Cells are read after the order: an order lists only ids interned
+   before it was built, and their cells are in place by then. *)
+let walk ~counter ~gauge ~span =
+  let ids = by_name c_names c_order in
+  let names = !c_names and cells = !c_cells in
+  for k = 0 to Array.length ids - 1 do
+    let id = ids.(k) in
+    counter id names.(id) (Atomic.get cells.(id))
+  done;
+  let ids = by_name g_names g_order in
+  let names = !g_names and cells = !g_cells in
+  for k = 0 to Array.length ids - 1 do
+    let id = ids.(k) in
+    gauge id names.(id) cells.(id)
+  done;
+  let ids = by_name s_names s_order in
+  let names = !s_names and histos = !s_histos in
+  for k = 0 to Array.length ids - 1 do
+    let id = ids.(k) in
+    span id names.(id) histos.(id)
+  done
 
 let reset () =
   Array.iter (fun c -> Atomic.set c 0) !c_cells;
@@ -528,6 +646,7 @@ module Parallel = struct
   let task_capacity = 64
 
   let job_begin ~span:sp ~task_span ~wait_gauge ~tasks =
+    if tasks > max_track then invalid_arg "Obs.Parallel.job_begin: too many tasks";
     if not state.recording then None
     else
       match state.current with
@@ -581,7 +700,14 @@ module Parallel = struct
     let main = j.j_rec.r_main in
     Array.iter
       (fun b ->
-        iter_buf b (fun tag name ts value track -> put_track main ~track tag name ts value);
+        (* keys carry their track, so events move over as they are *)
+        for k = 0 to b.b_len - 1 do
+          let i = (b.b_start + k) mod b.b_cap in
+          let s = slot main in
+          main.e_key.(s) <- b.e_key.(i);
+          main.e_ts.(s) <- b.e_ts.(i);
+          main.e_value.(s) <- b.e_value.(i)
+        done;
         main.b_lost <- main.b_lost + b.b_lost)
       j.j_bufs;
     record tag_end j.j_span 0.0
@@ -713,8 +839,8 @@ let chrome_json r =
         t.t_open)
     !tracks;
   (* final counter samples so totals are visible in the viewer *)
-  List.iter
-    (fun (cname, total) ->
+  walk
+    ~counter:(fun _ cname total ->
       event
         [
           ("name", str cname);
@@ -724,7 +850,8 @@ let chrome_json r =
           ("tid", "0");
           ("args", Printf.sprintf "{\"value\": %d}" total);
         ])
-    (counter_totals ());
+    ~gauge:(fun _ _ _ -> ())
+    ~span:(fun _ _ _ -> ());
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b "  \"displayTimeUnit\": \"ms\",\n";
   Buffer.add_string b

@@ -4,7 +4,7 @@
     Every probe is gated on one mutable-field read ({!probe}) and
     allocates nothing on either side of the branch: counters are
     [Atomic.t] cells created once at registration, gauges live in a
-    flat float array, and span events are four stores into
+    flat float array, and span events are three stores into
     preallocated ring columns.  With the default {!Noop} sink an
     instrumented [[@@hot]] path keeps its allocation budget
     bit-for-bit; a tier-1 test holds a disabled probe to 0 words and
@@ -23,14 +23,16 @@
     cheap ints; re-registering a name returns the existing id), then
     probe through the id on the hot path. *)
 
-type counter
-(** Monotonic event count, one atomic cell. *)
+type counter = private int
+(** Monotonic event count, one atomic cell.  Ids of each kind number
+    the registry from 0, so a reader can key per-metric state on
+    them. *)
 
-type gauge
+type gauge = private int
 (** Last-written float value; every {!set_gauge} also records a
     sample event on the current trace track. *)
 
-type span
+type span = private int
 (** Interned span name, for allocation-free {!enter}/{!leave} and
     {!spanned} at hot call sites.  Every span owns a log-scale
     duration histogram ({!Histo_log}) fed by {!spanned},
@@ -46,7 +48,28 @@ val span_name : string -> span
     accept: names match [[a-zA-Z_:][a-zA-Z0-9_:.]*] ('.' is
     namespacing, mapped to '_' at export; '{' is reserved for labeled
     children), label names match [[a-zA-Z_][a-zA-Z0-9_]*].
-    @raise Invalid_argument on a bad metric or label name. *)
+
+    They also keep two names from rendering one Prometheus family or
+    series ({!exported_name}): a name is refused when one of its
+    sample names is already another name's.  That happens for two
+    names of one kind that differ only in '.' against '_', a gauge
+    against a counter's [_total] name, and a gauge or counter against
+    a span's [_duration_seconds], [_sum] or [_count] names.  One base
+    name stays legal across kinds whose suffixes keep them apart:
+    [streaming_dp.push] is a counter and a span.
+    @raise Invalid_argument on a bad metric or label name, or on a
+    name whose sample names collide with another name's; the message
+    names both. *)
+
+type export_kind = Counter | Gauge | Summary
+
+val exported_name : export_kind -> string -> string
+(** The family name a registry name (a labeled family's base name)
+    renders under: [dcache_], the name with every character outside
+    [[a-zA-Z0-9_:]] mapped to ['_'], and [_total] for a counter or
+    [_duration_seconds] for a span's summary.  A summary's lines also
+    carry the [_sum] and [_count] series.  The one rule {!Prometheus}
+    renders with and registration checks collisions with. *)
 
 (** {1 Labeled families}
 
@@ -64,7 +87,7 @@ val span_name : string -> span
     registered with [max_children:k] never owns more than [k + 1]
     children.  Children export through {!Prometheus} as [base{k="v"}]
     in deterministic sorted order and appear under their encoded
-    names in {!counter_totals} / {!gauge_values}. *)
+    names in {!walk}. *)
 
 type counter_vec
 type gauge_vec
@@ -94,13 +117,17 @@ type recorder
 (** A recording context: an injected clock plus a preallocated event
     ring.  When the ring fills, the oldest events are overwritten
     (the recent window is the one triage needs) and the loss is
-    reported via {!events_lost} and in the exported trace. *)
+    reported via {!events_lost} and in the exported trace.  The ring
+    keeps three words per event (a key packing the event's kind, name
+    and track, its timestamp and its value): 6 MiB at the default
+    capacity. *)
 
 type sink = Noop | Recording of recorder
 
 val recorder : ?clock:Clock.t -> ?capacity:int -> unit -> recorder
 (** Fresh recorder; [clock] defaults to {!Clock.monotonic}, [capacity]
-    (events) to [2^18].
+    (events) to [2^18].  It allocates [3 * capacity] words of ring and
+    a few dozen more.
     @raise Invalid_argument if [capacity < 16]. *)
 
 val set_sink : sink -> unit
@@ -124,6 +151,15 @@ val probe : unit -> bool
 val incr : counter -> unit
 val add : counter -> int -> unit
 val set_gauge : gauge -> float -> unit
+
+val set_gauge_cell : gauge -> float array -> int -> unit
+(** [set_gauge_cell g cells k] is [set_gauge g cells.(k)], reading the
+    value in place.  Under [-opaque] (dune's dev profile) a caller in
+    another module boxes every float it passes to {!set_gauge}, 2
+    words while recording; a caller that keeps the value in a float
+    array allocates nothing for it ({!Audit} does).
+    @raise Invalid_argument if [k] is outside [cells] and a recording
+    sink is installed. *)
 
 val enter : span -> unit
 (** Record a span-begin event on the current track.  Pair with
@@ -155,22 +191,23 @@ val observe_span_ns : span -> int -> unit
 val counter_value : counter -> int
 val gauge_value : gauge -> float
 
-val counter_totals : unit -> (string * int) list
-(** All registered counters with their current values, sorted by
-    name.  Deterministic at any domain count: totals are sums of
-    atomic increments. *)
-
-val gauge_values : unit -> (string * float) list
-(** All registered gauges with their last-written values, sorted by
-    name. *)
-
 val span_histo : span -> Histo_log.t
 (** The span's duration histogram (live handle, not a snapshot). *)
 
-val span_durations : unit -> (string * Histo_log.t) list
-(** Every registered span with its duration histogram, sorted by
-    name.  Bucket counts, counts and int sums are commutative atomic
-    adds: identical at any domain count. *)
+val walk :
+  counter:(counter -> string -> int -> unit) ->
+  gauge:(gauge -> string -> float -> unit) ->
+  span:(span -> string -> Histo_log.t -> unit) ->
+  unit
+(** Every registered counter, then every gauge, then every span, each
+    kind in name order, with its id, its registry name (a labeled
+    child's encoded [base{k="v"}] included) and its current value: the
+    counter's total, the gauge's last-written value, the span's
+    duration histogram (a live handle).  The name order is rebuilt
+    only after a registry has grown, so a walk allocates nothing per
+    metric but the box of each gauge's value.  Counter totals and
+    histogram contents are commutative atomic adds: identical at any
+    domain count.  Safe to call from any domain. *)
 
 val reset : unit -> unit
 (** Zero every counter, gauge and span-duration histogram and clear
@@ -181,7 +218,9 @@ val inject_event : span -> track:int -> is_begin:bool -> ts:int -> unit
 (** Append a begin/end event with a caller-supplied timestamp
     (already in the recorder's timebase) and explicit track id to the
     main ring.  The {!Runtime_bridge} lands GC phase spans here on
-    high track ids; no-op without a recording sink. *)
+    high track ids; no-op without a recording sink.
+    @raise Invalid_argument if [track] is negative or above [2^30 - 1],
+    the largest track an event's key holds. *)
 
 val events_lost : recorder -> int
 (** Events dropped by ring overwrite plus events recorded on domains
@@ -200,7 +239,9 @@ module Parallel : sig
   val job_begin : span:span -> task_span:span -> wait_gauge:gauge -> tasks:int -> job option
   (** Open a job span on the submitting domain and preallocate one
       buffer per task.  [None] when not recording — callers keep the
-      uninstrumented fast path. *)
+      uninstrumented fast path.
+      @raise Invalid_argument if [tasks] exceeds [2^30 - 1], the
+      largest track an event's key holds. *)
 
   val task : job -> int -> (unit -> 'a) -> 'a
   (** [task j i f] runs task [i]'s body with its positional buffer

@@ -4,145 +4,181 @@
    whole serving story stays on one domain and under the injected
    clock discipline (nothing here reads ambient time at all).
 
-   Rendering pulls only the name-sorted registry readbacks, so the
+   Rendering walks the registry in name order ([Obs.walk]), so the
    exposition is a pure function of metric state: deterministic
    metric state (tick clocks, fixed seeds) gives a byte-identical
    exposition at any pool width. *)
 
 (* --------------------------------------------------------- rendering *)
 
-let metric_name s =
-  String.map
-    (fun c ->
-      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c | _ -> '_')
-    s
-
-let escape_label s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let escape_help s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* [Printf.sprintf "%.12g"] ends in this primitive, after running the
+   format interpreter's closures *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let quantile_probes = [| 0.5; 0.9; 0.99; 0.999 |]
 
-(* spec floats: NaN / +Inf / -Inf, plain otherwise.  [Float.is_nan]
-   and a sign test keep lint R2 (no float [=]) happy. *)
-let fmt_float v =
-  if Float.is_nan v then "NaN"
-  else if not (Float.is_finite v) then if v > 0.0 then "+Inf" else "-Inf"
-  else Printf.sprintf "%.12g" v
-
 let content_type = "text/plain; version=0.0.4"
+
+(* spec floats: NaN / +Inf / -Inf, "%.12g" otherwise.  [Float.is_nan]
+   and a sign test keep lint R2 (no float [=]) happy. *)
+let add_float b v =
+  if Float.is_nan v then Buffer.add_string b "NaN"
+  else if not (Float.is_finite v) then Buffer.add_string b (if v > 0.0 then "+Inf" else "-Inf")
+  else Buffer.add_string b (format_float "%.12g" v)
+
+(* [string_of_int] without the string: the digits of a negative [n]
+   come from negative remainders, so [min_int] needs no negation.
+   [digits] is shared: it is written only under the scrape lock. *)
+let digits = Bytes.create 20
+
+let add_int b n =
+  if n = 0 then Buffer.add_char b '0'
+  else begin
+    let k = ref 20 and v = ref n in
+    while !v <> 0 do
+      decr k;
+      Bytes.set digits !k (Char.chr (48 + abs (!v mod 10)));
+      v := !v / 10
+    done;
+    if n < 0 then Buffer.add_char b '-';
+    Buffer.add_subbytes b digits !k (20 - !k)
+  end
 
 let ns_to_s ns = ns /. 1e9
 
-(* Registry names may be encoded labeled children, [base{k="v"}]
-   (see Obs's labeled families): split at the brace and keep the
-   inner label text verbatim — the value was Prometheus-escaped at
-   interning time.  Only the base gets the [metric_name] sanitizer,
-   and the type suffix ([_total]) is placed before the label
-   block.  Because readbacks are name-sorted and '{' cannot
-   appear in plain names, a family's children arrive contiguously and
-   in a deterministic order, so HELP/TYPE can be emitted once per
-   family by tracking the last family name. *)
-let split_labels name =
-  let n = String.length name in
-  match String.index_opt name '{' with
-  | Some i when n > i + 1 && Char.equal name.[n - 1] '}' ->
-      (String.sub name 0 i, Some (String.sub name (i + 1) (n - i - 2)))
-  | Some _ | None -> (name, None)
+(* The text around each value, per registry id, built the first time
+   the id is rendered.  A registered name never changes, so an entry
+   never goes stale.  Registry names may be encoded labeled children,
+   [base{k="v"}] (see Obs's labeled families): the family is the
+   base's, the inner label text goes into the sample prefix verbatim
+   (the value was escaped at interning), after the type suffix.
+   Registry names need no HELP escaping: their grammar has no
+   backslash and no newline. *)
+type plain = {
+  family : string;  (* HELP/TYPE are printed once per family *)
+  head : string;  (* the family's HELP and TYPE lines *)
+  prefix : string;  (* the sample's name and label block, and the space *)
+}
 
-let exposition () =
-  let b = Buffer.create 4096 in
-  let meta full typ orig =
-    Buffer.add_string b "# HELP ";
-    Buffer.add_string b full;
-    Buffer.add_string b " dcache metric ";
-    Buffer.add_string b (escape_help orig);
-    Buffer.add_char b '\n';
-    Buffer.add_string b "# TYPE ";
-    Buffer.add_string b full;
-    Buffer.add_char b ' ';
-    Buffer.add_string b typ;
-    Buffer.add_char b '\n'
+type summary = {
+  s_head : string;
+  quantile : string array;  (* one prefix per [quantile_probes] *)
+  sum : string;
+  count : string;
+}
+
+let head family typ base =
+  String.concat ""
+    [ "# HELP "; family; " dcache metric "; base; "\n# TYPE "; family; " "; typ; "\n" ]
+
+let plain_entry kind typ name =
+  let n = String.length name in
+  let base, labels =
+    match String.index_opt name '{' with
+    | Some i when n > i + 1 && Char.equal name.[n - 1] '}' ->
+        (String.sub name 0 i, String.sub name i (n - i))
+    | Some _ | None -> (name, "")
   in
-  let sample ?enc name labels value =
-    Buffer.add_string b name;
-    (match (enc, labels) with
-    | None, [] -> ()
-    | _ ->
-        Buffer.add_char b '{';
-        (match enc with Some inner -> Buffer.add_string b inner | None -> ());
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 || Option.is_some enc then Buffer.add_char b ',';
-            Buffer.add_string b k;
-            Buffer.add_string b "=\"";
-            Buffer.add_string b (escape_label v);
-            Buffer.add_char b '"')
-          labels;
-        Buffer.add_char b '}');
-    Buffer.add_char b ' ';
-    Buffer.add_string b value;
-    Buffer.add_char b '\n'
-  in
-  let last_family = ref "" in
-  let family full typ base =
-    if not (String.equal full !last_family) then begin
-      meta full typ base;
-      last_family := full
-    end
-  in
-  List.iter
-    (fun (name, v) ->
-      let base, enc = split_labels name in
-      let full = "dcache_" ^ metric_name base ^ "_total" in
-      family full "counter" base;
-      sample ?enc full [] (string_of_int v))
-    (Obs.counter_totals ());
-  List.iter
-    (fun (name, v) ->
-      let base, enc = split_labels name in
-      let full = "dcache_" ^ metric_name base in
-      family full "gauge" base;
-      sample ?enc full [] (fmt_float v))
-    (Obs.gauge_values ());
-  (* span-duration summaries, in seconds; a span never entered
-     reports NaN quantiles (the Prometheus convention for empty
-     summaries) but keeps its _count 0 line so dashboards can key on
-     it from the first scrape *)
-  List.iter
-    (fun (name, h) ->
-      let full = "dcache_" ^ metric_name name ^ "_duration_seconds" in
-      meta full "summary" name;
-      let n = Histo_log.count h in
-      let qv = Histo_log.quantiles h quantile_probes in
-      Array.iteri
-        (fun i q ->
-          let v = if n = 0 then Float.nan else ns_to_s qv.(i) in
-          sample full [ ("quantile", fmt_float q) ] (fmt_float v))
+  let family = Obs.exported_name kind base in
+  { family; head = head family typ base; prefix = String.concat "" [ family; labels; " " ] }
+
+let summary_entry name =
+  let family = Obs.exported_name Obs.Summary name in
+  {
+    s_head = head family "summary" name;
+    quantile =
+      Array.map
+        (fun q -> String.concat "" [ family; "{quantile=\""; format_float "%.12g" q; "\"} " ])
         quantile_probes;
-      sample (full ^ "_sum") [] (fmt_float (ns_to_s (float_of_int (Histo_log.sum h))));
-      sample (full ^ "_count") [] (string_of_int n))
-    (Obs.span_durations ());
-  Buffer.contents b
+    sum = family ^ "_sum ";
+    count = family ^ "_count ";
+  }
+
+(* the entries by registry id, grown as registries grow *)
+let entry cache build id name =
+  if id >= Array.length !cache then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length !cache)) None in
+    Array.blit !cache 0 grown 0 (Array.length !cache);
+    cache := grown
+  end;
+  match !cache.(id) with
+  | Some e -> e
+  | None ->
+      let e = build name in
+      !cache.(id) <- Some e;
+      e
+
+let counter_entry name = plain_entry Obs.Counter "counter" name
+let gauge_entry name = plain_entry Obs.Gauge "gauge" name
+
+let counters : plain option array ref = ref [||]
+let gauges : plain option array ref = ref [||]
+let summaries : summary option array ref = ref [||]
+
+(* One buffer for every scrape, cleared each time, and the lock that
+   makes the scrape safe from any domain (a mutex allocates nothing).
+   The walk's callbacks below are top-level functions, so passing them
+   allocates no closure either. *)
+let out = Buffer.create 16384
+let scrape_lock = Mutex.create ()
+let last_family = ref ""
+
+let family_head e =
+  if not (String.equal e.family !last_family) then begin
+    Buffer.add_string out e.head;
+    last_family := e.family
+  end
+
+let counter_lines id name v =
+  let e = entry counters counter_entry (id : Obs.counter :> int) name in
+  family_head e;
+  Buffer.add_string out e.prefix;
+  add_int out v;
+  Buffer.add_char out '\n'
+
+let gauge_lines id name v =
+  let e = entry gauges gauge_entry (id : Obs.gauge :> int) name in
+  family_head e;
+  Buffer.add_string out e.prefix;
+  add_float out v;
+  Buffer.add_char out '\n'
+
+(* span-duration summaries, in seconds; a span never entered reports
+   NaN quantiles (the Prometheus convention for empty summaries) but
+   keeps its _count 0 line so dashboards can key on it from the first
+   scrape *)
+let summary_lines id name h =
+  let e = entry summaries summary_entry (id : Obs.span :> int) name in
+  Buffer.add_string out e.s_head;
+  let n = Histo_log.count h in
+  if n = 0 then
+    Array.iter
+      (fun prefix ->
+        Buffer.add_string out prefix;
+        Buffer.add_string out "NaN\n")
+      e.quantile
+  else begin
+    let qv = Histo_log.quantiles h quantile_probes in
+    for i = 0 to Array.length quantile_probes - 1 do
+      Buffer.add_string out e.quantile.(i);
+      add_float out (ns_to_s qv.(i));
+      Buffer.add_char out '\n'
+    done
+  end;
+  Buffer.add_string out e.sum;
+  add_float out (ns_to_s (float_of_int (Histo_log.sum h)));
+  Buffer.add_char out '\n';
+  Buffer.add_string out e.count;
+  add_int out n;
+  Buffer.add_char out '\n'
+
+let render () =
+  Buffer.clear out;
+  last_family := "";
+  Obs.walk ~counter:counter_lines ~gauge:gauge_lines ~span:summary_lines;
+  Buffer.contents out
+
+let exposition () = Mutex.protect scrape_lock render
 
 (* ------------------------------------------------------ golden parser *)
 
@@ -164,9 +200,10 @@ let known_type t =
   | "counter" | "gauge" | "histogram" | "summary" | "untyped" -> true
   | _ -> false
 
-(* [parse_sample] returns the literal metric name and the label names
-   it carried, so [validate] can enforce family-level consistency on
-   top of the line-level grammar. *)
+(* [parse_sample] returns the literal metric name, the label names it
+   carried and its label block's text, so [validate] can enforce
+   family-level consistency and one line per series on top of the
+   line-level grammar. *)
 let parse_sample line =
   let n = String.length line in
   let i = ref 0 in
@@ -233,6 +270,7 @@ let parse_sample line =
     match labels_ok with
     | Error e -> Error e
     | Ok keys ->
+        let series = String.sub line 0 !i in
         if !i < n && Char.equal line.[!i] ' ' then begin
           let rest = String.sub line (!i + 1) (n - !i - 1) in
           let fields =
@@ -240,7 +278,7 @@ let parse_sample line =
           in
           let value_ok v =
             match float_of_string_opt v with
-            | Some _ -> Ok (name, keys)
+            | Some _ -> Ok (name, keys, series)
             | None -> Error ("unparseable sample value " ^ v)
           in
           match fields with
@@ -250,30 +288,34 @@ let parse_sample line =
               | Error _ as e -> e
               | Ok _ -> (
                   match int_of_string_opt ts with
-                  | Some _ -> Ok (name, keys)
+                  | Some _ -> Ok (name, keys, series)
                   | None -> Error ("unparseable timestamp " ^ ts)))
           | _ -> Error "expected 'name[{labels}] value [timestamp]'"
         end
         else Error "missing sample value"
 
+(* the name a TYPE line declares, if the line is one *)
 let parse_comment line =
   let fields = String.split_on_char ' ' line in
   match fields with
   | "#" :: "TYPE" :: name :: [ typ ] ->
       if not (valid_name name) then Error ("bad metric name in TYPE: " ^ name)
       else if not (known_type typ) then Error ("unknown metric type " ^ typ)
-      else Ok ()
+      else Ok (Some name)
   | "#" :: "TYPE" :: _ -> Error "TYPE line needs 'name type'"
   | "#" :: "HELP" :: name :: _ ->
-      if valid_name name then Ok () else Error ("bad metric name in HELP: " ^ name)
+      if valid_name name then Ok None else Error ("bad metric name in HELP: " ^ name)
   | "#" :: "HELP" :: _ -> Error "HELP line needs a metric name"
-  | _ -> Ok () (* free-form comment *)
+  | _ -> Ok None (* free-form comment *)
 
 let validate text =
   let lines = String.split_on_char '\n' text in
   (* literal metric name -> sorted label-name set of its first sample;
      every later sample of the same name must carry the same set *)
   let families : (string, string list) Hashtbl.t = Hashtbl.create 64 in
+  (* names with a TYPE line, and series (name and label text) seen *)
+  let typed : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let series_seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let rec go ln samples remaining =
     match remaining with
     | [] -> Ok samples
@@ -281,22 +323,34 @@ let validate text =
         if String.length line = 0 then go (ln + 1) samples rest
         else if Char.equal line.[0] '#' then begin
           match parse_comment line with
-          | Ok () -> go (ln + 1) samples rest
+          | Ok None -> go (ln + 1) samples rest
+          | Ok (Some name) ->
+              if Hashtbl.mem typed name then
+                Error (Printf.sprintf "line %d: second TYPE line for metric %s" ln name)
+              else begin
+                Hashtbl.add typed name ();
+                go (ln + 1) samples rest
+              end
           | Error e -> Error (Printf.sprintf "line %d: %s" ln e)
         end
         else begin
           match parse_sample line with
-          | Ok (name, keys) -> (
+          | Ok (name, keys, series) -> (
               let keys = List.sort String.compare keys in
-              match Hashtbl.find_opt families name with
-              | None ->
-                  Hashtbl.add families name keys;
-                  go (ln + 1) (samples + 1) rest
-              | Some prior ->
-                  if List.equal String.equal prior keys then go (ln + 1) (samples + 1) rest
-                  else
-                    Error
-                      (Printf.sprintf "line %d: inconsistent label set for metric %s" ln name))
+              if Hashtbl.mem series_seen series then
+                Error (Printf.sprintf "line %d: repeated series %s" ln series)
+              else begin
+                Hashtbl.add series_seen series ();
+                match Hashtbl.find_opt families name with
+                | None ->
+                    Hashtbl.add families name keys;
+                    go (ln + 1) (samples + 1) rest
+                | Some prior ->
+                    if List.equal String.equal prior keys then go (ln + 1) (samples + 1) rest
+                    else
+                      Error
+                        (Printf.sprintf "line %d: inconsistent label set for metric %s" ln name)
+              end)
           | Error e -> Error (Printf.sprintf "line %d: %s" ln e)
         end
   in

@@ -2,55 +2,44 @@
     registry, plus a tiny single-threaded [Unix]-socket HTTP
     [/metrics] endpoint — no third-party dependencies.
 
-    Rendering is a pure function of the registry readbacks (which are
-    name-sorted), so two processes with identical metric state emit
+    Rendering is a pure function of the registry, walked in name order
+    ({!Obs.walk}), so two processes with identical metric state emit
     byte-identical expositions: counters as [_total] counters, gauges
     as gauges, and span-duration histograms as summaries with
-    p50/p90/p99/p999 [quantile] labels in seconds.
+    p50/p90/p99/p999 [quantile] labels in seconds, under the names
+    {!Obs.exported_name} gives.
 
     Labeled children (registry names encoded as [base{k="v"}] by
     {!Obs}'s metric vectors) render as labeled samples of the [base]
     family — type suffixes before the label block, the family's
     [# HELP]/[# TYPE] emitted once, children in the deterministic
-    name-sorted order the readbacks provide.
+    name order of the walk.
 
     The server is deliberately synchronous: {!poll} accepts and
     answers every pending connection on the caller's thread, so a
     long-run driver can interleave serving with its batch loop and
     lint R1 never sees a background thread or ambient clock. *)
 
-val metric_name : string -> string
-(** Sanitize a registry name into the Prometheus charset
-    ([[a-zA-Z0-9_:]]; everything else becomes ['_']).  The renderer
-    also prefixes [dcache_]. *)
-
-val escape_label : string -> string
-(** Escape a label value per the 0.0.4 spec: backslash, double quote
-    and newline. *)
-
-val escape_help : string -> string
-(** Escape a [# HELP] text: backslash and newline. *)
-
-val quantile_probes : float array
-(** The summary probes rendered for every span: p50, p90, p99, p999. *)
-
 val exposition : unit -> string
 (** The full registry as Prometheus 0.0.4 text.  Deterministic given
     deterministic metric state (span summaries use the exact int
-    counts/sums of {!Histo_log}). *)
-
-val content_type : string
-(** The exposition content type, [text/plain; version=0.0.4]. *)
+    counts/sums of {!Histo_log}).  The text around each value is built
+    the first time a metric is rendered and kept, and every scrape
+    writes into one reused buffer, so a warm scrape allocates the
+    returned string, a box and a string per float value, and little
+    else.  Safe to call from any domain: scrapes are serialised. *)
 
 val validate : string -> (int, string) result
 (** Golden parser for the 0.0.4 text format: checks comment lines
     ([# HELP] / [# TYPE] with a known type), metric-name charset,
     label syntax and float-parseable sample values; additionally
-    rejects a duplicate label name within one sample's label set and
+    rejects a duplicate label name within one sample's label set,
     inconsistent label-name sets across the samples of one literal
-    metric name (family consistency).  Returns the number of sample
-    lines, or [Error] naming the first bad line — used by the
-    exposition tests and [make metrics-demo]. *)
+    metric name (family consistency), a second [# TYPE] line for one
+    name, and a repeated series (one name with the same label text
+    twice).  Returns the number of sample lines, or [Error] naming the
+    first bad line — used by the exposition tests and [make
+    metrics-demo]. *)
 
 (** {1 HTTP endpoint} *)
 

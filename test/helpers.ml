@@ -30,6 +30,32 @@ let words_per_request ~n f =
   ignore (Sys.opaque_identity (f ()));
   (words () -. before -. probe) /. float_of_int n
 
+(* The registry read back through [Obs.walk] as name-sorted lists, for
+   the tests that look a metric up by name *)
+let counter_totals () =
+  let acc = ref [] in
+  Dcache_obs.Obs.walk
+    ~counter:(fun _ name v -> acc := (name, v) :: !acc)
+    ~gauge:(fun _ _ _ -> ())
+    ~span:(fun _ _ _ -> ());
+  List.rev !acc
+
+let gauge_values () =
+  let acc = ref [] in
+  Dcache_obs.Obs.walk
+    ~counter:(fun _ _ _ -> ())
+    ~gauge:(fun _ name v -> acc := (name, v) :: !acc)
+    ~span:(fun _ _ _ -> ());
+  List.rev !acc
+
+let span_durations () =
+  let acc = ref [] in
+  Dcache_obs.Obs.walk
+    ~counter:(fun _ _ _ -> ())
+    ~gauge:(fun _ _ _ -> ())
+    ~span:(fun _ name h -> acc := (name, h) :: !acc);
+  List.rev !acc
+
 (* The bench ledger's four (m, arrival, placement) workloads, at the
    size the allocation budgets measure *)
 let ledger_workloads =

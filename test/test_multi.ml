@@ -150,7 +150,7 @@ let plan_telemetry_recorded () =
   let _free = M.plan model ~m:3 items in
   let counter name = Obs.counter_value (Obs.counter name) in
   let span_count name =
-    match List.assoc_opt name (Obs.span_durations ()) with
+    match List.assoc_opt name (span_durations ()) with
     | Some h -> Dcache_obs.Histo_log.count h
     | None -> 0
   in

@@ -229,7 +229,7 @@ let observed_sweep pool =
     ~finally:(fun () -> Obs.set_sink Obs.Noop)
     (fun () ->
       let total = sweep pool (Rng.create 1234) 17 in
-      (total, chrome_events r, Obs.counter_totals ()))
+      (total, chrome_events r, counter_totals ()))
 
 let trace_is_width_independent () =
   let total1, events1, counters1 = observed_sweep pool1 in
@@ -337,10 +337,10 @@ let prometheus_exposition () =
   Obs.spanned sp_outer (fun () -> ());
   (* the readback surface the exporters are built on *)
   Alcotest.(check int) "span histo counted the span" 1 (Histo.count (Obs.span_histo sp_outer));
-  Alcotest.(check bool) "gauge_values carries the gauge" true
+  Alcotest.(check bool) "the walk carries the gauge" true
     (List.exists
        (fun (k, v) -> String.equal k "test.obs.level" && v > 2.49 && v < 2.51)
-       (Obs.gauge_values ()));
+       (gauge_values ()));
   let text = Prom.exposition () in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " in exposition") true (contains needle text))
@@ -357,13 +357,19 @@ let prometheus_exposition () =
   (match Prom.validate text with
   | Ok n -> Alcotest.(check bool) "validator counts samples" true (n > 0)
   | Error e -> Alcotest.failf "exposition invalid: %s" e);
-  (* name sanitisation and label escaping *)
-  Alcotest.(check string) "metric_name sanitises dots" "streaming_dp_push"
-    (Prom.metric_name "streaming_dp.push");
-  Alcotest.(check string) "label escaping" "a\\\\b\\\"c\\nd" (Prom.escape_label "a\\b\"c\nd");
-  Alcotest.(check string) "help escaping" "x\\\\y\\nz" (Prom.escape_help "x\\y\nz");
-  Alcotest.(check string) "content type" "text/plain; version=0.0.4" Prom.content_type;
-  Alcotest.(check int) "four summary probes" 4 (Array.length Prom.quantile_probes);
+  (* a dotted name is sanitised in the family name and kept in the
+     HELP text, and a span has its four summary probes (label escaping
+     is checked on a labeled child below) *)
+  List.iter
+    (fun needle -> Alcotest.(check bool) (needle ^ " in exposition") true (contains needle text))
+    [
+      "# HELP dcache_test_obs_clicks_total dcache metric test.obs.clicks\n";
+      "dcache_test_obs_outer_duration_seconds{quantile=\"0.5\"} ";
+      "dcache_test_obs_outer_duration_seconds{quantile=\"0.9\"} ";
+      "dcache_test_obs_outer_duration_seconds{quantile=\"0.99\"} ";
+      "dcache_test_obs_outer_duration_seconds{quantile=\"0.999\"} ";
+      "dcache_test_obs_outer_duration_seconds_sum ";
+    ];
   (* malformed expositions are rejected, naming the bad line *)
   List.iter
     (fun bad ->
@@ -382,7 +388,7 @@ let interned base =
   List.length
     (List.filter
        (fun (k, _) -> String.length k > n && String.sub k 0 n = prefix)
-       (Obs.counter_totals ()))
+       (counter_totals ()))
 
 let labeled_families () =
   with_recording @@ fun _r ->
@@ -638,6 +644,338 @@ let malformed_baselines_rejected () =
        (Printf.sprintf {|{"schema": %S, "git_rev": "abc", "case": "c", "ns_per_run": null}|}
           Bench_json.baseline_schema))
 
+(* ------------------------------------------ the scrape and its oracle *)
+
+(* Random metric state for the differential scrape test: counters
+   with extreme totals, gauges with every special float, spans never
+   entered or entered with durations up to 10^15 ns, a labeled counter
+   family and a labeled gauge family capped at 3 children and filled
+   past the cap (into "other") with label values that need escaping.
+   Between the two scrapes, [late] registers new names and resets. *)
+type scrape_state = {
+  totals : int list;
+  levels : float list;
+  durations : int list list;
+  label_values : string list;
+  late : bool;
+}
+
+let scrape_state_gen =
+  let open QCheck.Gen in
+  let total = oneof [ oneofl [ 0; 1; 42; -7; max_int; min_int ]; int ] in
+  let level =
+    oneof
+      [
+        oneofl
+          [
+            nan; infinity; neg_infinity; -0.0; 0.0; 5e-324; 1e-310; 1e300; -1e300; 0.1; 1.0 /. 3.0;
+          ];
+        float;
+      ]
+  in
+  let duration =
+    oneof [ oneofl [ 0; 1; 15; 16; 1_000_000_000 ]; int_bound 1_000_000_000_000_000 ]
+  in
+  let label = oneofl [ "a"; "b\\c"; "q\"uote"; "new\nline"; "plain"; "x"; "y" ] in
+  map
+    (fun ((totals, levels), (durations, label_values, late)) ->
+      { totals; levels; durations; label_values; late })
+    (pair
+       (pair (list_size (int_bound 4) total) (list_size (int_bound 5) level))
+       (triple
+          (list_size (int_bound 2) (list_size (int_bound 5) duration))
+          (list_size (int_bound 7) label)
+          bool))
+
+let scrape_state_print st =
+  Printf.sprintf "totals [%s]; levels [%s]; durations [%s]; labels [%s]; late %b"
+    (String.concat "; " (List.map string_of_int st.totals))
+    (String.concat "; " (List.map (Printf.sprintf "%h") st.levels))
+    (String.concat "; "
+       (List.map (fun d -> "[" ^ String.concat "; " (List.map string_of_int d) ^ "]") st.durations))
+    (String.concat "; " (List.map (Printf.sprintf "%S") st.label_values))
+    st.late
+
+let scrape_round = ref 0
+
+let same_scrape what =
+  let got = Prom.exposition () and want = Prometheus_reference.exposition () in
+  if not (String.equal got want) then
+    QCheck.Test.fail_reportf "%s: the scrape differs from the reference:\n%s\n--- reference ---\n%s"
+      what got want
+
+let scrape_matches_reference =
+  qcheck ~count:50 "obs: the scrape prints the reference renderer's bytes"
+    (QCheck.make ~print:scrape_state_print scrape_state_gen)
+    (fun st ->
+      incr scrape_round;
+      let p = Printf.sprintf "test.scrape%d" !scrape_round in
+      with_recording @@ fun _r ->
+      List.iteri (fun k v -> Obs.add (Obs.counter (Printf.sprintf "%s.c%d" p k)) v) st.totals;
+      List.iteri (fun k v -> Obs.set_gauge (Obs.gauge (Printf.sprintf "%s.g%d" p k)) v) st.levels;
+      List.iteri
+        (fun k ds ->
+          let sp = Obs.span_name (Printf.sprintf "%s.s%d" p k) in
+          List.iter (Obs.observe_span_ns sp) ds)
+        st.durations;
+      let hits = Obs.counter_vec (p ^ ".hits") ~labels:[ "item" ] ~max_children:3 in
+      let depth = Obs.gauge_vec (p ^ ".depth") ~labels:[ "item" ] ~max_children:3 in
+      List.iteri
+        (fun k v ->
+          Obs.incr (Obs.counter_with_label hits v);
+          Obs.set_gauge (Obs.gauge_with_label depth v) (float_of_int k -. 0.5))
+        st.label_values;
+      same_scrape "first scrape";
+      if st.late then begin
+        let c = Obs.counter (p ^ ".late") in
+        Obs.incr c;
+        Obs.set_gauge (Obs.gauge (p ^ "_late.level")) (-0.0);
+        ignore (Obs.span_name (p ^ ".late"));
+        same_scrape "after new registrations";
+        (* the walk's order covers what was registered since *)
+        List.iter
+          (fun family ->
+            if not (contains family (Prom.exposition ())) then
+              QCheck.Test.fail_reportf "%s missing from the scrape" family)
+          [
+            Obs.exported_name Obs.Counter (p ^ ".late") ^ " 1";
+            Obs.exported_name Obs.Gauge (p ^ "_late.level") ^ " -0";
+            Obs.exported_name Obs.Summary (p ^ ".late") ^ "_count 0";
+          ];
+        Obs.reset ();
+        same_scrape "after a reset"
+      end;
+      true)
+
+(* Two registry names that would render one Prometheus family are
+   refused at registration, in either order, and the message names
+   both.  Each pair registers under fresh names per order. *)
+let colliding_names_refused () =
+  let pairs =
+    [
+      ( "two counters",
+        (fun p -> ignore (Obs.counter (p ^ ".x"))),
+        fun p -> ignore (Obs.counter (p ^ "_x")) );
+      ( "a counter and a gauge on its _total name",
+        (fun p -> ignore (Obs.counter (p ^ ".y"))),
+        fun p -> ignore (Obs.gauge (p ^ ".y_total")) );
+      ( "a gauge and a span's summary",
+        (fun p -> ignore (Obs.gauge (p ^ ".z_duration_seconds"))),
+        fun p -> ignore (Obs.span_name (p ^ ".z")) );
+      ( "a gauge and a span's _sum",
+        (fun p -> ignore (Obs.gauge (p ^ ".w_duration_seconds_sum"))),
+        fun p -> ignore (Obs.span_name (p ^ ".w")) );
+      ( "a gauge and a span's _count",
+        (fun p -> ignore (Obs.gauge (p ^ ".v_duration_seconds_count"))),
+        fun p -> ignore (Obs.span_name (p ^ ".v")) );
+      ( "a gauge family and a gauge",
+        (fun p -> ignore (Obs.gauge_vec (p ^ ".f") ~labels:[ "item" ])),
+        fun p -> ignore (Obs.gauge (p ^ "_f")) );
+      ( "a counter family and a gauge on its _total name",
+        (fun p -> ignore (Obs.counter_vec (p ^ ".e") ~labels:[ "item" ])),
+        fun p -> ignore (Obs.gauge (p ^ ".e_total")) );
+    ]
+  in
+  List.iteri
+    (fun k (what, a, b) ->
+      List.iteri
+        (fun order (first, second) ->
+          let p = Printf.sprintf "test.clash%d_%d" k order in
+          first p;
+          match second p with
+          | () -> Alcotest.failf "%s (order %d): both registered" what order
+          | exception Invalid_argument msg ->
+              if not (contains p msg && List.length (String.split_on_char '"' msg) >= 5) then
+                Alcotest.failf "%s (order %d): the message does not name both: %s" what order msg)
+        [ (a, b); (b, a) ])
+    pairs;
+  (* suffixes that keep two kinds apart leave one base name legal *)
+  ignore (Obs.counter "test.clash.ok");
+  ignore (Obs.span_name "test.clash.ok");
+  ignore (Obs.gauge "test.clash.ok");
+  (* the product's registry, registered at module init, renders no
+     name twice *)
+  match Prom.validate (Prom.exposition ()) with
+  | Ok n -> Alcotest.(check bool) "the registry's scrape validates" true (n > 0)
+  | Error e -> Alcotest.failf "the registry's scrape is invalid: %s" e
+
+(* The two texts the parent's renderer printed for colliding names:
+   one family declared twice, once with a second unlabeled sample, and
+   once as a counter and as a gauge *)
+let validate_rejects_redeclared_families () =
+  List.iter
+    (fun (what, text) ->
+      match Prom.validate text with
+      | Ok n -> Alcotest.failf "%s accepted (%d samples)" what n
+      | Error _ -> ())
+    [
+      ( "one counter family twice",
+        "# HELP dcache_demo_x_total dcache metric demo.x\n# TYPE dcache_demo_x_total counter\n\
+         dcache_demo_x_total 1\n# HELP dcache_demo_y_total dcache metric demo.y\n\
+         # TYPE dcache_demo_y_total counter\ndcache_demo_y_total 2\n\
+         # HELP dcache_demo_x_total dcache metric demo_x\n# TYPE dcache_demo_x_total counter\n\
+         dcache_demo_x_total 3\n" );
+      ( "a counter and a gauge of one name",
+        "# HELP dcache_demo_y_total dcache metric demo.y\n# TYPE dcache_demo_y_total counter\n\
+         dcache_demo_y_total 2\n# HELP dcache_demo_y_total dcache metric demo.y_total\n\
+         # TYPE dcache_demo_y_total gauge\ndcache_demo_y_total 0.5\n" );
+      ("a repeated series", "x_total{a=\"1\"} 1\nx_total{a=\"1\"} 2\n");
+      ("a repeated unlabeled series", "x 1\nx 2\n");
+    ]
+
+(* Events keep their tag, name and track at the ends of the key's
+   ranges: the highest task track of a Parallel job, the GC bridge's
+   track for runtime ring 127, the largest track the key holds, and
+   the last name ids (registered here, after every other) *)
+let ring_key_extremes () =
+  with_recording @@ fun r ->
+  let sp = Obs.span_name "test.ring.last_span" in
+  let g = Obs.gauge "test.ring.last_gauge" in
+  let tasks = 1000 and gc_track = Dcache_obs.Runtime_bridge.gc_track_base + 127 in
+  let top = (1 lsl 30) - 1 in
+  (match Obs.Parallel.job_begin ~span:sp ~task_span:sp ~wait_gauge:g ~tasks with
+  | None -> Alcotest.fail "no job while recording"
+  | Some j ->
+      Obs.Parallel.task j (tasks - 1) (fun () -> Obs.set_gauge_cell g [| 0.75 |] 0);
+      Obs.Parallel.job_end j);
+  Obs.inject_event sp ~track:gc_track ~is_begin:true ~ts:1;
+  Obs.inject_event sp ~track:gc_track ~is_begin:false ~ts:2;
+  Obs.inject_event sp ~track:top ~is_begin:true ~ts:3;
+  Obs.inject_event sp ~track:top ~is_begin:false ~ts:4;
+  let events = chrome_events r in
+  List.iter
+    (fun (name, ph, tid) ->
+      if not (List.mem (name, ph, tid) events) then
+        Alcotest.failf "no %s %s event on track %d" name ph tid)
+    [
+      ("test.ring.last_span", "B", tasks);
+      ("test.ring.last_span", "E", tasks);
+      ("test.ring.last_gauge", "C", tasks);
+      ("test.ring.last_span", "B", gc_track);
+      ("test.ring.last_span", "E", gc_track);
+      ("test.ring.last_span", "B", top);
+      ("test.ring.last_span", "E", top);
+      ("test.ring.last_span", "B", 0);
+    ];
+  Alcotest.(check bool) "the sample keeps its value" true
+    (contains "\"tid\": 1000, \"args\": {\"value\": 0.750}" (Obs.chrome_json r));
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "a track past the key refused" true
+    (refused (fun () -> Obs.inject_event sp ~track:(top + 1) ~is_begin:true ~ts:5));
+  Alcotest.(check bool) "a negative track refused" true
+    (refused (fun () -> Obs.inject_event sp ~track:(-1) ~is_begin:true ~ts:5));
+  Alcotest.(check bool) "a job past the key refused" true
+    (refused (fun () ->
+         Obs.Parallel.job_begin ~span:sp ~task_span:sp ~wait_gauge:g ~tasks:(top + 1)))
+
+let sp_ring_a = Obs.span_name "test.ring.a"
+let sp_ring_b = Obs.span_name "test.ring.b"
+let g_ring = Obs.gauge "test.ring.g"
+
+(* The events of this scenario as the five-column ring printed them,
+   under the tick clock; the counters' final samples follow them *)
+let five_column_trace =
+  {|{
+  "traceEvents": [
+    {"name": "test.ring.a", "ph": "B", "ts": 0.000, "pid": 1, "tid": 0},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.001, "pid": 1, "tid": 0, "args": {"value": 1.500}},
+    {"name": "test.ring.b", "ph": "B", "ts": 0.002, "pid": 1, "tid": 0},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.003, "pid": 1, "tid": 0, "args": {"value": -0.250}},
+    {"name": "test.ring.b", "ph": "E", "ts": 0.004, "pid": 1, "tid": 0},
+    {"name": "test.ring.a", "ph": "E", "ts": 0.005, "pid": 1, "tid": 0},
+    {"name": "test.ring.b", "ph": "B", "ts": 0.005, "pid": 1, "tid": 300},
+    {"name": "test.ring.b", "ph": "E", "ts": 0.009, "pid": 1, "tid": 300},
+    {"name": "test.ring.a", "ph": "B", "ts": 0.006, "pid": 1, "tid": 0},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.008, "pid": 1, "tid": 1, "args": {"value": 1.000}},
+    {"name": "test.ring.b", "ph": "B", "ts": 0.008, "pid": 1, "tid": 1},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.009, "pid": 1, "tid": 1, "args": {"value": 0.500}},
+    {"name": "test.ring.b", "ph": "E", "ts": 0.010, "pid": 1, "tid": 1},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.011, "pid": 1, "tid": 2, "args": {"value": 4.000}},
+    {"name": "test.ring.b", "ph": "B", "ts": 0.011, "pid": 1, "tid": 2},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.012, "pid": 1, "tid": 2, "args": {"value": 1.500}},
+    {"name": "test.ring.b", "ph": "E", "ts": 0.013, "pid": 1, "tid": 2},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.014, "pid": 1, "tid": 3, "args": {"value": 7.000}},
+    {"name": "test.ring.b", "ph": "B", "ts": 0.014, "pid": 1, "tid": 3},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.015, "pid": 1, "tid": 3, "args": {"value": 2.500}},
+    {"name": "test.ring.b", "ph": "E", "ts": 0.016, "pid": 1, "tid": 3},
+    {"name": "test.ring.a", "ph": "E", "ts": 0.017, "pid": 1, "tid": 0},
+    {"name": "test.ring.g", "ph": "C", "ts": 0.018, "pid": 1, "tid": 0, "args": {"value": null}},
+    {"name": "test.ring.a", "ph": "B", "ts": 0.019, "pid": 1, "tid": 0},
+    {"name": "test.ring.a", "ph": "E", "ts": 0.019, "pid": 1, "tid": 0},
+|}
+
+let chrome_json_keeps_its_bytes () =
+  with_recording @@ fun r ->
+  Obs.spanned sp_ring_a (fun () ->
+      Obs.set_gauge g_ring 1.5;
+      Obs.enter sp_ring_b;
+      Obs.set_gauge g_ring (-0.25);
+      Obs.leave sp_ring_b);
+  Obs.inject_event sp_ring_b ~track:300 ~is_begin:true ~ts:5;
+  Obs.inject_event sp_ring_b ~track:300 ~is_begin:false ~ts:9;
+  (match
+     Obs.Parallel.job_begin ~span:sp_ring_a ~task_span:sp_ring_b ~wait_gauge:g_ring ~tasks:3
+   with
+  | Some j ->
+      for i = 0 to 2 do
+        Obs.Parallel.task j i (fun () -> Obs.set_gauge g_ring (float_of_int i +. 0.5))
+      done;
+      Obs.Parallel.job_end j
+  | None -> Alcotest.fail "no job while recording");
+  Obs.set_gauge g_ring nan;
+  Obs.enter sp_ring_a;
+  let json = Obs.chrome_json r in
+  if not (String.starts_with ~prefix:five_column_trace json) then
+    Alcotest.failf "the trace's events differ:\n%s" json
+
+(* A warm scrape of the serve registry after one serve-metrics batch
+   (four 500-request items, each audited and re-solved, under the
+   Recording sink serve-metrics installs) allocates its text once, as
+   the returned string, plus a box and a string per float value: well
+   under twice the text's words. *)
+let warm_scrape_budget () =
+  let r = Obs.recorder () in
+  Obs.set_sink (Obs.Recording r);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.Noop;
+      Obs.reset ())
+    (fun () ->
+      let open Dcache_core in
+      let m = 4 in
+      let spec =
+        {
+          Dcache_workload.Generator.m;
+          n = 500;
+          arrival = Dcache_workload.Arrival.Poisson { rate = 1.0 };
+          placement = Dcache_workload.Placement.Uniform_random;
+        }
+      in
+      let module Auditor = Dcache_sim.Auditor in
+      for k = 0 to 3 do
+        let seq = Dcache_workload.Generator.generate_seeded ~seed:(k + 1) spec in
+        let auditor = Auditor.create Cost_model.unit ~m ~item:(Printf.sprintf "item%d" k) in
+        for j = 1 to Sequence.n seq do
+          Auditor.feed auditor ~server:(Sequence.server seq j) ~time:(Sequence.time seq j)
+        done;
+        ignore (Auditor.finish auditor);
+        ignore (Solve_cache.solve Cost_model.unit seq)
+      done;
+      Solve_cache.clear ();
+      ignore (Prom.exposition ());
+      let text = ref "" in
+      let words = words_per_request ~n:1 (fun () -> text := Prom.exposition ()) in
+      let text_words = float_of_int (String.length !text) /. float_of_int (Sys.word_size / 8) in
+      budget "a warm scrape, in words of its text" 2.0 (words /. text_words))
+
+(* The ring is three words per event: a recorder of n events
+   allocates 3n words and a few dozen more *)
+let recorder_budget () =
+  let n = 100_000 in
+  budget "Obs.recorder ~capacity:100_000"
+    (float_of_int ((3 * n) + 64))
+    (words_per_request ~n:1 (fun () -> Obs.recorder ~capacity:n ()))
+
 let suite =
   [
     case "obs: Noop probes are dead" noop_probes_are_dead;
@@ -664,4 +1002,12 @@ let suite =
     case "obs: perf-gate baseline round-trips" baseline_roundtrip;
     case "obs: the committed perf-gate baseline parses" committed_baseline_parses;
     case "obs: malformed perf-gate baselines are rejected" malformed_baselines_rejected;
+    scrape_matches_reference;
+    case "obs: two names that render one family are refused" colliding_names_refused;
+    case "obs: validate rejects a second TYPE and a repeated series"
+      validate_rejects_redeclared_families;
+    case "obs: ring events keep tag, name and track at the key's extremes" ring_key_extremes;
+    case "obs: chrome_json prints the five-column ring's bytes" chrome_json_keeps_its_bytes;
+    case "obs: a warm scrape of the serve registry stays within 2x its text" warm_scrape_budget;
+    case "obs: a recorder's ring is three words per event" recorder_budget;
   ]

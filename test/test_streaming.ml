@@ -440,6 +440,81 @@ let push_words_past_first_block () =
           words)
     (budget_workloads ())
 
+(* Streams that end within a few rows of a block boundary: 64, 128,
+   ..., 4 096 rows (the appended blocks that double the stream), and
+   8 192 (the first 4 096-row block after them).  Each is solved three
+   ways, bit for bit alike: [of_sequence] in one block, [create] and a
+   push per request across the appended blocks, and [of_sequence] on
+   a prefix pushed past its end with the rest (copied once when the
+   prefix's rows are not whole 64-row pages, appended when they are). *)
+let boundary_problem_gen =
+  let open QCheck.Gen in
+  let* k = int_range 0 7
+  and* d = int_range (-3) 3
+  and* m = oneofl [ 1; 2; 8 ]
+  and* seed = int_bound 1_000_000
+  and* mu = float_range 0.1 4.0
+  and* lambda = float_range 0.1 4.0
+  and* upload = oneof [ return infinity; float_range 0.1 4.0 ] in
+  (* the boundary counts rows, and row 0 is the boundary request *)
+  let n = (64 lsl k) - 1 + d in
+  let seq =
+    Dcache_workload.Generator.generate_seeded ~seed
+      {
+        Dcache_workload.Generator.m;
+        n;
+        arrival = Dcache_workload.Arrival.Poisson { rate = 1.0 };
+        placement = Dcache_workload.Placement.Uniform_random;
+      }
+  in
+  let* prefix = oneof [ int_bound n; return (min n ((64 lsl (k / 2)) - 1)) ] in
+  return ({ model = Cost_model.make ~upload ~mu ~lambda (); seq }, prefix)
+
+let blocks_agree_at_every_boundary =
+  qcheck ~count:40 "streaming: pushes agree with of_sequence at every appended-block boundary"
+    (QCheck.make
+       ~print:(fun ({ model; seq }, prefix) ->
+         Format.asprintf "n = %d, m = %d, prefix %d, %a" (Sequence.n seq) (Sequence.m seq) prefix
+           Cost_model.pp model)
+       boundary_problem_gen)
+    (fun (({ model; seq } as p), prefix) ->
+      let sized, grown = sized_and_grown p in
+      let pushed_past = Streaming_dp.of_sequence model (Sequence.sub seq prefix) in
+      for i = prefix + 1 to Sequence.n seq do
+        Streaming_dp.push pushed_past ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+      done;
+      same_answers sized grown && same_answers pushed_past grown)
+
+(* The grow counts and capacities the ledger and the perf gate read:
+   a stream appends 64, 128, ..., 2 048 rows and then 4 096 at a time,
+   so 500 requests fit in 512 rows after 3 grows, the perf gate's 1 000
+   pushes end at 1 024 rows (arena_cap 6 144 at m = 6) after 4, and
+   100 000 requests at 102 400 rows after 30 *)
+let appended_blocks_keep_counts () =
+  let module Obs = Dcache_obs.Obs in
+  let r = Obs.recorder ~clock:(Dcache_obs.Clock.ticks ()) () in
+  Obs.set_sink (Obs.Recording r);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.Noop;
+      Obs.reset ())
+    (fun () ->
+      let grows = Obs.counter "streaming_dp.grow" and arena = Obs.gauge "streaming_dp.arena_cap" in
+      List.iter
+        (fun (n, m, want_grows, want_rows) ->
+          Obs.reset ();
+          let stream = Streaming_dp.create Cost_model.unit ~m in
+          for i = 1 to n do
+            Streaming_dp.push stream ~server:(i mod m) ~time:(float_of_int i)
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "grows at n = %d" n)
+            want_grows (Obs.counter_value grows);
+          check_float (Printf.sprintf "arena_cap at n = %d" n)
+            (float_of_int (want_rows * m))
+            (Obs.gauge_value arena))
+        [ (500, 4, 3, 512); (1000, 6, 4, 1024); (100_000, 1, 30, 102_400) ])
+
 let suite =
   [
     prefix_optima_match_batch;
@@ -461,4 +536,7 @@ let suite =
     schedule_matches_reference_walk;
     blocks_match_one_block;
     case "streaming: pushes past the first block stay within 7 words" push_words_past_first_block;
+    blocks_agree_at_every_boundary;
+    case "streaming: appended blocks keep the grow counts and capacities"
+      appended_blocks_keep_counts;
   ]
