@@ -77,7 +77,9 @@ trace: build
 	@echo "trace written to _build/trace/quick.json (load in chrome://tracing or ui.perfetto.dev)"
 
 # end-to-end metrics loop: serve the simulated workload on an
-# ephemeral port, scrape /metrics once, then validate the exposition
+# ephemeral port, scrape /metrics once, stop the server with SIGTERM
+# (it must exit 0 and leave no <pid>.events ring file), then validate
+# the exposition
 # with the golden 0.0.4 parser (see docs/OBSERVABILITY.md)
 metrics-demo: build
 	@set -e; \
@@ -93,6 +95,8 @@ metrics-demo: build
 	[ -n "$$port" ] || { echo "metrics-demo: server never announced a port"; exit 1; }; \
 	curl -sf "http://127.0.0.1:$$port/metrics" > _build/metrics-demo.prom; \
 	kill $$pid 2>/dev/null || true; \
+	wait $$pid || { echo "metrics-demo: the server did not exit 0 on SIGTERM"; exit 1; }; \
+	[ ! -e $$pid.events ] || { echo "metrics-demo: $$pid.events left behind"; exit 1; }; \
 	$(BUILD)/bin/dcache.exe check-metrics _build/metrics-demo.prom; \
 	grep -qF 'dcache_serve_item_sc_vs_opt{item="item0"}' _build/metrics-demo.prom \
 	  || { echo "metrics-demo: no labeled family in the exposition"; exit 1; }; \

@@ -25,6 +25,21 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE" ~doc:"CSV trace file (server,time per line).")
 
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+      prerr_endline ("dcache: " ^ msg);
+      exit 1
+
+(* Every output file is opened before the work starts, so a path that
+   cannot be written fails the run at once ("dcache: PATH: REASON",
+   exit 1) instead of after its results were printed. *)
+let open_out_or_die path =
+  match Out_channel.open_text path with oc -> oc | exception Sys_error msg -> or_die (Error msg)
+
+let enable_trace_or_die path =
+  try Dcache_obs.Obs.enable_file_trace path with Sys_error msg -> or_die (Error msg)
+
 (* [--trace] is taken (the input CSV), so the profiling flag is
    [--trace-json]; DCACHE_TRACE=FILE works for every subcommand. *)
 let obs_term =
@@ -37,9 +52,7 @@ let obs_term =
             "Write a Chrome trace_event profile (chrome://tracing, Perfetto) of this run to \
              $(docv); also enabled by $(b,DCACHE_TRACE)=FILE.")
   in
-  let install path =
-    match path with Some p -> Dcache_obs.Obs.enable_file_trace p | None -> ()
-  in
+  let install path = Option.iter enable_trace_or_die path in
   Term.(const install $ arg)
 
 (* A library call that checks its options: its [Invalid_argument]
@@ -49,12 +62,6 @@ let checked f = try Ok (f ()) with Invalid_argument msg -> Error msg
 let model_of mu lambda = checked (fun () -> Cost_model.make ~mu ~lambda ())
 
 let load_trace filename m = Dcache_workload.Trace_io.read ~filename ~m
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      prerr_endline ("dcache: " ^ msg);
-      exit 1
 
 (* Extreme but finite rates (say --mu 1e308) overflow the costs to
    inf; report that instead of printing inf and nan ratios. *)
@@ -166,15 +173,18 @@ let generate_cmd =
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
   in
   let run m n seed arrival placement out =
+    let oc = Option.map open_out_or_die out in
     let seq =
       or_die
         (checked (fun () ->
              Dcache_workload.Generator.generate_seeded ~seed
                { Dcache_workload.Generator.m; n; arrival; placement }))
     in
-    match out with
+    match oc with
     | None -> Dcache_workload.Trace_io.output stdout seq
-    | Some filename -> Dcache_workload.Trace_io.write ~filename seq
+    | Some oc ->
+        Dcache_workload.Trace_io.output oc seq;
+        Out_channel.close oc
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Synthesise a request trace")
@@ -328,6 +338,7 @@ let render_cmd =
   let run trace m mu lambda out with_online =
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
+    let oc = open_out_or_die out in
     let opt_result = Offline_dp.solve model seq in
     let opt_sched = Offline_dp.schedule opt_result in
     let panels =
@@ -352,7 +363,8 @@ let render_cmd =
           }
         seq panels
     in
-    Dcache_viz.Svg.write ~filename:out svg;
+    Out_channel.output_string oc svg;
+    Out_channel.close oc;
     Printf.printf "wrote %s\n" out
   in
   Cmd.v
@@ -435,6 +447,7 @@ let audit_cmd =
     let module Obs = Dcache_obs.Obs in
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
+    let metrics = Option.map (fun path -> (path, open_out_or_die path)) metrics_out in
     (* a recording sink so the audit.* families accumulate; --trace-json
        or DCACHE_TRACE may already have installed one *)
     (match Obs.sink () with
@@ -473,12 +486,12 @@ let audit_cmd =
             w.w_opt w.w_ratio)
         report.witnesses
     end;
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Dcache_obs.Prometheus.exposition ()));
-        Printf.printf "wrote %s\n" path);
+    Option.iter
+      (fun (path, oc) ->
+        Out_channel.output_string oc (Dcache_obs.Prometheus.exposition ());
+        Out_channel.close oc;
+        Printf.printf "wrote %s\n" path)
+      metrics;
     if strict && report.violations > 0 then exit 2
   in
   Cmd.v
@@ -511,7 +524,10 @@ let serve_metrics_cmd =
     Arg.(
       value
       & opt int 0
-      & info [ "batches" ] ~docv:"K" ~doc:"Simulation batches to run; 0 runs until killed.")
+      & info [ "batches" ] ~docv:"K"
+          ~doc:
+            "Simulation batches to run; 0 runs until SIGTERM or SIGINT, which stop it after the \
+             current batch.")
   in
   let batch_size_arg =
     Arg.(value & opt int 2000 & info [ "batch-size" ] ~docv:"N" ~doc:"Requests per batch.")
@@ -535,6 +551,13 @@ let serve_metrics_cmd =
     if batch_size / items < 2 then
       or_die (Error "--batch-size must leave at least 2 requests per item");
     let model = or_die (model_of mu lambda) in
+    (* SIGTERM or SIGINT ends the run after the current batch, through
+       the normal exit: the trace is written, the bridge stopped and
+       the runtime's <pid>.events ring file removed *)
+    let stop = Atomic.make false in
+    List.iter
+      (fun signal -> Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set stop true)))
+      [ Sys.sigterm; Sys.sigint ];
     (* --trace-json may already have installed a recording sink (and
        will dump the Chrome trace at exit); otherwise record without
        a trace file so quantiles accumulate either way *)
@@ -604,7 +627,7 @@ let serve_metrics_cmd =
       Obs.set_gauge g_ratio (Dcache_obs.Audit.ratio ~online:!online_total ~opt:!opt_total)
     in
     let rec loop i =
-      if batches = 0 || i < batches then begin
+      if (batches = 0 || i < batches) && not (Atomic.get stop) then begin
         batch i;
         ignore (Prom.poll server);
         (match bridge with Some t -> ignore (Bridge.poll t) | None -> ());
@@ -636,9 +659,15 @@ let check_metrics_cmd =
   in
   let run file =
     let text =
-      match In_channel.with_open_text file In_channel.input_all with
-      | s -> s
+      match In_channel.open_text file with
       | exception Sys_error msg -> or_die (Error msg)
+      | ic -> (
+          (* a read error (a directory, say) names no path: add it *)
+          match
+            Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () -> In_channel.input_all ic)
+          with
+          | s -> s
+          | exception Sys_error msg -> or_die (Error (file ^ ": " ^ msg)))
     in
     match Dcache_obs.Prometheus.validate text with
     | Ok samples -> Printf.printf "dcache: valid Prometheus 0.0.4 exposition, %d samples\n" samples
@@ -683,7 +712,7 @@ let experiments_cmd =
     Term.(const run $ obs_term $ quick $ names)
 
 let () =
-  Dcache_obs.Obs.install_from_env ();
+  (try Dcache_obs.Obs.install_from_env () with Sys_error msg -> or_die (Error msg));
   let info =
     Cmd.info "dcache" ~version:"1.0.0"
       ~doc:"Cost-driven data caching in mobile cloud services (ICPP 2017 reproduction)"

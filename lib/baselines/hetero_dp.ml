@@ -22,27 +22,22 @@ let close_matrix lambda =
   done;
   closed
 
-let make_costs ~mu ~lambda =
-  let m = Array.length mu in
-  if m = 0 then Error "Hetero_dp: empty cost matrix"
-  else if Array.length lambda <> m || Array.exists (fun row -> Array.length row <> m) lambda
-  then Error "Hetero_dp: lambda must be m x m"
-  else if Array.exists (fun x -> not (Float.is_finite x && x > 0.)) mu then
-    Error "Hetero_dp: mu rates must be positive and finite"
-  else begin
-    let off_diagonal_ok = ref true in
-    Array.iteri
-      (fun i row ->
-        Array.iteri
-          (fun j x -> if i <> j && not (Float.is_finite x && x > 0.) then off_diagonal_ok := false)
-          row)
-      lambda;
-    if not !off_diagonal_ok then Error "Hetero_dp: lambda prices must be positive and finite"
-    else Ok { mu = Array.copy mu; lambda = close_matrix lambda }
-  end
-
 let make_costs_exn ~mu ~lambda =
-  match make_costs ~mu ~lambda with Ok c -> c | Error msg -> invalid_arg msg
+  let m = Array.length mu in
+  if m = 0 then invalid_arg "Hetero_dp: empty cost matrix";
+  if Array.length lambda <> m || Array.exists (fun row -> Array.length row <> m) lambda then
+    invalid_arg "Hetero_dp: lambda must be m x m";
+  if Array.exists (fun x -> not (Float.is_finite x && x > 0.)) mu then
+    invalid_arg "Hetero_dp: mu rates must be positive and finite";
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j x ->
+          if i <> j && not (Float.is_finite x && x > 0.) then
+            invalid_arg "Hetero_dp: lambda prices must be positive and finite")
+        row)
+    lambda;
+  { mu = Array.copy mu; lambda = close_matrix lambda }
 
 let of_homogeneous model ~m =
   make_costs_exn
@@ -50,7 +45,6 @@ let of_homogeneous model ~m =
     ~lambda:(Array.make_matrix m m model.Cost_model.lambda)
 
 let num_servers c = Array.length c.mu
-let mu_of c s = c.mu.(s)
 let lambda_of c ~src ~dst = c.lambda.(src).(dst)
 
 let engine_costs c =

@@ -24,29 +24,24 @@ open Dcache_core
 
 type costs
 
-val make_costs : mu:float array -> lambda:float array array -> (costs, string) result
+val make_costs_exn : mu:float array -> lambda:float array array -> costs
 (** [mu] has length [m]; [lambda] is [m x m], diagonal ignored.  All
     rates must be positive and finite.  Transfer prices are closed
-    under composition internally. *)
+    under composition internally.
+    @raise Invalid_argument naming the first violated condition. *)
 
-val make_costs_exn : mu:float array -> lambda:float array array -> costs
-(** {!make_costs} without the [result].
-    @raise Invalid_argument with the same message {!make_costs} would
-    return as [Error]. *)
-
+(* dcache-sema: allow S3 — oracle: uniform-rate cases compare solve with Offline_dp *)
 val of_homogeneous : Cost_model.t -> m:int -> costs
 (** Uniform matrix; {!solve} then agrees with
     {!Dcache_core.Offline_dp} (property-tested).
     @raise Invalid_argument if the cost model is invalid for [m]
     servers ({!make_costs_exn}'s conditions). *)
 
-val num_servers : costs -> int
-
-val mu_of : costs -> int -> float
-
+(* dcache-sema: allow S3 — oracle: the closure cases read the closed prices *)
 val lambda_of : costs -> src:int -> dst:int -> float
 (** The {e closed} (multi-hop) price. *)
 
+(* dcache-sema: allow S3 — oracle: replays the witness through Dcache_sim.Engine *)
 val engine_costs : costs -> Dcache_sim.Engine.costs
 (** The same prices in the form the discrete-event engine consumes
     (uploads disabled). *)
@@ -56,6 +51,7 @@ val solve : costs -> Sequence.t -> float
     @raise Invalid_argument if [m > 9] (state space [4^m]) or the
     sequence's [m] disagrees with the cost matrix. *)
 
+(* dcache-sema: allow S3 — oracle: witness schedules for Schedule.validate and the engine *)
 val solve_schedule : costs -> Sequence.t -> float * Schedule.t
 (** Optimal cost plus a witness schedule (feasible per
     {!Dcache_core.Schedule.validate}; multi-hop transfers are emitted

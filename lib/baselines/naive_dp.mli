@@ -22,6 +22,7 @@ open Dcache_core
 val solve : Cost_model.t -> Sequence.t -> float
 (** Optimal total cost (no schedule reconstruction). *)
 
+(* dcache-sema: allow S3 — oracle: the full-scan C/D vectors the streaming arena is checked against *)
 val solve_vectors : Cost_model.t -> Sequence.t -> float array * float array
 (** The full [(C, D)] vectors, for element-wise comparison against the
     fast algorithm. *)

@@ -133,14 +133,6 @@ let sc ?epoch_size model seq =
   let run = Online_sc.run ?epoch_size ~record_events:true model seq in
   { name = "speculative-caching"; schedule = Online_sc.schedule_of_run seq run; cost = run.total_cost }
 
-let sc_with_window ~window model seq =
-  let run = Online_sc.run ~window ~record_events:true model seq in
-  {
-    name = Printf.sprintf "sc(window=%g)" window;
-    schedule = Online_sc.schedule_of_run seq run;
-    cost = run.total_cost;
-  }
-
 let randomized_sc ~rng model seq =
   (* inverse-CDF draw from f(x) = e^x / (e - 1) on [0, 1] (the density
      of the e/(e-1)-competitive randomized ski-rental strategy) *)

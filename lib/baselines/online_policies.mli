@@ -14,28 +14,6 @@ type outcome = {
   cost : float;
 }
 
-val static_home : Cost_model.t -> Sequence.t -> outcome
-(** The single copy never moves from server 0; every request elsewhere
-    is served by a transfer whose copy is dropped immediately.
-    Cost: [mu * t_n + lambda * #{i : s_i <> 0}].
-    @raise Invalid_argument if {!Schedule.make} rejects a piece
-    (unreachable for a validated {!Sequence.t}). *)
-
-val follow : Cost_model.t -> Sequence.t -> outcome
-(** A single copy migrates to every requesting server (the optimal
-    strategy if replication were forbidden — cf. the migrate-only
-    shortest path of {!Dcache_spacetime} once that library is in
-    scope).  Cost: [mu * t_n + lambda * #{i : s_i <> s_{i-1}}].
-    @raise Invalid_argument if {!Schedule.make} rejects a piece
-    (unreachable for a validated {!Sequence.t}). *)
-
-val cache_everywhere : Cost_model.t -> Sequence.t -> outcome
-(** Replicate on first touch and never delete: one transfer per new
-    server, unbounded caching.  The "cloud caches are infinite, keep
-    everything" strawman of Section I.
-    @raise Invalid_argument if {!Schedule.make} rejects a piece
-    (unreachable for a validated {!Sequence.t}). *)
-
 val classic_lru : capacity:int -> Cost_model.t -> Sequence.t -> outcome
 (** The capacity-oriented classic policy of Table I: at most
     [capacity] simultaneous copies, hit when the requesting server
@@ -52,11 +30,6 @@ val sc : ?epoch_size:int -> Cost_model.t -> Sequence.t -> outcome
     @raise Invalid_argument if [epoch_size < 1]
     ({!Online_sc.run}'s condition). *)
 
-val sc_with_window : window:float -> Cost_model.t -> Sequence.t -> outcome
-(** SC with an overridden speculative window (ablation E10).
-    @raise Invalid_argument if the window is not positive
-    ({!Online_sc.run}'s condition). *)
-
 val randomized_sc :
   rng:Dcache_prelude.Rng.t -> Cost_model.t -> Sequence.t -> outcome
 (** SC with a window drawn once per run from the exponential-density
@@ -66,6 +39,7 @@ val randomized_sc :
     @raise Invalid_argument if the drawn window is not positive
     ({!Online_sc.run}'s condition, unreachable for valid models). *)
 
+(* dcache-sema: allow S3 — seed case "baselines: per-copy randomized SC is feasible and consistent" *)
 val randomized_sc_per_copy :
   rng:Dcache_prelude.Rng.t -> Cost_model.t -> Sequence.t -> outcome
 (** SC with an independent ski-rental window drawn at {e every copy
@@ -76,6 +50,17 @@ val randomized_sc_per_copy :
 
 val all_deterministic :
   ?lru_capacity:int -> Cost_model.t -> Sequence.t -> outcome list
-(** Every deterministic policy above, for comparison tables.
+(** Every deterministic policy, for comparison tables, in this order:
+    - ["static-home"]: the single copy never moves from server 0;
+      every request elsewhere is served by a transfer whose copy is
+      dropped immediately.  Cost: [mu * t_n + lambda * #{i : s_i <> 0}];
+    - ["follow"]: a single copy migrates to every requesting server
+      (the optimal strategy if replication were forbidden, the
+      migrate-only shortest path of [Dcache_spacetime]).  Cost:
+      [mu * t_n + lambda * #{i : s_i <> s_{i-1}}];
+    - ["cache-everywhere"]: replicate on first touch and never delete,
+      one transfer per new server: the "cloud caches are infinite,
+      keep everything" strawman of Section I;
+    - {!classic_lru} at [lru_capacity] (default [2]), then {!sc}.
     @raise Invalid_argument if [lru_capacity < 1]
     ({!classic_lru}'s condition). *)

@@ -32,6 +32,7 @@ val solve : ?max_copies:int -> Cost_model.t -> Sequence.t -> float
     @raise Invalid_argument if [m > 20] (state space too large) or
     [max_copies < 1]. *)
 
+(* dcache-sema: allow S3 — oracle: seed case "offline: subset DP's own schedule is feasible with the same cost" *)
 val solve_schedule : Cost_model.t -> Sequence.t -> float * Schedule.t
 (** Optimal cost plus one optimal schedule reconstructed from the
     subset-DP argmins (used to cross-check the validator and

@@ -42,5 +42,3 @@ let lower_bound model seq =
     acc := !acc +. Float.min lam (mu *. sigma)
   done;
   !acc
-
-let coverage_lower_bound model seq = model.Cost_model.mu *. Sequence.horizon seq

@@ -12,10 +12,12 @@
     the online competitive analysis (Lemma 8), and they are the
     [b_i] and [B_i] {!Streaming_dp} keeps, bit for bit. *)
 
+(* dcache-sema: allow S3 — oracle: the fig6 and DP-bound cases check b_i against it *)
 val marginal : Cost_model.t -> Sequence.t -> float array
 (** [marginal model seq] is [b] with [b.(i) = min(lambda_eff, mu *
     sigma_i)] for [1 <= i <= n] and [b.(0) = 0]. *)
 
+(* dcache-sema: allow S3 — oracle: B_i, the running bounds Offline_dp must equal *)
 val running : Cost_model.t -> Sequence.t -> float array
 (** [running model seq] is [bigB] with [bigB.(i) = B_i] (prefix sums
     of {!marginal}); [bigB.(0) = 0]. *)
@@ -27,10 +29,3 @@ val lower_bound : Cost_model.t -> Sequence.t -> float
     the paper uses.  Equal bit for bit to the last entry of
     {!running} and to [Offline_dp.running_bounds]'s, computed in one
     pass without either array. *)
-
-val coverage_lower_bound : Cost_model.t -> Sequence.t -> float
-(** A second, independent lower bound: at least one copy must be
-    cached at every instant of [\[t_0, t_n\]] (constraint (1) of
-    Section III), so every schedule costs at least
-    [mu * t_n].  Combined with nothing else this is also loose, but
-    [max] of the two bounds tightens sanity checks in tests. *)

@@ -34,14 +34,9 @@ val delta_t : t -> float
     transfer.  Always positive: {!make} rejects a window that
     underflows to [0.]; a subnormal one is kept. *)
 
-val caching : t -> duration:float -> float
-(** Cost of caching one copy for [duration] time units. *)
-
 val add : t -> caching:float -> transfers:int -> float
 (** [caching +. float transfers *. lambda]: the sanctioned way to
     total a run whose transfers all cost [lambda].  Counting transfers
     and multiplying once keeps the transfer component exact, where a
     running [+. lambda] fold drops low-order bits per iteration
     (dcache_sema rule S4). *)
-
-val pp : Format.formatter -> t -> unit

@@ -66,8 +66,6 @@ let frequency seq =
     done;
     if counts.(server) = 0 then None else Some (sums.(server) /. float_of_int counts.(server))
 
-let blank ~server:_ ~time:_ = None
-
 let run ?(beta = 0.5) ?record_events predictor model seq =
   if not (beta > 0. && beta <= 1.) then invalid_arg "Online_predictive.run: beta must be in (0, 1]";
   let delta_t = Cost_model.delta_t model in

@@ -44,9 +44,6 @@ val frequency : Sequence.t -> predictor
     inter-request delay as the running mean of the gaps observed so
     far on that server (no lookahead — an online statistic). *)
 
-val blank : predictor
-(** Always [None]: degenerates to the standard SC algorithm. *)
-
 val run :
   ?beta:float ->
   ?record_events:bool ->

@@ -9,5 +9,3 @@ let compare a b =
   match Float.compare a.time b.time with 0 -> Int.compare a.server b.server | c -> c
 
 let equal a b = compare a b = 0
-
-let pp ppf r = Format.fprintf ppf "r@(s%d, %g)" r.server r.time

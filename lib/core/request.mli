@@ -13,8 +13,9 @@ val make : server:int -> time:float -> t
 (** @raise Invalid_argument on a negative server or a non-finite
     time. *)
 
+(* dcache-sema: allow S3 — seed case "request: ordering"; R4's documented fix *)
 val compare : t -> t -> int
 (** Orders by time, then by server. *)
 
+(* dcache-sema: allow S3 — seed case "request: ordering"; R4's documented fix *)
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

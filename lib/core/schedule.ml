@@ -165,8 +165,8 @@ let transfers t =
 
 (* [Stats.kahan_add]'s Neumaier step, unchanged, on a local
    [| sum; compensation |] accumulator.  Inlined, so the piece cost [x]
-   is never boxed; both sums match a [Stats.kahan_sum] of the
-   per-piece costs bit for bit. *)
+   is never boxed; both sums match a [Stats.kahan] accumulator over
+   the per-piece costs bit for bit. *)
 let[@inline] neumaier acc x =
   let sum = acc.(0) in
   let s = sum +. x in
@@ -210,14 +210,6 @@ let exists len p =
 
 let holds_copy_at t ~server ~time =
   exists (num_caches t) (fun k -> t.cache_server.(k) = server && covers t k time)
-
-let union a b =
-  of_columns
-    ~server:(Array.append a.cache_server b.cache_server)
-    ~from_time:(Array.append a.cache_from b.cache_from)
-    ~to_time:(Array.append a.cache_to b.cache_to)
-    ~src:(Array.append a.tr_src b.tr_src) ~dst:(Array.append a.tr_dst b.tr_dst)
-    ~time:(Array.append a.tr_time b.tr_time)
 
 (* -- validation ---------------------------------------------------------- *)
 
@@ -291,17 +283,6 @@ let validate seq t =
     | None -> ()
   end;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
-
-exception Invalid_schedule of string list
-
-let () =
-  Printexc.register_printer (function
-    | Invalid_schedule es ->
-        Some (Printf.sprintf "Schedule.Invalid_schedule [%s]" (String.concat "; " es))
-    | _ -> None)
-
-let validate_exn seq t =
-  match validate seq t with Ok () -> () | Error es -> raise (Invalid_schedule es)
 
 let is_standard_form seq t =
   let n = Sequence.n seq in

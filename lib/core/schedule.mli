@@ -33,7 +33,7 @@ type t
     then end time, and the transfers sorted by time, then destination.
     Pricing and the queries below read the columns and build no list. *)
 
-val of_columns :
+val of_sorted_columns :
   server:int array ->
   from_time:float array ->
   to_time:float array ->
@@ -44,33 +44,20 @@ val of_columns :
 (** The schedule of the cache pieces
     [(server.(k), from_time.(k), to_time.(k))] and the transfers
     [(src.(k), dst.(k), time.(k))], where source [-1] is an upload
-    ({!From_external}).  It checks every piece as {!make} describes,
-    in the same order and with the same messages (caches first, then
-    transfers), then stable-sorts the pieces into fresh columns, so
-    pieces that tie keep their input order.  The input arrays are
-    only read.
+    ({!From_external}), given in the stored order: caches by
+    (server, from, to), transfers by (time, dst).  It checks every
+    piece as {!make} describes, in the same order and with the same
+    messages (caches first, then transfers), then checks the order,
+    and adopts the arrays: the caller gives them up and must not
+    write to them afterwards.
     @raise Invalid_argument on columns of one kind that differ in
-    length, on a malformed piece, or on a source below [-1]. *)
-
-val of_sorted_columns :
-  server:int array ->
-  from_time:float array ->
-  to_time:float array ->
-  src:int array ->
-  dst:int array ->
-  time:float array ->
-  t
-(** {!of_columns} for columns already in the stored order: caches by
-    (server, from, to), transfers by (time, dst).  It runs the same
-    checks with the same messages, then checks the order instead of
-    sorting, and adopts the arrays: the caller gives them up and must
-    not write to them afterwards.
-    @raise Invalid_argument where {!of_columns} does, or on two
+    length, on a malformed piece, on a source below [-1], or on two
     neighbouring pieces out of order. *)
 
 val make : caches:cache list -> transfers:transfer list -> t
-(** {!of_columns} on the pieces of the two lists: they are stored
-    sorted; [make] does not validate feasibility (see {!validate}) but
+(** The schedule of the pieces of the two lists, stable-sorted into
+    the stored order, so pieces that tie keep their input order.
+    [make] does not validate feasibility (see {!validate}) but
     rejects malformed pieces: empty or reversed intervals, negative
     times, a transfer whose source equals its destination.
     @raise Invalid_argument on the first malformed piece, caches
@@ -89,8 +76,8 @@ val transfers : t -> transfer list
 
 val caching_cost : Cost_model.t -> t -> float
 (** [mu] times the summed interval lengths, a compensated (Neumaier)
-    sum in cache order, exactly as {!Dcache_prelude.Stats.kahan_sum}
-    would give. *)
+    sum in cache order, exactly as a {!Dcache_prelude.Stats.kahan}
+    accumulator would give. *)
 
 val transfer_cost : Cost_model.t -> t -> float
 (** [lambda] per server-to-server transfer and [beta] per upload,
@@ -101,17 +88,12 @@ val cost : Cost_model.t -> t -> float
     [beta]). *)
 
 val num_transfers : t -> int
+(* dcache-sema: allow S3 — seed case "schedule: copy queries" (Lemma 5's one copy) *)
 val num_copies_at : t -> float -> int
 (** Number of cache intervals covering the given instant (inclusive
     endpoints). *)
 
 val holds_copy_at : t -> server:int -> time:float -> bool
-
-val union : t -> t -> t
-(** Concatenation of the two piece sets (no deduplication), sorted;
-    among pieces that tie, those of the first schedule come first.
-    @raise Invalid_argument if {!of_columns} rejects a piece
-    (unreachable: both operands were checked when they were built). *)
 
 val validate : Sequence.t -> t -> (unit, string list) result
 (** All feasibility constraints above.  Also rejects overlapping cache
@@ -121,16 +103,6 @@ val validate : Sequence.t -> t -> (unit, string list) result
     @raise Invalid_argument if a piece is structurally malformed
     (negative server, non-finite or reversed interval endpoints): only
     well-formed pieces get the [result] verdict. *)
-
-exception Invalid_schedule of string list
-(** Every violated constraint, in the order {!validate} reports
-    them. *)
-
-val validate_exn : Sequence.t -> t -> unit
-(** @raise Invalid_schedule with the violations, so callers can catch
-    validation failures distinctly from other [Failure]s.
-    @raise Invalid_argument on structurally malformed pieces, as
-    {!validate} does. *)
 
 val is_standard_form : Sequence.t -> t -> bool
 (** Observation 1: every transfer ends on a request, i.e. its

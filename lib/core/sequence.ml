@@ -35,13 +35,13 @@ let of_columns ~m ~servers ~times =
   | Ok () -> Ok { m; server = servers; time = times }
   | Error _ as e -> e
 
-let create ~m requests =
-  of_columns ~m
-    ~servers:(Array.map (fun (r : Request.t) -> r.server) requests)
-    ~times:(Array.map (fun (r : Request.t) -> r.time) requests)
-
 let get_exn = function Ok t -> t | Error msg -> invalid_arg msg
-let create_exn ~m requests = get_exn (create ~m requests)
+
+let create_exn ~m requests =
+  get_exn
+    (of_columns ~m
+       ~servers:(Array.map (fun (r : Request.t) -> r.server) requests)
+       ~times:(Array.map (fun (r : Request.t) -> r.time) requests))
 
 let of_list ~m pairs =
   let requests =
@@ -54,15 +54,7 @@ let n t = Array.length t.server
 let server t i = if i = 0 then 0 else t.server.(i - 1)
 let time t i = if i = 0 then 0.0 else t.time.(i - 1)
 
-(* in-range by construction: the public [request] adds the bound check
-   (and documents the raise); internal traversals must not inherit it *)
-let unsafe_request t i = { Request.server = t.server.(i - 1); time = t.time.(i - 1) }
-
-let request t i =
-  if i < 1 || i > n t then invalid_arg "Sequence.request: index out of range";
-  unsafe_request t i
-
-let requests t = Array.init (n t) (fun i -> unsafe_request t (i + 1))
+let requests t = Array.init (n t) (fun i -> { Request.server = t.server.(i); time = t.time.(i) })
 let horizon t = time t (n t)
 
 let prevs t =
@@ -96,10 +88,3 @@ let sub t k =
   if k < 0 || k > n t then invalid_arg "Sequence.sub: index out of range";
   (* a prefix of a valid instance is valid: [get_exn] cannot raise *)
   get_exn (of_columns ~m:t.m ~servers:(Array.sub t.server 0 k) ~times:(Array.sub t.time 0 k))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>m=%d, n=%d" t.m (n t);
-  for i = 1 to n t do
-    Format.fprintf ppf "@,  r%d = %a" i Request.pp (unsafe_request t i)
-  done;
-  Format.fprintf ppf "@]"

@@ -30,18 +30,16 @@ val of_columns : m:int -> servers:int array -> times:float array -> (t, string) 
     to them afterwards.  Every other constructor goes through this
     one. *)
 
-val create : m:int -> Request.t array -> (t, string) result
-(** [create ~m requests] is {!of_columns} on the requests' servers
-    and times. *)
-
 val create_exn : m:int -> Request.t array -> t
-(** @raise Invalid_argument when {!create} would return an error. *)
+(** {!of_columns} on the requests' servers and times.
+    @raise Invalid_argument when {!of_columns} would return an
+    error. *)
 
 val of_list : m:int -> (int * float) list -> t
 (** Convenience for literals: [(server, time)] pairs, validated as in
     {!create_exn}.
     @raise Invalid_argument on a negative server or non-finite time
-    ({!Request.make}) or when {!create} would return an error. *)
+    ({!Request.make}) or when {!of_columns} would return an error. *)
 
 val m : t -> int
 (** Number of servers. *)
@@ -54,10 +52,6 @@ val server : t -> int -> int
 
 val time : t -> int -> float
 (** [time t i] for [i] in [\[0, n\]]; [time t 0 = 0]. *)
-
-val request : t -> int -> Request.t
-(** [request t i] for [i] in [\[1, n\]].
-    @raise Invalid_argument when [i] is outside that range. *)
 
 val requests : t -> Request.t array
 (** The [n] user requests (a fresh copy). *)
@@ -86,5 +80,3 @@ val sub : t -> int -> t
 (** [sub t k] is the instance restricted to the first [k] requests
     ([1 <= k <= n] — with [k = 0] the empty instance).
     @raise Invalid_argument if [k < 0] or [k > n]. *)
-
-val pp : Format.formatter -> t -> unit

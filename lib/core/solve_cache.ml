@@ -39,7 +39,7 @@ let tick = ref 0
 let hits = ref 0
 let misses = ref 0
 let evictions = ref 0
-let bound = ref 64
+let capacity = 64
 
 (* The model's three rates as IEEE bits, then the digest of the
    sequence's fingerprint: hashing the fingerprint where it lies saves
@@ -81,15 +81,13 @@ let solve model seq =
       incr misses;
       Obs.incr c_miss;
       incr tick;
-      if Hashtbl.length table >= !bound then evict_lru ();
+      if Hashtbl.length table >= capacity then evict_lru ();
       Hashtbl.add table k { result; freq = 0; stamp = !tick };
       Obs.set_gauge g_size (float_of_int (Hashtbl.length table));
       result
 
 let stats () =
   { hits = !hits; misses = !misses; evictions = !evictions; size = Hashtbl.length table }
-
-let size () = Hashtbl.length table
 
 let all_freqs () =
   (* dcache-sema: allow R1 — the unordered fold is immediately sorted *)
@@ -114,13 +112,3 @@ let publish_freqs () =
 let clear () =
   Hashtbl.reset table;
   Obs.set_gauge g_size 0.0
-
-let capacity () = !bound
-
-let set_capacity c =
-  if c < 1 then invalid_arg "Solve_cache.set_capacity: capacity must be at least 1";
-  bound := c;
-  while Hashtbl.length table > !bound do
-    evict_lru ()
-  done;
-  Obs.set_gauge g_size (float_of_int (Hashtbl.length table))

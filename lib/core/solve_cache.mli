@@ -7,8 +7,9 @@
     IEEE bits plus the digest of {!Sequence.fingerprint} — with bounded
     capacity and least-recently-used eviction.
 
-    The bookkeeping discipline (typed per-cache stats, [size],
-    [all_freqs], [clear]) is modeled on coq-lsp's [Memo] tables.
+    The bookkeeping discipline (typed per-cache stats, per-entry hit
+    counts, [clear]) is modeled on coq-lsp's [Memo] tables; the table
+    holds at most 64 entries.
     Counters [solve_cache.hit]/[miss]/[evict] and the [solve_cache.size]
     gauge are registered with [dcache_obs], so a Recording sink (e.g.
     [dcache serve-metrics]) exports them at the Prometheus [/metrics]
@@ -24,7 +25,7 @@ val solve : Cost_model.t -> Sequence.t -> Offline_dp.t
     physically-same solver result (so downstream
     {!Offline_dp.schedule} memoisation is shared too); a miss runs the
     sweep, stores it, and evicts the least-recently-used entry when
-    the table is at capacity.
+    the table holds 64.
     @raise Invalid_argument as {!Offline_dp.solve} on invalid input
     (nothing is cached in that case). *)
 
@@ -37,28 +38,16 @@ type stats = {
 
 val stats : unit -> stats
 
-val size : unit -> int
-(** Live entries; [stats ()] bundles the same number. *)
-
-val all_freqs : unit -> int list
-(** Per-entry hit counts of the live entries, most-used first.
-    Entries that never hit report [0]. *)
-
 val publish_freqs : unit -> unit
-(** Export {!all_freqs} through the labeled [solve_cache.entry_freq]
-    gauge family: one child per popularity rank ([rank="0"] is the
-    hottest entry, 8 ranks) plus [rank="other"] carrying the summed
-    tail; unused ranks are zeroed.  No-op under the [Noop] sink.
+(** Export the live entries' hit counts, most-used first (an entry
+    that never hit counts [0]), through the labeled
+    [solve_cache.entry_freq] gauge family: one child per popularity
+    rank ([rank="0"] is the hottest entry, 8 ranks) plus
+    [rank="other"] carrying the summed tail; unused ranks are zeroed.
+    No-op under the [Noop] sink.
     Call it from the serving loop whenever a scrape-fresh profile is
     wanted. *)
 
 val clear : unit -> unit
 (** Drops every entry.  Cumulative counters ([hits], [misses],
     [evictions]) are preserved — they describe traffic, not contents. *)
-
-val capacity : unit -> int
-
-val set_capacity : int -> unit
-(** Changes the entry bound (default [64]), evicting down to it
-    immediately if the table is over.
-    @raise Invalid_argument when the bound is below [1]. *)

@@ -196,8 +196,6 @@ let make model ~m ~cap =
 let create model ~m = make model ~m ~cap:initial_cap
 
 let n t = t.len - 1
-let m t = t.m
-let model t = t.model
 
 (* the block holding row (or nxt slot) [r >= 0]; [r]'s offset in it
    is [r - first] *)
@@ -244,14 +242,6 @@ let marginal_at t i =
 let running_at t i =
   check t i "running_at";
   fx t i f_b
-
-let server_at t i =
-  check t i "server_at";
-  ix t i k_server
-
-let time_at t i =
-  check t i "time_at";
-  fx t i f_time
 
 let pivot_at t i =
   check t i "pivot_at";

@@ -41,13 +41,6 @@ val push : t -> server:int -> time:float -> unit
     @raise Invalid_argument if the server is out of range or the time
     does not strictly exceed the previous request's. *)
 
-val n : t -> int
-(** Requests pushed so far. *)
-
-val m : t -> int
-
-val model : t -> Cost_model.t
-
 val cost : t -> float
 (** [C(n)]: optimal cost of serving everything pushed so far. *)
 
@@ -79,12 +72,6 @@ val running_at : t -> int -> float
 val pivot_at : t -> int -> int option
 (** The pivot [kappa] chosen for [D(i)], when Lemma 4 won.
     @raise Invalid_argument when [i] is out of range. *)
-
-val server_at : t -> int -> int
-(** @raise Invalid_argument when the index is out of range. *)
-
-val time_at : t -> int -> float
-(** @raise Invalid_argument when the index is out of range. *)
 
 val schedule : t -> Schedule.t
 (** Optimal schedule for the current prefix, by backtracking.  An

@@ -13,8 +13,6 @@ let fig2 () =
     [ (1, 1.2); (0, 1.4); (2, 1.6); (1, 3.1); (0, 3.15); (2, 3.2) ]
 
 let fig2_expected_caching = 3.2
-let fig2_expected_transfers = 4
-let fig2_expected_total = 7.2
 
 let fig6_model = Cost_model.unit
 

@@ -15,8 +15,6 @@ val fig2 : unit -> Sequence.t
     [7.2], exactly as read off the paper's Fig 2. *)
 
 val fig2_expected_caching : float
-val fig2_expected_transfers : int
-val fig2_expected_total : float
 
 val fig6_model : Cost_model.t
 (** [mu = 1, lambda = 1] (stated in Section IV). *)

@@ -22,13 +22,6 @@ let v_item_cost = Obs.gauge_vec "multi_item.item_cost" ~labels:[ "item" ]
 
 type item = { label : string; size : float; requests : Request.t array }
 
-let item ?(size = 1.0) label pairs =
-  {
-    label;
-    size;
-    requests = Array.of_list (List.map (fun (server, time) -> Request.make ~server ~time) pairs);
-  }
-
 type planned = {
   p_label : string;
   p_cost : float;
@@ -130,7 +123,10 @@ let minimum_caching model ~m items =
 
 type budgeted = { feasible : plan; multiplier : float; dual_bound : float }
 
-let plan_with_caching_budget ?(tolerance = 1e-6) model ~m ~budget items =
+(* relative bisection stopping width on theta *)
+let tolerance = 1e-6
+
+let plan_with_caching_budget model ~m ~budget items =
   Obs.spanned sp_budget @@ fun () ->
   let pairs = validate ~m items in
   if Obs.probe () then Obs.add c_items (List.length pairs);

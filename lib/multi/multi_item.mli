@@ -25,9 +25,6 @@ type item = {
   requests : Request.t array;
 }
 
-val item : ?size:float -> string -> (int * float) list -> item
-(** Convenience constructor ([size] defaults to [1.0]). *)
-
 type planned = {
   p_label : string;
   p_cost : float;  (** true cost (unscaled by any multiplier) *)
@@ -62,7 +59,7 @@ type budgeted = {
 }
 
 val plan_with_caching_budget :
-  ?tolerance:float -> Cost_model.t -> m:int -> budget:float -> item list -> (budgeted, string) result
+  Cost_model.t -> m:int -> budget:float -> item list -> (budgeted, string) result
 (** Errors when the budget is below {!minimum_caching} (no feasible
-    plan exists).  [tolerance] is the relative bisection stopping
-    width on [theta] (default [1e-6]). *)
+    plan exists).  The bisection on [theta] stops at a relative width
+    of [1e-6]. *)

@@ -63,7 +63,6 @@ let f_ratio = 9
 type t = {
   window_size : int;
   bound : float;
-  epsilon : float;
   fl : float array;
   mutable n : int;  (* observations so far *)
   mutable win_first : int;  (* first request index of the open window *)
@@ -82,11 +81,13 @@ type t = {
 
 let[@inline] ratio ~online ~opt = if opt > 0.0 then online /. opt else 1.0
 
-let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capacity = 16) ?item ()
-    =
+(* the slack before the bound monitor fires, absorbing float rounding
+   in the cost recurrences *)
+let epsilon = 1e-6
+
+let create ?(window_size = 64) ?(bound = 3.0) ?(witness_capacity = 16) ?item () =
   if window_size < 1 then invalid_arg "Audit.create: window_size must be positive";
   if not (bound > 0.0) then invalid_arg "Audit.create: bound must be positive";
-  if epsilon < 0.0 then invalid_arg "Audit.create: epsilon must be non-negative";
   if witness_capacity < 1 then invalid_arg "Audit.create: witness_capacity must be positive";
   let fl = Array.make 10 0.0 in
   fl.(f_lw_ratio) <- 1.0;
@@ -95,7 +96,6 @@ let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capaci
   {
     window_size;
     bound;
-    epsilon;
     fl;
     n = 0;
     win_first = 1;
@@ -150,7 +150,7 @@ let[@inline] observe_costs t online opt =
   t.fl.(f_opt) <- opt;
   let r = ratio ~online ~opt in
   t.fl.(f_ratio) <- r;
-  let violated = opt > 0.0 && online > (t.bound +. t.epsilon) *. opt in
+  let violated = opt > 0.0 && online > (t.bound +. epsilon) *. opt in
   if violated then begin
     (* rare by Theorem 3 — any entry here is an implementation bug,
        so the witness allocation is fine *)
@@ -200,9 +200,7 @@ let n t = t.n
 let windows_closed t = t.windows
 let prefix_online t = t.fl.(f_online)
 let prefix_opt t = t.fl.(f_opt)
-let prefix_ratio t = t.fl.(f_ratio)
 let violations t = t.violations
-let bound t = t.bound
 
 let witnesses t =
   (* ring order: oldest retained first *)

@@ -55,19 +55,13 @@ val ratio : online:float -> opt:float -> float
     a stale reading behind). *)
 
 val create :
-  ?window_size:int ->
-  ?bound:float ->
-  ?epsilon:float ->
-  ?witness_capacity:int ->
-  ?item:string ->
-  unit ->
-  t
+  ?window_size:int -> ?bound:float -> ?witness_capacity:int -> ?item:string -> unit -> t
 (** [window_size] requests per regret window (default [64]);
     [bound] is the competitive bound to monitor (default [3.0],
-    Theorem 3); [epsilon] the slack before firing (default [1e-6],
-    absorbing float rounding in the cost recurrences);
-    [witness_capacity] the size of the violation ring (default [16],
-    keeping the most recent witnesses).
+    Theorem 3), with a slack of [1e-6] before firing, absorbing float
+    rounding in the cost recurrences; [witness_capacity] the size of
+    the violation ring (default [16], keeping the most recent
+    witnesses).
 
     [item] names the stream this auditor watches in the labeled
     [audit.item_window_ratio] / [audit.item_windows] families
@@ -77,8 +71,8 @@ val create :
     cardinality is bounded by the family cap (past it, items collapse
     into the ["other"] child).  Without [item] only the unlabeled
     aggregates are touched.
-    @raise Invalid_argument if [window_size < 1], [bound <= 0.],
-    [epsilon < 0.], or [witness_capacity < 1]. *)
+    @raise Invalid_argument if [window_size < 1], [bound <= 0.], or
+    [witness_capacity < 1]. *)
 
 val observe : t -> online:float -> opt:float -> bool
 (** Feed the cumulative costs after one more request.  Returns [true]
@@ -116,23 +110,19 @@ val n : t -> int
 
 val windows_closed : t -> int
 
+(* dcache-sema: allow S3 — oracle: the hand-off cases read the cost Audit received, bit for bit *)
 val prefix_online : t -> float
 (** Latest cumulative online cost observed. *)
 
+(* dcache-sema: allow S3 — oracle: the hand-off cases read the cost Audit received, bit for bit *)
 val prefix_opt : t -> float
 (** Latest cumulative offline optimum observed. *)
 
-val prefix_ratio : t -> float
-(** {!ratio} of the latest observation ([1.0] before any). *)
-
 val violations : t -> int
 (** Bound-monitor firings so far (prefixes with
-    [online > (bound + epsilon) * opt]). *)
+    [online > (bound + 1e-6) * opt]). *)
 
 val witnesses : t -> witness list
 (** The retained violation witnesses, oldest first — at most
     [witness_capacity], keeping the most recent when the ring
     wraps. *)
-
-val bound : t -> float
-(** The monitored bound, as given to {!create}. *)

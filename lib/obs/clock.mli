@@ -10,6 +10,7 @@
 type t = unit -> int
 (** Current time in nanoseconds.  Must be non-decreasing. *)
 
+(* dcache-sema: allow S3 — seam: tests substitute a hand-rolled clock for the wall clock *)
 val of_fn : (unit -> int) -> t
 (** Wrap an arbitrary nanosecond source. *)
 
@@ -22,6 +23,7 @@ val monotonic : unit -> t
     the hood — keep it out of anything whose {e output} must be
     deterministic (install it only in recording sinks). *)
 
+(* dcache-sema: allow S3 — seam: the deterministic trace tests substitute the tick clock *)
 val ticks : unit -> t
 (** Virtual clock: each read returns 0, 1, 2, … counted per domain,
     so a span's tick duration measures exactly the clock reads of its

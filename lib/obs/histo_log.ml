@@ -18,8 +18,6 @@ let sub_count = 1 lsl sub_bits (* 16 sub-buckets per octave *)
    plus the 16 exact ones *)
 let num_buckets = (62 - sub_bits + 1) * sub_count
 
-let relative_error = 1.0 /. float_of_int sub_count
-
 type t = {
   cells : int Atomic.t array;
   n : int Atomic.t;
@@ -69,7 +67,6 @@ let record t v =
 
 let count t = Atomic.get t.n
 let sum t = Atomic.get t.total
-let counts t = Array.map Atomic.get t.cells
 
 let reset t =
   Array.iter (fun c -> Atomic.set c 0) t.cells;
@@ -79,7 +76,7 @@ let reset t =
 (* Quantiles over a snapshot walk.  Rank semantics: the value of rank
    ceil(q * n) in the sorted multiset (rank 1 = smallest), reported
    as the holding bucket's upper bound — deterministic and at most
-   [relative_error] high. *)
+   1/16 high. *)
 
 let quantiles t qs =
   let n = Atomic.get t.n in
@@ -121,5 +118,3 @@ let quantiles t qs =
     done;
     out
   end
-
-let quantile t q = (quantiles t [| q |]).(0)

@@ -2,8 +2,8 @@
    pluggable sinks.
 
    The design center is the cost of the *disabled* path.  Every probe
-   ([incr], [add], [set_gauge], [enter], [leave], [spanned]) starts
-   with a read of [state.recording] — one load and one branch, small
+   ([incr], [add], [set_gauge], [spanned]) starts with a read of
+   [state.recording] — one load and one branch, small
    enough for ocamlopt's cross-module inliner — and allocates nothing
    either way: counters are [Atomic.t] cells created at registration,
    gauges are a flat float array, and span events land in
@@ -520,10 +520,6 @@ let set_gauge_cell g cells k =
     record_sample g
   end
 
-let enter sp = if state.recording then record tag_begin sp 0.0
-
-let leave sp = if state.recording then record tag_end sp 0.0
-
 (* Clock of the buffer this domain records into, falling back to the
    recorder's own clock off-buffer.  0 under Noop so callers can time
    unconditionally after one [probe] check. *)
@@ -575,8 +571,6 @@ let inject_event sp ~track ~is_begin ~ts =
 (* -------------------------------------------------------------- readback *)
 
 let counter_value c = Atomic.get !c_cells.(c)
-
-let gauge_value g = !g_cells.(g)
 
 let span_histo sp = !s_histos.(sp)
 
@@ -870,16 +864,21 @@ let write_chrome_trace r ~path =
 
 let trace_at_exit = ref None
 
-let enable_file_trace ?clock ?capacity path =
-  let r = recorder ?clock ?capacity () in
+(* the output is opened here, before any work, so an unwritable path
+   fails the run up front rather than after it *)
+let enable_file_trace path =
+  let oc = Out_channel.open_text path in
+  let r = recorder () in
   set_sink (Recording r);
   (match !trace_at_exit with
-  | Some _ -> ()
+  | Some (_, earlier) -> Out_channel.close_noerr earlier
   | None -> at_exit (fun () ->
         match !trace_at_exit with
-        | Some (r, path) -> write_chrome_trace r ~path
+        | Some (r, oc) ->
+            Out_channel.output_string oc (chrome_json r);
+            Out_channel.close oc
         | None -> ()));
-  trace_at_exit := Some (r, path)
+  trace_at_exit := Some (r, oc)
 
 let env_var = "DCACHE_TRACE"
 

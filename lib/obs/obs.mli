@@ -33,8 +33,8 @@ type gauge = private int
     sample event on the current trace track. *)
 
 type span = private int
-(** Interned span name, for allocation-free {!enter}/{!leave} and
-    {!spanned} at hot call sites.  Every span owns a log-scale
+(** Interned span name, for an allocation-free {!spanned} at hot call
+    sites.  Every span owns a log-scale
     duration histogram ({!Histo_log}) fed by {!spanned},
     {!Parallel.task} and {!observe_span_ns} — the one distribution
     type: quantile telemetry rides the spans that already exist. *)
@@ -117,7 +117,7 @@ type recorder
 (** A recording context: an injected clock plus a preallocated event
     ring.  When the ring fills, the oldest events are overwritten
     (the recent window is the one triage needs) and the loss is
-    reported via {!events_lost} and in the exported trace.  The ring
+    reported in the exported trace ([otherData.eventsLost]).  The ring
     keeps three words per event (a key packing the event's kind, name
     and track, its timestamp and its value): 6 MiB at the default
     capacity. *)
@@ -161,12 +161,6 @@ val set_gauge_cell : gauge -> float array -> int -> unit
     @raise Invalid_argument if [k] is outside [cells] and a recording
     sink is installed. *)
 
-val enter : span -> unit
-(** Record a span-begin event on the current track.  Pair with
-    {!leave}; prefer {!spanned} wherever a closure is acceptable. *)
-
-val leave : span -> unit
-
 val spanned : span -> (unit -> 'a) -> 'a
 (** [spanned sp f] runs [f] inside span [sp]: exception-safe, and
     calls [f] directly (no event, no allocation) when disabled.
@@ -189,7 +183,6 @@ val observe_span_ns : span -> int -> unit
 (** {1 Readback} *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> float
 
 val span_histo : span -> Histo_log.t
 (** The span's duration histogram (live handle, not a snapshot). *)
@@ -221,10 +214,6 @@ val inject_event : span -> track:int -> is_begin:bool -> ts:int -> unit
     high track ids; no-op without a recording sink.
     @raise Invalid_argument if [track] is negative or above [2^30 - 1],
     the largest track an event's key holds. *)
-
-val events_lost : recorder -> int
-(** Events dropped by ring overwrite plus events recorded on domains
-    with no installed buffer. *)
 
 (** {1 Parallel regions}
 
@@ -259,24 +248,29 @@ end
 
 (** {1 Export} *)
 
-val chrome_json : recorder -> string
-(** The trace as Chrome [trace_event] JSON ([chrome://tracing] /
-    Perfetto): B/E duration events and C counter samples, [tid] =
-    logical track, timestamps in microseconds from the recorder's
-    clock.  Every {!set_gauge} is a C event, so the trace doubles as
-    the in-process metric history; a non-finite sample value is
-    written as JSON [null].  Windows truncated by ring overwrite are
-    re-balanced. *)
-
 val write_chrome_trace : recorder -> path:string -> unit
+(** Writes the trace to [path] as Chrome [trace_event] JSON
+    ([chrome://tracing] / Perfetto): B/E duration events and C counter
+    samples, [tid] = logical track, timestamps in microseconds from
+    the recorder's clock.  Every {!set_gauge} is a C event, so the
+    trace doubles as the in-process metric history; a non-finite
+    sample value is written as JSON [null].  Windows truncated by ring
+    overwrite are re-balanced, and [otherData.eventsLost] counts the
+    events dropped by ring overwrite plus those recorded on domains
+    with no installed buffer.
+    @raise Sys_error if [path] cannot be written. *)
 
 (** {1 Wiring} *)
 
-val enable_file_trace : ?clock:Clock.t -> ?capacity:int -> string -> unit
-(** Install a fresh recording sink now and write its Chrome trace to
-    the given path at process exit.  Repeated calls retarget the
-    exit dump to the latest recorder/path. *)
+val enable_file_trace : string -> unit
+(** Open the given path for writing now, install a fresh recording
+    sink (monotonic clock, default capacity) and write its Chrome
+    trace to the path at process exit.  Repeated calls retarget the
+    exit dump to the latest recorder/path.
+    @raise Sys_error if the path cannot be opened for writing; no
+    sink is installed then. *)
 
 val install_from_env : unit -> unit
 (** [enable_file_trace path] when [DCACHE_TRACE=path] is set and
-    non-empty; otherwise leave the {!Noop} sink in place. *)
+    non-empty; otherwise leave the {!Noop} sink in place.
+    @raise Sys_error as {!enable_file_trace}. *)

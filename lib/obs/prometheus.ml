@@ -200,10 +200,11 @@ let known_type t =
   | "counter" | "gauge" | "histogram" | "summary" | "untyped" -> true
   | _ -> false
 
-(* [parse_sample] returns the literal metric name, the label names it
-   carried and its label block's text, so [validate] can enforce
-   family-level consistency and one line per series on top of the
-   line-level grammar. *)
+(* [parse_sample] returns the literal metric name, its (label,
+   unescaped value) pairs and the series' text, so [validate] can
+   enforce family-level consistency and one line per series on top of
+   the line-level grammar.  A label value may escape only a backslash,
+   a double quote and a newline (as n). *)
 let parse_sample line =
   let n = String.length line in
   let i = ref 0 in
@@ -230,23 +231,36 @@ let parse_sample line =
             if !i = s0 then Error "bad label name"
             else begin
               let key = String.sub line s0 (!i - s0) in
-              if List.exists (String.equal key) acc then
+              if List.exists (fun (k, _) -> String.equal key k) acc then
                 Error ("duplicate label name " ^ key)
               else if !i < n && Char.equal line.[!i] '=' then begin
                 incr i;
                 if !i < n && Char.equal line.[!i] '"' then begin
                   incr i;
+                  let value = Buffer.create 16 in
                   let rec str () =
                     if !i >= n then Error "unterminated label value"
                     else if Char.equal line.[!i] '\\' then begin
-                      i := !i + 2;
-                      str ()
+                      if !i + 1 >= n then Error "unterminated label value"
+                      else begin
+                        let c = line.[!i + 1] in
+                        i := !i + 2;
+                        match c with
+                        | '\\' | '"' ->
+                            Buffer.add_char value c;
+                            str ()
+                        | 'n' ->
+                            Buffer.add_char value '\n';
+                            str ()
+                        | c -> Error (Printf.sprintf "unknown escape \\%c in label value" c)
+                      end
                     end
                     else if Char.equal line.[!i] '"' then begin
                       incr i;
                       Ok ()
                     end
                     else begin
+                      Buffer.add_char value line.[!i];
                       incr i;
                       str ()
                     end
@@ -255,7 +269,7 @@ let parse_sample line =
                   | Error _ as e -> e
                   | Ok () ->
                       if !i < n && Char.equal line.[!i] ',' then incr i;
-                      labels (key :: acc)
+                      labels ((key, Buffer.contents value) :: acc)
                 end
                 else Error "label value must be double-quoted"
               end
@@ -269,7 +283,7 @@ let parse_sample line =
     in
     match labels_ok with
     | Error e -> Error e
-    | Ok keys ->
+    | Ok pairs ->
         let series = String.sub line 0 !i in
         if !i < n && Char.equal line.[!i] ' ' then begin
           let rest = String.sub line (!i + 1) (n - !i - 1) in
@@ -278,7 +292,7 @@ let parse_sample line =
           in
           let value_ok v =
             match float_of_string_opt v with
-            | Some _ -> Ok (name, keys, series)
+            | Some _ -> Ok (name, pairs, series)
             | None -> Error ("unparseable sample value " ^ v)
           in
           match fields with
@@ -288,23 +302,23 @@ let parse_sample line =
               | Error _ as e -> e
               | Ok _ -> (
                   match int_of_string_opt ts with
-                  | Some _ -> Ok (name, keys, series)
+                  | Some _ -> Ok (name, pairs, series)
                   | None -> Error ("unparseable timestamp " ^ ts)))
           | _ -> Error "expected 'name[{labels}] value [timestamp]'"
         end
         else Error "missing sample value"
 
-(* the name a TYPE line declares, if the line is one *)
+(* what a TYPE or HELP line declares, if the line is one *)
 let parse_comment line =
   let fields = String.split_on_char ' ' line in
   match fields with
   | "#" :: "TYPE" :: name :: [ typ ] ->
       if not (valid_name name) then Error ("bad metric name in TYPE: " ^ name)
       else if not (known_type typ) then Error ("unknown metric type " ^ typ)
-      else Ok (Some name)
+      else Ok (Some (`Type (name, typ)))
   | "#" :: "TYPE" :: _ -> Error "TYPE line needs 'name type'"
   | "#" :: "HELP" :: name :: _ ->
-      if valid_name name then Ok None else Error ("bad metric name in HELP: " ^ name)
+      if valid_name name then Ok (Some (`Help name)) else Error ("bad metric name in HELP: " ^ name)
   | "#" :: "HELP" :: _ -> Error "HELP line needs a metric name"
   | _ -> Ok None (* free-form comment *)
 
@@ -313,34 +327,52 @@ let validate text =
   (* literal metric name -> sorted label-name set of its first sample;
      every later sample of the same name must carry the same set *)
   let families : (string, string list) Hashtbl.t = Hashtbl.create 64 in
-  (* names with a TYPE line, and series (name and label text) seen *)
-  let typed : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let series_seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* each TYPE line's type, each HELP line's name, and each series
+     seen, keyed by its name and sorted (label, unescaped value) pairs *)
+  let typed : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let helped : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let series_seen : (string * (string * string) list, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* has the family a TYPE or HELP line for [name] introduces already
+     carried a sample: the name itself, or a summary's _sum/_count *)
+  let family_sampled name =
+    Hashtbl.mem families name
+    || (Hashtbl.find_opt typed name = Some "summary"
+       && (Hashtbl.mem families (name ^ "_sum") || Hashtbl.mem families (name ^ "_count")))
+  in
   let rec go ln samples remaining =
     match remaining with
     | [] -> Ok samples
     | line :: rest ->
         if String.length line = 0 then go (ln + 1) samples rest
         else if Char.equal line.[0] '#' then begin
+          let fail fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "line %d: %s" ln msg)) fmt in
           match parse_comment line with
           | Ok None -> go (ln + 1) samples rest
-          | Ok (Some name) ->
-              if Hashtbl.mem typed name then
-                Error (Printf.sprintf "line %d: second TYPE line for metric %s" ln name)
+          | Ok (Some (`Type (name, typ))) ->
+              if Hashtbl.mem typed name then fail "second TYPE line for metric %s" name
               else begin
-                Hashtbl.add typed name ();
+                Hashtbl.add typed name typ;
+                if family_sampled name then fail "TYPE line for metric %s after its samples" name
+                else go (ln + 1) samples rest
+              end
+          | Ok (Some (`Help name)) ->
+              if Hashtbl.mem helped name then fail "second HELP line for metric %s" name
+              else if family_sampled name then fail "HELP line for metric %s after its samples" name
+              else begin
+                Hashtbl.add helped name ();
                 go (ln + 1) samples rest
               end
-          | Error e -> Error (Printf.sprintf "line %d: %s" ln e)
+          | Error e -> fail "%s" e
         end
         else begin
           match parse_sample line with
-          | Ok (name, keys, series) -> (
-              let keys = List.sort String.compare keys in
-              if Hashtbl.mem series_seen series then
+          | Ok (name, pairs, series) -> (
+              let pairs = List.sort compare pairs in
+              let keys = List.map fst pairs in
+              if Hashtbl.mem series_seen (name, pairs) then
                 Error (Printf.sprintf "line %d: repeated series %s" ln series)
               else begin
-                Hashtbl.add series_seen series ();
+                Hashtbl.add series_seen (name, pairs) ();
                 match Hashtbl.find_opt families name with
                 | None ->
                     Hashtbl.add families name keys;

@@ -32,14 +32,17 @@ val exposition : unit -> string
 val validate : string -> (int, string) result
 (** Golden parser for the 0.0.4 text format: checks comment lines
     ([# HELP] / [# TYPE] with a known type), metric-name charset,
-    label syntax and float-parseable sample values; additionally
+    label syntax (a label value escapes only backslash, double quote
+    and newline) and float-parseable sample values; additionally
     rejects a duplicate label name within one sample's label set,
     inconsistent label-name sets across the samples of one literal
-    metric name (family consistency), a second [# TYPE] line for one
-    name, and a repeated series (one name with the same label text
-    twice).  Returns the number of sample lines, or [Error] naming the
-    first bad line — used by the exposition tests and [make
-    metrics-demo]. *)
+    metric name (family consistency), a second [# TYPE] or [# HELP]
+    line for one name, a [# TYPE] or [# HELP] line after a sample of
+    its family (the name itself, or a summary's [_sum]/[_count]), and
+    a repeated series: one name with the same label pairs twice,
+    whatever their order or spelling ([x 1] and [x{} 2] included).
+    Returns the number of sample lines, or [Error] naming the first
+    bad line — used by the exposition tests and [make metrics-demo]. *)
 
 (** {1 HTTP endpoint} *)
 

@@ -11,22 +11,15 @@
     tests, committed baselines).  Call sites gate it behind the same
     flags that pick the monotonic clock ([--trace] in the drivers).
 
-    Timebase: at {!start} the bridge drains the events already in the
+    Timebase: at {!install} the bridge drains the events already in the
     runtime ring (forcing one minor collection so the ring is not
     empty) and aligns the newest runtime timestamp with
     {!Obs.now_ns}; later events are injected with that fixed offset
     applied. *)
 
 type t
-
-val gc_track_base : int
-(** Injected GC spans use track [gc_track_base + ring domain id] —
-    far above any task track a {!Obs.Parallel} job can use. *)
-
-val start : unit -> t
-(** Start runtime events collection ([Runtime_events.start]), open a
-    self-cursor and calibrate the timebase offset.  Safe to call with
-    the [Noop] sink (events are then dropped at injection). *)
+(** Injected GC spans use track [256 + ring domain id], far above any
+    task track a {!Obs.Parallel} job can use. *)
 
 val poll : t -> int
 (** Drain pending runtime events into the trace; returns the number
@@ -39,8 +32,9 @@ val stop : t -> unit
     polled afterwards. *)
 
 val install : unit -> t option
-(** Convenience for the drivers: when a recording sink is installed,
-    {!start} a bridge and register an exit-time {!poll}.  Call it
+(** When a recording sink is installed: start runtime events
+    collection ([Runtime_events.start]), open a self-cursor, calibrate
+    the timebase offset and register an exit-time {!poll}.  Call it
     {e after} [Obs.enable_file_trace] so the LIFO [at_exit] chain
     polls the bridge before the trace file is written.  [None] (and
     no bridge) under [Noop]. *)

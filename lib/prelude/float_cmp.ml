@@ -8,7 +8,6 @@ let approx_eq ?(eps = default_eps) a b =
   else false (* a non-finite value only approximates itself *)
 
 let approx_le ?(eps = default_eps) a b = a <= b || approx_eq ~eps a b
-let approx_ge ?(eps = default_eps) a b = a >= b || approx_eq ~eps a b
 
 let compare_approx ?(eps = default_eps) a b =
   if approx_eq ~eps a b then 0 else compare a b

@@ -16,8 +16,7 @@ val approx_eq : ?eps:float -> float -> float -> bool
 val approx_le : ?eps:float -> float -> float -> bool
 (** [approx_le a b] iff [a <= b] up to tolerance. *)
 
-val approx_ge : ?eps:float -> float -> float -> bool
-
+(* dcache-sema: allow S3 — seed case "float_cmp: ordering"; R2's documented fix *)
 val compare_approx : ?eps:float -> float -> float -> int
 (** Three-way comparison collapsing approximately equal values to
     [0]. *)

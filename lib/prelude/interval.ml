@@ -6,8 +6,6 @@ let make ~lo ~hi =
   if hi < lo then invalid_arg "Interval.make: hi < lo";
   { lo; hi }
 
-let length t = t.hi -. t.lo
-
 let contains ?(eps = Float_cmp.default_eps) t x =
   x >= t.lo -. eps && x <= t.hi +. eps
 
@@ -26,7 +24,7 @@ let merge ?(eps = Float_cmp.default_eps) spans =
   in
   go [] sorted
 
-let measure ?eps spans = List.fold_left (fun acc t -> acc +. length t) 0.0 (merge ?eps spans)
+let measure ?eps spans = List.fold_left (fun acc t -> acc +. (t.hi -. t.lo)) 0.0 (merge ?eps spans)
 
 let first_gap ?(eps = Float_cmp.default_eps) spans ~lo ~hi =
   let merged = merge ~eps spans in
@@ -38,5 +36,3 @@ let first_gap ?(eps = Float_cmp.default_eps) spans ~lo ~hi =
         else scan (Float.max covered_to span.hi) rest
   in
   if hi <= lo then None else scan lo (List.filter (fun s -> s.hi > lo) merged)
-
-let covers ?eps spans ~lo ~hi = Option.is_none (first_gap ?eps spans ~lo ~hi)

@@ -12,11 +12,11 @@ val make : lo:float -> hi:float -> t
 (** @raise Invalid_argument if [hi < lo] or either bound is not
     finite. *)
 
-val length : t -> float
-
+(* dcache-sema: allow S3 — seed case "interval: construction and membership" *)
 val contains : ?eps:float -> t -> float -> bool
 (** Inclusive at both endpoints, up to tolerance. *)
 
+(* dcache-sema: allow S3 — seed case "interval: overlap semantics" *)
 val overlaps : ?eps:float -> t -> t -> bool
 (** True when the closed intervals intersect in more than a point
     (shared endpoints do {e not} count as overlap). *)
@@ -25,11 +25,9 @@ val merge : ?eps:float -> t list -> t list
 (** Union of the spans: sorted, with overlapping or touching intervals
     coalesced. *)
 
+(* dcache-sema: allow S3 — seed case "interval: merge and measure" *)
 val measure : ?eps:float -> t list -> float
 (** Total length of the union (double-covered time counted once). *)
-
-val covers : ?eps:float -> t list -> lo:float -> hi:float -> bool
-(** Does the union contain every point of [\[lo, hi\]]? *)
 
 val first_gap : ?eps:float -> t list -> lo:float -> hi:float -> (float * float) option
 (** The earliest maximal uncovered sub-range of [\[lo, hi\]], if

@@ -120,8 +120,6 @@ let create ?domains () =
   t.helpers <- Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> helper_loop t 0));
   t
 
-let domains t = t.domains
-
 let shutdown t =
   Mutex.lock t.lock;
   if t.stopped then Mutex.unlock t.lock
@@ -165,21 +163,13 @@ let run_chunks t ~chunks f =
     | None -> ()
   end
 
-let parallel_init ?chunk t n f =
+let parallel_init t n f =
   if n < 0 then invalid_arg "Pool.parallel_init: negative length";
   if n = 0 then [||]
   else begin
-    let chunk =
-      match chunk with
-      | Some c ->
-          if c < 1 then invalid_arg "Pool.parallel_init: chunk must be positive";
-          c
-      | None ->
-          (* ~4 chunks per domain balances stragglers against queue
-             traffic; the choice cannot affect results, only timing *)
-          let c = n / (t.domains * 4) in
-          if c < 1 then 1 else c
-    in
+    (* ~4 chunks per domain balances stragglers against queue traffic;
+       the choice cannot affect results, only timing *)
+    let chunk = max 1 (n / (t.domains * 4)) in
     let nchunks = ((n - 1) / chunk) + 1 in
     let out = Array.make n None in
     let job =
@@ -209,8 +199,6 @@ let parallel_init ?chunk t n f =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let parallel_map ?chunk t f a = parallel_init ?chunk t (Array.length a) (fun i -> f a.(i))
-
 (* ------------------------------------------------------- shared pool *)
 
 let shared = ref None
@@ -224,7 +212,3 @@ let get () =
       let p = create ~domains:want () in
       shared := Some p;
       p
-
-let with_pool ?domains f =
-  let p = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)

@@ -31,42 +31,28 @@ type t
 (** A pool.  One job runs at a time; nesting a parallel region inside
     a task of the same pool is rejected. *)
 
+(* dcache-sema: allow S3 — width-independence tests hold a 1- and a 4-wide pool at once; [get] keeps one *)
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] helper domains (so
-    [~domains:1] is a zero-overhead sequential pool).  Defaults to
-    {!default_domains}.
+    [~domains:1] is a zero-overhead sequential pool).  Defaults to the
+    default width.
     @raise Invalid_argument if [domains < 1]. *)
 
-val domains : t -> int
-(** Width of the pool, including the submitting thread. *)
-
+(* dcache-sema: allow S3 — joins the pools of [create]; the case "pool: shutdown semantics" *)
 val shutdown : t -> unit
 (** Joins the helper domains.  Idempotent.  Submitting to a
     shut-down pool raises [Invalid_argument]. *)
 
-val parallel_init : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
+val parallel_init : t -> int -> (int -> 'a) -> 'a array
 (** [parallel_init t n f] is [Array.init n f] with the calls to [f]
-    distributed over the pool in chunks of [chunk] (default: about
-    four chunks per domain).  If any task raises, the first exception
-    (in completion order) is re-raised after the job drains; the pool
-    remains usable.
-    @raise Invalid_argument on negative [n], non-positive [chunk],
-    nested use, or a shut-down pool. *)
-
-val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map t f a] is [Array.map f a] over the pool; same
-    contract as {!parallel_init}. *)
-
-val default_domains : unit -> int
-(** Current default width: [DCACHE_DOMAINS], else
-    [Domain.recommended_domain_count ()], clamped to [1..64]. *)
+    distributed over the pool in chunks (about four per domain).  If
+    any task raises, the first exception (in completion order) is
+    re-raised after the job drains; the pool remains usable.
+    @raise Invalid_argument on negative [n], nested use, or a
+    shut-down pool. *)
 
 val get : unit -> t
-(** The shared pool, created lazily at {!default_domains} width and
+(** The shared pool, created lazily at the default width and
     re-created if the default changed since.  Intended for the
     single-threaded experiment drivers; do not call from inside a
     pool task. *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and always shuts it
-    down. *)

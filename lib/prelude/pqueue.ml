@@ -2,9 +2,6 @@ type 'a t = { cmp : 'a -> 'a -> int; mutable data : 'a array; mutable size : int
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 
-let length h = h.size
-let is_empty h = h.size = 0
-
 let grow h x =
   let cap = Array.length h.data in
   if h.size = cap then begin
@@ -56,14 +53,6 @@ let pop h =
     Some top
   end
 
-let pop_exn h =
-  match pop h with Some x -> x | None -> invalid_arg "Pqueue.pop_exn: empty heap"
-
 let clear h =
   h.data <- [||];
   h.size <- 0
-
-let to_sorted_list h =
-  let copy = { cmp = h.cmp; data = Array.sub h.data 0 h.size; size = h.size } in
-  let rec drain acc = match pop copy with None -> List.rev acc | Some x -> drain (x :: acc) in
-  drain []

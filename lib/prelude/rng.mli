@@ -31,9 +31,11 @@ val derive : t -> int -> t
     through splitmix64).
     @raise Invalid_argument if [i < 0]. *)
 
+(* dcache-sema: allow S3 — seed case "rng: copy preserves stream" *)
 val copy : t -> t
 (** [copy t] duplicates the current state (same future stream). *)
 
+(* dcache-sema: allow S3 — seed case "rng: deterministic from seed" *)
 val bits64 : t -> int64
 (** Next raw 64 random bits. *)
 
@@ -87,5 +89,6 @@ val categorical : t -> weights -> int
     its weight, with one {!float} draw and [O(log k)] work for [k]
     weights. *)
 
+(* dcache-sema: allow S3 — seed case "rng: shuffle is a permutation" *)
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

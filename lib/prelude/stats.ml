@@ -4,10 +4,9 @@ type acc = {
   mutable m2 : float;
   mutable lo : float;
   mutable hi : float;
-  mutable sum : float;
 }
 
-let acc_create () = { n = 0; mean = 0.; m2 = 0.; lo = infinity; hi = neg_infinity; sum = 0. }
+let acc_create () = { n = 0; mean = 0.; m2 = 0.; lo = infinity; hi = neg_infinity }
 
 let acc_add a x =
   a.n <- a.n + 1;
@@ -15,16 +14,12 @@ let acc_add a x =
   a.mean <- a.mean +. (delta /. float_of_int a.n);
   a.m2 <- a.m2 +. (delta *. (x -. a.mean));
   if x < a.lo then a.lo <- x;
-  if x > a.hi then a.hi <- x;
-  a.sum <- a.sum +. x
+  if x > a.hi then a.hi <- x
 
-let count a = a.n
 let mean a = if a.n = 0 then nan else a.mean
-let variance a = if a.n < 2 then nan else a.m2 /. float_of_int (a.n - 1)
-let stddev a = sqrt (variance a)
+let stddev a = if a.n < 2 then nan else sqrt (a.m2 /. float_of_int (a.n - 1))
 let min_value a = a.lo
 let max_value a = a.hi
-let total a = a.sum
 
 type kahan = { mutable k_sum : float; mutable k_comp : float }
 
@@ -40,11 +35,6 @@ let kahan_add k x =
   k.k_sum <- t
 
 let kahan_total k = if Float.is_finite k.k_sum then k.k_sum +. k.k_comp else k.k_sum
-
-let kahan_sum xs =
-  let k = kahan_create () in
-  Array.iter (kahan_add k) xs;
-  kahan_total k
 
 (* closest-ranks linear interpolation over an already-sorted copy *)
 let interpolate sorted n p =
@@ -63,9 +53,7 @@ let percentiles samples ps =
   Array.sort Float.compare sorted;
   Array.map (fun p -> interpolate sorted n p) ps
 
-let percentile samples p = (percentiles samples [| p |]).(0)
-
-let median samples = percentile samples 50.
+let median samples = (percentiles samples [| 50. |]).(0)
 
 type histogram = {
   lo : float;
@@ -91,18 +79,6 @@ let histogram ~bins ~lo ~hi samples =
   in
   Array.iter place samples;
   { lo; hi; counts; underflow = !underflow; overflow = !overflow }
-
-let pp_histogram ppf h =
-  let bins = Array.length h.counts in
-  let width = (h.hi -. h.lo) /. float_of_int bins in
-  let peak = Array.fold_left max 1 h.counts in
-  for b = 0 to bins - 1 do
-    let left = h.lo +. (float_of_int b *. width) in
-    let bar = String.make (h.counts.(b) * 40 / peak) '#' in
-    Format.fprintf ppf "[%8.3f, %8.3f) %6d %s@." left (left +. width) h.counts.(b) bar
-  done;
-  if h.underflow > 0 then Format.fprintf ppf "underflow: %d@." h.underflow;
-  if h.overflow > 0 then Format.fprintf ppf "overflow: %d@." h.overflow
 
 let linear_fit points =
   let n = Array.length points in

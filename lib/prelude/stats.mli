@@ -13,17 +13,17 @@ type acc
 
 val acc_create : unit -> acc
 val acc_add : acc -> float -> unit
-val count : acc -> int
 val mean : acc -> float
 (** Mean of added samples; [nan] when empty. *)
 
-val variance : acc -> float
-(** Unbiased sample variance; [nan] when fewer than two samples. *)
-
 val stddev : acc -> float
+(** Square root of the unbiased sample variance; [nan] when fewer than
+    two samples. *)
+
+(* dcache-sema: allow S3 — seed case "stats: mean/variance/extrema" *)
 val min_value : acc -> float
+(* dcache-sema: allow S3 — seed case "stats: mean/variance/extrema" *)
 val max_value : acc -> float
-val total : acc -> float
 
 (** {1 Compensated summation}
 
@@ -36,31 +36,26 @@ val total : acc -> float
 type kahan
 (** Mutable compensated accumulator. *)
 
+(* dcache-sema: allow S3 — test/schedule_reference.ml sums with it; S4's documented fix *)
 val kahan_create : unit -> kahan
 
+(* dcache-sema: allow S3 — test/schedule_reference.ml sums with it; S4's documented fix *)
 val kahan_add : kahan -> float -> unit
 (** Adds one term.  Once the running sum is non-finite, compensation
     stops and the IEEE sum is kept ([+inf] stays [+inf], not [nan]). *)
 
+(* dcache-sema: allow S3 — test/schedule_reference.ml sums with it; S4's documented fix *)
 val kahan_total : kahan -> float
 (** The compensated total of everything added so far; [0.] when
     nothing was added. *)
 
-val kahan_sum : float array -> float
-(** One-shot compensated sum of an array. *)
-
 (** {1 Order statistics} *)
 
-val percentile : float array -> float -> float
-(** [percentile samples p] with [p] in [\[0,100\]], linear
-    interpolation between closest ranks.  The array is not modified.
-    Raises [Invalid_argument] on an empty array. *)
-
 val percentiles : float array -> float array -> float array
-(** Batch {!percentile}: one sort of one copy, then an interpolation
-    per probe — probes need not be sorted.  Report code asking for
-    p50/p90/p99 in one line should use this, not three
-    {!percentile} calls (three copies, three sorts). *)
+(** [percentiles samples ps]: each probe [p] in [\[0,100\]], linear
+    interpolation between closest ranks, after one sort of one copy
+    (the array is not modified; probes need not be sorted).
+    Raises [Invalid_argument] on an empty array. *)
 
 val median : float array -> float
 
@@ -74,14 +69,12 @@ type histogram = {
   overflow : int;
 }
 
+(* dcache-sema: allow S3 — seed case "stats: histogram binning" *)
 val histogram : bins:int -> lo:float -> hi:float -> float array -> histogram
-
-val pp_histogram : Format.formatter -> histogram -> unit
-(** Renders each bin as a bar of ['#'] characters, normalised to the
-    fullest bin. *)
 
 (** {1 Least squares} *)
 
+(* dcache-sema: allow S3 — seed case "stats: linear fit" *)
 val linear_fit : (float * float) array -> float * float
 (** [linear_fit points] returns [(slope, intercept)] of the OLS line.
     Requires at least two points with distinct x. *)

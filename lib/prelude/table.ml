@@ -19,8 +19,6 @@ let fmt_float ?(prec = 3) x =
   else if Float.is_nan x then "nan"
   else Printf.sprintf "%.*f" prec x
 
-let add_float_row ?prec t cells = add_row t (List.map (fmt_float ?prec) cells)
-
 let render t =
   let rows = List.rev t.rows in
   let ncols = Array.length t.columns in

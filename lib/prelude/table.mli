@@ -19,10 +19,7 @@ val add_row : t -> string list -> unit
 (** Row cells, one per column.  Raises [Invalid_argument] on a cell
     count mismatch. *)
 
-val add_float_row : ?prec:int -> t -> float list -> unit
-(** Convenience: every cell formatted with [%.*f] ([prec] defaults to
-    [3]). *)
-
+(* dcache-sema: allow S3 — seed case "table: rendering and alignment" *)
 val render : t -> string
 (** ASCII-art rendering with a header separator. *)
 

@@ -23,13 +23,12 @@ type report = {
   run : Online_sc.run;
 }
 
-let create ?window_size ?bound ?epsilon ?witness_capacity ?item ?epoch_size ?(inflate = 1.0)
-    ?on_window model ~m =
+let create ?window_size ?bound ?item ?epoch_size ?(inflate = 1.0) ?on_window model ~m =
   if not (inflate > 0.0) then invalid_arg "Auditor.create: inflate must be positive";
   {
     inc = Online_sc.Incremental.create ?epoch_size model ~m;
     dp = Streaming_dp.create model ~m;
-    audit = Audit.create ?window_size ?bound ?epsilon ?witness_capacity ?item ();
+    audit = Audit.create ?window_size ?bound ?item ();
     inflate;
     on_window;
     costs = Array.make 2 0.0;
@@ -70,14 +69,3 @@ let finish t =
     witnesses = Audit.witnesses t.audit;
     run;
   }
-
-let replay ?window_size ?bound ?epsilon ?witness_capacity ?epoch_size ?inflate ?on_window model seq
-    =
-  let t =
-    create ?window_size ?bound ?epsilon ?witness_capacity ?epoch_size ?inflate ?on_window model
-      ~m:(Sequence.m seq)
-  in
-  for i = 1 to Sequence.n seq do
-    feed t ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
-  done;
-  finish t

@@ -32,8 +32,6 @@ type report = {
 val create :
   ?window_size:int ->
   ?bound:float ->
-  ?epsilon:float ->
-  ?witness_capacity:int ->
   ?item:string ->
   ?epoch_size:int ->
   ?inflate:float ->
@@ -41,9 +39,8 @@ val create :
   Dcache_core.Cost_model.t ->
   m:int ->
   t
-(** [window_size], [bound], [epsilon], [witness_capacity] and [item]
-    (the stream's label in the per-item [audit.item_*] metric
-    families) go to {!Audit.create}; [epoch_size] to
+(** [window_size], [bound] and [item] (the stream's label in the
+    per-item [audit.item_*] metric families) go to {!Audit.create}; [epoch_size] to
     [Online_sc.Incremental.create].
     [inflate] (default [1.0]) multiplies the online cost {e as
     reported to the auditor} — fault injection for exercising the
@@ -62,6 +59,7 @@ val feed : t -> server:int -> time:float -> unit
     request takes a cost past the largest float, after policy and
     optimum took it but before the auditor does ({!Audit.observe}). *)
 
+(* dcache-sema: allow S3 — oracle: the hand-off cases read what Audit received, bit for bit *)
 val audit : t -> Audit.t
 (** The live auditor (prefix/window readbacks mid-stream). *)
 
@@ -75,18 +73,3 @@ val finish : t -> report
 (** Flush the final partial window, close the online run at the last
     request's time, and summarise.  The pipeline is consumed.
     @raise Invalid_argument if already finished. *)
-
-val replay :
-  ?window_size:int ->
-  ?bound:float ->
-  ?epsilon:float ->
-  ?witness_capacity:int ->
-  ?epoch_size:int ->
-  ?inflate:float ->
-  ?on_window:(Audit.window -> unit) ->
-  Dcache_core.Cost_model.t ->
-  Dcache_core.Sequence.t ->
-  report
-(** Feed a whole validated instance and {!finish}.
-    @raise Invalid_argument as {!create}, or as {!feed} when a cost
-    overflows. *)

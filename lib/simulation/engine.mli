@@ -30,8 +30,6 @@ type costs = {
   upload_of : int -> float;
 }
 
-val homogeneous : Cost_model.t -> costs
-
 exception Engine_error of string
 
 type result = { metrics : Metrics.t; schedule : Schedule.t }

@@ -13,6 +13,7 @@ type t = {
   copy_time : float;  (** integral of the resident-copy count over time *)
 }
 
+(* dcache-sema: allow S3 — seed case "metrics: hit-ratio edge cases" *)
 val hit_ratio : t -> float
 (** [cache_hits / (hits + misses)]; [0.] with no requests (never
     [nan]: the ratio is always printable and aggregatable). *)

@@ -23,26 +23,34 @@ open Dcache_core
 
 type t
 
+(* dcache-sema: allow S3 — seed "graph:" cases and the Dijkstra qcheck *)
 val make : Cost_model.t -> Sequence.t -> t
 
+(* dcache-sema: allow S3 — seed case "graph: grid dimensions" *)
 val num_rows : t -> int
 (** [m + 1]. *)
 
+(* dcache-sema: allow S3 — seed case "graph: grid dimensions" *)
 val num_cols : t -> int
 (** [n + 1]. *)
 
+(* dcache-sema: allow S3 — seed cases "graph: edge weights", "graph: index validation" *)
 val vertex : t -> row:int -> col:int -> int
 (** Dense vertex id. *)
 
+(* dcache-sema: allow S3 — seed cases "graph: edge weights", "graph: transfer star on the request vertex" *)
 val out_edges : t -> int -> (int * float) list
 (** Successors with weights. *)
 
+(* dcache-sema: allow S3 — seed case "graph: edge count" *)
 val num_edges : t -> int
 
+(* dcache-sema: allow S3 — seed cases "graph: dijkstra on a tiny instance", "graph: upload edges" *)
 val dijkstra : t -> src:int -> float array
 (** Single-source shortest distances over the directed graph
     ([infinity] for unreachable vertices). *)
 
+(* dcache-sema: allow S3 — seed case "spacetime: the Dijkstra distance to r_1's vertex lower-bounds C(1)" *)
 val request_vertex : t -> int -> int
 (** [request_vertex g i] is the vertex of request [r_i]
     ([i] in [\[0, n\]]; [0] gives [v_{s^1, 0}]). *)

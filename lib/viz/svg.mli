@@ -18,6 +18,7 @@ type options = {
 
 val default_options : options
 
+(* dcache-sema: allow S3 — seed case "svg: elements balance on random schedules" *)
 val schedule_svg : ?options:options -> Sequence.t -> Schedule.t -> string
 (** One diagram of the schedule over the instance. *)
 
@@ -26,5 +27,6 @@ val comparison_svg :
 (** Several schedules of the same instance stacked vertically with
     sub-titles — e.g. optimal vs speculative caching. *)
 
+(* dcache-sema: allow S3 — seed case "svg: file write" *)
 val write : filename:string -> string -> unit
 (** Writes an SVG document to disk. *)

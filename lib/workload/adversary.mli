@@ -13,11 +13,6 @@ val expiry_chaser : Cost_model.t -> m:int -> n:int -> Sequence.t
     have been useful, so SC pays a transfer plus a full wasted window
     per request. *)
 
-val window_edge : Cost_model.t -> m:int -> n:int -> Sequence.t
-(** Alternates between two servers with gap exactly [delta_t]: sits on
-    the closed-window boundary, exercising the tie handling of
-    simultaneous source/target expirations. *)
-
 val burst_train : Cost_model.t -> m:int -> n:int -> Sequence.t
 (** Dense bursts touching every server almost simultaneously, then a
     silence of several windows: maximises simultaneous copies whose
@@ -29,3 +24,7 @@ val ping_pong_far : Cost_model.t -> m:int -> n:int -> Sequence.t
     last-copy extension bridging the gaps. *)
 
 val all : Cost_model.t -> m:int -> n:int -> (string * Sequence.t) list
+(** Every family by name, with ["window-edge"] besides the three
+    above: two servers alternating with gap exactly [delta_t], on the
+    closed-window boundary, which exercises the tie handling of
+    simultaneous source/target expirations. *)

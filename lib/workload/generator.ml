@@ -45,6 +45,3 @@ let standard_suite model ~m ~n ~seed =
   in
   synthetic @ Adversary.all model ~m ~n
 
-let pp_spec ppf spec =
-  Format.fprintf ppf "{m=%d; n=%d; arrival=%a; placement=%a}" spec.m spec.n Arrival.pp
-    spec.arrival Placement.pp spec.placement

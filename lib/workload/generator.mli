@@ -24,4 +24,3 @@ val standard_suite :
     scaled to the model's speculative window so every family straddles
     the cache-vs-transfer decision boundary. *)
 
-val pp_spec : Format.formatter -> spec -> unit

@@ -18,6 +18,7 @@ type found = {
   seq : Sequence.t;
 }
 
+(* dcache-sema: allow S3 — seed cases "ratio_search: bound and consistency", "never worse than its seeds" *)
 val evaluate : Cost_model.t -> Sequence.t -> found
 (** Ratio of one instance (no search). *)
 

@@ -21,6 +21,7 @@ val output : out_channel -> Sequence.t -> unit
 val write : filename:string -> Sequence.t -> unit
 (** {!output} to a new file [filename]. *)
 
+(* dcache-sema: allow S3 — seed case "trace_io: write/read roundtrip preserves the instance" *)
 val to_string : Sequence.t -> string
 (** The bytes {!output} writes. *)
 
@@ -37,6 +38,7 @@ val read : filename:string -> m:int -> (Sequence.t, string) result
     starts with [filename].  [m] must cover every server index in the
     file. *)
 
+(* dcache-sema: allow S3 — seed cases "trace_io: comments and headers", "rejects malformed input" *)
 val of_string : m:int -> string -> (Sequence.t, string) result
 (** Parses a trace in two passes over the text: one counts the
     request lines, the other reads them into columns of that size for

@@ -36,6 +36,7 @@ type t = {
 val analyze : Sequence.t -> t
 (** @raise Invalid_argument on an empty trace. *)
 
+(* dcache-sema: allow S3 — seed case "trace_stats: cacheability vs window" *)
 val cacheability : Cost_model.t -> t -> float
 (** Fraction of finite revisit intervals at or under the break-even
     interval [lambda / mu]: the share of revisits that a cached copy
@@ -43,12 +44,10 @@ val cacheability : Cost_model.t -> t -> float
     trace rewards caching; near zero means transfers dominate any
     reasonable policy. *)
 
-val pp : Format.formatter -> t -> unit
-(** A statistic the trace does not have, [nan] in the record (the cv
-    and locality of a single request, the revisit figures of a trace
-    that never returns to a server), prints as [none]. *)
-
 val pp_with_model : Cost_model.t -> Format.formatter -> t -> unit
-(** {!pp} plus the model-dependent readout ({!cacheability} and the
-    break-even interval); without revisits it prints "no revisits to
-    cache". *)
+(** The statistics, then the model-dependent readout ({!cacheability}
+    and the break-even interval); without revisits it prints "no
+    revisits to cache".  A statistic the trace does not have, [nan] in
+    the record (the cv and locality of a single request, the revisit
+    figures of a trace that never returns to a server), prints as
+    [none]. *)

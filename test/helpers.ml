@@ -15,6 +15,24 @@ let check_le msg a b =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* one of [Online_policies.all_deterministic]'s outcomes, by name *)
+let policy name model seq =
+  List.find
+    (fun (o : Dcache_baselines.Online_policies.outcome) -> o.name = name)
+    (Dcache_baselines.Online_policies.all_deterministic model seq)
+
+(* qcheck counterexample printers for the two halves of a problem *)
+let pp_model ppf (model : Cost_model.t) =
+  if model.upload = infinity then Format.fprintf ppf "{mu=%g; lambda=%g}" model.mu model.lambda
+  else Format.fprintf ppf "{mu=%g; lambda=%g; beta=%g}" model.mu model.lambda model.upload
+
+let pp_seq ppf seq =
+  Format.fprintf ppf "@[<v>m=%d, n=%d" (Sequence.m seq) (Sequence.n seq);
+  for i = 1 to Sequence.n seq do
+    Format.fprintf ppf "@,  r%d = r@(s%d, %g)" i (Sequence.server seq i) (Sequence.time seq i)
+  done;
+  Format.fprintf ppf "@]"
+
 (* Words allocated by [f ()] per request: minor + major - promoted,
    since arrays this large are allocated directly in the major heap. *)
 let words_per_request ~n f =
@@ -47,6 +65,15 @@ let gauge_values () =
     ~gauge:(fun _ name v -> acc := (name, v) :: !acc)
     ~span:(fun _ _ _ -> ());
   List.rev !acc
+
+(* one gauge's last-written value, read through [Obs.walk] *)
+let gauge_value (g : Dcache_obs.Obs.gauge) =
+  let value = ref nan in
+  Dcache_obs.Obs.walk
+    ~counter:(fun _ _ _ -> ())
+    ~gauge:(fun id _ v -> if (id :> int) = (g :> int) then value := v)
+    ~span:(fun _ _ _ -> ());
+  !value
 
 let span_durations () =
   let acc = ref [] in
@@ -110,7 +137,7 @@ let sequence_of_gen ~m ~n gaps servers =
 type problem = { model : Cost_model.t; seq : Sequence.t }
 
 let problem_print { model; seq } =
-  Format.asprintf "%a with %a" Sequence.pp seq Cost_model.pp model
+  Format.asprintf "%a with %a" pp_seq seq pp_model model
 
 let problem_gen ?(max_m = 6) ?(max_n = 18) ?(with_upload = false) () =
   let open QCheck.Gen in
@@ -198,7 +225,7 @@ let long_problem_gen =
 let long_problem_arbitrary =
   QCheck.make
     ~print:(fun { model; seq } ->
-      Format.asprintf "m = %d, n = %d, %a" (Sequence.m seq) (Sequence.n seq) Cost_model.pp model)
+      Format.asprintf "m = %d, n = %d, %a" (Sequence.m seq) (Sequence.n seq) pp_model model)
     long_problem_gen
 
 let qcheck ?(count = 300) name arb prop =

@@ -83,8 +83,6 @@ let num_copies_at t time =
 let holds_copy_at t ~server ~time =
   List.exists (fun c -> c.server = server && c.from_time <= time && time <= c.to_time) t.caches
 
-let union a b = make ~caches:(a.caches @ b.caches) ~transfers:(a.transfers @ b.transfers)
-
 (* -- validation ---------------------------------------------------------- *)
 
 let eq = Dcache_prelude.Float_cmp.approx_eq
@@ -241,18 +239,21 @@ let pp ppf t =
 
 (* [Streaming_dp.schedule]'s walk as it was before it recorded its
    pieces in per-request slots: pieces are appended in walk order and
-   [Schedule.of_columns] sorts them.  It reads the solver only through
-   its public accessors, so it recomputes p(i) from the servers, and
-   the C(i) and D(i) choices as [push] made them, bit for bit. *)
-let walk stream =
+   [Schedule.make] sorts them.  It reads the solver only through its
+   public accessors (the requests through [to_sequence]), so it
+   recomputes p(i) from the servers, and the C(i) and D(i) choices as
+   [push] made them, bit for bit.  [model] is the stream's. *)
+let walk model stream =
   let module S = Streaming_dp in
-  let n = S.n stream and model = S.model stream in
+  let seq = S.to_sequence stream in
+  let n = Sequence.n seq in
+  let server_at i = Sequence.server seq i and time_at i = Sequence.time seq i in
   let mu = model.Cost_model.mu in
   let lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload in
-  let prev = Array.make (n + 1) (-1) and last_on = Array.make (S.m stream) (-1) in
+  let prev = Array.make (n + 1) (-1) and last_on = Array.make (Sequence.m seq) (-1) in
   last_on.(0) <- 0;
   for i = 1 to n do
-    let s = S.server_at stream i in
+    let s = server_at i in
     prev.(i) <- last_on.(s);
     last_on.(s) <- i
   done;
@@ -260,24 +261,24 @@ let walk stream =
   let cached i =
     let step =
       S.cost_at stream (i - 1)
-      +. (mu *. (S.time_at stream i -. S.time_at stream (i - 1)))
+      +. (mu *. (time_at i -. time_at (i - 1)))
       +. lam_eff
     in
     prev.(i) >= 0 && S.semi_cost_at stream i <= step
   in
   let caches = ref [] and transfers = ref [] in
   let add_cache server a b =
-    if S.time_at stream b > S.time_at stream a then
-      caches := (server, S.time_at stream a, S.time_at stream b) :: !caches
+    if time_at b > time_at a then
+      caches := (server, time_at a, time_at b) :: !caches
   in
   let external_src = model.Cost_model.upload < model.Cost_model.lambda in
   let add_transfer src dst i =
-    transfers := ((if external_src then -1 else src), dst, S.time_at stream i) :: !transfers
+    transfers := ((if external_src then -1 else src), dst, time_at i) :: !transfers
   in
   let serve_marginal source lo hi =
     for h = lo to hi do
-      let sh = S.server_at stream h and ph = prev.(h) in
-      if ph < 0 || lam_eff <= mu *. (S.time_at stream h -. S.time_at stream ph) then
+      let sh = server_at h and ph = prev.(h) in
+      if ph < 0 || lam_eff <= mu *. (time_at h -. time_at ph) then
         add_transfer source sh h
       else add_cache sh ph h
     done
@@ -285,13 +286,13 @@ let walk stream =
   let in_d = ref false and i = ref n in
   while !in_d || !i > 0 do
     let cur = !i in
-    let server = S.server_at stream cur in
+    let server = server_at cur in
     if not !in_d then begin
-      if cached cur || S.server_at stream (cur - 1) = server then in_d := true
+      if cached cur || server_at (cur - 1) = server then in_d := true
       else begin
         let before = cur - 1 in
-        add_cache (S.server_at stream before) before cur;
-        add_transfer (S.server_at stream before) server cur;
+        add_cache (server_at before) before cur;
+        add_transfer (server_at before) server cur;
         i := before
       end
     end
@@ -309,11 +310,11 @@ let walk stream =
           i := kappa
     end
   done;
-  let cs = Array.of_list (List.rev !caches) and ts = Array.of_list (List.rev !transfers) in
-  Schedule.of_columns
-    ~server:(Array.map (fun (s, _, _) -> s) cs)
-    ~from_time:(Array.map (fun (_, a, _) -> a) cs)
-    ~to_time:(Array.map (fun (_, _, b) -> b) cs)
-    ~src:(Array.map (fun (s, _, _) -> s) ts)
-    ~dst:(Array.map (fun (_, d, _) -> d) ts)
-    ~time:(Array.map (fun (_, _, t) -> t) ts)
+  Schedule.make
+    ~caches:
+      (List.rev_map (fun (server, from_time, to_time) -> { Schedule.server; from_time; to_time }) !caches)
+    ~transfers:
+      (List.rev_map
+         (fun (src, dst, time) ->
+           { Schedule.src = (if src < 0 then Schedule.From_external else From_server src); dst; time })
+         !transfers)

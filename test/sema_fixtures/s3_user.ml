@@ -1,4 +1,4 @@
-(* Compiled into a sibling "library": keeps [S3_dead.used_export]
-   alive across the library boundary. *)
+(* Compiled into bin/: a product user that keeps
+   [S3_dead.used_export] alive. *)
 
 let use = S3_dead.used_export 41

@@ -25,6 +25,14 @@ let fig6_seq = fig6 ()
 let pool1 = Pool.create ~domains:1 ()
 let pool4 = Pool.create ~domains:4 ()
 
+(* a whole instance through [Auditor.create], [feed] and [finish] *)
+let replay ?window_size ?inflate ?on_window model seq =
+  let t = Auditor.create ?window_size ?inflate ?on_window model ~m:(Sequence.m seq) in
+  for i = 1 to Sequence.n seq do
+    Auditor.feed t ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+  done;
+  Auditor.finish t
+
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -126,8 +134,6 @@ let observe_word_budget () =
 
 let window_accounting () =
   let a = Audit.create ~window_size:2 () in
-  check_float "bound readback" 3.0 (Audit.bound a);
-  check_float "prefix ratio before any observation" 1.0 (Audit.prefix_ratio a);
   let closes =
     List.map
       (fun (online, opt) -> Audit.observe a ~online ~opt)
@@ -150,7 +156,6 @@ let window_accounting () =
       check_float "prefix ratio at close" 2.0 w.Audit.prefix_ratio);
   check_float "prefix online readback" 9.0 (Audit.prefix_online a);
   check_float "prefix opt readback" 5.0 (Audit.prefix_opt a);
-  check_float "prefix ratio readback" 1.8 (Audit.prefix_ratio a);
   Alcotest.(check int) "no violations below the bound" 0 (Audit.violations a);
   Alcotest.(check bool) "flush closes the pending partial window" true (Audit.flush a);
   Alcotest.(check int) "final partial window counted" 3 (Audit.windows_closed a);
@@ -189,7 +194,7 @@ let no_violations_on_random =
   qcheck ~count:150 "Theorem 3 holds on every prefix of random instances"
     (nonempty_problem_arbitrary ())
     (fun p ->
-      let report = Auditor.replay ~window_size:4 p.model p.seq in
+      let report = replay ~window_size:4 p.model p.seq in
       report.Auditor.violations = 0
       && report.Auditor.witnesses = []
       && report.Auditor.requests = Sequence.n p.seq
@@ -200,7 +205,7 @@ let no_violations_on_random =
 let adversaries_stay_within_bound () =
   List.iter
     (fun (name, seq) ->
-      let report = Auditor.replay fig6_model seq in
+      let report = replay fig6_model seq in
       Alcotest.(check int) (name ^ ": zero violations") 0 report.Auditor.violations;
       Alcotest.(check int)
         (name ^ ": windows cover the trace")
@@ -214,7 +219,7 @@ let inflation_provokes_witness () =
   let seq = List.assoc "ping-pong-far" (Adversary.all fig6_model ~m:4 ~n:96) in
   let fired = ref 0 in
   let report =
-    Auditor.replay ~window_size:16 ~inflate:4.0 ~on_window:(fun _w -> incr fired) fig6_model seq
+    replay ~window_size:16 ~inflate:4.0 ~on_window:(fun _w -> incr fired) fig6_model seq
   in
   Alcotest.(check bool) "synthetic inflation fires the bound monitor" true
     (report.Auditor.violations > 0);
@@ -227,7 +232,7 @@ let inflation_provokes_witness () =
     report.Auditor.witnesses;
   Alcotest.(check int) "on_window fired once per window" report.Auditor.windows !fired;
   (* the policy itself is untouched: the uninflated replay is clean *)
-  let clean = Auditor.replay ~window_size:16 fig6_model seq in
+  let clean = replay ~window_size:16 fig6_model seq in
   Alcotest.(check int) "uninflated replay stays clean" 0 clean.Auditor.violations
 
 let pipeline_midstream_readbacks () =
@@ -256,7 +261,7 @@ let pipeline_midstream_readbacks () =
 
 let audit_metrics_recorded () =
   with_recording @@ fun _r ->
-  let report = Auditor.replay ~window_size:4 fig6_model fig6_seq in
+  let report = replay ~window_size:4 fig6_model fig6_seq in
   let counter name = Obs.counter_value (Obs.counter name) in
   Alcotest.(check int) "audit.requests counts observations" (Sequence.n fig6_seq)
     (counter "audit.requests");
@@ -264,7 +269,7 @@ let audit_metrics_recorded () =
     (counter "audit.windows");
   Alcotest.(check int) "audit.bound_violations stays zero" 0 (counter "audit.bound_violations");
   check_float "audit.prefix_ratio gauge holds the final ratio" report.Auditor.final_ratio
-    (Obs.gauge_value (Obs.gauge "audit.prefix_ratio"));
+    (gauge_value (Obs.gauge "audit.prefix_ratio"));
   let span_count name =
     match List.assoc_opt name (span_durations ()) with Some h -> Histo.count h | None -> -1
   in
@@ -288,8 +293,9 @@ let audit_readback_string () =
     (fun (name, h) ->
       if is_audit name then
         Buffer.add_string b
-          (Printf.sprintf "%s count=%d sum=%d q50=%g q99=%g\n" name (Histo.count h) (Histo.sum h)
-             (Histo.quantile h 0.5) (Histo.quantile h 0.99)))
+          (let q = Histo.quantiles h [| 0.5; 0.99 |] in
+           Printf.sprintf "%s count=%d sum=%d q50=%g q99=%g\n" name (Histo.count h) (Histo.sum h)
+             q.(0) q.(1)))
     (span_durations ());
   Buffer.contents b
 
@@ -306,7 +312,7 @@ let width_independent_readbacks () =
         ignore
           (Pool.parallel_init pool (Array.length instances) (fun i ->
                let _, seq = instances.(i) in
-               (Auditor.replay ~window_size:8 fig6_model seq).Auditor.violations));
+               (replay ~window_size:8 fig6_model seq).Auditor.violations));
         audit_readback_string ())
   in
   let w1 = run_at pool1 in
@@ -345,23 +351,28 @@ let rec wait_ready port attempts =
       Unix.sleepf 0.1;
       wait_ready port (attempts - 1)
 
-let serve_metrics_exports_audit_families () =
+(* [f ~port ~stop_cleanly] while [dcache serve-metrics ARGS] serves on
+   [port].  [stop_cleanly ()] sends SIGTERM, which ends the server
+   after its current batch through the normal exit: it checks status 0
+   and that the runtime removed the [<pid>.events] ring file.  SIGKILL
+   ends the server only after a failure. *)
+let with_serve_metrics args f =
   let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
   if not (Sys.file_exists exe) then Alcotest.skip ();
   let out_read, out_write = Unix.pipe ~cloexec:false () in
   let pid =
     Unix.create_process exe
-      [|
-        exe; "serve-metrics"; "--metrics-port"; "0"; "--batches"; "0"; "--batch-size"; "64";
-        "-m"; "4";
-      |]
+      (Array.of_list (exe :: "serve-metrics" :: "--metrics-port" :: "0" :: "--batches" :: "0" :: args))
       Unix.stdin out_write Unix.stderr
   in
   Unix.close out_write;
+  let reaped = ref false in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid);
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
       try Unix.close out_read with Unix.Unix_error _ -> ())
     (fun () ->
       let line = input_line (Unix.in_channel_of_descr out_read) in
@@ -372,31 +383,60 @@ let serve_metrics_exports_audit_families () =
             int_of_string (String.trim (Filename.chop_suffix rest "/metrics"))
         | None -> Alcotest.fail ("unexpected serve-metrics banner: " ^ line)
       in
-      let response = wait_ready port 50 in
-      let body =
-        let rec split i =
-          if i + 4 > String.length response then Alcotest.fail "no HTTP header terminator"
-          else if String.sub response i 4 = "\r\n\r\n" then
-            String.sub response (i + 4) (String.length response - i - 4)
-          else split (i + 1)
-        in
-        split 0
+      let stop_cleanly () =
+        Unix.kill pid Sys.sigterm;
+        let _, status = Unix.waitpid [] pid in
+        reaped := true;
+        Alcotest.(check bool) "SIGTERM exits 0" true (status = Unix.WEXITED 0);
+        Alcotest.(check bool) "no ring file left" false
+          (Sys.file_exists (Printf.sprintf "%d.events" pid))
       in
-      Alcotest.(check bool) "served as the 0.0.4 text format" true
-        (contains "\r\nContent-Type: text/plain; version=0.0.4\r\n" response);
-      (match Prom.validate body with
-      | Ok samples -> Alcotest.(check bool) "exposition has samples" true (samples > 0)
-      | Error e -> Alcotest.fail ("invalid exposition: " ^ e));
-      List.iter
-        (fun family ->
-          Alcotest.(check bool) (family ^ " exported") true (contains family body))
-        [
-          "dcache_audit_requests_total";
-          "dcache_audit_windows_total";
-          "dcache_audit_bound_violations_total";
-          "dcache_audit_prefix_ratio";
-          "dcache_serve_sc_vs_opt";
-        ])
+      f ~port ~stop_cleanly)
+
+let serve_metrics_exports_audit_families () =
+  with_serve_metrics [ "--batch-size"; "64"; "-m"; "4" ] @@ fun ~port ~stop_cleanly ->
+  let response = wait_ready port 50 in
+  let body =
+    let rec split i =
+      if i + 4 > String.length response then Alcotest.fail "no HTTP header terminator"
+      else if String.sub response i 4 = "\r\n\r\n" then
+        String.sub response (i + 4) (String.length response - i - 4)
+      else split (i + 1)
+    in
+    split 0
+  in
+  Alcotest.(check bool) "served as the 0.0.4 text format" true
+    (contains "\r\nContent-Type: text/plain; version=0.0.4\r\n" response);
+  (match Prom.validate body with
+  | Ok samples -> Alcotest.(check bool) "exposition has samples" true (samples > 0)
+  | Error e -> Alcotest.fail ("invalid exposition: " ^ e));
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) (family ^ " exported") true (contains family body))
+    [
+      "dcache_audit_requests_total";
+      "dcache_audit_windows_total";
+      "dcache_audit_bound_violations_total";
+      "dcache_audit_prefix_ratio";
+      "dcache_serve_sc_vs_opt";
+    ];
+  stop_cleanly ()
+
+(* Stopped by SIGTERM, serve-metrics still writes its --trace-json
+   trace on the way out *)
+let serve_metrics_sigterm_writes_trace () =
+  let trace = Filename.temp_file "dcache_serve" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  with_serve_metrics [ "--batch-size"; "64"; "-m"; "4"; "--trace-json"; trace ]
+    (fun ~port ~stop_cleanly ->
+      ignore (wait_ready port 50);
+      stop_cleanly ());
+  let module Bench_json = Dcache_bench_common.Bench_json in
+  match Bench_json.of_string (In_channel.with_open_bin trace In_channel.input_all) with
+  | Ok v ->
+      Alcotest.(check bool) "the trace has events" true
+        (Bench_json.to_list (Bench_json.member "traceEvents" v) <> None)
+  | Error e -> Alcotest.failf "the trace does not parse: %s" e
 
 (* A non-finite time is refused by Online_sc before any state moves,
    so the auditor's three parts stay in step and the next request is
@@ -538,7 +578,7 @@ let audit_path_budget () =
             words_per_request ~n:budget_n (fun () ->
                 match Dcache_workload.Trace_io.read ~filename ~m:(Sequence.m seq) with
                 | Error msg -> Alcotest.fail msg
-                | Ok seq -> Auditor.replay ~window_size:64 ~on_window unit_model seq))
+                | Ok seq -> replay ~window_size:64 ~on_window unit_model seq))
       in
       if words > 18.5 then
         Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 18.5)" name words)
@@ -605,7 +645,7 @@ let online_edge_inputs =
   qcheck ~count:200 "auditor: upload = lambda, 1-ulp gaps and m = 1 keep Theorem 3"
     (QCheck.make ~print:problem_print online_edge_gen)
     (fun p ->
-      let report = Auditor.replay ~window_size:16 p.model p.seq in
+      let report = replay ~window_size:16 p.model p.seq in
       if report.Auditor.violations <> 0 then
         QCheck.Test.fail_reportf "%d bound violations, final ratio %g" report.Auditor.violations
           report.Auditor.final_ratio;
@@ -616,7 +656,7 @@ let online_edge_inputs =
 let auditor_optimum_is_naive =
   qcheck ~count:6 "auditor: the optimum across row blocks equals Naive_dp's" long_problem_arbitrary
     (fun p ->
-      let report = Auditor.replay p.model p.seq in
+      let report = replay p.model p.seq in
       approx report.Auditor.opt_cost (Dcache_baselines.Naive_dp.solve p.model p.seq))
 
 (* Degenerate options exit 1 with the library's message (or, for
@@ -663,6 +703,53 @@ let cli_rejects_degenerate_options () =
               ("--inflate=nan", "inflate must be positive");
               ("--epoch-size=0", "epoch_size must be positive");
             ]))
+
+(* An output that cannot be written fails the run before its work:
+   exit 1 with "dcache: PATH: REASON" on stderr, nothing on stdout, and
+   no <pid>.events ring file left behind (serve-metrics opens its
+   trace before it starts the Runtime_events bridge) *)
+let cli_rejects_unwritable_outputs () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let out = Filename.temp_file "dcache" ".out" and err = Filename.temp_file "dcache" ".err" in
+  let missing ext =
+    Filename.concat (Filename.concat (Filename.get_temp_dir_name ()) "dcache-no-such-dir") ("x" ^ ext)
+  in
+  let dir = Filename.get_temp_dir_name () in
+  let ring_files () =
+    List.length
+      (List.filter (fun f -> Filename.check_suffix f ".events") (Array.to_list (Sys.readdir ".")))
+  in
+  let rings = ring_files () in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let trace = [ "--trace"; "data/15041.events"; "-m"; "6" ] in
+      List.iter
+        (fun (env, args, path) ->
+          let status =
+            Sys.command (env ^ Filename.quote_command exe ~stdout:out ~stderr:err args)
+          in
+          let printed = In_channel.with_open_text out In_channel.input_all in
+          let error = In_channel.with_open_text err In_channel.input_all in
+          let what = env ^ String.concat " " args in
+          Alcotest.(check int) (what ^ ": exit status") 1 status;
+          Alcotest.(check string) (what ^ ": stdout") "" printed;
+          if not (String.starts_with ~prefix:("dcache: " ^ path ^ ": ") error) then
+            Alcotest.failf "%s printed %S on stderr" what error)
+        [
+          ("", [ "generate"; "-o"; missing ".csv" ], missing ".csv");
+          ("", ("render" :: trace) @ [ "-o"; missing ".svg" ], missing ".svg");
+          ("", ("audit" :: trace) @ [ "--metrics-out"; missing ".prom" ], missing ".prom");
+          ("", ("solve" :: trace) @ [ "--trace-json"; missing ".json" ], missing ".json");
+          ("", ("solve" :: trace) @ [ "--trace-json"; dir ], dir);
+          ("DCACHE_TRACE=" ^ Filename.quote (missing ".json") ^ " ", "solve" :: trace, missing ".json");
+          ( "",
+            [ "serve-metrics"; "--metrics-port"; "0"; "--batches"; "1"; "--trace-json"; missing ".json" ],
+            missing ".json" );
+          ("", [ "check-metrics"; dir ], dir);
+        ];
+      Alcotest.(check int) "no ring file left behind" rings (ring_files ()))
 
 (* The auditor hands its costs to Audit through float cells, which
    Online_sc.Incremental and Streaming_dp write.  Beside it, a fresh
@@ -808,7 +895,7 @@ let serve_log_replays_run_at_every_boundary =
   qcheck ~count:40 "sc: the serve log replays run across its appended blocks"
     (QCheck.make
        ~print:(fun { model; seq } ->
-         Format.asprintf "n = %d, m = %d, %a" (Sequence.n seq) (Sequence.m seq) Cost_model.pp model)
+         Format.asprintf "n = %d, m = %d, %a" (Sequence.n seq) (Sequence.m seq) pp_model model)
        serve_log_boundary_gen)
     replays_run
 
@@ -873,4 +960,7 @@ let suite =
     serve_log_replays_run_at_every_boundary;
     case "auditor: a feed loop under a Recording sink stays within 3 minor words per request"
       auditor_feed_budget_recording;
+    case "serve-metrics: SIGTERM writes the trace and leaves no ring file"
+      serve_metrics_sigterm_writes_trace;
+    case "cli: an unwritable output exits 1 before any result" cli_rejects_unwritable_outputs;
   ]

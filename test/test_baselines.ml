@@ -14,26 +14,26 @@ let static_home_cost () =
   let model = Cost_model.make ~mu:1.0 ~lambda:3.0 () in
   let seq = Sequence.of_list ~m:3 [ (1, 1.0); (0, 2.0); (2, 4.0) ] in
   (* mu * t_n + lambda * (two non-home requests) *)
-  check_float "cost" (4.0 +. 6.0) (OP.static_home model seq).cost
+  check_float "cost" (4.0 +. 6.0) (policy "static-home" model seq).cost
 
 let follow_cost () =
   let model = Cost_model.make ~mu:1.0 ~lambda:3.0 () in
   let seq = Sequence.of_list ~m:3 [ (1, 1.0); (1, 2.0); (2, 4.0) ] in
   (* mu * t_n + lambda * (moves: 0->1, 1->2) *)
-  check_float "cost" (4.0 +. 6.0) (OP.follow model seq).cost
+  check_float "cost" (4.0 +. 6.0) (policy "follow" model seq).cost
 
 let cache_everywhere_cost () =
   let model = Cost_model.make ~mu:1.0 ~lambda:3.0 () in
   let seq = Sequence.of_list ~m:3 [ (1, 1.0); (2, 2.0); (1, 3.0); (2, 4.0) ] in
   (* s0 caches [0,4], s1 [1,4], s2 [2,4]; transfers on first touches *)
-  check_float "cost" (4.0 +. 3.0 +. 2.0 +. 6.0) (OP.cache_everywhere model seq).cost
+  check_float "cost" (4.0 +. 3.0 +. 2.0 +. 6.0) (policy "cache-everywhere" model seq).cost
 
 let lru_capacity_one_is_follow () =
   let model = Cost_model.make ~mu:0.7 ~lambda:2.2 () in
   let seq =
     Sequence.of_list ~m:4 [ (1, 0.4); (2, 0.9); (1, 1.7); (3, 2.0); (3, 2.4); (0, 3.0) ]
   in
-  check_float "k=1 behaves like follow" (OP.follow model seq).cost
+  check_float "k=1 behaves like follow" (policy "follow" model seq).cost
     (OP.classic_lru ~capacity:1 model seq).cost
 
 let lru_eviction_order () =
@@ -83,7 +83,7 @@ let all_policies_at_least_opt =
     (fun { model; seq } ->
       let best = opt model seq in
       List.for_all
-        (fun (o : OP.outcome) -> Dcache_prelude.Float_cmp.approx_ge o.cost best)
+        (fun (o : OP.outcome) -> Dcache_prelude.Float_cmp.approx_le best o.cost)
         (OP.all_deterministic model seq))
 
 let sc_outcome_matches_run =
@@ -109,17 +109,16 @@ let randomized_per_copy_feasible =
       let o = OP.randomized_sc_per_copy ~rng model seq in
       (match Schedule.validate seq o.schedule with Ok () -> true | Error _ -> false)
       && approx ~eps:1e-6 o.cost (Schedule.cost model o.schedule)
-      && Dcache_prelude.Float_cmp.approx_ge o.cost (opt model seq))
+      && Dcache_prelude.Float_cmp.approx_le (opt model seq) o.cost)
 
 let sc_with_window_spans_behaviour () =
   let model = Cost_model.unit in
   let seq = Sequence.of_list ~m:2 [ (1, 1.0); (1, 2.5); (0, 6.0) ] in
-  let tiny = OP.sc_with_window ~window:0.01 model seq in
-  let huge = OP.sc_with_window ~window:100.0 model seq in
+  let sc window = Online_sc.run ~window model seq in
+  let tiny = sc 0.01 and huge = sc 100.0 in
   (* the huge window keeps everything: cost ~ cache_everywhere *)
-  check_le "huge window caches more" (OP.sc_with_window ~window:1.0 model seq).cost huge.cost;
-  Alcotest.(check bool) "tiny window transfers more" true
-    (Schedule.num_transfers tiny.schedule >= Schedule.num_transfers huge.schedule)
+  check_le "huge window caches more" (sc 1.0).total_cost huge.total_cost;
+  Alcotest.(check bool) "tiny window transfers more" true (tiny.num_transfers >= huge.num_transfers)
 
 let suite =
   [

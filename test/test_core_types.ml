@@ -38,7 +38,9 @@ let cost_model_rejects_non_finite () =
 let cost_model_delta_t () =
   let model = Cost_model.make ~mu:2.0 ~lambda:5.0 () in
   check_float "delta_t" 2.5 (Cost_model.delta_t model);
-  check_float "caching" 6.0 (Cost_model.caching model ~duration:3.0);
+  check_float "caching" 6.0
+    (Schedule.caching_cost model
+       (Schedule.make ~caches:[ { Schedule.server = 0; from_time = 0.0; to_time = 3.0 } ] ~transfers:[]));
   check_float "unit model window" 1.0 (Cost_model.delta_t Cost_model.unit)
 
 let cost_model_add () =
@@ -110,9 +112,9 @@ let sequence_requests_on () =
 
 let sequence_rejects_bad_input () =
   let bad m reqs =
-    match Sequence.create ~m (Array.of_list (List.map (fun (s, t) -> { Request.server = s; time = t }) reqs)) with
-    | Ok _ -> false
-    | Error _ -> true
+    match Sequence.create_exn ~m (Array.of_list (List.map (fun (s, t) -> { Request.server = s; time = t }) reqs)) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
   in
   Alcotest.(check bool) "m = 0" true (bad 0 []);
   Alcotest.(check bool) "m beyond any array" true (bad max_int []);
@@ -156,7 +158,7 @@ let bounds_fig6 () =
   let expected = [| 0.0; 1.0; 1.0; 1.0; 1.0; 1.0; 0.6; 1.0; 1.0 |] in
   Array.iteri (fun i e -> check_float (Printf.sprintf "b_%d" i) e b.(i)) expected;
   check_float "B_n" 7.6 (Bounds.lower_bound model seq);
-  check_float "coverage bound" 4.4 (Bounds.coverage_lower_bound model seq);
+  check_float "coverage bound" 4.4 (model.mu *. Sequence.horizon seq);
   (* the running bounds are the prefix sums of the marginals, ending
      at the lower bound; B_6 = 5.6 is the value the paper's D(7)
      computation plugs in *)
@@ -181,7 +183,7 @@ let bounds_below_optimum =
     (fun { model; seq } ->
       let opt = Offline_dp.cost (Offline_dp.solve model seq) in
       Dcache_prelude.Float_cmp.approx_le (Bounds.lower_bound model seq) opt
-      && Dcache_prelude.Float_cmp.approx_le (Bounds.coverage_lower_bound model seq) opt)
+      && Dcache_prelude.Float_cmp.approx_le (model.mu *. Sequence.horizon seq) opt)
 
 (* Uploads cheaper than transfers: every request can be served for
    beta = 0.1, so a bound that priced each transfer at lambda read 20.0
@@ -264,11 +266,10 @@ let schedule_detects_unserved_request () =
 
 let schedule_validate_exn_raises_invalid_schedule () =
   let infeasible = Schedule.make ~caches:[] ~transfers:[] in
-  match Schedule.validate_exn (simple_seq ()) infeasible with
-  | () -> Alcotest.fail "validate_exn accepted an infeasible schedule"
-  | exception Schedule.Invalid_schedule (_ :: _) -> ()
-  | exception Schedule.Invalid_schedule [] ->
-      Alcotest.fail "Invalid_schedule carried no violations"
+  match Schedule.validate (simple_seq ()) infeasible with
+  | Ok () -> Alcotest.fail "validate accepted an infeasible schedule"
+  | Error (_ :: _) -> ()
+  | Error [] -> Alcotest.fail "validate's error carried no violations"
 
 let schedule_detects_coverage_gap () =
   (* everything is served and sourced (the s2 interval starts with an
@@ -369,7 +370,10 @@ let schedule_union_and_render () =
     Schedule.make ~caches:[]
       ~transfers:[ { Schedule.src = Schedule.From_server 0; dst = 1; time = 1.0 } ]
   in
-  let u = Schedule.union a b in
+  let u =
+    Schedule.make ~caches:(Schedule.caches a @ Schedule.caches b)
+      ~transfers:(Schedule.transfers a @ Schedule.transfers b)
+  in
   Alcotest.(check int) "union pieces" 1 (List.length (Schedule.caches u));
   Alcotest.(check int) "union transfers" 1 (Schedule.num_transfers u);
   let rendered = Schedule.render (simple_seq ()) u in
@@ -506,7 +510,7 @@ let pieces_print p =
           (fun (tr : Schedule.transfer) ->
             Printf.sprintf "Tr(%s -> s%d, %h)" (source tr.src) tr.dst tr.time)
           p.p_transfers))
-    Cost_model.pp p.p_model Sequence.pp p.p_seq
+    pp_model p.p_model pp_seq p.p_seq
 
 let pieces_arbitrary =
   QCheck.make ~print:pieces_print
@@ -553,11 +557,10 @@ let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Er
 (* [make]'s source encoding: a negative [From_server] reads as [-2] *)
 let src_code = function Schedule.From_server s -> if s < 0 then -2 else s | From_external -> -1
 
-(* [Schedule.of_columns] or [of_sorted_columns] on exactly these
-   pieces, in this order *)
-let of_pieces columns caches transfers =
+(* [Schedule.of_sorted_columns] on exactly these pieces, in this order *)
+let of_sorted caches transfers =
   let cs = Array.of_list caches and ts = Array.of_list transfers in
-  columns
+  Schedule.of_sorted_columns
     ~server:(Array.map (fun (c : Schedule.cache) -> c.server) cs)
     ~from_time:(Array.map (fun (c : Schedule.cache) -> c.from_time) cs)
     ~to_time:(Array.map (fun (c : Schedule.cache) -> c.to_time) cs)
@@ -565,7 +568,6 @@ let of_pieces columns caches transfers =
     ~dst:(Array.map (fun (tr : Schedule.transfer) -> tr.dst) ts)
     ~time:(Array.map (fun (tr : Schedule.transfer) -> tr.time) ts)
 
-let of_sorted = of_pieces Schedule.of_sorted_columns
 let caches_out_of_order = "Schedule.of_sorted_columns: caches out of (server, from, to) order"
 let transfers_out_of_order = "Schedule.of_sorted_columns: transfers out of (time, dst) order"
 
@@ -589,19 +591,6 @@ let schedule_matches_reference =
       | Ok s, Ok r ->
           let model = p.p_model and seq = p.p_seq in
           ignore (agree ~model ~seq s r);
-          (* pieces of the first operand come before the second's ties *)
-          let halves xs =
-            let k = List.length xs / 2 in
-            (List.filteri (fun i _ -> i < k) xs, List.filteri (fun i _ -> i >= k) xs)
-          in
-          let c1, c2 = halves caches and t1, t2 = halves transfers in
-          ignore
-            (agree ~model ~seq
-               (Schedule.union
-                  (Schedule.make ~caches:c1 ~transfers:t1)
-                  (Schedule.make ~caches:c2 ~transfers:t2))
-               (R.union (R.make ~caches:c1 ~transfers:t1) (R.make ~caches:c2 ~transfers:t2)));
-          ignore (agree ~model ~seq (of_pieces Schedule.of_columns caches transfers) r);
           (* the sorted constructor takes the pieces as they are
              stored, and rejects them in any other order *)
           ignore (agree ~model ~seq (of_sorted (Schedule.caches s) (Schedule.transfers s)) r);
@@ -642,14 +631,12 @@ let sorted_constructor_checks () =
       of_sorted [] [ transfer 0 2.0; transfer 1 1.0 ]);
   rejects "destinations descend at one time" transfers_out_of_order (fun () ->
       of_sorted [] [ transfer 1 1.0; transfer 0 1.0 ]);
-  List.iter
-    (fun columns ->
-      rejects "cache columns" "Schedule: cache columns differ in length" (fun () ->
-          columns ~server:[| 0 |] ~from_time:[| 0.0 |] ~to_time:[||] ~src:[||] ~dst:[||]
-            ~time:[||]);
-      rejects "transfer columns" "Schedule: transfer columns differ in length" (fun () ->
-          columns ~server:[||] ~from_time:[||] ~to_time:[||] ~src:[| -1 |] ~dst:[| 0 |] ~time:[||]))
-    [ Schedule.of_columns; Schedule.of_sorted_columns ];
+  rejects "cache columns" "Schedule: cache columns differ in length" (fun () ->
+      Schedule.of_sorted_columns ~server:[| 0 |] ~from_time:[| 0.0 |] ~to_time:[||] ~src:[||]
+        ~dst:[||] ~time:[||]);
+  rejects "transfer columns" "Schedule: transfer columns differ in length" (fun () ->
+      Schedule.of_sorted_columns ~server:[||] ~from_time:[||] ~to_time:[||] ~src:[| -1 |]
+        ~dst:[| 0 |] ~time:[||]);
   let s = of_sorted [ cache 0 0.0 1.0; cache 0 1.0 2.0; cache 1 0.5 1.0 ] [ transfer 1 0.5 ] in
   Alcotest.(check int) "pieces kept" 3 (List.length (Schedule.caches s))
 

@@ -88,7 +88,9 @@ let hetero_lower_than_homogeneous_plan =
 
 let rejects_bad_matrices () =
   let check_error mu lambda =
-    match H.make_costs ~mu ~lambda with Ok _ -> Alcotest.fail "accepted" | Error _ -> ()
+    match H.make_costs_exn ~mu ~lambda with
+    | _ -> Alcotest.fail "accepted"
+    | exception Invalid_argument _ -> ()
   in
   check_error [||] [||];
   check_error [| 1.0 |] [| [| 0.0; 1.0 |] |];
@@ -105,14 +107,13 @@ let rejects_large_m () =
 let cost_accessors () =
   let model = Cost_model.make ~mu:2.0 ~lambda:3.0 () in
   let costs = H.of_homogeneous model ~m:4 in
-  Alcotest.(check int) "num_servers" 4 (H.num_servers costs);
+  let engine = H.engine_costs costs in
   for s = 0 to 3 do
-    check_float (Printf.sprintf "mu_of %d" s) 2.0 (H.mu_of costs s)
+    check_float (Printf.sprintf "mu_of %d" s) 2.0 (engine.Dcache_sim.Engine.mu_of s)
   done;
   check_float "closed price is the direct one" 3.0 (H.lambda_of costs ~src:0 ~dst:2);
-  (* make_costs_exn accepts exactly what make_costs accepts *)
   let costs' = H.make_costs_exn ~mu:[| 2.0; 2.0 |] ~lambda:[| [| 0.0; 3.0 |]; [| 3.0; 0.0 |] |] in
-  Alcotest.(check int) "num_servers of explicit matrix" 2 (H.num_servers costs')
+  check_float "explicit matrix price" 3.0 (H.lambda_of costs' ~src:0 ~dst:1)
 
 let suite =
   [

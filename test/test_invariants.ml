@@ -178,27 +178,10 @@ let closure_never_increases =
 (* ------------------------------------------------------------ formatters *)
 
 let formatters_smoke () =
-  let model = Cost_model.make ~upload:3.0 ~mu:1.0 ~lambda:2.0 () in
-  Alcotest.(check bool) "cost_model pp shows beta" true
-    (let s = Format.asprintf "%a" Cost_model.pp model in
-     String.length s > 0 && String.contains s 'b');
   let seq = fig6 () in
-  Alcotest.(check bool) "sequence pp mentions every request" true
-    (let s = Format.asprintf "%a" Sequence.pp seq in
-     List.for_all
-       (fun i ->
-         let needle = Printf.sprintf "r%d" i in
-         let rec contains k =
-           k + String.length needle <= String.length s
-           && (String.sub s k (String.length needle) = needle || contains (k + 1))
-         in
-         contains 0)
-       [ 1; 8 ]);
   let sched = Offline_dp.schedule (Offline_dp.solve Cost_model.unit seq) in
   Alcotest.(check bool) "schedule pp emits" true
-    (String.length (Format.asprintf "%a" Schedule.pp sched) > 0);
-  Alcotest.(check bool) "request pp emits" true
-    (String.length (Format.asprintf "%a" Request.pp (Sequence.request seq 1)) > 0)
+    (String.length (Format.asprintf "%a" Schedule.pp sched) > 0)
 
 (* ----------------------------------------------------- predictive window *)
 

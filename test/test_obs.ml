@@ -38,6 +38,27 @@ let with_recording ?capacity f =
       Obs.reset ())
     (fun () -> f r)
 
+(* the Chrome trace [Obs.write_chrome_trace] writes, read back *)
+let chrome_json r =
+  let path = Filename.temp_file "dcache_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.write_chrome_trace r ~path;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* the trace's [otherData.eventsLost] *)
+let events_lost r =
+  match Bench_json.of_string (chrome_json r) with
+  | Error e -> Alcotest.failf "the trace does not parse: %s" e
+  | Ok v -> (
+      match Bench_json.member "otherData" v with
+      | Some od -> (
+          match Bench_json.to_float (Bench_json.member "eventsLost" od) with
+          | Some n -> int_of_float n
+          | None -> Alcotest.fail "eventsLost missing")
+      | None -> Alcotest.fail "otherData missing")
+
 let noop_probes_are_dead () =
   Obs.reset ();
   Alcotest.(check bool) "initial sink is Noop" true
@@ -47,10 +68,9 @@ let noop_probes_are_dead () =
   Obs.add c_clicks 7;
   Obs.set_gauge g_level 3.5;
   Obs.observe_span_ns sp_outer 15;
-  Obs.enter sp_outer;
-  Obs.leave sp_outer;
+  Obs.spanned sp_outer (fun () -> ());
   Alcotest.(check int) "disabled incr/add left 0" 0 (Obs.counter_value c_clicks);
-  check_float "disabled set_gauge left 0" 0.0 (Obs.gauge_value g_level);
+  check_float "disabled set_gauge left 0" 0.0 (gauge_value g_level);
   Alcotest.(check int) "disabled observe_span_ns left the histogram empty" 0
     (Histo.count (Obs.span_histo sp_outer))
 
@@ -112,7 +132,7 @@ let registration_and_readback () =
   Obs.add again 4;
   Alcotest.(check int) "incr + add through both handles" 5 (Obs.counter_value c_clicks);
   Obs.set_gauge g_level 2.5;
-  check_float "gauge readback" 2.5 (Obs.gauge_value g_level)
+  check_float "gauge readback" 2.5 (gauge_value g_level)
 
 let invalid_registrations () =
   let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -124,7 +144,7 @@ let invalid_registrations () =
 (* The Chrome export read back as (name, ph, tid) per event: the trace
    structure with every timestamp and sample value dropped. *)
 let chrome_events r =
-  match Bench_json.of_string (Obs.chrome_json r) with
+  match Bench_json.of_string (chrome_json r) with
   | Error e -> Alcotest.failf "chrome_json does not parse: %s" e
   | Ok v -> (
       match Bench_json.to_list (Bench_json.member "traceEvents" v) with
@@ -139,10 +159,7 @@ let chrome_events r =
 
 let span_tree_and_chrome_export () =
   with_recording @@ fun r ->
-  Obs.spanned sp_outer (fun () ->
-      Obs.spanned sp_inner (fun () -> ());
-      Obs.enter sp_inner;
-      Obs.leave sp_inner);
+  Obs.spanned sp_outer (fun () -> Obs.spanned sp_inner (fun () -> ()));
   Obs.incr c_clicks;
   (* the B/E stream nests the spans as they ran *)
   let spans =
@@ -152,13 +169,12 @@ let span_tree_and_chrome_export () =
   in
   Alcotest.(check (list string)) "span nesting"
     [
-      "test.obs.outer:B"; "test.obs.inner:B"; "test.obs.inner:E"; "test.obs.inner:B";
-      "test.obs.inner:E"; "test.obs.outer:E";
+      "test.obs.outer:B"; "test.obs.inner:B"; "test.obs.inner:E"; "test.obs.outer:E";
     ]
     spans;
-  Alcotest.(check int) "no events lost" 0 (Obs.events_lost r);
+  Alcotest.(check int) "no events lost" 0 (events_lost r);
   (* the Chrome export is real JSON with the documented envelope *)
-  match Bench_json.of_string (Obs.chrome_json r) with
+  match Bench_json.of_string (chrome_json r) with
   | Error e -> Alcotest.failf "chrome_json does not parse: %s" e
   | Ok v -> (
       (match Bench_json.to_list (Bench_json.member "traceEvents" v) with
@@ -191,8 +207,8 @@ let ring_overwrite_is_accounted () =
         Obs.spanned sp_inner (fun () -> ())
       done;
       Alcotest.(check bool) "of_fn clock advanced" true (Clock.now clock > 0);
-      Alcotest.(check bool) "events lost reported" true (Obs.events_lost r > 0);
-      match Bench_json.of_string (Obs.chrome_json r) with
+      Alcotest.(check bool) "events lost reported" true (events_lost r > 0);
+      match Bench_json.of_string (chrome_json r) with
       | Error e -> Alcotest.failf "truncated trace does not parse: %s" e
       | Ok _ -> ())
 
@@ -250,36 +266,39 @@ let trace_is_width_independent () =
 
 (* ------------------------------------------- log-scale histograms *)
 
+(* a histogram holding one value reads it back, at every quantile, as
+   the upper bound of the value's bucket *)
+let bucket_bound v =
+  let h = Histo.create () in
+  Histo.record h v;
+  int_of_float (Histo.quantiles h [| 0.5 |]).(0)
+
 let log_histo_buckets () =
   (* exact region: one bucket per value, negatives clamp to 0 *)
   for v = 0 to 15 do
-    Alcotest.(check int) (Printf.sprintf "bucket_of %d" v) v (Histo.bucket_of v)
+    Alcotest.(check int) (Printf.sprintf "bucket of %d" v) v (bucket_bound v)
   done;
-  Alcotest.(check int) "negative clamps to bucket 0" 0 (Histo.bucket_of (-3));
+  Alcotest.(check int) "negative clamps to bucket 0" 0 (bucket_bound (-3));
   (* octave boundaries: 15|16 and 31|32 split buckets *)
-  Alcotest.(check bool) "15 and 16 in different buckets" true
-    (Histo.bucket_of 15 <> Histo.bucket_of 16);
-  Alcotest.(check bool) "31 and 32 in different buckets" true
-    (Histo.bucket_of 31 <> Histo.bucket_of 32);
-  (* bucket_bounds partitions the value line: both ends of a bucket
-     map back to it and hi + 1 starts the next bucket *)
+  Alcotest.(check bool) "15 and 16 in different buckets" true (bucket_bound 15 <> bucket_bound 16);
+  Alcotest.(check bool) "31 and 32 in different buckets" true (bucket_bound 31 <> bucket_bound 32);
+  (* the buckets partition the value line: both ends of a bucket map
+     back to it and hi + 1 starts the next bucket *)
+  let lo = ref 0 in
   for b = 0 to 200 do
-    let lo, hi = Histo.bucket_bounds b in
-    Alcotest.(check int) (Printf.sprintf "lo of bucket %d maps back" b) b (Histo.bucket_of lo);
-    Alcotest.(check int) (Printf.sprintf "hi of bucket %d maps back" b) b (Histo.bucket_of hi);
-    Alcotest.(check int)
+    let hi = bucket_bound !lo in
+    Alcotest.(check bool) (Printf.sprintf "bucket %d is not empty" b) true (hi >= !lo);
+    Alcotest.(check int) (Printf.sprintf "hi of bucket %d maps back" b) hi (bucket_bound hi);
+    Alcotest.(check bool)
       (Printf.sprintf "hi+1 of bucket %d starts the next" b)
-      (b + 1) (Histo.bucket_of (hi + 1))
-  done;
-  Alcotest.(check bool) "out-of-range bounds rejected" true
-    (try
-       ignore (Histo.bucket_bounds Histo.num_buckets);
-       false
-     with Invalid_argument _ -> true)
+      true
+      (bucket_bound (hi + 1) > hi);
+    lo := hi + 1
+  done
 
 let log_histo_quantiles () =
   let h = Histo.create () in
-  Alcotest.(check (float 0.0)) "empty quantile is 0" 0.0 (Histo.quantile h 0.5);
+  Alcotest.(check (float 0.0)) "empty quantile is 0" 0.0 (Histo.quantiles h [| 0.5 |]).(0);
   for v = 1 to 1000 do
     Histo.record h v
   done;
@@ -299,15 +318,15 @@ let log_histo_quantiles () =
       Alcotest.(check bool)
         (Printf.sprintf "p%g within relative error" (100.0 *. probes.(i)))
         true
-        (q <= (t *. (1.0 +. Histo.relative_error)) +. 1.0);
-      check_float "batch agrees with single probe" (Histo.quantile h probes.(i)) q)
+        (q <= (t *. (1.0 +. (1.0 /. 16.0))) +. 1.0))
     qs;
   (* a single value reads back as its bucket's upper bound at every q *)
   let h1 = Histo.create () in
   Histo.record h1 42;
-  let _, hi = Histo.bucket_bounds (Histo.bucket_of 42) in
-  check_float "single value p50 is its bucket bound" (float_of_int hi) (Histo.quantile h1 0.5);
-  check_float "single value p999 identical" (float_of_int hi) (Histo.quantile h1 0.999);
+  (* 42 sits in [42, 43], the octave [32, 63] cut into 16 *)
+  let q = Histo.quantiles h1 [| 0.5; 0.999 |] in
+  check_float "single value p50 is its bucket bound" 43.0 q.(0);
+  check_float "single value p999 identical" 43.0 q.(1);
   Histo.reset h1;
   Alcotest.(check int) "reset zeroes count" 0 (Histo.count h1)
 
@@ -326,7 +345,10 @@ let log_histo_across_pool_tasks () =
   done;
   Alcotest.(check int) "pool-recorded count" (Histo.count reference) (Histo.count h);
   Alcotest.(check int) "pool-recorded sum" (Histo.sum reference) (Histo.sum h);
-  Alcotest.(check (array int)) "pool-recorded buckets" (Histo.counts reference) (Histo.counts h)
+  (* a probe at every rank reads every recorded value's bucket *)
+  let ranks = Array.init 64 (fun k -> float_of_int (k + 1) /. 64.0) in
+  Alcotest.(check (array (float 0.0))) "pool-recorded buckets" (Histo.quantiles reference ranks)
+    (Histo.quantiles h ranks)
 
 (* ---------------------------------------------- Prometheus export *)
 
@@ -405,7 +427,7 @@ let labeled_families () =
   let gv = Obs.gauge_vec "test.obs.family_depth" ~labels:[ "item" ] in
   let g = Obs.gauge_with_label gv "a\"b" in
   Obs.set_gauge g 2.5;
-  check_float "gauge child readback" 2.5 (Obs.gauge_value g);
+  check_float "gauge child readback" 2.5 (gauge_value g);
   (* encoded children render as real Prometheus labels (values
      escaped) and the scrape still passes the golden 0.0.4 parser *)
   let text = Prom.exposition () in
@@ -537,7 +559,7 @@ let non_finite_gauges_export_null () =
   Obs.set_gauge g_level infinity;
   Obs.set_gauge g_level nan;
   Obs.set_gauge g_level neg_infinity;
-  match Bench_json.of_string (Obs.chrome_json r) with
+  match Bench_json.of_string (chrome_json r) with
   | Error e -> Alcotest.failf "trace with non-finite gauges does not parse: %s" e
   | Ok v ->
       let samples =
@@ -568,11 +590,12 @@ let non_finite_gauges_export_null () =
 let injected_events_in_trace () =
   with_recording @@ fun r ->
   let sp = Obs.span_name "gc.test_phase" in
-  let track = Dcache_obs.Runtime_bridge.gc_track_base in
+  (* the bridge's first GC lane *)
+  let track = 256 in
   Obs.inject_event sp ~track ~is_begin:true ~ts:10;
   Obs.inject_event sp ~track ~is_begin:false ~ts:20;
   Obs.spanned sp_outer (fun () -> ());
-  let json = Obs.chrome_json r in
+  let json = chrome_json r in
   Alcotest.(check bool) "injected span in export" true (contains "gc.test_phase" json);
   Alcotest.(check bool) "ordinary span still in export" true (contains "test.obs.outer" json);
   Alcotest.(check bool) "gc track id in export" true
@@ -590,14 +613,18 @@ let runtime_bridge_gc_spans () =
       Obs.set_sink Obs.Noop;
       Obs.reset ())
     (fun () ->
-      let b = Dcache_obs.Runtime_bridge.start () in
+      let b =
+        match Dcache_obs.Runtime_bridge.install () with
+        | Some b -> b
+        | None -> Alcotest.fail "no bridge while recording"
+      in
       Obs.spanned sp_outer (fun () ->
           Gc.minor ();
           Gc.minor ());
       let consumed = Dcache_obs.Runtime_bridge.poll b in
       Dcache_obs.Runtime_bridge.stop b;
       Alcotest.(check bool) "bridge consumed runtime events" true (consumed > 0);
-      let json = Obs.chrome_json r in
+      let json = chrome_json r in
       Alcotest.(check bool) "gc span interleaved with dp spans" true (contains "gc." json);
       Alcotest.(check bool) "ordinary span present too" true (contains "test.obs.outer" json))
 
@@ -823,6 +850,35 @@ let validate_rejects_redeclared_families () =
       ("a repeated unlabeled series", "x 1\nx 2\n");
     ]
 
+(* Texts the 0.0.4 format forbids: one series twice under reordered,
+   trailing-comma or empty label sets, a second HELP line, a TYPE or
+   HELP line after its family's samples, and an unknown escape.  Each
+   error names its line. *)
+let validate_rejects_forbidden_texts () =
+  List.iter
+    (fun (what, line, text) ->
+      match Prom.validate text with
+      | Ok n -> Alcotest.failf "%s accepted (%d samples)" what n
+      | Error e ->
+          let prefix = Printf.sprintf "line %d: " line in
+          if not (String.starts_with ~prefix e) then
+            Alcotest.failf "%s: %S does not name line %d" what e line)
+    [
+      ("labels reordered", 2, "x{a=\"1\",b=\"2\"} 1\nx{b=\"2\",a=\"1\"} 2\n");
+      ("a trailing comma", 2, "x{a=\"1\"} 1\nx{a=\"1\",} 2\n");
+      ("an empty label set", 2, "x 1\nx{} 2\n");
+      ("a second HELP line", 2, "# HELP x one\n# HELP x two\nx 1\n");
+      ("a TYPE line after a sample", 2, "x 1\n# TYPE x gauge\n");
+      ("a HELP line after a sample", 2, "x 1\n# HELP x late\n");
+      ("a TYPE line after a summary's _sum", 2, "x_sum 1\n# TYPE x summary\n");
+      ("a HELP line after a summary's _count", 3, "# TYPE x summary\nx_count 1\n# HELP x late\n");
+      ("an unknown escape", 1, "x_total{a=\"\\q\"} 1\n");
+    ];
+  (* the three legal escapes pass *)
+  match Prom.validate "x_total{a=\"\\\\\\\"\\n\"} 1\n" with
+  | Ok n -> Alcotest.(check int) "legal escapes" 1 n
+  | Error e -> Alcotest.failf "legal escapes rejected: %s" e
+
 (* Events keep their tag, name and track at the ends of the key's
    ranges: the highest task track of a Parallel job, the GC bridge's
    track for runtime ring 127, the largest track the key holds, and
@@ -831,7 +887,8 @@ let ring_key_extremes () =
   with_recording @@ fun r ->
   let sp = Obs.span_name "test.ring.last_span" in
   let g = Obs.gauge "test.ring.last_gauge" in
-  let tasks = 1000 and gc_track = Dcache_obs.Runtime_bridge.gc_track_base + 127 in
+  (* a GC lane of the bridge, which starts them at track 256 *)
+  let tasks = 1000 and gc_track = 256 + 127 in
   let top = (1 lsl 30) - 1 in
   (match Obs.Parallel.job_begin ~span:sp ~task_span:sp ~wait_gauge:g ~tasks with
   | None -> Alcotest.fail "no job while recording"
@@ -858,7 +915,7 @@ let ring_key_extremes () =
       ("test.ring.last_span", "B", 0);
     ];
   Alcotest.(check bool) "the sample keeps its value" true
-    (contains "\"tid\": 1000, \"args\": {\"value\": 0.750}" (Obs.chrome_json r));
+    (contains "\"tid\": 1000, \"args\": {\"value\": 0.750}" (chrome_json r));
   let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
   Alcotest.(check bool) "a track past the key refused" true
     (refused (fun () -> Obs.inject_event sp ~track:(top + 1) ~is_begin:true ~ts:5));
@@ -908,9 +965,7 @@ let chrome_json_keeps_its_bytes () =
   with_recording @@ fun r ->
   Obs.spanned sp_ring_a (fun () ->
       Obs.set_gauge g_ring 1.5;
-      Obs.enter sp_ring_b;
-      Obs.set_gauge g_ring (-0.25);
-      Obs.leave sp_ring_b);
+      Obs.spanned sp_ring_b (fun () -> Obs.set_gauge g_ring (-0.25)));
   Obs.inject_event sp_ring_b ~track:300 ~is_begin:true ~ts:5;
   Obs.inject_event sp_ring_b ~track:300 ~is_begin:false ~ts:9;
   (match
@@ -923,8 +978,8 @@ let chrome_json_keeps_its_bytes () =
       Obs.Parallel.job_end j
   | None -> Alcotest.fail "no job while recording");
   Obs.set_gauge g_ring nan;
-  Obs.enter sp_ring_a;
-  let json = Obs.chrome_json r in
+  (* a span still open when the trace is written *)
+  let json = Obs.spanned sp_ring_a (fun () -> chrome_json r) in
   if not (String.starts_with ~prefix:five_column_trace json) then
     Alcotest.failf "the trace's events differ:\n%s" json
 
@@ -1010,4 +1065,5 @@ let suite =
     case "obs: chrome_json prints the five-column ring's bytes" chrome_json_keeps_its_bytes;
     case "obs: a warm scrape of the serve registry stays within 2x its text" warm_scrape_budget;
     case "obs: a recorder's ring is three words per event" recorder_budget;
+    case "obs: validate rejects what the 0.0.4 format forbids" validate_rejects_forbidden_texts;
   ]

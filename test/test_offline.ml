@@ -50,12 +50,10 @@ let fig2_costs () =
   let seq = fig2 () in
   let r = Offline_dp.solve I.fig2_model seq in
   let sched = Offline_dp.schedule r in
-  check_float "total 7.2" I.fig2_expected_total (Offline_dp.cost r);
+  check_float "total 7.2" 7.2 (Offline_dp.cost r);
   check_float "caching 3.2" I.fig2_expected_caching (Schedule.caching_cost unit sched);
-  check_float "transfers 4.0"
-    (float_of_int I.fig2_expected_transfers)
-    (Schedule.transfer_cost unit sched);
-  Alcotest.(check int) "4 transfers" I.fig2_expected_transfers (Schedule.num_transfers sched);
+  check_float "transfers 4.0" 4.0 (Schedule.transfer_cost unit sched);
+  Alcotest.(check int) "4 transfers" 4 (Schedule.num_transfers sched);
   Alcotest.(check bool) "standard form" true (Schedule.is_standard_form seq sched)
 
 (* --------------------------------------------------------- degenerate *)
@@ -218,9 +216,9 @@ let capped_monotone_in_k =
     (fun { model; seq } ->
       let cost k = B.Subset_dp.solve ~max_copies:k model seq in
       let unbounded = B.Subset_dp.solve model seq in
-      Dcache_prelude.Float_cmp.approx_ge (cost 1) (cost 2)
-      && Dcache_prelude.Float_cmp.approx_ge (cost 2) (cost 3)
-      && Dcache_prelude.Float_cmp.approx_ge (cost 3) unbounded)
+      Dcache_prelude.Float_cmp.approx_le (cost 2) (cost 1)
+      && Dcache_prelude.Float_cmp.approx_le (cost 3) (cost 2)
+      && Dcache_prelude.Float_cmp.approx_le unbounded (cost 3))
 
 let capped_at_m_is_unbounded =
   qcheck ~count:150 "capacity: a cap of m changes nothing"

@@ -153,7 +153,7 @@ let sc_at_least_opt =
   qcheck ~count:300 "online: SC never beats the offline optimum"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      Dcache_prelude.Float_cmp.approx_ge (Online_sc.run model seq).total_cost (opt model seq))
+      Dcache_prelude.Float_cmp.approx_le (opt model seq) (Online_sc.run model seq).total_cost)
 
 (* ---------------------------------------------------------------- epochs *)
 
@@ -286,7 +286,7 @@ let lemma6_short_intervals_cached =
               (fun c ->
                 c.Schedule.server = Sequence.server seq i
                 && Dcache_prelude.Float_cmp.approx_le c.Schedule.from_time (Sequence.time seq p)
-                && Dcache_prelude.Float_cmp.approx_ge c.Schedule.to_time (Sequence.time seq i))
+                && Dcache_prelude.Float_cmp.approx_le (Sequence.time seq i) c.Schedule.to_time)
               (Schedule.caches sched)
           in
           if not covered then ok := false

@@ -15,11 +15,9 @@ open Helpers
 let pool1 = Pool.create ~domains:1 ()
 let pool4 = Pool.create ~domains:4 ()
 
-let pool_widths () =
-  Alcotest.(check int) "width 1" 1 (Pool.domains pool1);
-  Alcotest.(check int) "width 4" 4 (Pool.domains pool4);
-  let d = Pool.default_domains () in
-  Alcotest.(check bool) "default width in 1..64" true (d >= 1 && d <= 64)
+let with_pool ~domains f =
+  let p = Pool.create ~domains () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let parallel_init_matches =
   qcheck ~count:100 "pool: parallel_init is Array.init"
@@ -34,7 +32,7 @@ let parallel_map_matches =
     QCheck.(array_of_size Gen.(int_bound 64) small_int)
     (fun a ->
       let f x = (x * x) - (3 * x) + 7 in
-      Pool.parallel_map pool4 f a = Array.map f a)
+      Pool.parallel_init pool4 (Array.length a) (fun i -> f a.(i)) = Array.map f a)
 
 (* A miniature experiment sweep: cell [i] derives its stream from the
    root by index, builds an instance, solves it offline, and renders a
@@ -67,14 +65,14 @@ let sweep_width_independent =
       String.equal (sweep_csv pool1 root 17) (sweep_csv pool4 root 17))
 
 let exception_propagation () =
-  Pool.with_pool ~domains:3 (fun p ->
+  with_pool ~domains:3 (fun p ->
       Alcotest.check_raises "task failure reaches the submitter" (Failure "boom") (fun () ->
           ignore (Pool.parallel_init p 64 (fun i -> if i = 37 then failwith "boom" else i)));
       Alcotest.(check (array int)) "pool is reusable after a failed job" (Array.init 64 Fun.id)
         (Pool.parallel_init p 64 Fun.id))
 
 let nested_rejection () =
-  Pool.with_pool ~domains:2 (fun p ->
+  with_pool ~domains:2 (fun p ->
       Alcotest.(check bool) "nested region rejected" true
         (try
            ignore (Pool.parallel_init p 4 (fun _ -> Array.length (Pool.parallel_init p 2 Fun.id)));
@@ -83,7 +81,6 @@ let nested_rejection () =
 
 let shutdown_semantics () =
   let p = Pool.create ~domains:2 () in
-  Alcotest.(check int) "width" 2 (Pool.domains p);
   Alcotest.(check (array int)) "live pool works" [| 0; 1; 2 |] (Pool.parallel_init p 3 Fun.id);
   Pool.shutdown p;
   Pool.shutdown p;
@@ -100,7 +97,7 @@ let micro_sweep_smoke () =
     Dcache_workload.Ratio_search.search ~restarts:4 ~steps:40 ?pool ~rng ~m:3 ~n:12 model
   in
   let sequential = search (Rng.create 42) None in
-  let pooled = Pool.with_pool ~domains:2 (fun p -> search (Rng.create 42) (Some p)) in
+  let pooled = with_pool ~domains:2 (fun p -> search (Rng.create 42) (Some p)) in
   check_float "same ratio" sequential.Dcache_workload.Ratio_search.ratio
     pooled.Dcache_workload.Ratio_search.ratio;
   check_float "same online cost" sequential.Dcache_workload.Ratio_search.sc_cost
@@ -135,7 +132,6 @@ let experiments_cli_width_independent () =
 
 let suite =
   [
-    case "pool: widths and default" pool_widths;
     parallel_init_matches;
     parallel_map_matches;
     sweep_width_independent;

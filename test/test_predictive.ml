@@ -5,12 +5,15 @@ open Helpers
 
 let opt model seq = Offline_dp.cost (Offline_dp.solve model seq)
 
+(* the predictor that never has an estimate: standard SC *)
+let blank : Online_predictive.predictor = fun ~server:_ ~time:_ -> None
+
 let blank_equals_standard =
   qcheck ~count:250 "predictive: the blank predictor reproduces standard SC exactly"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
       let standard = Online_sc.run model seq in
-      let predictive = Online_predictive.run Online_predictive.blank model seq in
+      let predictive = Online_predictive.run blank model seq in
       approx ~eps:1e-9 standard.total_cost predictive.total_cost
       && standard.num_transfers = predictive.num_transfers)
 
@@ -52,7 +55,7 @@ let predictive_at_least_opt =
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
       let run = Online_predictive.run ~beta:0.5 (Online_predictive.oracle seq) model seq in
-      Dcache_prelude.Float_cmp.approx_ge run.total_cost (opt model seq))
+      Dcache_prelude.Float_cmp.approx_le (opt model seq) run.total_cost)
 
 let noisy_zero_error_is_oracle =
   qcheck ~count:100 "predictive: zero-noise predictor equals the oracle"
@@ -74,7 +77,7 @@ let frequency_predictor_feasible =
       in
       let sched = Online_sc.schedule_of_run seq run in
       (match Schedule.validate seq sched with Ok () -> true | Error _ -> false)
-      && Dcache_prelude.Float_cmp.approx_ge run.total_cost (opt model seq))
+      && Dcache_prelude.Float_cmp.approx_le (opt model seq) run.total_cost)
 
 let oracle_prediction_values () =
   let seq = Sequence.of_list ~m:3 [ (1, 1.0); (2, 2.0); (1, 3.5) ] in
@@ -95,7 +98,7 @@ let rejects_bad_beta () =
     (fun beta ->
       Alcotest.(check bool) "bad beta" true
         (try
-           ignore (Online_predictive.run ~beta Online_predictive.blank Cost_model.unit seq);
+           ignore (Online_predictive.run ~beta blank Cost_model.unit seq);
            false
          with Invalid_argument _ -> true))
     [ 0.0; -0.5; 1.5 ]

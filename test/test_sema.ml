@@ -1,14 +1,15 @@
 (* dcache_sema: the typed pass on compiled fixtures — each S rule
    fires on its violation fixture, the interprocedural rules (S2, S6,
    S7) see through call chains, suppressions silence
-   findings and go stale when they stop matching, S3 liveness
-   respects cross-library users, and the digest-keyed cache hits on
-   re-runs and invalidates on an analyzer-version bump.
+   findings and go stale when they stop matching, S3 liveness counts
+   product users (other libraries and sibling units, never test
+   units), and the digest-keyed cache hits on re-runs and invalidates
+   on an analyzer-version bump.
 
    Sema reads .cmt files, so the fixtures are compiled once (lazily)
    with [ocamlc -bin-annot] into a throwaway tree shaped like the
-   project — lib/core/ and lib/workload/ plus a sibling directory
-   standing in for another dune library — so the path-scoped rules
+   project — lib/core/ and lib/workload/ plus bin/ and test/ users
+   of the S3 fixture — so the path-scoped rules
    (S2's lib/core, S6's lib/workload, lib/ for the rest) see the
    prefixes they key on.  The R rules have their own suite,
    test_lint.ml. *)
@@ -37,7 +38,7 @@ let core_fixtures =
     "s2_violation.ml"; "s2_violation.mli"; "s3_dead.ml"; "s3_dead.mli"; "s4_violation.ml";
     "s5_hot_obs.ml"; "clean.ml"; "suppressed.ml"; "s7_ref.ml"; "s7_named.ml"; "s7_clean.ml";
     "stale_suppress.ml"; "s2v2_chain.ml"; "s2v2_chain.mli"; "s2v2_clean.ml"; "s2v2_clean.mli";
-    "s8_lock.ml"; "s8_protect.ml"; "s8_socket.ml"; "multi_suppress.ml";
+    "s8_lock.ml"; "s8_protect.ml"; "s8_socket.ml"; "multi_suppress.ml"; "s3_sibling.ml";
   ]
 
 let workload_fixtures =
@@ -53,13 +54,15 @@ let compile_tree ~core_order =
   Sys.remove root;
   mkdir_p (Filename.concat root "lib/core");
   mkdir_p (Filename.concat root "lib/workload");
-  mkdir_p (Filename.concat root "other");
+  mkdir_p (Filename.concat root "bin");
+  mkdir_p (Filename.concat root "test");
   let place sub name =
     copy (Filename.concat fixture_dir name) (Filename.concat root (Filename.concat sub name))
   in
   List.iter (place "lib/core") core_fixtures;
   List.iter (place "lib/workload") workload_fixtures;
-  place "other" "s3_user.ml";
+  place "bin" "s3_user.ml";
+  place "test" "s3_test_user.ml";
   let args order = String.concat " " (List.map (fun f -> "lib/core/" ^ f) order) in
   let pairs_first =
     [
@@ -75,7 +78,8 @@ let compile_tree ~core_order =
      lib/workload/s6_scc.ml lib/workload/s6_alias.ml lib/workload/s6_hashtbl_alias.ml \
      lib/workload/s6_call_alias.ml"
     (Filename.quote root);
-  command "cd %s && ocamlc -bin-annot -I lib/core -c other/s3_user.ml" (Filename.quote root);
+  command "cd %s && ocamlc -bin-annot -I lib/core -c bin/s3_user.ml test/s3_test_user.ml"
+    (Filename.quote root);
   root
 
 let default_core_order =
@@ -128,8 +132,8 @@ let test_rules_fire () =
 let test_s3_liveness () =
   let findings, _, _, _ = run () in
   (* dead_export (line 5) is flagged; used_export is kept alive by the
-     cross-library reference in other/s3_user.ml; kept_export is dead
-     but carries a suppression *)
+     product reference in bin/s3_user.ml; kept_export is dead but
+     carries a suppression *)
   check_one "S3 dead export" "S3" "lib/core/s3_dead.mli" 5 findings
 
 let test_clean_and_suppressed () =
@@ -287,7 +291,7 @@ let test_stats_populated () =
 (* version pins: forgetting to bump either stamp when rule semantics
    change is the cache-staleness failure mode — fail loudly here *)
 let test_version_pins () =
-  Alcotest.(check string) "analyzer version" "13" Sema_rules.analyzer_version;
+  Alcotest.(check string) "analyzer version" "14" Sema_rules.analyzer_version;
   Alcotest.(check int) "cache format version" 6 Sema_cache.version
 
 (* witness chains surface in SARIF as codeFlows/relatedLocations and
@@ -402,6 +406,19 @@ let test_lib_is_sema_clean () =
       (List.map (fun (p, l, t) -> Printf.sprintf "%s:%d: %s" p l t) stale)
   end
 
+(* a use from test/ does not count: dead_export, which only
+   test/s3_test_user.ml calls, stays flagged *)
+let test_s3_ignores_test_users () =
+  let findings, _, _, _ = run () in
+  check_message "S3 test-only export" "S3" "lib/core/s3_dead.mli" "dead_export" findings
+
+(* a sibling unit of the same library counts: lib/core/s3_sibling.ml
+   keeps sibling_export (line 9) live *)
+let test_s3_counts_siblings () =
+  let findings, _, _, _ = run () in
+  Alcotest.(check (list int)) "S3 lines in s3_dead.mli" [ 5 ]
+    (List.map (fun f -> f.F.line) (find "S3" "lib/core/s3_dead.mli" findings))
+
 let suite =
   [
     Alcotest.test_case "S1/S2/S4/S5 fire on violation fixtures" `Quick test_rules_fire;
@@ -423,4 +440,6 @@ let suite =
     Alcotest.test_case "stamp bump invalidates the cache" `Quick test_cache_stamp_invalidation;
     Alcotest.test_case "stale suppressions are reported" `Quick test_stale_suppressions;
     Alcotest.test_case "lib/ is sema-clean" `Quick test_lib_is_sema_clean;
+    Alcotest.test_case "S3 ignores test-only users" `Quick test_s3_ignores_test_users;
+    Alcotest.test_case "S3 counts sibling units" `Quick test_s3_counts_siblings;
   ]

@@ -43,9 +43,9 @@ let engine_simple_policies_match_analytic =
       let home = Sim.Engine.run (module Sim.Simple_policies.Static_home) model seq in
       let follow = Sim.Engine.run (module Sim.Simple_policies.Follow) model seq in
       approx ~eps:1e-6 home.metrics.total_cost
-        (Dcache_baselines.Online_policies.static_home model seq).cost
+        (policy "static-home" model seq).cost
       && approx ~eps:1e-6 follow.metrics.total_cost
-           (Dcache_baselines.Online_policies.follow model seq).cost)
+           (policy "follow" model seq).cost)
 
 let engine_cache_everywhere_matches =
   qcheck ~count:200 "engine: cache-everywhere policy matches its analytic outcome"
@@ -53,7 +53,7 @@ let engine_cache_everywhere_matches =
     (fun { model; seq } ->
       let r = Sim.Engine.run (module Sim.Simple_policies.Cache_everywhere) model seq in
       approx ~eps:1e-6 r.metrics.total_cost
-        (Dcache_baselines.Online_policies.cache_everywhere model seq).cost)
+        (policy "cache-everywhere" model seq).cost)
 
 (* --------------------------------------------------------------- metrics *)
 
@@ -159,18 +159,6 @@ let engine_rejects_past_timer () =
      with Sim.Engine.Engine_error _ -> true)
 
 (* --------------------------------------------------------- heterogeneous *)
-
-let homogeneous_costs_roundtrip () =
-  let model = Cost_model.make ~mu:2.0 ~lambda:5.0 () in
-  let costs = Sim.Engine.homogeneous model in
-  check_float "mu_of" 2.0 (costs.Sim.Engine.mu_of 3);
-  check_float "lambda_of" 5.0 (costs.Sim.Engine.lambda_of ~src:0 ~dst:2);
-  check_float "no uplink" infinity (costs.Sim.Engine.upload_of 1);
-  (* running with the explicit homogeneous table must equal the default *)
-  let seq = Sequence.of_list ~m:3 [ (1, 1.0); (2, 2.0); (1, 3.0) ] in
-  let explicit = Sim.Engine.run ~costs (module Sim.Sc_policy) model seq in
-  let implicit = Sim.Engine.run (module Sim.Sc_policy) model seq in
-  check_float "same bill" implicit.metrics.total_cost explicit.metrics.total_cost
 
 let heterogeneous_costs_respected () =
   (* one remote request; the transfer price depends on the pair *)

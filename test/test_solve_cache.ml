@@ -8,8 +8,26 @@ open Helpers
    assertion below works on deltas, never absolutes) *)
 let fresh () =
   Solve_cache.clear ();
-  Solve_cache.set_capacity 64;
   Solve_cache.stats ()
+
+let size () = (Solve_cache.stats ()).Solve_cache.size
+
+(* the per-entry hit counts, most-used first, as [publish_freqs]
+   exports them under a recording sink: ranks 0-7 of the labeled
+   [solve_cache.entry_freq] family *)
+let published_freqs () =
+  let module Obs = Dcache_obs.Obs in
+  Obs.set_sink (Obs.Recording (Obs.recorder ~capacity:16 ()));
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink Obs.Noop;
+      Obs.reset ())
+    (fun () ->
+      Solve_cache.publish_freqs ();
+      let gauges = gauge_values () in
+      List.init 8 (fun rank ->
+          int_of_float
+            (List.assoc (Printf.sprintf "solve_cache.entry_freq{rank=\"%d\"}" rank) gauges)))
 
 let instance seed ~m ~n =
   let rng = Dcache_prelude.Rng.create seed in
@@ -32,7 +50,7 @@ let hit_is_physical () =
   let after = Solve_cache.stats () in
   Alcotest.(check int) "one miss" 1 (after.Solve_cache.misses - before.Solve_cache.misses);
   Alcotest.(check int) "one hit" 1 (after.Solve_cache.hits - before.Solve_cache.hits);
-  Alcotest.(check int) "one live entry" 1 (Solve_cache.size ())
+  Alcotest.(check int) "one live entry" 1 (size ())
 
 let warm_equals_cold =
   qcheck ~count:100 "solve-cache: memoised result equals a direct solve"
@@ -56,8 +74,8 @@ let distinct_inputs_miss () =
   (* same sequence under a different cost model is a different key *)
   let bumped = Cost_model.make ~mu:1.5 ~lambda:2.0 () in
   ignore (Solve_cache.solve bumped seq);
-  Alcotest.(check int) "three live entries" 3 (Solve_cache.size ());
-  Alcotest.(check (list int)) "no entry has hit yet" [ 0; 0; 0 ] (Solve_cache.all_freqs ())
+  Alcotest.(check int) "three live entries" 3 (size ());
+  Alcotest.(check (list int)) "no entry has hit yet" [ 0; 0; 0; 0; 0; 0; 0; 0 ] (published_freqs ())
 
 let freqs_sorted () =
   let _ = fresh () in
@@ -69,34 +87,32 @@ let freqs_sorted () =
     ignore (Solve_cache.solve model' seq')
   done;
   ignore (Solve_cache.solve model seq);
-  Alcotest.(check (list int)) "per-entry hit counts, most-used first" [ 3; 1 ]
-    (Solve_cache.all_freqs ())
+  Alcotest.(check (list int)) "per-entry hit counts, most-used first" [ 3; 1; 0; 0; 0; 0; 0; 0 ]
+    (published_freqs ())
 
+(* the table holds 64 entries *)
 let lru_eviction () =
   let before = fresh () in
-  Solve_cache.set_capacity 2;
-  Alcotest.(check int) "capacity reflects the bound" 2 (Solve_cache.capacity ());
   let a_model, a_seq = instance 41 ~m:3 ~n:25 in
   let b_model, b_seq = instance 42 ~m:3 ~n:25 in
-  let c_model, c_seq = instance 43 ~m:3 ~n:25 in
   let a = Solve_cache.solve a_model a_seq in
   ignore (Solve_cache.solve b_model b_seq);
+  for k = 1 to 62 do
+    let model, seq = instance (1000 + k) ~m:3 ~n:25 in
+    ignore (Solve_cache.solve model seq)
+  done;
   ignore (Solve_cache.solve a_model a_seq);
   (* a is now more recently used than b: inserting c must evict b *)
+  let c_model, c_seq = instance 43 ~m:3 ~n:25 in
   ignore (Solve_cache.solve c_model c_seq);
-  Alcotest.(check int) "bounded at capacity" 2 (Solve_cache.size ());
+  Alcotest.(check int) "bounded at capacity" 64 (size ());
   let mid = Solve_cache.stats () in
   Alcotest.(check int) "one eviction" 1 (mid.Solve_cache.evictions - before.Solve_cache.evictions);
   Alcotest.(check bool) "survivor a still hits" true (Solve_cache.solve a_model a_seq == a);
   (* re-requesting b must run the sweep again: it was the LRU victim *)
   ignore (Solve_cache.solve b_model b_seq);
   let after = Solve_cache.stats () in
-  Alcotest.(check int) "b was the victim" 4 (after.Solve_cache.misses - before.Solve_cache.misses);
-  Solve_cache.set_capacity 1;
-  Alcotest.(check int) "shrinking evicts down immediately" 1 (Solve_cache.size ());
-  Alcotest.(check bool) "bound below 1 is rejected" true
-    (try Solve_cache.set_capacity 0; false with Invalid_argument _ -> true);
-  Solve_cache.set_capacity 64
+  Alcotest.(check int) "b was the victim" 66 (after.Solve_cache.misses - before.Solve_cache.misses)
 
 let clear_keeps_counters () =
   let _ = fresh () in
@@ -124,7 +140,7 @@ let edge_instances_cached () =
   check_float "empty optimum" 0.0 (Offline_dp.cost (Solve_cache.solve model empty));
   ignore (Solve_cache.solve model single);
   Alcotest.(check bool) "empty hit" true (Solve_cache.solve model empty == Solve_cache.solve model empty);
-  Alcotest.(check int) "both cached" 2 (Solve_cache.size ())
+  Alcotest.(check int) "both cached" 2 (size ())
 
 (* the fingerprint is the sequence half of the cache key: stable
    across calls, and it must separate sequences that differ only in a

@@ -72,15 +72,15 @@ let single_copy_equals_follow =
     (fun { model; seq } ->
       approx ~eps:1e-6
         (G.single_copy_optimum model seq)
-        (Dcache_baselines.Online_policies.follow model seq).cost)
+        (policy "follow" model seq).cost)
 
 let single_copy_at_least_opt =
   qcheck ~count:250 "spacetime: forbidding replication never helps"
     (nonempty_problem_arbitrary ())
     (fun { model; seq } ->
-      Dcache_prelude.Float_cmp.approx_ge
-        (G.single_copy_optimum model seq)
-        (Offline_dp.cost (Offline_dp.solve model seq)))
+      Dcache_prelude.Float_cmp.approx_le
+        (Offline_dp.cost (Offline_dp.solve model seq))
+        (G.single_copy_optimum model seq))
 
 let dijkstra_lower_bounds_requests =
   qcheck ~count:150 "spacetime: the Dijkstra distance to r_1's vertex lower-bounds C(1)"

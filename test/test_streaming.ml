@@ -33,16 +33,15 @@ let sized_and_grown { model; seq } =
 let same_answers sized grown =
   let bits = Int64.bits_of_float in
   let same f i = bits (f sized i) = bits (f grown i) in
-  let ok = ref (Streaming_dp.n sized = Streaming_dp.n grown) in
-  for i = 0 to Streaming_dp.n sized do
+  let requests s = Sequence.requests (Streaming_dp.to_sequence s) in
+  let ok = ref (requests sized = requests grown) in
+  for i = 0 to Sequence.n (Streaming_dp.to_sequence sized) do
     ok :=
       !ok
       && same Streaming_dp.cost_at i
       && same Streaming_dp.semi_cost_at i
       && same Streaming_dp.marginal_at i
       && same Streaming_dp.running_at i
-      && same Streaming_dp.time_at i
-      && Streaming_dp.server_at sized i = Streaming_dp.server_at grown i
       && Streaming_dp.pivot_at sized i = Streaming_dp.pivot_at grown i
   done;
   let pieces s = (Schedule.caches s, Schedule.transfers s) in
@@ -108,21 +107,20 @@ let arena_matches_full_scan =
 let streaming_accessors () =
   let model = Cost_model.unit in
   let stream = Streaming_dp.create model ~m:4 in
-  Alcotest.(check int) "empty n" 0 (Streaming_dp.n stream);
-  Alcotest.(check int) "m" 4 (Streaming_dp.m stream);
-  check_float "model lambda" model.Cost_model.lambda (Streaming_dp.model stream).Cost_model.lambda;
-  check_float "model mu" model.Cost_model.mu (Streaming_dp.model stream).Cost_model.mu;
+  let pushed () = Streaming_dp.to_sequence stream in
+  Alcotest.(check int) "empty n" 0 (Sequence.n (pushed ()));
+  Alcotest.(check int) "m" 4 (Sequence.m (pushed ()));
   check_float "empty cost" 0.0 (Streaming_dp.cost stream);
   let seq = fig6 () in
   feed stream seq 8;
-  Alcotest.(check int) "n" 8 (Streaming_dp.n stream);
+  Alcotest.(check int) "n" 8 (Sequence.n (pushed ()));
   check_float "C(7)" 8.9 (Streaming_dp.cost_at stream 7);
   check_float "D(7)" 9.2 (Streaming_dp.semi_cost_at stream 7);
   check_float "b_6" 0.6 (Streaming_dp.marginal_at stream 6);
   check_float "B_6" 5.6 (Streaming_dp.running_at stream 6);
   Alcotest.(check (option int)) "pivot of 7" (Some 4) (Streaming_dp.pivot_at stream 7);
-  Alcotest.(check int) "server_at" 2 (Streaming_dp.server_at stream 7);
-  check_float "time_at" 4.0 (Streaming_dp.time_at stream 7)
+  Alcotest.(check int) "server_at" 2 (Sequence.server (pushed ()) 7);
+  check_float "time_at" 4.0 (Sequence.time (pushed ()) 7)
 
 let schedule_memo () =
   let seq = fig6 () in
@@ -218,7 +216,7 @@ let push_validation () =
     ];
   (* the failed pushes must not have corrupted the solver *)
   Streaming_dp.push stream ~server:0 ~time:2.0;
-  Alcotest.(check int) "still consistent" 2 (Streaming_dp.n stream)
+  Alcotest.(check int) "still consistent" 2 (Sequence.n (Streaming_dp.to_sequence stream))
 
 let create_validation () =
   Alcotest.(check bool) "m = 0" true
@@ -394,7 +392,7 @@ let schedule_matches_reference_walk =
     (QCheck.make ~print:problem_print walk_problem_gen)
     (fun { model; seq } ->
       let check what stream =
-        if not (same_schedule (Streaming_dp.schedule stream) (Schedule_reference.walk stream))
+        if not (same_schedule (Streaming_dp.schedule stream) (Schedule_reference.walk model stream))
         then QCheck.Test.fail_reportf "%s: the schedules differ" what
       in
       check "of_sequence" (Streaming_dp.of_sequence model seq);
@@ -415,7 +413,7 @@ let blocks_match_one_block =
     long_problem_arbitrary (fun p ->
       let sized, grown = sized_and_grown p in
       same_answers sized grown
-      && same_schedule (Streaming_dp.schedule grown) (Schedule_reference.walk grown))
+      && same_schedule (Streaming_dp.schedule grown) (Schedule_reference.walk p.model grown))
 
 (* Pushes past the first block allocate one block of float rows per
    4 096 pushes (4 words a push) beside the boxed [time] (2 words): 5.09
@@ -475,7 +473,7 @@ let blocks_agree_at_every_boundary =
     (QCheck.make
        ~print:(fun ({ model; seq }, prefix) ->
          Format.asprintf "n = %d, m = %d, prefix %d, %a" (Sequence.n seq) (Sequence.m seq) prefix
-           Cost_model.pp model)
+           pp_model model)
        boundary_problem_gen)
     (fun (({ model; seq } as p), prefix) ->
       let sized, grown = sized_and_grown p in
@@ -512,7 +510,7 @@ let appended_blocks_keep_counts () =
             want_grows (Obs.counter_value grows);
           check_float (Printf.sprintf "arena_cap at n = %d" n)
             (float_of_int (want_rows * m))
-            (Obs.gauge_value arena))
+            (gauge_value arena))
         [ (500, 4, 3, 512); (1000, 6, 4, 1024); (100_000, 1, 30, 102_400) ])
 
 let suite =

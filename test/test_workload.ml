@@ -227,7 +227,10 @@ let adversary_families_stress_sc () =
       let opt = Offline_dp.cost (Offline_dp.solve model seq) in
       if not (Dcache_prelude.Float_cmp.approx_le opt sc.Online_sc.total_cost) then
         Alcotest.failf "%s: SC billed below the offline optimum" name)
-    [ ("window_edge", W.Adversary.window_edge); ("burst_train", W.Adversary.burst_train) ]
+    [
+      ("window_edge", fun model ~m ~n -> List.assoc "window-edge" (W.Adversary.all model ~m ~n));
+      ("burst_train", W.Adversary.burst_train);
+    ]
 
 let adversary_rejects_degenerate () =
   Alcotest.(check bool) "m = 1" true
@@ -237,18 +240,8 @@ let adversary_rejects_degenerate () =
 (* ------------------------------------------------------------ pretty-print *)
 
 let spec_and_stats_pretty_print () =
-  let spec =
-    {
-      W.Generator.m = 3;
-      n = 16;
-      arrival = W.Arrival.Poisson { rate = 1.0 };
-      placement = W.Placement.Uniform_random;
-    }
-  in
-  let rendered = Format.asprintf "%a" W.Generator.pp_spec spec in
-  Alcotest.(check bool) "spec renders" true (String.length rendered > 0);
   let stats = W.Trace_stats.analyze (fig6 ()) in
-  let text = Format.asprintf "%a" W.Trace_stats.pp stats in
+  let text = Format.asprintf "%a" (W.Trace_stats.pp_with_model Cost_model.unit) stats in
   Alcotest.(check bool) "stats render" true (String.length text > 0)
 
 (* ---------------------------------------------------------------- trace io *)

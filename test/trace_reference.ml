@@ -31,9 +31,8 @@ let of_string ~m text =
   | Error _ as e -> e
   | Ok pairs -> (
       match
-        Sequence.create ~m
+        Sequence.create_exn ~m
           (Array.of_list (List.map (fun (server, time) -> Request.make ~server ~time) pairs))
       with
-      | Ok seq -> Ok seq
-      | Error msg -> Error msg
+      | seq -> Ok seq
       | exception Invalid_argument msg -> Error msg)

@@ -706,9 +706,10 @@ let finalize cx =
   }
 
 let extract ~unit_name ~ml_path structure =
-  if exempt_unit ml_path then empty_graph
+  let path = F.normalize_path ml_path in
+  (* an exempt unit keeps its path: S3 reads where every use comes from *)
+  if exempt_unit ml_path then { empty_graph with ug_path = path }
   else begin
-    let path = F.normalize_path ml_path in
     let cx =
       {
         cx_unit = unit_name;

@@ -6,7 +6,6 @@ module E = Report_engine
 type unit_info = {
   cmt_path : string;
   cmti_path : string option;  (* the unit's interface, when it has one *)
-  library : string;  (* the .objs directory: one per dune library/executable *)
 }
 
 (* dune's generated wrapper modules (lib aliases) have no source of
@@ -21,7 +20,6 @@ let scan_units roots =
          {
            cmt_path;
            cmti_path = (if Sys.file_exists cmti then Some cmti else None);
-           library = Filename.dirname cmt_path;
          })
 
 type decoded = {

@@ -131,33 +131,38 @@ let unit_digest ~stamp (info : Sema_cmt.unit_info) =
 (* ----------------------------------------------------------- S3 join *)
 
 let s3_findings units =
-  (* liveness: (unit, value) used from any cmt in a different dune
-     library (tests, bin, examples and sibling libs all count) *)
-  let used = Hashtbl.create 256 in
+  (* liveness: (unit, value) used from a first-party unit (lib/ bin/
+     bench/ examples/ tools/) other than the one that defines it.
+     Test units never count; sibling units of the same library do,
+     since dune has no library-private values. *)
+  let users = Hashtbl.create 256 in
   List.iter
-    (fun ((info : Sema_cmt.unit_info), (ua : Sema_rules.unit_analysis), _name) ->
-      List.iter
-        (fun use ->
-          let libs = Option.value ~default:[] (Hashtbl.find_opt used use) in
-          if not (List.mem info.library libs) then Hashtbl.replace used use (info.library :: libs))
-        ua.ua_uses)
+    (fun (_, (ua : Sema_rules.unit_analysis), _) ->
+      let path = ua.ua_graph.Callgraph.ug_path in
+      if List.exists (fun dir -> Callgraph.has_prefix dir path) Sema_rules.first_party then
+        List.iter
+          (fun use ->
+            let paths = Option.value ~default:[] (Hashtbl.find_opt users use) in
+            Hashtbl.replace users use (path :: paths))
+          ua.ua_uses)
     units;
   List.concat_map
-    (fun ((info : Sema_cmt.unit_info), (ua : Sema_rules.unit_analysis), unit_name) ->
+    (fun (_, (ua : Sema_rules.unit_analysis), unit_name) ->
+      let own = ua.ua_graph.Callgraph.ug_path in
       List.filter_map
         (fun (value, line, mli_path, _doc) ->
-          let external_user =
-            match Hashtbl.find_opt used (unit_name, value) with
+          let live =
+            match Hashtbl.find_opt users (unit_name, value) with
             | None -> false
-            | Some libs -> List.exists (fun l -> l <> info.library) libs
+            | Some paths -> List.exists (fun p -> p <> own) paths
           in
-          if external_user then None
+          if live then None
           else
             Some
               (F.v ~path:mli_path ~line ~col:0 ~rule:"S3"
                  (Printf.sprintf
-                    "`val %s` is never referenced outside its own library: delete the export or \
-                     keep it with a reasoned suppression"
+                    "`val %s` is never referenced by product code outside its own unit: delete \
+                     the export or keep it with a reasoned suppression"
                     value)))
         ua.ua_exports)
     units

@@ -19,7 +19,7 @@ module F = Report_finding
    every unit digest, so a rules update invalidates the incremental
    cache wholesale and stale cached analyses cannot mask new
    findings. *)
-let analyzer_version = "13"
+let analyzer_version = "14"
 
 (* A rule and the source paths its findings are reported for.  Every
    unit is analyzed and joins the whole-program graphs whatever its
@@ -44,7 +44,7 @@ let catalog =
         "exception escape: undocumented exceptions escaping public lib/core / lib/baselines \
          values, tracked interprocedurally through unguarded callee chains" };
     { id = "S3"; scope = [ "lib/" ];
-      summary = "dead export: .mli value never referenced outside its own library" };
+      summary = "dead export: .mli value that no product unit other than its own references" };
     { id = "S4"; scope = [ "lib/" ];
       summary = "numeric stability: float cost accumulator folded with bare +. in a loop" };
     { id = "S5"; scope = [ "lib/" ];
