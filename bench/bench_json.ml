@@ -1,7 +1,7 @@
 (* Minimal JSON reading for the bench tools, and the perf gate's
    baseline file.  The repo takes no JSON library dependency, so
    [of_string] parses exactly what the tools read — BENCHMARK.json,
-   Chrome traces from [Obs.chrome_json] and BENCH_baseline.json:
+   Chrome traces from [Obs.write_chrome_trace] and BENCH_baseline.json:
    objects, arrays, strings, numbers, booleans and null. *)
 
 type value =

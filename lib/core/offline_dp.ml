@@ -16,7 +16,7 @@ let solve model seq =
 
 let cost r = Streaming_dp.cost r.stream
 
-let c r = Array.init (r.n + 1) (fun i -> Streaming_dp.cost_at r.stream i)
+let c r = Streaming_dp.costs r.stream
 let d r = Array.init (r.n + 1) (fun i -> Streaming_dp.semi_cost_at r.stream i)
 let marginal_bounds r = Array.init (r.n + 1) (fun i -> Streaming_dp.marginal_at r.stream i)
 let running_bounds r = Array.init (r.n + 1) (fun i -> Streaming_dp.running_at r.stream i)

@@ -35,10 +35,10 @@ val cost : t -> float
 (** [C(n)]: the optimal total service cost [Pi(Psi^*(n))]. *)
 
 val c : t -> float array
-(** The vector [C(0) .. C(n)].
-    @raise Invalid_argument on an out-of-range internal index
-    ({!Streaming_dp}'s bound checks; unreachable for a {!solve}
-    result). *)
+(** The vector [C(0) .. C(n)], recomputed in one [O(n)] pass
+    ({!Streaming_dp.costs}): the solver's rows keep [D] and [B] but
+    not [C], and the pass gives the values the sweep computed, bit for
+    bit. *)
 
 val d : t -> float array
 (** The vector [D(0) .. D(n)] ([D(i) = infinity] for the first request

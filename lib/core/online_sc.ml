@@ -301,15 +301,17 @@ module Incremental = struct
     mutable epoch_transfers : int;
     mutable num_epochs : int;  (* completed epoch resets *)
     mutable last_copy_server : int;
-    (* serve log without per-request boxing: [-1] = by cache, else the
-       transfer source; materialised as [serve_kind array] in [finish].
-       Request i is at [serves.(i - serves_base)] from [serves_base] on,
-       else in a full block.  Blocks are appended, each as large as
-       the log so far up to [serve_block] entries; [finish] walks them
-       in order, so no request looks a block up. *)
-    mutable serves : int array;
+    (* the serve log: request i's [serve_kind] is at
+       [serves.(i - serves_base)] from [serves_base] on, else in a full
+       block.  Blocks are appended, each as large as the log so far up
+       to [serve_block] entries; [finish] returns a single block of
+       exactly n + 1 entries as the run's [serves], and otherwise
+       copies the blocks in order, so no request looks a block up.
+       Slot 0 and the slots not yet written hold [By_cache]. *)
+    mutable serves : serve_kind array;
     mutable serves_base : int;
-    mutable full_serves : int array list;  (* full blocks, newest first *)
+    mutable full_serves : serve_kind array list;  (* full blocks, newest first *)
+    by_transfer : serve_kind array;  (* one shared [By_transfer s] per server *)
     mutable finished : bool;
   }
 
@@ -361,9 +363,10 @@ module Incremental = struct
       epoch_transfers = 0;
       num_epochs = 0;
       last_copy_server = 0;
-      serves = Array.make capacity (-1);
+      serves = Array.make capacity By_cache;
       serves_base = 0;
       full_serves = [];
+      by_transfer = Array.init m (fun s -> By_transfer s);
       finished = false;
     }
 
@@ -378,7 +381,7 @@ module Incremental = struct
   let grow_serves t =
     let size = t.serves_base + Array.length t.serves in
     t.full_serves <- t.serves :: t.full_serves;
-    t.serves <- Array.make (min size serve_block) (-1);
+    t.serves <- Array.make (min size serve_block) By_cache;
     t.serves_base <- size
 
   (* O(1): the closed-segment cost lives in [sums.(caching)]; the
@@ -418,7 +421,7 @@ module Incremental = struct
     if st.active.(j) && st.expiry.(j) >= ti then begin
       (* live local copy: serve from cache and renew its window *)
       refresh st j;
-      t.serves.(slot) <- -1;
+      t.serves.(slot) <- By_cache;
       if st.record then log st (Served { index = i; server = j; time = ti; kind = By_cache })
     end
     else begin
@@ -436,7 +439,7 @@ module Incremental = struct
       t.epoch_transfers <- t.epoch_transfers + 1;
       refresh st src;
       activate st j ~by_transfer:true;
-      t.serves.(slot) <- src;
+      t.serves.(slot) <- t.by_transfer.(src);
       if st.record then
         log st (Served { index = i; server = j; time = ti; kind = By_transfer src })
     end;
@@ -485,21 +488,22 @@ module Incremental = struct
       Obs.add c_epoch_resets t.num_epochs;
       Obs.add c_evictions st.closed
     end;
-    (* one shared [By_transfer s] per source server *)
-    let by_transfer = Array.init t.m (fun s -> By_transfer s) in
-    let serves = Array.make (t.n + 1) By_cache in
-    (* the log's blocks oldest first, each from its first request
-       index; slot 0 of the first block and the slots past [n] hold -1 *)
-    ignore
-      (List.fold_left
-         (fun first block ->
-           for o = 0 to Array.length block - 1 do
-             let src = block.(o) in
-             if src >= 0 then serves.(first + o) <- by_transfer.(src)
-           done;
-           first + Array.length block)
-         0
-         (List.rev (t.serves :: t.full_serves)));
+    let serves =
+      match t.full_serves with
+      | [] when Array.length t.serves = t.n + 1 -> t.serves
+      | full ->
+          (* the log's blocks oldest first, each from its first request
+             index, up to request n *)
+          let serves = Array.make (t.n + 1) By_cache in
+          ignore
+            (List.fold_left
+               (fun first block ->
+                 Array.blit block 0 serves first (min (Array.length block) (t.n + 1 - first));
+                 first + Array.length block)
+               0
+               (List.rev (t.serves :: full)));
+          serves
+    in
     (* transfers all cost lambda: count them and multiply once, instead
        of folding +. lambda per request (exact, and S4-clean) *)
     {

@@ -54,7 +54,11 @@ type run = {
   total_cost : float;
   num_transfers : int;
   num_epochs : int;  (** completed resets + the final partial epoch *)
-  serves : serve_kind array;  (** index [1..n]; index [0] is a dummy *)
+  serves : serve_kind array;
+      (** index [1..n]; index [0] is a dummy [By_cache].  The serve
+          log itself when it is one block of exactly [n + 1] entries,
+          as {!val-run}'s always is; otherwise a copy of its blocks.
+          Every [By_transfer s] of one run is the same value. *)
   events : event list;  (** chronological; empty unless [record_events] *)
   segments : segment list;
       (** every copy lifetime, chronological; empty unless
@@ -124,7 +128,10 @@ module Incremental : sig
   val finish : ?horizon:float -> t -> run
   (** Closes every live copy at [horizon] (default: the last request's
       time) and returns the completed run.  The state is consumed:
-      any later {!feed}/{!finish} raises.
+      any later {!feed}/{!finish} raises.  The run's [serves] is the
+      serve log itself when the log is one block of exactly [n + 1]
+      entries (a state created with room for every request), and
+      otherwise a copy of the log's blocks into one array.
       @raise Invalid_argument if already finished or [horizon] precedes
       the last request. *)
 end
@@ -139,7 +146,9 @@ val run :
   run
 (** Simulates SC over the whole sequence.  [O((n + m) log n)] time;
     constant work per request apart from the expiry queue, matching
-    the paper's efficiency claim.
+    the paper's efficiency claim.  The serve log is sized for the
+    whole sequence up front and returned as [serves], uncopied: the
+    run allocates one word per request for it.
 
     @param epoch_size number of transfers per epoch (default: no
     epoching).

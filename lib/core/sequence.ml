@@ -2,6 +2,18 @@
    request r_0 = (s^1, 0) is implicit in the accessors. *)
 type t = { m : int; server : int array; time : float array }
 
+(* The shortest of [%.15g], [%.16g] and [%.17g] that reads back to
+   [x] bit for bit, so two different times never print alike, as
+   they can under [%g]'s six digits *)
+let exact_string x =
+  let rec shortest digits =
+    let s = Printf.sprintf "%.*g" digits x in
+    if digits = 17 || Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float x)
+    then s
+    else shortest (digits + 1)
+  in
+  shortest 15
+
 (* The one validation routine.  Reads [times] by index rather than
    threading the previous time through the recursion, which would box
    it on every request. *)
@@ -24,8 +36,8 @@ let validate ~m ~servers ~times =
           Error (Printf.sprintf "Sequence: request %d has non-finite time" (i + 1))
         else if time <= last_time then
           Error
-            (Printf.sprintf "Sequence: request %d at time %g does not strictly follow %g" (i + 1)
-               time last_time)
+            (Printf.sprintf "Sequence: request %d at time %s does not strictly follow %s" (i + 1)
+               (exact_string time) (exact_string last_time))
         else check (i + 1)
     in
     check 0

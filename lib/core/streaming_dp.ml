@@ -2,8 +2,8 @@
    bigarrays instead of ~13 parallel [int array]s — a stride-4 packed
    row [server; prev; c_choice; d_choice] per request in [idx], the
    successor column in [nxt], and the pre-scan matrix A in a row-major
-   arena of m slots per row — and the float columns in one stride-4
-   [float array] of rows [time; C; D; B] (unboxed).  Request indices
+   arena of m slots per row — and the float columns in one stride-3
+   [float array] of rows [time; D; B] (unboxed).  Request indices
    always fit int32 (grow refuses past 2^30 rows), so the index state
    for a request is 16 bytes and a whole arena row is m*4 bytes.
 
@@ -41,10 +41,14 @@
    tier-1 test `streaming: push allocation budget` asserts the ~2
    [Gc.minor_words]/push contract (see docs/PERFORMANCE.md).
 
-   The float rows keep only what cannot be recomputed: [time], [C],
-   [D] and [B].  sigma_i and b_i are recomputed bit for bit from
-   [time] and the [prev] slot where they are read ([marginal_at] and
-   the walk's transfer test).
+   The float rows keep only what cannot be recomputed: [time], [D]
+   and [B].  sigma_i and b_i are recomputed bit for bit from [time]
+   and the [prev] slot where they are read ([marginal_at] and the
+   walk's transfer test).  A push reads C only at r_{i-1} and at
+   r_{p(i)}, and each is the latest request on its server, so C lives
+   in the m-slot column [c_on] (C of each server's latest request)
+   and in the one-cell [c_last] (C of the last request); [costs]
+   recomputes the whole vector in one pass from the C choice slots.
 
    [schedule] records the walk in two per-request slot arrays and
    emits the schedule's columns from them already in order, so no
@@ -97,16 +101,14 @@ let k_cc = 2
 
 let k_dc = 3
 
-(* float row: stride-4 [time; C; D; B] per request *)
-let fstride = 4
+(* float row: stride-3 [time; D; B] per request *)
+let fstride = 3
 
 let f_time = 0
 
-let f_c = 1
+let f_d = 1
 
-let f_d = 2
-
-let f_b = 3
+let f_b = 2
 
 (* the largest block a stream appends *)
 let block = 1 lsl 12
@@ -123,7 +125,7 @@ type rows = {
   idx : i32; (* idx.{o*4 + k} = [server; prev; c_choice; d_choice] *)
   nxt : i32; (* rows + 1 slots: the last is slot first + rows *)
   arena : i32; (* arena.{o*m + j} = last request on s^j after r *)
-  fl : float array; (* fl.(o*4 + k) = [time; C; D; B] *)
+  fl : float array; (* fl.(o*3 + k) = [time; D; B] *)
 }
 
 type t = {
@@ -135,6 +137,8 @@ type t = {
   mutable cur : rows; (* the current block: rows [cur.first, cap) *)
   mutable pages : rows array; (* the full block holding each page's rows, by page *)
   last_on : int array; (* latest request per server *)
+  c_on : float array; (* C of each server's latest request *)
+  c_last : float array; (* one cell: C of the last request *)
   (* reconstruction memo: state is append-only, so [len] is a complete
      key for the schedule of the current prefix *)
   mutable sched_len : int;
@@ -175,7 +179,6 @@ let make model ~m ~cap =
     A1.set cur.arena j (-1l)
   done;
   cur.fl.(f_time) <- 0.0;
-  cur.fl.(f_c) <- 0.0;
   cur.fl.(f_d) <- infinity;
   cur.fl.(f_b) <- 0.0;
   let last_on = Array.make m (-1) in
@@ -189,6 +192,8 @@ let make model ~m ~cap =
     cur;
     pages = [||];
     last_on;
+    c_on = Array.make m 0.0;
+    c_last = Array.make 1 0.0;
     sched_len = 1;
     sched = Schedule.empty;
   }
@@ -216,15 +221,20 @@ let[@inline] fx t i k =
 let check t i name =
   if i < 0 || i >= t.len then invalid_arg ("Streaming_dp." ^ name ^ ": index out of bounds")
 
-(* the last row is always in the current block *)
-let[@inline] last_cost t = t.cur.fl.(((t.len - 1 - t.cur.first) * fstride) + f_c)
+let cost t = t.c_last.(0)
+let cost_into t cells k = cells.(k) <- t.c_last.(0)
 
-let cost t = last_cost t
-let cost_into t cells k = cells.(k) <- last_cost t
-
-let cost_at t i =
-  check t i "cost_at";
-  fx t i f_c
+(* C(i) is D(i) where the cache branch won, else push's step from
+   C(i - 1), the same expression so every value matches bit for bit *)
+let costs t =
+  let mu = t.model.Cost_model.mu in
+  let c = Array.make t.len 0.0 in
+  for i = 1 to t.len - 1 do
+    c.(i) <-
+      (if ix t i k_cc = c_cache then fx t i f_d
+       else c.(i - 1) +. (mu *. (fx t i f_time -. fx t (i - 1) f_time)) +. t.lam_eff)
+  done;
+  c
 
 let semi_cost_at t i =
   check t i "semi_cost_at";
@@ -313,7 +323,11 @@ let[@inline] push t ~server ~time =
   let po = (t.len - 1 - t.cur.first) * fstride in
   let prev_time = t.cur.fl.(po + f_time) in
   if time <= prev_time then invalid_arg "Streaming_dp.push: times must strictly increase";
-  let prev_c = t.cur.fl.(po + f_c) and prev_b = t.cur.fl.(po + f_b) in
+  (* [c_last] and [c_on] are read and written unchecked: with their
+     bounds checks the perf gate's push read 72-77 us, against 62-68
+     without them and on rows that kept C *)
+  (* dcache-sema: allow R3 — [c_last] has its one cell *)
+  let prev_c = Array.unsafe_get t.c_last 0 and prev_b = t.cur.fl.(po + f_b) in
   if t.len = t.cap then grow t;
   let mu = t.model.Cost_model.mu in
   let i = t.len in
@@ -342,7 +356,9 @@ let[@inline] push t ~server ~time =
      when the row is in it, as every row of a batch solve is. *)
   if q >= 0 then begin
     let base_cost = (mu *. sigma) +. prev_b in
-    fl.(fo + f_d) <- fx t q f_c +. base_cost -. fx t q f_b;
+    (* C(q): q is the server's latest request until this push *)
+    (* dcache-sema: allow R3 — 0 <= server < m, checked above, and [c_on] has m slots *)
+    fl.(fo + f_d) <- Array.unsafe_get t.c_on server +. base_cost -. fx t q f_b;
     A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int d_prev);
     let qb = rows_of t q in
     let arena = qb.arena and row = (q - qb.first) * t.m in
@@ -384,13 +400,15 @@ let[@inline] push t ~server ~time =
      the [q >= 0] test an overflowed [step = inf] would tie the
      undefined D(i) = inf and send the walk down a missing D branch *)
   if q >= 0 && d_value <= step then begin
-    fl.(fo + f_c) <- d_value;
+    Array.unsafe_set t.c_last 0 d_value;
     A1.unsafe_set cur.idx (io + k_cc) (Int32.of_int c_cache)
   end
   else begin
-    fl.(fo + f_c) <- step;
+    Array.unsafe_set t.c_last 0 step;
     A1.unsafe_set cur.idx (io + k_cc) (Int32.of_int c_step)
   end;
+  (* dcache-sema: allow R3 — the same cell and slot as above *)
+  Array.unsafe_set t.c_on server (Array.unsafe_get t.c_last 0);
   t.last_on.(server) <- i;
   (* arena row i = arena row i-1 with this server's column patched;
      manual int32 loop — [Array1.sub]/[blit] would allocate proxies *)

@@ -51,9 +51,14 @@ val cost_into : t -> float array -> int -> unit
     ([Dcache_sim.Auditor]) allocates nothing for it.
     @raise Invalid_argument if [k] is outside [cells]. *)
 
-val cost_at : t -> int -> float
-(** [C(i)], [0 <= i <= n].
-    @raise Invalid_argument when [i] is outside that range. *)
+val costs : t -> float array
+(** The vector [C(0) .. C(n)], in one [O(n)] pass.  The rows keep
+    [time], [D] and [B] but not [C]: a push reads [C] only at
+    [r_{i-1}] and at [r_{p(i)}], the latest request on its server, so
+    the state keeps [C] of each server's latest request and of the
+    last request.  The pass takes [C(i) = D(i)] where {!push} chose
+    the cache branch, else [push]'s step from [C(i-1)], so every
+    value equals the one [push] computed, bit for bit. *)
 
 val semi_cost_at : t -> int -> float
 (** [D(i)] (Definition 7); [infinity] for the first request on a

@@ -1,7 +1,7 @@
 (** Arrival processes: when requests happen.
 
     All processes yield strictly increasing positive times, suitable
-    for {!Dcache_core.Sequence.create}. *)
+    as the time column of {!Dcache_core.Sequence.of_columns}. *)
 
 type t =
   | Uniform of { gap : float }

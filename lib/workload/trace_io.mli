@@ -7,10 +7,12 @@ open Dcache_core
     [String.trim]'s whitespace (so CRLF files read as well).  Blank
     lines, lines starting with [#] and [server,time] header lines (in
     any letter case) are skipped.  The fields are read with
-    [int_of_string] and [float_of_string].  Times must be finite,
-    strictly increasing and positive; servers are 0-based and below
-    [m].  Lets users replay real service logs through every algorithm
-    in the repository. *)
+    [int_of_string] and [float_of_string]; a plain decimal time (at
+    most 18 significant digits, a decimal exponent within 22) is read
+    by the parser itself, exactly, to the value [float_of_string]
+    gives it.  Times must be finite, strictly increasing and positive;
+    servers are 0-based and below [m].  Lets users replay real service
+    logs through every algorithm in the repository. *)
 
 val output : out_channel -> Sequence.t -> unit
 (** [output oc seq] writes the trace to [oc]: a [server,time] header,
@@ -42,6 +44,8 @@ val read : filename:string -> m:int -> (Sequence.t, string) result
 val of_string : m:int -> string -> (Sequence.t, string) result
 (** Parses a trace in two passes over the text: one counts the
     request lines, the other reads them into columns of that size for
-    {!Sequence.of_columns}.  The only allocation per line is the boxed
-    [float_of_string] result.  A syntax error names its 1-based line.
+    {!Sequence.of_columns}.  A line allocates nothing, unless its time
+    is outside the plain decimals the parser reads itself: then
+    [float_of_string]'s result is boxed.  A syntax error names its
+    1-based line.
     Never raises. *)

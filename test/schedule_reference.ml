@@ -240,9 +240,10 @@ let pp ppf t =
 (* [Streaming_dp.schedule]'s walk as it was before it recorded its
    pieces in per-request slots: pieces are appended in walk order and
    [Schedule.make] sorts them.  It reads the solver only through its
-   public accessors (the requests through [to_sequence]), so it
-   recomputes p(i) from the servers, and the C(i) and D(i) choices as
-   [push] made them, bit for bit.  [model] is the stream's. *)
+   public accessors (the requests through [to_sequence], C through
+   [costs]), so it recomputes p(i) from the servers, and the C(i) and
+   D(i) choices as [push] made them, bit for bit.  [model] is the
+   stream's. *)
 let walk model stream =
   let module S = Streaming_dp in
   let seq = S.to_sequence stream in
@@ -258,9 +259,10 @@ let walk model stream =
     last_on.(s) <- i
   done;
   (* push's cache-or-step test for C(i) *)
+  let c = S.costs stream in
   let cached i =
     let step =
-      S.cost_at stream (i - 1)
+      c.(i - 1)
       +. (mu *. (time_at i -. time_at (i - 1)))
       +. lam_eff
     in

@@ -335,18 +335,20 @@ let scale_invariance_exact =
 
 (* Words per request of the calls [dcache solve] makes, on the bench
    ledger's workloads at n = 20 000, seed 1.  Each budget fails on one
-   more 2-word allocation per request.  What is left:
-   - [Offline_dp.solve] (4.00): the solver's four float columns (4);
-     it reads the sequence's time column in place, so no time is
+   more 2-word allocation per request, and the solve, miss and path
+   budgets on one more word per row, such as C back in the rows.  What
+   is left:
+   - [Offline_dp.solve] (3.00-3.01): the solver's three float columns
+     (3); it reads the sequence's time column in place, so no time is
      boxed;
    - a cold [Offline_dp.schedule] (5.23-5.64): the walk's two
      per-request slot arrays (2) and the schedule's columns, three
      words per piece at 1.1-1.2 pieces per request;
    - pricing (0.00): [Bounds.lower_bound] reads the columns in place;
-   - a [Solve_cache.solve] miss (5.51): the solve and the
+   - a [Solve_cache.solve] miss (4.51): the solve and the
      16 + 12n-byte fingerprint it digests (1.5);
-   - the whole path in ledger order (15.18-15.58): [Trace_io.read] on
-     a file (4.43, budgeted in test_workload), a miss, a cold schedule
+   - the whole path in ledger order (12.18-12.58): [Trace_io.read] on
+     a file (2.43, budgeted in test_workload), a miss, a cold schedule
      and pricing. *)
 let allocation_budgets () =
   let budget name what limit words =
@@ -361,7 +363,7 @@ let allocation_budgets () =
   in
   List.iter
     (fun (name, seq) ->
-      budget name "Offline_dp.solve" 5.0
+      budget name "Offline_dp.solve" 3.75
         (words_per_request ~n:budget_n (fun () -> Offline_dp.solve unit seq));
       let r = Offline_dp.solve unit seq in
       budget name "a cold Offline_dp.schedule" 7.0
@@ -369,17 +371,69 @@ let allocation_budgets () =
       let schedule = Offline_dp.schedule r in
       budget name "pricing" 1.0 (words_per_request ~n:budget_n (fun () -> pricing seq schedule));
       Solve_cache.clear ();
-      budget name "a Solve_cache.solve miss" 7.0
+      budget name "a Solve_cache.solve miss" 5.25
         (words_per_request ~n:budget_n (fun () -> Solve_cache.solve unit seq));
       Solve_cache.clear ();
       with_temp_file (Dcache_workload.Trace_io.to_string seq) (fun filename ->
-          budget name "the solve path" 16.0
+          budget name "the solve path" 13.25
             (words_per_request ~n:budget_n (fun () ->
                  match Dcache_workload.Trace_io.read ~filename ~m:(Sequence.m seq) with
                  | Error msg -> Alcotest.fail msg
                  | Ok seq -> pricing seq (Offline_dp.schedule (Solve_cache.solve unit seq)))));
       Solve_cache.clear ())
     (budget_workloads ())
+
+(* ------------------------------------------- C and D, bit for bit *)
+
+(* Small problems with uploads below, at and 1 ulp below lambda, time
+   gaps that are often a single ulp, and often one server; now and
+   then a stream past the first row block *)
+let vectors_gen =
+  let open QCheck.Gen in
+  let small =
+    let* m = frequency [ (1, return 1); (2, int_range 2 6) ] and* n = int_range 0 80 in
+    let* servers = array_size (return n) (int_range 0 (m - 1)) in
+    let* gaps = array_size (return n) ulp_gap_gen in
+    let* mu = frequency [ (3, float_range 0.1 4.0); (1, return 1.0) ] in
+    let* lambda = frequency [ (3, float_range 0.1 4.0); (1, return 0.5) ] in
+    let* upload =
+      oneof [ return infinity; return lambda; return (Float.pred lambda); float_range 0.1 4.0 ]
+    in
+    match Sequence.of_columns ~m ~servers ~times:(times_of_gaps gaps) with
+    | Ok seq -> return { model = Cost_model.make ~upload ~mu ~lambda (); seq }
+    | Error msg -> failwith msg
+  in
+  frequency [ (40, small); (1, long_problem_gen) ]
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+(* The rows keep no C: [Offline_dp.c] and [Streaming_dp.costs]
+   recompute it in one pass, and must give the full-scan DP's C and D
+   exactly, for the batch solve and for a pushed stream *)
+let vectors_match_naive_bit_for_bit =
+  qcheck ~count:300 "offline: C and D are Naive_dp's bit for bit"
+    (QCheck.make
+       ~print:(fun { model; seq } ->
+         if Sequence.n seq > 100 then
+           Format.asprintf "m = %d, n = %d, %a" (Sequence.m seq) (Sequence.n seq) pp_model model
+         else problem_print { model; seq })
+       vectors_gen)
+    (fun { model; seq } ->
+      let n = Sequence.n seq in
+      let c, d = B.Naive_dp.solve_vectors model seq in
+      let r = Offline_dp.solve model seq in
+      let stream = Streaming_dp.create model ~m:(Sequence.m seq) in
+      for i = 1 to n do
+        Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+      done;
+      let pushed_d = Array.init (n + 1) (Streaming_dp.semi_cost_at stream) in
+      same_bits (Offline_dp.c r) c
+      && same_bits (Offline_dp.d r) d
+      && same_bits (Streaming_dp.costs stream) c
+      && same_bits pushed_d d
+      && same_bits [| Streaming_dp.cost stream; Offline_dp.cost r |] [| c.(n); c.(n) |])
 
 let suite =
   [
@@ -416,4 +470,5 @@ let suite =
     upload_never_hurts;
     case "offline: allocation budgets on the ledger workloads" allocation_budgets;
     scale_invariance_exact;
+    vectors_match_naive_bit_for_bit;
   ]

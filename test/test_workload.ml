@@ -477,9 +477,10 @@ let placements =
   ]
 
 (* The parse keeps its two columns (2 words per request, adopted by
-   [Sequence.of_columns]) and allocates one boxed float per line (2):
-   4.02 measured, so one more 2-word allocation per line fails the
-   budget of 5. *)
+   [Sequence.of_columns]) and nothing per line: every time is in the
+   exact reader's domain and goes straight into its column.  2.02
+   measured, so a boxed float per line (float_of_string for every
+   field) fails the budget of 2.75. *)
 let trace_parse_words_budget () =
   let seq =
     W.Generator.generate_seeded ~seed:1
@@ -487,8 +488,8 @@ let trace_parse_words_budget () =
   in
   let text = W.Trace_io.to_string seq in
   let words = words_per_request ~n:budget_n (fun () -> W.Trace_io.of_string ~m:8 text) in
-  if words > 5.0 then
-    Alcotest.failf "Trace_io.of_string allocates %.2f words/request (budget 5)" words
+  if words > 2.75 then
+    Alcotest.failf "Trace_io.of_string allocates %.2f words/request (budget 2.75)" words
 
 (* The two columns and nothing else (2 words per request): the
    arrival gaps are drawn into the time column and summed there, and
@@ -643,10 +644,11 @@ let read_window_edge_cases () =
       ("an empty file", "", 0);
     ]
 
-(* [read] on a file, as dcache reads its trace: the two columns (2),
-   the parsed time's box (2) and the 64 KB window (0.41 at n = 20 000):
-   4.43.  A budget of 5 fails on one more 2-word allocation per line,
-   or on the file's text held whole (about 2.6 words per request). *)
+(* [read] on a file, as dcache reads its trace: the two columns (2)
+   and the 64 KB window (0.41 at n = 20 000): 2.43, no time boxed.  A
+   budget of 3.25 fails on one more 2-word allocation per line, such
+   as float_of_string's box, or on the file's text held whole (about
+   2.6 words per request). *)
 let read_words_budget () =
   List.iter
     (fun (name, seq) ->
@@ -655,8 +657,8 @@ let read_words_budget () =
           let words =
             words_per_request ~n:budget_n (fun () -> W.Trace_io.read ~filename ~m)
           in
-          if words > 5.0 then
-            Alcotest.failf "Trace_io.read on %s allocates %.2f words/request (budget 5)" name
+          if words > 3.25 then
+            Alcotest.failf "Trace_io.read on %s allocates %.2f words/request (budget 3.25)" name
               words))
     (budget_workloads ())
 
@@ -672,6 +674,166 @@ let nan_stay_rejected () =
       ("mobility on a clique", W.Placement.Mobility { stay = nan; ring = false }, 10);
       ("multi-user", W.Placement.Multi_user { users = 2; stay = nan; ring = true }, 10);
     ]
+
+(* ------------------------------------------------------ the time reader *)
+
+(* What a one-request trace whose time field is [text] parses to, on
+   line [lineno]: float_of_string's value, or the syntax error a field
+   float_of_string rejects has always given.  A value the sequence
+   rejects is compared through its message, which prints it exactly. *)
+let expected_time ~lineno text =
+  match float_of_string_opt text with
+  | None -> Error (Printf.sprintf "line %d: cannot parse %S" lineno ("0," ^ text))
+  | Some v ->
+      Result.map
+        (fun seq -> Sequence.time seq 1)
+        (Sequence.of_columns ~m:1 ~servers:[| 0 |] ~times:[| v |])
+
+let same_time what expected parsed =
+  match (expected, Result.map (fun seq -> Sequence.time seq 1) parsed) with
+  | Ok v, Ok t ->
+      if Int64.bits_of_float v <> Int64.bits_of_float t then
+        QCheck.Test.fail_reportf "%s read %h, float_of_string %h" what t v
+  | Error e, Error msg -> if e <> msg then QCheck.Test.fail_reportf "%s: %S, not %S" what msg e
+  | Ok v, Error msg -> QCheck.Test.fail_reportf "%s: %S, float_of_string read %h" what msg v
+  | Error e, Ok t -> QCheck.Test.fail_reportf "%s read %h, not %S" what t e
+
+(* [digits] behind [sign], with a point after [point] of them and the
+   exponent [exp] behind [e] *)
+let decimal_text ~sign ~digits ~point ~exp ~e ~plus =
+  let mantissa =
+    match point with
+    | None -> digits
+    | Some p -> String.sub digits 0 p ^ "." ^ String.sub digits p (String.length digits - p)
+  in
+  let exponent =
+    match exp with
+    | None -> ""
+    | Some x -> Printf.sprintf "%c%s%d" e (if plus && x >= 0 then "+" else "") x
+  in
+  sign ^ mantissa ^ exponent
+
+let sign_gen = QCheck.Gen.oneofl [ ""; ""; "+"; "-" ]
+
+let e_gen = QCheck.Gen.oneofl [ 'e'; 'E' ]
+
+(* random doubles as printf writes them *)
+let printed_time_gen =
+  let open QCheck.Gen in
+  let* x = map2 ldexp (float_range 1.0 2.0) (int_range (-70) 70) in
+  let+ print =
+    oneofl
+      [
+        Printf.sprintf "%.15g";
+        Printf.sprintf "%.16g";
+        Printf.sprintf "%.17g";
+        Printf.sprintf "%.18g";
+        Printf.sprintf "%.6f";
+        Printf.sprintf "%.3e";
+        Printf.sprintf "%.17e";
+      ]
+  in
+  print x
+
+(* 1 to 20 digits, the point anywhere, exponents from -40 to 40 *)
+let digit_text_gen =
+  let open QCheck.Gen in
+  let* k = int_range 1 20 in
+  let* digits = string_size ~gen:numeral (return k) in
+  let* point = opt (int_range 0 k) and* exp = opt (int_range (-40) 40) in
+  let+ sign = sign_gen and+ e = e_gen and+ plus = bool in
+  decimal_text ~sign ~digits ~point ~exp ~e ~plus
+
+(* k + j / 2^e for odd j, exactly halfway between two doubles when k
+   is in [2^(53-e), 2^(54-e)), written out in decimal *)
+let halfway_gen =
+  let open QCheck.Gen in
+  let* e = int_range 1 8 in
+  let* k = map (fun r -> (1 lsl (53 - e)) + r) (int_bound ((1 lsl (53 - e)) - 1)) in
+  let+ j = map (fun r -> (2 * r) + 1) (int_bound ((1 lsl (e - 1)) - 1)) in
+  let pow5 = int_of_float (5.0 ** float_of_int e) in
+  Printf.sprintf "%d.%0*d" k e (j * pow5)
+
+(* the domain's edges: a decimal exponent q of +-22 or +-23 (after the
+   point moves behind the last digit), up to 19 significant digits,
+   leading zeros *)
+let exponent_edge_gen =
+  let open QCheck.Gen in
+  let* q = oneofl [ -23; -22; 22; 23 ]
+  and* significant = oneofl [ 1; 15; 16; 17; 18; 19 ]
+  and* lead = oneofl [ 0; 0; 1; 3 ] in
+  let* first = char_range '1' '9'
+  and* rest = string_size ~gen:numeral (return (significant - 1)) in
+  let digits = String.make lead '0' ^ String.make 1 first ^ rest in
+  let k = String.length digits in
+  let* point = opt (int_range 0 k) in
+  let fraction = match point with None -> 0 | Some p -> k - p in
+  let+ sign = sign_gen and+ e = e_gen and+ plus = bool in
+  decimal_text ~sign ~digits ~point ~exp:(Some (q + fraction)) ~e ~plus
+
+(* texts only float_of_string reads, or nothing reads *)
+let outside_texts =
+  [
+    "0x1.8p+0"; "1_000.5"; "nan"; "inf"; "-inf"; "1e"; "."; "+"; ""; "1e+"; "e5"; "1.5x"; "1..5";
+    "-0"; "+0.0e7"; "1e400"; "0.0000000000000000000000000001"; "12345678901234567890";
+  ]
+
+let time_text_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, printed_time_gen);
+        (6, digit_text_gen);
+        (4, halfway_gen);
+        (3, exponent_edge_gen);
+        (1, oneofl outside_texts);
+      ])
+
+(* Every text through [of_string]; one in 50 also through [read],
+   behind a comment line that puts the window's edge inside it *)
+let time_reads_as_float_of_string =
+  qcheck ~count:10_000 "trace_io: every time text reads as float_of_string reads it"
+    (QCheck.make
+       ~print:(fun (text, via_read) ->
+         Printf.sprintf "%S%s" text (if via_read then " (read)" else ""))
+       QCheck.Gen.(pair time_text_gen (map (fun k -> k = 0) (int_bound 49))))
+    (fun (text, via_read) ->
+      let line = "0," ^ text in
+      same_time "of_string" (expected_time ~lineno:1 text) (W.Trace_io.of_string ~m:1 line);
+      if via_read then
+        with_temp_file
+          (behind_edge (2 + (String.length text / 2)) line)
+          (fun filename ->
+            same_time "read"
+              (Result.map_error (fun msg -> filename ^ ": " ^ msg) (expected_time ~lineno:2 text))
+              (W.Trace_io.read ~filename ~m:1));
+      true)
+
+(* The ordering error prints each time as the shortest of %.15g,
+   %.16g and %.17g that reads back to it: two different times never
+   print alike *)
+let ordering_error_shows_exact_times () =
+  (match W.Trace_io.of_string ~m:2 "server,time\n0,1.0000002\n1,1.0000001\n" with
+  | Ok _ -> Alcotest.fail "a decreasing time was accepted"
+  | Error msg ->
+      Alcotest.(check string)
+        "message" "Sequence: request 2 at time 1.0000001 does not strictly follow 1.0000002" msg);
+  let module Rng = Dcache_prelude.Rng in
+  let rng = Rng.create 17 in
+  for _ = 1 to 1000 do
+    let later = ldexp (Rng.float_in rng 1.0 2.0) (Rng.int rng 80 - 40) in
+    let earlier = Float.pred later in
+    match Sequence.of_columns ~m:1 ~servers:[| 0; 0 |] ~times:[| later; earlier |] with
+    | Ok _ -> Alcotest.fail "a decreasing time was accepted"
+    | Error msg ->
+        Scanf.sscanf msg "Sequence: request 2 at time %s does not strictly follow %s" (fun a b ->
+            if a = b then Alcotest.failf "%h and %h both print as %s" earlier later a;
+            List.iter
+              (fun (text, x) ->
+                if Int64.bits_of_float (float_of_string text) <> Int64.bits_of_float x then
+                  Alcotest.failf "%s does not read back as %h" text x)
+              [ (a, earlier); (b, later) ])
+  done
 
 let suite =
   [
@@ -719,4 +881,6 @@ let suite =
     case "trace_io: read handles the window's edge cases" read_window_edge_cases;
     case "trace_io: read allocation budget on a file" read_words_budget;
     case "placement: a nan stay is rejected" nan_stay_rejected;
+    time_reads_as_float_of_string;
+    case "trace_io: the ordering error shows both times exactly" ordering_error_shows_exact_times;
   ]
