@@ -56,12 +56,13 @@ ledger-layers: SEEDS = 1-3
 ledger-layers:
 	bash bench/ab.sh --layers $(PARENT) $(SEEDS)
 
-# top_heap_mb on both sides at seed 1 over eight minor heap sizes
-# (OCAMLRUNPARAM=s=128k..384k), with a verdict per workload: a lower
-# or higher level, or modes; exits 1 if a words figure moves with the
-# minor heap
+# top_heap_mb on both sides at each seed (default 1) over eight minor
+# heap sizes (OCAMLRUNPARAM=s=128k..384k), with a verdict per workload
+# and seed: a lower or higher level, or modes; exits 1 if a words
+# figure moves with the minor heap
+ledger-heap: SEEDS = 1
 ledger-heap:
-	bash bench/ab.sh --heap $(PARENT)
+	bash bench/ab.sh --heap $(PARENT) $(SEEDS)
 
 # the allocation sites of one library module, from its Cmm compiled
 # with dune's own flags (bench/alloc_sites.sh): make alloc-sites

@@ -3,7 +3,7 @@
 #
 #   bash bench/ab.sh PARENT_REV SEEDS        (or: make ledger-ab PARENT=REV SEEDS=1-10)
 #   bash bench/ab.sh --layers PARENT_REV SEEDS   (or: make ledger-layers PARENT=REV SEEDS=1-3)
-#   bash bench/ab.sh --heap PARENT_REV           (or: make ledger-heap PARENT=REV)
+#   bash bench/ab.sh --heap PARENT_REV [SEEDS]   (or: make ledger-heap PARENT=REV SEEDS=1-3)
 #
 # SEEDS is a comma-separated list of seeds and ranges, such as 1-10,23.
 # The script extracts PARENT_REV with `git archive` and copies the
@@ -28,18 +28,19 @@
 # sides' medians and the change's difference: where a saving sits.
 # Words repeat exactly for a seed, so a few seeds are enough there.
 # With --heap it sweeps the minor heap instead, as docs/PERFORMANCE.md
-# ("Why `top_heap_mb` jumps") does by hand: both sides at seed 1,
-# alternating, under OCAMLRUNPARAM=s= each of 128k, 160k, 192k, 224k,
-# 256k, 288k, 320k and 384k words.  For each workload it prints both
-# sides' top_heap_mb per size and their min-max, and one verdict:
+# ("Why `top_heap_mb` jumps") does by hand: both sides at each seed
+# (default 1), alternating, under OCAMLRUNPARAM=s= each of 128k, 160k,
+# 192k, 224k, 256k, 288k, 320k and 384k words.  For each workload and
+# seed it prints both sides' top_heap_mb per size and their min-max,
+# and one verdict:
 #
 #   lower level    every change run is under every parent run
 #   higher level   every change run is over every parent run
 #   modes          anything else
 #
-# It exits 1 if a side's words figure moves by more than 0.001 words
-# per request between two sizes: the minor heap must move the peak,
-# never what a path allocates.  (The serve path's scrape prints
+# It exits 1 if a side's words figure at one seed moves by more than
+# 0.001 words per request between two sizes: the minor heap must move
+# the peak, never what a path allocates.  (The serve path's scrape prints
 # wall-clock quantiles, so its text and its words move by a few 1e-4
 # from run to run at any one size.)
 # It edits neither copy; the raw runs stay in the directory it prints.
@@ -55,9 +56,10 @@ trace=0
 if [ "$mode" = layers ]; then trace=1; fi
 if [ "$mode" = heap ] && [ $# -eq 1 ]; then
   set -- "$1" 1
-elif [ "$mode" = heap ] || [ $# -ne 2 ]; then
+fi
+if [ $# -ne 2 ]; then
   echo "usage: bash bench/ab.sh [--layers] PARENT_REV SEEDS   (SEEDS like 1-10,23)" >&2
-  echo "       bash bench/ab.sh --heap PARENT_REV" >&2
+  echo "       bash bench/ab.sh --heap PARENT_REV [SEEDS]     (default seed 1)" >&2
   exit 2
 fi
 rev=$1
@@ -101,44 +103,47 @@ if [ "$mode" = heap ]; then
   sizes=(128k 160k 192k 224k 256k 288k 320k 384k)
   pair=0
   for w in "${workloads[@]}"; do
-    for size in "${sizes[@]}"; do
-      if ((pair % 2 == 0)); then run parent "$w" 1 "$size"; run change "$w" 1 "$size"
-      else run change "$w" 1 "$size"; run parent "$w" 1 "$size"; fi
-      pair=$((pair + 1))
-      echo "pair $pair: $w s=$size" >&2
+    for seed in "${seeds[@]}"; do
+      for size in "${sizes[@]}"; do
+        if ((pair % 2 == 0)); then run parent "$w" "$seed" "$size"; run change "$w" "$seed" "$size"
+        else run change "$w" "$seed" "$size"; run parent "$w" "$seed" "$size"; fi
+        pair=$((pair + 1))
+        echo "pair $pair: $w seed $seed s=$size" >&2
+      done
     done
   done
-  echo "$rev vs working tree, seed 1, minor heap ${sizes[*]} words; raw runs in $runs"
+  echo "$rev vs working tree, seeds ${seeds[*]}, minor heap ${sizes[*]} words; raw runs in $runs"
   jq -rs --slurpfile bench "$bench" '
     def fmt: . * 100 | round / 100 | tostring;
     . as $runs
     | ($bench[0].workloads[].name) as $w
-    | [$runs[] | select(.workload == $w)] as $rows
+    | ([$runs[] | select(.workload == $w) | .seed] | unique[]) as $seed
+    | [$runs[] | select(.workload == $w and .seed == $seed)] as $rows
     | ([$rows[] | select(.side == "parent") | .metrics.top_heap_mb.value]) as $p
     | ([$rows[] | select(.side == "change") | .metrics.top_heap_mb.value]) as $c
-    | ([$w, "parent"] + ($p | map(fmt)) + ["\($p | min | fmt)-\($p | max | fmt)"]),
-      ([$w, "change"] + ($c | map(fmt)) + ["\($c | min | fmt)-\($c | max | fmt)"]),
-      [$w, "verdict",
+    | ([$w, $seed, "parent"] + ($p | map(fmt)) + ["\($p | min | fmt)-\($p | max | fmt)"]),
+      ([$w, $seed, "change"] + ($c | map(fmt)) + ["\($c | min | fmt)-\($c | max | fmt)"]),
+      [$w, $seed, "verdict",
        (if ($c | max) < ($p | min) then "lower level"
         elif ($c | min) > ($p | max) then "higher level"
         else "modes" end)]
     | @tsv' "$runs" \
     | awk -F'\t' -v sizes="${sizes[*]}" '
-        BEGIN { n = split(sizes, s, " "); printf "%-17s %-8s", "workload", "side"
+        BEGIN { n = split(sizes, s, " "); printf "%-17s %4s %-8s", "workload", "seed", "side"
                 for (i = 1; i <= n; i++) printf " %7s", s[i]; printf "  %s\n", "min-max" }
-        $2 == "verdict" { printf "%-17s %-8s %s\n", $1, $2, $3; next }
-        { printf "%-17s %-8s", $1, $2; for (i = 3; i < NF; i++) printf " %7s", $i
+        $3 == "verdict" { printf "%-17s %4s %-8s %s\n", $1, $2, $3, $4; next }
+        { printf "%-17s %4s %-8s", $1, $2, $3; for (i = 4; i < NF; i++) printf " %7s", $i
           printf "  %s\n", $NF }'
   jq -rs "$failed" "$runs"
   moved=$(jq -rs '
-    map({side, workload,
+    map({side, workload, seed,
          words: (.metrics | with_entries(select(.key | test("words_per_req$"))) | map_values(.value))})
-    | group_by([.side, .workload])[]
+    | group_by([.side, .workload, .seed])[]
     | . as $g
     | ($g[0].words | keys[]) as $k
     | [$g[] | .words[$k]] as $v
     | select(($v | max) - ($v | min) > 0.001)
-    | "\($g[0].workload) \($g[0].side): \($k) moves with the minor heap (\($v | min)-\($v | max))"
+    | "\($g[0].workload) seed \($g[0].seed) \($g[0].side): \($k) moves with the minor heap (\($v | min)-\($v | max))"
     ' "$runs")
   if [ -n "$moved" ]; then
     echo "$moved" >&2

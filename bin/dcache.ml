@@ -279,7 +279,12 @@ let compare_cmd =
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
     let opt = Offline_dp.cost (Offline_dp.solve model seq) in
+    finite_or_die "the offline optimum" opt;
     let outcomes = Dcache_baselines.Online_policies.all_deterministic model seq in
+    List.iter
+      (fun (o : Dcache_baselines.Online_policies.outcome) ->
+        finite_or_die ("the " ^ o.name ^ " cost") o.cost)
+      outcomes;
     let table =
       Dcache_prelude.Table.create
         [
@@ -340,12 +345,14 @@ let render_cmd =
     let seq = or_die (load_trace trace m) in
     let oc = open_out_or_die out in
     let opt_result = Offline_dp.solve model seq in
+    finite_or_die "the offline optimum" (Offline_dp.cost opt_result);
     let opt_sched = Offline_dp.schedule opt_result in
     let panels =
       (Printf.sprintf "offline optimum (cost %.3f)" (Offline_dp.cost opt_result), opt_sched)
       ::
       (if with_online then begin
          let sc = Online_sc.run ~record_events:true model seq in
+         finite_or_die "the SC cost" sc.total_cost;
          [
            ( Printf.sprintf "speculative caching (cost %.3f, ratio %.2f)" sc.total_cost
                (Dcache_obs.Audit.ratio ~online:sc.total_cost ~opt:(Offline_dp.cost opt_result)),
@@ -386,11 +393,15 @@ let stream_cmd =
 " "i" "t_i" "optimum C(i)" "bound B_i";
     for i = 1 to Sequence.n seq do
       Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i);
-      if i mod every = 0 || i = Sequence.n seq then
+      if i mod every = 0 || i = Sequence.n seq then begin
+        (* C never decreases and row n is always printed, so no row
+           prints an overflowed optimum *)
+        finite_or_die "the prefix optimum" (Streaming_dp.cost stream);
         Printf.printf "%8d %10.4f %14.4f %14.4f
 " i (Sequence.time seq i)
           (Streaming_dp.cost stream)
           (Streaming_dp.running_at stream i)
+      end
     done
   in
   Cmd.v

@@ -27,7 +27,9 @@ type t
 
 val solve : Cost_model.t -> Sequence.t -> t
 (** Runs the sweep ({!Streaming_dp.of_sequence}).  [O(mn)] time and
-    space, every column sized for the sequence up front.
+    space, every column sized for the sequence up front; the
+    sequence's time column is read in place, not copied, so the result
+    keeps it alive.
     @raise Invalid_argument if the model/sequence pair is invalid
     ({!Streaming_dp.create}'s and [push]'s conditions). *)
 

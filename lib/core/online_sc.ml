@@ -38,10 +38,10 @@ type run = {
 
 let competitive_bound = 3.0
 
-(* The request path allocates nothing beyond the growth of its
-   arrays: the serve log's appended blocks (16, 16, 32, ..., then
-   [serve_block] entries each; none is copied), and the expiry heap's
-   amortised doubling.  dune's dev profile compiles with
+(* The request path allocates nothing beyond the expiry heap's
+   amortised doubling: the incremental state keeps only the last
+   request's serve, and [run] writes each one into its exact-size
+   [serves] as it feeds.  dune's dev profile compiles with
    [-opaque], so nothing is inlined across modules: every float handed
    to or returned by a function of another module is boxed, and so is
    every store into a float field of a mixed record.  Within this
@@ -287,9 +287,6 @@ let rec most_recent_live st m k best =
     most_recent_live st m (k + 1) k
   else most_recent_live st m (k + 1) best
 
-(* the largest serve-log block *)
-let serve_block = 1 lsl 12
-
 module Incremental = struct
   type nonrec t = {
     st : state;
@@ -301,24 +298,13 @@ module Incremental = struct
     mutable epoch_transfers : int;
     mutable num_epochs : int;  (* completed epoch resets *)
     mutable last_copy_server : int;
-    (* the serve log: request i's [serve_kind] is at
-       [serves.(i - serves_base)] from [serves_base] on, else in a full
-       block.  Blocks are appended, each as large as the log so far up
-       to [serve_block] entries; [finish] returns a single block of
-       exactly n + 1 entries as the run's [serves], and otherwise
-       copies the blocks in order, so no request looks a block up.
-       Slot 0 and the slots not yet written hold [By_cache]. *)
-    mutable serves : serve_kind array;
-    mutable serves_base : int;
-    mutable full_serves : serve_kind array list;  (* full blocks, newest first *)
-    by_transfer : serve_kind array;  (* one shared [By_transfer s] per server *)
+    mutable served : int;
+        (* the last request's serve: its source server, or -1 for a
+           cache serve; [run] reads it after each feed *)
     mutable finished : bool;
   }
 
-  (* [capacity]: initial length of the serve log's first block; [run]
-     passes [n + 1] so it never grows *)
-  let make ~capacity ?(epoch_size = max_int) ?(record_events = false) ?window ?window_policy model
-      ~m =
+  let create ?(epoch_size = max_int) ?(record_events = false) ?window ?window_policy model ~m =
     if epoch_size < 1 then invalid_arg "Online_sc: epoch_size must be positive";
     if m < 1 then invalid_arg "Online_sc: m must be positive";
     let delta_t =
@@ -363,26 +349,12 @@ module Incremental = struct
       epoch_transfers = 0;
       num_epochs = 0;
       last_copy_server = 0;
-      serves = Array.make capacity By_cache;
-      serves_base = 0;
-      full_serves = [];
-      by_transfer = Array.init m (fun s -> By_transfer s);
+      served = -1;
       finished = false;
     }
 
-  let create ?epoch_size ?record_events ?window ?window_policy model ~m =
-    make ~capacity:16 ?epoch_size ?record_events ?window ?window_policy model ~m
-
   let n t = t.n
   let transfers_so_far t = t.num_transfers
-
-  (* the current serve-log block is full: keep it and append the next,
-     as large as the log so far up to [serve_block] entries *)
-  let grow_serves t =
-    let size = t.serves_base + Array.length t.serves in
-    t.full_serves <- t.serves :: t.full_serves;
-    t.serves <- Array.make (min size serve_block) By_cache;
-    t.serves_base <- size
 
   (* O(1): the closed-segment cost lives in [sums.(caching)]; the
      still-open segments contribute mu * (live * now - act_sum).  The
@@ -416,12 +388,10 @@ module Incremental = struct
     st.now.(0) <- ti;
     drain st;
     let i = t.n + 1 in
-    if i - t.serves_base >= Array.length t.serves then grow_serves t;
-    let slot = i - t.serves_base in
     if st.active.(j) && st.expiry.(j) >= ti then begin
       (* live local copy: serve from cache and renew its window *)
       refresh st j;
-      t.serves.(slot) <- By_cache;
+      t.served <- -1;
       if st.record then log st (Served { index = i; server = j; time = ti; kind = By_cache })
     end
     else begin
@@ -439,7 +409,7 @@ module Incremental = struct
       t.epoch_transfers <- t.epoch_transfers + 1;
       refresh st src;
       activate st j ~by_transfer:true;
-      t.serves.(slot) <- t.by_transfer.(src);
+      t.served <- src;
       if st.record then
         log st (Served { index = i; server = j; time = ti; kind = By_transfer src })
     end;
@@ -488,22 +458,6 @@ module Incremental = struct
       Obs.add c_epoch_resets t.num_epochs;
       Obs.add c_evictions st.closed
     end;
-    let serves =
-      match t.full_serves with
-      | [] when Array.length t.serves = t.n + 1 -> t.serves
-      | full ->
-          (* the log's blocks oldest first, each from its first request
-             index, up to request n *)
-          let serves = Array.make (t.n + 1) By_cache in
-          ignore
-            (List.fold_left
-               (fun first block ->
-                 Array.blit block 0 serves first (min (Array.length block) (t.n + 1 - first));
-                 first + Array.length block)
-               0
-               (List.rev (t.serves :: full)));
-          serves
-    in
     (* transfers all cost lambda: count them and multiply once, instead
        of folding +. lambda per request (exact, and S4-clean) *)
     {
@@ -512,7 +466,7 @@ module Incremental = struct
       total_cost = Cost_model.add t.model ~caching:st.sums.(caching) ~transfers:t.num_transfers;
       num_transfers = t.num_transfers;
       num_epochs = t.num_epochs + 1;
-      serves;
+      serves = [||];
       events = List.rev st.events;
       segments = List.rev st.segments;
     }
@@ -520,16 +474,18 @@ end
 
 let run ?epoch_size ?record_events ?window ?window_policy model seq =
   Obs.spanned sp_run @@ fun () ->
-  let n = Sequence.n seq in
-  let inc =
-    Incremental.make ~capacity:(n + 1) ?epoch_size ?record_events ?window ?window_policy model
-      ~m:(Sequence.m seq)
-  in
+  let n = Sequence.n seq and m = Sequence.m seq in
+  let inc = Incremental.create ?epoch_size ?record_events ?window ?window_policy model ~m in
+  (* one shared [By_transfer s] per server *)
+  let by_transfer = Array.init m (fun s -> By_transfer s) in
+  let serves = Array.make (n + 1) By_cache in
   let servers = seq.Sequence.server and times = seq.Sequence.time in
   for k = 0 to n - 1 do
-    Incremental.feed inc ~server:servers.(k) ~time:times.(k)
+    Incremental.feed inc ~server:servers.(k) ~time:times.(k);
+    let src = inc.Incremental.served in
+    if src >= 0 then serves.(k + 1) <- by_transfer.(src)
   done;
-  Incremental.finish inc ~horizon:(Sequence.horizon seq)
+  { (Incremental.finish inc ~horizon:(Sequence.horizon seq)) with serves }
 [@@hot]
 
 let schedule_of_run seq (run : run) =

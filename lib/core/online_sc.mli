@@ -55,10 +55,12 @@ type run = {
   num_transfers : int;
   num_epochs : int;  (** completed resets + the final partial epoch *)
   serves : serve_kind array;
-      (** index [1..n]; index [0] is a dummy [By_cache].  The serve
-          log itself when it is one block of exactly [n + 1] entries,
-          as {!val-run}'s always is; otherwise a copy of its blocks.
-          Every [By_transfer s] of one run is the same value. *)
+      (** index [1..n]; index [0] is a dummy [By_cache].  Filled by
+          {!val-run}, one entry per request as it is served; every
+          [By_transfer s] of one run is the same value.  Empty ([[||]])
+          in a run returned by {!Incremental.finish}, which keeps no
+          serve log: there each request's serve kind is in its
+          [Served] event under [record_events]. *)
   events : event list;  (** chronological; empty unless [record_events] *)
   segments : segment list;
       (** every copy lifetime, chronological; empty unless
@@ -71,7 +73,9 @@ type run = {
     live.  The state machine is identical to {!val-run} — feeding the
     requests of a sequence in order and calling {!Incremental.finish}
     at its horizon returns the same {!type-run} record, field for
-    field. *)
+    field, except [serves]: the state keeps no serve log, so its
+    [serves] is empty and, under [record_events], the [Served] events
+    carry the same kinds in the same order. *)
 module Incremental : sig
   type t
   (** An in-progress SC run: the item lives on server [0] at time [0]
@@ -93,12 +97,11 @@ module Incremental : sig
   val feed : t -> server:int -> time:float -> unit
   (** Serves one request: [O(log n)] amortised (expiry-queue
       traffic), constant work otherwise.  Allocates nothing unless
-      [record_events] is set, apart from the serve log's appended
-      blocks (16, 16, 32, ..., 4 096 entries, then one per 4 096
-      requests; none is copied) and the amortised growth of the
+      [record_events] is set, apart from the amortised growth of the
       expiry queue (a [window_policy] may allocate on its own
-      account).  A request rejected for its server or its
-      time leaves the state untouched.
+      account): the state keeps the serve of the last request only.
+      A request rejected for its server or its time leaves the state
+      untouched.
       @raise Invalid_argument if the state is finished, [server] is
       outside [\[0, m)], [time] is not finite, or [time] does not
       exceed the previous request's time.
@@ -128,10 +131,10 @@ module Incremental : sig
   val finish : ?horizon:float -> t -> run
   (** Closes every live copy at [horizon] (default: the last request's
       time) and returns the completed run.  The state is consumed:
-      any later {!feed}/{!finish} raises.  The run's [serves] is the
-      serve log itself when the log is one block of exactly [n + 1]
-      entries (a state created with room for every request), and
-      otherwise a copy of the log's blocks into one array.
+      any later {!feed}/{!finish} raises.  The run's [serves] is
+      empty ([[||]]), as its [events] and [segments] are unless
+      [record_events]: with [record_events] each request's serve kind
+      is in its [Served] event.
       @raise Invalid_argument if already finished or [horizon] precedes
       the last request. *)
 end
@@ -146,9 +149,10 @@ val run :
   run
 (** Simulates SC over the whole sequence.  [O((n + m) log n)] time;
     constant work per request apart from the expiry queue, matching
-    the paper's efficiency claim.  The serve log is sized for the
-    whole sequence up front and returned as [serves], uncopied: the
-    run allocates one word per request for it.
+    the paper's efficiency claim.  [serves] is sized for the whole
+    sequence up front and each request's serve is written into it as
+    the request is fed: the run allocates one word per request for
+    it, and nothing else per request.
 
     @param epoch_size number of transfers per epoch (default: no
     epoching).

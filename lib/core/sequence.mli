@@ -17,7 +17,9 @@ type t = private {
     each float boxed, while [seq.time.(i - 1)] is an unboxed load.
     Request [i] sits at index [i - 1].  The columns are read-only:
     nothing stops a write, but everything else relies on the validation
-    {!of_columns} ran. *)
+    {!of_columns} ran, and a batch solve ([Streaming_dp.of_sequence])
+    keeps reading the time column as its rows' times after it
+    returns. *)
 
 val of_columns : m:int -> servers:int array -> times:float array -> (t, string) result
 (** [of_columns ~m ~servers ~times] is the instance whose request

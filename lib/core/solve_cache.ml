@@ -2,8 +2,10 @@
    cache with typed stats, a hard entry bound, and LRU eviction driven
    by a monotonic touch tick.  The key is an MD5 digest of a canonical
    binary encoding of the input, so lookups cost one O(input) hash —
-   cheap next to the O(mn) sweep they replace — and never retain the
-   (possibly huge) input sequence itself. *)
+   cheap next to the O(mn) sweep they replace.  A cached result keeps
+   its input's time column alive, since the solve reads it in place as
+   its rows' times: 8 bytes per request, which the rows would hold
+   otherwise, and nothing else of the input. *)
 
 module Obs = Dcache_obs.Obs
 

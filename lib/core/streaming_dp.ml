@@ -2,12 +2,13 @@
    bigarrays instead of ~13 parallel [int array]s — a stride-4 packed
    row [server; prev; c_choice; d_choice] per request in [idx], the
    successor column in [nxt], and the pre-scan matrix A in a row-major
-   arena of m slots per row — and the float columns in one stride-3
-   [float array] of rows [time; D; B] (unboxed).  Request indices
-   always fit int32 (grow refuses past 2^30 rows), so the index state
-   for a request is 16 bytes and a whole arena row is m*4 bytes.
+   arena of m slots per row — and the float columns in one stride-2
+   [float array] of rows [D; B] (unboxed), with the times in a plane
+   of their own.  Request indices always fit int32 (grow refuses past
+   2^30 rows), so the index state for a request is 16 bytes and a
+   whole arena row is m*4 bytes.
 
-   Rows live in blocks ([rows]: the four planes of a run of rows, and
+   Rows live in blocks ([rows]: the five planes of a run of rows, and
    the run's first row).  A stream starts with a 64-row block and
    appends blocks, each as large as the stream so far up to [block]
    rows: 64, 64, 128, ..., 2 048, then 4 096 rows each, so no row is
@@ -22,6 +23,20 @@
    the batch solve never reads the directory.  Blocks are not
    pre-filled: every row is written by its own push before anything
    reads it, and only row 0 and the nxt sentinel need initial values.
+
+   A block's time plane holds row r's time at [tm.(r - toff)]: [toff]
+   is the block's first row, or 1 for the first block, since row 0's
+   time is the implicit 0.0 and is never stored.  [of_sequence]'s one
+   block takes the sequence's time column as its plane, read in place
+   and never written ([Sequence.of_columns] adopts its columns
+   read-only), so a batch solve keeps no copy of the times.  Push
+   reads no row's time: like C, the times it needs are those of
+   r_{i-1} and r_{p(i)}, the latest request on its server, kept in
+   [t_last] and [t_on].  The recurrence is one body, [step]; [push]
+   is [step] and the store of the time into the current block's
+   plane, and [of_sequence] runs [step] alone.  A borrowed plane
+   pushed past its end is never written: growth appends a block with
+   a plane of its own, or copies the block, times included.
 
    [nxt] is offset by one with a permanent [-1] sentinel in slot 0
    ([nxt] slot i+1 = successor of r_i), so the pivot scan needs no
@@ -41,10 +56,10 @@
    tier-1 test `streaming: push allocation budget` asserts the ~2
    [Gc.minor_words]/push contract (see docs/PERFORMANCE.md).
 
-   The float rows keep only what cannot be recomputed: [time], [D]
-   and [B].  sigma_i and b_i are recomputed bit for bit from [time]
-   and the [prev] slot where they are read ([marginal_at] and the
-   walk's transfer test).  A push reads C only at r_{i-1} and at
+   The float rows keep only what cannot be recomputed: [D] and [B].
+   sigma_i and b_i are recomputed bit for bit from the times and the
+   [prev] slot where they are read ([marginal_at] and the walk's
+   transfer test).  A push reads C only at r_{i-1} and at
    r_{p(i)}, and each is the latest request on its server, so C lives
    in the m-slot column [c_on] (C of each server's latest request)
    and in the one-cell [c_last] (C of the last request); [costs]
@@ -101,14 +116,12 @@ let k_cc = 2
 
 let k_dc = 3
 
-(* float row: stride-3 [time; D; B] per request *)
-let fstride = 3
+(* float row: stride-2 [D; B] per request *)
+let fstride = 2
 
-let f_time = 0
+let f_d = 0
 
-let f_d = 1
-
-let f_b = 2
+let f_b = 1
 
 (* the largest block a stream appends *)
 let block = 1 lsl 12
@@ -125,7 +138,9 @@ type rows = {
   idx : i32; (* idx.{o*4 + k} = [server; prev; c_choice; d_choice] *)
   nxt : i32; (* rows + 1 slots: the last is slot first + rows *)
   arena : i32; (* arena.{o*m + j} = last request on s^j after r *)
-  fl : float array; (* fl.(o*3 + k) = [time; D; B] *)
+  fl : float array; (* fl.(o*2 + k) = [D; B] *)
+  tm : float array; (* row r's time at tm.(r - toff), r > 0 *)
+  toff : int; (* [first], or 1 in the first block *)
 }
 
 type t = {
@@ -139,6 +154,8 @@ type t = {
   last_on : int array; (* latest request per server *)
   c_on : float array; (* C of each server's latest request *)
   c_last : float array; (* one cell: C of the last request *)
+  t_on : float array; (* the time of each server's latest request *)
+  t_last : float array; (* one cell: the time of the last request *)
   (* reconstruction memo: state is append-only, so [len] is a complete
      key for the schedule of the current prefix *)
   mutable sched_len : int;
@@ -151,21 +168,26 @@ let initial_cap = 64
    the guard line (far below Int32.max_int, far above any workload) *)
 let max_cap = 0x4000_0000
 
-let make_rows ~m ~first n =
+(* [tm]: the block's time plane, [n] slots, or [n - 1] in the first
+   block, which stores no time for row 0 *)
+let make_rows ~m ~first ~tm n =
   {
     first;
     idx = i32_create (n * stride);
     nxt = i32_create (n + 1);
     arena = i32_create (n * m);
     fl = Array.create_float (n * fstride);
+    tm;
+    toff = (if first = 0 then 1 else first);
   }
 
 (* [cap] rows in one block: [create] starts small and grows,
-   [of_sequence] knows the final size *)
-let make model ~m ~cap =
+   [of_sequence] knows the final size and lends its time column as
+   [tm] *)
+let make model ~m ~cap ~tm =
   if m < 1 then invalid_arg "Streaming_dp.create: m must be at least 1";
   if cap > max_cap then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
-  let cur = make_rows ~m ~first:0 cap in
+  let cur = make_rows ~m ~first:0 ~tm cap in
   (* boundary request r_0 = (s^1, 0): C(0) = 0, no D(0), B_0 = 0, no
      successor yet; arena row 0 holds r_0 in column 0 and -1 elsewhere *)
   A1.set cur.idx k_server 0l;
@@ -178,7 +200,6 @@ let make model ~m ~cap =
   for j = 1 to m - 1 do
     A1.set cur.arena j (-1l)
   done;
-  cur.fl.(f_time) <- 0.0;
   cur.fl.(f_d) <- infinity;
   cur.fl.(f_b) <- 0.0;
   let last_on = Array.make m (-1) in
@@ -194,11 +215,13 @@ let make model ~m ~cap =
     last_on;
     c_on = Array.make m 0.0;
     c_last = Array.make 1 0.0;
+    t_on = Array.make m 0.0;
+    t_last = Array.make 1 0.0;
     sched_len = 1;
     sched = Schedule.empty;
   }
 
-let create model ~m = make model ~m ~cap:initial_cap
+let create model ~m = make model ~m ~cap:initial_cap ~tm:(Array.create_float (initial_cap - 1))
 
 let n t = t.len - 1
 
@@ -218,6 +241,14 @@ let[@inline] fx t i k =
   let b = rows_of t i in
   b.fl.(((i - b.first) * fstride) + k)
 
+(* row [i]'s time, for every reader: [@inline], because a float
+   returned from an out-of-line function is boxed *)
+let[@inline] time_at t i =
+  if i = 0 then 0.0
+  else
+    let b = rows_of t i in
+    b.tm.(i - b.toff)
+
 let check t i name =
   if i < 0 || i >= t.len then invalid_arg ("Streaming_dp." ^ name ^ ": index out of bounds")
 
@@ -232,7 +263,7 @@ let costs t =
   for i = 1 to t.len - 1 do
     c.(i) <-
       (if ix t i k_cc = c_cache then fx t i f_d
-       else c.(i - 1) +. (mu *. (fx t i f_time -. fx t (i - 1) f_time)) +. t.lam_eff)
+       else c.(i - 1) +. (mu *. (time_at t i -. time_at t (i - 1))) +. t.lam_eff)
   done;
   c
 
@@ -246,7 +277,7 @@ let marginal_at t i =
   if i = 0 then 0.0
   else
     let q = ix t i k_prev in
-    let sigma = if q >= 0 then fx t i f_time -. fx t q f_time else infinity in
+    let sigma = if q >= 0 then time_at t i -. time_at t q else infinity in
     Float.min t.lam_eff (t.model.Cost_model.mu *. sigma)
 
 let running_at t i =
@@ -265,7 +296,9 @@ let pivot_at t i =
    whole pages can only be an [of_sequence] state's single block,
    pushed past its end: it is copied once, with manual int32 loops so
    no proxy blocks are created, into a block of twice its rows rounded
-   up to whole pages, and appends from there. *)
+   up to whole pages, times included, and appends from there.  Either
+   way the new current block has a time plane of its own, so a
+   sequence's borrowed time column is only ever read. *)
 let grow t =
   Obs.spanned sp_grow @@ fun () ->
   let src = t.cur in
@@ -285,13 +318,13 @@ let grow t =
     for p = src.first lsr page_bits to filled - 1 do
       t.pages.(p) <- src
     done;
-    t.cur <- make_rows ~m:t.m ~first:t.cap (ncap - t.cap);
+    t.cur <- make_rows ~m:t.m ~first:t.cap ~tm:(Array.create_float (ncap - t.cap)) (ncap - t.cap);
     (* nxt slot [cap] moves from the full block's last slot to the new
        block's first *)
     A1.set t.cur.nxt 0 (A1.get src.nxt (t.cap - src.first))
   end
   else begin
-    let dst = make_rows ~m:t.m ~first:0 ncap in
+    let dst = make_rows ~m:t.m ~first:0 ~tm:(Array.create_float (ncap - 1)) ncap in
     for k = 0 to (t.len * stride) - 1 do
       A1.unsafe_set dst.idx k (A1.unsafe_get src.idx k)
     done;
@@ -302,30 +335,35 @@ let grow t =
       A1.unsafe_set dst.arena k (A1.unsafe_get src.arena k)
     done;
     Array.blit src.fl 0 dst.fl 0 (t.len * fstride);
+    Array.blit src.tm 0 dst.tm 0 (t.len - 1);
     t.cur <- dst
   end;
   t.cap <- ncap;
   Obs.incr c_grow;
   Obs.set_gauge g_arena_cap (float_of_int (ncap * t.m))
 
-(* [@inline] so that [of_sequence] runs this body on an unboxed read
-   of the time column: the out-of-line copy serves other modules, and
-   boxes its [time] argument there.  Closure mode inlines only a body
-   with no local function, so none may be added here. *)
-let[@inline] push t ~server ~time =
+(* The recurrence: every push but the store of its time.  [@inline],
+   so that [of_sequence] runs this body on an unboxed read of the time
+   column and [push] on its own [time]: the out-of-line [push] serves
+   other modules, and boxes its [time] argument there.  Closure mode
+   inlines only a body with no local function, so none may be added
+   here. *)
+let[@inline] step t ~server ~time =
   (* hand-rolled span timing: [Obs.spanned] would allocate a closure,
      and this path's Noop budget is exactly 0 words.  Two probe loads
      per push (entry and exit) — bench_cases.probes_per_push. *)
   let t0 = if Obs.probe () then Obs.now_ns () else min_int in
   if server < 0 || server >= t.m then invalid_arg "Streaming_dp.push: server out of range";
   if not (Float.is_finite time) then invalid_arg "Streaming_dp.push: non-finite time";
+  (* [c_last], [c_on], [t_last] and [t_on] are read and written
+     unchecked: with bounds checks on the first two the perf gate's
+     push read 72-77 us, against 62-68 without them and on rows that
+     kept C *)
+  (* dcache-sema: allow R3 — [t_last] has its one cell *)
+  let prev_time = Array.unsafe_get t.t_last 0 in
+  if time <= prev_time then invalid_arg "Streaming_dp.push: times must strictly increase";
   (* row i - 1 is in the current block until [grow] runs *)
   let po = (t.len - 1 - t.cur.first) * fstride in
-  let prev_time = t.cur.fl.(po + f_time) in
-  if time <= prev_time then invalid_arg "Streaming_dp.push: times must strictly increase";
-  (* [c_last] and [c_on] are read and written unchecked: with their
-     bounds checks the perf gate's push read 72-77 us, against 62-68
-     without them and on rows that kept C *)
   (* dcache-sema: allow R3 — [c_last] has its one cell *)
   let prev_c = Array.unsafe_get t.c_last 0 and prev_b = t.cur.fl.(po + f_b) in
   if t.len = t.cap then grow t;
@@ -336,15 +374,14 @@ let[@inline] push t ~server ~time =
   let fl = cur.fl and fo = (i - base) * fstride in
   let io = (i - base) * stride in
   let q = t.last_on.(server) in
-  let sigma = if q >= 0 then time -. fx t q f_time else infinity in
+  (* t_{p(i)}: q is the server's latest request until this push *)
+  (* dcache-sema: allow R3 — 0 <= server < m, checked above, and [t_on] has m slots *)
+  let sigma = if q >= 0 then time -. Array.unsafe_get t.t_on server else infinity in
   let bi = Float.min t.lam_eff (mu *. sigma) in
   A1.unsafe_set cur.idx (io + k_server) (Int32.of_int server);
   A1.unsafe_set cur.idx (io + k_prev) (Int32.of_int q);
-  A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int d_undefined);
   A1.unsafe_set cur.nxt (i + 1 - base) (-1l);
-  fl.(fo + f_time) <- time;
   fl.(fo + f_b) <- prev_b +. bi;
-  fl.(fo + f_d) <- infinity;
   (* --- D(i): branch-predictable pivot scan over the packed arena row
      of r_q.  The loop body is one test: an empty column reads the
      nxt slot-0 sentinel, the server's own column reads slot q+1
@@ -353,62 +390,73 @@ let[@inline] push t ~server ~time =
      [last >= 0], [kappa < i] and [d < infinity] guards are gone (an
      infinite D(kappa) yields an infinite candidate, which never beats
      the finite D_prev seed).  Each row read takes the current block
-     when the row is in it, as every row of a batch solve is. *)
-  if q >= 0 then begin
-    let base_cost = (mu *. sigma) +. prev_b in
-    (* C(q): q is the server's latest request until this push *)
-    (* dcache-sema: allow R3 — 0 <= server < m, checked above, and [c_on] has m slots *)
-    fl.(fo + f_d) <- Array.unsafe_get t.c_on server +. base_cost -. fx t q f_b;
-    A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int d_prev);
-    let qb = rows_of t q in
-    let arena = qb.arena and row = (q - qb.first) * t.m in
-    for j = 0 to t.m - 1 do
-      let s = Int32.to_int (A1.unsafe_get arena (row + j)) + 1 in
-      let kappa =
-        Int32.to_int
-          (if s >= base then A1.unsafe_get cur.nxt (s - base)
-           else
-             let sb = pages.(s lsr page_bits) in
-             A1.unsafe_get sb.nxt (s - sb.first))
-      in
-      if kappa >= 0 then begin
-        let cand =
-          if kappa >= base then
-            let ko = (kappa - base) * fstride in
-            (* dcache-sema: allow R3 — base <= kappa < i: a row pushed into this block *)
-            Array.unsafe_get fl (ko + f_d) +. base_cost -. Array.unsafe_get fl (ko + f_b)
-          else
-            let kb = pages.(kappa lsr page_bits) in
-            let kf = kb.fl and ko = (kappa - kb.first) * fstride in
-            (* dcache-sema: allow R3 — kappa < base: full blocks hold all their rows *)
-            Array.unsafe_get kf (ko + f_d) +. base_cost -. Array.unsafe_get kf (ko + f_b)
+     when the row is in it, as every row of a batch solve is.  The
+     running minimum and its choice stay in local variables, unboxed,
+     and row i's D and d_choice are written once, after the scan. *)
+  let d_value =
+    if q >= 0 then begin
+      let base_cost = (mu *. sigma) +. prev_b in
+      (* C(q): q is the server's latest request until this push *)
+      (* dcache-sema: allow R3 — 0 <= server < m, checked above, and [c_on] has m slots *)
+      let best = ref (Array.unsafe_get t.c_on server +. base_cost -. fx t q f_b)
+      and choice = ref d_prev in
+      let qb = rows_of t q in
+      let arena = qb.arena and row = (q - qb.first) * t.m in
+      for j = 0 to t.m - 1 do
+        let s = Int32.to_int (A1.unsafe_get arena (row + j)) + 1 in
+        let kappa =
+          Int32.to_int
+            (if s >= base then A1.unsafe_get cur.nxt (s - base)
+             else
+               let sb = pages.(s lsr page_bits) in
+               A1.unsafe_get sb.nxt (s - sb.first))
         in
-        (* dcache-sema: allow R3 — row i < cap is in the current block (grow ran above) *)
-        if cand < Array.unsafe_get fl (fo + f_d) then begin
-          Array.unsafe_set fl (fo + f_d) cand;
-          A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int kappa)
+        if kappa >= 0 then begin
+          let cand =
+            if kappa >= base then
+              let ko = (kappa - base) * fstride in
+              (* dcache-sema: allow R3 — base <= kappa < i: a row pushed into this block *)
+              Array.unsafe_get fl (ko + f_d) +. base_cost -. Array.unsafe_get fl (ko + f_b)
+            else
+              let kb = pages.(kappa lsr page_bits) in
+              let kf = kb.fl and ko = (kappa - kb.first) * fstride in
+              (* dcache-sema: allow R3 — kappa < base: full blocks hold all their rows *)
+              Array.unsafe_get kf (ko + f_d) +. base_cost -. Array.unsafe_get kf (ko + f_b)
+          in
+          if cand < !best then begin
+            best := cand;
+            choice := kappa
+          end
         end
-      end
-    done;
-    let nb = rows_of t (q + 1) in
-    A1.unsafe_set nb.nxt (q + 1 - nb.first) (Int32.of_int i)
-  end;
-  let d_value = fl.(fo + f_d) in
+      done;
+      let nb = rows_of t (q + 1) in
+      A1.unsafe_set nb.nxt (q + 1 - nb.first) (Int32.of_int i);
+      A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int !choice);
+      !best
+    end
+    else begin
+      A1.unsafe_set cur.idx (io + k_dc) (Int32.of_int d_undefined);
+      infinity
+    end
+  in
+  fl.(fo + f_d) <- d_value;
   (* --- C(i) --- *)
-  let step = prev_c +. (mu *. (time -. prev_time)) +. t.lam_eff in
+  let stepped = prev_c +. (mu *. (time -. prev_time)) +. t.lam_eff in
   (* D(i) exists only when the server was requested before; without
-     the [q >= 0] test an overflowed [step = inf] would tie the
+     the [q >= 0] test an overflowed [stepped = inf] would tie the
      undefined D(i) = inf and send the walk down a missing D branch *)
-  if q >= 0 && d_value <= step then begin
+  if q >= 0 && d_value <= stepped then begin
     Array.unsafe_set t.c_last 0 d_value;
     A1.unsafe_set cur.idx (io + k_cc) (Int32.of_int c_cache)
   end
   else begin
-    Array.unsafe_set t.c_last 0 step;
+    Array.unsafe_set t.c_last 0 stepped;
     A1.unsafe_set cur.idx (io + k_cc) (Int32.of_int c_step)
   end;
   (* dcache-sema: allow R3 — the same cell and slot as above *)
   Array.unsafe_set t.c_on server (Array.unsafe_get t.c_last 0);
+  Array.unsafe_set t.t_on server time;
+  Array.unsafe_set t.t_last 0 time;
   t.last_on.(server) <- i;
   (* arena row i = arena row i-1 with this server's column patched;
      manual int32 loop — [Array1.sub]/[blit] would allocate proxies *)
@@ -427,6 +475,15 @@ let[@inline] push t ~server ~time =
     Obs.add c_pivot_slots (if q >= 0 then t.m else 0);
     if t0 <> min_int then Obs.observe_span_ns sp_push (Obs.now_ns () - t0)
   end
+[@@hot]
+
+(* [step], then the time into the current block's plane, which is the
+   block's own: a pushed stream's blocks all have their own planes,
+   and growth gives an [of_sequence] stream pushed past its end one *)
+let[@inline] push t ~server ~time =
+  step t ~server ~time;
+  let cur = t.cur in
+  cur.tm.(t.len - 1 - cur.toff) <- time
 [@@hot]
 
 (* -- schedule reconstruction (identical walk to the batch solver) ------- *)
@@ -470,14 +527,14 @@ let emit t start source =
       let slot = first.(s) in
       first.(s) <- slot + 1;
       server.(slot) <- s;
-      from_time.(slot) <- fx t a f_time;
-      to_time.(slot) <- fx t b f_time
+      from_time.(slot) <- time_at t a;
+      to_time.(slot) <- time_at t b
     end;
     let source = source.(b) in
     if source <> no_transfer then begin
       src.(!k) <- source;
       dst.(!k) <- ix t b k_server;
-      time.(!k) <- fx t b f_time;
+      time.(!k) <- time_at t b;
       incr k
     end
   done;
@@ -511,7 +568,7 @@ let schedule t =
     let serve_marginal source lo hi =
       for h = lo to hi do
         let ph = ix t h k_prev in
-        if ph < 0 || t.lam_eff <= mu *. (fx t h f_time -. fx t ph f_time) then add_transfer source h
+        if ph < 0 || t.lam_eff <= mu *. (time_at t h -. time_at t ph) then add_transfer source h
         else add_cache ph h
       done
     in
@@ -554,13 +611,15 @@ let schedule t =
     t.sched_len <- t.len;
     s
 
-(* reads the columns in place and inlines [push], so no time is boxed *)
+(* reads the columns in place and inlines [step], so no time is boxed;
+   the time column is the block's plane (row r at [times.(r - 1)]), so
+   nothing stores a time *)
 let of_sequence model seq =
   let count = Sequence.n seq in
-  let t = make model ~m:(Sequence.m seq) ~cap:(count + 1) in
   let servers = seq.Sequence.server and times = seq.Sequence.time in
+  let t = make model ~m:(Sequence.m seq) ~cap:(count + 1) ~tm:times in
   for k = 0 to count - 1 do
-    push t ~server:servers.(k) ~time:times.(k)
+    step t ~server:servers.(k) ~time:times.(k)
   done;
   t
 [@@hot]
@@ -569,7 +628,7 @@ let to_sequence t =
   let count = n t in
   let times = Array.make count 0.0 in
   for i = 1 to count do
-    times.(i - 1) <- fx t i f_time
+    times.(i - 1) <- time_at t i
   done;
   match
     Sequence.of_columns ~m:t.m ~servers:(Array.init count (fun i -> ix t (i + 1) k_server)) ~times

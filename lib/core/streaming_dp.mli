@@ -24,13 +24,17 @@ val create : Cost_model.t -> m:int -> t
 val of_sequence : Cost_model.t -> Sequence.t -> t
 (** [create] and a [push] of every request of the sequence, in one
     block sized for the whole sequence up front, so nothing is ever
-    grown.  Pushing past its end appends blocks, unless the block's
-    n + 1 rows are not a multiple of 64: then it is copied once into
-    a block of twice its rows, rounded up to a multiple of 64, the one
-    case where rows move.  This is the batch solve ({!Offline_dp.solve}).  It reads
-    the sequence's columns in place and runs {!push}'s body inlined,
-    so no request's time is boxed: it allocates the block's planes
-    and nothing per request.
+    grown.  This is the batch solve ({!Offline_dp.solve}).  It reads
+    the sequence's columns in place and runs {!push}'s recurrence
+    inlined, so no request's time is boxed, and it keeps the
+    sequence's time column as its rows' times, read in place and
+    never written: it allocates the block's planes, [D] and [B] per
+    row, and nothing per request.  The result keeps the column alive.
+    Pushing past its end appends blocks, unless the block's n + 1
+    rows are not a multiple of 64: then it is copied once, times
+    included, into a block of twice its rows, rounded up to a
+    multiple of 64, the one case where rows move.  Either way the
+    pushed times go into a block of the stream's own.
     @raise Invalid_argument under [push]'s conditions (unreachable for
     a validated {!Sequence.t}). *)
 
@@ -53,10 +57,10 @@ val cost_into : t -> float array -> int -> unit
 
 val costs : t -> float array
 (** The vector [C(0) .. C(n)], in one [O(n)] pass.  The rows keep
-    [time], [D] and [B] but not [C]: a push reads [C] only at
-    [r_{i-1}] and at [r_{p(i)}], the latest request on its server, so
-    the state keeps [C] of each server's latest request and of the
-    last request.  The pass takes [C(i) = D(i)] where {!push} chose
+    [D] and [B] beside the requests' times, but not [C]: a push reads
+    [C] only at [r_{i-1}] and at [r_{p(i)}], the latest request on its
+    server, so the state keeps [C] of each server's latest request and
+    of the last request.  The pass takes [C(i) = D(i)] where {!push} chose
     the cache branch, else [push]'s step from [C(i-1)], so every
     value equals the one [push] computed, bit for bit. *)
 

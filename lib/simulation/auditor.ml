@@ -20,7 +20,6 @@ type report = {
   windows : int;
   violations : int;
   witnesses : Audit.witness list;
-  run : Online_sc.run;
 }
 
 let create ?window_size ?bound ?item ?epoch_size ?(inflate = 1.0) ?on_window model ~m =
@@ -57,15 +56,14 @@ let opt_cost_so_far t = Streaming_dp.cost t.dp
 let finish t =
   let closed = Audit.flush t.audit in
   fire_window t closed;
-  let run = Online_sc.Incremental.finish t.inc in
+  let online_cost = (Online_sc.Incremental.finish t.inc).Online_sc.total_cost in
   let opt_cost = Streaming_dp.cost t.dp in
   {
     requests = Audit.n t.audit;
-    online_cost = run.Online_sc.total_cost;
+    online_cost;
     opt_cost;
-    final_ratio = Audit.ratio ~online:(t.inflate *. run.Online_sc.total_cost) ~opt:opt_cost;
+    final_ratio = Audit.ratio ~online:(t.inflate *. online_cost) ~opt:opt_cost;
     windows = Audit.windows_closed t.audit;
     violations = Audit.violations t.audit;
     witnesses = Audit.witnesses t.audit;
-    run;
   }

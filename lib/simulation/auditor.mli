@@ -26,8 +26,9 @@ type report = {
   windows : int;  (** closed windows, final partial one included *)
   violations : int;  (** Theorem-3 bound-monitor firings *)
   witnesses : Audit.witness list;  (** retained violating prefixes *)
-  run : Dcache_core.Online_sc.run;  (** the completed online run *)
 }
+(** A finished audit's summary.  [online_cost] is the online run's
+    total cost; the run itself is not returned. *)
 
 val create :
   ?window_size:int ->

@@ -56,6 +56,9 @@ let feed_all inc seq =
 
 (* ------------------------------------------------- Incremental API *)
 
+(* The incremental state keeps no serve log: its run's [serves] is
+   empty, its [Served] events carry [run]'s serves in order, and every
+   other field is [run]'s *)
 let replays_run p =
   List.for_all
     (fun epoch_size ->
@@ -65,7 +68,14 @@ let replays_run p =
       in
       feed_all inc p.seq;
       let via_inc = Online_sc.Incremental.finish inc ~horizon:(Sequence.horizon p.seq) in
-      via_run = via_inc)
+      let served =
+        List.filter_map
+          (function Online_sc.Served { kind; _ } -> Some kind | _ -> None)
+          via_inc.Online_sc.events
+      in
+      via_inc.Online_sc.serves = [||]
+      && served = List.tl (Array.to_list via_run.Online_sc.serves)
+      && { via_inc with serves = via_run.serves } = via_run)
     [ None; Some 3 ]
 
 let incremental_replays_run =
@@ -200,7 +210,7 @@ let no_violations_on_random =
       && report.Auditor.requests = Sequence.n p.seq
       && report.Auditor.windows >= 1
       && report.Auditor.final_ratio <= 3.0 +. 1e-6
-      && approx report.Auditor.online_cost report.Auditor.run.Online_sc.total_cost)
+      && approx report.Auditor.online_cost (Online_sc.run p.model p.seq).Online_sc.total_cost)
 
 let adversaries_stay_within_bound () =
   List.iter
@@ -559,12 +569,12 @@ let serve_metrics_rejects_overflowing_costs () =
 
 (* The audit path in the bench ledger's order (dcache audit on a
    trace file): read, then replay through the auditor, a window line
-   per 64 requests into a buffer.  14.10-14.17 words under the Noop
-   sink, the window lines included (the stream and the serve log
-   append their first blocks instead of copying them); the budget of
-   14.75 fails on one more 2-word allocation per request in the read,
-   Incremental.feed, Streaming_dp.push or Audit.observe, and on C back
-   in the stream's rows. *)
+   per 64 requests into a buffer.  12.08-12.13 words under the Noop
+   sink, the window lines included (the stream appends its blocks
+   instead of copying them, and SC keeps no serve log); the budget of
+   12.75 fails on one more 2-word allocation per request in the read,
+   Incremental.feed, Streaming_dp.push or Audit.observe, on C back in
+   the stream's rows, and on a serve log. *)
 let audit_path_budget () =
   Obs.set_sink Obs.Noop;
   List.iter
@@ -581,23 +591,25 @@ let audit_path_budget () =
                 | Error msg -> Alcotest.fail msg
                 | Ok seq -> replay ~window_size:64 ~on_window unit_model seq))
       in
-      if words > 14.75 then
-        Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 14.75)" name words)
+      if words > 12.75 then
+        Alcotest.failf "the audit path on %s allocates %.2f words/request (budget 12.75)" name words)
     (budget_workloads ())
 
 (* The serve-metrics item loop in the bench ledger's order, over items
    of 500 requests: generate one, audit it, then re-solve it through a
-   Solve_cache miss.  Under the Noop sink it reads 15.02 / 17.00 /
-   15.19 / 14.89 words on the four workloads (each item's stream and
-   serve log append their blocks instead of copying them as they
-   double), a spread past 1 word, so each workload has its own budget,
-   under 1 word above its figure: C back in the rows of the item's two
-   streams adds 1.75 to 2. *)
+   Solve_cache miss.  Under the Noop sink it reads 11.92 / 13.78 /
+   12.07 / 11.79 words on the four workloads (each item's stream
+   appends its blocks instead of copying them as they double, SC keeps
+   no serve log, and the re-solve reads the item's times in place), a
+   spread past 1 word, so each workload has its own budget, under 1
+   word above its figure: a serve log, a copy of the times in the
+   re-solve, or C back in the rows of the item's two streams breaks
+   it. *)
 let serve_items_budget () =
   Obs.set_sink Obs.Noop;
   let budgets =
     [
-      ("mobility-ring-m8", 15.75); ("zipf-m64", 17.75); ("bursty-m16", 16.0); ("serve-batch", 15.75);
+      ("mobility-ring-m8", 12.75); ("zipf-m64", 14.5); ("bursty-m16", 12.75); ("serve-batch", 12.5);
     ]
   in
   List.iter
@@ -623,8 +635,9 @@ let serve_items_budget () =
           words budget)
     ledger_workloads
 
-(* Past the first serve-log block (4 096 requests) the log is read
-   back through its directory *)
+(* Streams past 4 096 requests, where the serve log, now gone, used to
+   append its blocks (the name keeps them): the replay holds on long
+   runs too *)
 let incremental_replays_run_across_blocks =
   qcheck ~count:6 "incremental feed/finish replays run field-for-field across serve-log blocks"
     long_problem_arbitrary replays_run
@@ -868,10 +881,10 @@ let cli_analyze_degenerate_traces () =
           );
         ])
 
-(* Serve logs that end within a few entries of a block boundary: 16,
-   32, ..., 4 096 entries (the appended blocks that double the log),
-   and 8 192.  The incremental state's appended blocks replay [run]'s
-   single block field for field. *)
+(* Runs that end within a few requests of where the serve log, now
+   gone, crossed a block boundary: 16, 32, ..., 4 096 entries, and
+   8 192 (the name keeps the log).  The incremental state replays
+   [run] as [replays_run] says at every such length. *)
 let serve_log_boundary_gen =
   let open QCheck.Gen in
   let* k = int_range 0 9
@@ -929,6 +942,43 @@ let auditor_feed_budget_recording () =
               name words)
         (budget_workloads ()))
 
+(* [stream], [compare] and [render] check their costs before they print
+   or draw them, as [solve], [online] and [audit] do: at --mu 1e308
+   each exits 1 with the overflow message, and no inf or nan reaches
+   stdout or the SVG *)
+let cli_stream_compare_render_refuse_overflow () =
+  let exe = Filename.concat (Filename.concat ".." "bin") "dcache.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let out = Filename.temp_file "dcache" ".out" and err = Filename.temp_file "dcache" ".err" in
+  let svg = Filename.temp_file "dcache" ".svg" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err; svg ])
+    (fun () ->
+      List.iter
+        (fun args ->
+          let status =
+            Sys.command
+              (Filename.quote_command exe ~stdout:out ~stderr:err
+                 (args @ [ "--trace"; "data/15041.events"; "-m"; "8"; "--mu"; "1e308" ]))
+          in
+          let what = String.concat " " args in
+          let read file = In_channel.with_open_text file In_channel.input_all in
+          Alcotest.(check int) (what ^ ": exit status") 1 status;
+          let message = read err in
+          if not (contains "overflows floating point" message) then
+            Alcotest.failf "%s printed %S on stderr" what message;
+          List.iter
+            (fun (where, text) ->
+              if contains "inf" text || contains "nan" text then
+                Alcotest.failf "%s wrote an overflowed cost to %s:\n%s" what where text)
+            [ ("stdout", read out); ("the SVG", read svg) ])
+        [
+          [ "stream"; "--every"; "100" ];
+          [ "compare" ];
+          [ "render"; "-o"; svg ];
+          [ "render"; "--online"; "-o"; svg ];
+        ])
+
 let suite =
   [
     incremental_replays_run;
@@ -965,4 +1015,6 @@ let suite =
     case "serve-metrics: SIGTERM writes the trace and leaves no ring file"
       serve_metrics_sigterm_writes_trace;
     case "cli: an unwritable output exits 1 before any result" cli_rejects_unwritable_outputs;
+    case "cli: stream, compare and render refuse overflowing costs"
+      cli_stream_compare_render_refuse_overflow;
   ]

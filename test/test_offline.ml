@@ -336,18 +336,18 @@ let scale_invariance_exact =
 (* Words per request of the calls [dcache solve] makes, on the bench
    ledger's workloads at n = 20 000, seed 1.  Each budget fails on one
    more 2-word allocation per request, and the solve, miss and path
-   budgets on one more word per row, such as C back in the rows.  What
-   is left:
-   - [Offline_dp.solve] (3.00-3.01): the solver's three float columns
-     (3); it reads the sequence's time column in place, so no time is
-     boxed;
+   budgets on one more word per row, such as C back in the rows or a
+   copy of the times.  What is left:
+   - [Offline_dp.solve] (2.00-2.01): the solver's two float columns
+     [D; B] (2); it reads the sequence's time column in place, as the
+     rows' time plane, so no time is boxed or copied;
    - a cold [Offline_dp.schedule] (5.23-5.64): the walk's two
      per-request slot arrays (2) and the schedule's columns, three
      words per piece at 1.1-1.2 pieces per request;
    - pricing (0.00): [Bounds.lower_bound] reads the columns in place;
-   - a [Solve_cache.solve] miss (4.51): the solve and the
+   - a [Solve_cache.solve] miss (3.51): the solve and the
      16 + 12n-byte fingerprint it digests (1.5);
-   - the whole path in ledger order (12.18-12.58): [Trace_io.read] on
+   - the whole path in ledger order (11.18-11.59): [Trace_io.read] on
      a file (2.43, budgeted in test_workload), a miss, a cold schedule
      and pricing. *)
 let allocation_budgets () =
@@ -363,7 +363,7 @@ let allocation_budgets () =
   in
   List.iter
     (fun (name, seq) ->
-      budget name "Offline_dp.solve" 3.75
+      budget name "Offline_dp.solve" 2.75
         (words_per_request ~n:budget_n (fun () -> Offline_dp.solve unit seq));
       let r = Offline_dp.solve unit seq in
       budget name "a cold Offline_dp.schedule" 7.0
@@ -371,11 +371,11 @@ let allocation_budgets () =
       let schedule = Offline_dp.schedule r in
       budget name "pricing" 1.0 (words_per_request ~n:budget_n (fun () -> pricing seq schedule));
       Solve_cache.clear ();
-      budget name "a Solve_cache.solve miss" 5.25
+      budget name "a Solve_cache.solve miss" 4.25
         (words_per_request ~n:budget_n (fun () -> Solve_cache.solve unit seq));
       Solve_cache.clear ();
       with_temp_file (Dcache_workload.Trace_io.to_string seq) (fun filename ->
-          budget name "the solve path" 13.25
+          budget name "the solve path" 12.25
             (words_per_request ~n:budget_n (fun () ->
                  match Dcache_workload.Trace_io.read ~filename ~m:(Sequence.m seq) with
                  | Error msg -> Alcotest.fail msg

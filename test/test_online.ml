@@ -425,8 +425,8 @@ let evictions_count_closed_copies () =
    fails them.  Each also runs with epochs of 5 transfers, which
    covers the epoch-reset loop. *)
 
-(* the unrecorded run keeps per request only its serve log, which it
-   returns as [serves]: 1.01-1.04 words.  It reads the time column in
+(* the unrecorded run keeps per request only its [serves], which it
+   fills as it feeds: 1.01-1.04 words.  It reads the time column in
    place and runs [Incremental.feed] inlined, so no time is boxed.
    The budget of 1.75 also fails on a second serve array *)
 let run_allocation_budget () =
@@ -464,11 +464,11 @@ let feed_allocation_budget () =
     (budget_workloads ())
 
 (* The online path in the bench ledger's order (dcache online on a
-   trace file): read, SC, then the optimum.  6.45-6.48 words: the
-   read 2.43, Online_sc.run 1.01-1.04 and Offline_dp.solve 3.00-3.01,
-   each also budgeted on its own.  The budget of 7.25 fails on one
+   trace file): read, SC, then the optimum.  5.45-5.48 words: the
+   read 2.43, Online_sc.run 1.01-1.04 and Offline_dp.solve 2.00-2.01,
+   each also budgeted on its own.  The budget of 6.25 fails on one
    more word per request anywhere on the path, such as C back in the
-   rows or a second serve array. *)
+   rows, a copy of the times or a second serve array. *)
 let online_path_budget () =
   List.iter
     (fun (name, seq) ->
@@ -481,8 +481,34 @@ let online_path_budget () =
                     ignore (Sys.opaque_identity (Online_sc.run unit seq));
                     Offline_dp.solve unit seq))
       in
-      if words > 7.25 then
-        Alcotest.failf "the online path on %s allocates %.2f words/request (budget 7.25)" name words)
+      if words > 6.25 then
+        Alcotest.failf "the online path on %s allocates %.2f words/request (budget 6.25)" name words)
+    (budget_workloads ())
+
+(* A loop over Incremental.feed and its finish, all words counted:
+   2.01-2.03 per request, 2 of them the loop's boxed [time].  The state
+   keeps the last request's serve only, so a serve log (1 word per
+   request, and 1 more for finish's copy) breaks the budget of 2.75. *)
+let incremental_keeps_no_serve_log () =
+  List.iter
+    (fun (name, seq) ->
+      List.iter
+        (fun epoch_size ->
+          let words =
+            words_per_request ~n:budget_n (fun () ->
+                let inc = Online_sc.Incremental.create ?epoch_size unit ~m:(Sequence.m seq) in
+                for i = 1 to Sequence.n seq do
+                  Online_sc.Incremental.feed inc ~server:(Sequence.server seq i)
+                    ~time:(Sequence.time seq i)
+                done;
+                Online_sc.Incremental.finish inc)
+          in
+          if words > 2.75 then
+            Alcotest.failf
+              "a loop over Incremental.feed and its finish on %s allocates %.2f words/request \
+               (budget 2.75)"
+              name words)
+        [ None; Some 5 ])
     (budget_workloads ())
 
 let suite =
@@ -519,4 +545,5 @@ let suite =
     case "sc: Online_sc.run allocation budget" run_allocation_budget;
     case "sc: Incremental.feed allocation budget" feed_allocation_budget;
     case "sc: the online path stays within its budget" online_path_budget;
+    case "sc: an incremental state keeps no serve log" incremental_keeps_no_serve_log;
   ]

@@ -516,6 +516,34 @@ let appended_blocks_keep_counts () =
             (gauge_value arena))
         [ (500, 4, 3, 512); (1000, 6, 4, 1024); (100_000, 1, 30, 102_400) ])
 
+(* [of_sequence] takes the sequence's time column as its rows' time
+   plane.  Pushed past its end (copied once when the prefix's rows are
+   not whole 64-row pages, appended to when they are) and read back
+   through [schedule], [costs] and [to_sequence], it gives the pushed
+   stream's every answer and leaves the column bit for bit as it was. *)
+let batch_solve_reads_times_in_place =
+  qcheck ~count:40 "streaming: a batch solve reads the sequence's times and never writes them"
+    (QCheck.make
+       ~print:(fun ({ model; seq }, prefix) ->
+         Format.asprintf "n = %d, m = %d, prefix %d, %a" (Sequence.n seq) (Sequence.m seq) prefix
+           pp_model model)
+       boundary_problem_gen)
+    (fun (({ model; seq } as p), prefix) ->
+      let head = Sequence.sub seq prefix in
+      let bits () = Array.map Int64.bits_of_float head.Sequence.time in
+      let before = bits () in
+      let stream = Streaming_dp.of_sequence model head in
+      ignore (Streaming_dp.schedule stream);
+      for i = prefix + 1 to Sequence.n seq do
+        Streaming_dp.push stream ~server:(Sequence.server seq i) ~time:(Sequence.time seq i)
+      done;
+      ignore (Streaming_dp.schedule stream);
+      ignore (Streaming_dp.costs stream);
+      ignore (Streaming_dp.to_sequence stream);
+      let _, grown = sized_and_grown p in
+      let same = same_answers stream grown in
+      same && bits () = before)
+
 let suite =
   [
     prefix_optima_match_batch;
@@ -540,4 +568,5 @@ let suite =
     blocks_agree_at_every_boundary;
     case "streaming: appended blocks keep the grow counts and capacities"
       appended_blocks_keep_counts;
+    batch_solve_reads_times_in_place;
   ]
